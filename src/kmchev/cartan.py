@@ -494,6 +494,8 @@ def realization_from_json_file(path: str) -> Realization:
     """Load {"matrix": [[...]], "symmetrizer": [...]?, "nodes": [...]?} from a file."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError('expected a JSON object with a "matrix" key')
     gcm = GCM.from_matrix(data["matrix"])
     if "symmetrizer" in data:
         given = tuple(int(x) for x in data["symmetrizer"])

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import alcove, kring, lspath
@@ -73,7 +72,14 @@ class JobConfig:
         if self.gcm_file and self.cartan:
             raise CLIError("give either --cartan or --gcm-file, not both")
         if self.gcm_file:
-            return realization_from_json_file(self.gcm_file)
+            try:
+                return realization_from_json_file(self.gcm_file)
+            except OSError as exc:
+                raise CLIError(f"cannot read --gcm-file: {exc}") from None
+            except KeyError as exc:
+                raise CLIError(f"--gcm-file {self.gcm_file}: missing key {exc}") from None
+            except (ValueError, TypeError) as exc:  # ValueError covers json.JSONDecodeError
+                raise CLIError(f"--gcm-file {self.gcm_file}: {exc}") from None
         if self.cartan:
             return realization_from_preset(self.cartan)
         raise CLIError("a Cartan matrix is required (--cartan or --gcm-file)")
@@ -94,13 +100,17 @@ def parse_lam(R: Realization, text: str | None) -> Weight:
     if text is None:
         raise CLIError("a --weight is required")
     try:
-        return R.parse_weight(text)
+        lam = R.parse_weight(text)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
+    if not is_lattice(lam):
+        raise CLIError(f"weight {text!r} is not integral: every coordinate must be an integer")
+    return lam
 
 
 def weight_obj(R: Realization, mu: Weight) -> dict:
-    assert is_lattice(mu)
+    if not is_lattice(mu):
+        raise ValueError(f"weight {R.format_weight(mu)} is not integral")
     corank = R.N - R.n
     if corank == 0:
         return {"fund": [int(x) for x in mu]}
@@ -145,7 +155,8 @@ def emit(cfg: JobConfig, text: str) -> None:
 
 
 def _rows_for_model(model: str, R: Realization, lam: Weight, sign: int, word: tuple):
-    """Each worker gets a private WeylGroup so caches never race."""
+    """Each model builds its own WeylGroup, so no cache filled by one model
+    feeds another: the cross-check compares independent computations."""
     W = WeylGroup(R)
     w = W.from_word(word)
     if model == "nilhecke":
@@ -188,12 +199,7 @@ def cmd_chevalley(cfg: JobConfig) -> int:
     w = W.from_word(word)
 
     models = ["ls", "alcove", "nilhecke"] if cfg.model == "all" else [cfg.model]
-    if cfg.model == "all":
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            futures = {m: pool.submit(_rows_for_model, m, R, lam, cfg.sign, word) for m in models}
-            rows_by_model = {m: fut.result() for m, fut in futures.items()}
-    else:
-        rows_by_model = {cfg.model: _rows_for_model(cfg.model, R, lam, cfg.sign, word)}
+    rows_by_model = {m: _rows_for_model(m, R, lam, cfg.sign, word) for m in models}
 
     diffs = _rows_diff(rows_by_model)
     if diffs:

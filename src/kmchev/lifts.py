@@ -2,9 +2,10 @@
 
 up(v, tau) is the Bruhat-minimum of {w >= v : wW_J = tau}; down(w, tau) the
 Bruhat-maximum of {v <= w : vW_J = tau}.  Existence and uniqueness are
-classical; up is computed by a descent recursion, down by enumerating the
-subword elements of one reduced word (exactly the interval [e, w]) and
-asserting the maximum is unique.
+classical (Deodhar, Invent. Math. 39, 1977).  Both are computed by a descent
+recursion that peels one letter per step and rebuilds the answer on the way
+back, so each costs a number of memoised Weyl-group links linear in the
+length.  The oracles recompute them by scanning a BFS ball.
 """
 from __future__ import annotations
 
@@ -21,18 +22,13 @@ def up(W: WeylGroup, v: WeylElt, tau: Coset) -> WeylElt:
     """
     if not W.coset_leq(W.coset_min_rep(v, tau.J), tau):
         raise ValueError(f"{v!r} does not lie under the coset {tau!r}")
-    letters: list[int] = []
-    t = tau.rep
-    while t.word:
-        i = t.word[0]
-        letters.append(i)
+    letters = tau.rep.word
+    for i in letters:
         if v.rho[i] < 0:
-            v = W.mult(W.simple(i), v)
-        t = W.mult(W.simple(i), t)
-    w = v
+            v = W.lmul(i, v)
     for i in reversed(letters):
-        w = W.mult(W.simple(i), w)
-    return w
+        v = W.lmul(i, v)
+    return v
 
 
 def interval_below(W: WeylGroup, w: WeylElt) -> set[WeylElt]:
@@ -46,19 +42,41 @@ def interval_below(W: WeylGroup, w: WeylElt) -> set[WeylElt]:
 def down(W: WeylGroup, w: WeylElt, tau: Coset) -> WeylElt:
     """The maximal v <= w in the coset tau; requires wW_J >= tau.
 
-    Enumerates the subword elements of the canonical reduced word of w (by the
-    subword property this is all of [e, w]), keeps those in the coset, and
-    asserts the length-maximal one dominates the rest.
+    With i a left descent of w, every v <= w has min(v, s_i v) <= s_i w, and
+    by the lifting property:
+
+    * s_i tau > tau: down(w, tau) = down(s_i w, tau);
+    * s_i tau < tau: down(w, tau) = s_i · down(s_i w, s_i tau);
+    * s_i tau = tau: with D = down(s_i w, tau), the longer of D and s_i D.
     """
     if not W.coset_leq(tau, W.coset_min_rep(w, tau.J)):
         raise ValueError(f"{w!r} does not lie over the coset {tau!r}")
-    candidates = [v for v in interval_below(W, w) if W.coset_min_rep(v, tau.J) == tau]
-    assert candidates, "nonempty by Deodhar's theorem"
-    best = max(candidates, key=lambda v: v.key)
-    assert all(W.bruhat_leq(v, best) for v in candidates), (
-        "Bruhat-maximum not unique; contradicts Deodhar"
-    )
-    return best
+    return _down(W, w, tau)
+
+
+def _down(W: WeylGroup, w: WeylElt, tau: Coset) -> WeylElt:
+    """down without the precondition check: peel the canonical word of w
+    letter by letter (each letter is a left descent of what remains), noting
+    which case applies, then unwind from down(e, W_J) = e."""
+    steps: list[tuple[int, int]] = []
+    t = tau.rep
+    J = tau.J
+    for i in w.word:
+        st = W.coset_decompose(W.lmul(i, t), J)[0]
+        if st.length < t.length:
+            steps.append((i, -1))
+            t = st
+        else:
+            steps.append((i, 0 if st.length > t.length else 1))
+    v = W.e
+    for i, case in reversed(steps):
+        if case < 0:
+            v = W.lmul(i, v)
+        elif case > 0:
+            sv = W.lmul(i, v)
+            if sv.length > v.length:
+                v = sv
+    return v
 
 
 def up_oracle(W: WeylGroup, v: WeylElt, tau: Coset, search_bound: int) -> WeylElt:

@@ -6,6 +6,13 @@ comparison.  The canonical reduced word is recovered from w(rho) by peeling
 the smallest left descent (the i with coordinate < 0) until reaching rho;
 each peel shortens the element by exactly one letter.
 
+Each group interns its elements and memoises the group law on them, after
+Casselman's integer Coxeter kernel (Invent. Math. 117, 1994): every element
+carries a link s_i·w per node, filled on first use and set in both directions
+(s_i² = e), so a product is a walk of links along the shorter factor's word.
+Inverses and parabolic decompositions are memoised per group as well; weights
+are still acted on by reflecting coordinates.
+
 Everything is bounded: infinite groups are explored through cached BFS layers
 guarded by a cap (KMCHEV_LAYER_CAP, default 100000).
 """
@@ -20,14 +27,20 @@ DEFAULT_LAYER_CAP = 100_000
 
 
 class WeylElt:
-    """A Weyl group element: canonical reduced word plus its rho-image."""
+    """A Weyl group element: canonical reduced word plus its rho-image.
 
-    __slots__ = ("word", "rho", "W")
+    ``left[i]`` is the element s_i·w once some product has needed it, else
+    None; ``_inv`` caches the inverse the same way.
+    """
+
+    __slots__ = ("word", "rho", "W", "left", "_inv")
 
     def __init__(self, W: "WeylGroup", word: tuple[int, ...], rho: Weight):
         self.W = W
         self.word = word
         self.rho = rho
+        self.left: list[WeylElt | None] = [None] * W.n
+        self._inv: WeylElt | None = None
 
     @property
     def length(self) -> int:
@@ -76,37 +89,59 @@ class WeylGroup:
         if layer_cap is None:
             layer_cap = int(os.environ.get("KMCHEV_LAYER_CAP", DEFAULT_LAYER_CAP))
         self.layer_cap = layer_cap
-        self._elts: dict[Weight, WeylElt] = {}
-        self.e = self._from_rho(self.rho)
+        self.e = WeylElt(self, (), self.rho)
+        self.e._inv = self.e
+        self._elts: dict[Weight, WeylElt] = {self.rho: self.e}
+        self._simple = tuple(self.lmul(i, self.e) for i in range(self.n))
         self._layers: list[list[WeylElt]] = [[self.e]]
         self._cocover_cache: dict[Weight, tuple] = {}
+        self._coset_cache: dict[tuple, tuple[WeylElt, WeylElt]] = {}
 
     # -- construction ------------------------------------------------------
 
-    def _peel(self, mu: Weight) -> tuple[int, ...]:
-        word = []
-        while mu != self.rho:
-            i = next(k for k in range(self.n) if mu[k] < 0)
-            word.append(i)
-            mu = self.R.simple_reflection(i, mu)
-        return tuple(word)
-
     def _from_rho(self, mu: Weight) -> WeylElt:
+        """The element with rho-image mu, interning it and every element met
+        while peeling its smallest left descents down to a known one."""
         elt = self._elts.get(mu)
-        if elt is None:
-            elt = WeylElt(self, self._peel(mu), mu)
-            self._elts[mu] = elt
+        if elt is not None:
+            return elt
+        chain = []
+        while elt is None:
+            i = next(k for k in range(self.n) if mu[k] < 0)
+            chain.append((i, mu))
+            mu = self.R.simple_reflection(i, mu)
+            elt = self._elts.get(mu)
+        for i, mu in reversed(chain):
+            up = WeylElt(self, (i,) + elt.word, mu)
+            self._elts[mu] = up
+            up.left[i] = elt
+            elt.left[i] = up
+            elt = up
         return elt
+
+    def lmul(self, i: int, w: WeylElt) -> WeylElt:
+        """s_i · w, through the memoised link."""
+        u = w.left[i]
+        if u is None:
+            u = self._from_rho(self.R.simple_reflection(i, w.rho))
+            w.left[i] = u
+            u.left[i] = w
+        return u
+
+    def _walk(self, word, v: WeylElt) -> WeylElt:
+        """s_{word[0]} ... s_{word[-1]} · v."""
+        lmul = self.lmul
+        for i in reversed(word):
+            u = v.left[i]
+            v = u if u is not None else lmul(i, v)
+        return v
 
     def from_word(self, word) -> WeylElt:
         """Element with the given word (not necessarily reduced)."""
-        mu = self.rho
-        for i in reversed(tuple(word)):
-            mu = self.R.simple_reflection(i, mu)
-        return self._from_rho(mu)
+        return self._walk(tuple(word), self.e)
 
     def simple(self, i: int) -> WeylElt:
-        return self.from_word((i,))
+        return self._simple[i]
 
     # -- actions and products ----------------------------------------------
 
@@ -121,13 +156,18 @@ class WeylGroup:
         return beta
 
     def mult(self, w: WeylElt, v: WeylElt) -> WeylElt:
-        return self._from_rho(self.act(w, v.rho))
+        """w · v, walking the shorter factor: w·v = (v⁻¹·w⁻¹)⁻¹."""
+        if len(w.word) <= len(v.word):
+            return self._walk(w.word, v)
+        return self.inverse(self._walk(self.inverse(v).word, self.inverse(w)))
 
     def inverse(self, w: WeylElt) -> WeylElt:
-        mu = self.rho
-        for i in w.word:
-            mu = self.R.simple_reflection(i, mu)
-        return self._from_rho(mu)
+        u = w._inv
+        if u is None:
+            u = self._walk(w.word[::-1], self.e)
+            w._inv = u
+            u._inv = w
+        return u
 
     def reflect_right(self, w: WeylElt, beta: Coroot) -> WeylElt:
         """w · s_beta."""
@@ -148,20 +188,18 @@ class WeylGroup:
         depth: with i a left descent of w, v <= w iff s_i v <= s_i w when
         s_i v < v, else iff v <= s_i w).
         """
-        vr, vl, wr, wl = v.rho, v.length, w.rho, w.length
+        lmul = self.lmul
         while True:
-            if vl > wl:
+            if len(v.word) > len(w.word):
                 return False
-            if vr == wr:
+            if v.rho == w.rho:
                 return True
-            if wl == 0:
+            if not w.word:
                 return False
-            i = next(k for k in range(self.n) if wr[k] < 0)
-            wr = self.R.simple_reflection(i, wr)
-            wl -= 1
-            if vr[i] < 0:
-                vr = self.R.simple_reflection(i, vr)
-                vl -= 1
+            i = w.word[0]
+            w = lmul(i, w)
+            if v.rho[i] < 0:
+                v = lmul(i, v)
 
     def inversions(self, w: WeylElt) -> tuple[Coroot, ...]:
         """The positive coroots sent negative by w^{-1}; exactly length many.
@@ -203,7 +241,7 @@ class WeylGroup:
             nxt: dict[Weight, WeylElt] = {}
             for w in prev:
                 for i in range(self.n):
-                    u = self._from_rho(self.act(w, self.simple(i).rho))
+                    u = self.lmul(i, w)
                     if u.length == len(self._layers):
                         nxt[u.rho] = u
             if len(nxt) > self.layer_cap:
@@ -239,20 +277,24 @@ class WeylGroup:
 
     def coset_decompose(self, w: WeylElt, J) -> tuple[WeylElt, WeylElt]:
         """w = w^J · w_J with w^J the minimum-length coset representative;
-        built by stripping the smallest right descent lying in J."""
+        built by stripping the smallest right descent lying in J (a left
+        descent of w^{-1}), and memoised per (w, J)."""
         J = frozenset(J)
-        u = w
-        strip: list[int] = []
+        key = (w.rho, J)
+        hit = self._coset_cache.get(key)
+        if hit is not None:
+            return hit
+        x, w_j = self.inverse(w), self.e
         while True:
-            inv_rho = self.inverse(u).rho
-            ds = [i for i in J if inv_rho[i] < 0]
+            ds = [i for i in J if x.rho[i] < 0]
             if not ds:
                 break
             i = min(ds)
-            u = self.mult(u, self.simple(i))
-            strip.append(i)
-        w_j = self.from_word(reversed(strip))
+            x = self.lmul(i, x)
+            w_j = self.lmul(i, w_j)
+        u = self.inverse(x)
         assert u.length + w_j.length == w.length
+        self._coset_cache[key] = (u, w_j)
         return u, w_j
 
     def coset_min_rep(self, w: WeylElt, J) -> Coset:
@@ -266,4 +308,4 @@ class WeylGroup:
 
     def coset_mult_simple(self, i: int, tau: Coset) -> Coset:
         """The coset s_i · tau."""
-        return self.coset_min_rep(self.mult(self.simple(i), tau.rep), tau.J)
+        return self.coset_min_rep(self.lmul(i, tau.rep), tau.J)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import kmchev.alcove as alcove
 from kmchev.cli import main
@@ -154,6 +158,52 @@ def test_error_exits(capsys):
         code, _, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_non_integral_weights_exit_2(capsys):
+    cases = [
+        ["chevalley", "--cartan", "A2", "--weight", "1/2,1", "--w", "e"],
+        ["chevalley", *AFF[:2], "--weight", "1,1,0,delta=1/2", "--w", "e"],
+        ["crystal", "--cartan", "A2", "--weight", "1.5,0", "--w", "1"],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and "integral" in err, argv
+        assert out == "", argv
+
+
+def test_non_integral_weight_exits_2_without_asserts():
+    """The boundary check must not rest on an assert that python -O strips."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kmchev", "chevalley", "--cartan", "A2",
+         "--weight", "1/2,1", "--w", "1 2", "--model", "ls"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
+def test_gcm_file_errors_exit_2(tmp_path, capsys):
+    bodies = {
+        "bad_json": "{not json",
+        "no_matrix": json.dumps({"nodes": ["1", "2"]}),
+        "not_a_gcm": json.dumps({"matrix": [[2, 1], [1, 2]]}),
+        "not_an_object": json.dumps([[2, -1], [-1, 2]]),
+        "entries": json.dumps({"matrix": [["a", -1], [-1, 2]]}),
+    }
+    paths = [str(tmp_path / "missing.json")]
+    for name, body in bodies.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(body)
+        paths.append(str(path))
+    for path in paths:
+        code, _, err = run(capsys, ["chevalley", "--gcm-file", path, "--weight", "1,1", "--w", "e"])
+        assert code == 2, path
+        assert err.startswith("error:"), path
 
 
 def test_identity_word_forms(capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from kmchev.cartan import realization_from_preset
+from kmchev.cartan import GCM, Realization, realization_from_preset
 from kmchev.lifts import down, down_oracle, interval_below, up, up_oracle
 from kmchev.weyl import WeylGroup
 
@@ -39,40 +39,61 @@ def test_interval_below(WA2):
     assert {u.word for u in interval_below(WA2, s12)} == {(), (0,), (1,), (0, 1)}
 
 
-@pytest.mark.parametrize("preset", ["A2", "B2"])
-def test_lift_parity_exhaustive_finite(preset):
-    W = WeylGroup(realization_from_preset(preset))
-    elems = W.bfs_ball(8)
-    subsets = [frozenset(s) for r in range(3) for s in itertools.combinations(range(W.n), r)]
+def _assert_lift_parity(W, bound, subsets):
+    """up/down against the ball-scanning oracles for every v, w in the ball of
+    the given length and every coset they reach, over each J in subsets."""
+    elems = W.bfs_ball(bound)
     for J in subsets:
-        cosets = {W.coset_min_rep(w, J) for w in elems}
+        cosets = sorted({W.coset_min_rep(w, J) for w in elems}, key=lambda c: c.rep.key)
         for v in elems:
             vc = W.coset_min_rep(v, J)
             for tau in cosets:
                 if W.coset_leq(vc, tau):
-                    assert up(W, v, tau) == up_oracle(W, v, tau, 8)
+                    assert up(W, v, tau) == up_oracle(W, v, tau, max(bound, v.length + tau.rep.length + 2))
         for w in elems:
             wc = W.coset_min_rep(w, J)
             for tau in cosets:
                 if W.coset_leq(tau, wc):
                     assert down(W, w, tau) == down_oracle(W, w, tau)
+                else:
+                    with pytest.raises(ValueError):
+                        down(W, w, tau)
+
+
+def _all_subsets(n):
+    return [frozenset(s) for r in range(n + 1) for s in itertools.combinations(range(n), r)]
+
+
+@pytest.mark.parametrize("preset", ["A2", "B2", "G2"])
+def test_lift_parity_exhaustive_finite(preset):
+    W = WeylGroup(realization_from_preset(preset))
+    _assert_lift_parity(W, 8, _all_subsets(W.n))
 
 
 def test_lift_parity_affine_ball(WAFF):
-    W = WAFF
-    J = frozenset({2})
-    elems = W.bfs_ball(4)
-    cosets = sorted({W.coset_min_rep(w, J) for w in elems}, key=lambda c: c.rep.key)
-    for v in elems:
-        vc = W.coset_min_rep(v, J)
-        for tau in cosets:
-            if W.coset_leq(vc, tau):
-                assert up(W, v, tau) == up_oracle(W, v, tau, v.length + tau.rep.length + 2)
-    for w in elems:
-        wc = W.coset_min_rep(w, J)
-        for tau in cosets:
-            if W.coset_leq(tau, wc):
-                assert down(W, w, tau) == down_oracle(W, w, tau)
+    _assert_lift_parity(WAFF, 4, [frozenset({2})])
+
+
+@pytest.mark.parametrize(
+    "R, bound",
+    [
+        (realization_from_preset("A1~"), 8),
+        (Realization(GCM.from_matrix([[2, -3], [-3, 2]])), 6),
+    ],
+    ids=["A1~", "hyperbolic"],
+)
+def test_lift_parity_infinite_rank_two(R, bound):
+    _assert_lift_parity(WeylGroup(R), bound, _all_subsets(R.n))
+
+
+def test_lifts_of_words_longer_than_the_recursion_limit():
+    W = WeylGroup(realization_from_preset("A1~"))
+    w = W.from_word((0, 1) * 600)
+    tau = W.coset_min_rep(W.from_word((1, 0) * 3), frozenset({0}))
+    assert down(W, w, tau) == W.from_word((1, 0) * 3)
+    whole = W.coset_min_rep(W.e, frozenset({0, 1}))
+    assert down(W, w, whole) == w
+    assert up(W, W.e, W.coset_min_rep(w, frozenset())) == w
 
 
 # -- how lifts interact with a simple reflection --------------------------------

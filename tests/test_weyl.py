@@ -141,6 +141,37 @@ def test_coset_mult_simple_trichotomy(WAFF):
             assert WAFF.coset_leq(lo, hi)
 
 
+def test_memoised_group_law_matches_the_rho_action(WAFF):
+    """mult and inverse walk memoised links; the reference is the action on
+    rho-images, reflection by reflection."""
+    elems = WAFF.bfs_ball(3)
+    for a, b in itertools.product(elems, repeat=2):
+        assert WAFF.mult(a, b).rho == WAFF.act(a, b.rho)
+    for a in elems:
+        assert WAFF.act(a, WAFF.inverse(a).rho) == WAFF.rho
+        assert WAFF.inverse(WAFF.inverse(a)) is a
+
+
+@pytest.mark.parametrize("preset", ["B2", "G2", "A3"])
+def test_memoised_coset_decompose_matches_the_rho_action(preset):
+    """w^J is the shortest element of {w x : x in W_J}, the coset computed on
+    rho-images in a separate group, and w = w^J w_J."""
+    W = WeylGroup(realization_from_preset(preset))
+    ref = WeylGroup(W.R)
+    whole = ref.bfs_ball(20)
+    by_rho = {x.rho: x for x in whole}
+    for r in range(W.n + 1):
+        for J in map(frozenset, itertools.combinations(range(W.n), r)):
+            W_J = [x for x in whole if set(x.word) <= J]
+            for w in W.bfs_ball(20):
+                rep, tail = W.coset_decompose(w, J)
+                coset = [by_rho[W.act(w, x.rho)] for x in W_J]
+                assert rep.rho == min(coset, key=lambda x: x.key).rho
+                assert W.act(rep, tail.rho) == w.rho
+                assert set(tail.word) <= J
+                assert W.coset_decompose(w, J) == (rep, tail)
+
+
 def test_layer_cap_guards_explosions():
     R = realization_from_preset("A2~")
     W = WeylGroup(R, layer_cap=2)
