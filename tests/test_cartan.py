@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from kmchev.cartan import (
     GCM,
+    PRESETS,
     Q,
+    Realization,
     coroot_from_c,
     is_lattice,
     pairing,
@@ -151,3 +153,31 @@ def test_realization_from_json(tmp_path):
     bad.write_text(json.dumps({"matrix": [[2, -1], [-1, 2]], "symmetrizer": [1, 2]}))
     with pytest.raises(ValueError):
         realization_from_json_file(str(bad))
+
+
+# classify(), symmetrizer, ambient rank, completion columns and delta, pinned
+# so the elimination routines behind them can be rewritten safely.
+CARTAN_TABLE = [
+    ("A1", [[2]], "finite", (1,), 1, (), None),
+    ("A2", [[2, -1], [-1, 2]], "finite", (1, 1), 2, (), None),
+    ("A3", [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "finite", (1, 1, 1), 3, (), None),
+    ("B2", [[2, -1], [-2, 2]], "finite", (2, 1), 2, (), None),
+    ("G2", [[2, -1], [-3, 2]], "finite", (3, 1), 2, (), None),
+    ("A1~", [[2, -2], [-2, 2]], "affine", (1, 1), 3, (0,), (0, 0, 1)),
+    ("A2~", [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "affine", (1, 1, 1), 4, (0,), (0, 0, 0, 1)),
+    ("twisted", [[2, -4], [-1, 2]], "affine", (1, 4), 3, (0,), (0, 0, 1)),
+    ("B3", [[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "finite", (2, 2, 1), 3, (), None),
+    ("C3", [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], "finite", (1, 1, 2), 3, (), None),
+    ("A1~+A1~", [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]],
+     "affine", (1, 1, 1, 1), 6, (0, 2), None),
+    ("A1+hyp", [[2, 0, 0], [0, 2, -3], [0, -3, 2]], "indefinite", (1, 1, 1), 3, (), None),
+]
+
+
+@pytest.mark.parametrize("name,matrix,kind,d,N,extra,delta", CARTAN_TABLE, ids=[r[0] for r in CARTAN_TABLE])
+def test_cartan_table(name, matrix, kind, d, N, extra, delta):
+    if name in PRESETS:
+        assert PRESETS[name] == matrix
+    gcm = GCM.from_matrix(matrix)
+    R = Realization(gcm)
+    assert (gcm.classify(), gcm.d, R.N, R.extra_columns, R.delta) == (kind, d, N, extra, delta)
