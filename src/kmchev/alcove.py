@@ -31,7 +31,6 @@ each conversion segment.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 from .cartan import Coroot, Q, Realization, Weight, _num, pairing, wt_add, wt_neg, wt_scale
@@ -45,7 +44,6 @@ __all__ = [
     "AdaptedSequence",
     "stdvec",
     "lex_less",
-    "inverted_lex",
     "rht",
     "rcht",
     "format_hyperplane",
@@ -95,25 +93,7 @@ def stdvec(lam: Weight, h: LambdaHyperplane) -> tuple:
     return (Q(h.k, p),) + tuple(Q(c, p) for c in h.alpha.c)
 
 
-# Testing hook: flipping this inverts the lex comparator, which silently breaks
-# axiom (1) of the chain order.  The self-test harness uses it as a negative
-# control to prove the model cross-checks can actually fail.
-_inverted_lex = False
-
-
-@contextlib.contextmanager
-def inverted_lex():
-    global _inverted_lex
-    _inverted_lex = True
-    try:
-        yield
-    finally:
-        _inverted_lex = False
-
-
 def lex_less(lam: Weight, a: LambdaHyperplane, b: LambdaHyperplane) -> bool:
-    if _inverted_lex:
-        return stdvec(lam, a) > stdvec(lam, b)
     return stdvec(lam, a) < stdvec(lam, b)
 
 
@@ -282,13 +262,13 @@ def wt_dec(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> Weight:
 # -- enumeration: trees below w, fans above z ------------------------------------
 
 
-def _cover_edges_down(W: WeylGroup, lam: Weight, v: WeylElt):
-    """Tree edges leaving v downward: (hyperplane, cocover), lex-sorted."""
+def _label_edges(lam: Weight, covers) -> list:
+    """Edges (hyperplane, element), lex-sorted, for (element, coroot) pairs
+    from W.cocovers (tree edges down) or W.covers_within (fan edges up)."""
     out = []
-    for vp, beta in W.cocovers(v):
-        p = pairing(beta, lam)
-        for k in range(max(0, p)):
-            out.append((LambdaHyperplane(beta, k), vp))
+    for x, beta in covers:
+        for k in range(max(0, pairing(beta, lam))):
+            out.append((LambdaHyperplane(beta, k), x))
     out.sort(key=lambda t: (stdvec(lam, t[0]), t[1].key))
     return out
 
@@ -298,7 +278,7 @@ def _enumerate_tree(W: WeylGroup, lam: Weight, w: WeylElt, monotonicity: str) ->
 
     def rec(v: WeylElt, incoming: LambdaHyperplane | None, hs_up: tuple, chain_up: tuple):
         out.append(AdaptedSequence(v, hs_up, (v,) + chain_up, monotonicity))
-        for h, vp in _cover_edges_down(W, lam, v):
+        for h, vp in _label_edges(lam, W.cocovers(v)):
             if incoming is not None:
                 if monotonicity == "inc" and not lex_less(lam, h, incoming):
                     continue
@@ -330,15 +310,6 @@ def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str
     out: list[AdaptedSequence] = []
     truncated = False
 
-    def up_edges(u: WeylElt, bound: int):
-        es = []
-        for w, beta in W.covers_within(u, bound):
-            p = pairing(beta, lam)
-            for k in range(max(0, p)):
-                es.append((LambdaHyperplane(beta, k), w))
-        es.sort(key=lambda t: (stdvec(lam, t[0]), t[1].key))
-        return es
-
     def admissible(h: LambdaHyperplane, last: LambdaHyperplane | None) -> bool:
         if last is None:
             return True
@@ -348,10 +319,10 @@ def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str
         nonlocal truncated
         out.append(AdaptedSequence(z, hs_acc, chain_acc, monotonicity))
         if u.length >= length_bound:
-            if any(admissible(h, last) for h, _ in up_edges(u, u.length + 1)):
+            if any(admissible(h, last) for h, _ in _label_edges(lam, W.covers_within(u, u.length + 1))):
                 truncated = True
             return
-        for h, w in up_edges(u, length_bound):
+        for h, w in _label_edges(lam, W.covers_within(u, length_bound)):
             if admissible(h, last):
                 rec(w, h, hs_acc + (h,), chain_acc + (w,))
 
@@ -402,35 +373,13 @@ def refl_less_dual(R: Realization, lam: Weight, a: Coroot, b: Coroot) -> bool:
     return refl_less(R, lam, b, a)
 
 
-def all_label_chains(W: WeylGroup, a: WeylElt, b: WeylElt, label_ok=None):
-    """Every saturated chain a -> b, as (elements ascending, labels ascending
-    by position); labels may be filtered but no order is imposed."""
-    res = []
-
-    def rec(cur: WeylElt, labels: tuple, elems: tuple):
-        if cur == a:
-            res.append(((a,) + elems, labels))
-            return
-        if cur.length <= a.length:
-            return
-        for v, beta in W.cocovers(cur):
-            if label_ok is not None and not label_ok(beta):
-                continue
-            if not W.bruhat_leq(a, v):
-                continue
-            rec(v, (beta,) + labels, (cur,) if not elems else (cur,) + elems)
-
+def _label_chains(W: WeylGroup, a: WeylElt, b: WeylElt, label_ok, below=None) -> list:
+    """Saturated chains a -> b, walked down from b through cocovers, as
+    (elements ascending, labels ascending by position).  Labels failing
+    label_ok are skipped; with below(beta, bound), each label must be below
+    the label after it, which prunes the walk as it goes."""
     if a == b:
         return [((a,), ())]
-    rec(b, (), ())
-    return res
-
-
-def increasing_chain(W: WeylGroup, lam: Weight, a: WeylElt, b: WeylElt, less=None, label_ok=None):
-    """The unique saturated chain a -> b whose labels strictly increase in the
-    given reflection order (default refl_less).  Asserts uniqueness."""
-    if less is None:
-        less = refl_less
     res = []
 
     def rec(cur: WeylElt, bound: Coroot | None, labels: tuple, elems: tuple):
@@ -442,15 +391,28 @@ def increasing_chain(W: WeylGroup, lam: Weight, a: WeylElt, b: WeylElt, less=Non
         for v, beta in W.cocovers(cur):
             if label_ok is not None and not label_ok(beta):
                 continue
-            if bound is not None and not less(W.R, lam, beta, bound):
+            if below is not None and bound is not None and not below(beta, bound):
                 continue
             if not W.bruhat_leq(a, v):
                 continue
-            rec(v, beta, (beta,) + labels, (cur,) if not elems else (cur,) + elems)
+            rec(v, beta, (beta,) + labels, (cur,) + elems)
 
-    if a == b:
-        return (a,), ()
     rec(b, None, (), ())
+    return res
+
+
+def all_label_chains(W: WeylGroup, a: WeylElt, b: WeylElt, label_ok=None):
+    """Every saturated chain a -> b, as (elements ascending, labels ascending
+    by position); labels may be filtered but no order is imposed."""
+    return _label_chains(W, a, b, label_ok)
+
+
+def increasing_chain(W: WeylGroup, lam: Weight, a: WeylElt, b: WeylElt, less=None, label_ok=None):
+    """The unique saturated chain a -> b whose labels strictly increase in the
+    given reflection order (default refl_less).  Asserts uniqueness."""
+    if less is None:
+        less = refl_less
+    res = _label_chains(W, a, b, label_ok, lambda beta, bound: less(W.R, lam, beta, bound))
     assert len(res) == 1, f"expected a unique increasing chain {a!r} -> {b!r}, found {len(res)}"
     return res[0]
 

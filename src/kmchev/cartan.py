@@ -15,6 +15,7 @@ tuples still behave as dict keys; normalising keeps reprs readable).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,24 +58,32 @@ def is_lattice(u: Weight) -> bool:
     return all(Q(a).denominator == 1 for a in u)
 
 
-def _rank(rows: list[list[Q]]) -> int:
-    """Rank of a rational matrix by Gaussian elimination."""
-    mat = [row[:] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+def _eliminate(rows) -> tuple[list[list[Q]], list[int], list[Q]]:
+    """Gauss-Jordan elimination of a rational matrix.
+
+    Returns (reduced, pivots, values): the reduced row echelon form, its pivot
+    columns, and for each pivot the entry that stood in the pivot position
+    before any row swap -- zero exactly when the pivot had to be swapped up
+    from a lower row.  The rank is len(pivots).
+    """
+    mat = [[Q(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    values: list[Q] = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Q(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
+        values.append(mat[top][col])
+        mat[top], mat[pivot] = mat[pivot], mat[top]
+        inv = 1 / mat[top][col]
+        mat[top] = [x * inv for x in mat[top]]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
+            if r != top and mat[r][col] != 0:
                 c = mat[r][col]
-                mat[r] = [x - c * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+                mat[r] = [x - c * y for x, y in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots, values
 
 
 def _components(a) -> list[list[int]]:
@@ -128,20 +137,17 @@ def _symmetrizer(a) -> tuple[int, ...]:
                 elif d[j] != d[i] * ratio:
                     raise ValueError("not symmetrizable: inconsistent cycle")
     assert all(x is not None and x > 0 for x in d)
-    lcm_den = 1
-    for x in d:
-        lcm_den = lcm_den * x.denominator // _gcd(lcm_den, x.denominator)
+    lcm_den = math.lcm(*(x.denominator for x in d))
     ints = [int(x * lcm_den) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _integer(x, what: str) -> int:
+    """x itself if it is a Python int (bools excluded), else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ class GCM:
         (2, 1)
         """
         n = len(rows)
-        a = tuple(tuple(int(x) for x in row) for row in rows)
+        a = tuple(tuple(_integer(x, "Cartan matrix entry") for x in row) for row in rows)
         if any(len(row) != n for row in a):
             raise ValueError("matrix is not square")
         for i in range(n):
@@ -177,20 +183,17 @@ class GCM:
     def classify(self) -> str:
         """Return "finite", "affine", or "indefinite".
 
-        Finite means the symmetrized matrix is positive definite (checked by
-        Sylvester's criterion with exact rationals); affine means every
-        connected component is finite or carries a strictly positive rational
-        null vector.
+        Finite means the symmetrized matrix is positive definite: elimination
+        needs no row swap and every pivot is positive, which is Sylvester's
+        criterion read off the pivots.  Affine means every connected component
+        is finite or carries a strictly positive rational null vector.
         """
         kinds = []
         for comp in _components(self.a):
-            sub = [[Q(self.d[i] * self.a[i][j]) for j in comp] for i in comp]
-            if _positive_definite(sub):
+            _, pivots, values = _eliminate([[self.d[i] * self.a[i][j] for j in comp] for i in comp])
+            if pivots == list(range(len(comp))) and all(v > 0 for v in values):
                 kinds.append("finite")
-                continue
-            acomp = [[Q(self.a[i][j]) for j in comp] for i in comp]
-            null = _null_vector(acomp)
-            if null is not None and (all(x > 0 for x in null) or all(x < 0 for x in null)):
+            elif _has_positive_null_vector([[self.a[i][j] for j in comp] for i in comp]):
                 kinds.append("affine")
             else:
                 kinds.append("indefinite")
@@ -204,64 +207,16 @@ class GCM:
         return {"matrix": [list(r) for r in self.a], "symmetrizer": list(self.d)}
 
 
-def _positive_definite(sym: list[list[Q]]) -> bool:
-    """Sylvester's criterion on a symmetric rational matrix."""
-    n = len(sym)
-    for k in range(1, n + 1):
-        if _det([row[:k] for row in sym[:k]]) <= 0:
-            return False
-    return True
-
-
-def _det(mat: list[list[Q]]) -> Q:
-    mat = [row[:] for row in mat]
+def _has_positive_null_vector(mat) -> bool:
+    """Is the kernel of the square matrix one-dimensional and spanned by a
+    vector whose entries are all positive (or all negative)?"""
     n = len(mat)
-    det = Q(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Q(1) / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                c = mat[r][col] * inv
-                mat[r] = [x - c * y for x, y in zip(mat[r], mat[col])]
-    return det
-
-
-def _null_vector(mat: list[list[Q]]) -> list[Q] | None:
-    """A nonzero rational vector u with mat @ u = 0, if the kernel is 1-dimensional."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    if _rank(m) != n - 1:
-        return None
-    # Solve by elimination, fixing the free variable to 1.
-    mat = [row[:] for row in mat]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Q(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(n):
-            if r != rank and mat[r][col] != 0:
-                c = mat[r][col]
-                mat[r] = [x - c * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
+    reduced, pivots, _ = _eliminate(mat)
+    if len(pivots) != n - 1:
+        return False
+    # the free column's entry is 1, each pivot column's is -reduced[r][free]
     free = next(c for c in range(n) if c not in pivots)
-    u = [Q(0)] * n
-    u[free] = Q(1)
-    for r, col in enumerate(pivots):
-        u[col] = -mat[r][free]
-    return u
+    return all(reduced[r][free] < 0 for r in range(n - 1))
 
 
 @dataclass(frozen=True)
@@ -313,7 +268,7 @@ class Realization:
         self.gcm = gcm
         n = gcm.n
         a = gcm.a
-        rank = _rank([[Q(x) for x in row] for row in a])
+        rank = len(_eliminate(a)[1])
         extra = self._completion_columns(rank)
         self.n = n
         self.N = n + len(extra)
@@ -344,11 +299,11 @@ class Realization:
         """
         a = self.gcm.a
         n = self.gcm.n
-        chosen: list[list[Q]] = []
+        chosen: list[list[int]] = []
         extra = []
         for j in range(n - 1, -1, -1):
-            col = [Q(a[i][j]) for i in range(n)]
-            if _rank(chosen + [col]) > len(chosen):
+            col = [a[i][j] for i in range(n)]
+            if len(_eliminate(chosen + [col])[1]) > len(chosen):
                 chosen.append(col)
             else:
                 extra.append(j)
@@ -356,17 +311,12 @@ class Realization:
         return tuple(sorted(extra))
 
     def _delta(self) -> Weight | None:
-        if self.N != self.n + 1:
+        """The null root in corank one, when the matrix has a positive null
+        vector m: delta = sum_j m_j alpha_j pairs to zero with every simple
+        coroot; it is scaled so that its completion coordinate is 1."""
+        if self.N != self.n + 1 or not _has_positive_null_vector(self.gcm.a):
             return None
-        null = _null_vector([[Q(x) for x in row] for row in self.gcm.a])
-        if null is None or not (all(x > 0 for x in null) or all(x < 0 for x in null)):
-            return None
-        if null[0] < 0:
-            null = [-x for x in null]
-        # delta = sum_j m_j alpha_j has zero pairing with every simple coroot.
-        vec = (0,) * self.n + (null[self.extra_columns[0]],)
-        scale = Q(1) / vec[self.n]
-        return tuple(_num(Q(x) * scale) for x in vec)
+        return (0,) * self.n + (1,)
 
     def zero(self) -> Weight:
         return (0,) * self.N
@@ -498,7 +448,7 @@ def realization_from_json_file(path: str) -> Realization:
         raise ValueError('expected a JSON object with a "matrix" key')
     gcm = GCM.from_matrix(data["matrix"])
     if "symmetrizer" in data:
-        given = tuple(int(x) for x in data["symmetrizer"])
+        given = tuple(_integer(x, "symmetrizer entry") for x in data["symmetrizer"])
         scaled = _symmetrizer(gcm.a)
         ok = len(given) == gcm.n and all(
             given[i] * scaled[j] == given[j] * scaled[i] for i in range(gcm.n) for j in range(gcm.n)

@@ -8,7 +8,8 @@ Three subcommands:
 * ``crystal`` -- a Demazure (or opposite Demazure) set in both of its
   realizations, cross-checked, emitting the one picked by ``--realization``;
 * ``selftest`` -- a scenario matrix of internal cross-checks, including a
-  negative control that flips the lex comparator and must disagree.
+  negative control: the lex-decreasing tree folded like the dominant row
+  (what that row becomes with the lex comparator inverted) must disagree.
 
 Output formats: ``json`` (stable schema, deterministic ordering), ``table``
 (human-readable), ``dot`` (trees / crystal graphs).  Exit status is nonzero
@@ -81,7 +82,10 @@ class JobConfig:
             except (ValueError, TypeError) as exc:  # ValueError covers json.JSONDecodeError
                 raise CLIError(f"--gcm-file {self.gcm_file}: {exc}") from None
         if self.cartan:
-            return realization_from_preset(self.cartan)
+            try:
+                return realization_from_preset(self.cartan)
+            except ValueError as exc:
+                raise CLIError(str(exc)) from None
         raise CLIError("a Cartan matrix is required (--cartan or --gcm-file)")
 
 
@@ -143,10 +147,13 @@ def poly_str(R: Realization, poly) -> str:
 
 def emit(cfg: JobConfig, text: str) -> None:
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise CLIError(f"cannot write --out: {exc}") from None
     else:
         print(text)
 
@@ -448,10 +455,18 @@ def _scn_crystal_mass() -> str | None:
 
 
 def _scn_negative_control() -> str | None:
-    """With the lex comparator inverted the alcove model must disagree."""
-    with alcove.inverted_lex():
-        bad = _triangle("A2~", "1,1,0", "0 1 2 1", 1)
-    if bad is None:
+    """The dominant alcove row built with the lex comparator inverted must
+    disagree with the recurrence.  Inverting the comparator turns the
+    lex-increasing tree into the lex-decreasing one, so that row is the
+    lex-decreasing tree folded with wt_inc."""
+    R = realization_from_preset("A2~")
+    W = WeylGroup(R)
+    lam = R.parse_weight("1,1,0")
+    w = W.from_word(parse_word(R, "0 1 2 1"))
+    inverted: dict = {}
+    for seq in alcove.enumerate_tree_antidominant(W, lam, w):
+        kring.lp_add_into(inverted.setdefault(seq.z, {}), kring.lp_monomial(alcove.wt_inc(W, lam, seq)))
+    if not _rows_diff({"inverted": inverted, "nilhecke": kring.chevalley_recurrence(W, w, lam)}):
         return "inverted lex comparator went undetected"
     return None
 

@@ -55,10 +55,6 @@ def lp_sub(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return out
 
 
-def lp_neg(f: LaurentPoly) -> LaurentPoly:
-    return {mu: -c for mu, c in f.items()}
-
-
 def lp_mul_monomial(f: LaurentPoly, mu: Weight, c: int = 1) -> LaurentPoly:
     return {wt_add(nu, mu): c * x for nu, x in f.items()} if c else {}
 

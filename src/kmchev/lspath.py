@@ -424,11 +424,9 @@ def chevalley_dominant_ls(W: WeylGroup, lam: Weight, w: WeylElt, crystal=None) -
     tops = sorted((p for p in crystal if Coset(iota(p), J) == wcos), key=path_key)
     rows: dict[WeylElt, LaurentPoly] = {}
     for z in sorted(interval_below(W, w), key=lambda u: u.key):
-        zcos = W.coset_min_rep(z, J)
         poly: LaurentPoly = {}
-        for p in tops:
-            if W.coset_leq(zcos, Coset(phi(p), J)) and up_path(W, z, p) == w:
-                lp_add_into(poly, lp_monomial(endpoint(W, p)))
+        for p in pu_subset(W, tops, w, z, J):
+            lp_add_into(poly, lp_monomial(endpoint(W, p)))
         if poly:
             rows[z] = poly
     return rows
@@ -503,37 +501,22 @@ def all_istrings(W: WeylGroup, paths, i: int) -> list:
 _EMPTY: frozenset = frozenset()
 
 
-def _u_columns(S, h, t, mid):
+def _columns(tag: str, S, h, t, mid):
+    """The eight chart columns, named tag.*.  The D-columns are the U-columns
+    with head and tail swapped, so "D" is built with h and t exchanged."""
     s_h = S - {h}
     s_t = S - {t}
     hh = frozenset({h})
     tt = frozenset({t})
     return [
-        ("U.1.1", (S, _EMPTY, tt, _EMPTY), 1),
-        ("U.1.2", (S, _EMPTY, S, _EMPTY), 2),
-        ("U.1.3", (S, _EMPTY, frozenset({h, t}), mid), 3),
-        ("U.2.1", (hh, s_h, _EMPTY, tt), 1),
-        ("U.2.2", (hh, s_h, hh, s_h), 2),
-        ("U.2.3", (hh, s_h, s_t, tt), 3),
-        ("U.3.1", (_EMPTY, _EMPTY, s_t, _EMPTY), 2),
-        ("U.3.2", (_EMPTY, _EMPTY, hh, mid), 3),
-    ]
-
-
-def _d_columns(S, h, t, mid):
-    s_h = S - {h}
-    s_t = S - {t}
-    hh = frozenset({h})
-    tt = frozenset({t})
-    return [
-        ("D.1.1", (S, _EMPTY, hh, _EMPTY), 1),
-        ("D.1.2", (S, _EMPTY, S, _EMPTY), 2),
-        ("D.1.3", (S, _EMPTY, frozenset({h, t}), mid), 3),
-        ("D.2.1", (tt, s_t, _EMPTY, hh), 1),
-        ("D.2.2", (tt, s_t, tt, s_t), 2),
-        ("D.2.3", (tt, s_t, s_h, hh), 3),
-        ("D.3.1", (_EMPTY, _EMPTY, s_h, _EMPTY), 2),
-        ("D.3.2", (_EMPTY, _EMPTY, tt, mid), 3),
+        (f"{tag}.1.1", (S, _EMPTY, tt, _EMPTY), 1),
+        (f"{tag}.1.2", (S, _EMPTY, S, _EMPTY), 2),
+        (f"{tag}.1.3", (S, _EMPTY, frozenset({h, t}), mid), 3),
+        (f"{tag}.2.1", (hh, s_h, _EMPTY, tt), 1),
+        (f"{tag}.2.2", (hh, s_h, hh, s_h), 2),
+        (f"{tag}.2.3", (hh, s_h, s_t, tt), 3),
+        (f"{tag}.3.1", (_EMPTY, _EMPTY, s_t, _EMPTY), 2),
+        (f"{tag}.3.2", (_EMPTY, _EMPTY, hh, mid), 3),
     ]
 
 
@@ -558,89 +541,67 @@ def classify_string(W: WeylGroup, S: IString, base: WeylElt, i: int, direction: 
     lam = S.head.lam
     J = stabilizer_nodes(W.R, lam)
     members = frozenset(S.elements)
-    size = len(S.elements)
-    h, t = S.head, S.tail
-    mid = frozenset(S.middle)
     si = W.simple(i)
     s_base = W.mult(si, base)
-
+    # The per-direction pieces; everything below them is shared.
     if direction == "up":
-        if not s_base.length > base.length:
-            raise ValueError("classification over z needs s_i z > z")
-        if not W.coset_leq(W.coset_min_rep(base, J), Coset(phi(h), J)):
-            raise ValueError("z W_lam <= phi(head) fails")
-        w = up_path(W, base, h)
-        sw = W.mult(si, w)
-        assert sw.length > w.length
+        tag, lift, grows = "U", up_path, 1
+        end, far, strand = S.head, S.tail, S.elements[:-1]
+        length_error, coset_error = "classification over z needs s_i z > z", "z W_lam <= phi(head) fails"
 
-        def observe(x):
-            sx = W.mult(si, x)
-            return (
-                pu_subset(W, members, x, base, J),
-                pu_subset(W, members, sx, base, J),
-                pu_subset(W, members, x, s_base, J),
-                pu_subset(W, members, sx, s_base, J),
-            )
+        def admits(start: WeylElt, p: LSPath) -> bool:
+            return W.coset_leq(W.coset_min_rep(start, J), Coset(phi(p), J))
 
-        columns = _u_columns(members, h, t, mid)
-        primary = _match_columns(columns, observe(w), size)
-        branch_values = set()
-        sb_cos = W.coset_min_rep(s_base, J)
-        for p in S.elements[:-1]:
-            if W.coset_leq(sb_cos, Coset(phi(p), J)):
-                y = up_path(W, s_base, p)
-                if y not in (w, sw):
-                    branch_values.add(y if W.mult(si, y).length > y.length else W.mult(si, y))
-        if branch_values:
-            assert len(branch_values) == 1, f"more than one branch lift: {branch_values}"
-            assert primary in ("U.1.1", "U.2.1"), primary
-            label = _match_columns(columns, observe(branch_values.pop()), size)
-            if label is None:
-                raise LookupError("no branch column matches the observed sets")
-            return label
-        if primary is None:
-            raise LookupError("no column matches the observed sets")
-        return primary
+        def fiber(start: WeylElt, target: WeylElt) -> frozenset:
+            return pu_subset(W, members, target, start, J)
+    elif direction == "down":
+        tag, lift, grows = "D", down_path, -1
+        end, far, strand = S.tail, S.head, S.elements[1:]
+        length_error, coset_error = "classification over w needs s_i w < w", "iota(tail) <= w W_lam fails"
 
-    if direction == "down":
-        if not s_base.length < base.length:
-            raise ValueError("classification over w needs s_i w < w")
-        if not W.coset_leq(Coset(iota(t), J), W.coset_min_rep(base, J)):
-            raise ValueError("iota(tail) <= w W_lam fails")
-        z = down_path(W, base, t)
-        sz = W.mult(si, z)
-        assert sz.length < z.length
+        def admits(start: WeylElt, p: LSPath) -> bool:
+            return W.coset_leq(Coset(iota(p), J), W.coset_min_rep(start, J))
 
-        def observe_d(x):
-            sx = W.mult(si, x)
-            return (
-                pd_subset(W, members, base, x, J),
-                pd_subset(W, members, base, sx, J),
-                pd_subset(W, members, s_base, x, J),
-                pd_subset(W, members, s_base, sx, J),
-            )
+        def fiber(start: WeylElt, target: WeylElt) -> frozenset:
+            return pd_subset(W, members, start, target, J)
+    else:
+        raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
 
-        columns = _d_columns(members, h, t, mid)
-        primary = _match_columns(columns, observe_d(z), size)
-        branch_values = set()
-        sb_cos = W.coset_min_rep(s_base, J)
-        for p in S.elements[1:]:
-            if W.coset_leq(Coset(iota(p), J), sb_cos):
-                y = down_path(W, s_base, p)
-                if y not in (z, sz):
-                    branch_values.add(y if W.mult(si, y).length < y.length else W.mult(si, y))
-        if branch_values:
-            assert len(branch_values) == 1, f"more than one branch drop: {branch_values}"
-            assert primary in ("D.1.1", "D.2.1"), primary
-            label = _match_columns(columns, observe_d(branch_values.pop()), size)
-            if label is None:
-                raise LookupError("no branch column matches the observed sets")
-            return label
-        if primary is None:
-            raise LookupError("no column matches the observed sets")
-        return primary
+    def moves_on(x: WeylElt) -> bool:
+        """Does s_i move x further in the lift's direction?"""
+        return (W.mult(si, x).length - x.length) * grows > 0
 
-    raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
+    if not moves_on(base):
+        raise ValueError(length_error)
+    if not admits(base, end):
+        raise ValueError(coset_error)
+    x = lift(W, base, end)
+    sx = W.mult(si, x)
+    assert moves_on(x)
+
+    def observe(y: WeylElt):
+        sy = W.mult(si, y)
+        return fiber(base, y), fiber(base, sy), fiber(s_base, y), fiber(s_base, sy)
+
+    size = len(S.elements)
+    columns = _columns(tag, members, end, far, frozenset(S.middle))
+    primary = _match_columns(columns, observe(x), size)
+    branch_values = set()
+    for p in strand:
+        if admits(s_base, p):
+            y = lift(W, s_base, p)
+            if y not in (x, sx):
+                branch_values.add(y if moves_on(y) else W.mult(si, y))
+    if branch_values:
+        assert len(branch_values) == 1, f"more than one branch value: {branch_values}"
+        assert primary in (f"{tag}.1.1", f"{tag}.2.1"), primary
+        label = _match_columns(columns, observe(branch_values.pop()), size)
+        if label is None:
+            raise LookupError("no branch column matches the observed sets")
+        return label
+    if primary is None:
+        raise LookupError("no column matches the observed sets")
+    return primary
 
 
 # -- export --------------------------------------------------------------------

@@ -18,7 +18,6 @@ from kmchev.alcove import (
     hs_apply,
     inc_to_ls,
     increasing_chain,
-    inverted_lex,
     lex_chain,
     lex_less,
     ls_to_dec,
@@ -92,16 +91,6 @@ def test_lex_is_a_strict_total_order(WAFF):
     ordered = sorted(hs, key=lambda h: stdvec(LAM, h))
     for x, y in zip(ordered, ordered[1:]):
         assert lex_less(LAM, x, y)
-
-
-def test_inverted_lex_hook_flips_and_restores(WAFF):
-    hs = sorted(hyperplanes_for(WAFF.R, LAM, bound=3), key=lambda h: stdvec(LAM, h))
-    a, b = hs[0], hs[-1]
-    assert lex_less(LAM, a, b)
-    with inverted_lex():
-        assert lex_less(LAM, b, a)
-        assert not lex_less(LAM, a, b)
-    assert lex_less(LAM, a, b)
 
 
 def test_reflection_fixed_points(WAFF):
@@ -447,12 +436,15 @@ def test_triangle_affine_frozen(WAFF):
 
 
 def test_inverted_lex_breaks_the_triangle(WAFF):
+    """With the lex comparator inverted the dominant row is the lex-decreasing
+    tree folded with wt_inc; it must disagree with the recurrence."""
     W = WAFF
     w = W.from_word(WWORD)
     rec = chevalley_recurrence(W, w, LAM)
-    with inverted_lex():
-        wrong = chevalley_dominant_alcove(W, LAM, w)
-        assert not rows_equal(rec, wrong)
+    wrong = {}
+    for seq in enumerate_tree_antidominant(W, LAM, w):
+        lp_add_into(wrong.setdefault(seq.z, {}), lp_monomial(wt_inc(W, LAM, seq)))
+    assert not rows_equal(rec, wrong)
     assert rows_equal(rec, chevalley_dominant_alcove(W, LAM, w))
 
 

@@ -39,6 +39,9 @@ def test_gcm_rejects_bad_matrices():
         GCM.from_matrix([[2, -1], [0, 2]])  # a_ij = 0 iff a_ji = 0 violated
     with pytest.raises(ValueError):
         GCM.from_matrix([[1, -1], [-1, 2]])  # diagonal must be 2
+    for entry in (-1.5, -1.0, Q(-1), True, "-1"):  # only Python ints are entries
+        with pytest.raises(ValueError, match="integer"):
+            GCM.from_matrix([[2, entry], [-1, 2]])
 
 
 @pytest.mark.parametrize("preset", ["A2", "B2", "G2", "A2~"])

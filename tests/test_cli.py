@@ -194,6 +194,11 @@ def test_gcm_file_errors_exit_2(tmp_path, capsys):
         "not_a_gcm": json.dumps({"matrix": [[2, 1], [1, 2]]}),
         "not_an_object": json.dumps([[2, -1], [-1, 2]]),
         "entries": json.dumps({"matrix": [["a", -1], [-1, 2]]}),
+        # non-integer entries, once truncated by int() and run as A2 or B2
+        "fractional": json.dumps({"matrix": [[2, -1.5], [-1, 2]]}),
+        "float": json.dumps({"matrix": [[2.0, -1], [-1, 2]]}),
+        "bool": json.dumps({"matrix": [[2, True], [-1, 2]]}),
+        "symmetrizer": json.dumps({"matrix": [[2, -1], [-2, 2]], "symmetrizer": [2, 1.5]}),
     }
     paths = [str(tmp_path / "missing.json")]
     for name, body in bodies.items():
@@ -204,6 +209,21 @@ def test_gcm_file_errors_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, ["chevalley", "--gcm-file", path, "--weight", "1,1", "--w", "e"])
         assert code == 2, path
         assert err.startswith("error:"), path
+
+
+def test_unknown_preset_exits_2(capsys):
+    code, out, err = run(capsys, ["chevalley", "--cartan", "B9", "--weight", "1,1", "--w", "e"])
+    assert code == 2
+    assert err.startswith("error:") and "B9" in err
+    assert out == ""
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "x.json"
+    code, out, err = run(capsys, ["chevalley", *AFFW, "--out", str(target)])
+    assert code == 2
+    assert err.startswith("error:") and "--out" in err
+    assert out == ""
 
 
 def test_identity_word_forms(capsys):
@@ -241,7 +261,7 @@ def test_selftest_filters(capsys):
 
 def test_selftest_catches_an_injected_fault(capsys, monkeypatch):
     """Corrupting the hyperplane comparator must trip the cross-checks."""
-    monkeypatch.setattr(alcove, "_inverted_lex", True)
+    monkeypatch.setattr(alcove, "lex_less", lambda lam, a, b: alcove.stdvec(lam, a) > alcove.stdvec(lam, b))
     code, out, _ = run(capsys, ["selftest"])
     assert code == 1
     doc = json.loads(out)
