@@ -31,6 +31,8 @@ each conversion segment.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 from .cartan import Coroot, Q, Realization, Weight, _num, pairing, wt_add, wt_neg, wt_scale
@@ -94,7 +96,11 @@ def stdvec(lam: Weight, h: LambdaHyperplane) -> tuple:
 
 
 def lex_less(lam: Weight, a: LambdaHyperplane, b: LambdaHyperplane) -> bool:
-    return stdvec(lam, a) < stdvec(lam, b)
+    """stdvec(lam, a) < stdvec(lam, b) without Fractions: both pairings p_a,
+    p_b are positive, so multiplying both vectors by p_a * p_b keeps their
+    order and leaves the int vectors (k_a, c_a) * p_b and (k_b, c_b) * p_a."""
+    pa, pb = pairing(a.alpha, lam), pairing(b.alpha, lam)
+    return (a.k * pb, *[c * pb for c in a.alpha.c]) < (b.k * pa, *[c * pa for c in b.alpha.c])
 
 
 def rht(lam: Weight, h: LambdaHyperplane):
@@ -264,21 +270,35 @@ def wt_dec(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> Weight:
 
 def _label_edges(lam: Weight, covers) -> list:
     """Edges (hyperplane, element), lex-sorted, for (element, coroot) pairs
-    from W.cocovers (tree edges down) or W.covers_within (fan edges up)."""
-    out = []
-    for x, beta in covers:
-        for k in range(max(0, pairing(beta, lam))):
-            out.append((LambdaHyperplane(beta, k), x))
-    out.sort(key=lambda t: (stdvec(lam, t[0]), t[1].key))
-    return out
+    from W.cocovers (tree edges down) or W.covers_within (fan edges up).
+
+    The sort key is stdvec scaled by the lcm L of the pairings, an int
+    vector: each coroot's scaled tail c * L/p is built once and shared by
+    its levels k."""
+    pairs = [(x, beta, pairing(beta, lam)) for x, beta in covers]
+    scale = math.lcm(*(p for _, _, p in pairs if p > 0))
+    keyed = []
+    for x, beta, p in pairs:
+        if p <= 0:
+            continue
+        m = scale // p
+        tail = tuple([c * m for c in beta.c])
+        for k in range(p):
+            keyed.append(((k * m, tail, x.key), LambdaHyperplane(beta, k), x))
+    keyed.sort(key=lambda t: t[0])
+    return [(h, x) for _, h, x in keyed]
 
 
 def _enumerate_tree(W: WeylGroup, lam: Weight, w: WeylElt, monotonicity: str) -> list[AdaptedSequence]:
     out: list[AdaptedSequence] = []
 
+    @functools.cache  # per call: an element is reached along many branches
+    def below(v: WeylElt) -> list:
+        return _label_edges(lam, W.cocovers(v))
+
     def rec(v: WeylElt, incoming: LambdaHyperplane | None, hs_up: tuple, chain_up: tuple):
         out.append(AdaptedSequence(v, hs_up, (v,) + chain_up, monotonicity))
-        for h, vp in _label_edges(lam, W.cocovers(v)):
+        for h, vp in below(v):
             if incoming is not None:
                 if monotonicity == "inc" and not lex_less(lam, h, incoming):
                     continue
@@ -310,6 +330,10 @@ def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str
     out: list[AdaptedSequence] = []
     truncated = False
 
+    @functools.cache  # per call: an element is reached along many branches
+    def fan(u: WeylElt) -> list:
+        return _label_edges(lam, W.covers_within(u, u.length + 1))
+
     def admissible(h: LambdaHyperplane, last: LambdaHyperplane | None) -> bool:
         if last is None:
             return True
@@ -319,10 +343,10 @@ def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str
         nonlocal truncated
         out.append(AdaptedSequence(z, hs_acc, chain_acc, monotonicity))
         if u.length >= length_bound:
-            if any(admissible(h, last) for h, _ in _label_edges(lam, W.covers_within(u, u.length + 1))):
+            if any(admissible(h, last) for h, _ in fan(u)):
                 truncated = True
             return
-        for h, w in _label_edges(lam, W.covers_within(u, length_bound)):
+        for h, w in fan(u):
             if admissible(h, last):
                 rec(w, h, hs_acc + (h,), chain_acc + (w,))
 
@@ -359,13 +383,13 @@ def refl_less(R: Realization, lam: Weight, a: Coroot, b: Coroot) -> bool:
     lam-orthogonal coroots (rho-normalized lex) as a final section."""
     pa, pb = pairing(a, lam), pairing(b, lam)
     if pa > 0 and pb > 0:
-        return tuple(Q(c, pa) for c in a.c) < tuple(Q(c, pb) for c in b.c)
+        return [c * pb for c in a.c] < [c * pa for c in b.c]
     if pa > 0:
         return True
     if pb > 0:
         return False
     ra, rb = pairing(a, R.rho), pairing(b, R.rho)
-    return tuple(Q(c, ra) for c in a.c) < tuple(Q(c, rb) for c in b.c)
+    return [c * rb for c in a.c] < [c * ra for c in b.c]
 
 
 def refl_less_dual(R: Realization, lam: Weight, a: Coroot, b: Coroot) -> bool:
@@ -409,11 +433,13 @@ def all_label_chains(W: WeylGroup, a: WeylElt, b: WeylElt, label_ok=None):
 
 def increasing_chain(W: WeylGroup, lam: Weight, a: WeylElt, b: WeylElt, less=None, label_ok=None):
     """The unique saturated chain a -> b whose labels strictly increase in the
-    given reflection order (default refl_less).  Asserts uniqueness."""
+    given reflection order (default refl_less).  Raises ValueError unless
+    exactly one exists."""
     if less is None:
         less = refl_less
     res = _label_chains(W, a, b, label_ok, lambda beta, bound: less(W.R, lam, beta, bound))
-    assert len(res) == 1, f"expected a unique increasing chain {a!r} -> {b!r}, found {len(res)}"
+    if len(res) != 1:
+        raise ValueError(f"expected a unique increasing chain {a!r} -> {b!r}, found {len(res)}")
     return res[0]
 
 
@@ -434,11 +460,11 @@ def ls_to_inc(W: WeylGroup, p: LSPath, z: WeylElt) -> AdaptedSequence:
     for j, bj in enumerate(bexts):
         def ok(beta: Coroot, bj=bj) -> bool:
             pr = pairing(beta, lam)
-            return pr > 0 and (Q(bj) * pr).denominator == 1
+            return pr > 0 and (bj * pr).denominator == 1
 
         elems, labels = increasing_chain(W, lam, zs[j], zs[j + 1], refl_less, ok)
         for beta in labels:
-            hs.append(LambdaHyperplane(beta, int(Q(bj) * pairing(beta, lam))))
+            hs.append(LambdaHyperplane(beta, int(bj * pairing(beta, lam))))
         chain.extend(elems[1:])
     for x, y in zip(hs, hs[1:]):
         assert lex_less(lam, x, y)
@@ -479,11 +505,11 @@ def ls_to_dec(W: WeylGroup, p: LSPath, w: WeylElt) -> AdaptedSequence:
 
         def ok(beta: Coroot, bj1=bj1) -> bool:
             pr = pairing(beta, lam)
-            return pr > 0 and (Q(bj1) * pr).denominator == 1
+            return pr > 0 and (bj1 * pr).denominator == 1
 
         elems, labels = increasing_chain(W, lam, w_arr[j], w_arr[j + 1], refl_less_dual, ok)
         for beta in labels:
-            hs.append(LambdaHyperplane(beta, int((1 - Q(bj1)) * pairing(beta, lam))))
+            hs.append(LambdaHyperplane(beta, int((1 - bj1) * pairing(beta, lam))))
         chain.extend(elems[1:])
     for x, y in zip(hs, hs[1:]):
         assert lex_less(lam, y, x)
@@ -508,7 +534,7 @@ def dec_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
     consumed = 0
     for j in range(m):
         dirs.append(W.coset_decompose(seq.chain[consumed], J)[0])
-        consumed += sum(1 for r in rchts if Q(r) == Q(bnext[j]))
+        consumed += sum(1 for r in rchts if r == bnext[j])
     assert consumed == len(seq.hs)
     return LSPath(lam, bvals, tuple(dirs))
 

@@ -8,14 +8,18 @@ only touches coordinates through the root vector alpha_i.  For an untwisted
 affine matrix this produces the familiar basis (Lambda_0, ..., Lambda_{n-1},
 delta), with alpha_i = sum_j a[j][i] Lambda_j + [i = 0] delta.
 
-All arithmetic is exact: entries are ints or Fractions, and Fractions with
-denominator 1 are normalised back to int (the two hash identically, so mixed
-tuples still behave as dict keys; normalising keeps reprs readable).
+All arithmetic is exact and weights are tuples of Python ints: weight sums,
+pairings and reflections are plain int arithmetic.  ``Fraction`` appears only
+where a value can really be fractional -- LS step lengths, the cut points of
+the crystal operators, relative heights of hyperplanes -- and ``_num`` turns
+an integral one back into an int.  Non-integral input weights are rejected
+at the boundary (the CLI) and never reach the weight arithmetic.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +31,8 @@ Weight = tuple
 
 def _num(x) -> int | Q:
     """Normalise a rational scalar: Fractions with denominator 1 become int."""
-    if isinstance(x, Q):
-        return int(x) if x.denominator == 1 else x
+    if type(x) is Q and x.denominator == 1:
+        return x.numerator
     return x
 
 
@@ -36,26 +40,35 @@ def weight(*coords) -> Weight:
     return tuple(_num(Q(c)) for c in coords)
 
 
+def _same_rank(u: Weight, v: Weight) -> None:
+    if len(u) != len(v):
+        raise ValueError(f"weights of different rank: {u}, {v}")
+
+
 def wt_add(u: Weight, v: Weight) -> Weight:
-    return tuple(_num(a + b) for a, b in zip(u, v, strict=True))
+    _same_rank(u, v)
+    return tuple(map(operator.add, u, v))
 
 
 def wt_sub(u: Weight, v: Weight) -> Weight:
-    return tuple(_num(a - b) for a, b in zip(u, v, strict=True))
+    _same_rank(u, v)
+    return tuple(map(operator.sub, u, v))
 
 
 def wt_neg(u: Weight) -> Weight:
-    return tuple(_num(-a) for a in u)
+    return tuple(map(operator.neg, u))
 
 
 def wt_scale(c, u: Weight) -> Weight:
+    if type(c) is int:
+        return tuple([c * a for a in u])
     c = Q(c)
     return tuple(_num(c * a) for a in u)
 
 
 def is_lattice(u: Weight) -> bool:
-    """True when every coordinate is an integer."""
-    return all(Q(a).denominator == 1 for a in u)
+    """True when every coordinate is an integer (an int or an integral Fraction)."""
+    return all(a.denominator == 1 for a in u)
 
 
 def _eliminate(rows) -> tuple[list[list[Q]], list[int], list[Q]]:
@@ -193,7 +206,7 @@ class GCM:
             _, pivots, values = _eliminate([[self.d[i] * self.a[i][j] for j in comp] for i in comp])
             if pivots == list(range(len(comp))) and all(v > 0 for v in values):
                 kinds.append("finite")
-            elif _has_positive_null_vector([[self.a[i][j] for j in comp] for i in comp]):
+            elif _positive_null_vector([[self.a[i][j] for j in comp] for i in comp]) is not None:
                 kinds.append("affine")
             else:
                 kinds.append("indefinite")
@@ -207,16 +220,23 @@ class GCM:
         return {"matrix": [list(r) for r in self.a], "symmetrizer": list(self.d)}
 
 
-def _has_positive_null_vector(mat) -> bool:
-    """Is the kernel of the square matrix one-dimensional and spanned by a
-    vector whose entries are all positive (or all negative)?"""
+def _positive_null_vector(mat) -> tuple[int, ...] | None:
+    """The primitive positive integer vector m with mat·m = 0 when the kernel
+    of the square matrix is one-dimensional and spanned by a vector whose
+    entries are all positive (or all negative); else None."""
     n = len(mat)
     reduced, pivots, _ = _eliminate(mat)
     if len(pivots) != n - 1:
-        return False
+        return None
     # the free column's entry is 1, each pivot column's is -reduced[r][free]
     free = next(c for c in range(n) if c not in pivots)
-    return all(reduced[r][free] < 0 for r in range(n - 1))
+    if not all(reduced[r][free] < 0 for r in range(n - 1)):
+        return None
+    m = [Q(1) if c == free else -reduced[pivots.index(c)][free] for c in range(n)]
+    scale = math.lcm(*(x.denominator for x in m))
+    ints = [int(x * scale) for x in m]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 @dataclass(frozen=True)
@@ -256,7 +276,7 @@ def pairing(alpha: Coroot, mu: Weight) -> int | Q:
     The ambient coordinates were chosen so that pairing with the i-th simple
     coroot reads off the i-th coordinate, so this is a short dot product.
     """
-    return _num(sum(ci * mu[i] for i, ci in enumerate(alpha.c) if ci))
+    return sum(map(operator.mul, alpha.c, mu))
 
 
 class Realization:
@@ -312,11 +332,18 @@ class Realization:
 
     def _delta(self) -> Weight | None:
         """The null root in corank one, when the matrix has a positive null
-        vector m: delta = sum_j m_j alpha_j pairs to zero with every simple
-        coroot; it is scaled so that its completion coordinate is 1."""
-        if self.N != self.n + 1 or not _has_positive_null_vector(self.gcm.a):
+        vector: delta = sum_j m_j alpha_j for the primitive positive integer
+        null vector m, so it pairs to zero with every simple coroot and lies
+        in the root lattice."""
+        if self.N != self.n + 1:
             return None
-        return (0,) * self.n + (1,)
+        m = _positive_null_vector(self.gcm.a)
+        if m is None:
+            return None
+        delta = self.zero()
+        for mj, alpha in zip(m, self.alpha):
+            delta = wt_add(delta, wt_scale(mj, alpha))
+        return delta
 
     def zero(self) -> Weight:
         return (0,) * self.N
@@ -329,14 +356,14 @@ class Realization:
         c = mu[i]
         if c == 0:
             return mu
-        return tuple(_num(x - c * y) for x, y in zip(mu, self.alpha[i]))
+        return tuple([x - c * y for x, y in zip(mu, self.alpha[i])])
 
     def coroot_reflection(self, alpha: Coroot, mu: Weight) -> Weight:
         """s_alpha(mu) = mu - <alpha, mu> root(alpha)."""
         c = pairing(alpha, mu)
         if c == 0:
             return mu
-        return tuple(_num(x - c * y) for x, y in zip(mu, alpha.root))
+        return tuple([x - c * y for x, y in zip(mu, alpha.root)])
 
     def reflect_coroot(self, i: int, beta: Coroot) -> Coroot:
         """s_i(beta), acting on the coroot side; the tandem root rides along."""
@@ -469,7 +496,7 @@ def coroot_from_c(R: Realization, c) -> Coroot:
     simple coroot in at most height(c) steps; anything that gets stuck or
     leaves the positive cone was not a real coroot.
     """
-    c = tuple(int(x) for x in c)
+    c = tuple(_integer(x, "coroot coordinate") for x in c)
     if all(x <= 0 for x in c) and any(x < 0 for x in c):
         pos = coroot_from_c(R, tuple(-x for x in c))
         return Coroot(c, wt_neg(pos.root), pos.witness)

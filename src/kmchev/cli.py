@@ -307,8 +307,7 @@ def cmd_crystal(cfg: JobConfig) -> int:
         paths, trunc_ls = lspath.opposite_demazure_ls(W, lam, z, cfg.max_length)
         raw, trunc_alc = alcove.opposite_demazure_alcove(W, lam, z, cfg.max_length)
         seqs = [s for s in raw if s.end.length <= cfg.max_length]
-        wts_ls = sorted(lspath.endpoint(W, p) for p in paths)
-        wts_alc = sorted(alcove.wt_inc(W, lam, s) for s in seqs)
+        fold = alcove.wt_inc
         truncated = trunc_ls or trunc_alc
     else:
         if cfg.w is None:
@@ -316,9 +315,13 @@ def cmd_crystal(cfg: JobConfig) -> int:
         w = W.from_word(parse_word(R, cfg.w))
         paths = lspath.demazure_crystal(W, lam, w)
         seqs = alcove.demazure_alcove(W, lam, w)
-        wts_ls = sorted(lspath.endpoint(W, p) for p in paths)
-        wts_alc = sorted(alcove.wt_dec(W, lam, s) for s in seqs)
+        fold = alcove.wt_dec
         truncated = False
+    # each element's weight, computed once for the cross-check and the output
+    path_wt = {p: lspath.endpoint(W, p) for p in paths}
+    seq_wt = [fold(W, lam, s) for s in seqs]
+    wts_ls = sorted(path_wt.values())
+    wts_alc = sorted(seq_wt)
 
     if len(paths) != len(seqs) or wts_ls != wts_alc:
         report = {
@@ -338,7 +341,7 @@ def cmd_crystal(cfg: JobConfig) -> int:
                 {
                     "b": [str(x) for x in p.b],
                     "dirs": [word_obj(R, d) for d in p.dirs],
-                    "weight": weight_obj(R, lspath.endpoint(W, p)),
+                    "weight": weight_obj(R, path_wt[p]),
                 }
                 for p in ordered_paths
             ]
@@ -347,9 +350,9 @@ def cmd_crystal(cfg: JobConfig) -> int:
                 {
                     "z": word_obj(R, s.z),
                     "labels": [alcove.format_hyperplane(lam, h) for h in s.hs],
-                    "weight": weight_obj(R, alcove.wt_dec(W, lam, s) if not cfg.opposite else alcove.wt_inc(W, lam, s)),
+                    "weight": weight_obj(R, wt),
                 }
-                for s in seqs
+                for s, wt in zip(seqs, seq_wt)
             ]
         doc = {
             "cartan": R.gcm.to_json(),
@@ -364,11 +367,10 @@ def cmd_crystal(cfg: JobConfig) -> int:
         lines = [f"{len(ordered_paths)} elements" + ("  (truncated)" if truncated else "")]
         if cfg.realization == "ls":
             for p in ordered_paths:
-                lines.append(f"  {p!r}  wt={R.format_weight(lspath.endpoint(W, p))}")
+                lines.append(f"  {p!r}  wt={R.format_weight(path_wt[p])}")
         else:
-            for s in seqs:
+            for s, wt in zip(seqs, seq_wt):
                 labels = ",".join(alcove.format_hyperplane(lam, h) for h in s.hs)
-                wt = alcove.wt_dec(W, lam, s) if not cfg.opposite else alcove.wt_inc(W, lam, s)
                 lines.append(f"  {s.z!r} [{labels}]  wt={R.format_weight(wt)}")
         emit(cfg, "\n".join(lines))
     elif cfg.fmt == "dot":

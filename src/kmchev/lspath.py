@@ -17,7 +17,7 @@ walk, ``sigma_m``, is the initial direction ``iota(p)``; the last one,
 Crystal operators f_i / e_i cut the i-height profile of the path at the
 integer level closest to its minimum and reflect the enclosed portion.  All
 local minima of the height profile of a shape-``lam`` LS path are integers,
-which the code asserts; the cut point may still fall strictly inside a step,
+which the code checks (ValueError otherwise); the cut point may still fall strictly inside a step,
 in which case the step is split and only the part past the cut is reflected.
 
 The module also provides Demazure and opposite Demazure subcrystals, the
@@ -28,9 +28,10 @@ along an i-string (the U.*/D.* case analysis).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .cartan import Q, Realization, Weight, _num, is_lattice, pairing, wt_add, wt_neg, wt_scale
+from .cartan import Q, Realization, Weight, _num, pairing, wt_neg
 from .kring import LaurentPoly, lp_add_into, lp_monomial
 from .lifts import down, interval_below, up
 from .weyl import Coset, WeylElt, WeylGroup
@@ -95,10 +96,13 @@ def straight_path(W: WeylGroup, lam: Weight) -> LSPath:
 
 
 def steps(p: LSPath) -> list:
-    """Traversal steps [(a_1, d_1), ...] walking from 0; d_1 = iota(p)."""
+    """Traversal steps [(a_1, d_1), ...] walking from 0; d_1 = iota(p).
+
+    The b values lie in [0, 1), so a step length is the int 1 (a straight
+    path) or a Fraction in (0, 1): no normalisation is needed."""
     m = len(p.dirs)
     ext = list(p.b) + [1]
-    return [(_num(Q(ext[m + 1 - k]) - ext[m - k]), p.dirs[m - k]) for k in range(1, m + 1)]
+    return [(ext[m + 1 - k] - ext[m - k], p.dirs[m - k]) for k in range(1, m + 1)]
 
 
 def from_steps(lam: Weight, raw) -> LSPath:
@@ -116,15 +120,14 @@ def from_steps(lam: Weight, raw) -> LSPath:
             merged[-1][0] += a
         else:
             merged.append([a, d])
-    assert sum(a for a, _ in merged) == 1
     m = len(merged)
     dirs = tuple(d for _, d in reversed(merged))
     bvals: list = [None] * m
-    acc = Q(0)
+    acc = 0
     for k, (a, _) in enumerate(merged, start=1):
         acc += a
         bvals[m - k] = _num(1 - acc)
-    assert bvals[0] == 0
+    assert bvals[0] == 0  # the steps sum to 1
     return LSPath(lam, tuple(bvals), dirs)
 
 
@@ -139,19 +142,25 @@ def iota(p: LSPath) -> WeylElt:
 
 
 def endpoint(W: WeylGroup, p: LSPath) -> Weight:
-    """p(1) = sum_j (b_{j+1} - b_j) sigma_j(lam); always a lattice weight."""
-    total = W.R.zero()
-    for a, d in steps(p):
-        total = wt_add(total, wt_scale(a, W.act(d, p.lam)))
-    assert is_lattice(total)
-    return total
+    """p(1) = sum_j (b_{j+1} - b_j) sigma_j(lam), a lattice weight for an LS
+    path: summed as int multiples over the lcm L of the step denominators,
+    then divided by L, which must go exactly (ValueError otherwise)."""
+    st = steps(p)
+    scale = math.lcm(*(a.denominator for a, _ in st))
+    total = [0] * W.R.N
+    for a, d in st:
+        m = a.numerator * (scale // a.denominator)
+        total = [t + m * x for t, x in zip(total, W.act(d, p.lam))]
+    if any(t % scale for t in total):
+        raise ValueError(f"endpoint of {format_path(p)} is not a lattice weight")
+    return tuple([t // scale for t in total])
 
 
 def path_key(p: LSPath):
     """Deterministic sort key."""
     return (
         len(p.dirs),
-        tuple((Q(x).numerator, Q(x).denominator) for x in p.b),
+        tuple((x.numerator, x.denominator) for x in p.b),
         tuple(d.key for d in p.dirs),
     )
 
@@ -177,7 +186,7 @@ def _quotient_chain_exists(W: WeylGroup, J: frozenset, lam: Weight, lo: WeylElt,
     for v, beta in W.cocovers(hi):
         if v != W.coset_decompose(v, J)[0]:
             continue  # not a minimal representative: not a quotient cover
-        if (Q(bnext) * pairing(beta, lam)).denominator != 1:
+        if (bnext * pairing(beta, lam)).denominator != 1:
             continue
         if not W.bruhat_leq(lo, v):
             continue
@@ -224,19 +233,22 @@ def _reflect_dir(W: WeylGroup, J: frozenset, i: int, d: WeylElt) -> WeylElt:
 
 
 def _height_profile(W: WeylGroup, p: LSPath, i: int):
+    """Steps, their i-slopes and the heights at the step ends; the heights
+    stay ints until a fractional step length appears."""
     st = steps(p)
     ns = [W.act(d, p.lam)[i] for _, d in st]
-    H = [Q(0)]
+    H = [0]
     for (a, _), n in zip(st, ns):
-        H.append(H[-1] + Q(a) * n)
-    return st, ns, H
+        H.append(H[-1] + a * n)
+    M = min(H)
+    if M.denominator != 1:
+        raise ValueError(f"non-integral height minimum {M}: {format_path(p)} is not an LS path")
+    return st, ns, H, M
 
 
 def f(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
     """Lowering operator in direction i (endpoint drops by alpha_i)."""
-    st, ns, H = _height_profile(W, p, i)
-    M = min(H)
-    assert M.denominator == 1, "non-integral height minimum: input is not LS"
+    st, ns, H, M = _height_profile(W, p, i)
     if H[-1] - M < 1:
         return None
     J = stabilizer_nodes(W.R, p.lam)
@@ -250,9 +262,9 @@ def f(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
         out.append((a, _reflect_dir(W, J, i, d)))
     a, d = st[j2 - 1]
     if H[j2] > M + 1:
-        cut = _num((M + 1 - H[j2 - 1]) / ns[j2 - 1])
+        cut = Q(M + 1 - H[j2 - 1], ns[j2 - 1])  # strictly inside the step
         out.append((cut, _reflect_dir(W, J, i, d)))
-        out.append((_num(a - cut), d))
+        out.append((a - cut, d))
     else:
         out.append((a, _reflect_dir(W, J, i, d)))
     out.extend(st[j2:])
@@ -261,9 +273,7 @@ def f(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
 
 def e(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
     """Raising operator in direction i (endpoint gains alpha_i)."""
-    st, ns, H = _height_profile(W, p, i)
-    M = min(H)
-    assert M.denominator == 1, "non-integral height minimum: input is not LS"
+    st, ns, H, M = _height_profile(W, p, i)
     if M > -1:
         return None
     J = stabilizer_nodes(W.R, p.lam)
@@ -273,9 +283,9 @@ def e(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
     out = list(st[:j1])
     a, d = st[j1]
     if H[j1] > M + 1:
-        keep = _num((M + 1 - H[j1]) / ns[j1])
+        keep = Q(M + 1 - H[j1], ns[j1])  # strictly inside the step
         out.append((keep, d))
-        out.append((_num(a - keep), _reflect_dir(W, J, i, d)))
+        out.append((a - keep, _reflect_dir(W, J, i, d)))
     else:
         out.append((a, _reflect_dir(W, J, i, d)))
     for k in range(j1 + 1, j2):

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction as Q
 
 import pytest
@@ -34,7 +35,7 @@ from kmchev.alcove import (
     wt_dec,
     wt_inc,
 )
-from kmchev.cartan import pairing, weight, wt_add, wt_neg, wt_scale
+from kmchev.cartan import GCM, Realization, pairing, realization_from_preset, weight, wt_add, wt_neg, wt_scale
 from kmchev.kring import chevalley_recurrence, lp_add_into, lp_monomial
 from kmchev.lspath import (
     LSPath,
@@ -242,6 +243,33 @@ def test_increasing_chain_unique_among_all_chains(WA2, WB2):
                     if inc_ok
                 ]
                 assert inc == [elems]
+
+
+def test_increasing_chain_raises_without_a_chain(WA2):
+    w = WA2.from_word((0, 1))
+    with pytest.raises(ValueError, match="unique increasing chain"):
+        increasing_chain(WA2, WA2.R.rho, w, WA2.e)  # e < w: no chain runs down
+
+
+@pytest.mark.parametrize("R,lamtext", [
+    (realization_from_preset("A2~"), "1,1,0"),
+    (realization_from_preset("G2"), "2,1"),
+    (Realization(GCM.from_matrix([[2, -3], [-3, 2]])), "1,1"),
+])
+def test_integer_lex_order_matches_rational_order(R, lamtext):
+    """lex_less cross-multiplies int vectors; sorting with it must give the
+    order of the rational vectors stdvec, and refl_less likewise."""
+    lam = R.parse_weight(lamtext)
+    coroots = [a for a in R.positive_coroots_up_to(6) if pairing(a, lam) > 0]
+    hs = [LambdaHyperplane(a, k) for a in coroots for k in range(pairing(a, lam))]
+
+    def cmp(less):
+        return functools.cmp_to_key(lambda x, y: -1 if less(x, y) else (1 if less(y, x) else 0))
+
+    by_int = sorted(hs, key=cmp(lambda x, y: lex_less(lam, x, y)))
+    assert by_int == sorted(hs, key=lambda h: stdvec(lam, h))
+    by_refl = sorted(coroots, key=cmp(lambda x, y: refl_less(R, lam, x, y)))
+    assert by_refl == sorted(coroots, key=lambda a: tuple(Q(c, pairing(a, lam)) for c in a.c))
 
 
 def test_rational_level_chains_all_or_none(WA2, WB2):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -168,7 +170,7 @@ CARTAN_TABLE = [
     ("G2", [[2, -1], [-3, 2]], "finite", (3, 1), 2, (), None),
     ("A1~", [[2, -2], [-2, 2]], "affine", (1, 1), 3, (0,), (0, 0, 1)),
     ("A2~", [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "affine", (1, 1, 1), 4, (0,), (0, 0, 0, 1)),
-    ("twisted", [[2, -4], [-1, 2]], "affine", (1, 4), 3, (0,), (0, 0, 1)),
+    ("twisted", [[2, -4], [-1, 2]], "affine", (1, 4), 3, (0,), (0, 0, 2)),
     ("B3", [[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "finite", (2, 2, 1), 3, (), None),
     ("C3", [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], "finite", (1, 1, 2), 3, (), None),
     ("A1~+A1~", [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]],
@@ -184,3 +186,34 @@ def test_cartan_table(name, matrix, kind, d, N, extra, delta):
     gcm = GCM.from_matrix(matrix)
     R = Realization(gcm)
     assert (gcm.classify(), gcm.d, R.N, R.extra_columns, R.delta) == (kind, d, N, extra, delta)
+
+
+def _primitive_null_vector(matrix):
+    """The positive integer m with matrix·m = 0 and gcd 1, by search (entries <= 4)."""
+    n = len(matrix)
+    for m in sorted(itertools.product(range(1, 5), repeat=n), key=sum):
+        if math.gcd(*m) == 1 and all(sum(a * x for a, x in zip(row, m)) == 0 for row in matrix):
+            return m
+    raise AssertionError("no small null vector")
+
+
+@pytest.mark.parametrize("name,matrix", [(r[0], r[1]) for r in CARTAN_TABLE if r[2] == "affine"])
+def test_delta_is_the_primitive_null_root(name, matrix):
+    R = Realization(GCM.from_matrix(matrix))
+    if R.N != R.n + 1:
+        assert R.delta is None  # corank > 1: no single null root
+        return
+    m = _primitive_null_vector(matrix)
+    expected = R.zero()
+    for mj, alpha in zip(m, R.alpha):
+        expected = wt_add(expected, wt_scale(mj, alpha))
+    assert R.delta == expected
+    assert all(R.pairing_simple(i, R.delta) == 0 for i in range(R.n))
+    assert all(pairing(beta, R.delta) == 0 for beta in R.simple_coroots)
+
+
+def test_coroot_from_c_rejects_non_integers():
+    R = realization_from_preset("A2")
+    for x in (1.5, Q(3, 2), True):
+        with pytest.raises(ValueError, match="integer"):
+            coroot_from_c(R, (x, 0))

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from kmchev.cli import main
+from kmchev import alcove, lspath
+from kmchev.cli import JobConfig, _rows_for_model, build_parser, main, parse_lam, parse_word
+from kmchev.weyl import WeylGroup
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 HYPERBOLIC = str(GOLDEN / "hyperbolic.json")
@@ -65,6 +67,41 @@ def test_golden_output(name):
     code, out = run_case(CASES[name])
     assert code == 0, out.decode()
     assert out == (GOLDEN / name).read_bytes(), f"{name} differs from its golden file"
+
+
+def _setup(argv):
+    """(realization, lambda, word or None, config) as the CLI reads argv."""
+    cfg = JobConfig.from_args(build_parser().parse_args(argv))
+    R = cfg.build_realization()
+    return R, parse_lam(R, cfg.weight), parse_word(R, cfg.w) if cfg.w else None, cfg
+
+
+def _int_weight(mu) -> bool:
+    """A tuple of ints; Fraction and bool coordinates fail."""
+    return type(mu) is tuple and all(type(x) is int for x in mu)
+
+
+@pytest.mark.parametrize("name", sorted(CHEVALLEY_ALL))
+def test_chevalley_weights_are_int_tuples(name):
+    R, lam, word, _ = _setup(["chevalley", *CHEVALLEY_ALL[name]])
+    for sign in (1, -1):
+        for model in ("ls", "alcove", "nilhecke"):
+            rows = _rows_for_model(model, R, lam, sign, word)
+            assert rows
+            bad = [mu for poly in rows.values() for mu in poly if not _int_weight(mu)]
+            assert not bad, (model, sign, bad[:3])
+
+
+def test_crystal_weights_are_int_tuples():
+    R, lam, word, _ = _setup(CASES["crystal_a2aff_ls.json"])
+    W = WeylGroup(R)
+    w = W.from_word(word)
+    z = W.from_word(parse_word(R, "1"))
+    paths = lspath.demazure_crystal(W, lam, w) | lspath.opposite_demazure_ls(W, lam, z, 5)[0]
+    assert all(_int_weight(lspath.endpoint(W, p)) for p in paths)
+    seqs = alcove.demazure_alcove(W, lam, w) + alcove.opposite_demazure_alcove(W, lam, z, 5)[0]
+    for seq in seqs:
+        assert _int_weight(alcove.wt_inc(W, lam, seq)) and _int_weight(alcove.wt_dec(W, lam, seq))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +146,44 @@ def test_validation_diagnoses(aff):
     bad_cut = LSPath(LAM, (0, Q(1, 3)), (s1, s01))
     assert "chain" in validation_error(W, bad_cut)
     assert validate(W, LSPath(LAM, (0, Q(1, 2)), (s1, s01)))
+
+
+NON_LS = """
+from fractions import Fraction as Q
+from kmchev.cartan import realization_from_preset
+from kmchev.lspath import LSPath, e, f
+from kmchev.weyl import WeylGroup
+W = WeylGroup(realization_from_preset("A2~"))
+p = LSPath((1, 1, 0, 0), (0, Q(1, 3)), (W.from_word((1,)), W.from_word((0, 1))))
+for op in (f, e):
+    try:
+        op(W, p, 0)
+    except ValueError as exc:
+        assert "not an LS path" in str(exc)
+    else:
+        raise SystemExit(f"{op.__name__} accepted a path that is not LS")
+"""
+
+
+def test_operators_reject_a_non_ls_path(aff):
+    """b = (0, 1/3) on these directions gives the 0-height profile a
+    non-integral minimum, which only a non-LS path can have."""
+    W, _, _ = aff
+    p = LSPath(LAM, (0, Q(1, 3)), (W.from_word((1,)), W.from_word((0, 1))))
+    assert validation_error(W, p) is not None
+    for op in (f, e):
+        with pytest.raises(ValueError, match="not an LS path"):
+            op(W, p, 0)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_operators_reject_a_non_ls_path_in_a_subprocess(flags):
+    """The check must not rest on an assert that python -O strips."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, *flags, "-c", NON_LS], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_membership_is_initial_direction_below_w(aff):
