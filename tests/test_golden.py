@@ -10,10 +10,11 @@ import contextlib
 import io
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from kmchev import alcove, lspath
+from kmchev import alcove, cli, lspath
 from kmchev.cli import JobConfig, _rows_for_model, build_parser, main, parse_lam, parse_word
 from kmchev.weyl import WeylGroup
 
@@ -54,6 +55,36 @@ CASES = {
 }
 
 
+def _models_fault():
+    """The alcove model with its last row dropped and its first row's
+    multiplicities scaled by 10: the chevalley cross-check must report both."""
+    original = cli._rows_for_model
+
+    def faulty(model, R, lam, sign, word):
+        rows = original(model, R, lam, sign, word)
+        if model != "alcove":
+            return rows
+        order = sorted(rows, key=lambda z: z.key)
+        rows = {z: p for z, p in rows.items() if z != order[-1]}
+        rows[order[0]] = {mu: 10 * c for mu, c in rows[order[0]].items()}
+        return rows
+
+    return mock.patch.object(cli, "_rows_for_model", faulty)
+
+
+def _crystal_fault():
+    """The alcove realization of a Demazure crystal with its last element dropped."""
+    original = alcove.demazure_alcove
+    return mock.patch.object(alcove, "demazure_alcove", lambda W, lam, w: original(W, lam, w)[:-1])
+
+
+# Cross-check failure reports, produced with a fault injected; they exit 1.
+REPORTS = {
+    "report_models_disagree.json": (["chevalley", *A2AFF, "--w", "0 1 2 1", "--sign", "-1"], _models_fault),
+    "report_realizations_disagree.json": (["crystal", *A2AFF, "--w", "0 1 2 1"], _crystal_fault),
+}
+
+
 def run_case(argv) -> tuple[int, bytes]:
     """Run the CLI in-process and return (exit code, stdout bytes)."""
     buf = io.StringIO()
@@ -66,6 +97,15 @@ def run_case(argv) -> tuple[int, bytes]:
 def test_golden_output(name):
     code, out = run_case(CASES[name])
     assert code == 0, out.decode()
+    assert out == (GOLDEN / name).read_bytes(), f"{name} differs from its golden file"
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_disagreement_report(name):
+    argv, fault = REPORTS[name]
+    with fault():
+        code, out = run_case(argv)
+    assert code == 1, out.decode()
     assert out == (GOLDEN / name).read_bytes(), f"{name} differs from its golden file"
 
 
@@ -111,5 +151,12 @@ if __name__ == "__main__":
         code, out = run_case(argv)
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
+        (GOLDEN / name).write_bytes(out)
+        print(f"wrote {name} ({len(out)} bytes)")
+    for name, (argv, fault) in sorted(REPORTS.items()):
+        with fault():
+            code, out = run_case(argv)
+        if code != 1:
+            raise SystemExit(f"{name}: exit {code}, expected 1")
         (GOLDEN / name).write_bytes(out)
         print(f"wrote {name} ({len(out)} bytes)")
