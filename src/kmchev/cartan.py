@@ -435,8 +435,12 @@ class Realization:
         return tuple(_num(x) for x in coords + extra)
 
     def format_weight(self, mu: Weight) -> str:
+        """Fundamental coordinates, then the extra ones as delta=q: in corank
+        one only when non-zero, in higher corank all of them, so that their
+        positions tell them apart."""
         head = ",".join(str(x) for x in mu[: self.n])
-        tail = "".join(f",delta={x}" for x in mu[self.n:] if x != 0)
+        extra = mu[self.n:]
+        tail = "".join(f",delta={x}" for x in extra if x != 0 or len(extra) > 1)
         return head + tail
 
 

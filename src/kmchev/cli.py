@@ -12,16 +12,21 @@ Three subcommands:
   (what that row becomes with the lex comparator inverted) must disagree.
 
 Output formats: ``json`` (stable schema, deterministic ordering), ``table``
-(human-readable), ``dot`` (trees / crystal graphs).  Exit status is nonzero
-when a requested cross-check fails.
+(human-readable), ``dot`` (trees / crystal graphs).  JSON output is the exact
+text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
+is refused before any model runs); table output prints every extra
+coordinate of a weight in corank >= 2.  Exit status is nonzero when a
+requested cross-check fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import alcove, kring, lspath
 from .cartan import Realization, Weight, is_lattice, realization_from_json_file, realization_from_preset, wt_neg
@@ -30,6 +35,13 @@ from .weyl import WeylElt, WeylGroup
 
 class CLIError(Exception):
     pass
+
+
+def json_corank(R: Realization) -> int:
+    """The corank of R; JSON output supports corank <= 1 only."""
+    if R.N - R.n > 1:
+        raise CLIError("JSON output supports corank <= 1 realizations only")
+    return R.N - R.n
 
 
 @dataclass
@@ -70,23 +82,29 @@ class JobConfig:
         )
 
     def build_realization(self) -> Realization:
+        """The realization; for JSON output its corank is checked here, before
+        any model runs."""
         if self.gcm_file and self.cartan:
             raise CLIError("give either --cartan or --gcm-file, not both")
         if self.gcm_file:
             try:
-                return realization_from_json_file(self.gcm_file)
+                R = realization_from_json_file(self.gcm_file)
             except OSError as exc:
                 raise CLIError(f"cannot read --gcm-file: {exc}") from None
             except KeyError as exc:
                 raise CLIError(f"--gcm-file {self.gcm_file}: missing key {exc}") from None
             except (ValueError, TypeError) as exc:  # ValueError covers json.JSONDecodeError
                 raise CLIError(f"--gcm-file {self.gcm_file}: {exc}") from None
-        if self.cartan:
+        elif self.cartan:
             try:
-                return realization_from_preset(self.cartan)
+                R = realization_from_preset(self.cartan)
             except ValueError as exc:
                 raise CLIError(str(exc)) from None
-        raise CLIError("a Cartan matrix is required (--cartan or --gcm-file)")
+        else:
+            raise CLIError("a Cartan matrix is required (--cartan or --gcm-file)")
+        if self.fmt == "json":
+            json_corank(R)
+        return R
 
 
 def parse_word(R: Realization, text: str) -> tuple:
@@ -115,20 +133,48 @@ def parse_lam(R: Realization, text: str | None) -> Weight:
 def weight_obj(R: Realization, mu: Weight) -> dict:
     if not is_lattice(mu):
         raise ValueError(f"weight {R.format_weight(mu)} is not integral")
-    corank = R.N - R.n
-    if corank == 0:
+    if json_corank(R) == 0:
         return {"fund": [int(x) for x in mu]}
-    if corank == 1:
-        return {"fund": [int(x) for x in mu[: R.n]], "delta": int(mu[R.n])}
-    raise CLIError("JSON output supports corank <= 1 realizations only")
+    return {"fund": [int(x) for x in mu[: R.n]], "delta": int(mu[R.n])}
 
 
 def word_obj(R: Realization, w: WeylElt) -> list:
     return [R.node_names[i] for i in w.word]
 
 
-def poly_terms(R: Realization, poly) -> list:
-    return [{"weight": weight_obj(R, mu), "mult": poly[mu]} for mu in sorted(poly)]
+def terms_text(R: Realization, poly, indent: str) -> str:
+    """json_text of [{"weight": weight_obj(R, mu), "mult": c} for mu, c in
+    sorted(poly.items())] at `indent`, with one format string filled per term."""
+    if not is_lattice(chain.from_iterable(poly)):
+        raise ValueError(f"weight {R.format_weight(next(mu for mu in poly if not is_lattice(mu)))} is not integral")
+    i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
+    term = ("{" + i2 + '"weight": {' + i3 + '"fund": [' + i4 + ("," + i4).join(["%s"] * R.n) + i3 + "]"
+            + json_corank(R) * ("," + i3 + '"delta": %s') + i2 + "}," + i2 + '"mult": %s' + i1 + "}")
+    parts = [term % (*mu, c) for mu, c in sorted(poly.items())]
+    return "[" + i1 + ("," + i1).join(parts) + indent + "]" if parts else "[]"
+
+
+def json_text(obj, indent: str = "\n") -> str:
+    """Exactly the text that ``json.dumps`` gives with ``indent=2``, for dicts
+    with str keys, lists, str, int, bool and None.  A callable stands for
+    text written elsewhere (terms_text): it is called with the indentation
+    of its place."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if callable(obj):
+        return obj(indent)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def poly_str(R: Realization, poly) -> str:
@@ -210,38 +256,15 @@ def cmd_chevalley(cfg: JobConfig) -> int:
 
     diffs = _rows_diff(rows_by_model)
     if diffs:
-        report = {
-            "error": "models disagree",
-            "disagreements": [
-                {
-                    "z": word_obj(R, z),
-                    "models": {name: poly_terms(R, poly) for name, poly in sorted(polys.items())},
-                }
-                for z, polys in diffs
-            ],
-        }
-        emit(cfg, json.dumps(report, indent=2))
+        disagreements = [
+            {"z": word_obj(R, z), "models": {name: partial(terms_text, R, p) for name, p in sorted(polys.items())}}
+            for z, polys in diffs
+        ]
+        emit(cfg, json_text({"error": "models disagree", "disagreements": disagreements}))
         return 1
 
-    rows = rows_by_model[models[0]]
-    if cfg.fmt == "json":
-        doc = {
-            "cartan": R.gcm.to_json(),
-            "lambda": weight_obj(R, lam),
-            "sign": cfg.sign,
-            "w": word_obj(R, w),
-            "rows": [
-                {"z": word_obj(R, z), "terms": poly_terms(R, rows[z])}
-                for z in sorted(rows, key=lambda u: u.key)
-            ],
-            "truncated": False,
-        }
-        emit(cfg, json.dumps(doc, indent=2))
-    elif cfg.fmt == "table":
-        lines = [f"[L^{'+' if cfg.sign > 0 else '-'}({R.format_weight(lam)})] * [O_{w!r}]"]
-        for z in sorted(rows, key=lambda u: u.key):
-            lines.append(f"  [O_{z!r}] : {poly_str(R, rows[z])}")
-        emit(cfg, "\n".join(lines))
+    if cfg.fmt in ("json", "table"):
+        _emit_rows(cfg, R, lam, "w", w, rows_by_model[models[0]], False, "")
     elif cfg.fmt == "dot":
         if cfg.model not in ("alcove", "all"):
             raise CLIError("--format dot for chevalley requires the alcove model")
@@ -257,6 +280,8 @@ def _chevalley_fixed_z(cfg: JobConfig, R: Realization, W: WeylGroup, lam: Weight
         raise CLIError("fixed-z mode needs both --z and --max-length")
     if cfg.model not in ("alcove",):
         raise CLIError("fixed-z mode is supported by the alcove model only (--model alcove)")
+    if cfg.fmt not in ("json", "table"):
+        raise CLIError("fixed-z mode emits json or table")
     z = W.from_word(parse_word(R, cfg.z))
     mono = "inc" if cfg.sign > 0 else "dec"
     seqs, truncated = alcove.enumerate_z_adapted(W, lam, z, mono, cfg.max_length)
@@ -266,28 +291,30 @@ def _chevalley_fixed_z(cfg: JobConfig, R: Realization, W: WeylGroup, lam: Weight
         sign = 1 if cfg.sign > 0 else (-1 if len(seq.hs) % 2 else 1)
         kring.lp_add_into(rows.setdefault(seq.end, {}), kring.lp_monomial(wt, sign))
     rows = {w: p for w, p in rows.items() if p}
+    tail = f", lengths <= {cfg.max_length}" + ("  (truncated)" if truncated else "")
+    _emit_rows(cfg, R, lam, "z", z, rows, truncated, tail)
+    return 0
+
+
+def _emit_rows(cfg: JobConfig, R: Realization, lam: Weight, fixed: str, elt: WeylElt, rows, truncated: bool,
+               tail: str) -> None:
+    """Chevalley rows over the element `elt` held fixed, as json or table.
+    `fixed` is "w" (rows keyed by z) or "z" (rows keyed by w); `tail` ends
+    the table's first line."""
+    order = sorted(rows, key=lambda u: u.key)
     if cfg.fmt == "json":
-        doc = {
+        key = "z" if fixed == "w" else "w"
+        emit(cfg, json_text({
             "cartan": R.gcm.to_json(),
             "lambda": weight_obj(R, lam),
             "sign": cfg.sign,
-            "z": word_obj(R, z),
-            "rows": [
-                {"w": word_obj(R, w), "terms": poly_terms(R, rows[w])}
-                for w in sorted(rows, key=lambda u: u.key)
-            ],
+            fixed: word_obj(R, elt),
+            "rows": [{key: word_obj(R, u), "terms": partial(terms_text, R, rows[u])} for u in order],
             "truncated": truncated,
-        }
-        emit(cfg, json.dumps(doc, indent=2))
-    elif cfg.fmt == "table":
-        head = f"[L^{'+' if cfg.sign > 0 else '-'}({R.format_weight(lam)})] * [O_{z!r}], lengths <= {cfg.max_length}"
-        lines = [head + ("  (truncated)" if truncated else "")]
-        for w in sorted(rows, key=lambda u: u.key):
-            lines.append(f"  [O_{w!r}] : {poly_str(R, rows[w])}")
-        emit(cfg, "\n".join(lines))
+        }))
     else:
-        raise CLIError("fixed-z mode emits json or table")
-    return 0
+        head = f"[L^{'+' if cfg.sign > 0 else '-'}({R.format_weight(lam)})] * [O_{elt!r}]" + tail
+        emit(cfg, "\n".join([head] + [f"  [O_{u!r}] : {poly_str(R, rows[u])}" for u in order]))
 
 
 # -- crystal -----------------------------------------------------------------
@@ -331,7 +358,7 @@ def cmd_crystal(cfg: JobConfig) -> int:
             "ls_weights": [weight_obj(R, m) for m in wts_ls],
             "alcove_weights": [weight_obj(R, m) for m in wts_alc],
         }
-        emit(cfg, json.dumps(report, indent=2))
+        emit(cfg, json_text(report))
         return 1
 
     ordered_paths = sorted(paths, key=lspath.path_key)
@@ -362,7 +389,7 @@ def cmd_crystal(cfg: JobConfig) -> int:
             "elements": items,
             "truncated": truncated,
         }
-        emit(cfg, json.dumps(doc, indent=2))
+        emit(cfg, json_text(doc))
     elif cfg.fmt == "table":
         lines = [f"{len(ordered_paths)} elements" + ("  (truncated)" if truncated else "")]
         if cfg.realization == "ls":
@@ -498,7 +525,7 @@ def cmd_selftest(cfg: JobConfig) -> int:
             detail = f"exception: {exc!r}"
         results.append({"name": name, "ok": detail is None, "detail": detail or "pass"})
     doc = {"scenarios": results, "all_ok": all(r["ok"] for r in results)}
-    emit(cfg, json.dumps(doc, indent=2))
+    emit(cfg, json_text(doc))
     return 0 if doc["all_ok"] else 1
 
 

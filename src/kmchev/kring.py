@@ -17,8 +17,9 @@ signed-subword expansion (chevalley_explicit).
 from __future__ import annotations
 
 import itertools
+import operator
 
-from .cartan import Realization, Weight, wt_add, wt_sub
+from .cartan import Realization, Weight, wt_add
 from .weyl import WeylElt, WeylGroup
 
 # {weight: coefficient}, zero coefficients never stored
@@ -74,18 +75,22 @@ def apply_Ti(R: Realization, i: int, f: LaurentPoly) -> LaurentPoly:
     out: LaurentPoly = {}
     alpha = R.alpha[i]
     for mu, c in f.items():
+        if len(mu) != len(alpha):
+            raise ValueError(f"weights of different rank: {mu}, {alpha}")
         n = mu[i]
-        if n > 0:
-            term = mu
-            for _ in range(n):
-                term = wt_sub(term, alpha)
-                lp_add_into(out, {term: c})
-        elif n < 0:
-            term = mu
-            lp_add_into(out, {term: -c})
-            for _ in range(-1 - n):
-                term = wt_add(term, alpha)
-                lp_add_into(out, {term: -c})
+        if n > 0:  # c e^{mu - alpha}, ..., c e^{mu - n alpha}
+            step, term = operator.sub, mu
+        elif n < 0:  # -c e^mu, ..., -c e^{mu + (-1-n) alpha}
+            step, term, c, n = operator.add, tuple(map(operator.sub, mu, alpha)), -c, -n
+        else:
+            continue
+        for _ in range(n):
+            term = tuple(map(step, term, alpha))
+            new = out.get(term, 0) + c
+            if new:
+                out[term] = new
+            else:
+                out.pop(term, None)
     return out
 
 

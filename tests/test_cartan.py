@@ -123,6 +123,15 @@ def test_parse_and_format_weights():
         R2.parse_weight("1,1,delta=2")
 
 
+def test_format_weight_in_corank_2_keeps_every_extra_coordinate():
+    R = Realization(GCM.from_matrix([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]))
+    assert R.N - R.n == 2
+    a, b = (1, 0, 2, -1, 0, -3), (1, 0, 2, -1, -3, 0)
+    assert R.format_weight(a) == "1,0,2,-1,delta=0,delta=-3"
+    assert R.format_weight(b) == "1,0,2,-1,delta=-3,delta=0"
+    assert R.format_weight(R.zero()) == "0,0,0,0,delta=0,delta=0"
+
+
 def test_dominance():
     R = realization_from_preset("A2")
     assert R.is_dominant(weight(2, 1))

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import kmchev.alcove as alcove
+import kmchev.cli as cli
+import kmchev.lspath as lspath
 from kmchev.cli import main
 
 AFF = ["--cartan", "A2~", "--weight", "1,1,0"]
@@ -276,3 +278,44 @@ def test_out_writes_file_and_stdout_stays_quiet(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["rows"]
+
+
+COR2 = {"matrix": [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]}
+
+
+def test_json_refuses_corank_2_before_any_model_runs(tmp_path, capsys, monkeypatch):
+    gcm = tmp_path / "corank2.json"
+    gcm.write_text(json.dumps(COR2))
+    def ran(*args, **kwargs):
+        raise AssertionError("a model ran before the corank check")
+    monkeypatch.setattr(cli, "_rows_for_model", ran)
+    for module, name in [(lspath, "demazure_crystal"), (lspath, "opposite_demazure_ls"),
+                         (alcove, "demazure_alcove"), (alcove, "opposite_demazure_alcove"),
+                         (alcove, "enumerate_z_adapted")]:
+        monkeypatch.setattr(module, name, ran)
+    base = ["--gcm-file", str(gcm), "--weight", "1,1,1,1"]
+    for argv in [
+        ["chevalley", *base, "--w", "0 1 0 1 2 3 2 3"],
+        ["chevalley", *base, "--z", "1", "--max-length", "3", "--model", "alcove"],
+        ["crystal", *base, "--w", "0 1 2"],
+        ["crystal", *base, "--opposite", "--z", "1", "--max-length", "3"],
+    ]:
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and "corank" in err, argv
+        assert out == "", argv
+
+
+def test_table_tells_corank_2_coordinates_apart(tmp_path, capsys):
+    gcm = tmp_path / "corank2.json"
+    gcm.write_text(json.dumps(COR2))
+    outs = []
+    for word in ("0", "2"):
+        code, out, err = run(capsys, ["chevalley", "--gcm-file", str(gcm), "--weight", "1,1,1,1",
+                                      "--w", word, "--format", "table"])
+        assert code == 0, err
+        assert out.startswith("[L^+(1,1,1,1,delta=0,delta=0)]")
+        outs.append(out)
+    # s0 and s2 move different extra coordinates
+    assert "[O_e] : e[-1,3,1,1,delta=-1,delta=0]" in outs[0]
+    assert "[O_e] : e[1,1,-1,3,delta=0,delta=-1]" in outs[1]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kmchev.cartan import realization_from_preset, weight, wt_neg
+from kmchev.cartan import GCM, Realization, realization_from_preset, weight, wt_add, wt_neg, wt_sub
 from kmchev.kring import (
     apply_Di,
     apply_Ti,
@@ -35,6 +35,58 @@ def test_ti_on_a_fundamental_weight():
     assert apply_Ti(R, 0, lp_monomial(weight(2, 0))) == {weight(0, 1): 1, weight(-2, 2): 1}
     # n = -1: a single term with a sign
     assert apply_Ti(R, 0, lp_monomial(weight(-1, 1))) == {weight(-1, 1): -1}
+
+
+def reference_Ti(R, i, f):
+    """T_i by the per-monomial formula, one emitted monomial at a time."""
+    out = {}
+    alpha = R.alpha[i]
+    for mu, c in f.items():
+        n = mu[i]
+        if n > 0:
+            term = mu
+            for _ in range(n):
+                term = wt_sub(term, alpha)
+                lp_add_into(out, {term: c})
+        elif n < 0:
+            term = mu
+            lp_add_into(out, {term: -c})
+            for _ in range(-1 - n):
+                term = wt_add(term, alpha)
+                lp_add_into(out, {term: -c})
+    return out
+
+
+HYPERBOLIC = Realization(GCM.from_matrix([[2, -3], [-3, 2]]))
+
+
+@pytest.mark.parametrize("R", [realization_from_preset(p) for p in ("A2", "G2", "A2~")] + [HYPERBOLIC])
+@given(data=st.data())
+def test_ti_matches_the_reference_formula(R, data):
+    """Coordinates in -5..5 give n > 0, n = 0 and n < 0 on every letter, and
+    overlapping strings that cancel to zero."""
+    coords = st.tuples(*[st.integers(-5, 5)] * R.N)
+    f = data.draw(st.dictionaries(coords, st.integers(-4, 4).filter(bool), max_size=6))
+    for i in range(R.n):
+        assert apply_Ti(R, i, f) == reference_Ti(R, i, f)
+
+
+def test_ti_cancels_and_covers_every_sign_of_n():
+    R = realization_from_preset("A2")
+    # n = 2, 0, -3 and 1 on letter 0
+    f = {weight(2, 0): 1, weight(0, 5): 4, weight(-3, 2): -2, weight(1, -1): 7}
+    for i in range(R.n):
+        assert apply_Ti(R, i, f) == reference_Ti(R, i, f)
+    # T_0 e^{(2,0)} = e^{(0,1)} + e^{(-2,2)} and T_0 e^{(-2,2)} is its negative
+    assert apply_Ti(R, 0, {weight(2, 0): 1}) == {weight(0, 1): 1, weight(-2, 2): 1}
+    assert apply_Ti(R, 0, {weight(2, 0): 1, weight(-2, 2): 1}) == {}
+
+
+def test_ti_rejects_a_weight_of_another_rank():
+    R = realization_from_preset("A2~")
+    for mu in [(1, 0, 0), (1, 0, 0, 0, 0), (-1, 0, 0)]:
+        with pytest.raises(ValueError, match="rank"):
+            apply_Ti(R, 0, {mu: 1})
 
 
 @pytest.mark.parametrize("preset", ["A2", "B2", "G2", "A2~"])
