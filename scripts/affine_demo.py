@@ -12,8 +12,7 @@ import argparse
 import pathlib
 
 from kmchev.alcove import (
-    chevalley_antidominant_alcove,
-    chevalley_dominant_alcove,
+    chevalley_alcove,
     enumerate_tree_antidominant,
     enumerate_tree_dominant,
     format_hyperplane,
@@ -85,11 +84,11 @@ def main():
             print(f"  root edge {format_hyperplane(lam, seq.hs[0])} -> {seq.z!r}")
 
     show_rows(R, "[L^+lam] rows (LS model)", chevalley_dominant_ls(W, lam, w, crystal))
-    dom_ok = chevalley_dominant_ls(W, lam, w, crystal) == chevalley_dominant_alcove(W, lam, w) == chevalley_recurrence(W, w, lam)
+    dom_ok = chevalley_dominant_ls(W, lam, w, crystal) == chevalley_alcove(W, lam, w, 1) == chevalley_recurrence(W, w, lam)
     show_rows(R, "[L^-lam] rows (LS model)", chevalley_antidominant_ls(W, lam, w, crystal))
     anti_ok = (
         chevalley_antidominant_ls(W, lam, w, crystal)
-        == chevalley_antidominant_alcove(W, lam, w)
+        == chevalley_alcove(W, lam, w, -1)
         == chevalley_recurrence(W, w, wt_neg(lam))
     )
     print(f"\nLS == alcove == nilHecke: dominant {dom_ok}, antidominant {anti_ok}")

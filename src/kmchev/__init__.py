@@ -48,8 +48,7 @@ from .lspath import (
 from .alcove import (
     AdaptedSequence,
     LambdaHyperplane,
-    chevalley_antidominant_alcove,
-    chevalley_dominant_alcove,
+    chevalley_alcove,
     dec_to_ls,
     demazure_alcove,
     divisor_product,
@@ -58,8 +57,7 @@ from .alcove import (
     enumerate_z_adapted,
     inc_to_ls,
     lex_chain,
-    ls_to_dec,
-    ls_to_inc,
+    ls_to_seq,
     opposite_demazure_alcove,
 )
 

@@ -14,13 +14,14 @@ order satisfying both chain axioms:
 
 Adapted sequences over a base z are saturated Bruhat chains
 z < z s_{h_1} < ... < z s_{h_1} ... s_{h_q} whose hyperplane labels are
-strictly lex-increasing ("inc") or strictly lex-decreasing ("dec").  They
-carry the fixed-w Chevalley rows via the folded operators
+strictly lex-increasing ("inc") or strictly lex-decreasing ("dec").  The two
+monotonicities are one construction read at two levels: they carry the
+fixed-w Chevalley rows via the folded operator
 
-    hs_apply(h):  mu -> s_alpha(mu) + k * alpha_root             (dominant)
-    ts_apply(h):  mu -> s_alpha(mu) + (<alpha,lam> - k) * alpha_root
+    hs_apply(h, k'):  mu -> s_alpha(mu) + k' * alpha_root
 
-applied right-to-left over the labels and then pushed by z.
+at the level k' = k ("inc", dominant) or k' = <alpha,lam> - k ("dec",
+antidominant), applied right-to-left over the labels and then pushed by z.
 
 The module enumerates the two label-monotone cover trees below a fixed w,
 the z-adapted sequences above a fixed z (with honest truncation reporting),
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .cartan import Coroot, Q, Realization, Weight, _num, pairing, wt_add, wt_neg, wt_scale
@@ -53,21 +55,19 @@ __all__ = [
     "count_before",
     "validate_lambda_chain_finite",
     "hs_apply",
-    "ts_apply",
-    "wt_inc",
-    "wt_dec",
+    "wt_fold",
+    "signed_term",
+    "lex_cut",
     "enumerate_tree_dominant",
     "enumerate_tree_antidominant",
     "enumerate_z_adapted",
-    "chevalley_dominant_alcove",
-    "chevalley_antidominant_alcove",
+    "chevalley_alcove",
     "refl_less",
     "refl_less_dual",
     "increasing_chain",
     "all_label_chains",
-    "ls_to_inc",
+    "ls_to_seq",
     "inc_to_ls",
-    "ls_to_dec",
     "dec_to_ls",
     "demazure_alcove",
     "opposite_demazure_alcove",
@@ -91,7 +91,8 @@ class LambdaHyperplane:
 def stdvec(lam: Weight, h: LambdaHyperplane) -> tuple:
     """The lex comparison vector (k, c_1, ..., c_r) / <alpha, lam>."""
     p = pairing(h.alpha, lam)
-    assert 0 < p and h.k < p, f"{h!r} is not a hyperplane for this weight"
+    if not 0 <= h.k < p:
+        raise ValueError(f"{h!r} is not a hyperplane for this weight")
     return (Q(h.k, p),) + tuple(Q(c, p) for c in h.alpha.c)
 
 
@@ -212,15 +213,16 @@ def validate_lambda_chain_finite(R: Realization, lam: Weight, chain) -> tuple[bo
 # -- the folded reflection operators -------------------------------------------
 
 
-def hs_apply(R: Realization, lam: Weight, h: LambdaHyperplane, mu: Weight) -> Weight:
-    """s_alpha(mu) + k * alpha_root; fixes b*lam when rht(h) = b."""
-    return wt_add(R.coroot_reflection(h.alpha, mu), wt_scale(h.k, h.alpha.root))
+def hs_apply(R: Realization, h: LambdaHyperplane, mu: Weight, k: int) -> Weight:
+    """s_alpha(mu) + k * alpha_root; fixes (k / <alpha,lam>) * lam."""
+    return wt_add(R.coroot_reflection(h.alpha, mu), wt_scale(k, h.alpha.root))
 
 
-def ts_apply(R: Realization, lam: Weight, h: LambdaHyperplane, mu: Weight) -> Weight:
-    """s_alpha(mu) + (<alpha,lam> - k) * alpha_root."""
-    m = pairing(h.alpha, lam) - h.k
-    return wt_add(R.coroot_reflection(h.alpha, mu), wt_scale(m, h.alpha.root))
+def _is_inc(monotonicity: str) -> bool:
+    """True for "inc", False for "dec"; a ValueError for anything else."""
+    if monotonicity not in ("inc", "dec"):
+        raise ValueError(f"monotonicity must be 'inc' or 'dec', not {monotonicity!r}")
+    return monotonicity == "inc"
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ class AdaptedSequence:
     monotonicity: str
 
     def __post_init__(self):
-        assert self.monotonicity in ("inc", "dec")
+        _is_inc(self.monotonicity)
         assert len(self.chain) == len(self.hs) + 1
         assert self.chain[0] == self.z
 
@@ -250,19 +252,24 @@ class AdaptedSequence:
         return f"AdaptedSequence({self.z!r}; [{labels}]; ->{self.end!r})"
 
 
-def wt_inc(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> Weight:
-    """z . hs_apply(h_1) ... hs_apply(h_q) (lam), innermost label last."""
+def wt_fold(W: WeylGroup, lam: Weight, seq: AdaptedSequence, levels: str | None = None) -> Weight:
+    """z . hs_apply(h_1, k'_1) ... hs_apply(h_q, k'_q) (lam), innermost label
+    last, at the levels k' = k ("inc") or k' = <alpha,lam> - k ("dec") of the
+    sequence's monotonicity, or of `levels` when given."""
+    inc = _is_inc(levels or seq.monotonicity)
     mu = lam
     for h in reversed(seq.hs):
-        mu = hs_apply(W.R, lam, h, mu)
+        mu = hs_apply(W.R, h, mu, h.k if inc else pairing(h.alpha, lam) - h.k)
     return W.act(seq.z, mu)
 
 
-def wt_dec(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> Weight:
-    mu = lam
-    for h in reversed(seq.hs):
-        mu = ts_apply(W.R, lam, h, mu)
-    return W.act(seq.z, mu)
+def signed_term(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LaurentPoly:
+    """The monomial a sequence adds to its Chevalley row: e^{wt} for "inc",
+    (-1)^q e^{-wt} for "dec", with wt = wt_fold(seq) and q labels."""
+    wt = wt_fold(W, lam, seq)
+    if seq.monotonicity == "inc":
+        return lp_monomial(wt)
+    return lp_monomial(wt_neg(wt), -1 if len(seq.hs) % 2 else 1)
 
 
 # -- enumeration: trees below w, fans above z ------------------------------------
@@ -289,8 +296,22 @@ def _label_edges(lam: Weight, covers) -> list:
     return [(h, x) for _, h, x in keyed]
 
 
+def lex_cut(lam: Weight, edges: list, label: LambdaHyperplane | None, above: bool) -> list:
+    """The part of a lex-sorted edge list (from _label_edges) whose labels lie
+    lex-above `label` (a suffix) or lex-below it (a prefix); all of it when
+    label is None.  The cut is found by bisection with lex_less."""
+    if label is None:
+        return edges
+    cut = bisect_left(edges, True, key=lambda e: lex_less(lam, label, e[0]) if above else
+                      not lex_less(lam, e[0], label))
+    return edges[cut:] if above else edges[:cut]
+
+
 def _enumerate_tree(W: WeylGroup, lam: Weight, w: WeylElt, monotonicity: str) -> list[AdaptedSequence]:
+    """Labels are prepended walking down, so an "inc" tree keeps the edges
+    below the incoming label and a "dec" tree those above it."""
     out: list[AdaptedSequence] = []
+    above = monotonicity == "dec"
 
     @functools.cache  # per call: an element is reached along many branches
     def below(v: WeylElt) -> list:
@@ -298,12 +319,7 @@ def _enumerate_tree(W: WeylGroup, lam: Weight, w: WeylElt, monotonicity: str) ->
 
     def rec(v: WeylElt, incoming: LambdaHyperplane | None, hs_up: tuple, chain_up: tuple):
         out.append(AdaptedSequence(v, hs_up, (v,) + chain_up, monotonicity))
-        for h, vp in below(v):
-            if incoming is not None:
-                if monotonicity == "inc" and not lex_less(lam, h, incoming):
-                    continue
-                if monotonicity == "dec" and not lex_less(lam, incoming, h):
-                    continue
+        for h, vp in lex_cut(lam, below(v), incoming, above):
             rec(vp, h, (h,) + hs_up, (v,) + chain_up)
 
     rec(w, None, (), ())
@@ -325,8 +341,10 @@ def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str
                         length_bound: int) -> tuple[list[AdaptedSequence], bool]:
     """All adapted sequences based at z whose chain stays within the length
     bound.  The second component reports whether any admissible continuation
-    was cut off by the bound (a truncation notice, not a failure)."""
-    assert monotonicity in ("inc", "dec")
+    was cut off by the bound (a truncation notice, not a failure).  Labels
+    are appended walking up, so "inc" keeps the edges above the last label
+    and "dec" those below it."""
+    above = _is_inc(monotonicity)
     out: list[AdaptedSequence] = []
     truncated = False
 
@@ -334,21 +352,15 @@ def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str
     def fan(u: WeylElt) -> list:
         return _label_edges(lam, W.covers_within(u, u.length + 1))
 
-    def admissible(h: LambdaHyperplane, last: LambdaHyperplane | None) -> bool:
-        if last is None:
-            return True
-        return lex_less(lam, last, h) if monotonicity == "inc" else lex_less(lam, h, last)
-
     def rec(u: WeylElt, last: LambdaHyperplane | None, hs_acc: tuple, chain_acc: tuple):
         nonlocal truncated
         out.append(AdaptedSequence(z, hs_acc, chain_acc, monotonicity))
+        admissible = lex_cut(lam, fan(u), last, above)
         if u.length >= length_bound:
-            if any(admissible(h, last) for h, _ in fan(u)):
-                truncated = True
+            truncated |= bool(admissible)
             return
-        for h, w in fan(u):
-            if admissible(h, last):
-                rec(w, h, hs_acc + (h,), chain_acc + (w,))
+        for h, w in admissible:
+            rec(w, h, hs_acc + (h,), chain_acc + (w,))
 
     rec(z, None, (), (z,))
     return out, truncated
@@ -357,21 +369,13 @@ def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str
 # -- Chevalley rows ---------------------------------------------------------------
 
 
-def chevalley_dominant_alcove(W: WeylGroup, lam: Weight, w: WeylElt) -> dict:
-    """Fixed-w row from the lex-increasing tree: z |-> sum e^{wt_inc(seq)}."""
+def chevalley_alcove(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
+    """Fixed-w row of [L^{sign*lam}] [O_w]: z |-> the sum of signed_term over
+    the lex-increasing (sign > 0) or lex-decreasing (sign < 0) tree."""
+    tree = enumerate_tree_dominant if sign > 0 else enumerate_tree_antidominant
     acc: dict[WeylElt, LaurentPoly] = {}
-    for seq in enumerate_tree_dominant(W, lam, w):
-        lp_add_into(acc.setdefault(seq.z, {}), lp_monomial(wt_inc(W, lam, seq)))
-    return {z: acc[z] for z in sorted(acc, key=lambda u: u.key) if acc[z]}
-
-
-def chevalley_antidominant_alcove(W: WeylGroup, lam: Weight, w: WeylElt) -> dict:
-    """Fixed-w row from the lex-decreasing tree:
-    z |-> sum (-1)^q e^{-wt_dec(seq)}."""
-    acc: dict[WeylElt, LaurentPoly] = {}
-    for seq in enumerate_tree_antidominant(W, lam, w):
-        sign = -1 if len(seq.hs) % 2 else 1
-        lp_add_into(acc.setdefault(seq.z, {}), lp_monomial(wt_neg(wt_dec(W, lam, seq)), sign))
+    for seq in tree(W, lam, w):
+        lp_add_into(acc.setdefault(seq.z, {}), signed_term(W, lam, seq))
     return {z: acc[z] for z in sorted(acc, key=lambda u: u.key) if acc[z]}
 
 
@@ -431,12 +435,9 @@ def all_label_chains(W: WeylGroup, a: WeylElt, b: WeylElt, label_ok=None):
     return _label_chains(W, a, b, label_ok)
 
 
-def increasing_chain(W: WeylGroup, lam: Weight, a: WeylElt, b: WeylElt, less=None, label_ok=None):
+def increasing_chain(W: WeylGroup, lam: Weight, a: WeylElt, b: WeylElt, less=refl_less, label_ok=None):
     """The unique saturated chain a -> b whose labels strictly increase in the
-    given reflection order (default refl_less).  Raises ValueError unless
-    exactly one exists."""
-    if less is None:
-        less = refl_less
+    given reflection order.  Raises ValueError unless exactly one exists."""
     res = _label_chains(W, a, b, label_ok, lambda beta, bound: less(W.R, lam, beta, bound))
     if len(res) != 1:
         raise ValueError(f"expected a unique increasing chain {a!r} -> {b!r}, found {len(res)}")
@@ -446,29 +447,34 @@ def increasing_chain(W: WeylGroup, lam: Weight, a: WeylElt, b: WeylElt, less=Non
 # -- conversions between LS paths and adapted sequences -----------------------------
 
 
-def ls_to_inc(W: WeylGroup, p: LSPath, z: WeylElt) -> AdaptedSequence:
-    """The lex-increasing sequence based at z matching an LS path with
-    phi(p) >= z W_lam: one chain segment per direction, lifted bottom-up."""
+def ls_to_seq(W: WeylGroup, p: LSPath, base: WeylElt, monotonicity: str) -> AdaptedSequence:
+    """The adapted sequence matching an LS path: "inc" is based at z = base
+    with phi(p) >= z W_lam and lifts bottom-up by `up`, "dec" ends at w = base
+    with iota(p) <= w W_lam and lifts top-down by `down`.  Segment j is the
+    unique chain between consecutive lifts increasing in refl_less (inc) or
+    its dual (dec), at the level t<beta,lam> (inc) or <beta,lam> - t<beta,lam>
+    (dec), with t = b_j for inc and t = b_{j+1}, b_{m+1} = 1, for dec."""
+    inc = _is_inc(monotonicity)
     lam = p.lam
     J = stabilizer_nodes(W.R, lam)
-    zs = [z]
-    for sigma in p.dirs:
-        zs.append(up(W, zs[-1], Coset(sigma, J)))
+    zs = [base]
+    for sigma in p.dirs if inc else reversed(p.dirs):
+        zs.append((up if inc else down)(W, zs[-1], Coset(sigma, J)))
+    zs = zs if inc else zs[::-1]
+    ts = list(p.b) if inc else list(p.b[1:]) + [1]
     hs: list[LambdaHyperplane] = []
-    chain: list[WeylElt] = [z]
-    bexts = list(p.b)
-    for j, bj in enumerate(bexts):
-        def ok(beta: Coroot, bj=bj) -> bool:
-            pr = pairing(beta, lam)
-            return pr > 0 and (bj * pr).denominator == 1
-
-        elems, labels = increasing_chain(W, lam, zs[j], zs[j + 1], refl_less, ok)
+    chain: list[WeylElt] = [zs[0]]
+    for j, t in enumerate(ts):
+        elems, labels = increasing_chain(W, lam, zs[j], zs[j + 1], refl_less if inc else refl_less_dual,
+                                         lambda beta, t=t: 0 < pairing(beta, lam) and
+                                         (t * pairing(beta, lam)).denominator == 1)
         for beta in labels:
-            hs.append(LambdaHyperplane(beta, int(bj * pairing(beta, lam))))
+            pr = pairing(beta, lam)
+            hs.append(LambdaHyperplane(beta, int(t * pr if inc else pr - t * pr)))
         chain.extend(elems[1:])
-    for x, y in zip(hs, hs[1:]):
-        assert lex_less(lam, x, y)
-    return AdaptedSequence(z, tuple(hs), tuple(chain), "inc")
+    if not all(lex_less(lam, x, y) for x, y in (zip(hs, hs[1:]) if inc else zip(hs[1:], hs))):
+        raise ValueError(f"the labels read off {p!r} are not lex-{'increasing' if inc else 'decreasing'}")
+    return AdaptedSequence(zs[0], tuple(hs), tuple(chain), monotonicity)
 
 
 def inc_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
@@ -484,36 +490,6 @@ def inc_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
         cum = sum(1 for r in rhts if r <= b)
         dirs.append(W.coset_decompose(seq.chain[cum], J)[0])
     return LSPath(lam, bvals, tuple(dirs))
-
-
-def ls_to_dec(W: WeylGroup, p: LSPath, w: WeylElt) -> AdaptedSequence:
-    """The lex-decreasing sequence ending at w matching an LS path with
-    iota(p) <= w W_lam: segments are dropped top-down, each the unique chain
-    increasing in the dual reflection order."""
-    lam = p.lam
-    J = stabilizer_nodes(W.R, lam)
-    m = len(p.dirs)
-    w_arr = [None] * (m + 2)
-    w_arr[m + 1] = w
-    for j in range(m, 0, -1):
-        w_arr[j] = down(W, w_arr[j + 1], Coset(p.dirs[j - 1], J))
-    bexts = list(p.b) + [1]
-    hs: list[LambdaHyperplane] = []
-    chain: list[WeylElt] = [w_arr[1]]
-    for j in range(1, m + 1):
-        bj1 = bexts[j]
-
-        def ok(beta: Coroot, bj1=bj1) -> bool:
-            pr = pairing(beta, lam)
-            return pr > 0 and (bj1 * pr).denominator == 1
-
-        elems, labels = increasing_chain(W, lam, w_arr[j], w_arr[j + 1], refl_less_dual, ok)
-        for beta in labels:
-            hs.append(LambdaHyperplane(beta, int((1 - bj1) * pairing(beta, lam))))
-        chain.extend(elems[1:])
-    for x, y in zip(hs, hs[1:]):
-        assert lex_less(lam, y, x)
-    return AdaptedSequence(w_arr[1], tuple(hs), tuple(chain), "dec")
 
 
 def dec_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
@@ -559,13 +535,8 @@ def divisor_product(W: WeylGroup, i: int, w: WeylElt) -> dict:
     [O_w], via 1 - e^{Lambda_i} [L^{-Lambda_i}]; the row of w = identity is
     empty."""
     lam = W.R.fundamental[i]
-    rows = chevalley_antidominant_alcove(W, lam, w)
-    out: dict[WeylElt, LaurentPoly] = {}
-    for z, poly in rows.items():
-        shifted: LaurentPoly = {}
-        for mu, c in poly.items():
-            lp_add_into(shifted, lp_monomial(wt_add(lam, mu), -c))
-        out[z] = shifted
+    rows = chevalley_alcove(W, lam, w, -1)
+    out = {z: {wt_add(lam, mu): -c for mu, c in poly.items()} for z, poly in rows.items()}
     lp_add_into(out.setdefault(w, {}), lp_monomial(W.R.zero()))
     return {z: out[z] for z in sorted(out, key=lambda u: u.key) if out[z]}
 

@@ -412,27 +412,31 @@ class Realization:
             out = bigger
 
     def parse_weight(self, text: str) -> Weight:
-        """Parse "c_0,c_1,...[,delta=q]" into an ambient weight.
+        """Parse "c_0,c_1,...[,delta=q ...]" into an ambient weight.
 
         The plain entries are coordinates on the fundamental weights in node
-        order; a trailing delta=q sets the corank coordinate (corank one only).
+        order; delta=q entries set the extra coordinates: in corank one a
+        trailing delta=q, in higher corank one per extra coordinate in order
+        (or none), as format_weight prints them.
         """
         coords: list = []
-        delta_part = None
+        deltas: list = []
         for tok in text.split(","):
             tok = tok.strip()
             if tok.startswith("delta="):
-                delta_part = Q(tok[len("delta="):])
+                deltas.append(Q(tok[len("delta="):]))
             elif tok:
                 coords.append(Q(tok))
         if len(coords) != self.n:
             raise ValueError(f"expected {self.n} fundamental coordinates, got {len(coords)}")
-        if delta_part is not None and self.N != self.n + 1:
-            raise ValueError("delta= coordinate requires corank one")
-        extra = [Q(0)] * (self.N - self.n)
-        if delta_part is not None:
-            extra[0] = delta_part
-        return tuple(_num(x) for x in coords + extra)
+        corank = self.N - self.n
+        if deltas and corank == 0:
+            raise ValueError("delta= coordinate requires an affine realization (corank >= 1)")
+        if corank == 1:
+            deltas = deltas[-1:]
+        if deltas and len(deltas) != corank:
+            raise ValueError(f"expected {corank} delta= coordinates in corank {corank}, got {len(deltas)}")
+        return tuple(_num(x) for x in coords + (deltas or [Q(0)] * corank))
 
     def format_weight(self, mu: Weight) -> str:
         """Fundamental coordinates, then the extra ones as delta=q: in corank

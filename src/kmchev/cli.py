@@ -15,14 +15,16 @@ Output formats: ``json`` (stable schema, deterministic ordering), ``table``
 (human-readable), ``dot`` (trees / crystal graphs).  JSON output is the exact
 text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
 is refused before any model runs); table output prints every extra
-coordinate of a weight in corank >= 2.  Exit status is nonzero when a
-requested cross-check fails.
+coordinate of a weight in corank >= 2.  A failed cross-check exits 1 with a
+report: table lines under ``--format table`` (any corank), JSON otherwise.
+Bad input exits 2 with ``error:``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -219,8 +221,7 @@ def _rows_for_model(model: str, R: Realization, lam: Weight, sign: int, word: tu
         fn = lspath.chevalley_dominant_ls if sign > 0 else lspath.chevalley_antidominant_ls
         return fn(W, lam, w)
     if model == "alcove":
-        fn = alcove.chevalley_dominant_alcove if sign > 0 else alcove.chevalley_antidominant_alcove
-        return fn(W, lam, w)
+        return alcove.chevalley_alcove(W, lam, w, sign)
     raise CLIError(f"unknown model {model!r}")
 
 
@@ -256,6 +257,12 @@ def cmd_chevalley(cfg: JobConfig) -> int:
 
     diffs = _rows_diff(rows_by_model)
     if diffs:
+        if cfg.fmt == "table":
+            lines = ["models disagree"]
+            for z, polys in diffs:
+                lines += [f"  [O_{z!r}]"] + [f"    {name} : {poly_str(R, p)}" for name, p in sorted(polys.items())]
+            emit(cfg, "\n".join(lines))
+            return 1
         disagreements = [
             {"z": word_obj(R, z), "models": {name: partial(terms_text, R, p) for name, p in sorted(polys.items())}}
             for z, polys in diffs
@@ -287,9 +294,7 @@ def _chevalley_fixed_z(cfg: JobConfig, R: Realization, W: WeylGroup, lam: Weight
     seqs, truncated = alcove.enumerate_z_adapted(W, lam, z, mono, cfg.max_length)
     rows: dict[WeylElt, dict] = {}
     for seq in seqs:
-        wt = alcove.wt_inc(W, lam, seq) if cfg.sign > 0 else wt_neg(alcove.wt_dec(W, lam, seq))
-        sign = 1 if cfg.sign > 0 else (-1 if len(seq.hs) % 2 else 1)
-        kring.lp_add_into(rows.setdefault(seq.end, {}), kring.lp_monomial(wt, sign))
+        kring.lp_add_into(rows.setdefault(seq.end, {}), alcove.signed_term(W, lam, seq))
     rows = {w: p for w, p in rows.items() if p}
     tail = f", lengths <= {cfg.max_length}" + ("  (truncated)" if truncated else "")
     _emit_rows(cfg, R, lam, "z", z, rows, truncated, tail)
@@ -334,7 +339,6 @@ def cmd_crystal(cfg: JobConfig) -> int:
         paths, trunc_ls = lspath.opposite_demazure_ls(W, lam, z, cfg.max_length)
         raw, trunc_alc = alcove.opposite_demazure_alcove(W, lam, z, cfg.max_length)
         seqs = [s for s in raw if s.end.length <= cfg.max_length]
-        fold = alcove.wt_inc
         truncated = trunc_ls or trunc_alc
     else:
         if cfg.w is None:
@@ -342,15 +346,19 @@ def cmd_crystal(cfg: JobConfig) -> int:
         w = W.from_word(parse_word(R, cfg.w))
         paths = lspath.demazure_crystal(W, lam, w)
         seqs = alcove.demazure_alcove(W, lam, w)
-        fold = alcove.wt_dec
         truncated = False
     # each element's weight, computed once for the cross-check and the output
     path_wt = {p: lspath.endpoint(W, p) for p in paths}
-    seq_wt = [fold(W, lam, s) for s in seqs]
+    seq_wt = [alcove.wt_fold(W, lam, s) for s in seqs]
     wts_ls = sorted(path_wt.values())
     wts_alc = sorted(seq_wt)
 
     if len(paths) != len(seqs) or wts_ls != wts_alc:
+        if cfg.fmt == "table":
+            emit(cfg, "\n".join(["realizations disagree"] + [
+                f"  {name} : {len(wts)} elements, {poly_str(R, Counter(wts))}"
+                for name, wts in (("ls", wts_ls), ("alcove", wts_alc))]))
+            return 1
         report = {
             "error": "realizations disagree",
             "ls_count": len(paths),
@@ -454,11 +462,11 @@ def _scn_bijections() -> str | None:
     w = W.from_word((0, 1, 0))
     for seq in alcove.enumerate_tree_dominant(W, lam, w):
         p = alcove.inc_to_ls(W, lam, seq)
-        if alcove.ls_to_inc(W, p, seq.z) != seq:
+        if alcove.ls_to_seq(W, p, seq.z, "inc") != seq:
             return f"inc round-trip failed at {seq!r}"
     for seq in alcove.enumerate_tree_antidominant(W, lam, w):
         p = alcove.dec_to_ls(W, lam, seq)
-        if alcove.ls_to_dec(W, p, w) != seq:
+        if alcove.ls_to_seq(W, p, w, "dec") != seq:
             return f"dec round-trip failed at {seq!r}"
     return None
 
@@ -487,14 +495,14 @@ def _scn_negative_control() -> str | None:
     """The dominant alcove row built with the lex comparator inverted must
     disagree with the recurrence.  Inverting the comparator turns the
     lex-increasing tree into the lex-decreasing one, so that row is the
-    lex-decreasing tree folded with wt_inc."""
+    lex-decreasing tree folded at the "inc" levels."""
     R = realization_from_preset("A2~")
     W = WeylGroup(R)
     lam = R.parse_weight("1,1,0")
     w = W.from_word(parse_word(R, "0 1 2 1"))
     inverted: dict = {}
     for seq in alcove.enumerate_tree_antidominant(W, lam, w):
-        kring.lp_add_into(inverted.setdefault(seq.z, {}), kring.lp_monomial(alcove.wt_inc(W, lam, seq)))
+        kring.lp_add_into(inverted.setdefault(seq.z, {}), kring.lp_monomial(alcove.wt_fold(W, lam, seq, "inc")))
     if not _rows_diff({"inverted": inverted, "nilhecke": kring.chevalley_recurrence(W, w, lam)}):
         return "inverted lex comparator went undetected"
     return None
@@ -535,7 +543,7 @@ def cmd_selftest(cfg: JobConfig) -> int:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--cartan", help="preset name (A1, A2, A3, B2, G2, A1~, A2~)")
     sp.add_argument("--gcm-file", help="JSON file with a Cartan matrix")
-    sp.add_argument("--weight", help='dominant weight "c_0,c_1,...[,delta=q]"')
+    sp.add_argument("--weight", help='dominant weight "c_0,c_1,...[,delta=q ...]"')
     sp.add_argument("--format", choices=("json", "table", "dot"), default="json")
     sp.add_argument("--out", help="write output to this file instead of stdout")
 

@@ -9,8 +9,7 @@ from time import perf_counter
 
 from kmchev.alcove import (
     LambdaHyperplane,
-    chevalley_antidominant_alcove,
-    chevalley_dominant_alcove,
+    chevalley_alcove,
     count_before,
     dec_to_ls,
     enumerate_tree_antidominant,
@@ -18,12 +17,10 @@ from kmchev.alcove import (
     format_hyperplane,
     inc_to_ls,
     lex_chain,
-    ls_to_dec,
-    ls_to_inc,
+    ls_to_seq,
     refl_less,
     validate_lambda_chain_finite,
-    wt_dec,
-    wt_inc,
+    wt_fold,
 )
 from kmchev.cartan import (
     pairing,
@@ -123,7 +120,7 @@ def test_criterion_2_dominant_affine_row(WAFF):
         "(2|1,2,2)/3",
     ]
 
-    alc = chevalley_dominant_alcove(W, LAM, w)
+    alc = chevalley_alcove(W, LAM, w, 1)
     rec = chevalley_recurrence(W, w, LAM)
     triangle_ok = rows_equal(rows, alc) and rows_equal(rows, rec)
 
@@ -180,10 +177,10 @@ def test_criterion_3_antidominant_affine_row(WAFF):
     tree_ok = (
         len(tree) == 9
         and len(s02) == 1
-        and wt_dec(W, LAM, s02[0]) == W.act(W.from_word((0,)), LAM)
+        and wt_fold(W, LAM, s02[0]) == W.act(W.from_word((0,)), LAM)
     )
 
-    alc = chevalley_antidominant_alcove(W, LAM, w)
+    alc = chevalley_alcove(W, LAM, w, -1)
     rec = chevalley_recurrence(W, w, wt_neg(LAM))
     triangle_ok = rows_equal(rows, alc) and rows_equal(rows, rec)
 
@@ -205,13 +202,13 @@ def test_criterion_4_bijections(WA2, WB2, WAFF):
         nonlocal checked
         for seq in enumerate_tree_dominant(W, lam, w):
             p = inc_to_ls(W, lam, seq)
-            assert ls_to_inc(W, p, seq.z) == seq
-            assert endpoint(W, p) == wt_inc(W, lam, seq)
+            assert ls_to_seq(W, p, seq.z, "inc") == seq
+            assert endpoint(W, p) == wt_fold(W, lam, seq)
             checked += 1
         for seq in enumerate_tree_antidominant(W, lam, w):
             p = dec_to_ls(W, lam, seq)
-            assert ls_to_dec(W, p, w) == seq
-            assert endpoint(W, p) == wt_dec(W, lam, seq)
+            assert ls_to_seq(W, p, w, "dec") == seq
+            assert endpoint(W, p) == wt_fold(W, lam, seq)
             checked += 1
 
     check(WAFF, LAM, WAFF.from_word(WWORD))
@@ -246,10 +243,10 @@ def test_criterion_5_oracle_triangle(WA2, WB2, WG2):
             if crystal is None:
                 crystal = crystals[key] = demazure_crystal(W, lam, w)
             ls = chevalley_dominant_ls(W, lam, w, crystal)
-            assert rows_equal(ls, chevalley_dominant_alcove(W, lam, w))
+            assert rows_equal(ls, chevalley_alcove(W, lam, w, 1))
             assert rows_equal(ls, chevalley_recurrence(W, w, lam))
             als = chevalley_antidominant_ls(W, lam, w, crystal)
-            assert rows_equal(als, chevalley_antidominant_alcove(W, lam, w))
+            assert rows_equal(als, chevalley_alcove(W, lam, w, -1))
             assert rows_equal(als, chevalley_recurrence(W, w, wt_neg(lam)))
             rows_checked += 2
 

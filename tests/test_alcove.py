@@ -1,13 +1,18 @@
 import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 from kmchev.alcove import (
+    AdaptedSequence,
     LambdaHyperplane,
+    _label_edges,
     all_label_chains,
-    chevalley_antidominant_alcove,
-    chevalley_dominant_alcove,
+    chevalley_alcove,
     count_before,
     demazure_alcove,
     dec_to_ls,
@@ -20,9 +25,9 @@ from kmchev.alcove import (
     inc_to_ls,
     increasing_chain,
     lex_chain,
+    lex_cut,
     lex_less,
-    ls_to_dec,
-    ls_to_inc,
+    ls_to_seq,
     opposite_demazure_alcove,
     rcht,
     refl_less,
@@ -30,10 +35,8 @@ from kmchev.alcove import (
     rht,
     stdvec,
     tree_dot,
-    ts_apply,
     validate_lambda_chain_finite,
-    wt_dec,
-    wt_inc,
+    wt_fold,
 )
 from kmchev.cartan import GCM, Realization, pairing, realization_from_preset, weight, wt_add, wt_neg, wt_scale
 from kmchev.kring import chevalley_recurrence, lp_add_into, lp_monomial
@@ -46,6 +49,7 @@ from kmchev.lspath import (
     endpoint,
     paths_up,
 )
+from kmchev.weyl import WeylGroup
 
 LAM = weight(1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)
@@ -95,18 +99,17 @@ def test_lex_is_a_strict_total_order(WAFF):
 
 
 def test_reflection_fixed_points(WAFF):
-    """hs fixes the segment point at relative height k/p, ts the point the
-    co-height reflection fixes; both square to the identity."""
+    """The fold at the "inc" level k fixes the segment point at relative
+    height k/p, at the "dec" level p - k the point at relative coheight; at
+    either level it squares to the identity."""
     R = WAFF.R
     for h in hyperplanes_for(R, LAM, bound=3):
-        b = rht(LAM, h)
-        fixed = wt_scale(b, LAM)
-        assert hs_apply(R, LAM, h, fixed) == fixed
-        cofixed = wt_scale(rcht(LAM, h), LAM)
-        assert ts_apply(R, LAM, h, cofixed) == cofixed
+        p = pairing(h.alpha, LAM)
         probe = wt_scale(Q(1, 7), LAM)
-        assert hs_apply(R, LAM, h, hs_apply(R, LAM, h, probe)) == probe
-        assert ts_apply(R, LAM, h, ts_apply(R, LAM, h, probe)) == probe
+        for level, b in ((h.k, rht(LAM, h)), (p - h.k, rcht(LAM, h))):
+            fixed = wt_scale(b, LAM)
+            assert hs_apply(R, h, fixed, level) == fixed
+            assert hs_apply(R, h, hs_apply(R, h, probe, level), level) == probe
 
 
 # -- lex chains and the chain axioms ---------------------------------------------
@@ -330,22 +333,22 @@ def test_frozen_weights_and_conversions(afftrees):
     assert len(rightmost) == 1
     (leaf,) = rightmost
     assert leaf.z == W.from_word((1, 2))
-    assert wt_inc(W, LAM, leaf) == weight(1, 1, 0, -1)
+    assert wt_fold(W, LAM, leaf) == weight(1, 1, 0, -1)
     p1 = LSPath(LAM, (0, Q(2, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1))))
     assert inc_to_ls(W, LAM, leaf) == p1
-    assert ls_to_inc(W, p1, leaf.z) == leaf
+    assert ls_to_seq(W, p1, leaf.z, "inc") == leaf
 
     root = [s for s in dom if not s.hs]
-    assert root[0].z == w and wt_inc(W, LAM, root[0]) == W.act(w, LAM)
+    assert root[0].z == w and wt_fold(W, LAM, root[0]) == W.act(w, LAM)
 
     s02 = [s for s in anti if s.z == W.from_word((0, 2))]
     assert len(s02) == 1
     (seq,) = s02
     assert tuple(format_hyperplane(LAM, h) for h in seq.hs) == ("(0|0,1,1)", "(0|0,1,0)")
-    assert wt_dec(W, LAM, seq) == weight(-1, 2, 1, -1)
+    assert wt_fold(W, LAM, seq) == weight(-1, 2, 1, -1)
     s0path = LSPath(LAM, (0,), (W.from_word((0,)),))
     assert dec_to_ls(W, LAM, seq) == s0path
-    assert ls_to_dec(W, s0path, w) == seq
+    assert ls_to_seq(W, s0path, w, "dec") == seq
 
 
 def test_tree_dot_output(afftrees):
@@ -364,8 +367,8 @@ def test_round_trips_exhaustive_finite(WA2):
             dom = enumerate_tree_dominant(W, lam, w)
             for seq in dom:
                 p = inc_to_ls(W, lam, seq)
-                assert ls_to_inc(W, p, seq.z) == seq
-                assert endpoint(W, p) == wt_inc(W, lam, seq)
+                assert ls_to_seq(W, p, seq.z, "inc") == seq
+                assert endpoint(W, p) == wt_fold(W, lam, seq)
             # grouped by base, the tree enumerates exactly the up-lift fibers
             crystal = crystal_cache.setdefault(w, demazure_crystal(W, lam, w))
             byz = {}
@@ -377,8 +380,8 @@ def test_round_trips_exhaustive_finite(WA2):
             anti = enumerate_tree_antidominant(W, lam, w)
             for seq in anti:
                 p = dec_to_ls(W, lam, seq)
-                assert ls_to_dec(W, p, w) == seq
-                assert endpoint(W, p) == wt_dec(W, lam, seq)
+                assert ls_to_seq(W, p, w, "dec") == seq
+                assert endpoint(W, p) == wt_fold(W, lam, seq)
                 assert down_path(W, w, p) == seq.z
                 assert len(seq.hs) == w.length - seq.z.length
             # the down-lift partitions the crystal; the tree must hit each part
@@ -388,11 +391,11 @@ def test_round_trips_exhaustive_finite(WA2):
 def test_round_trips_affine_frozen(afftrees):
     W, w, dom, anti = afftrees
     for seq in dom:
-        assert ls_to_inc(W, inc_to_ls(W, LAM, seq), seq.z) == seq
+        assert ls_to_seq(W, inc_to_ls(W, LAM, seq), seq.z, "inc") == seq
     got = {dec_to_ls(W, LAM, seq) for seq in anti}
     assert got == demazure_crystal(W, LAM, w)
     for seq in anti:
-        assert ls_to_dec(W, dec_to_ls(W, LAM, seq), w) == seq
+        assert ls_to_seq(W, dec_to_ls(W, LAM, seq), w, "dec") == seq
 
 
 # -- fans above a base -----------------------------------------------------------
@@ -424,6 +427,104 @@ def test_fan_truncation_affine(WAFF):
     assert {s for s in smaller} <= set(fan)
 
 
+RANK3_HYP = Realization(GCM.from_matrix([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]))
+
+
+def test_rank3_hyperbolic_fan():
+    """The fixed-z fan above e in rank-3 hyperbolic type, where the BFS
+    layers double with each length; every bound truncates."""
+    W = WeylGroup(RANK3_HYP)
+    lam = RANK3_HYP.fundamental[0]
+    fan, truncated = enumerate_z_adapted(W, lam, W.e, "inc", 5)
+    assert (len(fan), truncated) == (8882, True)
+    fan4, truncated4 = enumerate_z_adapted(W, lam, W.e, "inc", 4)
+    assert (len(fan4), truncated4) == (390, True)
+    assert set(fan4) == {s for s in fan if s.end.length <= 4}
+
+
+# -- the admissible cut ----------------------------------------------------------
+
+
+def filter_reference(lam, edges, label, above):
+    """The admissible edges found by testing every edge with lex_less."""
+    if label is None:
+        return edges
+    return [e for e in edges if (lex_less(lam, label, e[0]) if above else lex_less(lam, e[0], label))]
+
+
+@pytest.mark.parametrize("R,lamtext,wword", [
+    (realization_from_preset("A2~"), "1,1,0", (0, 1, 2, 1, 0, 2)),
+    (realization_from_preset("G2"), "2,1", (1, 0, 1, 0, 1, 0)),
+    (Realization(GCM.from_matrix([[2, -3], [-3, 2]])), "1,1", (0, 1, 0, 1, 0)),
+    (RANK3_HYP, "1,0,0", (0, 1, 2, 0)),
+], ids=["A2~", "G2", "hyp2", "hyp3"])
+def test_lex_cut_matches_the_filter(R, lamtext, wword):
+    """Every tree and fan edge list met in both monotonicities, cut at the
+    label it was reached by, at each of its own labels and at none: the
+    bisected cut must equal the edge-by-edge filter in both directions."""
+    W = WeylGroup(R)
+    lam = R.parse_weight(lamtext)
+    w = W.from_word(wword)
+    cuts: dict = {}
+    for seq in enumerate_tree_dominant(W, lam, w) + enumerate_tree_antidominant(W, lam, w):
+        _, labels = cuts.setdefault(("tree", seq.z), (_label_edges(lam, W.cocovers(seq.z)), {None}))
+        labels.add(seq.hs[0] if seq.hs else None)
+    for mono in ("inc", "dec"):
+        for seq in enumerate_z_adapted(W, lam, W.e, mono, 4)[0]:
+            u = seq.end
+            _, labels = cuts.setdefault(("fan", u), (_label_edges(lam, W.covers_within(u, u.length + 1)), {None}))
+            labels.add(seq.hs[-1] if seq.hs else None)
+    assert {kind for kind, _ in cuts} == {"tree", "fan"}
+    proper = 0
+    for edges, labels in cuts.values():
+        for label in labels | {h for h, _ in edges}:
+            for above in (True, False):
+                kept = lex_cut(lam, edges, label, above)
+                assert kept == filter_reference(lam, edges, label, above)
+                proper += 0 < len(kept) < len(edges)
+    assert proper > 10
+
+
+# -- bad arguments raise, also under python -O -------------------------------------
+
+
+def bad_arguments_raise():
+    """ValueError for a monotonicity other than "inc"/"dec" and for a pair
+    (alpha, k) that is not a hyperplane of lam; returns how many raised."""
+    W = WeylGroup(realization_from_preset("A2"))
+    lam = weight(1, 1)
+    alpha = W.R.positive_coroots()[0]
+    calls = [
+        lambda: AdaptedSequence(W.e, (), (W.e,), "up"),
+        lambda: enumerate_z_adapted(W, lam, W.e, "increasing", 2),
+        lambda: ls_to_seq(W, LSPath(lam, (0,), (W.e,)), W.e, "Inc"),
+        lambda: stdvec(lam, LambdaHyperplane(alpha, pairing(alpha, lam))),
+        lambda: stdvec(weight(0, 0), LambdaHyperplane(alpha, 0)),
+    ]
+    raised = 0
+    for call in calls:
+        try:
+            call()
+        except ValueError:
+            raised += 1
+    return raised
+
+
+def test_bad_arguments_raise():
+    assert bad_arguments_raise() == 5
+
+
+def test_bad_arguments_raise_without_asserts():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "import test_alcove; print(test_alcove.bad_arguments_raise())"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "5"
+
+
 # -- coefficient rows ------------------------------------------------------------
 
 
@@ -437,10 +538,10 @@ def test_triangle_finite(WA2):
     for lam in (weight(1, 1), weight(2, 1)):
         for w in W.bfs_ball(10):
             rec = chevalley_recurrence(W, w, lam)
-            assert rows_equal(rec, chevalley_dominant_alcove(W, lam, w))
+            assert rows_equal(rec, chevalley_alcove(W, lam, w, 1))
             assert rows_equal(rec, chevalley_dominant_ls(W, lam, w))
             arec = chevalley_recurrence(W, w, wt_neg(lam))
-            assert rows_equal(arec, chevalley_antidominant_alcove(W, lam, w))
+            assert rows_equal(arec, chevalley_alcove(W, lam, w, -1))
             assert rows_equal(arec, chevalley_antidominant_ls(W, lam, w))
 
 
@@ -448,7 +549,7 @@ def test_triangle_affine_frozen(WAFF):
     W = WAFF
     w = W.from_word(WWORD)
     rec = chevalley_recurrence(W, w, LAM)
-    dom = chevalley_dominant_alcove(W, LAM, w)
+    dom = chevalley_alcove(W, LAM, w, 1)
     assert rows_equal(rec, dom)
     three = {
         weight(1, 1, 0, -1): 1,
@@ -458,7 +559,7 @@ def test_triangle_affine_frozen(WAFF):
     assert dom[W.from_word((1, 2))] == three
     assert dom[W.from_word((1, 2, 1))] == three
     arec = chevalley_recurrence(W, w, wt_neg(LAM))
-    anti = chevalley_antidominant_alcove(W, LAM, w)
+    anti = chevalley_alcove(W, LAM, w, -1)
     assert rows_equal(arec, anti)
     assert anti[W.from_word((2,))] == {wt_neg(LAM): -1}
 
@@ -471,9 +572,9 @@ def test_inverted_lex_breaks_the_triangle(WAFF):
     rec = chevalley_recurrence(W, w, LAM)
     wrong = {}
     for seq in enumerate_tree_antidominant(W, LAM, w):
-        lp_add_into(wrong.setdefault(seq.z, {}), lp_monomial(wt_inc(W, LAM, seq)))
+        lp_add_into(wrong.setdefault(seq.z, {}), lp_monomial(wt_fold(W, LAM, seq, "inc")))
     assert not rows_equal(rec, wrong)
-    assert rows_equal(rec, chevalley_dominant_alcove(W, LAM, w))
+    assert rows_equal(rec, chevalley_alcove(W, LAM, w, 1))
 
 
 # -- divisor rows ----------------------------------------------------------------

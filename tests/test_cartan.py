@@ -123,6 +123,17 @@ def test_parse_and_format_weights():
         R2.parse_weight("1,1,delta=2")
 
 
+def test_parse_weight_inverts_format_weight():
+    """parse_weight reads back what format_weight prints, in corank 0, 1 and 2."""
+    cor2 = Realization(GCM.from_matrix([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]))
+    for R in (realization_from_preset("G2"), realization_from_preset("A2~"), cor2):
+        corank = R.N - R.n
+        for head in ((1, 0, 2, -1), (0, 0, 0, 0)):
+            for extra in itertools.product((0, -3, 2), repeat=corank):
+                mu = head[: R.n] + extra
+                assert R.parse_weight(R.format_weight(mu)) == mu, (R.gcm, mu)
+
+
 def test_format_weight_in_corank_2_keeps_every_extra_coordinate():
     R = Realization(GCM.from_matrix([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]))
     assert R.N - R.n == 2

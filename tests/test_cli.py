@@ -319,3 +319,50 @@ def test_table_tells_corank_2_coordinates_apart(tmp_path, capsys):
     # s0 and s2 move different extra coordinates
     assert "[O_e] : e[-1,3,1,1,delta=-1,delta=0]" in outs[0]
     assert "[O_e] : e[1,1,-1,3,delta=0,delta=-1]" in outs[1]
+
+
+def test_table_reports_a_disagreement_in_corank_2(tmp_path, capsys, monkeypatch):
+    """A failed cross-check under --format table prints the report as table
+    lines and exits 1, in any corank (JSON output is refused in corank 2)."""
+    gcm = tmp_path / "corank2.json"
+    gcm.write_text(json.dumps(COR2))
+    original = cli._rows_for_model
+
+    def doubled(model, *args):
+        rows = original(model, *args)
+        return {z: {mu: 2 * c for mu, c in p.items()} for z, p in rows.items()} if model == "alcove" else rows
+
+    monkeypatch.setattr(cli, "_rows_for_model", doubled)
+    code, out, err = run(capsys, ["chevalley", "--gcm-file", str(gcm), "--weight", "1,1,1,1",
+                                  "--w", "0 2", "--format", "table"])
+    assert code == 1, err
+    lines = out.splitlines()
+    assert lines[0] == "models disagree"
+    assert lines[1:5] == ["  [O_e]", "    alcove : 2*e[-1,3,-1,3,delta=-1,delta=-1]",
+                          "    ls : e[-1,3,-1,3,delta=-1,delta=-1]",
+                          "    nilhecke : e[-1,3,-1,3,delta=-1,delta=-1]"]
+    assert [ln for ln in lines if not ln.startswith("    ")] == ["models disagree", "  [O_e]", "  [O_s0]",
+                                                                 "  [O_s2]", "  [O_s0*s2]"]
+
+    original_alcove = alcove.demazure_alcove
+    monkeypatch.setattr(alcove, "demazure_alcove", lambda W, lam, w: original_alcove(W, lam, w)[:-1])
+    code, out, err = run(capsys, ["crystal", "--gcm-file", str(gcm), "--weight", "1,1,1,1",
+                                  "--w", "0 2", "--format", "table"])
+    assert code == 1, err
+    lines = out.splitlines()
+    assert lines[0] == "realizations disagree"
+    assert lines[1].startswith("  ls : 4 elements, e[") and lines[2].startswith("  alcove : 3 elements, e[")
+
+
+def test_weight_takes_back_a_printed_corank_2_weight(tmp_path, capsys):
+    gcm = tmp_path / "corank2.json"
+    gcm.write_text(json.dumps(COR2))
+    base = ["chevalley", "--gcm-file", str(gcm), "--w", "0", "--format", "table"]
+    code, out, err = run(capsys, [*base, "--weight", "1,1,1,1,delta=0,delta=-3"])
+    assert code == 0, err
+    assert out.startswith("[L^+(1,1,1,1,delta=0,delta=-3)]")
+    for bad in ("1,1,1,1,delta=0", "1,1,1,1,delta=0,delta=1,delta=2"):
+        code, out, err = run(capsys, [*base, "--weight", bad])
+        assert code == 2, bad
+        assert err.startswith("error:") and "delta=" in err, bad
+        assert out == "", bad

@@ -141,7 +141,7 @@ def test_crystal_weights_are_int_tuples():
     assert all(_int_weight(lspath.endpoint(W, p)) for p in paths)
     seqs = alcove.demazure_alcove(W, lam, w) + alcove.opposite_demazure_alcove(W, lam, z, 5)[0]
     for seq in seqs:
-        assert _int_weight(alcove.wt_inc(W, lam, seq)) and _int_weight(alcove.wt_dec(W, lam, seq))
+        assert all(_int_weight(alcove.wt_fold(W, lam, seq, levels)) for levels in ("inc", "dec"))
 
 
 if __name__ == "__main__":
