@@ -1,13 +1,16 @@
-"""Golden CLI outputs: every case's stdout must match its stored file byte for byte.
+"""Golden outputs: the stdout of every CLI case and of the two scripts must
+match its stored file byte for byte.
 
 The files under ``tests/golden/`` lock the observable behaviour of the CLI
-while the library is refactored.  To regenerate them after an intended
+and of ``scripts/chart_census.py`` and ``scripts/affine_demo.py`` while the
+library is refactored.  To regenerate them after an intended
 output change, run
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 import contextlib
 import io
+import runpy
 import sys
 from pathlib import Path
 from unittest import mock
@@ -19,6 +22,7 @@ from kmchev.cli import JobConfig, _rows_for_model, build_parser, main, parse_lam
 from kmchev.weyl import WeylGroup
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SCRIPTS_DIR = Path(__file__).resolve().parents[1] / "scripts"
 HYPERBOLIC = str(GOLDEN / "hyperbolic.json")
 
 A2AFF = ["--cartan", "A2~", "--weight", "1,1,0"]
@@ -85,6 +89,23 @@ REPORTS = {
 }
 
 
+# Script outputs at their default arguments: the census is the one exhaustive
+# run of e, istring and classify_string in both directions.
+SCRIPTS = {"chart_census.txt": "chart_census.py", "affine_demo.txt": "affine_demo.py"}
+
+
+def run_script(script: str) -> tuple[int, bytes]:
+    """Run scripts/<script> in-process with no arguments; (exit code, stdout bytes)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), mock.patch.object(sys, "argv", [script]):
+        try:
+            runpy.run_path(str(SCRIPTS_DIR / script), run_name="__main__")
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, buf.getvalue().encode()
+
+
 def run_case(argv) -> tuple[int, bytes]:
     """Run the CLI in-process and return (exit code, stdout bytes)."""
     buf = io.StringIO()
@@ -106,6 +127,13 @@ def test_disagreement_report(name):
     with fault():
         code, out = run_case(argv)
     assert code == 1, out.decode()
+    assert out == (GOLDEN / name).read_bytes(), f"{name} differs from its golden file"
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_script_output(name):
+    code, out = run_script(SCRIPTS[name])
+    assert code == 0, out.decode()
     assert out == (GOLDEN / name).read_bytes(), f"{name} differs from its golden file"
 
 
@@ -149,6 +177,12 @@ if __name__ == "__main__":
         raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     for name, argv in sorted(CASES.items()):
         code, out = run_case(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit {code}")
+        (GOLDEN / name).write_bytes(out)
+        print(f"wrote {name} ({len(out)} bytes)")
+    for name, script in sorted(SCRIPTS.items()):
+        code, out = run_script(script)
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
         (GOLDEN / name).write_bytes(out)
