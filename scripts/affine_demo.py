@@ -21,8 +21,7 @@ from kmchev.alcove import (
 from kmchev.cartan import realization_from_preset, weight, wt_neg
 from kmchev.kring import chevalley_recurrence
 from kmchev.lspath import (
-    chevalley_antidominant_ls,
-    chevalley_dominant_ls,
+    chevalley_ls,
     crystal_dot,
     demazure_crystal,
     down_path,
@@ -83,15 +82,12 @@ def main():
         if len(seq.hs) == 1:
             print(f"  root edge {format_hyperplane(lam, seq.hs[0])} -> {seq.z!r}")
 
-    show_rows(R, "[L^+lam] rows (LS model)", chevalley_dominant_ls(W, lam, w, crystal))
-    dom_ok = chevalley_dominant_ls(W, lam, w, crystal) == chevalley_alcove(W, lam, w, 1) == chevalley_recurrence(W, w, lam)
-    show_rows(R, "[L^-lam] rows (LS model)", chevalley_antidominant_ls(W, lam, w, crystal))
-    anti_ok = (
-        chevalley_antidominant_ls(W, lam, w, crystal)
-        == chevalley_alcove(W, lam, w, -1)
-        == chevalley_recurrence(W, w, wt_neg(lam))
-    )
-    print(f"\nLS == alcove == nilHecke: dominant {dom_ok}, antidominant {anti_ok}")
+    ok = {}
+    for sign, title, mu in ((1, "[L^+lam]", lam), (-1, "[L^-lam]", wt_neg(lam))):
+        rows = chevalley_ls(W, lam, w, sign, crystal)
+        show_rows(R, f"{title} rows (LS model)", rows)
+        ok[sign] = rows == chevalley_alcove(W, lam, w, sign) == chevalley_recurrence(W, w, mu)
+    print(f"\nLS == alcove == nilHecke: dominant {ok[1]}, antidominant {ok[-1]}")
 
     if args.out_dir:
         out = pathlib.Path(args.out_dir)
@@ -101,7 +97,7 @@ def main():
         (out / "tree_anti.dot").write_text(tree_dot(W, lam, anti_tree, name="anti"))
         print(f"wrote crystal.dot, tree_dom.dot, tree_anti.dot to {out}")
 
-    return 0 if dom_ok and anti_ok else 1
+    return 0 if all(ok.values()) else 1
 
 
 if __name__ == "__main__":

@@ -29,8 +29,7 @@ from .kring import (
 from .lspath import (
     IString,
     LSPath,
-    chevalley_antidominant_ls,
-    chevalley_dominant_ls,
+    chevalley_ls,
     classify_string,
     crystal_up_to,
     demazure_crystal,
@@ -39,8 +38,7 @@ from .lspath import (
     endpoint,
     f,
     istring,
-    paths_down,
-    paths_up,
+    lift_subset,
     straight_path,
     up_path,
     validate,
@@ -49,16 +47,15 @@ from .alcove import (
     AdaptedSequence,
     LambdaHyperplane,
     chevalley_alcove,
-    dec_to_ls,
     demazure_alcove,
     divisor_product,
     enumerate_tree_antidominant,
     enumerate_tree_dominant,
     enumerate_z_adapted,
-    inc_to_ls,
     lex_chain,
     ls_to_seq,
     opposite_demazure_alcove,
+    seq_to_ls,
 )
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ antidominant), applied right-to-left over the labels and then pushed by z.
 
 The module enumerates the two label-monotone cover trees below a fixed w,
 the z-adapted sequences above a fixed z (with honest truncation reporting),
-converts between adapted sequences and LS paths in both monotonicities, and
-exposes the reflection order used to pick out the unique increasing chain in
+converts between adapted sequences and LS paths (ls_to_seq and its inverse
+seq_to_ls, each one rule for both monotonicities), and exposes the reflection order used to pick out the unique increasing chain in
 each conversion segment.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .cartan import Coroot, Q, Realization, Weight, _num, pairing, wt_add, wt_neg, wt_scale
@@ -48,8 +48,6 @@ __all__ = [
     "AdaptedSequence",
     "stdvec",
     "lex_less",
-    "rht",
-    "rcht",
     "format_hyperplane",
     "lex_chain",
     "count_before",
@@ -67,8 +65,7 @@ __all__ = [
     "increasing_chain",
     "all_label_chains",
     "ls_to_seq",
-    "inc_to_ls",
-    "dec_to_ls",
+    "seq_to_ls",
     "demazure_alcove",
     "opposite_demazure_alcove",
     "divisor_product",
@@ -102,16 +99,6 @@ def lex_less(lam: Weight, a: LambdaHyperplane, b: LambdaHyperplane) -> bool:
     order and leaves the int vectors (k_a, c_a) * p_b and (k_b, c_b) * p_a."""
     pa, pb = pairing(a.alpha, lam), pairing(b.alpha, lam)
     return (a.k * pb, *[c * pb for c in a.alpha.c]) < (b.k * pa, *[c * pa for c in b.alpha.c])
-
-
-def rht(lam: Weight, h: LambdaHyperplane):
-    """Relative height k / <alpha, lam> in [0, 1)."""
-    return _num(Q(h.k, pairing(h.alpha, lam)))
-
-
-def rcht(lam: Weight, h: LambdaHyperplane):
-    """Relative coheight 1 - rht in (0, 1]."""
-    return _num(1 - Q(h.k, pairing(h.alpha, lam)))
 
 
 def format_hyperplane(lam: Weight, h: LambdaHyperplane) -> str:
@@ -477,42 +464,19 @@ def ls_to_seq(W: WeylGroup, p: LSPath, base: WeylElt, monotonicity: str) -> Adap
     return AdaptedSequence(zs[0], tuple(hs), tuple(chain), monotonicity)
 
 
-def inc_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
-    """Read an LS path off a lex-increasing sequence: group labels by relative
-    height, take the cosets at the block boundaries."""
-    assert seq.monotonicity == "inc"
+def seq_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
+    """The LS path of an adapted sequence, inverse to ls_to_seq.  A label
+    (alpha, k) sits at t = k/<alpha,lam> ("inc") or 1 - k/<alpha,lam> ("dec");
+    b runs over 0 and the t < 1, and the direction at b is the coset of
+    chain[#{t <= b}]."""
+    inc = _is_inc(seq.monotonicity)
+    rel = [Q(h.k, pairing(h.alpha, lam)) for h in seq.hs]
+    ts = [_num(t if inc else 1 - t) for t in rel]
+    if any(x > y for x, y in zip(ts, ts[1:])):
+        raise ValueError(f"the labels of {seq!r} are not ordered by their relative {'height' if inc else 'coheight'}")
     J = stabilizer_nodes(W.R, lam)
-    rhts = [rht(lam, h) for h in seq.hs]
-    assert all(x <= y for x, y in zip(rhts, rhts[1:]))
-    bvals = (0,) + tuple(sorted({r for r in rhts if r != 0}))
-    dirs = []
-    for b in bvals:
-        cum = sum(1 for r in rhts if r <= b)
-        dirs.append(W.coset_decompose(seq.chain[cum], J)[0])
-    return LSPath(lam, bvals, tuple(dirs))
-
-
-def dec_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
-    """Read an LS path off a lex-decreasing sequence: group labels by relative
-    coheight; a final segment at coheight 1 may be missing, in which case the
-    last direction is the coset of the end."""
-    assert seq.monotonicity == "dec"
-    J = stabilizer_nodes(W.R, lam)
-    rchts = [rcht(lam, h) for h in seq.hs]
-    assert all(x <= y for x, y in zip(rchts, rchts[1:]))
-    bvals = (0,) + tuple(sorted({r for r in rchts if r != 1}))
-    m = len(bvals)
-    # segment j (1-indexed) consumes the labels with rcht == b_{j+1}, where
-    # b_{m+1} = 1; its direction is the coset of the segment's base element
-    # (so an empty final segment reads the end coset, as it must)
-    bnext = list(bvals[1:]) + [1]
-    dirs = []
-    consumed = 0
-    for j in range(m):
-        dirs.append(W.coset_decompose(seq.chain[consumed], J)[0])
-        consumed += sum(1 for r in rchts if r == bnext[j])
-    assert consumed == len(seq.hs)
-    return LSPath(lam, bvals, tuple(dirs))
+    bvals = tuple(sorted({0, *(t for t in ts if t < 1)}))
+    return LSPath(lam, bvals, tuple(W.coset_decompose(seq.chain[bisect_right(ts, b)], J)[0] for b in bvals))
 
 
 # -- Demazure sets, divisor row, export ----------------------------------------------
@@ -520,7 +484,7 @@ def dec_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
 
 def demazure_alcove(W: WeylGroup, lam: Weight, w: WeylElt) -> list[AdaptedSequence]:
     """The lex-decreasing realization of the Demazure set of w (one sequence
-    per crystal element, via dec_to_ls)."""
+    per crystal element, via seq_to_ls)."""
     return enumerate_tree_antidominant(W, lam, w)
 
 

@@ -432,8 +432,6 @@ class Realization:
         corank = self.N - self.n
         if deltas and corank == 0:
             raise ValueError("delta= coordinate requires an affine realization (corank >= 1)")
-        if corank == 1:
-            deltas = deltas[-1:]
         if deltas and len(deltas) != corank:
             raise ValueError(f"expected {corank} delta= coordinates in corank {corank}, got {len(deltas)}")
         return tuple(_num(x) for x in coords + (deltas or [Q(0)] * corank))

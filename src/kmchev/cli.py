@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -64,24 +64,14 @@ class JobConfig:
 
     @classmethod
     def from_args(cls, ns: argparse.Namespace) -> "JobConfig":
-        sign = {"+1": 1, "+": 1, "-1": -1, "-": -1}.get(getattr(ns, "sign", "+1"))
-        if sign is None:
+        """Every field from the option of the same name, its default where the
+        subcommand has no such option."""
+        args = {fd.name: getattr(ns, fd.name, fd.default) for fd in fields(cls)}
+        args["sign"] = {"+1": 1, "+": 1, "-1": -1, "-": -1}.get(getattr(ns, "sign", "+1"))
+        if args["sign"] is None:
             raise CLIError(f"--sign must be +1 or -1, not {ns.sign!r}")
-        return cls(
-            cartan=getattr(ns, "cartan", None),
-            gcm_file=getattr(ns, "gcm_file", None),
-            weight=getattr(ns, "weight", "") or "",
-            sign=sign,
-            model=getattr(ns, "model", "all"),
-            w=getattr(ns, "w", None),
-            z=getattr(ns, "z", None),
-            max_length=getattr(ns, "max_length", None),
-            fmt=getattr(ns, "format", "json"),
-            out=getattr(ns, "out", None),
-            opposite=getattr(ns, "opposite", False),
-            realization=getattr(ns, "realization", "ls"),
-            scenario=getattr(ns, "scenario", None),
-        )
+        args["weight"] = args["weight"] or ""
+        return cls(**args)
 
     def build_realization(self) -> Realization:
         """The realization; for JSON output its corank is checked here, before
@@ -215,11 +205,9 @@ def _rows_for_model(model: str, R: Realization, lam: Weight, sign: int, word: tu
     W = WeylGroup(R)
     w = W.from_word(word)
     if model == "nilhecke":
-        rows = kring.chevalley_recurrence(W, w, lam if sign > 0 else wt_neg(lam))
-        return {z: p for z, p in rows.items() if p}
+        return kring.chevalley_recurrence(W, w, lam if sign > 0 else wt_neg(lam))
     if model == "ls":
-        fn = lspath.chevalley_dominant_ls if sign > 0 else lspath.chevalley_antidominant_ls
-        return fn(W, lam, w)
+        return lspath.chevalley_ls(W, lam, w, sign)
     if model == "alcove":
         return alcove.chevalley_alcove(W, lam, w, sign)
     raise CLIError(f"unknown model {model!r}")
@@ -460,14 +448,10 @@ def _scn_bijections() -> str | None:
     W = WeylGroup(R)
     lam = R.parse_weight("1,1")
     w = W.from_word((0, 1, 0))
-    for seq in alcove.enumerate_tree_dominant(W, lam, w):
-        p = alcove.inc_to_ls(W, lam, seq)
-        if alcove.ls_to_seq(W, p, seq.z, "inc") != seq:
-            return f"inc round-trip failed at {seq!r}"
-    for seq in alcove.enumerate_tree_antidominant(W, lam, w):
-        p = alcove.dec_to_ls(W, lam, seq)
-        if alcove.ls_to_seq(W, p, w, "dec") != seq:
-            return f"dec round-trip failed at {seq!r}"
+    for seq in alcove.enumerate_tree_dominant(W, lam, w) + alcove.enumerate_tree_antidominant(W, lam, w):
+        base = seq.z if seq.monotonicity == "inc" else w
+        if alcove.ls_to_seq(W, alcove.seq_to_ls(W, lam, seq), base, seq.monotonicity) != seq:
+            return f"{seq.monotonicity} round-trip failed at {seq!r}"
     return None
 
 
@@ -544,7 +528,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--cartan", help="preset name (A1, A2, A3, B2, G2, A1~, A2~)")
     sp.add_argument("--gcm-file", help="JSON file with a Cartan matrix")
     sp.add_argument("--weight", help='dominant weight "c_0,c_1,...[,delta=q ...]"')
-    sp.add_argument("--format", choices=("json", "table", "dot"), default="json")
+    sp.add_argument("--format", dest="fmt", choices=("json", "table", "dot"), default="json")
     sp.add_argument("--out", help="write output to this file instead of stdout")
 
 

@@ -14,16 +14,19 @@ Walking the actual piecewise-linear path from 0 visits the directions in
 walk, ``sigma_m``, is the initial direction ``iota(p)``; the last one,
 ``sigma_1``, is the final direction ``phi(p)``.
 
-Crystal operators f_i / e_i cut the i-height profile of the path at the
-integer level closest to its minimum and reflect the enclosed portion.  All
-local minima of the height profile of a shape-``lam`` LS path are integers,
-which the code checks (ValueError otherwise); the cut point may still fall strictly inside a step,
-in which case the step is split and only the part past the cut is reflected.
+The crystal operator f_i reflects by s_i the part of the path between the
+last minimum M of its i-height profile and the first point at height M + 1.
+e_i is f_i read on the reversed path, whose i-slopes are negated, so both
+share one body.  All local minima of the height profile of a shape-``lam``
+LS path are integers, which the code checks (ValueError otherwise); the
+level M + 1 may still be crossed strictly inside a step, in which case the
+step is split there and only the part before the crossing is reflected.
 
 The module also provides Demazure and opposite Demazure subcrystals, the
-iterated Deodhar lifts of a path from a Weyl group element, the resulting
-fixed-w Chevalley rows for +/-lam, and the classification of how lifts vary
-along an i-string (the U.*/D.* case analysis).
+iterated Deodhar lifts of a path from a Weyl group element (up for the
+dominant rule, down for the antidominant one, through one lift_subset), one
+fixed-w Chevalley row chevalley_ls for both signs, and the classification of
+how lifts vary along an i-string (the U.*/D.* case analysis).
 """
 
 from __future__ import annotations
@@ -55,14 +58,10 @@ __all__ = [
     "opposite_demazure_ls",
     "up_path",
     "down_path",
-    "paths_up",
-    "paths_down",
-    "chevalley_dominant_ls",
-    "chevalley_antidominant_ls",
+    "lift_subset",
+    "chevalley_ls",
     "istring",
     "all_istrings",
-    "pu_subset",
-    "pd_subset",
     "classify_string",
     "path_key",
     "format_path",
@@ -115,7 +114,8 @@ def from_steps(lam: Weight, raw) -> LSPath:
     for a, d in raw:
         if a == 0:
             continue
-        assert a > 0
+        if a < 0:
+            raise ValueError(f"negative step length {a}")
         if merged and merged[-1][1] == d:
             merged[-1][0] += a
         else:
@@ -127,7 +127,8 @@ def from_steps(lam: Weight, raw) -> LSPath:
     for k, (a, _) in enumerate(merged, start=1):
         acc += a
         bvals[m - k] = _num(1 - acc)
-    assert bvals[0] == 0  # the steps sum to 1
+    if bvals[0] != 0:
+        raise ValueError(f"step lengths sum to {1 - bvals[0]}, not 1")
     return LSPath(lam, tuple(bvals), dirs)
 
 
@@ -232,33 +233,27 @@ def _reflect_dir(W: WeylGroup, J: frozenset, i: int, d: WeylElt) -> WeylElt:
     return W.coset_mult_simple(i, Coset(d, J)).rep
 
 
-def _height_profile(W: WeylGroup, p: LSPath, i: int):
-    """Steps, their i-slopes and the heights at the step ends; the heights
-    stay ints until a fractional step length appears."""
-    st = steps(p)
-    ns = [W.act(d, p.lam)[i] for _, d in st]
+def _root_op(W: WeylGroup, lam: Weight, i: int, st: list, ns: list) -> list | None:
+    """The step list of f_i applied to the path with steps `st` and i-slopes
+    `ns`, or None: the steps from the last minimum M of the i-height profile
+    up to its first point at height M + 1 are reflected by s_i, the step
+    crossing that level split at it.  e_i is this on the reversed path."""
     H = [0]
     for (a, _), n in zip(st, ns):
         H.append(H[-1] + a * n)
     M = min(H)
-    if M.denominator != 1:
-        raise ValueError(f"non-integral height minimum {M}: {format_path(p)} is not an LS path")
-    return st, ns, H, M
-
-
-def f(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
-    """Lowering operator in direction i (endpoint drops by alpha_i)."""
-    st, ns, H, M = _height_profile(W, p, i)
+    if M.denominator != 1 or H[-1].denominator != 1:
+        raise ValueError(f"non-integral height {M} or {H[-1]}: not an LS path")
     if H[-1] - M < 1:
         return None
-    J = stabilizer_nodes(W.R, p.lam)
+    J = stabilizer_nodes(W.R, lam)
     j1 = max(k for k, h in enumerate(H) if h == M)
     j2 = min(k for k in range(j1 + 1, len(H)) if H[k] >= M + 1)
-    assert ns[j1] > 0
     out = list(st[:j1])
     for k in range(j1, j2 - 1):
+        if ns[k] < 0:  # the profile turns down strictly between two integers
+            raise ValueError(f"height falls inside ({M}, {M + 1}): not an LS path")
         a, d = st[k]
-        assert ns[k] >= 0
         out.append((a, _reflect_dir(W, J, i, d)))
     a, d = st[j2 - 1]
     if H[j2] > M + 1:
@@ -268,32 +263,22 @@ def f(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
     else:
         out.append((a, _reflect_dir(W, J, i, d)))
     out.extend(st[j2:])
-    return from_steps(p.lam, out)
+    return out
+
+
+def f(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
+    """Lowering operator in direction i (endpoint drops by alpha_i)."""
+    st = steps(p)
+    out = _root_op(W, p.lam, i, st, [W.act(d, p.lam)[i] for _, d in st])
+    return None if out is None else from_steps(p.lam, out)
 
 
 def e(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
-    """Raising operator in direction i (endpoint gains alpha_i)."""
-    st, ns, H, M = _height_profile(W, p, i)
-    if M > -1:
-        return None
-    J = stabilizer_nodes(W.R, p.lam)
-    j2 = min(k for k, h in enumerate(H) if h == M)
-    j1 = max(k for k in range(j2 + 1) if H[k] >= M + 1)
-    assert ns[j1] < 0
-    out = list(st[:j1])
-    a, d = st[j1]
-    if H[j1] > M + 1:
-        keep = Q(M + 1 - H[j1], ns[j1])  # strictly inside the step
-        out.append((keep, d))
-        out.append((a - keep, _reflect_dir(W, J, i, d)))
-    else:
-        out.append((a, _reflect_dir(W, J, i, d)))
-    for k in range(j1 + 1, j2):
-        a, d = st[k]
-        assert ns[k] <= 0
-        out.append((a, _reflect_dir(W, J, i, d)))
-    out.extend(st[j2:])
-    return from_steps(p.lam, out)
+    """Raising operator in direction i (endpoint gains alpha_i): f_i on the
+    reversed path, whose i-slopes are negated."""
+    st = steps(p)[::-1]
+    out = _root_op(W, p.lam, i, st, [-W.act(d, p.lam)[i] for _, d in st])
+    return None if out is None else from_steps(p.lam, out[::-1])
 
 
 # -- Demazure subcrystals ------------------------------------------------------
@@ -384,80 +369,52 @@ def down_path(W: WeylGroup, w: WeylElt, p: LSPath) -> WeylElt:
     return cur
 
 
-def pu_subset(W: WeylGroup, paths, x: WeylElt, z: WeylElt, J: frozenset) -> frozenset:
-    """{p in paths : phi(p) >= z W_lam and up_path(z, p) = x}."""
-    zcos = W.coset_min_rep(z, J)
-    return frozenset(
-        p for p in paths
-        if W.coset_leq(zcos, Coset(phi(p), J)) and up_path(W, z, p) == x
-    )
+def _lifting(W: WeylGroup, start: WeylElt, J: frozenset, direction: str):
+    """(admits, lift) for lifting `start` along a path: "up" admits p when
+    start W_lam <= phi(p) and lifts by up_path, "down" admits p when
+    iota(p) <= start W_lam and lifts by down_path."""
+    scos = W.coset_min_rep(start, J)
+    if direction == "up":
+        return (lambda p: W.coset_leq(scos, Coset(phi(p), J))), up_path
+    if direction == "down":
+        return (lambda p: W.coset_leq(Coset(iota(p), J), scos)), down_path
+    raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
 
 
-def pd_subset(W: WeylGroup, paths, w: WeylElt, z: WeylElt, J: frozenset) -> frozenset:
-    """{p in paths : iota(p) <= w W_lam and down_path(w, p) = z}."""
-    wcos = W.coset_min_rep(w, J)
-    return frozenset(
-        p for p in paths
-        if W.coset_leq(Coset(iota(p), J), wcos) and down_path(W, w, p) == z
-    )
-
-
-def paths_up(W: WeylGroup, lam: Weight, w: WeylElt, z: WeylElt, crystal=None) -> frozenset:
-    """Pu_{w,z}: members of the Demazure crystal of w lifting from z exactly
-    to w.  Any path with up_path(z, p) = w has iota(p) = w W_lam, so filtering
-    the Demazure crystal loses nothing."""
-    if crystal is None:
-        crystal = demazure_crystal(W, lam, w)
-    J = stabilizer_nodes(W.R, lam)
-    return pu_subset(W, crystal, w, z, J)
-
-
-def paths_down(W: WeylGroup, lam: Weight, w: WeylElt, z: WeylElt, crystal=None) -> frozenset:
-    """Pd_{w,z}: members of the Demazure crystal of w dropping from w exactly
-    to z."""
-    if crystal is None:
-        crystal = demazure_crystal(W, lam, w)
-    J = stabilizer_nodes(W.R, lam)
-    return pd_subset(W, crystal, w, z, J)
+def lift_subset(W: WeylGroup, paths, start: WeylElt, target: WeylElt, J: frozenset, direction: str) -> frozenset:
+    """The members of `paths` that lift `start` to `target`: Pu_{target,start}
+    for direction "up" and Pd_{start,target} for "down"."""
+    admits, lift = _lifting(W, start, J, direction)
+    return frozenset(p for p in paths if admits(p) and lift(W, start, p) == target)
 
 
 # -- Chevalley rows ------------------------------------------------------------
 
 
-def chevalley_dominant_ls(W: WeylGroup, lam: Weight, w: WeylElt, crystal=None) -> dict:
-    """Fixed-w row for the dominant weight: z |-> sum over Pu_{w,z} of
-    e^{p(1)}.  Rows with no contributing path are omitted."""
+def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int, crystal=None) -> dict:
+    """Fixed-w row of the line bundle of sign * lam: z |-> the sum over
+    Pu_{w,z} of e^{p(1)} (sign > 0), or over Pd_{w,z} of
+    (-1)^{l(w)-l(z)} e^{-p(1)} (sign < 0).  Rows with no term are omitted.
+
+    A path lifting some z to w has iota(p) = w W_lam, so sign > 0 tries
+    every z of [e, w] against those top paths only; sign < 0 partitions the
+    Demazure crystal by the drop of w along each path."""
     if crystal is None:
         crystal = demazure_crystal(W, lam, w)
     J = stabilizer_nodes(W.R, lam)
-    wcos = W.coset_min_rep(w, J)
-    tops = sorted((p for p in crystal if Coset(iota(p), J) == wcos), key=path_key)
-    rows: dict[WeylElt, LaurentPoly] = {}
-    for z in sorted(interval_below(W, w), key=lambda u: u.key):
-        poly: LaurentPoly = {}
-        for p in pu_subset(W, tops, w, z, J):
-            lp_add_into(poly, lp_monomial(endpoint(W, p)))
-        if poly:
-            rows[z] = poly
-    return rows
-
-
-def chevalley_antidominant_ls(W: WeylGroup, lam: Weight, w: WeylElt, crystal=None) -> dict:
-    """Fixed-w row for the antidominant weight: z |-> sum over Pd_{w,z} of
-    (-1)^{l(w)-l(z)} e^{-p(1)}.  The Demazure crystal is partitioned by the
-    drop of w along each path."""
-    if crystal is None:
-        crystal = demazure_crystal(W, lam, w)
     acc: dict[WeylElt, LaurentPoly] = {}
-    for p in sorted(crystal, key=path_key):
-        z = down_path(W, w, p)
-        sign = -1 if (w.length - z.length) % 2 else 1
-        lp_add_into(acc.setdefault(z, {}), lp_monomial(wt_neg(endpoint(W, p)), sign))
-    rows: dict[WeylElt, LaurentPoly] = {}
-    for z in sorted(acc, key=lambda u: u.key):
-        if acc[z]:
-            rows[z] = acc[z]
-    return rows
+    if sign > 0:
+        wcos = W.coset_min_rep(w, J)
+        tops = sorted((p for p in crystal if Coset(iota(p), J) == wcos), key=path_key)
+        for z in interval_below(W, w):
+            for p in lift_subset(W, tops, z, w, J, "up"):
+                lp_add_into(acc.setdefault(z, {}), lp_monomial(endpoint(W, p)))
+    else:
+        for p in sorted(crystal, key=path_key):
+            z = down_path(W, w, p)
+            sign_z = -1 if (w.length - z.length) % 2 else 1
+            lp_add_into(acc.setdefault(z, {}), lp_monomial(wt_neg(endpoint(W, p)), sign_z))
+    return {z: acc[z] for z in sorted(acc, key=lambda u: u.key) if acc[z]}
 
 
 # -- i-strings -----------------------------------------------------------------
@@ -532,7 +489,8 @@ def _columns(tag: str, S, h, t, mid):
 
 def _match_columns(columns, observed, size):
     labels = [name for name, pattern, least in columns if observed == pattern and size >= least]
-    assert len(labels) <= 1, f"chart columns are not disjoint: {labels}"
+    if len(labels) > 1:
+        raise LookupError(f"chart columns are not disjoint: {labels}")
     return labels[0] if labels else None
 
 
@@ -545,37 +503,25 @@ def classify_string(W: WeylGroup, S: IString, base: WeylElt, i: int, direction: 
     base (requires s_i(base) < base and base W_lam >= iota(tail)) and the
     D-columns.  When the string branches to a second lift value off the
     {w, s_i w} pair, the branch column U.3.* / D.3.* is returned and the
-    coarse view is checked to match column *.1.1 / *.2.1.
+    coarse view must match column *.1.1 / *.2.1.  A string the chart does
+    not describe raises LookupError.
     """
-    assert S.i == i
+    if S.i != i:
+        raise ValueError(f"the string runs in direction {S.i}, not {i}")
     lam = S.head.lam
     J = stabilizer_nodes(W.R, lam)
     members = frozenset(S.elements)
     si = W.simple(i)
     s_base = W.mult(si, base)
+    admits, lift = _lifting(W, base, J, direction)
+    admits_s, _ = _lifting(W, s_base, J, direction)
     # The per-direction pieces; everything below them is shared.
     if direction == "up":
-        tag, lift, grows = "U", up_path, 1
-        end, far, strand = S.head, S.tail, S.elements[:-1]
+        tag, grows, end, far, strand = "U", 1, S.head, S.tail, S.elements[:-1]
         length_error, coset_error = "classification over z needs s_i z > z", "z W_lam <= phi(head) fails"
-
-        def admits(start: WeylElt, p: LSPath) -> bool:
-            return W.coset_leq(W.coset_min_rep(start, J), Coset(phi(p), J))
-
-        def fiber(start: WeylElt, target: WeylElt) -> frozenset:
-            return pu_subset(W, members, target, start, J)
-    elif direction == "down":
-        tag, lift, grows = "D", down_path, -1
-        end, far, strand = S.tail, S.head, S.elements[1:]
-        length_error, coset_error = "classification over w needs s_i w < w", "iota(tail) <= w W_lam fails"
-
-        def admits(start: WeylElt, p: LSPath) -> bool:
-            return W.coset_leq(Coset(iota(p), J), W.coset_min_rep(start, J))
-
-        def fiber(start: WeylElt, target: WeylElt) -> frozenset:
-            return pd_subset(W, members, start, target, J)
     else:
-        raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
+        tag, grows, end, far, strand = "D", -1, S.tail, S.head, S.elements[1:]
+        length_error, coset_error = "classification over w needs s_i w < w", "iota(tail) <= w W_lam fails"
 
     def moves_on(x: WeylElt) -> bool:
         """Does s_i move x further in the lift's direction?"""
@@ -583,28 +529,31 @@ def classify_string(W: WeylGroup, S: IString, base: WeylElt, i: int, direction: 
 
     if not moves_on(base):
         raise ValueError(length_error)
-    if not admits(base, end):
+    if not admits(end):
         raise ValueError(coset_error)
     x = lift(W, base, end)
     sx = W.mult(si, x)
-    assert moves_on(x)
+    if not moves_on(x):
+        raise LookupError(f"s_i does not move the lift {x!r} on")
 
     def observe(y: WeylElt):
-        sy = W.mult(si, y)
-        return fiber(base, y), fiber(base, sy), fiber(s_base, y), fiber(s_base, sy)
+        return tuple(lift_subset(W, members, start, target, J, direction)
+                     for start in (base, s_base) for target in (y, W.mult(si, y)))
 
     size = len(S.elements)
     columns = _columns(tag, members, end, far, frozenset(S.middle))
     primary = _match_columns(columns, observe(x), size)
     branch_values = set()
     for p in strand:
-        if admits(s_base, p):
+        if admits_s(p):
             y = lift(W, s_base, p)
             if y not in (x, sx):
                 branch_values.add(y if moves_on(y) else W.mult(si, y))
     if branch_values:
-        assert len(branch_values) == 1, f"more than one branch value: {branch_values}"
-        assert primary in (f"{tag}.1.1", f"{tag}.2.1"), primary
+        if len(branch_values) > 1:
+            raise LookupError(f"more than one branch value: {branch_values}")
+        if primary not in (f"{tag}.1.1", f"{tag}.2.1"):
+            raise LookupError(f"a branching string matches {primary}, not {tag}.1.1 or {tag}.2.1")
         label = _match_columns(columns, observe(branch_values.pop()), size)
         if label is None:
             raise LookupError("no branch column matches the observed sets")

@@ -293,7 +293,8 @@ class WeylGroup:
             x = self.lmul(i, x)
             w_j = self.lmul(i, w_j)
         u = self.inverse(x)
-        assert u.length + w_j.length == w.length
+        if u.length + w_j.length != w.length:
+            raise RuntimeError(f"coset decomposition of {w!r} breaks l(w) = l(w^J) + l(w_J)")
         self._coset_cache[key] = (u, w_j)
         return u, w_j
 

@@ -11,14 +11,13 @@ from kmchev.alcove import (
     LambdaHyperplane,
     chevalley_alcove,
     count_before,
-    dec_to_ls,
     enumerate_tree_antidominant,
     enumerate_tree_dominant,
     format_hyperplane,
-    inc_to_ls,
     lex_chain,
     ls_to_seq,
     refl_less,
+    seq_to_ls,
     validate_lambda_chain_finite,
     wt_fold,
 )
@@ -42,14 +41,13 @@ from kmchev.kring import (
 from kmchev.lspath import (
     Coset,
     all_istrings,
-    chevalley_antidominant_ls,
-    chevalley_dominant_ls,
+    chevalley_ls,
     classify_string,
     demazure_crystal,
     down_path,
     endpoint,
     iota,
-    paths_up,
+    lift_subset,
     phi,
     stabilizer_nodes,
 )
@@ -93,10 +91,11 @@ def test_criterion_2_dominant_affine_row(WAFF):
     w = W.from_word(WWORD)
     crystal = demazure_crystal(W, LAM, w)
 
+    J = stabilizer_nodes(W.R, LAM)
     pair_count = 0
     for z in [(1, 2), (1, 2, 1), (0, 1, 2), (0, 1, 2, 1)]:
-        pair_count += len(paths_up(W, LAM, w, W.from_word(z), crystal))
-    rows = chevalley_dominant_ls(W, LAM, w, crystal)
+        pair_count += len(lift_subset(W, crystal, W.from_word(z), w, J, "up"))
+    rows = chevalley_ls(W, LAM, w, 1, crystal)
     three = {
         weight(1, 1, 0, -1): 1,
         weight(-1, 2, 1, -2): 1,
@@ -164,7 +163,7 @@ def test_criterion_3_antidominant_affine_row(WAFF):
         down_path(W, w, p) == W.from_word(zw) for p, zw in assignment.items()
     )
 
-    rows = chevalley_antidominant_ls(W, LAM, w, crystal)
+    rows = chevalley_ls(W, LAM, w, -1, crystal)
     alpha0, alpha1 = R.alpha[0], R.alpha[1]
     expect_s1s2 = {
         wt_neg(wt_sub(LAM, alpha1)): 1,
@@ -201,12 +200,12 @@ def test_criterion_4_bijections(WA2, WB2, WAFF):
     def check(W, lam, w):
         nonlocal checked
         for seq in enumerate_tree_dominant(W, lam, w):
-            p = inc_to_ls(W, lam, seq)
+            p = seq_to_ls(W, lam, seq)
             assert ls_to_seq(W, p, seq.z, "inc") == seq
             assert endpoint(W, p) == wt_fold(W, lam, seq)
             checked += 1
         for seq in enumerate_tree_antidominant(W, lam, w):
-            p = dec_to_ls(W, lam, seq)
+            p = seq_to_ls(W, lam, seq)
             assert ls_to_seq(W, p, w, "dec") == seq
             assert endpoint(W, p) == wt_fold(W, lam, seq)
             checked += 1
@@ -242,10 +241,10 @@ def test_criterion_5_oracle_triangle(WA2, WB2, WG2):
             crystal = crystals.get(key)
             if crystal is None:
                 crystal = crystals[key] = demazure_crystal(W, lam, w)
-            ls = chevalley_dominant_ls(W, lam, w, crystal)
+            ls = chevalley_ls(W, lam, w, 1, crystal)
             assert rows_equal(ls, chevalley_alcove(W, lam, w, 1))
             assert rows_equal(ls, chevalley_recurrence(W, w, lam))
-            als = chevalley_antidominant_ls(W, lam, w, crystal)
+            als = chevalley_ls(W, lam, w, -1, crystal)
             assert rows_equal(als, chevalley_alcove(W, lam, w, -1))
             assert rows_equal(als, chevalley_recurrence(W, w, wt_neg(lam)))
             rows_checked += 2

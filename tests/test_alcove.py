@@ -15,24 +15,21 @@ from kmchev.alcove import (
     chevalley_alcove,
     count_before,
     demazure_alcove,
-    dec_to_ls,
     divisor_product,
     enumerate_tree_antidominant,
     enumerate_tree_dominant,
     enumerate_z_adapted,
     format_hyperplane,
     hs_apply,
-    inc_to_ls,
     increasing_chain,
     lex_chain,
     lex_cut,
     lex_less,
     ls_to_seq,
     opposite_demazure_alcove,
-    rcht,
     refl_less,
     refl_less_dual,
-    rht,
+    seq_to_ls,
     stdvec,
     tree_dot,
     validate_lambda_chain_finite,
@@ -42,12 +39,12 @@ from kmchev.cartan import GCM, Realization, pairing, realization_from_preset, we
 from kmchev.kring import chevalley_recurrence, lp_add_into, lp_monomial
 from kmchev.lspath import (
     LSPath,
-    chevalley_antidominant_ls,
-    chevalley_dominant_ls,
+    chevalley_ls,
     demazure_crystal,
     down_path,
     endpoint,
-    paths_up,
+    lift_subset,
+    stabilizer_nodes,
 )
 from kmchev.weyl import WeylGroup
 
@@ -81,8 +78,7 @@ def test_stdvec_and_format(WAFF):
     for h in hs:
         v = stdvec(LAM, h)
         assert 0 <= v[0] < 1
-        assert v[0] == rht(LAM, h)
-        assert rht(LAM, h) + rcht(LAM, h) == 1
+        assert v[0] == Q(h.k, pairing(h.alpha, LAM))
 
 
 def test_lex_is_a_strict_total_order(WAFF):
@@ -106,7 +102,7 @@ def test_reflection_fixed_points(WAFF):
     for h in hyperplanes_for(R, LAM, bound=3):
         p = pairing(h.alpha, LAM)
         probe = wt_scale(Q(1, 7), LAM)
-        for level, b in ((h.k, rht(LAM, h)), (p - h.k, rcht(LAM, h))):
+        for level, b in ((h.k, Q(h.k, p)), (p - h.k, 1 - Q(h.k, p))):
             fixed = wt_scale(b, LAM)
             assert hs_apply(R, h, fixed, level) == fixed
             assert hs_apply(R, h, hs_apply(R, h, probe, level), level) == probe
@@ -335,7 +331,7 @@ def test_frozen_weights_and_conversions(afftrees):
     assert leaf.z == W.from_word((1, 2))
     assert wt_fold(W, LAM, leaf) == weight(1, 1, 0, -1)
     p1 = LSPath(LAM, (0, Q(2, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1))))
-    assert inc_to_ls(W, LAM, leaf) == p1
+    assert seq_to_ls(W, LAM, leaf) == p1
     assert ls_to_seq(W, p1, leaf.z, "inc") == leaf
 
     root = [s for s in dom if not s.hs]
@@ -347,7 +343,7 @@ def test_frozen_weights_and_conversions(afftrees):
     assert tuple(format_hyperplane(LAM, h) for h in seq.hs) == ("(0|0,1,1)", "(0|0,1,0)")
     assert wt_fold(W, LAM, seq) == weight(-1, 2, 1, -1)
     s0path = LSPath(LAM, (0,), (W.from_word((0,)),))
-    assert dec_to_ls(W, LAM, seq) == s0path
+    assert seq_to_ls(W, LAM, seq) == s0path
     assert ls_to_seq(W, s0path, w, "dec") == seq
 
 
@@ -366,36 +362,37 @@ def test_round_trips_exhaustive_finite(WA2):
         for w in W.bfs_ball(10):
             dom = enumerate_tree_dominant(W, lam, w)
             for seq in dom:
-                p = inc_to_ls(W, lam, seq)
+                p = seq_to_ls(W, lam, seq)
                 assert ls_to_seq(W, p, seq.z, "inc") == seq
                 assert endpoint(W, p) == wt_fold(W, lam, seq)
             # grouped by base, the tree enumerates exactly the up-lift fibers
             crystal = crystal_cache.setdefault(w, demazure_crystal(W, lam, w))
             byz = {}
             for seq in dom:
-                byz.setdefault(seq.z, set()).add(inc_to_ls(W, lam, seq))
+                byz.setdefault(seq.z, set()).add(seq_to_ls(W, lam, seq))
+            J = stabilizer_nodes(W.R, lam)
             for z, got in byz.items():
-                assert got == paths_up(W, lam, w, z, crystal)
+                assert got == lift_subset(W, crystal, z, w, J, "up")
 
             anti = enumerate_tree_antidominant(W, lam, w)
             for seq in anti:
-                p = dec_to_ls(W, lam, seq)
+                p = seq_to_ls(W, lam, seq)
                 assert ls_to_seq(W, p, w, "dec") == seq
                 assert endpoint(W, p) == wt_fold(W, lam, seq)
                 assert down_path(W, w, p) == seq.z
                 assert len(seq.hs) == w.length - seq.z.length
             # the down-lift partitions the crystal; the tree must hit each part
-            assert {dec_to_ls(W, lam, seq) for seq in anti} == crystal
+            assert {seq_to_ls(W, lam, seq) for seq in anti} == crystal
 
 
 def test_round_trips_affine_frozen(afftrees):
     W, w, dom, anti = afftrees
     for seq in dom:
-        assert ls_to_seq(W, inc_to_ls(W, LAM, seq), seq.z, "inc") == seq
-    got = {dec_to_ls(W, LAM, seq) for seq in anti}
+        assert ls_to_seq(W, seq_to_ls(W, LAM, seq), seq.z, "inc") == seq
+    got = {seq_to_ls(W, LAM, seq) for seq in anti}
     assert got == demazure_crystal(W, LAM, w)
     for seq in anti:
-        assert ls_to_seq(W, dec_to_ls(W, LAM, seq), w, "dec") == seq
+        assert ls_to_seq(W, seq_to_ls(W, LAM, seq), w, "dec") == seq
 
 
 # -- fans above a base -----------------------------------------------------------
@@ -539,10 +536,10 @@ def test_triangle_finite(WA2):
         for w in W.bfs_ball(10):
             rec = chevalley_recurrence(W, w, lam)
             assert rows_equal(rec, chevalley_alcove(W, lam, w, 1))
-            assert rows_equal(rec, chevalley_dominant_ls(W, lam, w))
+            assert rows_equal(rec, chevalley_ls(W, lam, w, 1))
             arec = chevalley_recurrence(W, w, wt_neg(lam))
             assert rows_equal(arec, chevalley_alcove(W, lam, w, -1))
-            assert rows_equal(arec, chevalley_antidominant_ls(W, lam, w))
+            assert rows_equal(arec, chevalley_ls(W, lam, w, -1))
 
 
 def test_triangle_affine_frozen(WAFF):

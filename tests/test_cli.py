@@ -175,6 +175,32 @@ def test_non_integral_weights_exit_2(capsys):
         assert out == "", argv
 
 
+def test_repeated_delta_in_corank_1_exits_2(capsys):
+    """Corank one takes one delta= entry; a second is refused, not read over the first."""
+    for argv in (["chevalley", "--w", "0 1"], ["crystal", "--w", "0 1"]):
+        code, out, err = run(capsys, [*argv, *AFF[:2], "--weight", "1,1,0,delta=2,delta=3"])
+        assert code == 2, argv
+        assert err.startswith("error:") and "delta=" in err, argv
+        assert out == "", argv
+    code, out, err = run(capsys, ["chevalley", *AFF[:2], "--weight", "1,1,0,delta=3", "--w", "e",
+                                  "--format", "table"])
+    assert code == 0, err
+    assert out.startswith("[L^+(1,1,0,delta=3)]")
+
+
+def test_job_config_reads_every_field():
+    """JobConfig.from_args takes each field from the option of its name and
+    its default where the subcommand has no such option."""
+    cfg = cli.JobConfig.from_args(cli.build_parser().parse_args(
+        ["crystal", "--cartan", "A2", "--weight", "1,1", "--opposite", "--z", "1", "--max-length", "3",
+         "--format", "table", "--realization", "alcove", "--out", "x.txt"]))
+    assert cfg == cli.JobConfig(cartan="A2", weight="1,1", opposite=True, z="1", max_length=3, fmt="table",
+                                realization="alcove", out="x.txt")
+    cfg = cli.JobConfig.from_args(cli.build_parser().parse_args(["chevalley", "--sign", "-", "--w", "e"]))
+    assert cfg == cli.JobConfig(sign=-1, w="e")
+    assert cli.JobConfig.from_args(cli.build_parser().parse_args(["selftest"])) == cli.JobConfig()
+
+
 def test_non_integral_weight_exits_2_without_asserts():
     """The boundary check must not rest on an assert that python -O strips."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -12,8 +12,7 @@ from kmchev.lspath import (
     Coset,
     LSPath,
     all_istrings,
-    chevalley_antidominant_ls,
-    chevalley_dominant_ls,
+    chevalley_ls,
     classify_string,
     crystal_dot,
     crystal_up_to,
@@ -26,11 +25,9 @@ from kmchev.lspath import (
     from_steps,
     iota,
     istring,
+    lift_subset,
     path_key,
-    paths_down,
-    paths_up,
     phi,
-    pu_subset,
     stabilizer_nodes,
     steps,
     up_path,
@@ -186,6 +183,42 @@ def test_operators_reject_a_non_ls_path_in_a_subprocess(flags):
     assert proc.returncode == 0, proc.stderr
 
 
+BAD_ARGUMENTS = """
+from fractions import Fraction as Q
+from kmchev.cartan import realization_from_preset
+from kmchev.lspath import classify_string, from_steps, istring, lift_subset, straight_path
+from kmchev.weyl import WeylGroup
+W = WeylGroup(realization_from_preset("A2"))
+lam = (1, 1)
+S = istring(W, straight_path(W, lam), 0)
+calls = [
+    lambda: from_steps(lam, [(Q(3, 2), W.e), (Q(-1, 2), W.simple(0))]),  # a negative step
+    lambda: from_steps(lam, [(Q(1, 2), W.e)]),  # the steps sum to 1/2
+    lambda: classify_string(W, S, W.e, 1, "up"),  # a 0-string classified as a 1-string
+    lambda: lift_subset(W, [S.head], W.e, W.e, frozenset(), "sideways"),
+]
+raised = 0
+for call in calls:
+    try:
+        call()
+    except ValueError:
+        raised += 1
+print(raised)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_bad_arguments_raise_in_a_subprocess(flags):
+    """from_steps, classify_string and lift_subset refuse bad input with a
+    ValueError that python -O does not strip."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, *flags, "-c", BAD_ARGUMENTS], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "4"
+
+
 def test_membership_is_initial_direction_below_w(aff):
     W, w, N = aff
     J = stabilizer_nodes(W.R, LAM)
@@ -224,11 +257,12 @@ def test_frozen_lifts(aff):
 def test_frozen_fibers(aff):
     W, w, N = aff
     C = frozenset(N.values())
+    J = stabilizer_nodes(W.R, LAM)
     three = frozenset({N["p1"], N["p2"], N["s021"]})
-    assert paths_up(W, LAM, w, W.from_word((1, 2)), C) == three
-    assert paths_up(W, LAM, w, W.from_word((1, 2, 1)), C) == three
-    assert paths_up(W, LAM, w, W.from_word((0, 1, 2)), C) == frozenset({N["s021"]})
-    assert paths_down(W, LAM, w, W.from_word((1, 2)), C) == frozenset({N["s1"], N["q2"]})
+    assert lift_subset(W, C, W.from_word((1, 2)), w, J, "up") == three
+    assert lift_subset(W, C, W.from_word((1, 2, 1)), w, J, "up") == three
+    assert lift_subset(W, C, W.from_word((0, 1, 2)), w, J, "up") == frozenset({N["s021"]})
+    assert lift_subset(W, C, w, W.from_word((1, 2)), J, "down") == frozenset({N["s1"], N["q2"]})
     # down-fibers partition the crystal
     fibers = {}
     for p in C:
@@ -239,7 +273,7 @@ def test_frozen_fibers(aff):
 def test_frozen_rows(aff):
     W, w, N = aff
     C = frozenset(N.values())
-    rows = chevalley_dominant_ls(W, LAM, w, C)
+    rows = chevalley_ls(W, LAM, w, 1, C)
     three = {}
     for name in ("p1", "p2", "s021"):
         lp_add_into(three, lp_monomial(endpoint(W, N[name])))
@@ -249,7 +283,7 @@ def test_frozen_rows(aff):
     assert rows[W.from_word((0, 1, 2, 1))] == {endpoint(W, N["s021"]): 1}
     assert len(rows) == 4
 
-    arows = chevalley_antidominant_ls(W, LAM, w, C)
+    arows = chevalley_ls(W, LAM, w, -1, C)
     assert arows[W.from_word((1, 2))] == {
         wt_neg(endpoint(W, N["s1"])): 1,
         wt_neg(endpoint(W, N["q2"])): 1,
@@ -398,11 +432,11 @@ def test_string_recurrence_consistency(aff):
                     if W.mult(si, x).length < x.length:
                         continue
                     sx = W.mult(si, x)
-                    A = string_mass(W, pu_subset(W, members, x, z, J))
-                    B = string_mass(W, pu_subset(W, members, sx, z, J))
+                    A = string_mass(W, lift_subset(W, members, z, x, J, "up"))
+                    B = string_mass(W, lift_subset(W, members, z, sx, J, "up"))
                     assert B == apply_Ti(R, i, A)
-                    Az = string_mass(W, pu_subset(W, members, x, sz, J))
-                    Bz = string_mass(W, pu_subset(W, members, sx, sz, J))
+                    Az = string_mass(W, lift_subset(W, members, sz, x, J, "up"))
+                    Bz = string_mass(W, lift_subset(W, members, sz, sx, J, "up"))
                     expect = apply_Ti(R, i, Az)
                     lp_add_into(expect, lp_act(W, si, lp_sub(A, Az)))
                     assert Bz == expect
