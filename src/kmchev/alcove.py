@@ -26,8 +26,9 @@ antidominant), applied right-to-left over the labels and then pushed by z.
 The module enumerates the two label-monotone cover trees below a fixed w,
 the z-adapted sequences above a fixed z (with honest truncation reporting),
 converts between adapted sequences and LS paths (ls_to_seq and its inverse
-seq_to_ls, each one rule for both monotonicities), and exposes the reflection order used to pick out the unique increasing chain in
-each conversion segment.
+seq_to_ls, each one rule for both monotonicities), and exposes the
+reflection order used to pick out the unique increasing chain in each
+conversion segment.
 """
 
 from __future__ import annotations
@@ -473,7 +474,7 @@ def seq_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
     rel = [Q(h.k, pairing(h.alpha, lam)) for h in seq.hs]
     ts = [_num(t if inc else 1 - t) for t in rel]
     if any(x > y for x, y in zip(ts, ts[1:])):
-        raise ValueError(f"the labels of {seq!r} are not ordered by their relative {'height' if inc else 'coheight'}")
+        raise ValueError(f"the labels of {seq!r} are not ordered by t")
     J = stabilizer_nodes(W.R, lam)
     bvals = tuple(sorted({0, *(t for t in ts if t < 1)}))
     return LSPath(lam, bvals, tuple(W.coset_decompose(seq.chain[bisect_right(ts, b)], J)[0] for b in bvals))

@@ -486,17 +486,22 @@ def test_lex_cut_matches_the_filter(R, lamtext, wword):
 
 
 def bad_arguments_raise():
-    """ValueError for a monotonicity other than "inc"/"dec" and for a pair
-    (alpha, k) that is not a hyperplane of lam; returns how many raised."""
+    """ValueError for a monotonicity other than "inc"/"dec", for a pair
+    (alpha, k) that is not a hyperplane of lam and for labels out of order in
+    seq_to_ls; returns how many raised."""
     W = WeylGroup(realization_from_preset("A2"))
     lam = weight(1, 1)
     alpha = W.R.positive_coroots()[0]
+    top = max(W.R.positive_coroots(), key=lambda beta: pairing(beta, lam))
+    # t = 1/2 before t = 0: not lex-increasing
+    unordered = AdaptedSequence(W.e, (LambdaHyperplane(top, 1), LambdaHyperplane(alpha, 0)), (W.e,) * 3, "inc")
     calls = [
         lambda: AdaptedSequence(W.e, (), (W.e,), "up"),
         lambda: enumerate_z_adapted(W, lam, W.e, "increasing", 2),
         lambda: ls_to_seq(W, LSPath(lam, (0,), (W.e,)), W.e, "Inc"),
         lambda: stdvec(lam, LambdaHyperplane(alpha, pairing(alpha, lam))),
         lambda: stdvec(weight(0, 0), LambdaHyperplane(alpha, 0)),
+        lambda: seq_to_ls(W, lam, unordered),
     ]
     raised = 0
     for call in calls:
@@ -508,7 +513,7 @@ def bad_arguments_raise():
 
 
 def test_bad_arguments_raise():
-    assert bad_arguments_raise() == 5
+    assert bad_arguments_raise() == 6
 
 
 def test_bad_arguments_raise_without_asserts():
@@ -519,7 +524,7 @@ def test_bad_arguments_raise_without_asserts():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "5"
+    assert proc.stdout.strip() == "6"
 
 
 # -- coefficient rows ------------------------------------------------------------
