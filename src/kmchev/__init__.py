@@ -18,10 +18,9 @@ from .cartan import (
     wt_sub,
 )
 from .weyl import Coset, WeylElt, WeylGroup
-from .lifts import down, down_oracle, interval_below, up, up_oracle
+from .lifts import down, interval_below, up
 from .kring import (
     LaurentPoly,
-    apply_Di,
     apply_Ti,
     chevalley_explicit,
     chevalley_recurrence,
@@ -41,7 +40,6 @@ from .lspath import (
     lift_subset,
     straight_path,
     up_path,
-    validate,
 )
 from .alcove import (
     AdaptedSequence,

@@ -44,35 +44,6 @@ from .lifts import down, up
 from .lspath import LSPath, stabilizer_nodes
 from .weyl import Coset, WeylElt, WeylGroup
 
-__all__ = [
-    "LambdaHyperplane",
-    "AdaptedSequence",
-    "stdvec",
-    "lex_less",
-    "format_hyperplane",
-    "lex_chain",
-    "count_before",
-    "validate_lambda_chain_finite",
-    "hs_apply",
-    "wt_fold",
-    "signed_term",
-    "lex_cut",
-    "enumerate_tree_dominant",
-    "enumerate_tree_antidominant",
-    "enumerate_z_adapted",
-    "chevalley_alcove",
-    "refl_less",
-    "refl_less_dual",
-    "increasing_chain",
-    "all_label_chains",
-    "ls_to_seq",
-    "seq_to_ls",
-    "demazure_alcove",
-    "opposite_demazure_alcove",
-    "divisor_product",
-    "tree_dot",
-]
-
 
 @dataclass(frozen=True)
 class LambdaHyperplane:
@@ -80,7 +51,8 @@ class LambdaHyperplane:
     k: int
 
     def __post_init__(self):
-        assert self.k >= 0
+        if self.k < 0:
+            raise ValueError(f"hyperplane level {self.k} is negative")
 
     def __repr__(self):
         return f"({self.k}|{','.join(map(str, self.alpha.c))})"
@@ -117,28 +89,6 @@ def lex_chain(R: Realization, lam: Weight) -> list[LambdaHyperplane]:
             out.append(LambdaHyperplane(alpha, k))
     out.sort(key=lambda h: stdvec(lam, h))
     return out
-
-
-def count_before(lam: Weight, eta: Coroot, h: LambdaHyperplane) -> int:
-    """N_{<h}(eta): how many hyperplanes (eta, k) lex-precede h.
-
-    Closed form, so it works even when the ambient chain is infinite: the
-    vectors (k/K, c_eta/K) share their tail, hence the count is the number of
-    k in [0, K) with k/K below h's leading entry, plus one more on a leading
-    tie decided by the tails.
-    """
-    K = pairing(eta, lam)
-    if K <= 0:
-        return 0
-    target = stdvec(lam, h)
-    t = Q(target[0]) * K
-    strict = min(K, max(0, t.numerator // t.denominator + (0 if t.denominator == 1 else 1)))
-    count = strict
-    if t.denominator == 1 and 0 <= t <= K - 1:
-        tail = tuple(Q(c, K) for c in eta.c)
-        if tail < target[1:]:
-            count += 1
-    return count
 
 
 def validate_lambda_chain_finite(R: Realization, lam: Weight, chain) -> tuple[bool, str | None]:
@@ -228,8 +178,10 @@ class AdaptedSequence:
 
     def __post_init__(self):
         _is_inc(self.monotonicity)
-        assert len(self.chain) == len(self.hs) + 1
-        assert self.chain[0] == self.z
+        if len(self.chain) != len(self.hs) + 1:
+            raise ValueError(f"a chain of {len(self.chain)} elements for {len(self.hs)} labels")
+        if self.chain[0] != self.z:
+            raise ValueError(f"the chain starts at {self.chain[0]!r}, not at z = {self.z!r}")
 
     @property
     def end(self) -> WeylElt:
@@ -384,11 +336,6 @@ def refl_less(R: Realization, lam: Weight, a: Coroot, b: Coroot) -> bool:
     return [c * rb for c in a.c] < [c * ra for c in b.c]
 
 
-def refl_less_dual(R: Realization, lam: Weight, a: Coroot, b: Coroot) -> bool:
-    """The reversed total order (lam-orthogonal coroots become initial)."""
-    return refl_less(R, lam, b, a)
-
-
 def _label_chains(W: WeylGroup, a: WeylElt, b: WeylElt, label_ok, below=None) -> list:
     """Saturated chains a -> b, walked down from b through cocovers, as
     (elements ascending, labels ascending by position).  Labels failing
@@ -415,12 +362,6 @@ def _label_chains(W: WeylGroup, a: WeylElt, b: WeylElt, label_ok, below=None) ->
 
     rec(b, None, (), ())
     return res
-
-
-def all_label_chains(W: WeylGroup, a: WeylElt, b: WeylElt, label_ok=None):
-    """Every saturated chain a -> b, as (elements ascending, labels ascending
-    by position); labels may be filtered but no order is imposed."""
-    return _label_chains(W, a, b, label_ok)
 
 
 def increasing_chain(W: WeylGroup, lam: Weight, a: WeylElt, b: WeylElt, less=refl_less, label_ok=None):
@@ -453,7 +394,8 @@ def ls_to_seq(W: WeylGroup, p: LSPath, base: WeylElt, monotonicity: str) -> Adap
     hs: list[LambdaHyperplane] = []
     chain: list[WeylElt] = [zs[0]]
     for j, t in enumerate(ts):
-        elems, labels = increasing_chain(W, lam, zs[j], zs[j + 1], refl_less if inc else refl_less_dual,
+        elems, labels = increasing_chain(W, lam, zs[j], zs[j + 1],
+                                         refl_less if inc else lambda R, lam, a, b: refl_less(R, lam, b, a),
                                          lambda beta, t=t: 0 < pairing(beta, lam) and
                                          (t * pairing(beta, lam)).denominator == 1)
         for beta in labels:

@@ -244,14 +244,11 @@ class Coroot:
     """A real coroot: coordinates c in the simple-coroot basis plus, in tandem,
     the ambient vector of the corresponding real root (the tandem vector is
     what a reflection needs; carrying it around sidesteps the symmetrizer).
-
-    ``witness`` is a certificate of realness: coroot = s_{w_1} ... s_{w_k}
-    applied to the simple coroot with index ``witness[-1]``.
+    Equality and hashing read c only.
     """
 
     c: tuple[int, ...]
     root: Weight
-    witness: tuple[int, ...] = ()
 
     def __eq__(self, other):
         return isinstance(other, Coroot) and self.c == other.c
@@ -305,7 +302,7 @@ class Realization:
         self.rho = tuple(1 if k < n else 0 for k in range(self.N))
         self.delta = self._delta()
         self.simple_coroots = tuple(
-            Coroot(tuple(1 if k == i else 0 for k in range(n)), self.alpha[i], (i,))
+            Coroot(tuple(1 if k == i else 0 for k in range(n)), self.alpha[i])
             for i in range(n)
         )
 
@@ -348,9 +345,6 @@ class Realization:
     def zero(self) -> Weight:
         return (0,) * self.N
 
-    def pairing_simple(self, i: int, mu: Weight):
-        return mu[i]
-
     def simple_reflection(self, i: int, mu: Weight) -> Weight:
         """s_i(mu) = mu - <alpha_i^vee, mu> alpha_i."""
         c = mu[i]
@@ -373,7 +367,7 @@ class Realization:
             newc = beta.c
         else:
             newc = tuple(x - c if k == i else x for k, x in enumerate(beta.c))
-        return Coroot(newc, self.simple_reflection(i, beta.root), (i,) + beta.witness)
+        return Coroot(newc, self.simple_reflection(i, beta.root))
 
     def is_dominant(self, mu: Weight) -> bool:
         return all(mu[i] >= 0 for i in range(self.n))
@@ -505,7 +499,7 @@ def coroot_from_c(R: Realization, c) -> Coroot:
     c = tuple(_integer(x, "coroot coordinate") for x in c)
     if all(x <= 0 for x in c) and any(x < 0 for x in c):
         pos = coroot_from_c(R, tuple(-x for x in c))
-        return Coroot(c, wt_neg(pos.root), pos.witness)
+        return Coroot(c, wt_neg(pos.root))
     if not (all(x >= 0 for x in c) and any(x > 0 for x in c)):
         raise ValueError(f"{c} is not a real coroot")
     cur = c

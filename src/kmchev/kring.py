@@ -44,18 +44,6 @@ def lp_add_into(dst: LaurentPoly, src: LaurentPoly, sign: int = 1) -> None:
             dst.pop(mu, None)
 
 
-def lp_add(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    out = dict(f)
-    lp_add_into(out, g)
-    return out
-
-
-def lp_sub(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    out = dict(f)
-    lp_add_into(out, g, -1)
-    return out
-
-
 def lp_mul_monomial(f: LaurentPoly, mu: Weight, c: int = 1) -> LaurentPoly:
     return {wt_add(nu, mu): c * x for nu, x in f.items()} if c else {}
 
@@ -92,18 +80,6 @@ def apply_Ti(R: Realization, i: int, f: LaurentPoly) -> LaurentPoly:
             else:
                 out.pop(term, None)
     return out
-
-
-def apply_Di(R: Realization, i: int, f: LaurentPoly) -> LaurentPoly:
-    """Demazure operator D_i = 1 + T_i."""
-    return lp_add(f, apply_Ti(R, i, f))
-
-
-def apply_word(R: Realization, word, f: LaurentPoly) -> LaurentPoly:
-    """T_{i_1} (T_{i_2} (... T_{i_k} f)); for comparing braid words in tests."""
-    for i in reversed(tuple(word)):
-        f = apply_Ti(R, i, f)
-    return f
 
 
 def hecke_compose(W: WeylGroup, i: int, element: NilHeckeCoeffs) -> NilHeckeCoeffs:

@@ -1,11 +1,11 @@
-"""Deodhar lifts into parabolic cosets, plus brute-force verification oracles.
+"""Deodhar lifts into parabolic cosets.
 
 up(v, tau) is the Bruhat-minimum of {w >= v : wW_J = tau}; down(w, tau) the
 Bruhat-maximum of {v <= w : vW_J = tau}.  Existence and uniqueness are
 classical (Deodhar, Invent. Math. 39, 1977).  Both are computed by a descent
 recursion that peels one letter per step and rebuilds the answer on the way
 back, so each costs a number of memoised Weyl-group links linear in the
-length.  The oracles recompute them by scanning a BFS ball.
+length.
 """
 from __future__ import annotations
 
@@ -78,30 +78,3 @@ def _down(W: WeylGroup, w: WeylElt, tau: Coset) -> WeylElt:
                 v = sv
     return v
 
-
-def up_oracle(W: WeylGroup, v: WeylElt, tau: Coset, search_bound: int) -> WeylElt:
-    """Independent recomputation of up by scanning the BFS ball."""
-    candidates = [
-        w
-        for w in W.bfs_ball(search_bound)
-        if W.coset_min_rep(w, tau.J) == tau and W.bruhat_leq(v, w)
-    ]
-    if not candidates:
-        raise ValueError(f"no candidate found within length {search_bound}")
-    best = min(candidates, key=lambda w: w.key)
-    assert all(W.bruhat_leq(best, w) for w in candidates), "minimum not unique"
-    return best
-
-
-def down_oracle(W: WeylGroup, w: WeylElt, tau: Coset) -> WeylElt:
-    """Independent recomputation of down by scanning the ball under ℓ(w)."""
-    candidates = [
-        v
-        for v in W.bfs_ball(w.length)
-        if W.coset_min_rep(v, tau.J) == tau and W.bruhat_leq(v, w)
-    ]
-    if not candidates:
-        raise ValueError(f"no element of {tau!r} lies below {w!r}")
-    best = max(candidates, key=lambda v: v.key)
-    assert all(W.bruhat_leq(v, best) for v in candidates), "maximum not unique"
-    return best

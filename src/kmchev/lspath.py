@@ -39,41 +39,12 @@ from .kring import LaurentPoly, lp_add_into, lp_monomial
 from .lifts import down, interval_below, up
 from .weyl import Coset, WeylElt, WeylGroup
 
-__all__ = [
-    "LSPath",
-    "IString",
-    "stabilizer_nodes",
-    "straight_path",
-    "steps",
-    "from_steps",
-    "phi",
-    "iota",
-    "endpoint",
-    "validate",
-    "validation_error",
-    "f",
-    "e",
-    "demazure_crystal",
-    "crystal_up_to",
-    "opposite_demazure_ls",
-    "up_path",
-    "down_path",
-    "lift_subset",
-    "chevalley_ls",
-    "istring",
-    "all_istrings",
-    "classify_string",
-    "path_key",
-    "format_path",
-    "crystal_dot",
-]
-
 
 def stabilizer_nodes(R: Realization, lam: Weight) -> frozenset:
     """Nodes i with <alpha_i^vee, lam> = 0; generates W_lam for dominant lam."""
     if not R.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    return frozenset(i for i in range(R.gcm.n) if R.pairing_simple(i, lam) == 0)
+    return frozenset(i for i in range(R.gcm.n) if lam[i] == 0)
 
 
 @dataclass(frozen=True)
@@ -83,8 +54,12 @@ class LSPath:
     dirs: tuple  # WeylElt minimal representatives, strictly increasing
 
     def __post_init__(self):
-        assert len(self.b) == len(self.dirs) >= 1
-        assert self.b[0] == 0
+        if len(self.b) != len(self.dirs):
+            raise ValueError(f"{len(self.b)} values of b for {len(self.dirs)} directions")
+        if not self.b:
+            raise ValueError("an LS path has at least one direction")
+        if self.b[0] != 0:
+            raise ValueError(f"b_1 = {self.b[0]}, not 0")
 
     def __repr__(self):
         return format_path(self)
@@ -203,8 +178,6 @@ def validation_error(W: WeylGroup, p: LSPath) -> str | None:
         return "shape is not dominant"
     J = stabilizer_nodes(R, p.lam)
     bs = list(p.b)
-    if bs[0] != 0:
-        return "b_1 != 0"
     for x, y in zip(bs, bs[1:]):
         if not x < y:
             return "b not strictly increasing"
@@ -220,10 +193,6 @@ def validation_error(W: WeylGroup, p: LSPath) -> str | None:
         if not _quotient_chain_exists(W, J, p.lam, p.dirs[j], p.dirs[j + 1], p.b[j + 1]):
             return f"no admissible chain from {p.dirs[j]!r} to {p.dirs[j + 1]!r} at b={p.b[j + 1]}"
     return None
-
-
-def validate(W: WeylGroup, p: LSPath) -> bool:
-    return validation_error(W, p) is None
 
 
 # -- crystal operators ---------------------------------------------------------

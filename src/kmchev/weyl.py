@@ -52,12 +52,6 @@ class WeylElt:
     def __hash__(self):
         return hash(self.rho)
 
-    def __mul__(self, other: "WeylElt") -> "WeylElt":
-        return self.W.mult(self, other)
-
-    def inv(self) -> "WeylElt":
-        return self.W.inverse(self)
-
     @property
     def key(self):
         """Deterministic sort key: by length, then canonical word."""
@@ -150,11 +144,6 @@ class WeylGroup:
             mu = self.R.simple_reflection(i, mu)
         return mu
 
-    def act_coroot(self, w: WeylElt, beta: Coroot) -> Coroot:
-        for i in reversed(w.word):
-            beta = self.R.reflect_coroot(i, beta)
-        return beta
-
     def mult(self, w: WeylElt, v: WeylElt) -> WeylElt:
         """w · v, walking the shorter factor: w·v = (v⁻¹·w⁻¹)⁻¹."""
         if len(w.word) <= len(v.word):
@@ -174,14 +163,6 @@ class WeylGroup:
         return self._from_rho(self.act(w, self.R.coroot_reflection(beta, self.rho)))
 
     # -- Bruhat order --------------------------------------------------------
-
-    def descents(self, w: WeylElt, side: str = "left") -> tuple[int, ...]:
-        """Nodes i with s_i w < w (left) or w s_i < w (right)."""
-        if side == "right":
-            w = self.inverse(w)
-        elif side != "left":
-            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-        return tuple(i for i in range(self.n) if w.rho[i] < 0)
 
     def bruhat_leq(self, v: WeylElt, w: WeylElt) -> bool:
         """v <= w, by stripping descents of w (one branch per step, so linear

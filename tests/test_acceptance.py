@@ -10,7 +10,6 @@ from time import perf_counter
 from kmchev.alcove import (
     LambdaHyperplane,
     chevalley_alcove,
-    count_before,
     enumerate_tree_antidominant,
     enumerate_tree_dominant,
     format_hyperplane,
@@ -29,7 +28,6 @@ from kmchev.cartan import (
 )
 from kmchev.kring import (
     apply_Ti,
-    apply_word,
     chevalley_explicit,
     chevalley_recurrence,
     lp_act,
@@ -51,7 +49,8 @@ from kmchev.lspath import (
     phi,
     stabilizer_nodes,
 )
-from kmchev.lifts import down, down_oracle, up, up_oracle
+from kmchev.lifts import down, up
+from reference import apply_word, count_before, down_oracle, up_oracle
 
 LAM = weight(1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)

@@ -10,10 +10,9 @@ import pytest
 from kmchev.alcove import (
     AdaptedSequence,
     LambdaHyperplane,
+    _label_chains,
     _label_edges,
-    all_label_chains,
     chevalley_alcove,
-    count_before,
     demazure_alcove,
     divisor_product,
     enumerate_tree_antidominant,
@@ -28,7 +27,6 @@ from kmchev.alcove import (
     ls_to_seq,
     opposite_demazure_alcove,
     refl_less,
-    refl_less_dual,
     seq_to_ls,
     stdvec,
     tree_dot,
@@ -47,6 +45,7 @@ from kmchev.lspath import (
     stabilizer_nodes,
 )
 from kmchev.weyl import WeylGroup
+from reference import count_before
 
 LAM = weight(1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)
@@ -189,7 +188,6 @@ def test_refl_less_is_a_strict_total_order(WA2, WB2, WG2):
                 for b in pos:
                     if a != b:
                         assert refl_less(R, lam, a, b) != refl_less(R, lam, b, a)
-                        assert refl_less_dual(R, lam, a, b) == refl_less(R, lam, b, a)
                     for c in pos:
                         if refl_less(R, lam, a, b) and refl_less(R, lam, b, c):
                             assert refl_less(R, lam, a, c)
@@ -235,7 +233,7 @@ def test_increasing_chain_unique_among_all_chains(WA2, WB2):
                     assert refl_less(W.R, lam, x, y)
                 inc = [
                     ch
-                    for ch, ls in all_label_chains(W, v, w)
+                    for ch, ls in _label_chains(W, v, w, None)
                     for inc_ok in [
                         all(refl_less(W.R, lam, x, y) for x, y in zip(ls, ls[1:]))
                     ]
@@ -283,8 +281,8 @@ def test_rational_level_chains_all_or_none(WA2, WB2):
                 for v in W.bfs_ball(w.length):
                     if not W.bruhat_leq(v, w):
                         continue
-                    every = all_label_chains(W, v, w)
-                    fitting = all_label_chains(W, v, w, label_ok=ok)
+                    every = _label_chains(W, v, w, None)
+                    fitting = _label_chains(W, v, w, ok)
                     assert len(fitting) in (0, len(every)), (v, w, b)
 
 
@@ -487,8 +485,9 @@ def test_lex_cut_matches_the_filter(R, lamtext, wword):
 
 def bad_arguments_raise():
     """ValueError for a monotonicity other than "inc"/"dec", for a pair
-    (alpha, k) that is not a hyperplane of lam and for labels out of order in
-    seq_to_ls; returns how many raised."""
+    (alpha, k) that is not a hyperplane of lam, for labels out of order in
+    seq_to_ls, for a negative level and for a chain that does not fit the
+    labels or z; returns how many raised."""
     W = WeylGroup(realization_from_preset("A2"))
     lam = weight(1, 1)
     alpha = W.R.positive_coroots()[0]
@@ -502,6 +501,9 @@ def bad_arguments_raise():
         lambda: stdvec(lam, LambdaHyperplane(alpha, pairing(alpha, lam))),
         lambda: stdvec(weight(0, 0), LambdaHyperplane(alpha, 0)),
         lambda: seq_to_ls(W, lam, unordered),
+        lambda: LambdaHyperplane(alpha, -1),
+        lambda: AdaptedSequence(W.e, (LambdaHyperplane(alpha, 0),), (W.e,), "inc"),  # no chain step
+        lambda: AdaptedSequence(W.e, (), (W.simple(0),), "inc"),  # chain[0] != z
     ]
     raised = 0
     for call in calls:
@@ -513,7 +515,7 @@ def bad_arguments_raise():
 
 
 def test_bad_arguments_raise():
-    assert bad_arguments_raise() == 6
+    assert bad_arguments_raise() == 9
 
 
 def test_bad_arguments_raise_without_asserts():
@@ -524,7 +526,7 @@ def test_bad_arguments_raise_without_asserts():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "6"
+    assert proc.stdout.strip() == "9"
 
 
 # -- coefficient rows ------------------------------------------------------------

@@ -52,8 +52,8 @@ def test_simple_pairings_follow_the_matrix(preset):
     n = R.n
     for i in range(n):
         for j in range(n):
-            assert R.pairing_simple(i, R.fundamental[j]) == (1 if i == j else 0)
-            assert R.pairing_simple(i, R.alpha[j]) == R.gcm.a[i][j]
+            assert R.fundamental[j][i] == (1 if i == j else 0)
+            assert R.alpha[j][i] == R.gcm.a[i][j]
 
 
 def test_simple_reflection_is_an_involution_and_moves_rho():
@@ -68,7 +68,7 @@ def test_affine_null_root():
     delta = R.delta
     assert delta == wt_add(wt_add(R.alpha[0], R.alpha[1]), R.alpha[2])
     for i in range(R.n):
-        assert R.pairing_simple(i, delta) == 0
+        assert delta[i] == 0
         assert R.simple_reflection(i, delta) == delta
 
 
@@ -228,7 +228,7 @@ def test_delta_is_the_primitive_null_root(name, matrix):
     for mj, alpha in zip(m, R.alpha):
         expected = wt_add(expected, wt_scale(mj, alpha))
     assert R.delta == expected
-    assert all(R.pairing_simple(i, R.delta) == 0 for i in range(R.n))
+    assert all(R.delta[i] == 0 for i in range(R.n))
     assert all(pairing(beta, R.delta) == 0 for beta in R.simple_coroots)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from kmchev.cartan import weight, wt_neg, wt_sub
-from kmchev.kring import apply_Ti, lp_act, lp_add_into, lp_monomial, lp_sub
+from kmchev.kring import apply_Ti, lp_act, lp_add_into, lp_monomial
 from kmchev.lspath import (
     Coset,
     LSPath,
@@ -31,7 +31,6 @@ from kmchev.lspath import (
     stabilizer_nodes,
     steps,
     up_path,
-    validate,
     validation_error,
 )
 
@@ -142,7 +141,7 @@ def test_validation_diagnoses(aff):
     # and 2/3 is not an integer
     bad_cut = LSPath(LAM, (0, Q(1, 3)), (s1, s01))
     assert "chain" in validation_error(W, bad_cut)
-    assert validate(W, LSPath(LAM, (0, Q(1, 2)), (s1, s01)))
+    assert validation_error(W, LSPath(LAM, (0, Q(1, 2)), (s1, s01))) is None
 
 
 NON_LS = """
@@ -186,7 +185,7 @@ def test_operators_reject_a_non_ls_path_in_a_subprocess(flags):
 BAD_ARGUMENTS = """
 from fractions import Fraction as Q
 from kmchev.cartan import realization_from_preset
-from kmchev.lspath import classify_string, from_steps, istring, lift_subset, straight_path
+from kmchev.lspath import LSPath, classify_string, f, from_steps, istring, lift_subset, straight_path
 from kmchev.weyl import WeylGroup
 W = WeylGroup(realization_from_preset("A2"))
 lam = (1, 1)
@@ -196,6 +195,9 @@ calls = [
     lambda: from_steps(lam, [(Q(1, 2), W.e)]),  # the steps sum to 1/2
     lambda: classify_string(W, S, W.e, 1, "up"),  # a 0-string classified as a 1-string
     lambda: lift_subset(W, [S.head], W.e, W.e, frozenset(), "sideways"),
+    lambda: LSPath(lam, (0, Q(1, 2)), (W.e,)),  # two values of b for one direction
+    lambda: f(W, LSPath(lam, (), ()), 0),  # an empty path
+    lambda: LSPath(lam, (Q(1, 2),), (W.e,)),  # b_1 != 0
 ]
 raised = 0
 for call in calls:
@@ -209,14 +211,14 @@ print(raised)
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_bad_arguments_raise_in_a_subprocess(flags):
-    """from_steps, classify_string and lift_subset refuse bad input with a
-    ValueError that python -O does not strip."""
+    """LSPath, from_steps, classify_string and lift_subset refuse bad input
+    with a ValueError that python -O does not strip."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_ARGUMENTS], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "4"
+    assert proc.stdout.strip() == "7"
 
 
 def test_membership_is_initial_direction_below_w(aff):
@@ -297,7 +299,7 @@ def test_crystal_growth_bound(aff):
     pool = crystal_up_to(W, LAM, 3)
     assert len(pool) == 26
     assert all(iota(p).length <= 3 for p in pool)
-    assert all(validate(W, p) for p in pool)
+    assert all(validation_error(W, p) is None for p in pool)
     # f never shortens the initial direction
     for p in pool:
         for i in range(W.n):
@@ -438,7 +440,8 @@ def test_string_recurrence_consistency(aff):
                     Az = string_mass(W, lift_subset(W, members, sz, x, J, "up"))
                     Bz = string_mass(W, lift_subset(W, members, sz, sx, J, "up"))
                     expect = apply_Ti(R, i, Az)
-                    lp_add_into(expect, lp_act(W, si, lp_sub(A, Az)))
+                    lp_add_into(expect, lp_act(W, si, A))
+                    lp_add_into(expect, lp_act(W, si, Az), -1)
                     assert Bz == expect
 
 
