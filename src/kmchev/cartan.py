@@ -10,9 +10,9 @@ delta), with alpha_i = sum_j a[j][i] Lambda_j + [i = 0] delta.
 
 All arithmetic is exact and weights are tuples of Python ints: weight sums,
 pairings and reflections are plain int arithmetic.  ``Fraction`` appears only
-where a value can really be fractional -- LS step lengths, the cut points of
-the crystal operators, relative heights of hyperplanes -- and ``_num`` turns
-an integral one back into an int.  Non-integral input weights are rejected
+in stored values that can really be fractional -- the canonical b values of
+LS paths and relative heights of hyperplanes -- and ``_num`` turns an
+integral one back into an int.  Non-integral input weights are rejected
 at the boundary (the CLI) and never reach the weight arithmetic.
 """
 from __future__ import annotations

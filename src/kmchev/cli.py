@@ -17,7 +17,7 @@ text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
 is refused before any model runs); table output prints every extra
 coordinate of a weight in corank >= 2.  A failed cross-check exits 1 with a
 report: table lines under ``--format table`` (any corank), JSON otherwise.
-Bad input exits 2 with ``error:``.
+Bad input and an exceeded layer cap exit 2 with ``error:``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import alcove, kring, lspath
 from .cartan import Realization, Weight, is_lattice, realization_from_json_file, realization_from_preset, wt_neg
-from .weyl import WeylElt, WeylGroup
+from .weyl import LayerCapError, WeylElt, WeylGroup, env_layer_cap
 
 
 class CLIError(Exception):
@@ -71,6 +71,8 @@ class JobConfig:
         if args["sign"] is None:
             raise CLIError(f"--sign must be +1 or -1, not {ns.sign!r}")
         args["weight"] = args["weight"] or ""
+        if args["max_length"] is not None and args["max_length"] < 0:
+            raise CLIError(f"--max-length must be >= 0, not {args['max_length']}")
         return cls(**args)
 
     def build_realization(self) -> Realization:
@@ -547,6 +549,7 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     try:
         cfg = JobConfig.from_args(ns)
+        env_layer_cap()  # a bad KMCHEV_LAYER_CAP is refused before any work
         if ns.command == "chevalley":
             return cmd_chevalley(cfg)
         if ns.command == "crystal":
@@ -554,7 +557,7 @@ def main(argv=None) -> int:
         if ns.command == "selftest":
             return cmd_selftest(cfg)
         raise CLIError(f"unknown command {ns.command!r}")
-    except CLIError as exc:
+    except (CLIError, LayerCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

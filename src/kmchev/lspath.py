@@ -22,6 +22,12 @@ LS path are integers, which the code checks (ValueError otherwise); the
 level M + 1 may still be crossed strictly inside a step, in which case the
 step is split there and only the part before the crossing is reflected.
 
+The operators and the endpoint run on ints: ``steps`` gives the step lengths
+over one denominator D, the lcm of the denominators of b, and the i-heights
+are ints over D too, as b_j * <beta, lam> is an integer on an LS path's chain
+(Littelmann, Paths and root operators, Ann. Math. 142, 1995).  The images
+d(lam) are memoised per group.
+
 The module also provides Demazure and opposite Demazure subcrystals, the
 iterated Deodhar lifts of a path from a Weyl group element (up for the
 dominant rule, down for the antidominant one, through one lift_subset), one
@@ -33,8 +39,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .cartan import Q, Realization, Weight, _num, pairing, wt_neg
+from .cartan import Q, Realization, Weight, pairing, wt_neg
 from .kring import LaurentPoly, lp_add_into, lp_monomial
 from .lifts import down, interval_below, up
 from .weyl import Coset, WeylElt, WeylGroup
@@ -60,6 +67,10 @@ class LSPath:
             raise ValueError("an LS path has at least one direction")
         if self.b[0] != 0:
             raise ValueError(f"b_1 = {self.b[0]}, not 0")
+        object.__setattr__(self, "_hash", hash((self.lam, self.b, self.dirs)))
+
+    def __hash__(self):  # paths are hashed into many sets; Fractions hash slowly
+        return self._hash
 
     def __repr__(self):
         return format_path(self)
@@ -69,42 +80,36 @@ def straight_path(W: WeylGroup, lam: Weight) -> LSPath:
     return LSPath(lam, (0,), (W.from_word(()),))
 
 
-def steps(p: LSPath) -> list:
-    """Traversal steps [(a_1, d_1), ...] walking from 0; d_1 = iota(p).
+def steps(p: LSPath) -> tuple[int, list]:
+    """(D, [(a_1, d_1), ...]): the traversal steps walking from 0, d_1 =
+    iota(p), the k-th of length a_k / D, where D is the lcm of the
+    denominators of b and every a_k is a positive int."""
+    D = math.lcm(*[x.denominator for x in p.b])
+    ext = [x.numerator * (D // x.denominator) for x in p.b] + [D]
+    return D, [(ext[j + 1] - ext[j], p.dirs[j]) for j in range(len(ext) - 2, -1, -1)]
 
-    The b values lie in [0, 1), so a step length is the int 1 (a straight
-    path) or a Fraction in (0, 1): no normalisation is needed."""
-    m = len(p.dirs)
-    ext = list(p.b) + [1]
-    return [(ext[m + 1 - k] - ext[m - k], p.dirs[m - k]) for k in range(1, m + 1)]
 
-
-def from_steps(lam: Weight, raw) -> LSPath:
-    """Rebuild the canonical (b, dirs) form from traversal steps.
-
-    Zero-length steps are dropped and adjacent steps with equal direction are
-    merged, so crystal operators can hand in freshly cut step lists.
-    """
+def from_steps(lam: Weight, D: int, raw) -> LSPath:
+    """Rebuild the canonical (b, dirs) form from traversal steps of int lengths
+    over D, dropping zero-length steps and merging adjacent steps of equal
+    direction, so crystal operators can hand in freshly cut step lists."""
     merged: list[list] = []
     for a, d in raw:
         if a == 0:
             continue
         if a < 0:
-            raise ValueError(f"negative step length {a}")
+            raise ValueError(f"negative step length {Q(a, D)}")
         if merged and merged[-1][1] == d:
             merged[-1][0] += a
         else:
             merged.append([a, d])
-    m = len(merged)
-    dirs = tuple(d for _, d in reversed(merged))
-    bvals: list = [None] * m
-    acc = 0
-    for k, (a, _) in enumerate(merged, start=1):
-        acc += a
-        bvals[m - k] = _num(1 - acc)
-    if bvals[0] != 0:
-        raise ValueError(f"step lengths sum to {1 - bvals[0]}, not 1")
-    return LSPath(lam, tuple(bvals), dirs)
+    rest, bvals = D, []
+    for a, _ in merged:
+        rest -= a
+        bvals.append(Q(rest, D) if rest else 0)
+    if rest:
+        raise ValueError(f"step lengths sum to {Q(D - rest, D)}, not 1")
+    return LSPath(lam, tuple(reversed(bvals)), tuple(d for _, d in reversed(merged)))
 
 
 def phi(p: LSPath) -> WeylElt:
@@ -117,19 +122,25 @@ def iota(p: LSPath) -> WeylElt:
     return p.dirs[-1]
 
 
+def _image(W: WeylGroup, d: WeylElt, lam: Weight) -> Weight:
+    """d(lam), memoised in the group's dir_images."""
+    key = (d.rho, lam)
+    if (mu := W.dir_images.get(key)) is None:
+        mu = W.dir_images[key] = W.act(d, lam)
+    return mu
+
+
 def endpoint(W: WeylGroup, p: LSPath) -> Weight:
     """p(1) = sum_j (b_{j+1} - b_j) sigma_j(lam), a lattice weight for an LS
-    path: summed as int multiples over the lcm L of the step denominators,
-    then divided by L, which must go exactly (ValueError otherwise)."""
-    st = steps(p)
-    scale = math.lcm(*(a.denominator for a, _ in st))
+    path: the int step lengths over D times the directions' images, summed
+    and divided by D, which must go exactly (ValueError otherwise)."""
+    D, st = steps(p)
     total = [0] * W.R.N
     for a, d in st:
-        m = a.numerator * (scale // a.denominator)
-        total = [t + m * x for t, x in zip(total, W.act(d, p.lam))]
-    if any(t % scale for t in total):
+        total = [t + a * x for t, x in zip(total, _image(W, d, p.lam))]
+    if any(t % D for t in total):
         raise ValueError(f"endpoint of {format_path(p)} is not a lattice weight")
-    return tuple([t // scale for t in total])
+    return tuple([t // D for t in total])
 
 
 def path_key(p: LSPath):
@@ -142,9 +153,10 @@ def path_key(p: LSPath):
 
 
 def format_path(p: LSPath) -> str:
+    D, st = steps(p)
     segs = []
-    for a, d in steps(p):
-        part = "" if a == 1 else f"{a} "
+    for a, d in st:
+        part = "" if a == D else f"{Q(a, D)} "
         name = "" if d.length == 0 else f"{d!r}·"
         segs.append(f"{part}{name}λ")
     return "(" + ", ".join(segs) + ")"
@@ -198,56 +210,56 @@ def validation_error(W: WeylGroup, p: LSPath) -> str | None:
 # -- crystal operators ---------------------------------------------------------
 
 
-def _reflect_dir(W: WeylGroup, J: frozenset, i: int, d: WeylElt) -> WeylElt:
-    return W.coset_mult_simple(i, Coset(d, J)).rep
-
-
-def _root_op(W: WeylGroup, lam: Weight, i: int, st: list, ns: list) -> list | None:
-    """The step list of f_i applied to the path with steps `st` and i-slopes
-    `ns`, or None: the steps from the last minimum M of the i-height profile
-    up to its first point at height M + 1 are reflected by s_i, the step
-    crossing that level split at it.  e_i is this on the reversed path."""
-    H = [0]
-    for (a, _), n in zip(st, ns):
-        H.append(H[-1] + a * n)
+def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
+    """f_i(p) for sign 1, e_i(p) for sign -1 (f_i on the reversed path, whose
+    i-slopes are negated), or None: the steps from the last minimum M of the
+    i-height profile up to its first point at height M + 1 are reflected by
+    s_i, the step crossing that level split at it; a cut that is not a
+    multiple of 1/D multiplies D and every step by that step's slope."""
+    D, st = steps(p)
+    st = st[::sign]
+    ns = [sign * _image(W, d, p.lam)[i] for _, d in st]
+    H = [0, *accumulate(a * n for (a, _), n in zip(st, ns))]
     M = min(H)
-    if M.denominator != 1 or H[-1].denominator != 1:
-        raise ValueError(f"non-integral height {M} or {H[-1]}: not an LS path")
-    if H[-1] - M < 1:
+    if M % D or H[-1] % D:
+        raise ValueError(f"non-integral height {Q(M, D)} or {Q(H[-1], D)}: not an LS path")
+    top = M + D
+    if H[-1] < top:
         return None
-    J = stabilizer_nodes(W.R, lam)
+    J = stabilizer_nodes(W.R, p.lam)
+
+    def refl(d: WeylElt) -> WeylElt:  # the minimal representative of s_i d W_lam
+        return W.coset_decompose(W.lmul(i, d), J)[0]
+
     j1 = max(k for k, h in enumerate(H) if h == M)
-    j2 = min(k for k in range(j1 + 1, len(H)) if H[k] >= M + 1)
+    j2 = min(k for k in range(j1 + 1, len(H)) if H[k] >= top)
     out = list(st[:j1])
     for k in range(j1, j2 - 1):
         if ns[k] < 0:  # the profile turns down strictly between two integers
-            raise ValueError(f"height falls inside ({M}, {M + 1}): not an LS path")
-        a, d = st[k]
-        out.append((a, _reflect_dir(W, J, i, d)))
+            raise ValueError(f"height falls inside ({M // D}, {M // D + 1}): not an LS path")
+        out.append((st[k][0], refl(st[k][1])))
     a, d = st[j2 - 1]
-    if H[j2] > M + 1:
-        cut = Q(M + 1 - H[j2 - 1], ns[j2 - 1])  # strictly inside the step
-        out.append((cut, _reflect_dir(W, J, i, d)))
-        out.append((a - cut, d))
+    if H[j2] > top:  # the level is crossed strictly inside the step: split it there
+        cut, n = top - H[j2 - 1], ns[j2 - 1]
+        if cut % n:
+            D, a, out, st = D * n, a * n, [(x * n, y) for x, y in out], [(x * n, y) for x, y in st]
+        else:
+            cut //= n
+        out += [(cut, refl(d)), (a - cut, d)]
     else:
-        out.append((a, _reflect_dir(W, J, i, d)))
-    out.extend(st[j2:])
-    return out
+        out.append((a, refl(d)))
+    out += st[j2:]
+    return from_steps(p.lam, D, out[::sign])
 
 
 def f(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
     """Lowering operator in direction i (endpoint drops by alpha_i)."""
-    st = steps(p)
-    out = _root_op(W, p.lam, i, st, [W.act(d, p.lam)[i] for _, d in st])
-    return None if out is None else from_steps(p.lam, out)
+    return _root_op(W, p, i, 1)
 
 
 def e(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
-    """Raising operator in direction i (endpoint gains alpha_i): f_i on the
-    reversed path, whose i-slopes are negated."""
-    st = steps(p)[::-1]
-    out = _root_op(W, p.lam, i, st, [-W.act(d, p.lam)[i] for _, d in st])
-    return None if out is None else from_steps(p.lam, out[::-1])
+    """Raising operator in direction i (endpoint gains alpha_i)."""
+    return _root_op(W, p, i, -1)
 
 
 # -- Demazure subcrystals ------------------------------------------------------
@@ -374,10 +386,10 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int, crystal=None)
     acc: dict[WeylElt, LaurentPoly] = {}
     if sign > 0:
         wcos = W.coset_min_rep(w, J)
-        tops = sorted((p for p in crystal if Coset(iota(p), J) == wcos), key=path_key)
+        tops = {p: endpoint(W, p) for p in sorted(crystal, key=path_key) if Coset(iota(p), J) == wcos}
         for z in interval_below(W, w):
             for p in lift_subset(W, tops, z, w, J, "up"):
-                lp_add_into(acc.setdefault(z, {}), lp_monomial(endpoint(W, p)))
+                lp_add_into(acc.setdefault(z, {}), lp_monomial(tops[p]))
     else:
         for p in sorted(crystal, key=path_key):
             z = down_path(W, w, p)

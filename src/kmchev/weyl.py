@@ -14,7 +14,7 @@ Inverses and parabolic decompositions are memoised per group as well; weights
 are still acted on by reflecting coordinates.
 
 Everything is bounded: infinite groups are explored through cached BFS layers
-guarded by a cap (KMCHEV_LAYER_CAP, default 100000).
+guarded by a cap (KMCHEV_LAYER_CAP, default 100000; LayerCapError beyond it).
 """
 from __future__ import annotations
 
@@ -24,6 +24,18 @@ from dataclasses import dataclass
 from .cartan import Coroot, Realization, Weight
 
 DEFAULT_LAYER_CAP = 100_000
+
+
+class LayerCapError(RuntimeError):
+    """KMCHEV_LAYER_CAP is not an int >= 0, or a BFS layer outgrew the cap."""
+
+
+def env_layer_cap() -> int:
+    """The layer cap KMCHEV_LAYER_CAP sets, else the default."""
+    text = os.environ.get("KMCHEV_LAYER_CAP", str(DEFAULT_LAYER_CAP))
+    if not (text.isascii() and text.isdigit()):
+        raise LayerCapError(f"KMCHEV_LAYER_CAP must be an int >= 0, not {text!r}")
+    return int(text)
 
 
 class WeylElt:
@@ -80,9 +92,7 @@ class WeylGroup:
         self.R = R
         self.n = R.n
         self.rho = R.rho
-        if layer_cap is None:
-            layer_cap = int(os.environ.get("KMCHEV_LAYER_CAP", DEFAULT_LAYER_CAP))
-        self.layer_cap = layer_cap
+        self.layer_cap = env_layer_cap() if layer_cap is None else layer_cap
         self.e = WeylElt(self, (), self.rho)
         self.e._inv = self.e
         self._elts: dict[Weight, WeylElt] = {self.rho: self.e}
@@ -90,6 +100,7 @@ class WeylGroup:
         self._layers: list[list[WeylElt]] = [[self.e]]
         self._cocover_cache: dict[Weight, tuple] = {}
         self._coset_cache: dict[tuple, tuple[WeylElt, WeylElt]] = {}
+        self.dir_images: dict[tuple, Weight] = {}  # (d.rho, lam) -> d(lam), filled by lspath only
 
     # -- construction ------------------------------------------------------
 
@@ -226,10 +237,8 @@ class WeylGroup:
                     if u.length == len(self._layers):
                         nxt[u.rho] = u
             if len(nxt) > self.layer_cap:
-                raise RuntimeError(
-                    f"BFS layer {len(self._layers)} exceeds cap {self.layer_cap}"
-                    " (raise KMCHEV_LAYER_CAP to override)"
-                )
+                raise LayerCapError(f"BFS layer {len(self._layers)} exceeds cap {self.layer_cap}"
+                                    " (raise KMCHEV_LAYER_CAP to override)")
             self._layers.append(sorted(nxt.values(), key=lambda u: u.key))
         return tuple(self._layers[k])
 

@@ -1,16 +1,19 @@
 """References that the tests compare the library against.
 
 The lifts are recomputed by scanning a BFS ball, the chain-axiom counts
-N_{<h} in a closed form that also holds where the lex chain is infinite, and
-a word of T_i operators by applying its letters one at a time.  pytest does
-not rewrite the asserts of this helper module, so a check that must hold
-under python -O raises explicitly.
+N_{<h} in a closed form that also holds where the lex chain is infinite, a
+word of T_i operators by applying its letters one at a time, and the LS root
+operators, endpoint and path format in Fraction arithmetic (the library works
+on int step lengths over one denominator).  pytest does not rewrite the
+asserts of this helper module, so a check that must hold under python -O
+raises explicitly.
 """
 from fractions import Fraction as Q
 
 from kmchev.alcove import stdvec
 from kmchev.cartan import pairing
 from kmchev.kring import apply_Ti
+from kmchev.lspath import LSPath, stabilizer_nodes
 
 
 def up_oracle(W, v, tau, search_bound):
@@ -72,3 +75,97 @@ def apply_word(R, word, f):
     for i in reversed(tuple(word)):
         f = apply_Ti(R, i, f)
     return f
+
+
+def ls_steps(p):
+    """Traversal steps [(a_1, d_1), ...] of p with Fraction lengths; d_1 = iota(p)."""
+    m = len(p.dirs)
+    ext = list(p.b) + [1]
+    return [(ext[m + 1 - k] - ext[m - k], p.dirs[m - k]) for k in range(1, m + 1)]
+
+
+def ls_from_steps(lam, raw):
+    """The canonical LS path of Fraction-length steps, dropping zero steps and
+    merging neighbours of equal direction."""
+    merged = []
+    for a, d in raw:
+        if a == 0:
+            continue
+        if a < 0:
+            raise ValueError(f"negative step length {a}")
+        if merged and merged[-1][1] == d:
+            merged[-1][0] += a
+        else:
+            merged.append([a, d])
+    m = len(merged)
+    bvals = [None] * m
+    acc = 0
+    for k, (a, _) in enumerate(merged, start=1):
+        acc += a
+        x = Q(1 - acc)
+        bvals[m - k] = x.numerator if x.denominator == 1 else x
+    if bvals[0] != 0:
+        raise ValueError(f"step lengths sum to {1 - bvals[0]}, not 1")
+    return LSPath(lam, tuple(bvals), tuple(d for _, d in reversed(merged)))
+
+
+def _ls_root_op(W, lam, i, st, ns):
+    """f_i on Fraction steps with i-slopes ns (e_i on the reversed path)."""
+    H = [Q(0)]
+    for (a, _), n in zip(st, ns):
+        H.append(H[-1] + a * n)
+    M = min(H)
+    if M.denominator != 1 or H[-1].denominator != 1:
+        raise ValueError(f"non-integral height {M} or {H[-1]}: not an LS path")
+    if H[-1] - M < 1:
+        return None
+    J = stabilizer_nodes(W.R, lam)
+
+    def refl(d):
+        return W.coset_min_rep(W.lmul(i, d), J).rep
+
+    j1 = max(k for k, h in enumerate(H) if h == M)
+    j2 = min(k for k in range(j1 + 1, len(H)) if H[k] >= M + 1)
+    out = list(st[:j1])
+    for k in range(j1, j2 - 1):
+        if ns[k] < 0:
+            raise ValueError(f"height falls inside ({M}, {M + 1}): not an LS path")
+        out.append((st[k][0], refl(st[k][1])))
+    a, d = st[j2 - 1]
+    if H[j2] > M + 1:
+        cut = (M + 1 - H[j2 - 1]) / ns[j2 - 1]
+        out += [(cut, refl(d)), (a - cut, d)]
+    else:
+        out.append((a, refl(d)))
+    return out + st[j2:]
+
+
+def ls_f(W, p, i):
+    st = ls_steps(p)
+    out = _ls_root_op(W, p.lam, i, st, [W.act(d, p.lam)[i] for _, d in st])
+    return None if out is None else ls_from_steps(p.lam, out)
+
+
+def ls_e(W, p, i):
+    st = ls_steps(p)[::-1]
+    out = _ls_root_op(W, p.lam, i, st, [-W.act(d, p.lam)[i] for _, d in st])
+    return None if out is None else ls_from_steps(p.lam, out[::-1])
+
+
+def ls_endpoint(W, p):
+    """p(1) = sum of step length times direction image, in Fractions."""
+    total = [Q(0)] * W.R.N
+    for a, d in ls_steps(p):
+        total = [t + a * x for t, x in zip(total, W.act(d, p.lam))]
+    if any(t.denominator != 1 for t in total):
+        raise ValueError(f"endpoint of {p.b} is not a lattice weight")
+    return tuple(t.numerator for t in total)
+
+
+def ls_format_path(p):
+    segs = []
+    for a, d in ls_steps(p):
+        part = "" if a == 1 else f"{a} "
+        name = "" if d.length == 0 else f"{d!r}·"
+        segs.append(f"{part}{name}λ")
+    return "(" + ", ".join(segs) + ")"

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kmchev.alcove as alcove
 import kmchev.cli as cli
 import kmchev.lspath as lspath
@@ -213,6 +215,33 @@ def test_non_integral_weight_exits_2_without_asserts():
     assert proc.returncode == 2, proc.stdout
     assert proc.stderr.startswith("error:")
     assert proc.stdout == ""
+
+
+BOUNDS_CASES = [
+    ({}, ["crystal", "--cartan", "A2", "--weight", "1,1", "--opposite", "--z", "1", "--max-length", "-1"],
+     "--max-length"),
+    ({}, ["chevalley", "--cartan", "A2", "--weight", "1,1", "--z", "1", "--max-length", "-3", "--model", "alcove"],
+     "--max-length"),
+    ({"KMCHEV_LAYER_CAP": "abc"}, ["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "1 2"],
+     "KMCHEV_LAYER_CAP"),
+    ({"KMCHEV_LAYER_CAP": "0"}, ["chevalley", "--cartan", "A1~", "--weight", "1,1", "--z", "1", "--max-length", "3",
+                                 "--model", "alcove"], "exceeds cap 0"),
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_bad_bounds_exit_2(flags):
+    """A negative --max-length, a KMCHEV_LAYER_CAP that is not an int >= 0,
+    and an exceeded layer cap each exit 2 with error:, also under python -O."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for extra_env, argv, needle in BOUNDS_CASES:
+        env = {k: v for k, v in os.environ.items() if k != "KMCHEV_LAYER_CAP"}
+        env.update(extra_env, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, *flags, "-m", "kmchev", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error:") and needle in proc.stderr, (argv, proc.stderr)
+        assert proc.stdout == "", argv
 
 
 def test_gcm_file_errors_exit_2(tmp_path, capsys):

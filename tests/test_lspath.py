@@ -114,12 +114,13 @@ def test_f_drops_the_weight_by_a_simple_root(aff):
 def test_steps_round_trip(aff):
     W, w, N = aff
     for p in N.values():
-        assert from_steps(p.lam, steps(p)) == p
-    # merging fuses an artificially split step
+        assert from_steps(p.lam, *steps(p)) == p
+    # merging fuses an artificially split step, here over a doubled denominator
     p = N["p1"]
-    (a1, d1), (a2, d2) = steps(p)
-    split = [(a1 / 2, d1), (a1 / 2, d1), (a2, d2)]
-    assert from_steps(p.lam, split) == p
+    D, ((a1, d1), (a2, d2)) = steps(p)
+    assert (D, a1, a2) == (3, 1, 2)
+    split = [(a1, d1), (a1, d1), (2 * a2, d2)]
+    assert from_steps(p.lam, 2 * D, split) == p
 
 
 def test_format_path(aff):
@@ -191,8 +192,8 @@ W = WeylGroup(realization_from_preset("A2"))
 lam = (1, 1)
 S = istring(W, straight_path(W, lam), 0)
 calls = [
-    lambda: from_steps(lam, [(Q(3, 2), W.e), (Q(-1, 2), W.simple(0))]),  # a negative step
-    lambda: from_steps(lam, [(Q(1, 2), W.e)]),  # the steps sum to 1/2
+    lambda: from_steps(lam, 2, [(3, W.e), (-1, W.simple(0))]),  # a negative step
+    lambda: from_steps(lam, 2, [(1, W.e)]),  # the steps sum to 1/2
     lambda: classify_string(W, S, W.e, 1, "up"),  # a 0-string classified as a 1-string
     lambda: lift_subset(W, [S.head], W.e, W.e, frozenset(), "sideways"),
     lambda: LSPath(lam, (0, Q(1, 2)), (W.e,)),  # two values of b for one direction

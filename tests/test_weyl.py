@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kmchev.cartan import realization_from_preset, weight
-from kmchev.weyl import Coset, WeylGroup
+from kmchev.weyl import DEFAULT_LAYER_CAP, Coset, LayerCapError, WeylGroup, env_layer_cap
 
 
 def words(W, bound):
@@ -163,6 +163,22 @@ def test_layer_cap_guards_explosions():
     W = WeylGroup(R, layer_cap=2)
     with pytest.raises(RuntimeError):
         W.bfs_ball(6)
+
+
+def test_layer_cap_from_the_environment(monkeypatch):
+    """KMCHEV_LAYER_CAP takes an int >= 0 and refuses anything else."""
+    monkeypatch.delenv("KMCHEV_LAYER_CAP", raising=False)
+    assert env_layer_cap() == DEFAULT_LAYER_CAP
+    for text, cap in (("0", 0), ("250", 250)):
+        monkeypatch.setenv("KMCHEV_LAYER_CAP", text)
+        assert env_layer_cap() == cap == WeylGroup(realization_from_preset("A1")).layer_cap
+    for text in ("abc", "-1", "1.5", "", " 3"):
+        monkeypatch.setenv("KMCHEV_LAYER_CAP", text)
+        with pytest.raises(LayerCapError, match="KMCHEV_LAYER_CAP"):
+            WeylGroup(realization_from_preset("A1"))
+    monkeypatch.setenv("KMCHEV_LAYER_CAP", "2")
+    with pytest.raises(LayerCapError, match="exceeds cap 2"):
+        WeylGroup(realization_from_preset("A2~")).bfs_ball(6)
 
 
 @given(st.lists(st.integers(0, 1), max_size=8).map(tuple))
