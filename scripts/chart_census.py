@@ -13,7 +13,6 @@ from collections import Counter
 
 from kmchev.cartan import realization_from_preset, weight
 from kmchev.lspath import (
-    Coset,
     all_istrings,
     classify_string,
     demazure_crystal,
@@ -30,16 +29,16 @@ def census(W, lam, pool, bases, tally, unmatched):
         for S in all_istrings(W, pool, i):
             si = W.simple(i)
             for z in bases:
-                if W.mult(si, z).length > z.length and W.coset_leq(
-                    W.coset_min_rep(z, J), Coset(phi(S.head), J)
+                if W.mult(si, z).length > z.length and W.bruhat_leq(
+                    W.coset_decompose(z, J)[0], phi(S.head)
                 ):
                     try:
                         tally["up:" + classify_string(W, S, z, i, "up")] += 1
                     except LookupError:
                         unmatched.append((lam, i, z, S))
             for w in bases:
-                if W.mult(si, w).length < w.length and W.coset_leq(
-                    Coset(iota(S.tail), J), W.coset_min_rep(w, J)
+                if W.mult(si, w).length < w.length and W.bruhat_leq(
+                    iota(S.tail), W.coset_decompose(w, J)[0]
                 ):
                     try:
                         tally["down:" + classify_string(W, S, w, i, "down")] += 1

@@ -17,7 +17,7 @@ from .cartan import (
     wt_scale,
     wt_sub,
 )
-from .weyl import Coset, WeylElt, WeylGroup
+from .weyl import WeylElt, WeylGroup
 from .lifts import down, interval_below, up
 from .kring import (
     LaurentPoly,

@@ -42,7 +42,7 @@ from .cartan import Coroot, Q, Realization, Weight, _num, pairing, wt_add, wt_ne
 from .kring import LaurentPoly, lp_add_into, lp_monomial
 from .lifts import down, up
 from .lspath import LSPath, stabilizer_nodes
-from .weyl import Coset, WeylElt, WeylGroup
+from .weyl import WeylElt, WeylGroup
 
 
 @dataclass(frozen=True)
@@ -388,7 +388,7 @@ def ls_to_seq(W: WeylGroup, p: LSPath, base: WeylElt, monotonicity: str) -> Adap
     J = stabilizer_nodes(W.R, lam)
     zs = [base]
     for sigma in p.dirs if inc else reversed(p.dirs):
-        zs.append((up if inc else down)(W, zs[-1], Coset(sigma, J)))
+        zs.append((up if inc else down)(W, zs[-1], sigma, J))
     zs = zs if inc else zs[::-1]
     ts = list(p.b) if inc else list(p.b[1:]) + [1]
     hs: list[LambdaHyperplane] = []

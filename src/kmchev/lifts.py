@@ -1,28 +1,32 @@
 """Deodhar lifts into parabolic cosets.
 
-up(v, tau) is the Bruhat-minimum of {w >= v : wW_J = tau}; down(w, tau) the
-Bruhat-maximum of {v <= w : vW_J = tau}.  Existence and uniqueness are
-classical (Deodhar, Invent. Math. 39, 1977).  Both are computed by a descent
-recursion that peels one letter per step and rebuilds the answer on the way
-back, so each costs a number of memoised Weyl-group links linear in the
-length.
+A coset of W_J is passed as its minimal representative sigma together with
+J.  up(v, sigma, J) is the Bruhat-minimum of {w >= v : wW_J = sigma W_J};
+down(w, sigma, J) the Bruhat-maximum of {v <= w : vW_J = sigma W_J}.
+Existence and uniqueness are classical (Deodhar, Invent. Math. 39, 1977).
+Both are computed by a descent recursion that peels one letter per step and
+rebuilds the answer on the way back, so each costs a number of memoised
+Weyl-group links linear in the length.
 """
 from __future__ import annotations
 
-from .weyl import Coset, WeylElt, WeylGroup
+from .weyl import WeylElt, WeylGroup
 
 
-def up(W: WeylGroup, v: WeylElt, tau: Coset) -> WeylElt:
-    """The minimal w >= v in the coset tau; requires vW_J <= tau.
+def up(W: WeylGroup, v: WeylElt, sigma: WeylElt, J) -> WeylElt:
+    """The minimal w >= v in sigma W_J; requires sigma minimal in its coset
+    and vW_J <= sigma W_J.
 
-    Peel the smallest descent i of the representative of tau; with
-    v' = min(v, s_i v), the map w -> s_i w is a length-preserving-minus-one
-    bijection {w >= v : wW_J = tau} -> {w' >= v' : w'W_J = s_i tau}, so the
+    Peel the smallest descent i of sigma; with v' = min(v, s_i v), the map
+    w -> s_i w is a length-preserving-minus-one bijection
+    {w >= v : wW_J = sigma W_J} -> {w' >= v' : w'W_J = s_i sigma W_J}, so the
     minimum is s_i times the minimum one level down.
     """
-    if not W.coset_leq(W.coset_min_rep(v, tau.J), tau):
-        raise ValueError(f"{v!r} does not lie under the coset {tau!r}")
-    letters = tau.rep.word
+    if any(W.inverse(sigma).rho[j] < 0 for j in J):
+        raise ValueError(f"{sigma!r} has a right descent in W_J: not a minimal representative")
+    if not W.bruhat_leq(W.coset_decompose(v, J)[0], sigma):
+        raise ValueError(f"{v!r} does not lie under the coset of {sigma!r}")
+    letters = sigma.word
     for i in letters:
         if v.rho[i] < 0:
             v = W.lmul(i, v)
@@ -39,28 +43,27 @@ def interval_below(W: WeylGroup, w: WeylElt) -> set[WeylElt]:
     return out
 
 
-def down(W: WeylGroup, w: WeylElt, tau: Coset) -> WeylElt:
-    """The maximal v <= w in the coset tau; requires wW_J >= tau.
+def down(W: WeylGroup, w: WeylElt, sigma: WeylElt, J) -> WeylElt:
+    """The maximal v <= w in sigma W_J; requires sigma minimal in its coset
+    and wW_J >= sigma W_J.
 
     With i a left descent of w, every v <= w has min(v, s_i v) <= s_i w, and
-    by the lifting property:
+    by the lifting property, writing tau = sigma W_J:
 
     * s_i tau > tau: down(w, tau) = down(s_i w, tau);
     * s_i tau < tau: down(w, tau) = s_i · down(s_i w, s_i tau);
     * s_i tau = tau: with D = down(s_i w, tau), the longer of D and s_i D.
+
+    The canonical word of w is peeled letter by letter (each letter is a left
+    descent of what remains), noting which case applies, and the answer is
+    unwound from down(e, W_J) = e.
     """
-    if not W.coset_leq(tau, W.coset_min_rep(w, tau.J)):
-        raise ValueError(f"{w!r} does not lie over the coset {tau!r}")
-    return _down(W, w, tau)
-
-
-def _down(W: WeylGroup, w: WeylElt, tau: Coset) -> WeylElt:
-    """down without the precondition check: peel the canonical word of w
-    letter by letter (each letter is a left descent of what remains), noting
-    which case applies, then unwind from down(e, W_J) = e."""
+    if any(W.inverse(sigma).rho[j] < 0 for j in J):
+        raise ValueError(f"{sigma!r} has a right descent in W_J: not a minimal representative")
+    if not W.bruhat_leq(sigma, W.coset_decompose(w, J)[0]):
+        raise ValueError(f"{w!r} does not lie over the coset of {sigma!r}")
     steps: list[tuple[int, int]] = []
-    t = tau.rep
-    J = tau.J
+    t = sigma
     for i in w.word:
         st = W.coset_decompose(W.lmul(i, t), J)[0]
         if st.length < t.length:
@@ -77,4 +80,3 @@ def _down(W: WeylGroup, w: WeylElt, tau: Coset) -> WeylElt:
             if sv.length > v.length:
                 v = sv
     return v
-

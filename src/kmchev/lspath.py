@@ -15,7 +15,8 @@ walk, ``sigma_m``, is the initial direction ``iota(p)``; the last one,
 ``sigma_1``, is the final direction ``phi(p)``.
 
 The crystal operator f_i reflects by s_i the part of the path between the
-last minimum M of its i-height profile and the first point at height M + 1.
+last minimum M of its i-height profile and the first point at height M + 1;
+a reflected direction d becomes s_i d, or stays d where its i-slope is 0.
 e_i is f_i read on the reversed path, whose i-slopes are negated, so both
 share one body.  All local minima of the height profile of a shape-``lam``
 LS path are integers, which the code checks (ValueError otherwise); the
@@ -44,7 +45,7 @@ from itertools import accumulate
 from .cartan import Q, Realization, Weight, pairing, wt_neg
 from .kring import LaurentPoly, lp_add_into, lp_monomial
 from .lifts import down, interval_below, up
-from .weyl import Coset, WeylElt, WeylGroup
+from .weyl import WeylElt, WeylGroup
 
 
 def stabilizer_nodes(R: Realization, lam: Weight) -> frozenset:
@@ -215,7 +216,11 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     i-slopes are negated), or None: the steps from the last minimum M of the
     i-height profile up to its first point at height M + 1 are reflected by
     s_i, the step crossing that level split at it; a cut that is not a
-    multiple of 1/D multiplies D and every step by that step's slope."""
+    multiple of 1/D multiplies D and every step by that step's slope.
+
+    A reflected step of direction d has slope +-<alpha_i^vee, d(lam)> >= 0, so
+    by Deodhar's lemma (Invent. Math. 39, 1977) the minimal representative of
+    s_i d W_lam is d at slope 0 and s_i d otherwise."""
     D, st = steps(p)
     st = st[::sign]
     ns = [sign * _image(W, d, p.lam)[i] for _, d in st]
@@ -226,10 +231,9 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     top = M + D
     if H[-1] < top:
         return None
-    J = stabilizer_nodes(W.R, p.lam)
 
-    def refl(d: WeylElt) -> WeylElt:  # the minimal representative of s_i d W_lam
-        return W.coset_decompose(W.lmul(i, d), J)[0]
+    def refl(d: WeylElt, slope: int) -> WeylElt:  # the minimal representative of s_i d W_lam
+        return W.lmul(i, d) if slope else d
 
     j1 = max(k for k, h in enumerate(H) if h == M)
     j2 = min(k for k in range(j1 + 1, len(H)) if H[k] >= top)
@@ -237,17 +241,17 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     for k in range(j1, j2 - 1):
         if ns[k] < 0:  # the profile turns down strictly between two integers
             raise ValueError(f"height falls inside ({M // D}, {M // D + 1}): not an LS path")
-        out.append((st[k][0], refl(st[k][1])))
-    a, d = st[j2 - 1]
+        out.append((st[k][0], refl(st[k][1], ns[k])))
+    (a, d), n = st[j2 - 1], ns[j2 - 1]
     if H[j2] > top:  # the level is crossed strictly inside the step: split it there
-        cut, n = top - H[j2 - 1], ns[j2 - 1]
+        cut = top - H[j2 - 1]
         if cut % n:
             D, a, out, st = D * n, a * n, [(x * n, y) for x, y in out], [(x * n, y) for x, y in st]
         else:
             cut //= n
-        out += [(cut, refl(d)), (a - cut, d)]
+        out += [(cut, refl(d, n)), (a - cut, d)]
     else:
-        out.append((a, refl(d)))
+        out.append((a, refl(d, n)))
     out += st[j2:]
     return from_steps(p.lam, D, out[::sign])
 
@@ -305,13 +309,12 @@ def crystal_up_to(W: WeylGroup, lam: Weight, length_bound: int) -> frozenset:
 def opposite_demazure_ls(W: WeylGroup, lam: Weight, z: WeylElt, length_bound: int):
     """Paths p with phi(p) >= z W_lam whose lift from z stays within the
     length bound.  Returns (paths, truncated)."""
-    J = stabilizer_nodes(W.R, lam)
-    zcos = W.coset_min_rep(z, J)
+    zmin = W.coset_decompose(z, stabilizer_nodes(W.R, lam))[0]
     pool = crystal_up_to(W, lam, length_bound)
     keep = set()
     truncated = False
     for p in pool:
-        if not W.coset_leq(zcos, Coset(phi(p), J)):
+        if not W.bruhat_leq(zmin, phi(p)):
             continue
         if up_path(W, z, p).length <= length_bound:
             keep.add(p)
@@ -334,7 +337,7 @@ def up_path(W: WeylGroup, z: WeylElt, p: LSPath) -> WeylElt:
     J = stabilizer_nodes(W.R, p.lam)
     cur = z
     for sigma in p.dirs:
-        cur = up(W, cur, Coset(sigma, J))
+        cur = up(W, cur, sigma, J)
     return cur
 
 
@@ -346,7 +349,7 @@ def down_path(W: WeylGroup, w: WeylElt, p: LSPath) -> WeylElt:
     J = stabilizer_nodes(W.R, p.lam)
     cur = w
     for sigma in reversed(p.dirs):
-        cur = down(W, cur, Coset(sigma, J))
+        cur = down(W, cur, sigma, J)
     return cur
 
 
@@ -354,11 +357,11 @@ def _lifting(W: WeylGroup, start: WeylElt, J: frozenset, direction: str):
     """(admits, lift) for lifting `start` along a path: "up" admits p when
     start W_lam <= phi(p) and lifts by up_path, "down" admits p when
     iota(p) <= start W_lam and lifts by down_path."""
-    scos = W.coset_min_rep(start, J)
+    smin = W.coset_decompose(start, J)[0]
     if direction == "up":
-        return (lambda p: W.coset_leq(scos, Coset(phi(p), J))), up_path
+        return (lambda p: W.bruhat_leq(smin, phi(p))), up_path
     if direction == "down":
-        return (lambda p: W.coset_leq(Coset(iota(p), J), scos)), down_path
+        return (lambda p: W.bruhat_leq(iota(p), smin)), down_path
     raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
 
 
@@ -385,8 +388,8 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int, crystal=None)
     J = stabilizer_nodes(W.R, lam)
     acc: dict[WeylElt, LaurentPoly] = {}
     if sign > 0:
-        wcos = W.coset_min_rep(w, J)
-        tops = {p: endpoint(W, p) for p in sorted(crystal, key=path_key) if Coset(iota(p), J) == wcos}
+        wmin = W.coset_decompose(w, J)[0]
+        tops = {p: endpoint(W, p) for p in sorted(crystal, key=path_key) if iota(p) == wmin}
         for z in interval_below(W, w):
             for p in lift_subset(W, tops, z, w, J, "up"):
                 lp_add_into(acc.setdefault(z, {}), lp_monomial(tops[p]))

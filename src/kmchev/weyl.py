@@ -1,4 +1,4 @@
-"""Weyl groups: elements, Bruhat order, inversions, covers, parabolic cosets.
+"""Weyl groups: elements, Bruhat order, inversions, covers, coset representatives.
 
 An element is identified by its image w(rho) of the Weyl vector: rho is
 regular, so the orbit map is injective and equality/hashing reduce to tuple
@@ -11,7 +11,8 @@ Casselman's integer Coxeter kernel (Invent. Math. 117, 1994): every element
 carries a link s_i·w per node, filled on first use and set in both directions
 (s_i² = e), so a product is a walk of links along the shorter factor's word.
 Inverses and parabolic decompositions are memoised per group as well; weights
-are still acted on by reflecting coordinates.
+are still acted on by reflecting coordinates.  A coset wW_J is its minimal
+representative coset_decompose(w, J)[0], ordered in W/W_J by bruhat_leq.
 
 Everything is bounded: infinite groups are explored through cached BFS layers
 guarded by a cap (KMCHEV_LAYER_CAP, default 100000; LayerCapError beyond it).
@@ -19,7 +20,6 @@ guarded by a cap (KMCHEV_LAYER_CAP, default 100000; LayerCapError beyond it).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .cartan import Coroot, Realization, Weight
 
@@ -74,17 +74,6 @@ class WeylElt:
             return "e"
         names = self.W.R.node_names
         return "*".join(f"s{names[i]}" for i in self.word)
-
-
-@dataclass(frozen=True)
-class Coset:
-    """A coset wW_J, stored through its minimum-length representative."""
-
-    rep: WeylElt
-    J: frozenset
-
-    def __repr__(self):
-        return f"{self.rep!r}·W{{{','.join(sorted(map(str, self.J)))}}}"
 
 
 class WeylGroup:
@@ -263,7 +252,7 @@ class WeylGroup:
                     out.append((w, beta))
         return out
 
-    # -- parabolic cosets ----------------------------------------------------
+    # -- minimal coset representatives ----------------------------------------------------
 
     def coset_decompose(self, w: WeylElt, J) -> tuple[WeylElt, WeylElt]:
         """w = w^J · w_J with w^J the minimum-length coset representative;
@@ -287,16 +276,3 @@ class WeylGroup:
             raise RuntimeError(f"coset decomposition of {w!r} breaks l(w) = l(w^J) + l(w_J)")
         self._coset_cache[key] = (u, w_j)
         return u, w_j
-
-    def coset_min_rep(self, w: WeylElt, J) -> Coset:
-        return Coset(self.coset_decompose(w, J)[0], frozenset(J))
-
-    def coset_leq(self, sigma: Coset, tau: Coset) -> bool:
-        """Bruhat order on W/W_J, via the order on minimal representatives."""
-        if sigma.J != tau.J:
-            raise ValueError("cosets over different parabolics")
-        return self.bruhat_leq(sigma.rep, tau.rep)
-
-    def coset_mult_simple(self, i: int, tau: Coset) -> Coset:
-        """The coset s_i · tau."""
-        return self.coset_min_rep(self.lmul(i, tau.rep), tau.J)

@@ -16,13 +16,13 @@ from kmchev.kring import apply_Ti
 from kmchev.lspath import LSPath, stabilizer_nodes
 
 
-def up_oracle(W, v, tau, search_bound):
-    """up(v, tau): the Bruhat-minimum of {w >= v : wW_J = tau} within the
-    ball of the given length, checked to be unique."""
+def up_oracle(W, v, sigma, J, search_bound):
+    """up(v, sigma, J): the Bruhat-minimum of {w >= v : wW_J = sigma W_J}
+    within the ball of the given length, checked to be unique."""
     candidates = [
         w
         for w in W.bfs_ball(search_bound)
-        if W.coset_min_rep(w, tau.J) == tau and W.bruhat_leq(v, w)
+        if W.coset_decompose(w, J)[0] == sigma and W.bruhat_leq(v, w)
     ]
     if not candidates:
         raise ValueError(f"no candidate found within length {search_bound}")
@@ -32,16 +32,16 @@ def up_oracle(W, v, tau, search_bound):
     return best
 
 
-def down_oracle(W, w, tau):
-    """down(w, tau): the Bruhat-maximum of {v <= w : vW_J = tau}, scanning the
-    ball under l(w), checked to be unique."""
+def down_oracle(W, w, sigma, J):
+    """down(w, sigma, J): the Bruhat-maximum of {v <= w : vW_J = sigma W_J},
+    scanning the ball under l(w), checked to be unique."""
     candidates = [
         v
         for v in W.bfs_ball(w.length)
-        if W.coset_min_rep(v, tau.J) == tau and W.bruhat_leq(v, w)
+        if W.coset_decompose(v, J)[0] == sigma and W.bruhat_leq(v, w)
     ]
     if not candidates:
-        raise ValueError(f"no element of {tau!r} lies below {w!r}")
+        raise ValueError(f"no element of the coset of {sigma!r} lies below {w!r}")
     best = max(candidates, key=lambda v: v.key)
     if not all(W.bruhat_leq(v, best) for v in candidates):
         raise AssertionError("maximum not unique")
@@ -122,7 +122,7 @@ def _ls_root_op(W, lam, i, st, ns):
     J = stabilizer_nodes(W.R, lam)
 
     def refl(d):
-        return W.coset_min_rep(W.lmul(i, d), J).rep
+        return W.coset_decompose(W.lmul(i, d), J)[0]
 
     j1 = max(k for k, h in enumerate(H) if h == M)
     j2 = min(k for k in range(j1 + 1, len(H)) if H[k] >= M + 1)

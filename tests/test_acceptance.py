@@ -37,7 +37,6 @@ from kmchev.kring import (
     lp_mul_monomial,
 )
 from kmchev.lspath import (
-    Coset,
     all_istrings,
     chevalley_ls,
     classify_string,
@@ -263,19 +262,19 @@ def test_criterion_6_lift_parity(WA2, WB2, WAFF):
         nonlocal checked
         elems = balls
         for J in Js:
-            cosets = sorted({W.coset_min_rep(u, J) for u in elems}, key=lambda c: c.rep.key)
+            reps = sorted({W.coset_decompose(u, J)[0] for u in elems}, key=lambda u: u.key)
             for v in elems:
-                vc = W.coset_min_rep(v, J)
-                for tau in cosets:
-                    if W.coset_leq(vc, tau):
-                        bound = v.length + tau.rep.length + 2
-                        assert up(W, v, tau) == up_oracle(W, v, tau, bound)
+                vmin = W.coset_decompose(v, J)[0]
+                for tau in reps:
+                    if W.bruhat_leq(vmin, tau):
+                        bound = v.length + tau.length + 2
+                        assert up(W, v, tau, J) == up_oracle(W, v, tau, J, bound)
                         checked += 1
             for w in elems:
-                wc = W.coset_min_rep(w, J)
-                for tau in cosets:
-                    if W.coset_leq(tau, wc):
-                        assert down(W, w, tau) == down_oracle(W, w, tau)
+                wmin = W.coset_decompose(w, J)[0]
+                for tau in reps:
+                    if W.bruhat_leq(tau, wmin):
+                        assert down(W, w, tau, J) == down_oracle(W, w, tau, J)
                         checked += 1
 
     for W in (WA2, WB2):
@@ -303,14 +302,14 @@ def classify_everything(W, lam, pool, bases):
         for S in all_istrings(W, pool, i):
             si = W.simple(i)
             for z in bases:
-                if W.mult(si, z).length > z.length and W.coset_leq(
-                    W.coset_min_rep(z, J), Coset(phi(S.head), J)
+                if W.mult(si, z).length > z.length and W.bruhat_leq(
+                    W.coset_decompose(z, J)[0], phi(S.head)
                 ):
                     up_labels.add(classify_string(W, S, z, i, "up"))
                     n += 1
             for w in bases:
-                if W.mult(si, w).length < w.length and W.coset_leq(
-                    Coset(iota(S.tail), J), W.coset_min_rep(w, J)
+                if W.mult(si, w).length < w.length and W.bruhat_leq(
+                    iota(S.tail), W.coset_decompose(w, J)[0]
                 ):
                     down_labels.add(classify_string(W, S, w, i, "down"))
                     n += 1

@@ -9,18 +9,19 @@ from reference import down_oracle, up_oracle
 
 
 def coset(W, word, J):
-    return W.coset_min_rep(W.from_word(word), frozenset(J))
+    """The minimal representative of the coset of the word's element."""
+    return W.coset_decompose(W.from_word(word), J)[0]
 
 
 def test_frozen_affine_lifts(WAFF):
     W = WAFF
     J = {2}
     w = W.from_word((0, 1, 2, 1))
-    assert up(W, W.from_word((1, 2)), coset(W, (2, 1), J)) == W.from_word((1, 2, 1))
-    assert up(W, W.from_word((1, 2, 1)), coset(W, (0, 2, 1), J)) == w
-    assert down(W, w, coset(W, (0,), J)) == W.from_word((0, 2))
-    assert down(W, w, coset(W, (), J)) == W.from_word((2,))
-    assert down(W, w, coset(W, (0, 1, 2, 1), J)) == w
+    assert up(W, W.from_word((1, 2)), coset(W, (2, 1), J), J) == W.from_word((1, 2, 1))
+    assert up(W, W.from_word((1, 2, 1)), coset(W, (0, 2, 1), J), J) == w
+    assert down(W, w, coset(W, (0,), J), J) == W.from_word((0, 2))
+    assert down(W, w, coset(W, (), J), J) == W.from_word((2,))
+    assert down(W, w, coset(W, (0, 1, 2, 1), J), J) == w
 
 
 def test_frozen_a3_lift_shift():
@@ -29,8 +30,21 @@ def test_frozen_a3_lift_shift():
     W = WeylGroup(realization_from_preset("A3"))
     J = {0}
     tau = coset(W, (1, 2), J)
-    assert up(W, W.from_word((2,)), tau) == W.from_word((1, 2))
-    assert up(W, W.from_word((0, 2)), tau) == W.from_word((1, 2, 0))
+    assert up(W, W.from_word((2,)), tau, J) == W.from_word((1, 2))
+    assert up(W, W.from_word((0, 2)), tau, J) == W.from_word((1, 2, 0))
+
+
+def test_lifts_refuse_a_non_minimal_representative(WA2):
+    # s1 lies in W_J for J = {s1}: its coset is W_J, whose minimal
+    # representative is e, so neither lift may read s1 as a representative.
+    J = frozenset({0})
+    s1, w0 = WA2.simple(0), WA2.from_word((0, 1, 0))
+    assert up(WA2, WA2.e, WA2.e, J) == WA2.e
+    assert down(WA2, w0, WA2.e, J) == s1
+    with pytest.raises(ValueError):
+        up(WA2, WA2.e, s1, J)
+    with pytest.raises(ValueError):
+        down(WA2, w0, s1, J)
 
 
 def test_interval_below(WA2):
@@ -45,20 +59,20 @@ def _assert_lift_parity(W, bound, subsets):
     the given length and every coset they reach, over each J in subsets."""
     elems = W.bfs_ball(bound)
     for J in subsets:
-        cosets = sorted({W.coset_min_rep(w, J) for w in elems}, key=lambda c: c.rep.key)
+        reps = sorted({W.coset_decompose(w, J)[0] for w in elems}, key=lambda u: u.key)
         for v in elems:
-            vc = W.coset_min_rep(v, J)
-            for tau in cosets:
-                if W.coset_leq(vc, tau):
-                    assert up(W, v, tau) == up_oracle(W, v, tau, max(bound, v.length + tau.rep.length + 2))
+            vmin = W.coset_decompose(v, J)[0]
+            for tau in reps:
+                if W.bruhat_leq(vmin, tau):
+                    assert up(W, v, tau, J) == up_oracle(W, v, tau, J, max(bound, v.length + tau.length + 2))
         for w in elems:
-            wc = W.coset_min_rep(w, J)
-            for tau in cosets:
-                if W.coset_leq(tau, wc):
-                    assert down(W, w, tau) == down_oracle(W, w, tau)
+            wmin = W.coset_decompose(w, J)[0]
+            for tau in reps:
+                if W.bruhat_leq(tau, wmin):
+                    assert down(W, w, tau, J) == down_oracle(W, w, tau, J)
                 else:
                     with pytest.raises(ValueError):
-                        down(W, w, tau)
+                        down(W, w, tau, J)
 
 
 def _all_subsets(n):
@@ -90,25 +104,30 @@ def test_lift_parity_infinite_rank_two(R, bound):
 def test_lifts_of_words_longer_than_the_recursion_limit():
     W = WeylGroup(realization_from_preset("A1~"))
     w = W.from_word((0, 1) * 600)
-    tau = W.coset_min_rep(W.from_word((1, 0) * 3), frozenset({0}))
-    assert down(W, w, tau) == W.from_word((1, 0) * 3)
-    whole = W.coset_min_rep(W.e, frozenset({0, 1}))
-    assert down(W, w, whole) == w
-    assert up(W, W.e, W.coset_min_rep(w, frozenset())) == w
+    tau = coset(W, (1, 0) * 3, {0})
+    assert down(W, w, tau, {0}) == W.from_word((1, 0) * 3)
+    assert down(W, w, coset(W, (), {0, 1}), {0, 1}) == w
+    assert up(W, W.e, coset(W, w.word, ()), ()) == w
 
 
 # -- how lifts interact with a simple reflection --------------------------------
 
 
 def _configs(W):
-    """Every (v, tau, s_i, J) with v W_J <= tau, over all proper J."""
+    """Every (v, tau, s_i, J) with tau a minimal representative and
+    v W_J <= tau W_J, over all proper J."""
     elems = W.bfs_ball(8)
     subsets = [frozenset(s) for r in range(W.n) for s in itertools.combinations(range(W.n), r)]
     for J in subsets:
-        cosets = {W.coset_min_rep(w, J) for w in elems}
-        for v, tau, i in itertools.product(elems, cosets, range(W.n)):
-            if W.coset_leq(W.coset_min_rep(v, J), tau):
+        reps = {W.coset_decompose(w, J)[0] for w in elems}
+        for v, tau, i in itertools.product(elems, reps, range(W.n)):
+            if W.bruhat_leq(W.coset_decompose(v, J)[0], tau):
                 yield v, tau, i, J
+
+
+def _s_tau(W, i, tau, J):
+    """The minimal representative of s_i tau W_J."""
+    return W.coset_decompose(W.lmul(i, tau), J)[0]
 
 
 @pytest.mark.parametrize("preset", ["A2", "B2"])
@@ -117,12 +136,12 @@ def test_lift_tracks_the_reflection_of_the_target(preset):
     W = WeylGroup(realization_from_preset(preset))
     for v, tau, i, J in _configs(W):
         s = W.simple(i)
-        w = up(W, v, tau)
-        stau = W.coset_mult_simple(i, tau)
+        w = up(W, v, tau, J)
+        stau = _s_tau(W, i, tau, J)
         sw = W.mult(s, w)
-        if stau.rep.length > tau.rep.length:
+        if stau.length > tau.length:
             assert sw.length > w.length
-        elif stau.rep.length < tau.rep.length:
+        elif stau.length < tau.length:
             assert sw.length < w.length
         elif W.mult(s, v).length > v.length:
             assert sw.length > w.length
@@ -135,13 +154,13 @@ def test_lift_to_the_lowered_target(preset):
     hit = 0
     for v, tau, i, J in _configs(W):
         s = W.simple(i)
-        stau = W.coset_mult_simple(i, tau)
-        if W.mult(s, v).length < v.length or stau.rep.length >= tau.rep.length:
+        stau = _s_tau(W, i, tau, J)
+        if W.mult(s, v).length < v.length or stau.length >= tau.length:
             continue
-        if not W.coset_leq(W.coset_min_rep(v, J), stau):
+        if not W.bruhat_leq(W.coset_decompose(v, J)[0], stau):
             continue
-        w = up(W, v, tau)
-        y = up(W, v, stau)
+        w = up(W, v, tau, J)
+        y = up(W, v, stau, J)
         assert y == W.mult(s, w)
         assert y.length < w.length
         hit += 1
@@ -157,13 +176,13 @@ def test_lift_of_the_raised_start(preset):
     for v, tau, i, J in _configs(W):
         s = W.simple(i)
         sv = W.mult(s, v)
-        stau = W.coset_mult_simple(i, tau)
-        if v.length > sv.length or stau.rep.length > tau.rep.length:
+        stau = _s_tau(W, i, tau, J)
+        if v.length > sv.length or stau.length > tau.length:
             continue
-        if not W.coset_leq(W.coset_min_rep(sv, J), tau):
+        if not W.bruhat_leq(W.coset_decompose(sv, J)[0], tau):
             continue
-        y = up(W, sv, tau)
-        w = up(W, v, tau)
+        y = up(W, sv, tau, J)
+        w = up(W, v, tau, J)
         if y != w:
             assert y == W.mult(s, w)
             assert y.length > w.length

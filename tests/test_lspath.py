@@ -9,7 +9,6 @@ import pytest
 from kmchev.cartan import weight, wt_neg, wt_sub
 from kmchev.kring import apply_Ti, lp_act, lp_add_into, lp_monomial
 from kmchev.lspath import (
-    Coset,
     LSPath,
     all_istrings,
     chevalley_ls,
@@ -226,8 +225,8 @@ def test_membership_is_initial_direction_below_w(aff):
     W, w, N = aff
     J = stabilizer_nodes(W.R, LAM)
     pool = crystal_up_to(W, LAM, 4)
-    wcos = W.coset_min_rep(w, J)
-    expected = {p for p in pool if W.coset_leq(W.coset_min_rep(iota(p), J), wcos)}
+    wmin = W.coset_decompose(w, J)[0]
+    expected = {p for p in pool if W.bruhat_leq(W.coset_decompose(iota(p), J)[0], wmin)}
     assert demazure_crystal(W, LAM, w) == expected
 
 
@@ -327,10 +326,10 @@ def test_string_ends_are_extremal(aff):
     J = stabilizer_nodes(W.R, LAM)
     for i in range(W.n):
         for S in all_istrings(W, crystal_up_to(W, LAM, 3), i):
-            iotas = [W.coset_min_rep(iota(p), J) for p in S.elements]
-            phis = [W.coset_min_rep(phi(p), J) for p in S.elements]
-            assert all(W.coset_leq(c, iotas[-1]) for c in iotas)
-            assert all(W.coset_leq(phis[0], c) for c in phis)
+            iotas = [W.coset_decompose(iota(p), J)[0] for p in S.elements]
+            phis = [W.coset_decompose(phi(p), J)[0] for p in S.elements]
+            assert all(W.bruhat_leq(c, iotas[-1]) for c in iotas)
+            assert all(W.bruhat_leq(phis[0], c) for c in phis)
 
 
 def test_string_direction_jumps_once(aff):
@@ -342,13 +341,13 @@ def test_string_direction_jumps_once(aff):
         for S in all_istrings(W, crystal_up_to(W, LAM, 3), i):
             if len(S.elements) < 2:
                 continue
-            iotas = [W.coset_min_rep(iota(p), J) for p in S.elements]
-            raised = W.coset_mult_simple(i, iotas[0])
+            iotas = [W.coset_decompose(iota(p), J)[0] for p in S.elements]
+            raised = W.coset_decompose(W.lmul(i, iotas[0]), J)[0]
             assert all(c in (iotas[0], raised) for c in iotas)
             jumps = sum(1 for a, b in zip(iotas, iotas[1:]) if a != b)
             assert jumps <= 1
-            phis = [W.coset_min_rep(phi(p), J) for p in S.elements]
-            lowered = W.coset_mult_simple(i, phis[-1])
+            phis = [W.coset_decompose(phi(p), J)[0] for p in S.elements]
+            lowered = W.coset_decompose(W.lmul(i, phis[-1]), J)[0]
             assert all(c in (phis[-1], lowered) for c in phis)
             assert sum(1 for a, b in zip(phis, phis[1:]) if a != b) <= 1
 
@@ -361,13 +360,13 @@ def classification_sweep(W, lam, pool, ball):
         for S in all_istrings(W, pool, i):
             si = W.simple(i)
             for z in ball:
-                if W.mult(si, z).length > z.length and W.coset_leq(
-                    W.coset_min_rep(z, J), Coset(phi(S.head), J)
+                if W.mult(si, z).length > z.length and W.bruhat_leq(
+                    W.coset_decompose(z, J)[0], phi(S.head)
                 ):
                     tally["up:" + classify_string(W, S, z, i, "up")] += 1
             for w in ball:
-                if W.mult(si, w).length < w.length and W.coset_leq(
-                    Coset(iota(S.tail), J), W.coset_min_rep(w, J)
+                if W.mult(si, w).length < w.length and W.bruhat_leq(
+                    iota(S.tail), W.coset_decompose(w, J)[0]
                 ):
                     tally["down:" + classify_string(W, S, w, i, "down")] += 1
     return tally
@@ -429,9 +428,10 @@ def test_string_recurrence_consistency(aff):
             members = frozenset(S.elements)
             for z in W.bfs_ball(4):
                 sz = W.mult(si, z)
-                if not (sz.length > z.length and W.coset_leq(W.coset_min_rep(z, J), Coset(phi(S.head), J))):
+                zmin = W.coset_decompose(z, J)[0]
+                if not (sz.length > z.length and W.bruhat_leq(zmin, phi(S.head))):
                     continue
-                for x in {up_path(W, z, p) for p in members if W.coset_leq(W.coset_min_rep(z, J), Coset(phi(p), J))}:
+                for x in {up_path(W, z, p) for p in members if W.bruhat_leq(zmin, phi(p))}:
                     if W.mult(si, x).length < x.length:
                         continue
                     sx = W.mult(si, x)
