@@ -485,6 +485,8 @@ def realization_from_json_file(path: str) -> Realization:
     names = tuple(str(x) for x in data["nodes"]) if "nodes" in data else None
     if names is not None and len(names) != gcm.n:
         raise ValueError("nodes list has wrong length")
+    if names is not None and (len(set(names)) < len(names) or any(x.split() != [x] or x == "e" for x in names)):
+        raise ValueError(f"node names {list(names)} must be distinct, non-empty, without whitespace and not 'e'")
     return Realization(gcm, names)
 
 

@@ -275,6 +275,8 @@ def cmd_chevalley(cfg: JobConfig) -> int:
 def _chevalley_fixed_z(cfg: JobConfig, R: Realization, W: WeylGroup, lam: Weight) -> int:
     if cfg.z is None or cfg.max_length is None:
         raise CLIError("fixed-z mode needs both --z and --max-length")
+    if cfg.w is not None:
+        raise CLIError("fixed-z mode (--z, --max-length) expands over every w: drop --w")
     if cfg.model not in ("alcove",):
         raise CLIError("fixed-z mode is supported by the alcove model only (--model alcove)")
     if cfg.fmt not in ("json", "table"):
@@ -325,6 +327,8 @@ def cmd_crystal(cfg: JobConfig) -> int:
     if cfg.opposite:
         if cfg.z is None or cfg.max_length is None:
             raise CLIError("--opposite needs --z and --max-length")
+        if cfg.w is not None:
+            raise CLIError("--opposite builds the set over --z: drop --w")
         z = W.from_word(parse_word(R, cfg.z))
         paths, trunc_ls = lspath.opposite_demazure_ls(W, lam, z, cfg.max_length)
         raw, trunc_alc = alcove.opposite_demazure_alcove(W, lam, z, cfg.max_length)
@@ -333,6 +337,8 @@ def cmd_crystal(cfg: JobConfig) -> int:
     else:
         if cfg.w is None:
             raise CLIError("crystal needs --w (or --opposite with --z)")
+        if cfg.z is not None or cfg.max_length is not None:
+            raise CLIError("--z and --max-length go with --opposite only")
         w = W.from_word(parse_word(R, cfg.w))
         paths = lspath.demazure_crystal(W, lam, w)
         seqs = alcove.demazure_alcove(W, lam, w)
@@ -495,6 +501,9 @@ def cmd_selftest(cfg: JobConfig) -> int:
         selected = []
     else:
         selected = [(n, fn) for n, fn in SCENARIOS if cfg.scenario in n]
+        if not selected:
+            names = ", ".join(n for n, _ in SCENARIOS)
+            raise CLIError(f"no scenario matches {cfg.scenario!r}; scenarios are {names}")
     results = []
     for name, fn in selected:
         try:

@@ -252,7 +252,7 @@ class WeylGroup:
                     out.append((w, beta))
         return out
 
-    # -- minimal coset representatives ----------------------------------------------------
+    # -- parabolic cosets ----------------------------------------------------
 
     def coset_decompose(self, w: WeylElt, J) -> tuple[WeylElt, WeylElt]:
         """w = w^J · w_J with w^J the minimum-length coset representative;

@@ -157,11 +157,20 @@ def test_error_exits(capsys):
         ["chevalley", "--cartan", "A2", "--weight", "oops", "--w", "e"],
         ["crystal", "--cartan", "A2", "--weight", "1,1", "--opposite", "--z", "1"],
         ["crystal", "--cartan", "A2", "--weight", "1,1"],
+        # options the chosen mode would otherwise drop
+        ["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--z", "1", "--max-length", "2",
+         "--model", "alcove"],
+        ["crystal", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--opposite", "--z", "1",
+         "--max-length", "2"],
+        ["crystal", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--z", "1"],
+        ["crystal", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--max-length", "1"],
+        ["selftest", "--scenario", "nosuch"],
     ]
     for argv in cases:
         code, _, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+    assert "crystal-mass" in err  # the refused scenario filter lists the scenarios
 
 
 def test_non_integral_weights_exit_2(capsys):
@@ -256,6 +265,11 @@ def test_gcm_file_errors_exit_2(tmp_path, capsys):
         "float": json.dumps({"matrix": [[2.0, -1], [-1, 2]]}),
         "bool": json.dumps({"matrix": [[2, True], [-1, 2]]}),
         "symmetrizer": json.dumps({"matrix": [[2, -1], [-2, 2]], "symmetrizer": [2, 1.5]}),
+        # node names a word could not spell, or could spell two ways
+        "duplicate_nodes": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": ["a", "a"]}),
+        "empty_node": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": ["a", ""]}),
+        "space_node": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": ["a b", "c"]}),
+        "identity_node": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": ["e", "f"]}),
     }
     paths = [str(tmp_path / "missing.json")]
     for name, body in bodies.items():
