@@ -16,12 +16,8 @@ def readme_block(fence: str, after: str = "") -> list[str]:
     return text[start:text.index("```", start)].splitlines()
 
 
-def readme_session() -> list[str]:
-    return readme_block("```python")
-
-
 def test_readme_session():
-    lines = readme_session()
+    lines = readme_block("```python")
     checked = 0
     namespace: dict = {}
     for line in lines:
