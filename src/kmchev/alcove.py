@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .cartan import Coroot, Q, Realization, Weight, _num, pairing, wt_add, wt_neg, wt_scale
 from .kring import LaurentPoly, lp_add_into, lp_monomial
@@ -45,14 +44,22 @@ from .lspath import LSPath, stabilizer_nodes
 from .weyl import WeylElt, WeylGroup
 
 
-@dataclass(frozen=True)
 class LambdaHyperplane:
-    alpha: Coroot
-    k: int
+    __slots__ = ("alpha", "k")
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"hyperplane level {self.k} is negative")
+    def __init__(self, alpha: Coroot, k: int):
+        if k < 0:
+            raise ValueError(f"hyperplane level {k} is negative")
+        self.alpha = alpha
+        self.k = k
+
+    def __eq__(self, other):
+        if type(other) is not LambdaHyperplane:
+            return NotImplemented
+        return (self.alpha, self.k) == (other.alpha, other.k)
+
+    def __hash__(self):
+        return hash((self.alpha, self.k))
 
     def __repr__(self):
         return f"({self.k}|{','.join(map(str, self.alpha.c))})"
@@ -163,7 +170,6 @@ def _is_inc(monotonicity: str) -> bool:
     return monotonicity == "inc"
 
 
-@dataclass(frozen=True)
 class AdaptedSequence:
     """A label-monotone saturated chain read from its base z up to its end.
 
@@ -171,17 +177,27 @@ class AdaptedSequence:
     whether the labels hs strictly lex-increase or lex-decrease.
     """
 
-    z: WeylElt
-    hs: tuple
-    chain: tuple
-    monotonicity: str
+    __slots__ = ("z", "hs", "chain", "monotonicity")
 
-    def __post_init__(self):
-        _is_inc(self.monotonicity)
-        if len(self.chain) != len(self.hs) + 1:
-            raise ValueError(f"a chain of {len(self.chain)} elements for {len(self.hs)} labels")
-        if self.chain[0] != self.z:
-            raise ValueError(f"the chain starts at {self.chain[0]!r}, not at z = {self.z!r}")
+    def __init__(self, z: WeylElt, hs: tuple, chain: tuple, monotonicity: str):
+        _is_inc(monotonicity)
+        if len(chain) != len(hs) + 1:
+            raise ValueError(f"a chain of {len(chain)} elements for {len(hs)} labels")
+        if chain[0] != z:
+            raise ValueError(f"the chain starts at {chain[0]!r}, not at z = {z!r}")
+        self.z = z
+        self.hs = hs
+        self.chain = chain
+        self.monotonicity = monotonicity
+
+    def __eq__(self, other):
+        if type(other) is not AdaptedSequence:
+            return NotImplemented
+        return ((self.z, self.hs, self.chain, self.monotonicity)
+                == (other.z, other.hs, other.chain, other.monotonicity))
+
+    def __hash__(self):
+        return hash((self.z, self.hs, self.chain, self.monotonicity))
 
     @property
     def end(self) -> WeylElt:

@@ -17,10 +17,8 @@ at the boundary (the CLI) and never reach the weight arithmetic.
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 Q = Fraction
@@ -163,12 +161,25 @@ def _integer(x, what: str) -> int:
     return x
 
 
-@dataclass(frozen=True)
 class GCM:
     """A symmetrizable generalized Cartan matrix with a primitive symmetrizer."""
 
-    a: tuple[tuple[int, ...], ...]
-    d: tuple[int, ...]
+    __slots__ = ("a", "d")
+
+    def __init__(self, a: tuple[tuple[int, ...], ...], d: tuple[int, ...]):
+        self.a = a
+        self.d = d
+
+    def __eq__(self, other):
+        if type(other) is not GCM:
+            return NotImplemented
+        return (self.a, self.d) == (other.a, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.d))
+
+    def __repr__(self):
+        return f"GCM(a={self.a!r}, d={self.d!r})"
 
     @property
     def n(self) -> int:
@@ -239,7 +250,6 @@ def _positive_null_vector(mat) -> tuple[int, ...] | None:
     return tuple(x // g for x in ints)
 
 
-@dataclass(frozen=True)
 class Coroot:
     """A real coroot: coordinates c in the simple-coroot basis plus, in tandem,
     the ambient vector of the corresponding real root (the tandem vector is
@@ -247,8 +257,11 @@ class Coroot:
     Equality and hashing read c only.
     """
 
-    c: tuple[int, ...]
-    root: Weight
+    __slots__ = ("c", "root")
+
+    def __init__(self, c: tuple[int, ...], root: Weight):
+        self.c = c
+        self.root = root
 
     def __eq__(self, other):
         return isinstance(other, Coroot) and self.c == other.c
@@ -469,6 +482,8 @@ def realization_from_preset(name: str) -> Realization:
 
 def realization_from_json_file(path: str) -> Realization:
     """Load {"matrix": [[...]], "symmetrizer": [...]?, "nodes": [...]?} from a file."""
+    import json
+
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):

@@ -25,12 +25,10 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from . import alcove, kring, lspath
 from .cartan import Realization, Weight, is_lattice, realization_from_json_file, realization_from_preset, wt_neg
 from .weyl import LayerCapError, WeylElt, WeylGroup, env_layer_cap
 
@@ -46,27 +44,35 @@ def json_corank(R: Realization) -> int:
     return R.N - R.n
 
 
-@dataclass
 class JobConfig:
-    cartan: str | None = None
-    gcm_file: str | None = None
-    weight: str = ""
-    sign: int = 1
-    model: str = "all"
-    w: str | None = None
-    z: str | None = None
-    max_length: int | None = None
-    fmt: str = "json"
-    out: str | None = None
-    opposite: bool = False
-    realization: str = "ls"
-    scenario: str | None = None
+    """One command's settings, given by keyword; each field not given takes
+    its value from DEFAULTS."""
+
+    DEFAULTS = {"cartan": None, "gcm_file": None, "weight": "", "sign": 1, "model": "all", "w": None, "z": None,
+                "max_length": None, "fmt": "json", "out": None, "opposite": False, "realization": "ls",
+                "scenario": None}
+    __slots__ = tuple(DEFAULTS)
+
+    def __init__(self, **values):
+        for name, value in {**self.DEFAULTS, **values}.items():
+            setattr(self, name, value)  # AttributeError for a name that is no field
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.DEFAULTS)
+
+    def __eq__(self, other):
+        if type(other) is not JobConfig:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return f"JobConfig({', '.join(f'{k}={v!r}' for k, v in zip(self.DEFAULTS, self._values()))})"
 
     @classmethod
     def from_args(cls, ns: argparse.Namespace) -> "JobConfig":
         """Every field from the option of the same name, its default where the
         subcommand has no such option."""
-        args = {fd.name: getattr(ns, fd.name, fd.default) for fd in fields(cls)}
+        args = {name: getattr(ns, name, default) for name, default in cls.DEFAULTS.items()}
         args["sign"] = {"+1": 1, "+": 1, "-1": -1, "-": -1}.get(getattr(ns, "sign", "+1"))
         if args["sign"] is None:
             raise CLIError(f"--sign must be +1 or -1, not {ns.sign!r}")
@@ -207,10 +213,13 @@ def _rows_for_model(model: str, R: Realization, lam: Weight, sign: int, word: tu
     W = WeylGroup(R)
     w = W.from_word(word)
     if model == "nilhecke":
+        from . import kring
         return kring.chevalley_recurrence(W, w, lam if sign > 0 else wt_neg(lam))
     if model == "ls":
+        from . import lspath
         return lspath.chevalley_ls(W, lam, w, sign)
     if model == "alcove":
+        from . import alcove
         return alcove.chevalley_alcove(W, lam, w, sign)
     raise CLIError(f"unknown model {model!r}")
 
@@ -265,6 +274,7 @@ def cmd_chevalley(cfg: JobConfig) -> int:
     elif cfg.fmt == "dot":
         if cfg.model not in ("alcove", "all"):
             raise CLIError("--format dot for chevalley requires the alcove model")
+        from . import alcove
         seqs = (alcove.enumerate_tree_dominant if cfg.sign > 0 else alcove.enumerate_tree_antidominant)(W, lam, w)
         emit(cfg, alcove.tree_dot(W, lam, seqs))
     else:
@@ -281,6 +291,7 @@ def _chevalley_fixed_z(cfg: JobConfig, R: Realization, W: WeylGroup, lam: Weight
         raise CLIError("fixed-z mode is supported by the alcove model only (--model alcove)")
     if cfg.fmt not in ("json", "table"):
         raise CLIError("fixed-z mode emits json or table")
+    from . import alcove, kring
     z = W.from_word(parse_word(R, cfg.z))
     mono = "inc" if cfg.sign > 0 else "dec"
     seqs, truncated = alcove.enumerate_z_adapted(W, lam, z, mono, cfg.max_length)
@@ -318,6 +329,7 @@ def _emit_rows(cfg: JobConfig, R: Realization, lam: Weight, fixed: str, elt: Wey
 
 
 def cmd_crystal(cfg: JobConfig) -> int:
+    from . import alcove, lspath
     R = cfg.build_realization()
     W = WeylGroup(R)
     lam = parse_lam(R, cfg.weight)
@@ -435,6 +447,7 @@ def _scn_triangles(cases) -> str | None:
 
 
 def _scn_bijections() -> str | None:
+    from . import alcove
     R = realization_from_preset("A2")
     W = WeylGroup(R)
     lam = R.parse_weight("1,1")
@@ -447,6 +460,7 @@ def _scn_bijections() -> str | None:
 
 
 def _scn_chain_axioms() -> str | None:
+    from . import alcove
     for preset, lamtext in [("A2", "1,1"), ("A2", "2,1"), ("B2", "1,1"), ("G2", "1,0")]:
         R = realization_from_preset(preset)
         lam = R.parse_weight(lamtext)
@@ -457,6 +471,7 @@ def _scn_chain_axioms() -> str | None:
 
 
 def _scn_crystal_mass() -> str | None:
+    from . import lspath
     R = realization_from_preset("A2")
     W = WeylGroup(R)
     lam = R.parse_weight("2,1")
@@ -471,6 +486,7 @@ def _scn_negative_control() -> str | None:
     disagree with the recurrence.  Inverting the comparator turns the
     lex-increasing tree into the lex-decreasing one, so that row is the
     lex-decreasing tree folded at the "inc" levels."""
+    from . import alcove, kring
     R = realization_from_preset("A2~")
     W = WeylGroup(R)
     lam = R.parse_weight("1,1,0")

@@ -58,6 +58,7 @@ def down(W: WeylGroup, w: WeylElt, sigma: WeylElt, J) -> WeylElt:
     descent of what remains), noting which case applies, and the answer is
     unwound from down(e, W_J) = e.
     """
+    J = frozenset(J)
     if any(W.inverse(sigma).rho[j] < 0 for j in J):
         raise ValueError(f"{sigma!r} has a right descent in W_J: not a minimal representative")
     if not W.bruhat_leq(sigma, W.coset_decompose(w, J)[0]):
@@ -65,12 +66,11 @@ def down(W: WeylGroup, w: WeylElt, sigma: WeylElt, J) -> WeylElt:
     steps: list[tuple[int, int]] = []
     t = sigma
     for i in w.word:
-        st = W.coset_decompose(W.lmul(i, t), J)[0]
-        if st.length < t.length:
+        if t.rho[i] < 0:  # s_i tau < tau, and s_i t < t is its minimal representative
             steps.append((i, -1))
-            t = st
-        else:
-            steps.append((i, 0 if st.length > t.length else 1))
+            t = W.lmul(i, t)
+        else:  # s_i t > t, so s_i tau is tau or has the representative s_i t
+            steps.append((i, 0 if W.coset_decompose(W.lmul(i, t), J)[0].length > t.length else 1))
     v = W.e
     for i, case in reversed(steps):
         if case < 0:

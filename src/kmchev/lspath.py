@@ -39,10 +39,9 @@ how lifts vary along an i-string (the U.*/D.* case analysis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .cartan import Q, Realization, Weight, pairing, wt_neg
+from .cartan import Q, Realization, Weight, wt_neg
 from .kring import LaurentPoly, lp_add_into, lp_monomial
 from .lifts import down, interval_below, up
 from .weyl import WeylElt, WeylGroup
@@ -55,20 +54,25 @@ def stabilizer_nodes(R: Realization, lam: Weight) -> frozenset:
     return frozenset(i for i in range(R.gcm.n) if lam[i] == 0)
 
 
-@dataclass(frozen=True)
 class LSPath:
-    lam: Weight
-    b: tuple
-    dirs: tuple  # WeylElt minimal representatives, strictly increasing
+    __slots__ = ("lam", "b", "dirs", "_hash")
 
-    def __post_init__(self):
-        if len(self.b) != len(self.dirs):
-            raise ValueError(f"{len(self.b)} values of b for {len(self.dirs)} directions")
-        if not self.b:
+    def __init__(self, lam: Weight, b: tuple, dirs: tuple):
+        if len(b) != len(dirs):
+            raise ValueError(f"{len(b)} values of b for {len(dirs)} directions")
+        if not b:
             raise ValueError("an LS path has at least one direction")
-        if self.b[0] != 0:
-            raise ValueError(f"b_1 = {self.b[0]}, not 0")
-        object.__setattr__(self, "_hash", hash((self.lam, self.b, self.dirs)))
+        if b[0] != 0:
+            raise ValueError(f"b_1 = {b[0]}, not 0")
+        self.lam = lam
+        self.b = b
+        self.dirs = dirs  # WeylElt minimal representatives, strictly increasing
+        self._hash = hash((lam, b, dirs))
+
+    def __eq__(self, other):
+        if type(other) is not LSPath:
+            return NotImplemented
+        return (self.lam, self.b, self.dirs) == (other.lam, other.b, other.dirs)
 
     def __hash__(self):  # paths are hashed into many sets; Fractions hash slowly
         return self._hash
@@ -161,51 +165,6 @@ def format_path(p: LSPath) -> str:
         name = "" if d.length == 0 else f"{d!r}·"
         segs.append(f"{part}{name}λ")
     return "(" + ", ".join(segs) + ")"
-
-
-# -- validity ----------------------------------------------------------------
-
-
-def _quotient_chain_exists(W: WeylGroup, J: frozenset, lam: Weight, lo: WeylElt, hi: WeylElt, bnext) -> bool:
-    """Is there a saturated chain of cosets lo -> hi (through minimal
-    representatives) all of whose cover coroots beta satisfy
-    bnext * <beta, lam> in Z?"""
-    if lo == hi:
-        return True
-    for v, beta in W.cocovers(hi):
-        if v != W.coset_decompose(v, J)[0]:
-            continue  # not a minimal representative: not a quotient cover
-        if (bnext * pairing(beta, lam)).denominator != 1:
-            continue
-        if not W.bruhat_leq(lo, v):
-            continue
-        if _quotient_chain_exists(W, J, lam, lo, v, bnext):
-            return True
-    return False
-
-
-def validation_error(W: WeylGroup, p: LSPath) -> str | None:
-    """None when p is a genuine LS path of its shape; else a diagnosis."""
-    R = W.R
-    if not R.is_dominant(p.lam):
-        return "shape is not dominant"
-    J = stabilizer_nodes(R, p.lam)
-    bs = list(p.b)
-    for x, y in zip(bs, bs[1:]):
-        if not x < y:
-            return "b not strictly increasing"
-    if not bs[-1] < 1:
-        return "b_m >= 1"
-    for d in p.dirs:
-        if d != W.coset_decompose(d, J)[0]:
-            return f"direction {d!r} is not W_lam-minimal"
-    for a, b in zip(p.dirs, p.dirs[1:]):
-        if a == b or not W.bruhat_leq(a, b):
-            return f"directions not strictly increasing at {a!r}, {b!r}"
-    for j in range(len(p.dirs) - 1):
-        if not _quotient_chain_exists(W, J, p.lam, p.dirs[j], p.dirs[j + 1], p.b[j + 1]):
-            return f"no admissible chain from {p.dirs[j]!r} to {p.dirs[j + 1]!r} at b={p.b[j + 1]}"
-    return None
 
 
 # -- crystal operators ---------------------------------------------------------
@@ -404,12 +363,25 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int, crystal=None)
 # -- i-strings -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IString:
     """A maximal f_i-chain: elements[k] = f_i^k(head)."""
 
-    i: int
-    elements: tuple
+    __slots__ = ("i", "elements")
+
+    def __init__(self, i: int, elements: tuple):
+        self.i = i
+        self.elements = elements
+
+    def __eq__(self, other):
+        if type(other) is not IString:
+            return NotImplemented
+        return (self.i, self.elements) == (other.i, other.elements)
+
+    def __hash__(self):
+        return hash((self.i, self.elements))
+
+    def __repr__(self):
+        return f"IString(i={self.i!r}, elements={self.elements!r})"
 
     @property
     def head(self) -> LSPath:

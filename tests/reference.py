@@ -4,7 +4,8 @@ The lifts are recomputed by scanning a BFS ball, the chain-axiom counts
 N_{<h} in a closed form that also holds where the lex chain is infinite, a
 word of T_i operators by applying its letters one at a time, and the LS root
 operators, endpoint and path format in Fraction arithmetic (the library works
-on int step lengths over one denominator).  pytest does not rewrite the
+on int step lengths over one denominator).  validation_error checks that a
+path is a genuine LS path of its shape, by the definition.  pytest does not rewrite the
 asserts of this helper module, so a check that must hold under python -O
 raises explicitly.
 """
@@ -169,3 +170,45 @@ def ls_format_path(p):
         name = "" if d.length == 0 else f"{d!r}·"
         segs.append(f"{part}{name}λ")
     return "(" + ", ".join(segs) + ")"
+
+
+def _quotient_chain_exists(W, J, lam, lo, hi, bnext):
+    """Is there a saturated chain of cosets lo -> hi (through minimal
+    representatives) all of whose cover coroots beta satisfy
+    bnext * <beta, lam> in Z?"""
+    if lo == hi:
+        return True
+    for v, beta in W.cocovers(hi):
+        if v != W.coset_decompose(v, J)[0]:
+            continue  # not a minimal representative: not a quotient cover
+        if (bnext * pairing(beta, lam)).denominator != 1:
+            continue
+        if not W.bruhat_leq(lo, v):
+            continue
+        if _quotient_chain_exists(W, J, lam, lo, v, bnext):
+            return True
+    return False
+
+
+def validation_error(W, p):
+    """None when p is a genuine LS path of its shape; else a diagnosis."""
+    R = W.R
+    if not R.is_dominant(p.lam):
+        return "shape is not dominant"
+    J = stabilizer_nodes(R, p.lam)
+    bs = list(p.b)
+    for x, y in zip(bs, bs[1:]):
+        if not x < y:
+            return "b not strictly increasing"
+    if not bs[-1] < 1:
+        return "b_m >= 1"
+    for d in p.dirs:
+        if d != W.coset_decompose(d, J)[0]:
+            return f"direction {d!r} is not W_lam-minimal"
+    for a, b in zip(p.dirs, p.dirs[1:]):
+        if a == b or not W.bruhat_leq(a, b):
+            return f"directions not strictly increasing at {a!r}, {b!r}"
+    for j in range(len(p.dirs) - 1):
+        if not _quotient_chain_exists(W, J, p.lam, p.dirs[j], p.dirs[j + 1], p.b[j + 1]):
+            return f"no admissible chain from {p.dirs[j]!r} to {p.dirs[j + 1]!r} at b={p.b[j + 1]}"
+    return None

@@ -30,8 +30,8 @@ from kmchev.lspath import (
     stabilizer_nodes,
     steps,
     up_path,
-    validation_error,
 )
+from reference import validation_error
 
 LAM = weight(1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)
