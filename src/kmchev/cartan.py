@@ -360,10 +360,13 @@ class Realization:
 
     def simple_reflection(self, i: int, mu: Weight) -> Weight:
         """s_i(mu) = mu - <alpha_i^vee, mu> alpha_i."""
+        alpha = self.alpha[i]
+        if len(mu) != len(alpha):
+            raise ValueError(f"weights of different rank: {mu}, {alpha}")
         c = mu[i]
         if c == 0:
             return mu
-        return tuple([x - c * y for x, y in zip(mu, self.alpha[i])])
+        return tuple([x - c * y for x, y in zip(mu, alpha)])
 
     def coroot_reflection(self, alpha: Coroot, mu: Weight) -> Weight:
         """s_alpha(mu) = mu - <alpha, mu> root(alpha)."""

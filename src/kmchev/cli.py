@@ -144,36 +144,55 @@ def word_obj(R: Realization, w: WeylElt) -> list:
 
 def terms_text(R: Realization, poly, indent: str) -> str:
     """json_text of [{"weight": weight_obj(R, mu), "mult": c} for mu, c in
-    sorted(poly.items())] at `indent`, with one format string filled per term."""
+    sorted(poly.items())] at `indent`, with one format string filled per term
+    and one join."""
+    if not poly:
+        return "[]"
     if not is_lattice(chain.from_iterable(poly)):
         raise ValueError(f"weight {R.format_weight(next(mu for mu in poly if not is_lattice(mu)))} is not integral")
     i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
-    term = ("{" + i2 + '"weight": {' + i3 + '"fund": [' + i4 + ("," + i4).join(["%s"] * R.n) + i3 + "]"
+    term = ("," + i1 + "{" + i2 + '"weight": {' + i3 + '"fund": [' + i4 + ("," + i4).join(["%s"] * R.n) + i3 + "]"
             + json_corank(R) * ("," + i3 + '"delta": %s') + i2 + "}," + i2 + '"mult": %s' + i1 + "}")
-    parts = [term % (*mu, c) for mu, c in sorted(poly.items())]
-    return "[" + i1 + ("," + i1).join(parts) + indent + "]" if parts else "[]"
+    parts = [term % (*mu, poly[mu]) for mu in sorted(poly)]
+    parts[0] = "[" + parts[0][1:]
+    parts.append(indent + "]")
+    return "".join(parts)
 
 
 def json_text(obj, indent: str = "\n") -> str:
     """Exactly the text that ``json.dumps`` gives with ``indent=2``, for dicts
     with str keys, lists, str, int, bool and None.  A callable stands for
     text written elsewhere (terms_text): it is called with the indentation
-    of its place."""
+    of its place.  Those texts can run to megabytes, so they are not copied
+    into each enclosing container's text: a NUL, which the encoding never
+    emits, holds each one's place, and a single join puts them in."""
+    texts: list = []
+    skeleton = _json_skeleton(obj, indent, texts)
+    if not texts:
+        return skeleton
+    parts = [""] * (2 * len(texts) + 1)
+    parts[::2] = skeleton.split("\0")
+    parts[1::2] = texts
+    return "".join(parts)
+
+
+def _json_skeleton(obj, indent: str, texts: list) -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     inner = indent + "  "
     if isinstance(obj, dict):
-        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in obj.items()]
+        items = [encode_basestring_ascii(k) + ": " + _json_skeleton(v, inner, texts) for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        items = [json_text(v, inner) for v in obj]
+        items = [_json_skeleton(v, inner, texts) for v in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     if obj is None or isinstance(obj, bool):
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if callable(obj):
-        return obj(indent)
+        texts.append(obj(indent))
+        return "\0"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

@@ -2,16 +2,22 @@
 lattice, and the two ways they compute Chevalley coefficients.
 
 A Laurent polynomial is a dict {weight: nonzero int coefficient}; the empty
-dict is zero.  On a monomial with n = <alpha_i^vee, mu>:
+dict is zero.  T_i acts along alpha_i-strings.  Write a weight as
+mu = b + p alpha_i with n = <alpha_i^vee, mu> and p = floor(n/2), so that
+<alpha_i^vee, b> is 0 or 1: b names the string b + Z alpha_i and p is the
+position of mu on it.  Then
 
-    T_i e^mu = e^mu (e^{-alpha_i} + ... + e^{-n alpha_i})        n > 0
-             = 0                                                  n = 0
-             = -e^mu (1 + e^{alpha_i} + ... + e^{(-1-n) alpha_i}) n < 0
+    T_i e^mu = + sum of e^{b + q alpha_i}, q in [p - n, p)     n > 0
+             = 0                                                n = 0
+             = - sum of e^{b + q alpha_i}, q in [p, p - n)      n < 0
 
-so T_i^2 = -T_i, the braid relations hold, and D_i = 1 + T_i is the Demazure
-operator.  Writing T_w e^lam = sum_z b_z T_z, the b_z are the equivariant
-K-Chevalley coefficients; they can be computed by composing the twisted
-Leibniz rule letter by letter (chevalley_recurrence) or by the closed-form
+(e^{mu - alpha_i} + ... + e^{mu - n alpha_i}, and -(e^mu + ... +
+e^{mu + (-1-n) alpha_i})), so T_i of a polynomial is a sum of ranges on
+each string, and s_i sends position q to -q - <alpha_i^vee, b>.  T_i^2 = -T_i,
+the braid relations hold, and D_i = 1 + T_i is the Demazure operator.
+Writing T_w e^lam = sum_z b_z T_z, the b_z are the equivariant K-Chevalley
+coefficients; they can be computed by composing the twisted Leibniz rule
+letter by letter (chevalley_recurrence) or by the closed-form
 signed-subword expansion (chevalley_explicit).
 """
 from __future__ import annotations
@@ -60,25 +66,55 @@ def lp_act(W: WeylGroup, w: WeylElt, f: LaurentPoly) -> LaurentPoly:
 
 
 def apply_Ti(R: Realization, i: int, f: LaurentPoly) -> LaurentPoly:
-    out: LaurentPoly = {}
+    """T_i f as range sums along alpha_i-strings (see the module docstring).
+
+    Each monomial c e^mu adds +c (n > 0) or -c (n < 0) at the first position
+    of its range on the string of b and takes it off again past the last one.
+    A sweep over each string's sorted range ends then gives the coefficient
+    of every position, and only positions with a nonzero sum become weights.
+    """
     alpha = R.alpha[i]
+    rank = len(alpha)
+    multiples: dict[int, Weight] = {}  # q -> q alpha_i
+    ends: dict[Weight, dict[int, int]] = {}  # b -> {range end q: jump at q}
     for mu, c in f.items():
-        if len(mu) != len(alpha):
+        if len(mu) != rank:
             raise ValueError(f"weights of different rank: {mu}, {alpha}")
         n = mu[i]
-        if n > 0:  # c e^{mu - alpha}, ..., c e^{mu - n alpha}
-            step, term = operator.sub, mu
-        elif n < 0:  # -c e^mu, ..., -c e^{mu + (-1-n) alpha}
-            step, term, c, n = operator.add, tuple(map(operator.sub, mu, alpha)), -c, -n
-        else:
+        if not n:
             continue
-        for _ in range(n):
-            term = tuple(map(step, term, alpha))
-            new = out.get(term, 0) + c
-            if new:
-                out[term] = new
-            else:
-                out.pop(term, None)
+        p = n // 2
+        pa = multiples.get(p)
+        if pa is None:
+            pa = multiples[p] = tuple([p * a for a in alpha])
+        b = tuple(map(operator.sub, mu, pa))
+        if n < 0:
+            lo, hi, c = p, p - n, -c
+        else:
+            lo, hi = p - n, p
+        jumps = ends.get(b)
+        if jumps is None:
+            ends[b] = {lo: c, hi: -c}
+        else:
+            jumps[lo] = jumps.get(lo, 0) + c
+            jumps[hi] = jumps.get(hi, 0) - c
+    out: LaurentPoly = {}
+    for b, jumps in ends.items():
+        qs = sorted(jumps)
+        total = 0
+        for k in range(len(qs) - 1):
+            q = qs[k]
+            total += jumps[q]
+            if not total:
+                continue
+            qa = multiples.get(q)
+            if qa is None:
+                qa = multiples[q] = tuple([q * a for a in alpha])
+            term = tuple(map(operator.add, b, qa))
+            out[term] = total
+            for _ in range(qs[k + 1] - q - 1):
+                term = tuple(map(operator.add, term, alpha))
+                out[term] = total
     return out
 
 
@@ -89,15 +125,18 @@ def hecke_compose(W: WeylGroup, i: int, element: NilHeckeCoeffs) -> NilHeckeCoef
     the length goes up, -T_y otherwise.
     """
     si = W.simple(i)
+    reflect = W.R.simple_reflection
     out: NilHeckeCoeffs = {}
 
     def add(y: WeylElt, f: LaurentPoly, sign: int = 1) -> None:
-        acc = out.setdefault(y, {})
-        lp_add_into(acc, f, sign)
+        if sign > 0 and y not in out:
+            out[y] = f  # f is a fresh dict, owned from here on
+        else:
+            lp_add_into(out.setdefault(y, {}), f, sign)
 
     for y, f in element.items():
         add(y, apply_Ti(W.R, i, f))
-        twisted = lp_act(W, si, f)
+        twisted = {reflect(i, mu): c for mu, c in f.items()}
         siy = W.mult(si, y)
         if siy.length > y.length:
             add(siy, twisted)

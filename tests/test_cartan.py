@@ -21,6 +21,8 @@ from kmchev.cartan import (
     wt_scale,
     wt_sub,
 )
+from kmchev.kring import lp_act
+from kmchev.weyl import WeylGroup
 
 
 def test_classification():
@@ -61,6 +63,23 @@ def test_simple_reflection_is_an_involution_and_moves_rho():
     for i in range(R.n):
         assert R.simple_reflection(i, R.simple_reflection(i, R.rho)) == R.rho
         assert R.simple_reflection(i, R.rho) == wt_sub(R.rho, R.alpha[i])
+
+
+def test_reflections_refuse_a_weight_of_another_rank():
+    """simple_reflection, and W.act and lp_act through it, raise the ValueError
+    of wt_add instead of cutting or padding a weight, also when
+    <alpha_i^vee, mu> = 0 would return mu unchanged."""
+    R = realization_from_preset("A2~")  # N = 4
+    W = WeylGroup(R)
+    for mu in [(1, 0, 0), (0, 1, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), ()]:
+        with pytest.raises(ValueError, match="rank"):
+            R.simple_reflection(0, mu)
+        with pytest.raises(ValueError, match="rank"):
+            W.act(W.from_word((0, 1)), mu)
+        with pytest.raises(ValueError, match="rank"):
+            lp_act(W, W.simple(0), {mu: 1})
+    assert R.simple_reflection(0, (1, 0, 0, 0)) == (-1, 1, 1, -1)
+    assert R.simple_reflection(0, (0, 1, 0, 0)) == (0, 1, 0, 0)
 
 
 def test_affine_null_root():

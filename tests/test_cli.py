@@ -349,6 +349,25 @@ def test_out_writes_file_and_stdout_stays_quiet(tmp_path, capsys):
     assert json.loads(target.read_text())["rows"]
 
 
+def test_out_and_stdout_give_the_same_bytes(tmp_path):
+    """A multi-row nilHecke JSON document, written once with --out and once
+    to stdout, byte for byte: the trailing newline that print adds is the one
+    that emit adds to the file."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = [sys.executable, "-m", "kmchev", "chevalley", "--cartan", "A1~", "--weight", "1,1",
+            "--w", "1 0 1 0", "--model", "nilhecke", "--sign", "-1"]
+    target = tmp_path / "rows.json"
+    to_file = subprocess.run([*argv, "--out", str(target)], capture_output=True, env=env, timeout=60)
+    to_stdout = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_file.stdout == b""
+    text = target.read_bytes()
+    assert text == to_stdout.stdout
+    assert text.endswith(b"}\n")
+    assert len(json.loads(text)["rows"]) > 1
+
+
 COR2 = {"matrix": [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]}
 
 

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kmchev.cartan import GCM, Realization, realization_from_preset, weight, wt_add, wt_neg, wt_sub
+from kmchev.cartan import GCM, Realization, realization_from_preset, weight, wt_add, wt_neg, wt_scale, wt_sub
+from kmchev.cli import parse_word
 from kmchev.kring import (
     apply_Ti,
     chevalley_explicit,
@@ -13,6 +14,7 @@ from kmchev.kring import (
     lp_mul_monomial,
 )
 from kmchev.lifts import interval_below
+from kmchev.lspath import demazure_crystal
 from kmchev.weyl import WeylGroup
 from reference import apply_word
 
@@ -67,6 +69,41 @@ def test_ti_matches_the_reference_formula(R, data):
     f = data.draw(st.dictionaries(coords, st.integers(-4, 4).filter(bool), max_size=6))
     for i in range(R.n):
         assert apply_Ti(R, i, f) == reference_Ti(R, i, f)
+
+
+RANK3 = Realization(GCM.from_matrix([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]))
+LONG_STRINGS = {"A1~": realization_from_preset("A1~"), "A2~": realization_from_preset("A2~"),
+                "hyp2": HYPERBOLIC, "hyp3": RANK3}
+
+
+@pytest.mark.parametrize("R", LONG_STRINGS.values(), ids=LONG_STRINGS)
+@given(data=st.data())
+def test_ti_matches_the_reference_on_long_overlapping_strings(R, data):
+    """Up to 30 monomials on a few alpha_i-strings, coordinates up to 40: the
+    ranges of one string overlap, nest and cancel to zero, and n runs far
+    past the -5..5 of the test above."""
+    i = data.draw(st.integers(0, R.n - 1))
+    bases = data.draw(st.lists(st.tuples(*[st.integers(-25, 25)] * R.N), min_size=1, max_size=3))
+    entries = data.draw(st.lists(
+        st.tuples(st.sampled_from(bases), st.integers(-5, 5), st.integers(-4, 4).filter(bool)), max_size=30))
+    f = {}
+    for b, k, c in entries:
+        lp_add_into(f, {wt_add(b, wt_scale(k, R.alpha[i])): c})
+    for j in range(R.n):
+        assert apply_Ti(R, j, f) == reference_Ti(R, j, f)
+
+
+@pytest.mark.parametrize("R", LONG_STRINGS.values(), ids=LONG_STRINGS)
+def test_ti_kills_a_long_string_and_its_reflection(R):
+    """T_i (e^mu + e^{s_i mu}) = 0: the two ranges are the same positions with
+    opposite signs, however long the string."""
+    for i in range(R.n):
+        for n in (1, 2, 7, 40, -40):
+            mu = wt_add(wt_scale(n - 6, R.fundamental[i]), wt_scale(3, R.alpha[i]))
+            assert mu[i] == n
+            f = {mu: 3, R.simple_reflection(i, mu): 3}
+            assert apply_Ti(R, i, f) == reference_Ti(R, i, f) == {}
+            assert len(apply_Ti(R, i, {mu: 1})) == abs(n)
 
 
 def test_ti_cancels_and_covers_every_sign_of_n():
@@ -187,6 +224,34 @@ def test_antidominant_rows_have_uniform_sign(WB2):
         for z, poly in chevalley_recurrence(W, w, wt_neg(lam)).items():
             want = -1 if (w.length - z.length) % 2 else 1
             assert all((c > 0) == (want > 0) for c in poly.values())
+
+
+CANCELLATION_FREE = [  # (type, lambda, w, |B_w(lambda)|)
+    ("A2~", (1, 1, 0, 0), "0 1 2 0 1 2", 72),
+    ("A1~", (1, 1, 0), "1 0 1 0 1 0", 486),
+    ("G2", (2, 1), "1 2 1 2 1 2", 286),
+    ("hyp2", (1, 1), "0 1 0 1 0", 7597),
+]
+
+
+@pytest.mark.parametrize("name,lam,word,size", CANCELLATION_FREE, ids=[c[0] for c in CANCELLATION_FREE])
+def test_rows_are_cancellation_free_beyond_finite_type(name, lam, word, size):
+    """The paper's rules are cancellation-free in every Kac-Moody type, so the
+    recurrence, which cancels internally, must land on sign-uniform rows:
+    every coefficient positive for sign +1, of sign (-1)^{l(w)-l(z)} for
+    sign -1, and then sum |b_z| = D_w e^lam at 1 = |B_w(lam)|."""
+    R = HYPERBOLIC if name == "hyp2" else realization_from_preset(name)
+    W = WeylGroup(R)
+    w = W.from_word(parse_word(R, word))
+    for z, poly in chevalley_recurrence(W, w, lam).items():
+        assert all(c > 0 for c in poly.values()), (z, poly)
+    mass = 0
+    for z, poly in chevalley_recurrence(W, w, wt_neg(lam)).items():
+        want = -1 if (w.length - z.length) % 2 else 1
+        assert all(c * want > 0 for c in poly.values()), (z, poly)
+        mass += sum(map(abs, poly.values()))
+    W2 = WeylGroup(R)
+    assert mass == len(demazure_crystal(W2, lam, W2.from_word(w.word))) == size
 
 
 def test_rows_are_supported_on_the_interval(WB2):

@@ -40,6 +40,21 @@ def test_json_text_edge_cases():
         assert json_text(doc) == json.dumps(doc, indent=2), doc
 
 
+def test_json_text_puts_each_callable_text_in_its_place():
+    """Callable texts go in at the NUL placeholders of the skeleton: NULs in
+    keys and values are escaped, so they cannot be taken for one, and a NUL
+    inside a callable's own text is left alone."""
+    texts = ["[1]", '"a\0b"', "[\0]", "[" + ",".join(["7"] * 5000) + "]"]
+
+    def doc(term):
+        return {"k\0": ["\0", term(0)], "rows": [{"z": ["0", "\0\0"], "terms": term(k)} for k in range(4)]}
+
+    want = json.dumps(doc(lambda k: f"@{k}"), indent=2)
+    for k, text in [(0, texts[0]), *enumerate(texts)]:
+        want = want.replace(f'"@{k}"', text, 1)
+    assert json_text(doc(lambda k: lambda indent: texts[k])) == want
+
+
 def test_json_text_rejects_other_types():
     for doc in (1.5, {1: 2}, [set()], b"x"):
         with pytest.raises(TypeError):
