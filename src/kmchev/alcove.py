@@ -36,8 +36,9 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
-from .cartan import Coroot, Q, Realization, Weight, _num, pairing, wt_add, wt_neg, wt_scale
+from .cartan import Coroot, Q, Realization, Weight, pairing, wt_add, wt_neg, wt_scale
 from .kring import LaurentPoly, lp_add_into, lp_monomial
 from .lifts import down, up
 from .lspath import LSPath, stabilizer_nodes
@@ -400,23 +401,22 @@ def ls_to_seq(W: WeylGroup, p: LSPath, base: WeylElt, monotonicity: str) -> Adap
     its dual (dec), at the level t<beta,lam> (inc) or <beta,lam> - t<beta,lam>
     (dec), with t = b_j for inc and t = b_{j+1}, b_{m+1} = 1, for dec."""
     inc = _is_inc(monotonicity)
-    lam = p.lam
+    lam, D = p.lam, p.D
     J = stabilizer_nodes(W.R, lam)
     zs = [base]
     for sigma in p.dirs if inc else reversed(p.dirs):
         zs.append((up if inc else down)(W, zs[-1], sigma, J))
     zs = zs if inc else zs[::-1]
-    ts = list(p.b) if inc else list(p.b[1:]) + [1]
+    cuts = list(accumulate(p.a, initial=0))
     hs: list[LambdaHyperplane] = []
     chain: list[WeylElt] = [zs[0]]
-    for j, t in enumerate(ts):
+    for j, c in enumerate(cuts[:-1] if inc else cuts[1:]):
         elems, labels = increasing_chain(W, lam, zs[j], zs[j + 1],
                                          refl_less if inc else lambda R, lam, a, b: refl_less(R, lam, b, a),
-                                         lambda beta, t=t: 0 < pairing(beta, lam) and
-                                         (t * pairing(beta, lam)).denominator == 1)
+                                         lambda beta, c=c: 0 < pairing(beta, lam) and c * pairing(beta, lam) % D == 0)
         for beta in labels:
             pr = pairing(beta, lam)
-            hs.append(LambdaHyperplane(beta, int(t * pr if inc else pr - t * pr)))
+            hs.append(LambdaHyperplane(beta, c * pr // D if inc else pr - c * pr // D))
         chain.extend(elems[1:])
     if not all(lex_less(lam, x, y) for x, y in (zip(hs, hs[1:]) if inc else zip(hs[1:], hs))):
         raise ValueError(f"the labels read off {p!r} are not lex-{'increasing' if inc else 'decreasing'}")
@@ -425,17 +425,19 @@ def ls_to_seq(W: WeylGroup, p: LSPath, base: WeylElt, monotonicity: str) -> Adap
 
 def seq_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
     """The LS path of an adapted sequence, inverse to ls_to_seq.  A label
-    (alpha, k) sits at t = k/<alpha,lam> ("inc") or 1 - k/<alpha,lam> ("dec");
-    b runs over 0 and the t < 1, and the direction at b is the coset of
-    chain[#{t <= b}]."""
+    (alpha, k) sits at t = k/<alpha,lam> ("inc") or 1 - k/<alpha,lam> ("dec"),
+    held as an int over D = lcm of the <alpha,lam>; b runs over 0 and the
+    t < 1, and the direction at b is the coset of chain[#{t <= b}]."""
     inc = _is_inc(seq.monotonicity)
-    rel = [Q(h.k, pairing(h.alpha, lam)) for h in seq.hs]
-    ts = [_num(t if inc else 1 - t) for t in rel]
+    prs = [pairing(h.alpha, lam) for h in seq.hs]
+    D = math.lcm(*prs)
+    ts = [h.k * (D // pr) if inc else D - h.k * (D // pr) for h, pr in zip(seq.hs, prs)]
     if any(x > y for x, y in zip(ts, ts[1:])):
         raise ValueError(f"the labels of {seq!r} are not ordered by t")
     J = stabilizer_nodes(W.R, lam)
-    bvals = tuple(sorted({0, *(t for t in ts if t < 1)}))
-    return LSPath(lam, bvals, tuple(W.coset_decompose(seq.chain[bisect_right(ts, b)], J)[0] for b in bvals))
+    cuts = sorted({0, *(t for t in ts if t < D)})
+    return LSPath(lam, D, [(y - x, W.coset_decompose(seq.chain[bisect_right(ts, x)], J)[0])
+                           for x, y in zip(cuts, cuts[1:] + [D])])
 
 
 # -- Demazure sets, divisor row, export ----------------------------------------------

@@ -9,11 +9,11 @@ affine matrix this produces the familiar basis (Lambda_0, ..., Lambda_{n-1},
 delta), with alpha_i = sum_j a[j][i] Lambda_j + [i = 0] delta.
 
 All arithmetic is exact and weights are tuples of Python ints: weight sums,
-pairings and reflections are plain int arithmetic.  ``Fraction`` appears only
-in stored values that can really be fractional -- the canonical b values of
-LS paths and relative heights of hyperplanes -- and ``_num`` turns an
-integral one back into an int.  Non-integral input weights are rejected
-at the boundary (the CLI) and never reach the weight arithmetic.
+pairings and reflections are plain int arithmetic, and LS paths store no
+Fraction either (their step lengths are ints over one denominator).
+``Fraction`` appears only in relative heights of hyperplanes, and ``_num``
+turns an integral one back into an int.  Non-integral input weights are
+rejected at the boundary (the CLI) and never reach the weight arithmetic.
 """
 from __future__ import annotations
 
@@ -370,6 +370,8 @@ class Realization:
 
     def coroot_reflection(self, alpha: Coroot, mu: Weight) -> Weight:
         """s_alpha(mu) = mu - <alpha, mu> root(alpha)."""
+        if len(mu) != len(alpha.root):
+            raise ValueError(f"weights of different rank: {mu}, {alpha.root}")
         c = pairing(alpha, mu)
         if c == 0:
             return mu

@@ -17,12 +17,13 @@ text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
 is refused before any model runs); table output prints every extra
 coordinate of a weight in corank >= 2.  A failed cross-check exits 1 with a
 report: table lines under ``--format table`` (any corank), JSON otherwise.
-Bad input and an exceeded layer cap exit 2 with ``error:``.
+Bad input, an exceeded layer cap and a closed stdout exit 2 with ``error:``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from functools import partial
@@ -220,7 +221,12 @@ def emit(cfg: JobConfig, text: str) -> None:
         except OSError as exc:
             raise CLIError(f"cannot write --out: {exc}") from None
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()  # a small output would otherwise fail only at exit
+        except BrokenPipeError:  # the reader left: the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise CLIError("stdout was closed before the output was written") from None
 
 
 # -- chevalley ---------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Lakshmibai-Seshadri paths and their crystal structure.
 
-An LS path of shape ``lam`` (a dominant integral weight) is stored as two
-parallel tuples:
+An LS path of shape ``lam`` (a dominant integral weight) is stored in one
+exact int form ``(lam, D, a, dirs)``:
 
-* ``b = (b_1, ..., b_m)`` -- strictly increasing rationals with ``b_1 = 0``
-  and ``b_m < 1`` (a virtual ``b_{m+1} = 1`` closes the last segment);
 * ``dirs = (sigma_1, ..., sigma_m)`` -- a strictly increasing Bruhat chain of
-  cosets in W/W_lam, each held by its minimum-length representative.
+  cosets in W/W_lam, each held by its minimum-length representative;
+* ``a = (a_1, ..., a_m)`` -- positive ints with sum ``D`` and
+  ``gcd(D, a_1, ..., a_m) = 1``: ``sigma_j`` runs for ``a_j / D`` of the time.
 
-Walking the actual piecewise-linear path from 0 visits the directions in
-*decreasing* Bruhat order: the k-th traversal step is the vector
-``(b_{m+2-k} - b_{m+1-k}) * sigma_{m+1-k}(lam)``.  The first direction of the
-walk, ``sigma_m``, is the initial direction ``iota(p)``; the last one,
-``sigma_1``, is the final direction ``phi(p)``.
+``LSPath(lam, D, [(a_j, sigma_j), ...])`` drops zero lengths, merges
+neighbours of one direction and divides out the gcd.  The cut points are
+``b_j = (a_1 + ... + a_{j-1}) / D``; the ``b`` property gives them as
+Fractions.  Walking the path from 0 visits the directions in *decreasing*
+Bruhat order, ``sigma_m`` first for ``a_m / D`` of the time: ``sigma_m`` is
+the initial direction ``iota(p)`` and ``sigma_1`` the final one ``phi(p)``.
 
 The crystal operator f_i reflects by s_i the part of the path between the
 last minimum M of its i-height profile and the first point at height M + 1;
@@ -23,11 +24,10 @@ LS path are integers, which the code checks (ValueError otherwise); the
 level M + 1 may still be crossed strictly inside a step, in which case the
 step is split there and only the part before the crossing is reflected.
 
-The operators and the endpoint run on ints: ``steps`` gives the step lengths
-over one denominator D, the lcm of the denominators of b, and the i-heights
-are ints over D too, as b_j * <beta, lam> is an integer on an LS path's chain
-(Littelmann, Paths and root operators, Ann. Math. 142, 1995).  The images
-d(lam) are memoised per group.
+The operators and the endpoint read the int form directly, and the
+i-heights are ints over D too, as b_j * <beta, lam> is an integer on an LS
+path's chain (Littelmann, Paths and root operators, Ann. Math. 142, 1995).
+The images d(lam) are memoised per group.
 
 The module also provides Demazure and opposite Demazure subcrystals, the
 iterated Deodhar lifts of a path from a Weyl group element (up for the
@@ -55,66 +55,51 @@ def stabilizer_nodes(R: Realization, lam: Weight) -> frozenset:
 
 
 class LSPath:
-    __slots__ = ("lam", "b", "dirs", "_hash")
+    __slots__ = ("lam", "D", "a", "dirs")
 
-    def __init__(self, lam: Weight, b: tuple, dirs: tuple):
-        if len(b) != len(dirs):
-            raise ValueError(f"{len(b)} values of b for {len(dirs)} directions")
-        if not b:
+    def __init__(self, lam: Weight, D: int, steps):
+        if D <= 0:
+            raise ValueError(f"denominator {D} is not positive")
+        a, dirs = [], []
+        for x, d in steps:
+            if x <= 0:
+                if x:
+                    raise ValueError(f"negative step length {Q(x, D)}")
+            elif dirs and dirs[-1] == d:
+                a[-1] += x
+            else:
+                a.append(x)
+                dirs.append(d)
+        if not a:
             raise ValueError("an LS path has at least one direction")
-        if b[0] != 0:
-            raise ValueError(f"b_1 = {b[0]}, not 0")
+        if (total := sum(a)) != D:
+            raise ValueError(f"step lengths sum to {Q(total, D)}, not 1")
+        if (g := math.gcd(D, *a)) > 1:
+            D, a = D // g, [x // g for x in a]
         self.lam = lam
-        self.b = b
-        self.dirs = dirs  # WeylElt minimal representatives, strictly increasing
-        self._hash = hash((lam, b, dirs))
+        self.D = D
+        self.a = tuple(a)
+        self.dirs = tuple(dirs)  # WeylElt minimal representatives, strictly increasing
 
     def __eq__(self, other):
         if type(other) is not LSPath:
             return NotImplemented
-        return (self.lam, self.b, self.dirs) == (other.lam, other.b, other.dirs)
+        return (self.lam, self.D, self.a, self.dirs) == (other.lam, other.D, other.a, other.dirs)
 
-    def __hash__(self):  # paths are hashed into many sets; Fractions hash slowly
-        return self._hash
+    def __hash__(self):
+        return hash((self.lam, self.D, self.a, self.dirs))
 
     def __repr__(self):
         return format_path(self)
 
+    @property
+    def b(self) -> tuple:
+        """The cut points b_j = (a_1 + ... + a_{j-1}) / D as Fractions; b_1 = 0."""
+        return tuple(Q(c, self.D) for c in accumulate(self.a[:-1], initial=0))
+
 
 def straight_path(W: WeylGroup, lam: Weight) -> LSPath:
-    return LSPath(lam, (0,), (W.from_word(()),))
-
-
-def steps(p: LSPath) -> tuple[int, list]:
-    """(D, [(a_1, d_1), ...]): the traversal steps walking from 0, d_1 =
-    iota(p), the k-th of length a_k / D, where D is the lcm of the
-    denominators of b and every a_k is a positive int."""
-    D = math.lcm(*[x.denominator for x in p.b])
-    ext = [x.numerator * (D // x.denominator) for x in p.b] + [D]
-    return D, [(ext[j + 1] - ext[j], p.dirs[j]) for j in range(len(ext) - 2, -1, -1)]
-
-
-def from_steps(lam: Weight, D: int, raw) -> LSPath:
-    """Rebuild the canonical (b, dirs) form from traversal steps of int lengths
-    over D, dropping zero-length steps and merging adjacent steps of equal
-    direction, so crystal operators can hand in freshly cut step lists."""
-    merged: list[list] = []
-    for a, d in raw:
-        if a == 0:
-            continue
-        if a < 0:
-            raise ValueError(f"negative step length {Q(a, D)}")
-        if merged and merged[-1][1] == d:
-            merged[-1][0] += a
-        else:
-            merged.append([a, d])
-    rest, bvals = D, []
-    for a, _ in merged:
-        rest -= a
-        bvals.append(Q(rest, D) if rest else 0)
-    if rest:
-        raise ValueError(f"step lengths sum to {Q(D - rest, D)}, not 1")
-    return LSPath(lam, tuple(reversed(bvals)), tuple(d for _, d in reversed(merged)))
+    return LSPath(lam, 1, ((1, W.e),))
 
 
 def phi(p: LSPath) -> WeylElt:
@@ -136,32 +121,35 @@ def _image(W: WeylGroup, d: WeylElt, lam: Weight) -> Weight:
 
 
 def endpoint(W: WeylGroup, p: LSPath) -> Weight:
-    """p(1) = sum_j (b_{j+1} - b_j) sigma_j(lam), a lattice weight for an LS
-    path: the int step lengths over D times the directions' images, summed
-    and divided by D, which must go exactly (ValueError otherwise)."""
-    D, st = steps(p)
+    """p(1) = sum_j (a_j / D) sigma_j(lam), a lattice weight for an LS path:
+    the int lengths times the directions' images, summed and divided by D,
+    which must go exactly (ValueError otherwise)."""
     total = [0] * W.R.N
-    for a, d in st:
+    for a, d in zip(p.a, p.dirs):
         total = [t + a * x for t, x in zip(total, _image(W, d, p.lam))]
-    if any(t % D for t in total):
+    if any(t % p.D for t in total):
         raise ValueError(f"endpoint of {format_path(p)} is not a lattice weight")
-    return tuple([t // D for t in total])
+    return tuple([t // p.D for t in total])
+
+
+def _reduced(c: int, D: int) -> tuple[int, int]:
+    """c / D in lowest terms, as (numerator, denominator)."""
+    return c // (g := math.gcd(c, D)), D // g
 
 
 def path_key(p: LSPath):
-    """Deterministic sort key."""
+    """Deterministic sort key; the cut points b_j as reduced int pairs."""
     return (
         len(p.dirs),
-        tuple((x.numerator, x.denominator) for x in p.b),
+        tuple(_reduced(c, p.D) for c in accumulate(p.a[:-1], initial=0)),
         tuple(d.key for d in p.dirs),
     )
 
 
 def format_path(p: LSPath) -> str:
-    D, st = steps(p)
     segs = []
-    for a, d in st:
-        part = "" if a == D else f"{Q(a, D)} "
+    for a, d in zip(reversed(p.a), reversed(p.dirs)):
+        part = "" if a == p.D else "%d/%d " % _reduced(a, p.D)
         name = "" if d.length == 0 else f"{d!r}·"
         segs.append(f"{part}{name}λ")
     return "(" + ", ".join(segs) + ")"
@@ -180,8 +168,8 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     A reflected step of direction d has slope +-<alpha_i^vee, d(lam)> >= 0, so
     by Deodhar's lemma (Invent. Math. 39, 1977) the minimal representative of
     s_i d W_lam is d at slope 0 and s_i d otherwise."""
-    D, st = steps(p)
-    st = st[::sign]
+    D = p.D
+    st = list(zip(p.a, p.dirs))[::-sign]  # traversal order for f, chain order for e
     ns = [sign * _image(W, d, p.lam)[i] for _, d in st]
     H = [0, *accumulate(a * n for (a, _), n in zip(st, ns))]
     M = min(H)
@@ -212,7 +200,7 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     else:
         out.append((a, refl(d, n)))
     out += st[j2:]
-    return from_steps(p.lam, D, out[::sign])
+    return LSPath(p.lam, D, out[::-sign])
 
 
 def f(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
@@ -348,12 +336,12 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int, crystal=None)
     acc: dict[WeylElt, LaurentPoly] = {}
     if sign > 0:
         wmin = W.coset_decompose(w, J)[0]
-        tops = {p: endpoint(W, p) for p in sorted(crystal, key=path_key) if iota(p) == wmin}
+        tops = {p: endpoint(W, p) for p in crystal if iota(p) == wmin}
         for z in interval_below(W, w):
             for p in lift_subset(W, tops, z, w, J, "up"):
                 lp_add_into(acc.setdefault(z, {}), lp_monomial(tops[p]))
     else:
-        for p in sorted(crystal, key=path_key):
+        for p in crystal:
             z = down_path(W, w, p)
             sign_z = -1 if (w.length - z.length) % 2 else 1
             lp_add_into(acc.setdefault(z, {}), lp_monomial(wt_neg(endpoint(W, p)), sign_z))

@@ -3,13 +3,15 @@
 The lifts are recomputed by scanning a BFS ball, the chain-axiom counts
 N_{<h} in a closed form that also holds where the lex chain is infinite, a
 word of T_i operators by applying its letters one at a time, and the LS root
-operators, endpoint and path format in Fraction arithmetic (the library works
-on int step lengths over one denominator).  validation_error checks that a
-path is a genuine LS path of its shape, by the definition.  pytest does not rewrite the
-asserts of this helper module, so a check that must hold under python -O
-raises explicitly.
+operators, endpoint, path format and sort key in Fraction arithmetic (the
+library stores int step lengths over one denominator).  ls_path builds a
+path from its Fraction cut points b, the readable form the tests write.
+validation_error checks that a path is a genuine LS path of its shape, by
+the definition.  pytest does not rewrite the asserts of this helper module,
+so a check that must hold under python -O raises explicitly.
 """
 from fractions import Fraction as Q
+from math import lcm
 
 from kmchev.alcove import stdvec
 from kmchev.cartan import pairing
@@ -78,6 +80,22 @@ def apply_word(R, word, f):
     return f
 
 
+def ls_path(lam, b, dirs):
+    """The LSPath with cut points b (b[0] = 0, strictly increasing, below 1)
+    and directions dirs in chain order."""
+    if len(b) != len(dirs) or not b or b[0] != 0:
+        raise ValueError(f"cut points {b} do not start at 0 or do not match {len(dirs)} directions")
+    D = lcm(*[Q(x).denominator for x in b])
+    ext = [x * D for x in b] + [D]
+    return LSPath(lam, D, [(int(ext[j + 1] - ext[j]), d) for j, d in enumerate(dirs)])
+
+
+def ls_path_key(p):
+    """The sort key of the Fraction form: the number of directions, the cut
+    points as (numerator, denominator) pairs, then the directions."""
+    return (len(p.dirs), tuple((x.numerator, x.denominator) for x in p.b), tuple(d.key for d in p.dirs))
+
+
 def ls_steps(p):
     """Traversal steps [(a_1, d_1), ...] of p with Fraction lengths; d_1 = iota(p)."""
     m = len(p.dirs)
@@ -103,11 +121,10 @@ def ls_from_steps(lam, raw):
     acc = 0
     for k, (a, _) in enumerate(merged, start=1):
         acc += a
-        x = Q(1 - acc)
-        bvals[m - k] = x.numerator if x.denominator == 1 else x
+        bvals[m - k] = Q(1 - acc)
     if bvals[0] != 0:
         raise ValueError(f"step lengths sum to {1 - bvals[0]}, not 1")
-    return LSPath(lam, tuple(bvals), tuple(d for _, d in reversed(merged)))
+    return ls_path(lam, bvals, [d for _, d in reversed(merged)])
 
 
 def _ls_root_op(W, lam, i, st, ns):

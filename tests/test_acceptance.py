@@ -49,7 +49,7 @@ from kmchev.lspath import (
     stabilizer_nodes,
 )
 from kmchev.lifts import down, up
-from reference import apply_word, count_before, down_oracle, up_oracle
+from reference import apply_word, count_before, down_oracle, ls_path, up_oracle
 
 LAM = weight(1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)
@@ -138,14 +138,12 @@ def test_criterion_3_antidominant_affine_row(WAFF):
     w = W.from_word(WWORD)
     crystal = demazure_crystal(W, LAM, w)
 
-    from kmchev.lspath import LSPath
-
     def P(word):
-        return LSPath(LAM, (0,), (W.from_word(word),))
+        return ls_path(LAM, (0,), (W.from_word(word),))
 
-    q2 = LSPath(LAM, (0, Q(1, 2)), (W.from_word((1,)), W.from_word((0, 1))))
-    p1 = LSPath(LAM, (0, Q(2, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1))))
-    p2 = LSPath(LAM, (0, Q(1, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1))))
+    q2 = ls_path(LAM, (0, Q(1, 2)), (W.from_word((1,)), W.from_word((0, 1))))
+    p1 = ls_path(LAM, (0, Q(2, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1))))
+    p2 = ls_path(LAM, (0, Q(1, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1))))
     assignment = {
         P(()): (2,),
         P((1,)): (1, 2),

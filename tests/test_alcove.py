@@ -36,7 +36,6 @@ from kmchev.alcove import (
 from kmchev.cartan import GCM, Realization, pairing, realization_from_preset, weight, wt_add, wt_neg, wt_scale
 from kmchev.kring import chevalley_recurrence, lp_add_into, lp_monomial
 from kmchev.lspath import (
-    LSPath,
     chevalley_ls,
     demazure_crystal,
     down_path,
@@ -45,7 +44,7 @@ from kmchev.lspath import (
     stabilizer_nodes,
 )
 from kmchev.weyl import WeylGroup
-from reference import count_before
+from reference import count_before, ls_path
 
 LAM = weight(1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)
@@ -328,7 +327,7 @@ def test_frozen_weights_and_conversions(afftrees):
     (leaf,) = rightmost
     assert leaf.z == W.from_word((1, 2))
     assert wt_fold(W, LAM, leaf) == weight(1, 1, 0, -1)
-    p1 = LSPath(LAM, (0, Q(2, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1))))
+    p1 = ls_path(LAM, (0, Q(2, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1))))
     assert seq_to_ls(W, LAM, leaf) == p1
     assert ls_to_seq(W, p1, leaf.z, "inc") == leaf
 
@@ -340,7 +339,7 @@ def test_frozen_weights_and_conversions(afftrees):
     (seq,) = s02
     assert tuple(format_hyperplane(LAM, h) for h in seq.hs) == ("(0|0,1,1)", "(0|0,1,0)")
     assert wt_fold(W, LAM, seq) == weight(-1, 2, 1, -1)
-    s0path = LSPath(LAM, (0,), (W.from_word((0,)),))
+    s0path = ls_path(LAM, (0,), (W.from_word((0,)),))
     assert seq_to_ls(W, LAM, seq) == s0path
     assert ls_to_seq(W, s0path, w, "dec") == seq
 
@@ -497,7 +496,7 @@ def bad_arguments_raise():
     calls = [
         lambda: AdaptedSequence(W.e, (), (W.e,), "up"),
         lambda: enumerate_z_adapted(W, lam, W.e, "increasing", 2),
-        lambda: ls_to_seq(W, LSPath(lam, (0,), (W.e,)), W.e, "Inc"),
+        lambda: ls_to_seq(W, ls_path(lam, (0,), (W.e,)), W.e, "Inc"),
         lambda: stdvec(lam, LambdaHyperplane(alpha, pairing(alpha, lam))),
         lambda: stdvec(weight(0, 0), LambdaHyperplane(alpha, 0)),
         lambda: seq_to_ls(W, lam, unordered),

@@ -253,6 +253,31 @@ def test_bad_bounds_exit_2(flags):
         assert proc.stdout == "", argv
 
 
+@pytest.mark.parametrize("argv, lines_read", [
+    (["crystal", "--cartan", "A1~", "--weight", "1,1", "--w", "1 0 1 0 1 0 1", "--realization", "alcove"], 1),
+    (["chevalley", "--cartan", "A1", "--weight", "1", "--w", "e"], 0),
+])
+def test_a_closed_stdout_exits_2_without_a_traceback(argv, lines_read):
+    """A reader that stops early gets one error: line and exit 2.  The 400 KB
+    crystal document breaks inside print, after one line is read; the 400
+    byte row would fit the pipe whole, so its pipe is closed unread and it
+    breaks at the flush.  The child's stdout is block-buffered, as in a
+    shell without PYTHONUNBUFFERED."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    proc = subprocess.Popen([sys.executable, "-m", "kmchev", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_gcm_file_errors_exit_2(tmp_path, capsys):
     bodies = {
         "bad_json": "{not json",

@@ -4,14 +4,15 @@ Every path of four Demazure crystals (affine, finite with slopes of 3,
 hyperbolic) goes through f_i and e_i for every i, and both kernels must agree
 on the results, the endpoints and the printed form.  The crystals are built
 with the reference operators, so a faulty kernel cannot stall the build."""
+import math
 from fractions import Fraction as Q
 
 import pytest
-from reference import ls_e, ls_endpoint, ls_f, ls_format_path, ls_steps
+from reference import ls_e, ls_endpoint, ls_f, ls_format_path, ls_path_key, ls_steps
 
 from kmchev.cartan import GCM, Realization, realization_from_preset, wt_sub
 from kmchev.cli import parse_word
-from kmchev.lspath import demazure_crystal, e, endpoint, f, format_path, from_steps, steps, straight_path
+from kmchev.lspath import LSPath, demazure_crystal, e, endpoint, f, format_path, path_key, straight_path
 from kmchev.weyl import WeylGroup
 
 CASES = {
@@ -45,9 +46,8 @@ def crystal(request):
 def test_int_kernel_matches_the_fraction_reference(crystal):
     _, W, _, paths = crystal
     for p in paths:
-        D, st = steps(p)
-        assert [(Q(a, D), d) for a, d in st] == ls_steps(p)
-        assert from_steps(p.lam, D, st) == p
+        assert [(Q(a, p.D), d) for a, d in zip(p.a, p.dirs)][::-1] == ls_steps(p)
+        assert LSPath(p.lam, p.D, zip(p.a, p.dirs)) == p
         assert endpoint(W, p) == ls_endpoint(W, p)
         assert format_path(p) == ls_format_path(p)
         for i in range(W.n):
@@ -78,4 +78,24 @@ def test_some_cuts_rescale_the_denominator(crystal):
     denominator does not divide D (G2 has slopes of 3); the first test
     checks those results against the reference."""
     _, W, _, paths = crystal
-    assert any((q := f(W, p, i)) is not None and steps(q)[0] % steps(p)[0] for p in paths for i in range(W.n))
+    assert any((q := f(W, p, i)) is not None and q.D % p.D for p in paths for i in range(W.n))
+
+
+def test_the_stored_form_is_canonical_and_sorts_as_the_fractions(crystal):
+    """Every path holds ints only, with positive lengths summing to a D
+    coprime to them and no two neighbours of one direction; its b is the
+    reference's cut points; path_key orders as the Fraction key did; and
+    two spellings of one path build one path."""
+    _, W, _, paths = crystal
+    for p in paths:
+        assert all(type(x) is int for x in (*p.lam, p.D, *p.a))
+        assert all(x > 0 for x in p.a) and sum(p.a) == p.D and math.gcd(p.D, *p.a) == 1
+        assert all(x != y for x, y in zip(p.dirs, p.dirs[1:]))
+        lengths = [a for a, _ in reversed(ls_steps(p))]  # chain order
+        assert list(p.b) == [sum(lengths[:j], Q(0)) for j in range(len(lengths))]
+    assert sorted(paths, key=path_key) == sorted(paths, key=ls_path_key)
+    lam, d = next(iter(paths)).lam, W.simple(0)
+    one = LSPath(lam, 1, [(1, d)])
+    for other in (LSPath(lam, 2, [(1, d), (1, d)]), LSPath(lam, 6, [(0, W.e), (4, d), (2, d)])):
+        assert other == one and hash(other) == hash(one)
+        assert (other.D, other.a, other.dirs) == (1, (1,), (d,))

@@ -21,17 +21,15 @@ from kmchev.lspath import (
     endpoint,
     f,
     format_path,
-    from_steps,
     iota,
     istring,
     lift_subset,
     path_key,
     phi,
     stabilizer_nodes,
-    steps,
     up_path,
 )
-from reference import validation_error
+from reference import ls_path, validation_error
 
 LAM = weight(1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)
@@ -44,7 +42,7 @@ def aff(WAFF):
     w = W.from_word(WWORD)
 
     def P(word):
-        return LSPath(LAM, (0,), (W.from_word(word),))
+        return ls_path(LAM, (0,), (W.from_word(word),))
 
     named = {
         "str": P(()),
@@ -53,9 +51,9 @@ def aff(WAFF):
         "s01": P((0, 1)),
         "s21": P((2, 1)),
         "s021": P((0, 2, 1)),
-        "q2": LSPath(LAM, (0, Q(1, 2)), (W.from_word((1,)), W.from_word((0, 1)))),
-        "p1": LSPath(LAM, (0, Q(2, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1)))),
-        "p2": LSPath(LAM, (0, Q(1, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1)))),
+        "q2": ls_path(LAM, (0, Q(1, 2)), (W.from_word((1,)), W.from_word((0, 1)))),
+        "p1": ls_path(LAM, (0, Q(2, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1)))),
+        "p2": ls_path(LAM, (0, Q(1, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1)))),
     }
     return W, w, named
 
@@ -113,13 +111,28 @@ def test_f_drops_the_weight_by_a_simple_root(aff):
 def test_steps_round_trip(aff):
     W, w, N = aff
     for p in N.values():
-        assert from_steps(p.lam, *steps(p)) == p
+        assert LSPath(p.lam, p.D, zip(p.a, p.dirs)) == p
     # merging fuses an artificially split step, here over a doubled denominator
     p = N["p1"]
-    D, ((a1, d1), (a2, d2)) = steps(p)
-    assert (D, a1, a2) == (3, 1, 2)
-    split = [(a1, d1), (a1, d1), (2 * a2, d2)]
-    assert from_steps(p.lam, 2 * D, split) == p
+    (a1, a2), (d1, d2) = p.a, p.dirs
+    assert (p.D, a1, a2) == (3, 2, 1)
+    split = [(2 * a1, d1), (a2, d2), (a2, d2)]
+    assert LSPath(p.lam, 2 * p.D, split) == p
+
+
+@pytest.mark.parametrize("D, steps, message", [
+    (2, [(3, "e"), (-1, "s0")], "negative step length -1/2"),
+    (2, [(1, "e")], "sum to 1/2, not 1"),
+    (1, [], "at least one direction"),
+    (1, [(0, "e")], "at least one direction"),
+    (0, [(0, "e")], "denominator 0 is not positive"),
+    (-1, [(-1, "e")], "denominator -1 is not positive"),
+])
+def test_the_constructor_refuses_bad_steps(aff, D, steps, message):
+    W, _, _ = aff
+    elts = {"e": W.e, "s0": W.simple(0)}
+    with pytest.raises(ValueError, match=message):
+        LSPath(LAM, D, [(a, elts[d]) for a, d in steps])
 
 
 def test_format_path(aff):
@@ -131,26 +144,25 @@ def test_format_path(aff):
 def test_validation_diagnoses(aff):
     W, w, N = aff
     s1, s01 = W.from_word((1,)), W.from_word((0, 1))
-    bad_shape = LSPath(weight(1, -1, 0, 0), (0,), (W.from_word(()),))
+    bad_shape = ls_path(weight(1, -1, 0, 0), (0,), (W.from_word(()),))
     assert "dominant" in validation_error(W, bad_shape)
-    not_minimal = LSPath(LAM, (0,), (W.from_word((2,)),))
+    not_minimal = ls_path(LAM, (0,), (W.from_word((2,)),))
     assert "minimal" in validation_error(W, not_minimal)
-    not_increasing = LSPath(LAM, (0, Q(1, 2)), (s01, s1))
+    not_increasing = ls_path(LAM, (0, Q(1, 2)), (s01, s1))
     assert "increasing" in validation_error(W, not_increasing)
     # the q2 shape with an inadmissible cut point: the cover coroot pairs to 2,
     # and 2/3 is not an integer
-    bad_cut = LSPath(LAM, (0, Q(1, 3)), (s1, s01))
+    bad_cut = ls_path(LAM, (0, Q(1, 3)), (s1, s01))
     assert "chain" in validation_error(W, bad_cut)
-    assert validation_error(W, LSPath(LAM, (0, Q(1, 2)), (s1, s01))) is None
+    assert validation_error(W, ls_path(LAM, (0, Q(1, 2)), (s1, s01))) is None
 
 
 NON_LS = """
-from fractions import Fraction as Q
 from kmchev.cartan import realization_from_preset
 from kmchev.lspath import LSPath, e, f
 from kmchev.weyl import WeylGroup
 W = WeylGroup(realization_from_preset("A2~"))
-p = LSPath((1, 1, 0, 0), (0, Q(1, 3)), (W.from_word((1,)), W.from_word((0, 1))))
+p = LSPath((1, 1, 0, 0), 3, [(1, W.from_word((1,))), (2, W.from_word((0, 1)))])  # b = (0, 1/3)
 for op in (f, e):
     try:
         op(W, p, 0)
@@ -165,7 +177,7 @@ def test_operators_reject_a_non_ls_path(aff):
     """b = (0, 1/3) on these directions gives the 0-height profile a
     non-integral minimum, which only a non-LS path can have."""
     W, _, _ = aff
-    p = LSPath(LAM, (0, Q(1, 3)), (W.from_word((1,)), W.from_word((0, 1))))
+    p = ls_path(LAM, (0, Q(1, 3)), (W.from_word((1,)), W.from_word((0, 1))))
     assert validation_error(W, p) is not None
     for op in (f, e):
         with pytest.raises(ValueError, match="not an LS path"):
@@ -183,21 +195,19 @@ def test_operators_reject_a_non_ls_path_in_a_subprocess(flags):
 
 
 BAD_ARGUMENTS = """
-from fractions import Fraction as Q
 from kmchev.cartan import realization_from_preset
-from kmchev.lspath import LSPath, classify_string, f, from_steps, istring, lift_subset, straight_path
+from kmchev.lspath import LSPath, classify_string, istring, lift_subset, straight_path
 from kmchev.weyl import WeylGroup
 W = WeylGroup(realization_from_preset("A2"))
 lam = (1, 1)
 S = istring(W, straight_path(W, lam), 0)
 calls = [
-    lambda: from_steps(lam, 2, [(3, W.e), (-1, W.simple(0))]),  # a negative step
-    lambda: from_steps(lam, 2, [(1, W.e)]),  # the steps sum to 1/2
+    lambda: LSPath(lam, 2, [(3, W.e), (-1, W.simple(0))]),  # a negative step
+    lambda: LSPath(lam, 2, [(1, W.e)]),  # the steps sum to 1/2
+    lambda: LSPath(lam, 1, []),  # an empty path
+    lambda: LSPath(lam, 0, [(0, W.e)]),  # D <= 0
     lambda: classify_string(W, S, W.e, 1, "up"),  # a 0-string classified as a 1-string
     lambda: lift_subset(W, [S.head], W.e, W.e, frozenset(), "sideways"),
-    lambda: LSPath(lam, (0, Q(1, 2)), (W.e,)),  # two values of b for one direction
-    lambda: f(W, LSPath(lam, (), ()), 0),  # an empty path
-    lambda: LSPath(lam, (Q(1, 2),), (W.e,)),  # b_1 != 0
 ]
 raised = 0
 for call in calls:
@@ -211,14 +221,14 @@ print(raised)
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_bad_arguments_raise_in_a_subprocess(flags):
-    """LSPath, from_steps, classify_string and lift_subset refuse bad input
+    """LSPath, classify_string and lift_subset refuse bad input
     with a ValueError that python -O does not strip."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_ARGUMENTS], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "7"
+    assert proc.stdout.strip() == "6"
 
 
 def test_membership_is_initial_direction_below_w(aff):

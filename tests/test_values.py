@@ -4,9 +4,8 @@ Equal fields give equal objects with equal hashes, a change in any field
 makes them unequal, no object equals the plain tuple of its fields, and the
 repr strings are pinned.  Coroot equality reads the coordinates c only.
 """
-from fractions import Fraction as Q
-
 import pytest
+from reference import ls_path
 
 from kmchev.alcove import AdaptedSequence, LambdaHyperplane
 from kmchev.cartan import GCM, Coroot, realization_from_preset
@@ -27,11 +26,11 @@ CASES = {
     "GCM": (GCM, (((2, -1), (-2, 2)), (2, 1)),
             [(((2, -1), (-1, 2)), (2, 1)), (((2, -1), (-2, 2)), (1, 1))],
             "GCM(a=((2, -1), (-2, 2)), d=(2, 1))"),
-    "LSPath": (LSPath, (LAM, (0, Q(1, 2)), (S1, S21)),
-               [((2, 1), (0, Q(1, 2)), (S1, S21)), (LAM, (0, Q(1, 3)), (S1, S21)), (LAM, (0, Q(1, 2)), (S2, S21))],
+    "LSPath": (LSPath, (LAM, 2, ((1, S1), (1, S21))),
+               [((2, 1), 2, ((1, S1), (1, S21))), (LAM, 3, ((1, S1), (2, S21))), (LAM, 2, ((1, S2), (1, S21)))],
                "(1/2 s2*s1·λ, 1/2 s1·λ)"),
-    "IString": (IString, (0, (STR, LSPath(LAM, (0,), (S1,)))),
-                [(1, (STR, LSPath(LAM, (0,), (S1,)))), (0, (STR,))],
+    "IString": (IString, (0, (STR, ls_path(LAM, (0,), (S1,)))),
+                [(1, (STR, ls_path(LAM, (0,), (S1,)))), (0, (STR,))],
                 "IString(i=0, elements=((λ), (s1·λ)))"),
     "LambdaHyperplane": (LambdaHyperplane, (A01, 1), [(A0, 1), (A01, 0)], "(1|1,1)"),
     "AdaptedSequence": (AdaptedSequence, (E, (LambdaHyperplane(A0, 0),), (E, S1), "inc"),
@@ -67,4 +66,4 @@ def test_library_objects_repr_as_before():
     assert repr(R.gcm) == "GCM(a=((2, -1), (-1, 2)), d=(1, 1))"
     assert repr(GCM.from_matrix([[2, -1], [-2, 2]])) == CASES["GCM"][3]
     assert repr(istring(W, STR, 0)) == CASES["IString"][3]
-    assert istring(W, STR, 0) == IString(0, (STR, LSPath(LAM, (0,), (S1,))))
+    assert istring(W, STR, 0) == IString(0, (STR, ls_path(LAM, (0,), (S1,))))
