@@ -435,10 +435,14 @@ class Realization:
         deltas: list = []
         for tok in text.split(","):
             tok = tok.strip()
-            if tok.startswith("delta="):
-                deltas.append(Q(tok[len("delta="):]))
-            elif tok:
-                coords.append(Q(tok))
+            if not tok:
+                continue
+            is_delta = tok.startswith("delta=")
+            try:
+                value = Q(tok[len("delta="):] if is_delta else tok)
+            except (ValueError, ZeroDivisionError):  # Q("1/0") raises the latter
+                raise ValueError(f"weight coordinate {tok!r} is not a number") from None
+            (deltas if is_delta else coords).append(value)
         if len(coords) != self.n:
             raise ValueError(f"expected {self.n} fundamental coordinates, got {len(coords)}")
         corank = self.N - self.n

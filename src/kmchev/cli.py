@@ -17,7 +17,8 @@ text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
 is refused before any model runs); table output prints every extra
 coordinate of a weight in corank >= 2.  A failed cross-check exits 1 with a
 report: table lines under ``--format table`` (any corank), JSON otherwise.
-Bad input, an exceeded layer cap and a closed stdout exit 2 with ``error:``.
+Bad input (a missing ``--weight`` too), an exceeded layer cap and a closed
+stdout (``main`` flushes it, also after ``--help``) exit 2 with ``error:``.
 """
 
 from __future__ import annotations
@@ -45,67 +46,30 @@ def json_corank(R: Realization) -> int:
     return R.N - R.n
 
 
-class JobConfig:
-    """One command's settings, given by keyword; each field not given takes
-    its value from DEFAULTS."""
-
-    DEFAULTS = {"cartan": None, "gcm_file": None, "weight": "", "sign": 1, "model": "all", "w": None, "z": None,
-                "max_length": None, "fmt": "json", "out": None, "opposite": False, "realization": "ls",
-                "scenario": None}
-    __slots__ = tuple(DEFAULTS)
-
-    def __init__(self, **values):
-        for name, value in {**self.DEFAULTS, **values}.items():
-            setattr(self, name, value)  # AttributeError for a name that is no field
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.DEFAULTS)
-
-    def __eq__(self, other):
-        if type(other) is not JobConfig:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return f"JobConfig({', '.join(f'{k}={v!r}' for k, v in zip(self.DEFAULTS, self._values()))})"
-
-    @classmethod
-    def from_args(cls, ns: argparse.Namespace) -> "JobConfig":
-        """Every field from the option of the same name, its default where the
-        subcommand has no such option."""
-        args = {name: getattr(ns, name, default) for name, default in cls.DEFAULTS.items()}
-        args["sign"] = {"+1": 1, "+": 1, "-1": -1, "-": -1}.get(getattr(ns, "sign", "+1"))
-        if args["sign"] is None:
-            raise CLIError(f"--sign must be +1 or -1, not {ns.sign!r}")
-        args["weight"] = args["weight"] or ""
-        if args["max_length"] is not None and args["max_length"] < 0:
-            raise CLIError(f"--max-length must be >= 0, not {args['max_length']}")
-        return cls(**args)
-
-    def build_realization(self) -> Realization:
-        """The realization; for JSON output its corank is checked here, before
-        any model runs."""
-        if self.gcm_file and self.cartan:
-            raise CLIError("give either --cartan or --gcm-file, not both")
-        if self.gcm_file:
-            try:
-                R = realization_from_json_file(self.gcm_file)
-            except OSError as exc:
-                raise CLIError(f"cannot read --gcm-file: {exc}") from None
-            except KeyError as exc:
-                raise CLIError(f"--gcm-file {self.gcm_file}: missing key {exc}") from None
-            except (ValueError, TypeError) as exc:  # ValueError covers json.JSONDecodeError
-                raise CLIError(f"--gcm-file {self.gcm_file}: {exc}") from None
-        elif self.cartan:
-            try:
-                R = realization_from_preset(self.cartan)
-            except ValueError as exc:
-                raise CLIError(str(exc)) from None
-        else:
-            raise CLIError("a Cartan matrix is required (--cartan or --gcm-file)")
-        if self.fmt == "json":
-            json_corank(R)
-        return R
+def build_realization(args: argparse.Namespace) -> Realization:
+    """The realization; for JSON output its corank is checked here, before
+    any model runs."""
+    if args.gcm_file and args.cartan:
+        raise CLIError("give either --cartan or --gcm-file, not both")
+    if args.gcm_file:
+        try:
+            R = realization_from_json_file(args.gcm_file)
+        except OSError as exc:
+            raise CLIError(f"cannot read --gcm-file: {exc}") from None
+        except KeyError as exc:
+            raise CLIError(f"--gcm-file {args.gcm_file}: missing key {exc}") from None
+        except (ValueError, TypeError) as exc:  # ValueError covers json.JSONDecodeError
+            raise CLIError(f"--gcm-file {args.gcm_file}: {exc}") from None
+    elif args.cartan:
+        try:
+            R = realization_from_preset(args.cartan)
+        except ValueError as exc:
+            raise CLIError(str(exc)) from None
+    else:
+        raise CLIError("a Cartan matrix is required (--cartan or --gcm-file)")
+    if args.fmt == "json":
+        json_corank(R)
+    return R
 
 
 def parse_word(R: Realization, text: str) -> tuple:
@@ -129,6 +93,26 @@ def parse_lam(R: Realization, text: str | None) -> Weight:
     if not is_lattice(lam):
         raise CLIError(f"weight {text!r} is not integral: every coordinate must be an integer")
     return lam
+
+
+def _setup(args: argparse.Namespace) -> tuple[Realization, WeylGroup, Weight]:
+    """The realization, its Weyl group and the dominant weight --weight."""
+    R = build_realization(args)
+    lam = parse_lam(R, args.weight)
+    if not R.is_dominant(lam):
+        raise CLIError(f"weight {args.weight!r} is not dominant")
+    return R, WeylGroup(R), lam
+
+
+def _over_z(args: argparse.Namespace, R: Realization, W: WeylGroup, mode: str) -> WeylElt:
+    """The element --z of a mode that ranges up to --max-length, its options checked."""
+    if args.z is None or args.max_length is None:
+        raise CLIError(f"{mode} needs both --z and --max-length")
+    if args.w is not None:
+        raise CLIError(f"{mode} ranges over --z up to --max-length: drop --w")
+    if args.max_length < 0:
+        raise CLIError(f"--max-length must be >= 0, not {args.max_length}")
+    return W.from_word(parse_word(R, args.z))
 
 
 def weight_obj(R: Realization, mu: Weight) -> dict:
@@ -211,22 +195,20 @@ def poly_str(R: Realization, poly) -> str:
     return " ".join(parts)
 
 
-def emit(cfg: JobConfig, text: str) -> None:
-    if cfg.out:
+def emit(out: str | None, text: str) -> None:
+    """Write text to the file `out` (the --out option), or to stdout."""
+    if out:
         try:
-            with open(cfg.out, "w") as fh:
+            with open(out, "w") as fh:
                 fh.write(text)
                 if not text.endswith("\n"):
                     fh.write("\n")
         except OSError as exc:
             raise CLIError(f"cannot write --out: {exc}") from None
+    elif sys.stdout is None:  # python was started with stdout closed
+        raise CLIError("stdout was closed before the output was written")
     else:
-        try:
-            print(text)
-            sys.stdout.flush()  # a small output would otherwise fail only at exit
-        except BrokenPipeError:  # the reader left: the flush at exit goes to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise CLIError("stdout was closed before the output was written") from None
+        print(text)
 
 
 # -- chevalley ---------------------------------------------------------------
@@ -261,122 +243,110 @@ def _rows_diff(rows_by_model: dict) -> list:
     return diffs
 
 
-def cmd_chevalley(cfg: JobConfig) -> int:
-    R = cfg.build_realization()
-    W = WeylGroup(R)
-    lam = parse_lam(R, cfg.weight)
-    if not R.is_dominant(lam):
-        raise CLIError(f"weight {cfg.weight!r} is not dominant")
+SIGNS = {"+1": 1, "+": 1, "-1": -1, "-": -1}
 
-    if cfg.z is not None or cfg.max_length is not None:
-        return _chevalley_fixed_z(cfg, R, W, lam)
 
-    if cfg.w is None:
+def cmd_chevalley(args: argparse.Namespace) -> int:
+    sign = SIGNS.get(args.sign)
+    if sign is None:
+        raise CLIError(f"--sign must be +1 or -1, not {args.sign!r}")
+    R, W, lam = _setup(args)
+
+    if args.z is not None or args.max_length is not None:
+        return _chevalley_fixed_z(args, sign, R, W, lam)
+
+    if args.w is None:
         raise CLIError("chevalley needs --w (or --z with --max-length)")
-    word = parse_word(R, cfg.w)
+    word = parse_word(R, args.w)
     w = W.from_word(word)
 
-    models = ["ls", "alcove", "nilhecke"] if cfg.model == "all" else [cfg.model]
-    rows_by_model = {m: _rows_for_model(m, R, lam, cfg.sign, word) for m in models}
+    models = ["ls", "alcove", "nilhecke"] if args.model == "all" else [args.model]
+    rows_by_model = {m: _rows_for_model(m, R, lam, sign, word) for m in models}
 
     diffs = _rows_diff(rows_by_model)
     if diffs:
-        if cfg.fmt == "table":
+        if args.fmt == "table":
             lines = ["models disagree"]
             for z, polys in diffs:
                 lines += [f"  [O_{z!r}]"] + [f"    {name} : {poly_str(R, p)}" for name, p in sorted(polys.items())]
-            emit(cfg, "\n".join(lines))
+            emit(args.out, "\n".join(lines))
             return 1
         disagreements = [
             {"z": word_obj(R, z), "models": {name: partial(terms_text, R, p) for name, p in sorted(polys.items())}}
             for z, polys in diffs
         ]
-        emit(cfg, json_text({"error": "models disagree", "disagreements": disagreements}))
+        emit(args.out, json_text({"error": "models disagree", "disagreements": disagreements}))
         return 1
 
-    if cfg.fmt in ("json", "table"):
-        _emit_rows(cfg, R, lam, "w", w, rows_by_model[models[0]], False, "")
-    elif cfg.fmt == "dot":
-        if cfg.model not in ("alcove", "all"):
+    if args.fmt == "dot":
+        if args.model not in ("alcove", "all"):
             raise CLIError("--format dot for chevalley requires the alcove model")
         from . import alcove
-        seqs = (alcove.enumerate_tree_dominant if cfg.sign > 0 else alcove.enumerate_tree_antidominant)(W, lam, w)
-        emit(cfg, alcove.tree_dot(W, lam, seqs))
+        seqs = (alcove.enumerate_tree_dominant if sign > 0 else alcove.enumerate_tree_antidominant)(W, lam, w)
+        emit(args.out, alcove.tree_dot(W, lam, seqs))
     else:
-        raise CLIError(f"unknown format {cfg.fmt!r}")
+        _emit_rows(args, sign, R, lam, "w", w, rows_by_model[models[0]], False, "")
     return 0
 
 
-def _chevalley_fixed_z(cfg: JobConfig, R: Realization, W: WeylGroup, lam: Weight) -> int:
-    if cfg.z is None or cfg.max_length is None:
-        raise CLIError("fixed-z mode needs both --z and --max-length")
-    if cfg.w is not None:
-        raise CLIError("fixed-z mode (--z, --max-length) expands over every w: drop --w")
-    if cfg.model not in ("alcove",):
+def _chevalley_fixed_z(args: argparse.Namespace, sign: int, R: Realization, W: WeylGroup, lam: Weight) -> int:
+    z = _over_z(args, R, W, "fixed-z mode")
+    if args.model != "alcove":
         raise CLIError("fixed-z mode is supported by the alcove model only (--model alcove)")
-    if cfg.fmt not in ("json", "table"):
+    if args.fmt == "dot":
         raise CLIError("fixed-z mode emits json or table")
     from . import alcove, kring
-    z = W.from_word(parse_word(R, cfg.z))
-    mono = "inc" if cfg.sign > 0 else "dec"
-    seqs, truncated = alcove.enumerate_z_adapted(W, lam, z, mono, cfg.max_length)
+    mono = "inc" if sign > 0 else "dec"
+    seqs, truncated = alcove.enumerate_z_adapted(W, lam, z, mono, args.max_length)
     rows: dict[WeylElt, dict] = {}
     for seq in seqs:
         kring.lp_add_into(rows.setdefault(seq.end, {}), alcove.signed_term(W, lam, seq))
     rows = {w: p for w, p in rows.items() if p}
-    tail = f", lengths <= {cfg.max_length}" + ("  (truncated)" if truncated else "")
-    _emit_rows(cfg, R, lam, "z", z, rows, truncated, tail)
+    tail = f", lengths <= {args.max_length}" + ("  (truncated)" if truncated else "")
+    _emit_rows(args, sign, R, lam, "z", z, rows, truncated, tail)
     return 0
 
 
-def _emit_rows(cfg: JobConfig, R: Realization, lam: Weight, fixed: str, elt: WeylElt, rows, truncated: bool,
-               tail: str) -> None:
+def _emit_rows(args: argparse.Namespace, sign: int, R: Realization, lam: Weight, fixed: str, elt: WeylElt, rows,
+               truncated: bool, tail: str) -> None:
     """Chevalley rows over the element `elt` held fixed, as json or table.
     `fixed` is "w" (rows keyed by z) or "z" (rows keyed by w); `tail` ends
     the table's first line."""
     order = sorted(rows, key=lambda u: u.key)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         key = "z" if fixed == "w" else "w"
-        emit(cfg, json_text({
+        emit(args.out, json_text({
             "cartan": R.gcm.to_json(),
             "lambda": weight_obj(R, lam),
-            "sign": cfg.sign,
+            "sign": sign,
             fixed: word_obj(R, elt),
             "rows": [{key: word_obj(R, u), "terms": partial(terms_text, R, rows[u])} for u in order],
             "truncated": truncated,
         }))
     else:
-        head = f"[L^{'+' if cfg.sign > 0 else '-'}({R.format_weight(lam)})] * [O_{elt!r}]" + tail
-        emit(cfg, "\n".join([head] + [f"  [O_{u!r}] : {poly_str(R, rows[u])}" for u in order]))
+        head = f"[L^{'+' if sign > 0 else '-'}({R.format_weight(lam)})] * [O_{elt!r}]" + tail
+        emit(args.out, "\n".join([head] + [f"  [O_{u!r}] : {poly_str(R, rows[u])}" for u in order]))
 
 
 # -- crystal -----------------------------------------------------------------
 
 
-def cmd_crystal(cfg: JobConfig) -> int:
+def cmd_crystal(args: argparse.Namespace) -> int:
     from . import alcove, lspath
-    R = cfg.build_realization()
-    W = WeylGroup(R)
-    lam = parse_lam(R, cfg.weight)
-    if not R.is_dominant(lam):
-        raise CLIError(f"weight {cfg.weight!r} is not dominant")
+    R, W, lam = _setup(args)
 
-    if cfg.opposite:
-        if cfg.z is None or cfg.max_length is None:
-            raise CLIError("--opposite needs --z and --max-length")
-        if cfg.w is not None:
-            raise CLIError("--opposite builds the set over --z: drop --w")
-        z = W.from_word(parse_word(R, cfg.z))
-        paths, trunc_ls = lspath.opposite_demazure_ls(W, lam, z, cfg.max_length)
-        raw, trunc_alc = alcove.opposite_demazure_alcove(W, lam, z, cfg.max_length)
-        seqs = [s for s in raw if s.end.length <= cfg.max_length]
+    if args.opposite:
+        z = _over_z(args, R, W, "--opposite")
+        paths, trunc_ls = lspath.opposite_demazure_ls(W, lam, z, args.max_length)
+        raw, trunc_alc = alcove.opposite_demazure_alcove(W, lam, z, args.max_length)
+        seqs = [s for s in raw if s.end.length <= args.max_length]
         truncated = trunc_ls or trunc_alc
     else:
-        if cfg.w is None:
+        if args.w is None:
             raise CLIError("crystal needs --w (or --opposite with --z)")
-        if cfg.z is not None or cfg.max_length is not None:
+        if args.z is not None or args.max_length is not None:
             raise CLIError("--z and --max-length go with --opposite only")
-        w = W.from_word(parse_word(R, cfg.w))
+        w = W.from_word(parse_word(R, args.w))
         paths = lspath.demazure_crystal(W, lam, w)
         seqs = alcove.demazure_alcove(W, lam, w)
         truncated = False
@@ -387,8 +357,8 @@ def cmd_crystal(cfg: JobConfig) -> int:
     wts_alc = sorted(seq_wt)
 
     if len(paths) != len(seqs) or wts_ls != wts_alc:
-        if cfg.fmt == "table":
-            emit(cfg, "\n".join(["realizations disagree"] + [
+        if args.fmt == "table":
+            emit(args.out, "\n".join(["realizations disagree"] + [
                 f"  {name} : {len(wts)} elements, {poly_str(R, Counter(wts))}"
                 for name, wts in (("ls", wts_ls), ("alcove", wts_alc))]))
             return 1
@@ -399,12 +369,12 @@ def cmd_crystal(cfg: JobConfig) -> int:
             "ls_weights": [weight_obj(R, m) for m in wts_ls],
             "alcove_weights": [weight_obj(R, m) for m in wts_alc],
         }
-        emit(cfg, json_text(report))
+        emit(args.out, json_text(report))
         return 1
 
     ordered_paths = sorted(paths, key=lspath.path_key)
-    if cfg.fmt == "json":
-        if cfg.realization == "ls":
+    if args.fmt == "json":
+        if args.realization == "ls":
             items = [
                 {
                     "b": [str(x) for x in p.b],
@@ -425,31 +395,28 @@ def cmd_crystal(cfg: JobConfig) -> int:
         doc = {
             "cartan": R.gcm.to_json(),
             "lambda": weight_obj(R, lam),
-            "realization": cfg.realization,
+            "realization": args.realization,
             "count": len(items),
             "elements": items,
             "truncated": truncated,
         }
-        emit(cfg, json_text(doc))
-    elif cfg.fmt == "table":
+        emit(args.out, json_text(doc))
+    elif args.fmt == "table":
         lines = [f"{len(ordered_paths)} elements" + ("  (truncated)" if truncated else "")]
-        if cfg.realization == "ls":
+        if args.realization == "ls":
             for p in ordered_paths:
                 lines.append(f"  {p!r}  wt={R.format_weight(path_wt[p])}")
         else:
             for s, wt in zip(seqs, seq_wt):
                 labels = ",".join(alcove.format_hyperplane(lam, h) for h in s.hs)
                 lines.append(f"  {s.z!r} [{labels}]  wt={R.format_weight(wt)}")
-        emit(cfg, "\n".join(lines))
-    elif cfg.fmt == "dot":
-        if cfg.realization == "ls":
-            emit(cfg, lspath.crystal_dot(W, ordered_paths))
-        else:
-            if cfg.opposite:
-                raise CLIError("dot output for the alcove realization covers --w crystals only")
-            emit(cfg, alcove.tree_dot(W, lam, seqs))
+        emit(args.out, "\n".join(lines))
+    elif args.realization == "ls":  # --format dot
+        emit(args.out, lspath.crystal_dot(W, ordered_paths))
+    elif args.opposite:
+        raise CLIError("dot output for the alcove realization covers --w crystals only")
     else:
-        raise CLIError(f"unknown format {cfg.fmt!r}")
+        emit(args.out, alcove.tree_dot(W, lam, seqs))
     return 0
 
 
@@ -535,16 +502,16 @@ SCENARIOS = [
 ]
 
 
-def cmd_selftest(cfg: JobConfig) -> int:
-    if cfg.scenario is None:
+def cmd_selftest(args: argparse.Namespace) -> int:
+    if args.scenario is None:
         selected = SCENARIOS
-    elif cfg.scenario == "":
+    elif args.scenario == "":
         selected = []
     else:
-        selected = [(n, fn) for n, fn in SCENARIOS if cfg.scenario in n]
+        selected = [(n, fn) for n, fn in SCENARIOS if args.scenario in n]
         if not selected:
             names = ", ".join(n for n, _ in SCENARIOS)
-            raise CLIError(f"no scenario matches {cfg.scenario!r}; scenarios are {names}")
+            raise CLIError(f"no scenario matches {args.scenario!r}; scenarios are {names}")
     results = []
     for name, fn in selected:
         try:
@@ -553,7 +520,7 @@ def cmd_selftest(cfg: JobConfig) -> int:
             detail = f"exception: {exc!r}"
         results.append({"name": name, "ok": detail is None, "detail": detail or "pass"})
     doc = {"scenarios": results, "all_ok": all(r["ok"] for r in results)}
-    emit(cfg, json_text(doc))
+    emit(args.out, json_text(doc))
     return 0 if doc["all_ok"] else 1
 
 
@@ -566,6 +533,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--weight", help='dominant weight "c_0,c_1,...[,delta=q ...]"')
     sp.add_argument("--format", dest="fmt", choices=("json", "table", "dot"), default="json")
     sp.add_argument("--out", help="write output to this file instead of stdout")
+    sp.add_argument("--w", help='the element w, as space-separated node names ("e" for the identity)')
+    sp.add_argument("--z", help="the element z of the sets over z: fixed-z chevalley rows, crystal --opposite")
+    sp.add_argument("--max-length", type=int, help="length bound for the sets over --z")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -576,16 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--sign", default="+1", help="+1 for the dominant line bundle, -1 for its dual")
     sp.add_argument("--model", choices=("ls", "alcove", "nilhecke", "all"), default="all")
-    sp.add_argument("--w", help='fixed w as space-separated node names ("e" for the identity)')
-    sp.add_argument("--z", help="fixed z (alcove-only expansion over w)")
-    sp.add_argument("--max-length", type=int, help="length bound for the fixed-z expansion")
 
     sp = sub.add_parser("crystal", help="Demazure / opposite Demazure sets")
     _add_common(sp)
-    sp.add_argument("--w", help="Demazure crystal of this element")
     sp.add_argument("--opposite", action="store_true", help="opposite Demazure set over --z")
-    sp.add_argument("--z", help="base element for --opposite")
-    sp.add_argument("--max-length", type=int, help="length bound for --opposite")
     sp.add_argument("--realization", choices=("ls", "alcove"), default="ls")
 
     sp = sub.add_parser("selftest", help="internal cross-check scenarios")
@@ -595,19 +559,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
     try:
-        cfg = JobConfig.from_args(ns)
-        env_layer_cap()  # a bad KMCHEV_LAYER_CAP is refused before any work
-        if ns.command == "chevalley":
-            return cmd_chevalley(cfg)
-        if ns.command == "crystal":
-            return cmd_crystal(cfg)
-        if ns.command == "selftest":
-            return cmd_selftest(cfg)
-        raise CLIError(f"unknown command {ns.command!r}")
-    except (CLIError, LayerCapError) as exc:
+        try:
+            ns = build_parser().parse_args(argv)
+            env_layer_cap()  # a bad KMCHEV_LAYER_CAP is refused before any work
+            return {"chevalley": cmd_chevalley, "crystal": cmd_crystal, "selftest": cmd_selftest}[ns.command](ns)
+        finally:  # a reader that left is seen here, not at exit (argparse swallows its own write errors)
+            if sys.stdout is not None:
+                sys.stdout.flush()
+    except (CLIError, LayerCapError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            exc = "stdout was closed before the output was written"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -148,29 +148,35 @@ def test_gcm_file_input(tmp_path, capsys):
 
 
 def test_error_exits(capsys):
+    """Each refused input exits 2 with one error: line that names what is wrong."""
     cases = [
-        ["chevalley", "--weight", "1,1", "--w", "e"],  # no matrix given
-        ["chevalley", "--cartan", "A2", "--weight", "1,-1", "--w", "e"],  # not dominant
-        ["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "7"],  # bad node
-        ["chevalley", "--cartan", "A2", "--weight", "1,1"],  # neither --w nor --z
-        ["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "e", "--sign", "2"],
-        ["chevalley", "--cartan", "A2", "--weight", "oops", "--w", "e"],
-        ["crystal", "--cartan", "A2", "--weight", "1,1", "--opposite", "--z", "1"],
-        ["crystal", "--cartan", "A2", "--weight", "1,1"],
+        (["chevalley", "--weight", "1,1", "--w", "e"], "Cartan matrix"),
+        (["chevalley", "--cartan", "A2", "--weight", "1,-1", "--w", "e"], "not dominant"),
+        (["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "7"], "unknown node name '7'"),
+        (["chevalley", "--cartan", "A2", "--weight", "1,1"], "needs --w"),  # neither --w nor --z
+        (["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "e", "--sign", "2"], "--sign must be"),
+        (["chevalley", "--cartan", "A2", "--weight", "oops", "--w", "e"], "weight coordinate 'oops'"),
+        (["chevalley", "--cartan", "A2", "--weight", "1/0,1", "--w", "e"], "weight coordinate '1/0'"),
+        (["chevalley", *AFF[:2], "--weight", "1,1,0,delta=x", "--w", "e"], "weight coordinate 'delta=x'"),
+        (["chevalley", "--cartan", "A2", "--w", "e"], "a --weight is required"),
+        (["crystal", "--cartan", "A2", "--w", "e"], "a --weight is required"),
+        (["crystal", "--cartan", "A2", "--weight", "1,1", "--opposite", "--z", "1"], "--max-length"),
+        (["crystal", "--cartan", "A2", "--weight", "1,1"], "needs --w"),
         # options the chosen mode would otherwise drop
-        ["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--z", "1", "--max-length", "2",
-         "--model", "alcove"],
-        ["crystal", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--opposite", "--z", "1",
-         "--max-length", "2"],
-        ["crystal", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--z", "1"],
-        ["crystal", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--max-length", "1"],
-        ["selftest", "--scenario", "nosuch"],
+        (["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--z", "1", "--max-length", "2",
+          "--model", "alcove"], "drop --w"),
+        (["crystal", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--opposite", "--z", "1",
+          "--max-length", "2"], "drop --w"),
+        (["crystal", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--z", "1"], "--opposite only"),
+        (["crystal", "--cartan", "A2", "--weight", "1,1", "--w", "1 2", "--max-length", "1"], "--opposite only"),
+        # the refused scenario filter lists the scenarios
+        (["selftest", "--scenario", "nosuch"], "crystal-mass"),
     ]
-    for argv in cases:
-        code, _, err = run(capsys, argv)
+    for argv, needle in cases:
+        code, out, err = run(capsys, argv)
         assert code == 2, argv
-        assert err.startswith("error:"), argv
-    assert "crystal-mass" in err  # the refused scenario filter lists the scenarios
+        assert err.startswith("error:") and err.count("\n") == 1 and needle in err, (argv, err)
+        assert out == "", argv
 
 
 def test_non_integral_weights_exit_2(capsys):
@@ -199,17 +205,13 @@ def test_repeated_delta_in_corank_1_exits_2(capsys):
     assert out.startswith("[L^+(1,1,0,delta=3)]")
 
 
-def test_job_config_reads_every_field():
-    """JobConfig.from_args takes each field from the option of its name and
-    its default where the subcommand has no such option."""
-    cfg = cli.JobConfig.from_args(cli.build_parser().parse_args(
-        ["crystal", "--cartan", "A2", "--weight", "1,1", "--opposite", "--z", "1", "--max-length", "3",
-         "--format", "table", "--realization", "alcove", "--out", "x.txt"]))
-    assert cfg == cli.JobConfig(cartan="A2", weight="1,1", opposite=True, z="1", max_length=3, fmt="table",
-                                realization="alcove", out="x.txt")
-    cfg = cli.JobConfig.from_args(cli.build_parser().parse_args(["chevalley", "--sign", "-", "--w", "e"]))
-    assert cfg == cli.JobConfig(sign=-1, w="e")
-    assert cli.JobConfig.from_args(cli.build_parser().parse_args(["selftest"])) == cli.JobConfig()
+def test_sign_aliases_give_the_same_bytes(capsys):
+    """--sign - is --sign -1 and --sign + is --sign +1, on every output byte."""
+    outs = {}
+    for sign in ("-1", "-", "+1", "+"):
+        code, outs[sign], err = run(capsys, ["chevalley", *AFFW, "--sign", sign])
+        assert code == 0, err
+    assert outs["-"] == outs["-1"] and outs["+"] == outs["+1"] != outs["-1"]
 
 
 def test_non_integral_weight_exits_2_without_asserts():
@@ -256,13 +258,15 @@ def test_bad_bounds_exit_2(flags):
 @pytest.mark.parametrize("argv, lines_read", [
     (["crystal", "--cartan", "A1~", "--weight", "1,1", "--w", "1 0 1 0 1 0 1", "--realization", "alcove"], 1),
     (["chevalley", "--cartan", "A1", "--weight", "1", "--w", "e"], 0),
+    (["--help"], 0),
 ])
 def test_a_closed_stdout_exits_2_without_a_traceback(argv, lines_read):
     """A reader that stops early gets one error: line and exit 2.  The 400 KB
     crystal document breaks inside print, after one line is read; the 400
-    byte row would fit the pipe whole, so its pipe is closed unread and it
-    breaks at the flush.  The child's stdout is block-buffered, as in a
-    shell without PYTHONUNBUFFERED."""
+    byte row and the --help text would fit the pipe whole, so their pipe is
+    closed unread and they break at the flush (argparse swallows its own
+    write errors).  The child's stdout is block-buffered, as in a shell
+    without PYTHONUNBUFFERED."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
@@ -276,6 +280,23 @@ def test_a_closed_stdout_exits_2_without_a_traceback(argv, lines_read):
     assert proc.wait(timeout=60) == 2, err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    (["chevalley", "--cartan", "A1", "--weight", "1", "--w", "e"], 2, "error: stdout was closed"),
+    (["chevalley", "--cartan", "B9", "--weight", "1", "--w", "e"], 2, "error: unknown preset"),
+    (["--help"], 0, "usage: kmchev"),  # argparse writes to stderr when there is no stdout
+])
+def test_a_process_started_without_stdout(argv, code, needle):
+    """With file descriptor 1 closed at start, sys.stdout is None: an output
+    is refused with one error: line instead of being dropped, and other runs
+    are unchanged, with no traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m kmchev "$@" >&-', sys.executable, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(needle) and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_gcm_file_errors_exit_2(tmp_path, capsys):

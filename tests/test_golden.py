@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 
 from kmchev import alcove, cli, lspath
-from kmchev.cli import JobConfig, _rows_for_model, build_parser, main, parse_lam, parse_word
+from kmchev.cli import _rows_for_model, build_parser, build_realization, main, parse_lam, parse_word
 from kmchev.weyl import WeylGroup
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -138,10 +138,10 @@ def test_script_output(name):
 
 
 def _setup(argv):
-    """(realization, lambda, word or None, config) as the CLI reads argv."""
-    cfg = JobConfig.from_args(build_parser().parse_args(argv))
-    R = cfg.build_realization()
-    return R, parse_lam(R, cfg.weight), parse_word(R, cfg.w) if cfg.w else None, cfg
+    """(realization, lambda, word or None) as the CLI reads argv."""
+    args = build_parser().parse_args(argv)
+    R = build_realization(args)
+    return R, parse_lam(R, args.weight), parse_word(R, args.w) if args.w else None
 
 
 def _int_weight(mu) -> bool:
@@ -151,7 +151,7 @@ def _int_weight(mu) -> bool:
 
 @pytest.mark.parametrize("name", sorted(CHEVALLEY_ALL))
 def test_chevalley_weights_are_int_tuples(name):
-    R, lam, word, _ = _setup(["chevalley", *CHEVALLEY_ALL[name]])
+    R, lam, word = _setup(["chevalley", *CHEVALLEY_ALL[name]])
     for sign in (1, -1):
         for model in ("ls", "alcove", "nilhecke"):
             rows = _rows_for_model(model, R, lam, sign, word)
@@ -161,7 +161,7 @@ def test_chevalley_weights_are_int_tuples(name):
 
 
 def test_crystal_weights_are_int_tuples():
-    R, lam, word, _ = _setup(CASES["crystal_a2aff_ls.json"])
+    R, lam, word = _setup(CASES["crystal_a2aff_ls.json"])
     W = WeylGroup(R)
     w = W.from_word(word)
     z = W.from_word(parse_word(R, "1"))
