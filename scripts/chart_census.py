@@ -1,7 +1,8 @@
 """Census of i-string interaction patterns against the classification chart.
 
 Sweeps every admissible (i-string, base, i) configuration in a family of
-Demazure crystals and tallies which chart column each one matches.  A
+Demazure crystals and tallies which column of the chart (scripts/chart.py)
+each one matches.  A
 configuration no column accepts would be a bug; the census prints the
 frequency of each column so rare branch cases are visible.
 
@@ -11,15 +12,9 @@ frequency of each column so rare branch cases are visible.
 import argparse
 from collections import Counter
 
+from chart import all_istrings, classify_string
 from kmchev.cartan import realization_from_preset, weight
-from kmchev.lspath import (
-    all_istrings,
-    classify_string,
-    demazure_crystal,
-    iota,
-    phi,
-    stabilizer_nodes,
-)
+from kmchev.lspath import demazure_crystal, iota, phi, stabilizer_nodes
 from kmchev.weyl import WeylGroup
 
 

@@ -9,15 +9,14 @@ from importlib import import_module
 
 _EXPORTS = {
     "cartan": "GCM Coroot Q Realization Weight pairing realization_from_json_file realization_from_preset weight"
-              " wt_add wt_neg wt_scale wt_sub",
+              " wt_add wt_neg wt_scale",
     "weyl": "WeylElt WeylGroup",
     "lifts": "down interval_below up",
-    "kring": "LaurentPoly apply_Ti chevalley_explicit chevalley_recurrence",
-    "lspath": "IString LSPath chevalley_ls classify_string crystal_up_to demazure_crystal down_path e endpoint f"
-              " istring lift_subset straight_path up_path",
-    "alcove": "AdaptedSequence LambdaHyperplane chevalley_alcove demazure_alcove divisor_product"
-              " enumerate_tree_antidominant enumerate_tree_dominant enumerate_z_adapted lex_chain ls_to_seq"
-              " opposite_demazure_alcove seq_to_ls",
+    "kring": "LaurentPoly apply_Ti chevalley_recurrence",
+    "lspath": "LSPath chevalley_ls crystal_up_to demazure_crystal down_path e endpoint f lift_subset straight_path"
+              " up_path",
+    "alcove": "AdaptedSequence LambdaHyperplane chevalley_alcove enumerate_tree_antidominant enumerate_tree_dominant"
+              " enumerate_z_adapted lex_chain ls_to_seq seq_to_ls",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

@@ -298,10 +298,13 @@ def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str
                         length_bound: int) -> tuple[list[AdaptedSequence], bool]:
     """All adapted sequences based at z whose chain stays within the length
     bound.  The second component reports whether any admissible continuation
-    was cut off by the bound (a truncation notice, not a failure).  Labels
-    are appended walking up, so "inc" keeps the edges above the last label
-    and "dec" those below it."""
+    was cut off by the bound (a truncation notice, not a failure); a z longer
+    than the bound has no sequence within it.  Labels are appended walking
+    up, so "inc" keeps the edges above the last label and "dec" those below
+    it."""
     above = _is_inc(monotonicity)
+    if z.length > length_bound:
+        return [], True
     out: list[AdaptedSequence] = []
     truncated = False
 
@@ -440,30 +443,7 @@ def seq_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
                            for x, y in zip(cuts, cuts[1:] + [D])])
 
 
-# -- Demazure sets, divisor row, export ----------------------------------------------
-
-
-def demazure_alcove(W: WeylGroup, lam: Weight, w: WeylElt) -> list[AdaptedSequence]:
-    """The lex-decreasing realization of the Demazure set of w (one sequence
-    per crystal element, via seq_to_ls)."""
-    return enumerate_tree_antidominant(W, lam, w)
-
-
-def opposite_demazure_alcove(W: WeylGroup, lam: Weight, z: WeylElt,
-                             length_bound: int) -> tuple[list[AdaptedSequence], bool]:
-    """The lex-increasing realization of the opposite Demazure set over z."""
-    return enumerate_z_adapted(W, lam, z, "inc", length_bound)
-
-
-def divisor_product(W: WeylGroup, i: int, w: WeylElt) -> dict:
-    """Row of the structure-sheaf class of the i-th Schubert divisor times
-    [O_w], via 1 - e^{Lambda_i} [L^{-Lambda_i}]; the row of w = identity is
-    empty."""
-    lam = W.R.fundamental[i]
-    rows = chevalley_alcove(W, lam, w, -1)
-    out = {z: {wt_add(lam, mu): -c for mu, c in poly.items()} for z, poly in rows.items()}
-    lp_add_into(out.setdefault(w, {}), lp_monomial(W.R.zero()))
-    return {z: out[z] for z in sorted(out, key=lambda u: u.key) if out[z]}
+# -- export --------------------------------------------------------------------------
 
 
 def tree_dot(W: WeylGroup, lam: Weight, seqs, name: str = "tree") -> str:

@@ -6,7 +6,8 @@ of a weight are its pairings with the simple coroots; consequently the i-th
 fundamental weight is the i-th standard basis vector and a simple reflection
 only touches coordinates through the root vector alpha_i.  For an untwisted
 affine matrix this produces the familiar basis (Lambda_0, ..., Lambda_{n-1},
-delta), with alpha_i = sum_j a[j][i] Lambda_j + [i = 0] delta.
+delta), with alpha_i = sum_j a[j][i] Lambda_j + [i = 0] delta; the extra
+coordinates are read and printed as ``delta=q`` (parse_weight, format_weight).
 
 All arithmetic is exact and weights are tuples of Python ints: weight sums,
 pairings and reflections are plain int arithmetic, and LS paths store no
@@ -46,11 +47,6 @@ def _same_rank(u: Weight, v: Weight) -> None:
 def wt_add(u: Weight, v: Weight) -> Weight:
     _same_rank(u, v)
     return tuple(map(operator.add, u, v))
-
-
-def wt_sub(u: Weight, v: Weight) -> Weight:
-    _same_rank(u, v)
-    return tuple(map(operator.sub, u, v))
 
 
 def wt_neg(u: Weight) -> Weight:
@@ -290,8 +286,9 @@ def pairing(alpha: Coroot, mu: Weight) -> int | Q:
 
 
 class Realization:
-    """An ambient realization of a GCM: simple roots, fundamental weights,
-    the Weyl vector, and (in corank one) the null root delta.
+    """An ambient realization of a GCM: the simple roots alpha, the Weyl
+    vector rho and the simple coroots.  The fundamental weights are the first
+    n standard basis vectors, so they need no table of their own.
     """
 
     def __init__(self, gcm: GCM, node_names: tuple[str, ...] | None = None):
@@ -302,18 +299,13 @@ class Realization:
         extra = self._completion_columns(rank)
         self.n = n
         self.N = n + len(extra)
-        self.extra_columns = extra
         self.node_names = node_names or tuple(str(i) for i in range(n))
         # alpha_j: pairings (column j of a) followed by the completion coordinates.
         self.alpha = tuple(
             tuple(a[i][j] for i in range(n)) + tuple(1 if j == col else 0 for col in extra)
             for j in range(n)
         )
-        self.fundamental = tuple(
-            tuple(1 if k == i else 0 for k in range(self.N)) for i in range(n)
-        )
         self.rho = tuple(1 if k < n else 0 for k in range(self.N))
-        self.delta = self._delta()
         self.simple_coroots = tuple(
             Coroot(tuple(1 if k == i else 0 for k in range(n)), self.alpha[i])
             for i in range(n)
@@ -339,24 +331,6 @@ class Realization:
                 extra.append(j)
         assert len(extra) == n - rank
         return tuple(sorted(extra))
-
-    def _delta(self) -> Weight | None:
-        """The null root in corank one, when the matrix has a positive null
-        vector: delta = sum_j m_j alpha_j for the primitive positive integer
-        null vector m, so it pairs to zero with every simple coroot and lies
-        in the root lattice."""
-        if self.N != self.n + 1:
-            return None
-        m = _positive_null_vector(self.gcm.a)
-        if m is None:
-            return None
-        delta = self.zero()
-        for mj, alpha in zip(m, self.alpha):
-            delta = wt_add(delta, wt_scale(mj, alpha))
-        return delta
-
-    def zero(self) -> Weight:
-        return (0,) * self.N
 
     def simple_reflection(self, i: int, mu: Weight) -> Weight:
         """s_i(mu) = mu - <alpha_i^vee, mu> alpha_i."""
@@ -513,38 +487,3 @@ def realization_from_json_file(path: str) -> Realization:
         raise ValueError(f"node names {list(names)} must be distinct, non-empty, without whitespace and not 'e'")
     return Realization(gcm, names)
 
-
-def coroot_from_c(R: Realization, c) -> Coroot:
-    """Reconstruct the Coroot with coordinates c, verifying it is real.
-
-    A positive real coroot of height > 1 always has a simple reflection that
-    lowers its height and keeps it positive, so walking downhill reaches a
-    simple coroot in at most height(c) steps; anything that gets stuck or
-    leaves the positive cone was not a real coroot.
-    """
-    c = tuple(_integer(x, "coroot coordinate") for x in c)
-    if all(x <= 0 for x in c) and any(x < 0 for x in c):
-        pos = coroot_from_c(R, tuple(-x for x in c))
-        return Coroot(c, wt_neg(pos.root))
-    if not (all(x >= 0 for x in c) and any(x > 0 for x in c)):
-        raise ValueError(f"{c} is not a real coroot")
-    cur = c
-    word: list[int] = []
-    while sum(cur) > 1:
-        for i in range(R.n):
-            pair_i = sum(cj * R.gcm.a[j][i] for j, cj in enumerate(cur) if cj)
-            if pair_i > 0:
-                nxt = tuple(x - pair_i if k == i else x for k, x in enumerate(cur))
-                break
-        else:
-            raise ValueError(f"{c} is not a real coroot")
-        if any(x < 0 for x in nxt):
-            raise ValueError(f"{c} is not a real coroot")
-        cur = nxt
-        word.append(i)
-    i = cur.index(1)
-    beta = R.simple_coroots[i]
-    for j in reversed(word):
-        beta = R.reflect_coroot(j, beta)
-    assert beta.c == c
-    return beta

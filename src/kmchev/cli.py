@@ -17,8 +17,9 @@ text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
 is refused before any model runs); table output prints every extra
 coordinate of a weight in corank >= 2.  A failed cross-check exits 1 with a
 report: table lines under ``--format table`` (any corank), JSON otherwise.
-Bad input (a missing ``--weight`` too), an exceeded layer cap and a closed
-stdout (``main`` flushes it, also after ``--help``) exit 2 with ``error:``.
+Bad input (a missing ``--weight`` or an option value argparse refuses too),
+an exceeded layer cap and a closed stdout (``main`` flushes it, also after
+``--help``) exit 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ from .weyl import LayerCapError, WeylElt, WeylGroup, env_layer_cap
 
 class CLIError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """An option value argparse refuses ends like every other refused
+        input: one error: line and exit 2, with no usage block."""
+        raise CLIError(message)
 
 
 def json_corank(R: Realization) -> int:
@@ -338,8 +346,7 @@ def cmd_crystal(args: argparse.Namespace) -> int:
     if args.opposite:
         z = _over_z(args, R, W, "--opposite")
         paths, trunc_ls = lspath.opposite_demazure_ls(W, lam, z, args.max_length)
-        raw, trunc_alc = alcove.opposite_demazure_alcove(W, lam, z, args.max_length)
-        seqs = [s for s in raw if s.end.length <= args.max_length]
+        seqs, trunc_alc = alcove.enumerate_z_adapted(W, lam, z, "inc", args.max_length)
         truncated = trunc_ls or trunc_alc
     else:
         if args.w is None:
@@ -348,7 +355,7 @@ def cmd_crystal(args: argparse.Namespace) -> int:
             raise CLIError("--z and --max-length go with --opposite only")
         w = W.from_word(parse_word(R, args.w))
         paths = lspath.demazure_crystal(W, lam, w)
-        seqs = alcove.demazure_alcove(W, lam, w)
+        seqs = alcove.enumerate_tree_antidominant(W, lam, w)
         truncated = False
     # each element's weight, computed once for the cross-check and the output
     path_wt = {p: lspath.endpoint(W, p) for p in paths}
@@ -539,7 +546,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="kmchev")
+    ap = _Parser(prog="kmchev")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("chevalley", help="Chevalley coefficient rows")

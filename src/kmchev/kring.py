@@ -1,5 +1,5 @@
 """The 0-Hecke / K-nilHecke operators T_i on the group ring of the weight
-lattice, and the two ways they compute Chevalley coefficients.
+lattice, and the Chevalley coefficients they compute.
 
 A Laurent polynomial is a dict {weight: nonzero int coefficient}; the empty
 dict is zero.  T_i acts along alpha_i-strings.  Write a weight as
@@ -16,13 +16,12 @@ e^{mu + (-1-n) alpha_i})), so T_i of a polynomial is a sum of ranges on
 each string, and s_i sends position q to -q - <alpha_i^vee, b>.  T_i^2 = -T_i,
 the braid relations hold, and D_i = 1 + T_i is the Demazure operator.
 Writing T_w e^lam = sum_z b_z T_z, the b_z are the equivariant K-Chevalley
-coefficients; they can be computed by composing the twisted Leibniz rule
-letter by letter (chevalley_recurrence) or by the closed-form
-signed-subword expansion (chevalley_explicit).
+coefficients; chevalley_recurrence computes them by composing the twisted
+Leibniz rule letter by letter.  (The closed-form sum over the 2^N signed
+subwords of a reduced word checks it in the tests, not here.)
 """
 from __future__ import annotations
 
-import itertools
 import operator
 
 from .cartan import Realization, Weight, wt_add
@@ -33,8 +32,6 @@ LaurentPoly = dict
 
 # {WeylElt: LaurentPoly}, zero polynomials never stored
 NilHeckeCoeffs = dict
-
-EXPLICIT_WORD_CAP = 20
 
 
 def lp_monomial(mu: Weight, c: int = 1) -> LaurentPoly:
@@ -59,10 +56,6 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     for mu, c in f.items():
         lp_add_into(out, lp_mul_monomial(g, mu, c))
     return out
-
-
-def lp_act(W: WeylGroup, w: WeylElt, f: LaurentPoly) -> LaurentPoly:
-    return {W.act(w, mu): c for mu, c in f.items()}
 
 
 def apply_Ti(R: Realization, i: int, f: LaurentPoly) -> LaurentPoly:
@@ -153,50 +146,3 @@ def chevalley_recurrence(W: WeylGroup, w: WeylElt, lam: Weight) -> NilHeckeCoeff
         state = hecke_compose(W, i, state)
     return state
 
-
-def _explicit_groups(W: WeylGroup, word: tuple[int, ...]):
-    """Group the 2^N signed subwords of `word` by their 0-Hecke product."""
-    if len(word) > EXPLICIT_WORD_CAP:
-        raise ValueError(f"explicit expansion capped at {EXPLICIT_WORD_CAP} letters")
-    groups: dict[WeylElt, list] = {}
-    for eps in itertools.product((0, 1), repeat=len(word)):
-        y = W.e
-        sign = 1
-        for k, i in enumerate(word):
-            if eps[k]:
-                yi = W.mult(y, W.simple(i))
-                if yi.length > y.length:
-                    y = yi
-                else:
-                    sign = -sign
-        groups.setdefault(y, []).append((eps, sign))
-    return groups
-
-
-def chevalley_explicit(
-    W: WeylGroup, w: WeylElt, v: WeylElt, lam: Weight, word: tuple[int, ...] | None = None
-) -> LaurentPoly:
-    """Coefficient of T_v in T_w e^lam by the signed-subword formula.
-
-    Subwords eps of a reduced word of w whose surviving letters multiply to
-    ±T_v contribute sign(eps) · A_eps e^lam, where A_eps applies, right to
-    left, the Weyl reflection s_{i_k} at surviving positions and T_{i_k} at
-    the others.
-    """
-    if word is None:
-        word = w.word
-    else:
-        word = tuple(word)
-        if W.from_word(word) != w or len(word) != w.length:
-            raise ValueError("word is not a reduced word for w")
-    total: LaurentPoly = {}
-    for eps, sign in _explicit_groups(W, word).get(v, []):
-        f = lp_monomial(lam)
-        for k in range(len(word) - 1, -1, -1):
-            i = word[k]
-            if eps[k]:
-                f = lp_act(W, W.simple(i), f)
-            else:
-                f = apply_Ti(W.R, i, f)
-        lp_add_into(total, f, sign)
-    return total

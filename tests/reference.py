@@ -2,7 +2,9 @@
 
 The lifts are recomputed by scanning a BFS ball, the chain-axiom counts
 N_{<h} in a closed form that also holds where the lex chain is infinite, a
-word of T_i operators by applying its letters one at a time, and the LS root
+word of T_i operators by applying its letters one at a time, a nilHecke
+coefficient by the signed-subword formula (chevalley_explicit, a sum of 2^N
+terms for a word of N letters), and the LS root
 operators, endpoint, path format and sort key in Fraction arithmetic (the
 library stores int step lengths over one denominator).  ls_path builds a
 path from its Fraction cut points b, the readable form the tests write.
@@ -10,12 +12,13 @@ validation_error checks that a path is a genuine LS path of its shape, by
 the definition.  pytest does not rewrite the asserts of this helper module,
 so a check that must hold under python -O raises explicitly.
 """
+import itertools
 from fractions import Fraction as Q
 from math import lcm
 
 from kmchev.alcove import stdvec
 from kmchev.cartan import pairing
-from kmchev.kring import apply_Ti
+from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
 from kmchev.lspath import LSPath, stabilizer_nodes
 
 
@@ -78,6 +81,60 @@ def apply_word(R, word, f):
     for i in reversed(tuple(word)):
         f = apply_Ti(R, i, f)
     return f
+
+
+def lp_act(W, w, f):
+    """w acting on a Laurent polynomial, e^mu -> e^{w(mu)}."""
+    return {W.act(w, mu): c for mu, c in f.items()}
+
+
+EXPLICIT_WORD_CAP = 20
+
+
+def _explicit_groups(W, word):
+    """Group the 2^N signed subwords of `word` by their 0-Hecke product."""
+    if len(word) > EXPLICIT_WORD_CAP:
+        raise ValueError(f"explicit expansion capped at {EXPLICIT_WORD_CAP} letters")
+    groups = {}
+    for eps in itertools.product((0, 1), repeat=len(word)):
+        y = W.e
+        sign = 1
+        for k, i in enumerate(word):
+            if eps[k]:
+                yi = W.mult(y, W.simple(i))
+                if yi.length > y.length:
+                    y = yi
+                else:
+                    sign = -sign
+        groups.setdefault(y, []).append((eps, sign))
+    return groups
+
+
+def chevalley_explicit(W, w, v, lam, word=None):
+    """Coefficient of T_v in T_w e^lam by the signed-subword formula.
+
+    Subwords eps of a reduced word of w whose surviving letters multiply to
+    ±T_v contribute sign(eps) · A_eps e^lam, where A_eps applies, right to
+    left, the Weyl reflection s_{i_k} at surviving positions and T_{i_k} at
+    the others.
+    """
+    if word is None:
+        word = w.word
+    else:
+        word = tuple(word)
+        if W.from_word(word) != w or len(word) != w.length:
+            raise ValueError("word is not a reduced word for w")
+    total = {}
+    for eps, sign in _explicit_groups(W, word).get(v, []):
+        f = lp_monomial(lam)
+        for k in range(len(word) - 1, -1, -1):
+            i = word[k]
+            if eps[k]:
+                f = lp_act(W, W.simple(i), f)
+            else:
+                f = apply_Ti(W.R, i, f)
+        lp_add_into(total, f, sign)
+    return total
 
 
 def ls_path(lam, b, dirs):

@@ -23,23 +23,19 @@ from kmchev.alcove import (
 from kmchev.cartan import (
     pairing,
     weight,
+    wt_add,
     wt_neg,
-    wt_sub,
 )
 from kmchev.kring import (
     apply_Ti,
-    chevalley_explicit,
     chevalley_recurrence,
-    lp_act,
     lp_add_into,
     lp_monomial,
     lp_mul,
     lp_mul_monomial,
 )
 from kmchev.lspath import (
-    all_istrings,
     chevalley_ls,
-    classify_string,
     demazure_crystal,
     down_path,
     endpoint,
@@ -49,7 +45,8 @@ from kmchev.lspath import (
     stabilizer_nodes,
 )
 from kmchev.lifts import down, up
-from reference import apply_word, count_before, down_oracle, ls_path, up_oracle
+from chart import all_istrings, classify_string
+from reference import apply_word, chevalley_explicit, count_before, down_oracle, lp_act, ls_path, up_oracle
 
 LAM = weight(1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)
@@ -162,8 +159,8 @@ def test_criterion_3_antidominant_affine_row(WAFF):
     rows = chevalley_ls(W, LAM, w, -1, crystal)
     alpha0, alpha1 = R.alpha[0], R.alpha[1]
     expect_s1s2 = {
-        wt_neg(wt_sub(LAM, alpha1)): 1,
-        wt_neg(wt_sub(wt_sub(LAM, alpha0), alpha1)): 1,
+        wt_add(alpha1, wt_neg(LAM)): 1,
+        wt_add(wt_add(alpha0, alpha1), wt_neg(LAM)): 1,
     }
     row_ok = rows[W.from_word((1, 2))] == expect_s1s2
 

@@ -13,8 +13,6 @@ from kmchev.alcove import (
     _label_chains,
     _label_edges,
     chevalley_alcove,
-    demazure_alcove,
-    divisor_product,
     enumerate_tree_antidominant,
     enumerate_tree_dominant,
     enumerate_z_adapted,
@@ -25,7 +23,6 @@ from kmchev.alcove import (
     lex_cut,
     lex_less,
     ls_to_seq,
-    opposite_demazure_alcove,
     refl_less,
     seq_to_ls,
     stdvec,
@@ -33,7 +30,7 @@ from kmchev.alcove import (
     validate_lambda_chain_finite,
     wt_fold,
 )
-from kmchev.cartan import GCM, Realization, pairing, realization_from_preset, weight, wt_add, wt_neg, wt_scale
+from kmchev.cartan import GCM, Realization, pairing, realization_from_preset, weight, wt_neg, wt_scale
 from kmchev.kring import chevalley_recurrence, lp_add_into, lp_monomial
 from kmchev.lspath import (
     chevalley_ls,
@@ -175,7 +172,7 @@ def test_count_before_matches_brute_force_affine(WAFF):
 
 def order_cases(W):
     R = W.R
-    lams = [R.rho, R.fundamental[0]]
+    lams = [R.rho, tuple(1 if k == 0 else 0 for k in range(R.N))]  # rho and the first fundamental weight
     return [(R, lam, R.positive_coroots()) for lam in lams]
 
 
@@ -313,7 +310,6 @@ def test_frozen_tree_shapes(afftrees):
         assert s.end == w
         for a, b in zip(s.hs, s.hs[1:]):
             assert lex_less(LAM, b, a)
-    assert demazure_alcove(W, LAM, w) == anti
 
 
 def test_frozen_weights_and_conversions(afftrees):
@@ -413,12 +409,24 @@ def test_fan_matches_trees_in_finite_type(WA2):
 def test_fan_truncation_affine(WAFF):
     W = WAFF
     z = W.from_word((1,))
-    fan, truncated = opposite_demazure_alcove(W, LAM, z, 4)
+    fan, truncated = enumerate_z_adapted(W, LAM, z, "inc", 4)
     assert truncated
     assert len(fan) == 57
     assert all(s.z == z and s.end.length <= 4 for s in fan)
-    smaller, _ = opposite_demazure_alcove(W, LAM, z, 3)
+    smaller, _ = enumerate_z_adapted(W, LAM, z, "inc", 3)
     assert {s for s in smaller} <= set(fan)
+
+
+def test_a_base_longer_than_the_bound_has_no_sequence(WA2, WAFF):
+    """No adapted sequence over z stays within a bound below l(z), not even
+    the empty one at z itself; the fan is cut off, so it is truncated."""
+    for W, lam, word in [(WA2, weight(1, 1), (0, 1)), (WAFF, LAM, (1, 2, 0))]:
+        z = W.from_word(word)
+        for mono in ("inc", "dec"):
+            for bound in range(z.length):
+                assert enumerate_z_adapted(W, lam, z, mono, bound) == ([], True)
+            fan, _ = enumerate_z_adapted(W, lam, z, mono, z.length)
+            assert AdaptedSequence(z, (), (z,), mono) in fan
 
 
 RANK3_HYP = Realization(GCM.from_matrix([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]))
@@ -428,7 +436,7 @@ def test_rank3_hyperbolic_fan():
     """The fixed-z fan above e in rank-3 hyperbolic type, where the BFS
     layers double with each length; every bound truncates."""
     W = WeylGroup(RANK3_HYP)
-    lam = RANK3_HYP.fundamental[0]
+    lam = weight(1, 0, 0)  # Lambda_0
     fan, truncated = enumerate_z_adapted(W, lam, W.e, "inc", 5)
     assert (len(fan), truncated) == (8882, True)
     fan4, truncated4 = enumerate_z_adapted(W, lam, W.e, "inc", 4)
@@ -578,38 +586,3 @@ def test_inverted_lex_breaks_the_triangle(WAFF):
         lp_add_into(wrong.setdefault(seq.z, {}), lp_monomial(wt_fold(W, LAM, seq, "inc")))
     assert not rows_equal(rec, wrong)
     assert rows_equal(rec, chevalley_alcove(W, LAM, w, 1))
-
-
-# -- divisor rows ----------------------------------------------------------------
-
-
-def divisor_via_recurrence(W, i, w):
-    lam = W.R.fundamental[i]
-    rows = chevalley_recurrence(W, w, wt_neg(lam))
-    out = {}
-    for z, poly in rows.items():
-        shifted = {}
-        for mu, c in poly.items():
-            lp_add_into(shifted, lp_monomial(wt_add(lam, mu), -c))
-        out[z] = shifted
-    lp_add_into(out.setdefault(w, {}), lp_monomial(W.R.zero()))
-    return {z: p for z, p in out.items() if p}
-
-
-def test_divisor_rows(WA2, WAFF):
-    assert divisor_product(WA2, 0, WA2.from_word(())) == {}
-    s0 = WAFF.from_word((0,))
-    row = divisor_product(WAFF, 0, s0)
-    alpha0 = WAFF.R.alpha[0]
-    assert row == {
-        WAFF.from_word(()): {WAFF.R.zero(): 1},
-        s0: {WAFF.R.zero(): 1, alpha0: -1},
-    }
-    for W, words in [
-        (WA2, [(0,), (1,), (0, 1), (0, 1, 0)]),
-        (WAFF, [(0,), (0, 1)]),
-    ]:
-        for i in range(W.R.n):
-            for word in words:
-                w = W.from_word(word)
-                assert divisor_product(W, i, w) == divisor_via_recurrence(W, i, w)

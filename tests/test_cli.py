@@ -179,6 +179,43 @@ def test_error_exits(capsys):
         assert out == "", argv
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "e", "--format", "xml"], "argument --format"),
+    (["chevalley", "--cartan", "A2", "--weight", "1,1", "--z", "1", "--max-length", "x", "--model", "alcove"],
+     "argument --max-length"),
+    (["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "e", "--model", "foo"], "argument --model"),
+    (["crystal", "--cartan", "A2", "--weight", "1,1", "--w", "e", "--realization", "foo"], "argument --realization"),
+    (["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "e", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "required: command"),  # no subcommand
+    (["nosuch"], "invalid choice: 'nosuch'"),
+], ids=["format", "max-length", "model", "realization", "unknown-option", "no-command", "unknown-command"])
+def test_argparse_refusals_are_one_error_line(capsys, argv, needle):
+    """An option value that argparse itself refuses exits 2 with one error:
+    line, like every other refused input, and prints no usage block."""
+    code, out, err = run(capsys, argv)
+    assert code == 2, argv
+    assert err.startswith("error:") and err.count("\n") == 1 and needle in err, err
+    assert out == ""
+
+
+def test_a_z_longer_than_the_bound_gives_no_rows_and_no_elements(capsys):
+    """Fixed-z rows and the opposite crystal over z = s1 s2 (length 2) within
+    lengths <= 1: nothing lies within the bound, and the run is truncated."""
+    base = ["--cartan", "A2", "--weight", "1,1", "--z", "1 2", "--max-length", "1"]
+    code, out, err = run(capsys, ["chevalley", *base, "--model", "alcove"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["rows"], doc["truncated"]) == ([], True)
+    code, out, err = run(capsys, ["chevalley", *base, "--model", "alcove", "--format", "table"])
+    assert code == 0, err
+    assert out == "[L^+(1,1)] * [O_s1*s2], lengths <= 1  (truncated)\n"
+    for realization in ("ls", "alcove"):
+        code, out, err = run(capsys, ["crystal", *base, "--opposite", "--realization", realization])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["count"], doc["elements"], doc["truncated"]) == (0, [], True)
+
+
 def test_non_integral_weights_exit_2(capsys):
     cases = [
         ["chevalley", "--cartan", "A2", "--weight", "1/2,1", "--w", "e"],
@@ -424,8 +461,7 @@ def test_json_refuses_corank_2_before_any_model_runs(tmp_path, capsys, monkeypat
         raise AssertionError("a model ran before the corank check")
     monkeypatch.setattr(cli, "_rows_for_model", ran)
     for module, name in [(lspath, "demazure_crystal"), (lspath, "opposite_demazure_ls"),
-                         (alcove, "demazure_alcove"), (alcove, "opposite_demazure_alcove"),
-                         (alcove, "enumerate_z_adapted")]:
+                         (alcove, "enumerate_tree_antidominant"), (alcove, "enumerate_z_adapted")]:
         monkeypatch.setattr(module, name, ran)
     base = ["--gcm-file", str(gcm), "--weight", "1,1,1,1"]
     for argv in [
@@ -478,8 +514,8 @@ def test_table_reports_a_disagreement_in_corank_2(tmp_path, capsys, monkeypatch)
     assert [ln for ln in lines if not ln.startswith("    ")] == ["models disagree", "  [O_e]", "  [O_s0]",
                                                                  "  [O_s2]", "  [O_s0*s2]"]
 
-    original_alcove = alcove.demazure_alcove
-    monkeypatch.setattr(alcove, "demazure_alcove", lambda W, lam, w: original_alcove(W, lam, w)[:-1])
+    original_alcove = alcove.enumerate_tree_antidominant
+    monkeypatch.setattr(alcove, "enumerate_tree_antidominant", lambda W, lam, w: original_alcove(W, lam, w)[:-1])
     code, out, err = run(capsys, ["crystal", "--gcm-file", str(gcm), "--weight", "1,1,1,1",
                                   "--w", "0 2", "--format", "table"])
     assert code == 1, err

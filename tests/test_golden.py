@@ -78,8 +78,8 @@ def _models_fault():
 
 def _crystal_fault():
     """The alcove realization of a Demazure crystal with its last element dropped."""
-    original = alcove.demazure_alcove
-    return mock.patch.object(alcove, "demazure_alcove", lambda W, lam, w: original(W, lam, w)[:-1])
+    original = alcove.enumerate_tree_antidominant
+    return mock.patch.object(alcove, "enumerate_tree_antidominant", lambda W, lam, w: original(W, lam, w)[:-1])
 
 
 # Cross-check failure reports, produced with a fault injected; they exit 1.
@@ -90,7 +90,8 @@ REPORTS = {
 
 
 # Script outputs at their default arguments: the census is the one exhaustive
-# run of e, istring and classify_string in both directions.
+# run of e, and of scripts/chart.py's istring and classify_string in both
+# directions.
 SCRIPTS = {"chart_census.txt": "chart_census.py", "affine_demo.txt": "affine_demo.py"}
 
 
@@ -167,7 +168,7 @@ def test_crystal_weights_are_int_tuples():
     z = W.from_word(parse_word(R, "1"))
     paths = lspath.demazure_crystal(W, lam, w) | lspath.opposite_demazure_ls(W, lam, z, 5)[0]
     assert all(_int_weight(lspath.endpoint(W, p)) for p in paths)
-    seqs = alcove.demazure_alcove(W, lam, w) + alcove.opposite_demazure_alcove(W, lam, z, 5)[0]
+    seqs = alcove.enumerate_tree_antidominant(W, lam, w) + alcove.enumerate_z_adapted(W, lam, z, "inc", 5)[0]
     for seq in seqs:
         assert all(_int_weight(alcove.wt_fold(W, lam, seq, levels)) for levels in ("inc", "dec"))
 

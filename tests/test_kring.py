@@ -1,13 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kmchev.cartan import GCM, Realization, realization_from_preset, weight, wt_add, wt_neg, wt_scale, wt_sub
+from kmchev.cartan import GCM, Realization, realization_from_preset, weight, wt_add, wt_neg, wt_scale
 from kmchev.cli import parse_word
 from kmchev.kring import (
     apply_Ti,
-    chevalley_explicit,
     chevalley_recurrence,
-    lp_act,
     lp_add_into,
     lp_monomial,
     lp_mul,
@@ -16,7 +14,7 @@ from kmchev.kring import (
 from kmchev.lifts import interval_below
 from kmchev.lspath import demazure_crystal
 from kmchev.weyl import WeylGroup
-from reference import apply_word
+from reference import apply_word, chevalley_explicit, lp_act
 
 
 def small_polys(n, width=3):
@@ -46,7 +44,7 @@ def reference_Ti(R, i, f):
         if n > 0:
             term = mu
             for _ in range(n):
-                term = wt_sub(term, alpha)
+                term = wt_add(term, wt_neg(alpha))
                 lp_add_into(out, {term: c})
         elif n < 0:
             term = mu
@@ -99,7 +97,8 @@ def test_ti_kills_a_long_string_and_its_reflection(R):
     opposite signs, however long the string."""
     for i in range(R.n):
         for n in (1, 2, 7, 40, -40):
-            mu = wt_add(wt_scale(n - 6, R.fundamental[i]), wt_scale(3, R.alpha[i]))
+            fundamental_i = tuple(1 if k == i else 0 for k in range(R.N))
+            mu = wt_add(wt_scale(n - 6, fundamental_i), wt_scale(3, R.alpha[i]))
             assert mu[i] == n
             f = {mu: 3, R.simple_reflection(i, mu): 3}
             assert apply_Ti(R, i, f) == reference_Ti(R, i, f) == {}

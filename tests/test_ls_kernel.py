@@ -10,7 +10,7 @@ from fractions import Fraction as Q
 import pytest
 from reference import ls_e, ls_endpoint, ls_f, ls_format_path, ls_path_key, ls_steps
 
-from kmchev.cartan import GCM, Realization, realization_from_preset, wt_sub
+from kmchev.cartan import GCM, Realization, realization_from_preset, wt_add, wt_neg
 from kmchev.cli import parse_word
 from kmchev.lspath import LSPath, demazure_crystal, e, endpoint, f, format_path, path_key, straight_path
 from kmchev.weyl import WeylGroup
@@ -66,7 +66,7 @@ def test_root_operators_move_the_endpoint_and_invert(crystal):
         for i in range(W.n):
             q = f(W, p, i)
             if q is not None:
-                assert endpoint(W, q) == wt_sub(endpoint(W, p), W.R.alpha[i])
+                assert endpoint(W, q) == wt_add(endpoint(W, p), wt_neg(W.R.alpha[i]))
                 assert e(W, q, i) == p
             r = e(W, p, i)
             if r is not None:

@@ -6,13 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from kmchev.cartan import weight, wt_neg, wt_sub
-from kmchev.kring import apply_Ti, lp_act, lp_add_into, lp_monomial
+from kmchev.cartan import weight, wt_add, wt_neg
+from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
 from kmchev.lspath import (
     LSPath,
-    all_istrings,
     chevalley_ls,
-    classify_string,
     crystal_dot,
     crystal_up_to,
     demazure_crystal,
@@ -22,14 +20,14 @@ from kmchev.lspath import (
     f,
     format_path,
     iota,
-    istring,
     lift_subset,
     path_key,
     phi,
     stabilizer_nodes,
     up_path,
 )
-from reference import ls_path, validation_error
+from chart import all_istrings, classify_string, istring
+from reference import lp_act, ls_path, validation_error
 
 LAM = weight(1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)
@@ -105,7 +103,7 @@ def test_f_drops_the_weight_by_a_simple_root(aff):
         for i in range(W.n):
             q = f(W, p, i)
             if q is not None:
-                assert endpoint(W, q) == wt_sub(endpoint(W, p), R.alpha[i])
+                assert endpoint(W, q) == wt_add(endpoint(W, p), wt_neg(R.alpha[i]))
 
 
 def test_steps_round_trip(aff):
@@ -195,8 +193,9 @@ def test_operators_reject_a_non_ls_path_in_a_subprocess(flags):
 
 
 BAD_ARGUMENTS = """
+from chart import classify_string, istring
 from kmchev.cartan import realization_from_preset
-from kmchev.lspath import LSPath, classify_string, istring, lift_subset, straight_path
+from kmchev.lspath import LSPath, lift_subset, straight_path
 from kmchev.weyl import WeylGroup
 W = WeylGroup(realization_from_preset("A2"))
 lam = (1, 1)
@@ -221,10 +220,11 @@ print(raised)
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_bad_arguments_raise_in_a_subprocess(flags):
-    """LSPath, classify_string and lift_subset refuse bad input
-    with a ValueError that python -O does not strip."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    """LSPath, classify_string (of scripts/chart.py) and lift_subset refuse
+    bad input with a ValueError that python -O does not strip."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "scripts"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_ARGUMENTS], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

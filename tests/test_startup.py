@@ -14,12 +14,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXPORTS = sorted("""
-    AdaptedSequence Coroot GCM IString LSPath LambdaHyperplane LaurentPoly Q Realization Weight WeylElt WeylGroup
-    apply_Ti chevalley_alcove chevalley_explicit chevalley_ls chevalley_recurrence classify_string crystal_up_to
-    demazure_alcove demazure_crystal divisor_product down down_path e endpoint enumerate_tree_antidominant
-    enumerate_tree_dominant enumerate_z_adapted f interval_below istring lex_chain lift_subset ls_to_seq
-    opposite_demazure_alcove pairing realization_from_json_file realization_from_preset seq_to_ls straight_path
-    up up_path weight wt_add wt_neg wt_scale wt_sub
+    AdaptedSequence Coroot GCM LSPath LambdaHyperplane LaurentPoly Q Realization Weight WeylElt WeylGroup apply_Ti
+    chevalley_alcove chevalley_ls chevalley_recurrence crystal_up_to demazure_crystal down down_path e endpoint
+    enumerate_tree_antidominant enumerate_tree_dominant enumerate_z_adapted f interval_below lex_chain lift_subset
+    ls_to_seq pairing realization_from_json_file realization_from_preset seq_to_ls straight_path up up_path weight
+    wt_add wt_neg wt_scale
 """.split())
 
 
@@ -55,7 +54,7 @@ def test_exports_are_unchanged():
     from kmchev import lspath
 
     assert sorted(kmchev.__all__) == EXPORTS
-    assert len(EXPORTS) == 48
+    assert len(EXPORTS) == 40
     namespace: dict = {}
     exec("from kmchev import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == EXPORTS

@@ -1,15 +1,16 @@
-"""Value semantics of the library's record types.
+"""Value semantics of the library's record types (and of the chart's IString).
 
 Equal fields give equal objects with equal hashes, a change in any field
 makes them unequal, no object equals the plain tuple of its fields, and the
 repr strings are pinned.  Coroot equality reads the coordinates c only.
 """
 import pytest
+from chart import IString, istring
 from reference import ls_path
 
 from kmchev.alcove import AdaptedSequence, LambdaHyperplane
 from kmchev.cartan import GCM, Coroot, realization_from_preset
-from kmchev.lspath import IString, LSPath, istring, straight_path
+from kmchev.lspath import LSPath, straight_path
 from kmchev.weyl import WeylGroup
 
 R = realization_from_preset("A2")
