@@ -14,7 +14,9 @@ order satisfying both chain axioms:
 
 Adapted sequences over a base z are saturated Bruhat chains
 z < z s_{h_1} < ... < z s_{h_1} ... s_{h_q} whose hyperplane labels are
-strictly lex-increasing ("inc") or strictly lex-decreasing ("dec").  The two
+strictly lex-increasing ("inc") or strictly lex-decreasing ("dec").  Since z
+and the labels fix the chain, a sequence is stored as (z, labels, end) and
+the elements between are rebuilt only where they are read.  The two
 monotonicities are one construction read at two levels: they carry the
 fixed-w Chevalley rows via the folded operator
 
@@ -172,37 +174,27 @@ def _is_inc(monotonicity: str) -> bool:
 
 
 class AdaptedSequence:
-    """A label-monotone saturated chain read from its base z up to its end.
+    """A label-monotone saturated chain z < z s_{h_1} < ... held as its base
+    z, its labels hs and its end z s_{h_1} ... s_{h_q}; monotonicity records
+    whether the labels strictly lex-increase or lex-decrease."""
 
-    chain[0] = z, chain[j] = z s_{h_1} ... s_{h_j}; monotonicity records
-    whether the labels hs strictly lex-increase or lex-decrease.
-    """
+    __slots__ = ("z", "hs", "end", "monotonicity")
 
-    __slots__ = ("z", "hs", "chain", "monotonicity")
-
-    def __init__(self, z: WeylElt, hs: tuple, chain: tuple, monotonicity: str):
+    def __init__(self, z: WeylElt, hs: tuple, end: WeylElt, monotonicity: str):
         _is_inc(monotonicity)
-        if len(chain) != len(hs) + 1:
-            raise ValueError(f"a chain of {len(chain)} elements for {len(hs)} labels")
-        if chain[0] != z:
-            raise ValueError(f"the chain starts at {chain[0]!r}, not at z = {z!r}")
         self.z = z
         self.hs = hs
-        self.chain = chain
+        self.end = end
         self.monotonicity = monotonicity
 
     def __eq__(self, other):
         if type(other) is not AdaptedSequence:
             return NotImplemented
-        return ((self.z, self.hs, self.chain, self.monotonicity)
-                == (other.z, other.hs, other.chain, other.monotonicity))
+        return ((self.z, self.hs, self.end, self.monotonicity)
+                == (other.z, other.hs, other.end, other.monotonicity))
 
     def __hash__(self):
-        return hash((self.z, self.hs, self.chain, self.monotonicity))
-
-    @property
-    def end(self) -> WeylElt:
-        return self.chain[-1]
+        return hash((self.z, self.hs, self.end, self.monotonicity))
 
     def __repr__(self):
         labels = ",".join(repr(h) for h in self.hs)
@@ -274,12 +266,12 @@ def _enumerate_tree(W: WeylGroup, lam: Weight, w: WeylElt, monotonicity: str) ->
     def below(v: WeylElt) -> list:
         return _label_edges(lam, W.cocovers(v))
 
-    def rec(v: WeylElt, incoming: LambdaHyperplane | None, hs_up: tuple, chain_up: tuple):
-        out.append(AdaptedSequence(v, hs_up, (v,) + chain_up, monotonicity))
+    def rec(v: WeylElt, incoming: LambdaHyperplane | None, hs_up: tuple):
+        out.append(AdaptedSequence(v, hs_up, w, monotonicity))
         for h, vp in lex_cut(lam, below(v), incoming, above):
-            rec(vp, h, (h,) + hs_up, (v,) + chain_up)
+            rec(vp, h, (h,) + hs_up)
 
-    rec(w, None, (), ())
+    rec(w, None, ())
     return out
 
 
@@ -312,17 +304,17 @@ def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str
     def fan(u: WeylElt) -> list:
         return _label_edges(lam, W.covers_within(u, u.length + 1))
 
-    def rec(u: WeylElt, last: LambdaHyperplane | None, hs_acc: tuple, chain_acc: tuple):
+    def rec(u: WeylElt, last: LambdaHyperplane | None, hs_acc: tuple):
         nonlocal truncated
-        out.append(AdaptedSequence(z, hs_acc, chain_acc, monotonicity))
+        out.append(AdaptedSequence(z, hs_acc, u, monotonicity))
         admissible = lex_cut(lam, fan(u), last, above)
         if u.length >= length_bound:
             truncated |= bool(admissible)
             return
         for h, w in admissible:
-            rec(w, h, hs_acc + (h,), chain_acc + (w,))
+            rec(w, h, hs_acc + (h,))
 
-    rec(z, None, (), (z,))
+    rec(z, None, ())
     return out, truncated
 
 
@@ -412,25 +404,24 @@ def ls_to_seq(W: WeylGroup, p: LSPath, base: WeylElt, monotonicity: str) -> Adap
     zs = zs if inc else zs[::-1]
     cuts = list(accumulate(p.a, initial=0))
     hs: list[LambdaHyperplane] = []
-    chain: list[WeylElt] = [zs[0]]
     for j, c in enumerate(cuts[:-1] if inc else cuts[1:]):
-        elems, labels = increasing_chain(W, lam, zs[j], zs[j + 1],
-                                         refl_less if inc else lambda R, lam, a, b: refl_less(R, lam, b, a),
-                                         lambda beta, c=c: 0 < pairing(beta, lam) and c * pairing(beta, lam) % D == 0)
+        _, labels = increasing_chain(W, lam, zs[j], zs[j + 1],
+                                     refl_less if inc else lambda R, lam, a, b: refl_less(R, lam, b, a),
+                                     lambda beta, c=c: 0 < pairing(beta, lam) and c * pairing(beta, lam) % D == 0)
         for beta in labels:
             pr = pairing(beta, lam)
             hs.append(LambdaHyperplane(beta, c * pr // D if inc else pr - c * pr // D))
-        chain.extend(elems[1:])
     if not all(lex_less(lam, x, y) for x, y in (zip(hs, hs[1:]) if inc else zip(hs[1:], hs))):
         raise ValueError(f"the labels read off {p!r} are not lex-{'increasing' if inc else 'decreasing'}")
-    return AdaptedSequence(zs[0], tuple(hs), tuple(chain), monotonicity)
+    return AdaptedSequence(zs[0], tuple(hs), zs[-1], monotonicity)
 
 
 def seq_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
     """The LS path of an adapted sequence, inverse to ls_to_seq.  A label
     (alpha, k) sits at t = k/<alpha,lam> ("inc") or 1 - k/<alpha,lam> ("dec"),
     held as an int over D = lcm of the <alpha,lam>; b runs over 0 and the
-    t < 1, and the direction at b is the coset of chain[#{t <= b}]."""
+    t < 1, and the direction at b is the coset of the chain element
+    z s_{h_1} ... s_{h_j} with j = #{t <= b}."""
     inc = _is_inc(seq.monotonicity)
     prs = [pairing(h.alpha, lam) for h in seq.hs]
     D = math.lcm(*prs)
@@ -439,7 +430,8 @@ def seq_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
         raise ValueError(f"the labels of {seq!r} are not ordered by t")
     J = stabilizer_nodes(W.R, lam)
     cuts = sorted({0, *(t for t in ts if t < D)})
-    return LSPath(lam, D, [(y - x, W.coset_decompose(seq.chain[bisect_right(ts, x)], J)[0])
+    chain = list(accumulate((h.alpha for h in seq.hs), W.reflect_right, initial=seq.z))
+    return LSPath(lam, D, [(y - x, W.coset_decompose(chain[bisect_right(ts, x)], J)[0])
                            for x, y in zip(cuts, cuts[1:] + [D])])
 
 
@@ -448,18 +440,17 @@ def seq_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
 
 def tree_dot(W: WeylGroup, lam: Weight, seqs, name: str = "tree") -> str:
     """DOT digraph of a cover tree: nodes are the sequences' base elements,
-    edges carry the hyperplane labels, parents point to children."""
-    index = {(s.hs, s.chain): k for k, s in enumerate(seqs)}
+    edges carry the hyperplane labels, parents point to children.  Below one
+    w the labels fix a node's branch from the root, so they key the nodes."""
+    index = {s.hs: k for k, s in enumerate(seqs)}
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
     for k, s in enumerate(seqs):
         lines.append(f'  n{k} [label="{s.z!r}"];')
     for s in seqs:
         if not s.hs:
             continue
-        parent = index[(s.hs[1:], s.chain[1:])]
-        child = index[(s.hs, s.chain)]
         lines.append(
-            f'  n{parent} -> n{child} [label="{format_hyperplane(lam, s.hs[0])}"];'
+            f'  n{index[s.hs[1:]]} -> n{index[s.hs]} [label="{format_hyperplane(lam, s.hs[0])}"];'
         )
     lines.append("}")
     return "\n".join(lines)

@@ -295,8 +295,12 @@ class Realization:
         self.gcm = gcm
         n = gcm.n
         a = gcm.a
-        rank = len(_eliminate(a)[1])
-        extra = self._completion_columns(rank)
+        # Completion columns: those a right-to-left greedy scan finds dependent,
+        # i.e. off the pivots of the column-reversed matrix.  The completed
+        # columns so have the smallest indices; for an untwisted affine
+        # matrix that is exactly {0}, giving alpha_0 the delta coordinate.
+        kept = {n - 1 - c for c in _eliminate([r[::-1] for r in a])[1]}
+        extra = [j for j in range(n) if j not in kept]
         self.n = n
         self.N = n + len(extra)
         self.node_names = node_names or tuple(str(i) for i in range(n))
@@ -310,27 +314,6 @@ class Realization:
             Coroot(tuple(1 if k == i else 0 for k in range(n)), self.alpha[i])
             for i in range(n)
         )
-
-    def _completion_columns(self, rank: int) -> tuple[int, ...]:
-        """Indices of columns that receive an appended identity coordinate.
-
-        Scanning right to left keeps the later columns in the independent set,
-        so the dependent (completed) ones have the smallest indices; for an
-        untwisted affine matrix that is exactly {0}, giving alpha_0 the delta
-        coordinate.
-        """
-        a = self.gcm.a
-        n = self.gcm.n
-        chosen: list[list[int]] = []
-        extra = []
-        for j in range(n - 1, -1, -1):
-            col = [a[i][j] for i in range(n)]
-            if len(_eliminate(chosen + [col])[1]) > len(chosen):
-                chosen.append(col)
-            else:
-                extra.append(j)
-        assert len(extra) == n - rank
-        return tuple(sorted(extra))
 
     def simple_reflection(self, i: int, mu: Weight) -> Weight:
         """s_i(mu) = mu - <alpha_i^vee, mu> alpha_i."""
@@ -364,8 +347,9 @@ class Realization:
     def is_dominant(self, mu: Weight) -> bool:
         return all(mu[i] >= 0 for i in range(self.n))
 
-    def positive_coroots_up_to(self, bound: int) -> list[Coroot]:
-        """All positive real coroots of height <= bound, sorted by (height, c).
+    def positive_coroots_up_to(self, bound: float) -> list[Coroot]:
+        """All positive real coroots of height <= bound (math.inf for all, in
+        finite type), sorted by (height, c).
 
         Generated by reflecting simple coroots; a real coroot stays positive
         under s_i unless it is alpha_i^vee itself, so pruning at negatives is
@@ -388,14 +372,7 @@ class Realization:
         """All positive coroots; only available in finite type."""
         if self.gcm.classify() != "finite":
             raise ValueError("infinite root system; use positive_coroots_up_to")
-        out = self.positive_coroots_up_to(1)
-        bound = 1
-        while True:
-            bound *= 2
-            bigger = self.positive_coroots_up_to(bound)
-            if len(bigger) == len(out):
-                return out
-            out = bigger
+        return self.positive_coroots_up_to(math.inf)
 
     def parse_weight(self, text: str) -> Weight:
         """Parse "c_0,c_1,...[,delta=q ...]" into an ambient weight.

@@ -384,7 +384,7 @@ def cmd_crystal(args: argparse.Namespace) -> int:
         if args.realization == "ls":
             items = [
                 {
-                    "b": [str(x) for x in p.b],
+                    "b": ["%d/%d" % c if c[1] > 1 else str(c[0]) for c in lspath.cuts(p)],
                     "dirs": [word_obj(R, d) for d in p.dirs],
                     "weight": weight_obj(R, path_wt[p]),
                 }

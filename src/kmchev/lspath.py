@@ -10,14 +10,14 @@ exact int form ``(lam, D, a, dirs)``:
 
 ``LSPath(lam, D, [(a_j, sigma_j), ...])`` drops zero lengths, merges
 neighbours of one direction and divides out the gcd.  The cut points are
-``b_j = (a_1 + ... + a_{j-1}) / D``; the ``b`` property gives them as
-Fractions.  Walking the path from 0 visits the directions in *decreasing*
+``b_j = (a_1 + ... + a_{j-1}) / D``; ``cuts(p)`` gives them as reduced int
+pairs.  Walking the path from 0 visits the directions in *decreasing*
 Bruhat order, ``sigma_m`` first for ``a_m / D`` of the time: ``sigma_m`` is
 the initial direction ``iota(p)`` and ``sigma_1`` the final one ``phi(p)``.
 
 The crystal operator f_i reflects by s_i the part of the path between the
 last minimum M of its i-height profile and the first point at height M + 1;
-a reflected direction d becomes s_i d, or stays d where its i-slope is 0.
+every reflected direction d climbs there and becomes s_i d.
 e_i is f_i read on the reversed path, whose i-slopes are negated, so both
 share one body.  All local minima of the height profile of a shape-``lam``
 LS path are integers, which the code checks (ValueError otherwise); the
@@ -93,11 +93,6 @@ class LSPath:
     def __repr__(self):
         return format_path(self)
 
-    @property
-    def b(self) -> tuple:
-        """The cut points b_j = (a_1 + ... + a_{j-1}) / D as Fractions; b_1 = 0."""
-        return tuple(Q(c, self.D) for c in accumulate(self.a[:-1], initial=0))
-
 
 def straight_path(W: WeylGroup, lam: Weight) -> LSPath:
     return LSPath(lam, 1, ((1, W.e),))
@@ -138,13 +133,15 @@ def _reduced(c: int, D: int) -> tuple[int, int]:
     return c // (g := math.gcd(c, D)), D // g
 
 
+def cuts(p: LSPath) -> tuple:
+    """The cut points b_j = (a_1 + ... + a_{j-1}) / D as reduced
+    (numerator, denominator) pairs; b_1 = (0, 1)."""
+    return tuple(_reduced(c, p.D) for c in accumulate(p.a[:-1], initial=0))
+
+
 def path_key(p: LSPath):
-    """Deterministic sort key; the cut points b_j as reduced int pairs."""
-    return (
-        len(p.dirs),
-        tuple(_reduced(c, p.D) for c in accumulate(p.a[:-1], initial=0)),
-        tuple(d.key for d in p.dirs),
-    )
+    """Deterministic sort key; the cut points as reduced int pairs."""
+    return (len(p.dirs), cuts(p), tuple(d.key for d in p.dirs))
 
 
 def format_path(p: LSPath) -> str:
@@ -166,9 +163,12 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     s_i, the step crossing that level split at it; a cut that is not a
     multiple of 1/D multiplies D and every step by that step's slope.
 
-    A reflected step of direction d has slope +-<alpha_i^vee, d(lam)> >= 0, so
-    by Deodhar's lemma (Invent. Math. 39, 1977) the minimal representative of
-    s_i d W_lam is d at slope 0 and s_i d otherwise."""
+    Every local minimum of the height profile of an LS path is an integer
+    (Littelmann, Paths and root operators, Ann. Math. 142, 1995), so each
+    step of the window climbs: a flat or falling one raises ValueError.  A
+    reflected step of direction d so has slope +-<alpha_i^vee, d(lam)> > 0,
+    and by Deodhar's lemma (Invent. Math. 39, 1977) s_i d is again the
+    minimal representative of its coset."""
     D = p.D
     st = list(zip(p.a, p.dirs))[::-sign]  # traversal order for f, chain order for e
     ns = [sign * _image(W, d, p.lam)[i] for _, d in st]
@@ -180,16 +180,13 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     if H[-1] < top:
         return None
 
-    def refl(d: WeylElt, slope: int) -> WeylElt:  # the minimal representative of s_i d W_lam
-        return W.lmul(i, d) if slope else d
-
     j1 = max(k for k, h in enumerate(H) if h == M)
     j2 = min(k for k in range(j1 + 1, len(H)) if H[k] >= top)
     out = list(st[:j1])
     for k in range(j1, j2 - 1):
-        if ns[k] < 0:  # the profile turns down strictly between two integers
-            raise ValueError(f"height falls inside ({M // D}, {M // D + 1}): not an LS path")
-        out.append((st[k][0], refl(st[k][1], ns[k])))
+        if ns[k] <= 0:  # a local minimum strictly between two integers
+            raise ValueError(f"height does not climb inside ({M // D}, {M // D + 1}): not an LS path")
+        out.append((st[k][0], W.lmul(i, st[k][1])))
     (a, d), n = st[j2 - 1], ns[j2 - 1]
     if H[j2] > top:  # the level is crossed strictly inside the step: split it there
         cut = top - H[j2 - 1]
@@ -197,9 +194,9 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
             D, a, out, st = D * n, a * n, [(x * n, y) for x, y in out], [(x * n, y) for x, y in st]
         else:
             cut //= n
-        out += [(cut, refl(d, n)), (a - cut, d)]
+        out += [(cut, W.lmul(i, d)), (a - cut, d)]
     else:
-        out.append((a, refl(d, n)))
+        out.append((a, W.lmul(i, d)))
     out += st[j2:]
     return LSPath(p.lam, D, out[::-sign])
 

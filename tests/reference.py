@@ -7,7 +7,8 @@ coefficient by the signed-subword formula (chevalley_explicit, a sum of 2^N
 terms for a word of N letters), and the LS root
 operators, endpoint, path format and sort key in Fraction arithmetic (the
 library stores int step lengths over one denominator).  ls_path builds a
-path from its Fraction cut points b, the readable form the tests write.
+path from its Fraction cut points b, the readable form the tests write, and
+ls_b reads them back.
 validation_error checks that a path is a genuine LS path of its shape, by
 the definition.  pytest does not rewrite the asserts of this helper module,
 so a check that must hold under python -O raises explicitly.
@@ -147,16 +148,24 @@ def ls_path(lam, b, dirs):
     return LSPath(lam, D, [(int(ext[j + 1] - ext[j]), d) for j, d in enumerate(dirs)])
 
 
+def ls_b(p):
+    """The cut points b_j = (a_1 + ... + a_{j-1}) / D of p as Fractions; b_1 = 0."""
+    b = [Q(0)]
+    for a in p.a[:-1]:
+        b.append(b[-1] + Q(a, p.D))
+    return tuple(b)
+
+
 def ls_path_key(p):
     """The sort key of the Fraction form: the number of directions, the cut
     points as (numerator, denominator) pairs, then the directions."""
-    return (len(p.dirs), tuple((x.numerator, x.denominator) for x in p.b), tuple(d.key for d in p.dirs))
+    return (len(p.dirs), tuple((x.numerator, x.denominator) for x in ls_b(p)), tuple(d.key for d in p.dirs))
 
 
 def ls_steps(p):
     """Traversal steps [(a_1, d_1), ...] of p with Fraction lengths; d_1 = iota(p)."""
     m = len(p.dirs)
-    ext = list(p.b) + [1]
+    ext = list(ls_b(p)) + [1]
     return [(ext[m + 1 - k] - ext[m - k], p.dirs[m - k]) for k in range(1, m + 1)]
 
 
@@ -233,7 +242,7 @@ def ls_endpoint(W, p):
     for a, d in ls_steps(p):
         total = [t + a * x for t, x in zip(total, W.act(d, p.lam))]
     if any(t.denominator != 1 for t in total):
-        raise ValueError(f"endpoint of {p.b} is not a lattice weight")
+        raise ValueError(f"endpoint of {ls_format_path(p)} is not a lattice weight")
     return tuple(t.numerator for t in total)
 
 
@@ -270,7 +279,7 @@ def validation_error(W, p):
     if not R.is_dominant(p.lam):
         return "shape is not dominant"
     J = stabilizer_nodes(R, p.lam)
-    bs = list(p.b)
+    bs = list(ls_b(p))
     for x, y in zip(bs, bs[1:]):
         if not x < y:
             return "b not strictly increasing"
@@ -283,6 +292,6 @@ def validation_error(W, p):
         if a == b or not W.bruhat_leq(a, b):
             return f"directions not strictly increasing at {a!r}, {b!r}"
     for j in range(len(p.dirs) - 1):
-        if not _quotient_chain_exists(W, J, p.lam, p.dirs[j], p.dirs[j + 1], p.b[j + 1]):
-            return f"no admissible chain from {p.dirs[j]!r} to {p.dirs[j + 1]!r} at b={p.b[j + 1]}"
+        if not _quotient_chain_exists(W, J, p.lam, p.dirs[j], p.dirs[j + 1], bs[j + 1]):
+            return f"no admissible chain from {p.dirs[j]!r} to {p.dirs[j + 1]!r} at b={bs[j + 1]}"
     return None

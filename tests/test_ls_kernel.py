@@ -8,11 +8,11 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from reference import ls_e, ls_endpoint, ls_f, ls_format_path, ls_path_key, ls_steps
+from reference import ls_b, ls_e, ls_endpoint, ls_f, ls_format_path, ls_path_key, ls_steps
 
 from kmchev.cartan import GCM, Realization, realization_from_preset, wt_add, wt_neg
 from kmchev.cli import parse_word
-from kmchev.lspath import LSPath, demazure_crystal, e, endpoint, f, format_path, path_key, straight_path
+from kmchev.lspath import LSPath, cuts, demazure_crystal, e, endpoint, f, format_path, path_key, straight_path
 from kmchev.weyl import WeylGroup
 
 CASES = {
@@ -83,16 +83,17 @@ def test_some_cuts_rescale_the_denominator(crystal):
 
 def test_the_stored_form_is_canonical_and_sorts_as_the_fractions(crystal):
     """Every path holds ints only, with positive lengths summing to a D
-    coprime to them and no two neighbours of one direction; its b is the
-    reference's cut points; path_key orders as the Fraction key did; and
-    two spellings of one path build one path."""
+    coprime to them and no two neighbours of one direction; its cuts are
+    the reference's Fraction cut points in lowest terms; path_key orders as
+    the Fraction key did; and two spellings of one path build one path."""
     _, W, _, paths = crystal
     for p in paths:
         assert all(type(x) is int for x in (*p.lam, p.D, *p.a))
         assert all(x > 0 for x in p.a) and sum(p.a) == p.D and math.gcd(p.D, *p.a) == 1
         assert all(x != y for x, y in zip(p.dirs, p.dirs[1:]))
         lengths = [a for a, _ in reversed(ls_steps(p))]  # chain order
-        assert list(p.b) == [sum(lengths[:j], Q(0)) for j in range(len(lengths))]
+        assert cuts(p) == tuple((x.numerator, x.denominator) for x in ls_b(p))
+        assert list(ls_b(p)) == [sum(lengths[:j], Q(0)) for j in range(len(lengths))]
     assert sorted(paths, key=path_key) == sorted(paths, key=ls_path_key)
     lam, d = next(iter(paths)).lam, W.simple(0)
     one = LSPath(lam, 1, [(1, d)])

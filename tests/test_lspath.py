@@ -168,6 +168,16 @@ for op in (f, e):
         assert "not an LS path" in str(exc)
     else:
         raise SystemExit(f"{op.__name__} accepted a path that is not LS")
+# A2, lam = 2 Lambda_1: the 0-height climbs to 1/2, stays flat along s2*s1
+# (slope 0) inside the reflected window, then climbs to 1
+W = WeylGroup(realization_from_preset("A2"))
+flat = LSPath((2, 0), 4, [(1, W.e), (2, W.from_word((1, 0))), (1, W.e)])
+try:
+    f(W, flat, 0)
+except ValueError as exc:
+    assert "not an LS path" in str(exc)
+else:
+    raise SystemExit("f accepted a flat step at a non-integral height")
 """
 
 
@@ -184,7 +194,8 @@ def test_operators_reject_a_non_ls_path(aff):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_operators_reject_a_non_ls_path_in_a_subprocess(flags):
-    """The check must not rest on an assert that python -O strips."""
+    """The checks, of a non-integral minimum and of a flat step inside the
+    reflected window, must not rest on an assert that python -O strips."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, *flags, "-c", NON_LS], capture_output=True, text=True,

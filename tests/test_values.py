@@ -34,11 +34,11 @@ CASES = {
                 [(1, (STR, ls_path(LAM, (0,), (S1,)))), (0, (STR,))],
                 "IString(i=0, elements=((λ), (s1·λ)))"),
     "LambdaHyperplane": (LambdaHyperplane, (A01, 1), [(A0, 1), (A01, 0)], "(1|1,1)"),
-    "AdaptedSequence": (AdaptedSequence, (E, (LambdaHyperplane(A0, 0),), (E, S1), "inc"),
-                        [(S2, (LambdaHyperplane(A0, 0),), (S2, S1), "inc"),  # z and chain[0] move together
-                         (E, (LambdaHyperplane(A1, 0),), (E, S1), "inc"),
-                         (E, (LambdaHyperplane(A0, 0),), (E, S2), "inc"),
-                         (E, (LambdaHyperplane(A0, 0),), (E, S1), "dec")],
+    "AdaptedSequence": (AdaptedSequence, (E, (LambdaHyperplane(A0, 0),), S1, "inc"),
+                        [(S2, (LambdaHyperplane(A0, 0),), S1, "inc"),
+                         (E, (LambdaHyperplane(A1, 0),), S1, "inc"),
+                         (E, (LambdaHyperplane(A0, 0),), S2, "inc"),
+                         (E, (LambdaHyperplane(A0, 0),), S1, "dec")],
                         "AdaptedSequence(e; [(0|1,0)]; ->s1)"),
 }
 
