@@ -8,7 +8,7 @@ Each exported name is imported from its module on first use (PEP 562), so
 from importlib import import_module
 
 _EXPORTS = {
-    "cartan": "GCM Coroot Q Realization Weight pairing realization_from_json_file realization_from_preset weight"
+    "cartan": "GCM Coroot Realization Weight pairing realization_from_json_file realization_from_preset weight"
               " wt_add wt_neg wt_scale",
     "weyl": "WeylElt WeylGroup",
     "lifts": "down interval_below up",

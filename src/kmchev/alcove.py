@@ -40,7 +40,7 @@ import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
-from .cartan import Coroot, Q, Realization, Weight, pairing, wt_add, wt_neg, wt_scale
+from .cartan import Coroot, Realization, Weight, pairing, wt_add, wt_neg, wt_scale
 from .kring import LaurentPoly, lp_add_into, lp_monomial
 from .lifts import down, up
 from .lspath import LSPath, stabilizer_nodes
@@ -70,10 +70,12 @@ class LambdaHyperplane:
 
 def stdvec(lam: Weight, h: LambdaHyperplane) -> tuple:
     """The lex comparison vector (k, c_1, ..., c_r) / <alpha, lam>."""
+    from fractions import Fraction
+
     p = pairing(h.alpha, lam)
     if not 0 <= h.k < p:
         raise ValueError(f"{h!r} is not a hyperplane for this weight")
-    return (Q(h.k, p),) + tuple(Q(c, p) for c in h.alpha.c)
+    return (Fraction(h.k, p),) + tuple(Fraction(c, p) for c in h.alpha.c)
 
 
 def lex_less(lam: Weight, a: LambdaHyperplane, b: LambdaHyperplane) -> bool:
@@ -91,13 +93,9 @@ def format_hyperplane(lam: Weight, h: LambdaHyperplane) -> str:
 
 
 def lex_chain(R: Realization, lam: Weight) -> list[LambdaHyperplane]:
-    """The full lex chain (finite types only)."""
-    out = []
-    for alpha in R.positive_coroots():
-        p = pairing(alpha, lam)
-        for k in range(p):
-            out.append(LambdaHyperplane(alpha, k))
-    out.sort(key=lambda h: stdvec(lam, h))
+    """The full lex chain (finite types only): the stdvec order, compared in ints by lex_less."""
+    out = [LambdaHyperplane(alpha, k) for alpha in R.positive_coroots() for k in range(pairing(alpha, lam))]
+    out.sort(key=functools.cmp_to_key(lambda a, b: lex_less(lam, b, a) - lex_less(lam, a, b)))
     return out
 
 
@@ -131,14 +129,15 @@ def validate_lambda_chain_finite(R: Realization, lam: Weight, chain) -> tuple[bo
     def multiples(alpha: Coroot, beta: Coroot):
         for gamma in pos:
             diff = tuple(g - a for g, a in zip(gamma.c, alpha.c))
-            ms = {Q(d, b) for d, b in zip(diff, beta.c) if b != 0}
-            if len(ms) != 1:
+            pairs = [(d, b) for d, b in zip(diff, beta.c) if b != 0]
+            if any(d % b for d, b in pairs):
+                continue
+            ms = {d // b for d, b in pairs}
+            if len(ms) != 1 or 0 in ms:
                 continue
             m = ms.pop()
-            if m.denominator != 1 or m == 0:
-                continue
             if all(d == m * b for d, b in zip(diff, beta.c)):
-                yield int(m), gamma
+                yield m, gamma
 
     counts: dict[Coroot, int] = {alpha: 0 for alpha in pos}
     for idx, h in enumerate(chain):
@@ -349,17 +348,17 @@ def refl_less(R: Realization, lam: Weight, a: Coroot, b: Coroot) -> bool:
 
 
 def _label_chains(W: WeylGroup, a: WeylElt, b: WeylElt, label_ok, below=None) -> list:
-    """Saturated chains a -> b, walked down from b through cocovers, as
-    (elements ascending, labels ascending by position).  Labels failing
-    label_ok are skipped; with below(beta, bound), each label must be below
-    the label after it, which prunes the walk as it goes."""
+    """Saturated chains a -> b, walked down from b through cocovers, each as
+    its labels ascending by position (a and the labels fix the chain).
+    Labels failing label_ok are skipped; with below(beta, bound), each label
+    must be below the label after it, which prunes the walk as it goes."""
     if a == b:
-        return [((a,), ())]
+        return [()]
     res = []
 
-    def rec(cur: WeylElt, bound: Coroot | None, labels: tuple, elems: tuple):
+    def rec(cur: WeylElt, bound: Coroot | None, labels: tuple):
         if cur == a:
-            res.append(((a,) + elems, labels))
+            res.append(labels)
             return
         if cur.length <= a.length:
             return
@@ -370,15 +369,16 @@ def _label_chains(W: WeylGroup, a: WeylElt, b: WeylElt, label_ok, below=None) ->
                 continue
             if not W.bruhat_leq(a, v):
                 continue
-            rec(v, beta, (beta,) + labels, (cur,) + elems)
+            rec(v, beta, (beta,) + labels)
 
-    rec(b, None, (), ())
+    rec(b, None, ())
     return res
 
 
 def increasing_chain(W: WeylGroup, lam: Weight, a: WeylElt, b: WeylElt, less=refl_less, label_ok=None):
-    """The unique saturated chain a -> b whose labels strictly increase in the
-    given reflection order.  Raises ValueError unless exactly one exists."""
+    """The labels of the unique saturated chain a -> b whose labels strictly
+    increase in the given reflection order.  Raises ValueError unless exactly
+    one exists."""
     res = _label_chains(W, a, b, label_ok, lambda beta, bound: less(W.R, lam, beta, bound))
     if len(res) != 1:
         raise ValueError(f"expected a unique increasing chain {a!r} -> {b!r}, found {len(res)}")
@@ -405,9 +405,9 @@ def ls_to_seq(W: WeylGroup, p: LSPath, base: WeylElt, monotonicity: str) -> Adap
     cuts = list(accumulate(p.a, initial=0))
     hs: list[LambdaHyperplane] = []
     for j, c in enumerate(cuts[:-1] if inc else cuts[1:]):
-        _, labels = increasing_chain(W, lam, zs[j], zs[j + 1],
-                                     refl_less if inc else lambda R, lam, a, b: refl_less(R, lam, b, a),
-                                     lambda beta, c=c: 0 < pairing(beta, lam) and c * pairing(beta, lam) % D == 0)
+        labels = increasing_chain(W, lam, zs[j], zs[j + 1],
+                                  refl_less if inc else lambda R, lam, a, b: refl_less(R, lam, b, a),
+                                  lambda beta, c=c: 0 < pairing(beta, lam) and c * pairing(beta, lam) % D == 0)
         for beta in labels:
             pr = pairing(beta, lam)
             hs.append(LambdaHyperplane(beta, c * pr // D if inc else pr - c * pr // D))

@@ -11,32 +11,36 @@ coordinates are read and printed as ``delta=q`` (parse_weight, format_weight).
 
 All arithmetic is exact and weights are tuples of Python ints: weight sums,
 pairings and reflections are plain int arithmetic, and LS paths store no
-Fraction either (their step lengths are ints over one denominator).
-``Fraction`` appears only in relative heights of hyperplanes, and ``_num``
-turns an integral one back into an int.  Non-integral input weights are
-rejected at the boundary (the CLI) and never reach the weight arithmetic.
+Fraction either (their step lengths are ints over one denominator).  The
+set-up of a realization is integer too: fraction-free Gauss-Jordan
+elimination gives the rank, the completion columns, Sylvester's test and
+the null root, and the symmetrizer is propagated as reduced int pairs.
+``fractions`` is imported only where a caller hands in a rational: a weight
+coordinate that ``int`` refuses, ``weight()`` and ``wt_scale`` by a
+non-int; ``_num`` turns an integral Fraction back into an int.  Non-integral
+input weights are rejected at the boundary (the CLI) and never reach the
+weight arithmetic.
 """
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
-
-Q = Fraction
 
 # A weight, in the coordinates described in the module docstring.
 Weight = tuple
 
 
-def _num(x) -> int | Q:
+def _num(x):
     """Normalise a rational scalar: Fractions with denominator 1 become int."""
-    if type(x) is Q and x.denominator == 1:
+    if type(x) is not int and x.denominator == 1:
         return x.numerator
     return x
 
 
 def weight(*coords) -> Weight:
-    return tuple(_num(Q(c)) for c in coords)
+    from fractions import Fraction
+
+    return tuple(_num(Fraction(c)) for c in coords)
 
 
 def _same_rank(u: Weight, v: Weight) -> None:
@@ -56,7 +60,9 @@ def wt_neg(u: Weight) -> Weight:
 def wt_scale(c, u: Weight) -> Weight:
     if type(c) is int:
         return tuple([c * a for a in u])
-    c = Q(c)
+    from fractions import Fraction
+
+    c = Fraction(c)
     return tuple(_num(c * a) for a in u)
 
 
@@ -65,17 +71,20 @@ def is_lattice(u: Weight) -> bool:
     return all(a.denominator == 1 for a in u)
 
 
-def _eliminate(rows) -> tuple[list[list[Q]], list[int], list[Q]]:
-    """Gauss-Jordan elimination of a rational matrix.
+def _eliminate(rows) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-    Returns (reduced, pivots, values): the reduced row echelon form, its pivot
-    columns, and for each pivot the entry that stood in the pivot position
-    before any row swap -- zero exactly when the pivot had to be swapped up
-    from a lower row.  The rank is len(pivots).
+    Returns (reduced, pivots, values): the reduced row echelon form with each
+    row divided by its gcd and each pivot positive (a positive multiple of
+    the rational reduced row), its pivot columns, and for each pivot the
+    entry that stood in the pivot position before any row swap -- zero
+    exactly when the pivot had to be swapped up from a lower row.  Every row
+    stays a positive multiple of its rational counterpart, so each value has
+    the sign of the rational one.  The rank is len(pivots).
     """
-    mat = [[Q(x) for x in row] for row in rows]
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
-    values: list[Q] = []
+    values: list[int] = []
     for col in range(len(mat[0]) if mat else 0):
         top = len(pivots)
         pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
@@ -83,12 +92,16 @@ def _eliminate(rows) -> tuple[list[list[Q]], list[int], list[Q]]:
             continue
         values.append(mat[top][col])
         mat[top], mat[pivot] = mat[pivot], mat[top]
-        inv = 1 / mat[top][col]
-        mat[top] = [x * inv for x in mat[top]]
+        row = mat[top]
+        g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
+        row = mat[top] = [x // g for x in row]
+        p = row[col]
         for r in range(len(mat)):
-            if r != top and mat[r][col] != 0:
-                c = mat[r][col]
-                mat[r] = [x - c * y for x, y in zip(mat[r], mat[top])]
+            c = mat[r][col]
+            if r != top and c != 0:
+                new = [p * x - c * y for x, y in zip(mat[r], row)]
+                g = math.gcd(*new)
+                mat[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
     return mat, pivots, values
 
@@ -118,13 +131,14 @@ def _components(a) -> list[list[int]]:
 def _symmetrizer(a) -> tuple[int, ...]:
     """Primitive positive integers d with d_i a_ij = d_j a_ji, or raise ValueError.
 
-    Ratios are propagated along the Dynkin diagram; a cycle that forces an
+    Ratios are propagated along the Dynkin diagram, each d_i held as a
+    reduced int pair (numerator, denominator); a cycle that forces an
     inconsistent ratio means the matrix is not symmetrizable.
     """
     n = len(a)
-    d: list[Q | None] = [None] * n
+    d: list[tuple[int, int] | None] = [None] * n
     for comp in _components(a):
-        d[comp[0]] = Q(1)
+        d[comp[0]] = (1, 1)
         stack = [comp[0]]
         while stack:
             i = stack.pop()
@@ -137,15 +151,18 @@ def _symmetrizer(a) -> tuple[int, ...]:
                     raise ValueError(f"not symmetrizable: a[{i}][{j}], a[{j}][{i}] zero-pattern mismatch")
                 if a[i][j] == 0:
                     continue
-                ratio = Q(a[i][j], a[j][i])  # d_j = d_i * a_ij / a_ji
+                # d_j = d_i * a_ij / a_ji; both entries are negative
+                num, den = d[i][0] * -a[i][j], d[i][1] * -a[j][i]
+                g = math.gcd(num, den)
+                dj = (num // g, den // g)
                 if d[j] is None:
-                    d[j] = d[i] * ratio
+                    d[j] = dj
                     stack.append(j)
-                elif d[j] != d[i] * ratio:
+                elif d[j] != dj:
                     raise ValueError("not symmetrizable: inconsistent cycle")
-    assert all(x is not None and x > 0 for x in d)
-    lcm_den = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * lcm_den) for x in d]
+    assert all(x is not None and x[0] > 0 and x[1] > 0 for x in d)
+    lcm_den = math.lcm(*(den for _, den in d))
+    ints = [num * (lcm_den // den) for num, den in d]
     g = math.gcd(*ints)
     return tuple(x // g for x in ints)
 
@@ -235,15 +252,17 @@ def _positive_null_vector(mat) -> tuple[int, ...] | None:
     reduced, pivots, _ = _eliminate(mat)
     if len(pivots) != n - 1:
         return None
-    # the free column's entry is 1, each pivot column's is -reduced[r][free]
+    # row r reads p_r m_{pivots[r]} + x_r m_free = 0 with its pivot p_r > 0:
+    # m_free = L, the lcm of the pivots, gives m_{pivots[r]} = -x_r L / p_r
     free = next(c for c in range(n) if c not in pivots)
     if not all(reduced[r][free] < 0 for r in range(n - 1)):
         return None
-    m = [Q(1) if c == free else -reduced[pivots.index(c)][free] for c in range(n)]
-    scale = math.lcm(*(x.denominator for x in m))
-    ints = [int(x * scale) for x in m]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    scale = math.lcm(*(reduced[r][c] for r, c in enumerate(pivots)))
+    m = [scale] * n
+    for r, c in enumerate(pivots):
+        m[c] = -reduced[r][free] * scale // reduced[r][c]
+    g = math.gcd(*m)
+    return tuple(x // g for x in m)
 
 
 class Coroot:
@@ -276,7 +295,7 @@ class Coroot:
         return f"Coroot({','.join(map(str, self.c))})"
 
 
-def pairing(alpha: Coroot, mu: Weight) -> int | Q:
+def pairing(alpha: Coroot, mu: Weight) -> int:
     """<alpha, mu> for a coroot alpha; exact integer on lattice weights.
 
     The ambient coordinates were chosen so that pairing with the i-th simple
@@ -389,10 +408,7 @@ class Realization:
             if not tok:
                 continue
             is_delta = tok.startswith("delta=")
-            try:
-                value = Q(tok[len("delta="):] if is_delta else tok)
-            except (ValueError, ZeroDivisionError):  # Q("1/0") raises the latter
-                raise ValueError(f"weight coordinate {tok!r} is not a number") from None
+            value = _coordinate(tok[len("delta="):] if is_delta else tok, tok)
             (deltas if is_delta else coords).append(value)
         if len(coords) != self.n:
             raise ValueError(f"expected {self.n} fundamental coordinates, got {len(coords)}")
@@ -401,7 +417,7 @@ class Realization:
             raise ValueError("delta= coordinate requires an affine realization (corank >= 1)")
         if deltas and len(deltas) != corank:
             raise ValueError(f"expected {corank} delta= coordinates in corank {corank}, got {len(deltas)}")
-        return tuple(_num(x) for x in coords + (deltas or [Q(0)] * corank))
+        return tuple(coords + (deltas or [0] * corank))
 
     def format_weight(self, mu: Weight) -> str:
         """Fundamental coordinates, then the extra ones as delta=q: in corank
@@ -411,6 +427,21 @@ class Realization:
         extra = mu[self.n:]
         tail = "".join(f",delta={x}" for x in extra if x != 0 or len(extra) > 1)
         return head + tail
+
+
+def _coordinate(text: str, tok: str):
+    """A weight coordinate: an int, or a Fraction (an int when integral) for
+    text that int() refuses but Fraction() reads, such as 1/2 or 1.5."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    from fractions import Fraction
+
+    try:
+        return _num(Fraction(text))
+    except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
+        raise ValueError(f"weight coordinate {tok!r} is not a number") from None
 
 
 PRESETS = {

@@ -17,20 +17,24 @@ text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
 is refused before any model runs); table output prints every extra
 coordinate of a weight in corank >= 2.  A failed cross-check exits 1 with a
 report: table lines under ``--format table`` (any corank), JSON otherwise.
-Bad input (a missing ``--weight`` or an option value argparse refuses too),
-an exceeded layer cap and a closed stdout (``main`` flushes it, also after
-``--help``) exit 2 with one ``error:`` line.
+Bad input (a missing ``--weight``, an unknown option or an option value the
+option table refuses), an exceeded layer cap and a closed stdout (``main``
+flushes it, also after ``--help``) exit 2 with one ``error:`` line.
+
+The options are one table, ``OPTIONS``, read by ``parse_args``; neither it
+nor the JSON writer imports ``argparse``, ``json`` or ``re``, which would
+cost a short run more start-up time than its combinatorics.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from _json import encode_basestring_ascii  # the C escaper json.encoder binds, without json or re
 from collections import Counter
 from functools import partial
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .cartan import Realization, Weight, is_lattice, realization_from_json_file, realization_from_preset, wt_neg
 from .weyl import LayerCapError, WeylElt, WeylGroup, env_layer_cap
@@ -40,13 +44,6 @@ class CLIError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        """An option value argparse refuses ends like every other refused
-        input: one error: line and exit 2, with no usage block."""
-        raise CLIError(message)
-
-
 def json_corank(R: Realization) -> int:
     """The corank of R; JSON output supports corank <= 1 only."""
     if R.N - R.n > 1:
@@ -54,7 +51,7 @@ def json_corank(R: Realization) -> int:
     return R.N - R.n
 
 
-def build_realization(args: argparse.Namespace) -> Realization:
+def build_realization(args: SimpleNamespace) -> Realization:
     """The realization; for JSON output its corank is checked here, before
     any model runs."""
     if args.gcm_file and args.cartan:
@@ -75,7 +72,7 @@ def build_realization(args: argparse.Namespace) -> Realization:
             raise CLIError(str(exc)) from None
     else:
         raise CLIError("a Cartan matrix is required (--cartan or --gcm-file)")
-    if args.fmt == "json":
+    if args.format == "json":
         json_corank(R)
     return R
 
@@ -103,7 +100,7 @@ def parse_lam(R: Realization, text: str | None) -> Weight:
     return lam
 
 
-def _setup(args: argparse.Namespace) -> tuple[Realization, WeylGroup, Weight]:
+def _setup(args: SimpleNamespace) -> tuple[Realization, WeylGroup, Weight]:
     """The realization, its Weyl group and the dominant weight --weight."""
     R = build_realization(args)
     lam = parse_lam(R, args.weight)
@@ -112,7 +109,7 @@ def _setup(args: argparse.Namespace) -> tuple[Realization, WeylGroup, Weight]:
     return R, WeylGroup(R), lam
 
 
-def _over_z(args: argparse.Namespace, R: Realization, W: WeylGroup, mode: str) -> WeylElt:
+def _over_z(args: SimpleNamespace, R: Realization, W: WeylGroup, mode: str) -> WeylElt:
     """The element --z of a mode that ranges up to --max-length, its options checked."""
     if args.z is None or args.max_length is None:
         raise CLIError(f"{mode} needs both --z and --max-length")
@@ -240,13 +237,18 @@ def _rows_for_model(model: str, R: Realization, lam: Weight, sign: int, word: tu
 
 
 def _rows_diff(rows_by_model: dict) -> list:
-    """Structured per-z differences between models (empty when all agree)."""
+    """Structured per-z differences between models (empty when all agree,
+    as it is at once when one model ran)."""
+    first, *others = rows_by_model.values()
+    if all(rows == first for rows in others):
+        return []
     names = sorted(rows_by_model)
     all_z = sorted({z for rows in rows_by_model.values() for z in rows}, key=lambda u: u.key)
     diffs = []
     for z in all_z:
         polys = {name: rows_by_model[name].get(z, {}) for name in names}
-        if len({tuple(sorted(p.items())) for p in polys.values()}) > 1:
+        head, *rest = polys.values()
+        if any(p != head for p in rest):
             diffs.append((z, polys))
     return diffs
 
@@ -254,7 +256,7 @@ def _rows_diff(rows_by_model: dict) -> list:
 SIGNS = {"+1": 1, "+": 1, "-1": -1, "-": -1}
 
 
-def cmd_chevalley(args: argparse.Namespace) -> int:
+def cmd_chevalley(args: SimpleNamespace) -> int:
     sign = SIGNS.get(args.sign)
     if sign is None:
         raise CLIError(f"--sign must be +1 or -1, not {args.sign!r}")
@@ -273,7 +275,7 @@ def cmd_chevalley(args: argparse.Namespace) -> int:
 
     diffs = _rows_diff(rows_by_model)
     if diffs:
-        if args.fmt == "table":
+        if args.format == "table":
             lines = ["models disagree"]
             for z, polys in diffs:
                 lines += [f"  [O_{z!r}]"] + [f"    {name} : {poly_str(R, p)}" for name, p in sorted(polys.items())]
@@ -286,7 +288,7 @@ def cmd_chevalley(args: argparse.Namespace) -> int:
         emit(args.out, json_text({"error": "models disagree", "disagreements": disagreements}))
         return 1
 
-    if args.fmt == "dot":
+    if args.format == "dot":
         if args.model not in ("alcove", "all"):
             raise CLIError("--format dot for chevalley requires the alcove model")
         from . import alcove
@@ -297,11 +299,11 @@ def cmd_chevalley(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chevalley_fixed_z(args: argparse.Namespace, sign: int, R: Realization, W: WeylGroup, lam: Weight) -> int:
+def _chevalley_fixed_z(args: SimpleNamespace, sign: int, R: Realization, W: WeylGroup, lam: Weight) -> int:
     z = _over_z(args, R, W, "fixed-z mode")
     if args.model != "alcove":
         raise CLIError("fixed-z mode is supported by the alcove model only (--model alcove)")
-    if args.fmt == "dot":
+    if args.format == "dot":
         raise CLIError("fixed-z mode emits json or table")
     from . import alcove, kring
     mono = "inc" if sign > 0 else "dec"
@@ -315,13 +317,13 @@ def _chevalley_fixed_z(args: argparse.Namespace, sign: int, R: Realization, W: W
     return 0
 
 
-def _emit_rows(args: argparse.Namespace, sign: int, R: Realization, lam: Weight, fixed: str, elt: WeylElt, rows,
+def _emit_rows(args: SimpleNamespace, sign: int, R: Realization, lam: Weight, fixed: str, elt: WeylElt, rows,
                truncated: bool, tail: str) -> None:
     """Chevalley rows over the element `elt` held fixed, as json or table.
     `fixed` is "w" (rows keyed by z) or "z" (rows keyed by w); `tail` ends
     the table's first line."""
     order = sorted(rows, key=lambda u: u.key)
-    if args.fmt == "json":
+    if args.format == "json":
         key = "z" if fixed == "w" else "w"
         emit(args.out, json_text({
             "cartan": R.gcm.to_json(),
@@ -339,7 +341,7 @@ def _emit_rows(args: argparse.Namespace, sign: int, R: Realization, lam: Weight,
 # -- crystal -----------------------------------------------------------------
 
 
-def cmd_crystal(args: argparse.Namespace) -> int:
+def cmd_crystal(args: SimpleNamespace) -> int:
     from . import alcove, lspath
     R, W, lam = _setup(args)
 
@@ -364,7 +366,7 @@ def cmd_crystal(args: argparse.Namespace) -> int:
     wts_alc = sorted(seq_wt)
 
     if len(paths) != len(seqs) or wts_ls != wts_alc:
-        if args.fmt == "table":
+        if args.format == "table":
             emit(args.out, "\n".join(["realizations disagree"] + [
                 f"  {name} : {len(wts)} elements, {poly_str(R, Counter(wts))}"
                 for name, wts in (("ls", wts_ls), ("alcove", wts_alc))]))
@@ -380,7 +382,7 @@ def cmd_crystal(args: argparse.Namespace) -> int:
         return 1
 
     ordered_paths = sorted(paths, key=lspath.path_key)
-    if args.fmt == "json":
+    if args.format == "json":
         if args.realization == "ls":
             items = [
                 {
@@ -408,7 +410,7 @@ def cmd_crystal(args: argparse.Namespace) -> int:
             "truncated": truncated,
         }
         emit(args.out, json_text(doc))
-    elif args.fmt == "table":
+    elif args.format == "table":
         lines = [f"{len(ordered_paths)} elements" + ("  (truncated)" if truncated else "")]
         if args.realization == "ls":
             for p in ordered_paths:
@@ -509,7 +511,7 @@ SCENARIOS = [
 ]
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: SimpleNamespace) -> int:
     if args.scenario is None:
         selected = SCENARIOS
     elif args.scenario == "":
@@ -533,45 +535,124 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
+# {command: {"--name": (kind, default, help)}}: kind is str (free text), int,
+# a tuple of choices, or bool (a flag, which takes no value).
+_INPUT_OPTIONS = {
+    "--cartan": (str, None, "preset name (A1, A2, A3, B2, G2, A1~, A2~)"),
+    "--gcm-file": (str, None, "JSON file with a Cartan matrix"),
+    "--weight": (str, None, 'dominant weight "c_0,c_1,...[,delta=q ...]"'),
+    "--format": (("json", "table", "dot"), "json", "output format"),
+    "--out": (str, None, "write output to this file instead of stdout"),
+    "--w": (str, None, 'the element w, as space-separated node names ("e" for the identity)'),
+    "--z": (str, None, "the element z of the sets over z: fixed-z chevalley rows, crystal --opposite"),
+    "--max-length": (int, None, "length bound for the sets over --z"),
+}
+OPTIONS = {
+    "chevalley": {
+        **_INPUT_OPTIONS,
+        "--sign": (str, "+1", "+1 for the dominant line bundle, -1 for its dual"),
+        "--model": (("ls", "alcove", "nilhecke", "all"), "all", "the model to run; all cross-checks the three"),
+    },
+    "crystal": {
+        **_INPUT_OPTIONS,
+        "--opposite": (bool, False, "opposite Demazure set over --z"),
+        "--realization": (("ls", "alcove"), "ls", "the realization to print"),
+    },
+    "selftest": {
+        "--scenario": (str, None, "substring filter; empty string selects nothing"),
+        "--out": (str, None, "write the report to this file"),
+    },
+}
+COMMANDS = {
+    "chevalley": (cmd_chevalley, "Chevalley coefficient rows"),
+    "crystal": (cmd_crystal, "Demazure / opposite Demazure sets"),
+    "selftest": (cmd_selftest, "internal cross-check scenarios"),
+}
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--cartan", help="preset name (A1, A2, A3, B2, G2, A1~, A2~)")
-    sp.add_argument("--gcm-file", help="JSON file with a Cartan matrix")
-    sp.add_argument("--weight", help='dominant weight "c_0,c_1,...[,delta=q ...]"')
-    sp.add_argument("--format", dest="fmt", choices=("json", "table", "dot"), default="json")
-    sp.add_argument("--out", help="write output to this file instead of stdout")
-    sp.add_argument("--w", help='the element w, as space-separated node names ("e" for the identity)')
-    sp.add_argument("--z", help="the element z of the sets over z: fixed-z chevalley rows, crystal --opposite")
-    sp.add_argument("--max-length", type=int, help="length bound for the sets over --z")
+
+def _help_row(head: str, about: str) -> str:
+    """One line of help, or two when head leaves no room for about."""
+    return f"  {head:<22}{about}" if len(head) < 22 else f"  {head}\n{'':24}{about}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="kmchev")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _help_text(command: str | None) -> str:
+    """The usage of kmchev (command None) or of one command, every option listed."""
+    if command is None:
+        return "\n".join([f"usage: kmchev [-h] {{{','.join(COMMANDS)}}} ...", "", "commands:",
+                          *(_help_row(name, about) for name, (_, about) in COMMANDS.items()),
+                          "", "kmchev COMMAND --help lists the options of COMMAND."])
+    rows = [_help_row("-h, --help", "show this help message and exit")]
+    for name, (kind, default, about) in OPTIONS[command].items():
+        if type(kind) is tuple:
+            name += " {" + ",".join(kind) + "}"
+        elif kind is not bool:
+            name += " " + name[2:].upper().replace("-", "_")
+        rows.append(_help_row(name, about if default in (None, False) else f"{about} (default: {default})"))
+    return "\n".join([f"usage: kmchev {command} [-h] [options]", "", COMMANDS[command][1], "", "options:", *rows])
 
-    sp = sub.add_parser("chevalley", help="Chevalley coefficient rows")
-    _add_common(sp)
-    sp.add_argument("--sign", default="+1", help="+1 for the dominant line bundle, -1 for its dual")
-    sp.add_argument("--model", choices=("ls", "alcove", "nilhecke", "all"), default="all")
 
-    sp = sub.add_parser("crystal", help="Demazure / opposite Demazure sets")
-    _add_common(sp)
-    sp.add_argument("--opposite", action="store_true", help="opposite Demazure set over --z")
-    sp.add_argument("--realization", choices=("ls", "alcove"), default="ls")
+def _print_help(command: str | None) -> None:
+    print(_help_text(command), file=sys.stdout or sys.stderr)  # stdout is None when fd 1 was closed at start
 
-    sp = sub.add_parser("selftest", help="internal cross-check scenarios")
-    sp.add_argument("--scenario", help="substring filter; empty string selects nothing")
-    sp.add_argument("--out", help="write the report to this file")
-    return ap
+
+def parse_args(argv: list) -> SimpleNamespace | None:
+    """The command and its options as attributes (--max-length as
+    max_length, unset options at their defaults), or None once -h/--help has
+    printed its help.  A value follows its option as the next argument or
+    after "="; the last repeat wins, and an option is never abbreviated.  A
+    refused command line raises CLIError, worded as argparse words it."""
+    if not argv:
+        raise CLIError("the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        return _print_help(None)
+    if command not in OPTIONS:
+        if command.startswith("-"):
+            raise CLIError(f"unrecognized arguments: {command}")
+        raise CLIError(f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, OPTIONS))})")
+    table = OPTIONS[command]
+    values = {name: default for name, (_, default, _) in table.items()}
+    unknown = []
+    tokens = iter(rest)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            return _print_help(command)
+        name, eq, value = tok.partition("=")
+        if name not in table:
+            unknown.append(tok)
+            continue
+        kind = table[name][0]
+        if kind is bool:
+            if eq:
+                raise CLIError(f"argument {name}: ignored explicit argument {value!r}")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise CLIError(f"argument {name}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise CLIError(f"argument {name}: invalid int value: {value!r}") from None
+        elif type(kind) is tuple and value not in kind:
+            raise CLIError(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
+        values[name] = value
+    if unknown:
+        raise CLIError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, **{name[2:].replace("-", "_"): v for name, v in values.items()})
 
 
 def main(argv=None) -> int:
     try:
         try:
-            ns = build_parser().parse_args(argv)
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+            if args is None:  # the help was printed
+                return 0
             env_layer_cap()  # a bad KMCHEV_LAYER_CAP is refused before any work
-            return {"chevalley": cmd_chevalley, "crystal": cmd_crystal, "selftest": cmd_selftest}[ns.command](ns)
-        finally:  # a reader that left is seen here, not at exit (argparse swallows its own write errors)
+            return COMMANDS[args.command][0](args)
+        finally:  # a reader that left is seen here, not at exit
             if sys.stdout is not None:
                 sys.stdout.flush()
     except (CLIError, LayerCapError, BrokenPipeError) as exc:

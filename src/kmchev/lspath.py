@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .cartan import Q, Realization, Weight, wt_neg
+from .cartan import Realization, Weight, wt_neg
 from .kring import LaurentPoly, lp_add_into, lp_monomial
 from .lifts import down, interval_below, up
 from .weyl import WeylElt, WeylGroup
@@ -65,7 +65,9 @@ class LSPath:
         for x, d in steps:
             if x <= 0:
                 if x:
-                    raise ValueError(f"negative step length {Q(x, D)}")
+                    from fractions import Fraction
+
+                    raise ValueError(f"negative step length {Fraction(x, D)}")
             elif dirs and dirs[-1] == d:
                 a[-1] += x
             else:
@@ -74,7 +76,9 @@ class LSPath:
         if not a:
             raise ValueError("an LS path has at least one direction")
         if (total := sum(a)) != D:
-            raise ValueError(f"step lengths sum to {Q(total, D)}, not 1")
+            from fractions import Fraction
+
+            raise ValueError(f"step lengths sum to {Fraction(total, D)}, not 1")
         if (g := math.gcd(D, *a)) > 1:
             D, a = D // g, [x // g for x in a]
         self.lam = lam
@@ -175,7 +179,9 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     H = [0, *accumulate(a * n for (a, _), n in zip(st, ns))]
     M = min(H)
     if M % D or H[-1] % D:
-        raise ValueError(f"non-integral height {Q(M, D)} or {Q(H[-1], D)}: not an LS path")
+        from fractions import Fraction
+
+        raise ValueError(f"non-integral height {Fraction(M, D)} or {Fraction(H[-1], D)}: not an LS path")
     top = M + D
     if H[-1] < top:
         return None

@@ -8,17 +8,19 @@ terms for a word of N letters), and the LS root
 operators, endpoint, path format and sort key in Fraction arithmetic (the
 library stores int step lengths over one denominator).  ls_path builds a
 path from its Fraction cut points b, the readable form the tests write, and
-ls_b reads them back.
+ls_b reads them back.  The realization set-up is redone in Fraction
+arithmetic: Gauss-Jordan elimination (eliminate_rational), the symmetrizer,
+the positive null vector and the classification read off them.
 validation_error checks that a path is a genuine LS path of its shape, by
 the definition.  pytest does not rewrite the asserts of this helper module,
 so a check that must hold under python -O raises explicitly.
 """
 import itertools
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 
 from kmchev.alcove import stdvec
-from kmchev.cartan import pairing
+from kmchev.cartan import _components, pairing
 from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
 from kmchev.lspath import LSPath, stabilizer_nodes
 
@@ -295,3 +297,94 @@ def validation_error(W, p):
         if not _quotient_chain_exists(W, J, p.lam, p.dirs[j], p.dirs[j + 1], bs[j + 1]):
             return f"no admissible chain from {p.dirs[j]!r} to {p.dirs[j + 1]!r} at b={bs[j + 1]}"
     return None
+
+
+# -- the realization set-up in Fraction arithmetic ------------------------------
+
+
+def eliminate_rational(rows):
+    """Gauss-Jordan elimination of a rational matrix.
+
+    Returns (reduced, pivots, values): the reduced row echelon form, its pivot
+    columns, and for each pivot the entry that stood in the pivot position
+    before any row swap -- zero exactly when the pivot had to be swapped up
+    from a lower row.  The rank is len(pivots).
+    """
+    mat = [[Q(x) for x in row] for row in rows]
+    pivots = []
+    values = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        values.append(mat[top][col])
+        mat[top], mat[pivot] = mat[pivot], mat[top]
+        inv = 1 / mat[top][col]
+        mat[top] = [x * inv for x in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col] != 0:
+                c = mat[r][col]
+                mat[r] = [x - c * y for x, y in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots, values
+
+
+def symmetrizer_rational(a):
+    """Primitive positive integers d with d_i a_ij = d_j a_ji, each
+    component's first node starting at 1 and the ratios propagated as
+    Fractions; None when the matrix is not symmetrizable."""
+    n = len(a)
+    d = [None] * n
+    for comp in _components(a):
+        d[comp[0]] = Q(1)
+        stack = [comp[0]]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i == j or (a[i][j] == 0 and a[j][i] == 0):
+                    continue
+                if a[i][j] == 0 or a[j][i] == 0:
+                    return None
+                ratio = Q(a[i][j], a[j][i])
+                if d[j] is None:
+                    d[j] = d[i] * ratio
+                    stack.append(j)
+                elif d[j] != d[i] * ratio:
+                    return None
+    scale = lcm(*(x.denominator for x in d))
+    ints = [int(x * scale) for x in d]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def positive_null_vector_rational(mat):
+    """The primitive positive integer m with mat·m = 0 when the kernel is one
+    line spanned by a vector of one sign, read off the reduced rows; else None."""
+    n = len(mat)
+    reduced, pivots, _ = eliminate_rational(mat)
+    if len(pivots) != n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    if not all(reduced[r][free] < 0 for r in range(n - 1)):
+        return None
+    m = [Q(1) if c == free else -reduced[pivots.index(c)][free] for c in range(n)]
+    scale = lcm(*(x.denominator for x in m))
+    ints = [int(x * scale) for x in m]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def classify_rational(a, d):
+    """"finite", "affine" or "indefinite": per component, Sylvester's test on
+    the rational pivots of the symmetrized matrix, else a positive null vector."""
+    kinds = set()
+    for comp in _components(a):
+        _, pivots, values = eliminate_rational([[d[i] * a[i][j] for j in comp] for i in comp])
+        if pivots == list(range(len(comp))) and all(v > 0 for v in values):
+            kinds.add("finite")
+        elif positive_null_vector_rational([[a[i][j] for j in comp] for i in comp]) is not None:
+            kinds.add("affine")
+        else:
+            kinds.add("indefinite")
+    return next(kind for kind in ("indefinite", "affine", "finite") if kind in kinds)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +9,8 @@ from hypothesis import given, strategies as st
 from kmchev.cartan import (
     GCM,
     PRESETS,
-    Q,
     Realization,
+    _eliminate,
     _positive_null_vector,
     is_lattice,
     pairing,
@@ -21,7 +22,13 @@ from kmchev.cartan import (
     wt_scale,
 )
 from kmchev.weyl import WeylGroup
-from reference import lp_act
+from reference import (
+    classify_rational,
+    eliminate_rational,
+    lp_act,
+    positive_null_vector_rational,
+    symmetrizer_rational,
+)
 
 
 def test_classification():
@@ -256,3 +263,74 @@ def test_delta_is_the_primitive_null_root(name, matrix):
     assert all(delta[i] == 0 for i in range(R.n))
     assert all(pairing(beta, delta) == 0 for beta in R.simple_coroots)
 
+
+
+@st.composite
+def symmetrizable_gcms(draw):
+    """A GCM of rank 1-4 built from a symmetrizer d (entries 1-3): a_ij =
+    -t lcm(d_i, d_j) / d_i with t in 0..2, so d_i a_ij = d_j a_ji.  Finite,
+    affine and indefinite matrices all occur, non-symmetric ones too."""
+    n = draw(st.integers(1, 4))
+    d = [draw(st.integers(1, 3)) for _ in range(n)]
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        t = draw(st.integers(0, 2))
+        a[i][j], a[j][i] = -t * math.lcm(d[i], d[j]) // d[i], -t * math.lcm(d[i], d[j]) // d[j]
+    return a
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def assert_elimination_matches(mat):
+    """Same pivots, each integer reduced row its pivot times the rational
+    one, and values of the rational values' signs."""
+    reduced, pivots, values = _eliminate(mat)
+    ref_reduced, ref_pivots, ref_values = eliminate_rational(mat)
+    assert pivots == ref_pivots
+    for r, row in enumerate(reduced):
+        p = row[pivots[r]] if r < len(pivots) else 1
+        assert p > 0 and all(type(x) is int for x in row)
+        assert [Q(x, p) for x in row] == ref_reduced[r]
+    assert list(map(_sign, values)) == list(map(_sign, ref_values))
+
+
+@given(symmetrizable_gcms())
+def test_integer_set_up_matches_the_rational_reference(a):
+    gcm = GCM.from_matrix(a)
+    assert gcm.d == symmetrizer_rational(gcm.a)
+    n = gcm.n
+    for mat in (a, [[gcm.d[i] * a[i][j] for j in range(n)] for i in range(n)], [row[::-1] for row in a]):
+        assert_elimination_matches(mat)
+    assert gcm.classify() == classify_rational(gcm.a, gcm.d)
+    assert _positive_null_vector(a) == positive_null_vector_rational(a)
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+                                                      min_size=1, max_size=4)))
+def test_integer_elimination_of_any_matrix_matches_the_rational_one(mat):
+    assert_elimination_matches(mat)
+
+
+@st.composite
+def matrices_with_a_positive_null_vector(draw):
+    """(mat, m): a square integer matrix of size 2-4 whose rows are all
+    orthogonal to the positive primitive vector m (one entry of m is 1)."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(0, n - 1))
+    m = [1 if j == k else draw(st.integers(1, 4)) for j in range(n)]
+    mat = []
+    for _ in range(n):
+        row = [draw(st.integers(-6, 6)) for _ in range(n)]
+        row[k] -= sum(x * y for x, y in zip(row, m))  # m[k] = 1, so row . m is now 0
+        mat.append(row)
+    return mat, tuple(m)
+
+
+@given(matrices_with_a_positive_null_vector())
+def test_null_vector_matches_the_rational_reference(case):
+    mat, m = case
+    found = _positive_null_vector(mat)
+    assert found == positive_null_vector_rational(mat)
+    assert found == (m if len(eliminate_rational(mat)[1]) == len(mat) - 1 else None)

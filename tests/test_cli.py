@@ -198,6 +198,54 @@ def test_argparse_refusals_are_one_error_line(capsys, argv, needle):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "e", "--format=xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'table', 'dot')"),
+    (["chevalley", "--cartan", "A2", "--weight", "1,1", "--z", "1", "--max", "3", "--model", "alcove"],
+     "unrecognized arguments: --max 3"),  # no abbreviation of --max-length
+    (["chevalley", "--cartan", "A2", "--weight", "1,1", "--w"], "argument --w: expected one argument"),
+    (["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "--model", "ls"],
+     "argument --w: expected one argument"),
+    (["crystal", "--cartan", "A2", "--weight", "1,1", "--w", "e", "--opposite=1"],
+     "argument --opposite: ignored explicit argument '1'"),
+    (["selftest", "--w", "e"], "unrecognized arguments: --w e"),
+], ids=["format=xml", "abbreviation", "no-value", "option-as-value", "flag-value", "other-command"])
+def test_option_table_refusals(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_option_forms_give_the_same_bytes(capsys):
+    """--name=value is --name value, and of a repeated option the last wins."""
+    base = ["chevalley", "--weight", "1,1", "--w", "1 2", "--sign", "-1"]
+    outs = [run(capsys, [*base, *extra]) for extra in (
+        ["--cartan", "A2", "--format", "table"],
+        ["--cartan=A2", "--format=table"],
+        ["--cartan", "B2", "--format", "json", "--cartan=A2", "--format", "table"],
+    )]
+    assert outs[0][0] == 0 and outs[0][1].startswith("[L^-(1,1)]")
+    assert outs[1] == outs[2] == outs[0]
+
+
+@pytest.mark.parametrize("command", ["chevalley", "crystal", "selftest"])
+def test_command_help_lists_every_option(capsys, command):
+    code, out, err = run(capsys, [command, "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: kmchev {command}")
+    for name, (kind, default, _) in cli.OPTIONS[command].items():
+        assert f"\n  {name}" in out, name
+        if type(kind) is tuple:
+            assert "{" + ",".join(kind) + "}" in out and f"(default: {default})" in out
+    assert run(capsys, [command, "-h", "--bogus"]) == (0, out, "")  # help comes before the refusal
+
+
+def test_top_level_help_lists_every_command(capsys):
+    code, out, err = run(capsys, ["-h"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: kmchev")
+    assert all(f"\n  {command} " in out for command in cli.OPTIONS)
+
+
 def test_a_z_longer_than_the_bound_gives_no_rows_and_no_elements(capsys):
     """Fixed-z rows and the opposite crystal over z = s1 s2 (length 2) within
     lengths <= 1: nothing lies within the bound, and the run is truncated."""
@@ -296,14 +344,14 @@ def test_bad_bounds_exit_2(flags):
     (["crystal", "--cartan", "A1~", "--weight", "1,1", "--w", "1 0 1 0 1 0 1", "--realization", "alcove"], 1),
     (["chevalley", "--cartan", "A1", "--weight", "1", "--w", "e"], 0),
     (["--help"], 0),
+    (["chevalley", "--help"], 0),
 ])
 def test_a_closed_stdout_exits_2_without_a_traceback(argv, lines_read):
     """A reader that stops early gets one error: line and exit 2.  The 400 KB
     crystal document breaks inside print, after one line is read; the 400
     byte row and the --help text would fit the pipe whole, so their pipe is
-    closed unread and they break at the flush (argparse swallows its own
-    write errors).  The child's stdout is block-buffered, as in a shell
-    without PYTHONUNBUFFERED."""
+    closed unread and they break at the flush in main.  The child's stdout
+    is block-buffered, as in a shell without PYTHONUNBUFFERED."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
@@ -322,7 +370,8 @@ def test_a_closed_stdout_exits_2_without_a_traceback(argv, lines_read):
 @pytest.mark.parametrize("argv, code, needle", [
     (["chevalley", "--cartan", "A1", "--weight", "1", "--w", "e"], 2, "error: stdout was closed"),
     (["chevalley", "--cartan", "B9", "--weight", "1", "--w", "e"], 2, "error: unknown preset"),
-    (["--help"], 0, "usage: kmchev"),  # argparse writes to stderr when there is no stdout
+    (["--help"], 0, "usage: kmchev"),  # the help goes to stderr when there is no stdout
+    (["chevalley", "--help"], 0, "usage: kmchev chevalley"),
 ])
 def test_a_process_started_without_stdout(argv, code, needle):
     """With file descriptor 1 closed at start, sys.stdout is None: an output

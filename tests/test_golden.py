@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 
 from kmchev import alcove, cli, lspath
-from kmchev.cli import _rows_for_model, build_parser, build_realization, main, parse_lam, parse_word
+from kmchev.cli import _rows_for_model, build_realization, main, parse_args, parse_lam, parse_word
 from kmchev.weyl import WeylGroup
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -140,7 +140,7 @@ def test_script_output(name):
 
 def _setup(argv):
     """(realization, lambda, word or None) as the CLI reads argv."""
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     R = build_realization(args)
     return R, parse_lam(R, args.weight), parse_word(R, args.w) if args.w else None
 

@@ -2,8 +2,9 @@
 
 Each check runs a fresh ``python -S`` with ``src/`` on PYTHONPATH and reads
 ``sys.modules``: ``dataclasses`` (which pulls in ``inspect``, ``ast`` and
-``dis``) is never imported, a bare ``import kmchev`` loads no submodule, and
-``--model nilhecke`` loads neither of the other two models.
+``dis``) is never imported, a bare ``import kmchev`` loads no submodule,
+``--model nilhecke`` loads neither of the other two models, and no run on a
+preset loads ``argparse``, ``json``, ``fractions`` or what they pull in.
 """
 import ast
 import os
@@ -11,10 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXPORTS = sorted("""
-    AdaptedSequence Coroot GCM LSPath LambdaHyperplane LaurentPoly Q Realization Weight WeylElt WeylGroup apply_Ti
+    AdaptedSequence Coroot GCM LSPath LambdaHyperplane LaurentPoly Realization Weight WeylElt WeylGroup apply_Ti
     chevalley_alcove chevalley_ls chevalley_recurrence crystal_up_to demazure_crystal down down_path e endpoint
     enumerate_tree_antidominant enumerate_tree_dominant enumerate_z_adapted f interval_below lex_chain lift_subset
     ls_to_seq pairing realization_from_json_file realization_from_preset seq_to_ls straight_path up up_path weight
@@ -54,8 +57,35 @@ def test_exports_are_unchanged():
     from kmchev import lspath
 
     assert sorted(kmchev.__all__) == EXPORTS
-    assert len(EXPORTS) == 40
+    assert len(EXPORTS) == 39
     namespace: dict = {}
     exec("from kmchev import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == EXPORTS
     assert namespace["LSPath"] is lspath.LSPath
+
+
+# stdlib modules no command needs: argparse (with shutil, bz2, lzma, locale
+# and gettext), json, fractions (with decimal and numbers), and the re and
+# enum that those pull in
+HEAVY = {"argparse", "re", "enum", "json", "fractions", "decimal", "shutil", "locale", "gettext"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "1 2"],
+    ["crystal", "--cartan", "A2~", "--weight", "1,1,0", "--w", "0 1 2 1", "--realization", "alcove"],
+    ["selftest"],
+], ids=["chevalley-all", "crystal", "selftest"])
+def test_a_run_on_a_preset_loads_no_heavy_stdlib_module(argv):
+    loaded = loaded_after(f"from kmchev import cli\nif cli.main({argv!r}):\n    raise SystemExit('the run failed')")
+    assert {"kmchev.lspath", "kmchev.alcove"} <= loaded
+    assert not HEAVY & loaded, sorted(HEAVY & loaded)
+
+
+def test_a_gcm_file_run_loads_json_and_no_other_heavy_module(tmp_path):
+    """json.decoder imports re, and re enum: those come with json."""
+    gcm = tmp_path / "g2.json"
+    gcm.write_text('{"matrix": [[2, -1], [-3, 2]]}')
+    argv = ["chevalley", "--gcm-file", str(gcm), "--weight", "1,0", "--w", "0 1"]
+    loaded = loaded_after(f"from kmchev import cli\nif cli.main({argv!r}):\n    raise SystemExit('the run failed')")
+    assert "json" in loaded
+    assert not (HEAVY - {"json", "re", "enum"}) & loaded, sorted(HEAVY & loaded)
