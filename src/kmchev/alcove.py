@@ -68,20 +68,11 @@ class LambdaHyperplane:
         return f"({self.k}|{','.join(map(str, self.alpha.c))})"
 
 
-def stdvec(lam: Weight, h: LambdaHyperplane) -> tuple:
-    """The lex comparison vector (k, c_1, ..., c_r) / <alpha, lam>."""
-    from fractions import Fraction
-
-    p = pairing(h.alpha, lam)
-    if not 0 <= h.k < p:
-        raise ValueError(f"{h!r} is not a hyperplane for this weight")
-    return (Fraction(h.k, p),) + tuple(Fraction(c, p) for c in h.alpha.c)
-
-
 def lex_less(lam: Weight, a: LambdaHyperplane, b: LambdaHyperplane) -> bool:
-    """stdvec(lam, a) < stdvec(lam, b) without Fractions: both pairings p_a,
-    p_b are positive, so multiplying both vectors by p_a * p_b keeps their
-    order and leaves the int vectors (k_a, c_a) * p_b and (k_b, c_b) * p_a."""
+    """The lex order of hyperplanes, (k_a, c_a) / p_a < (k_b, c_b) / p_b with
+    p = <alpha, lam> and c the coroot's coordinates, without Fractions: both
+    pairings are positive, so multiplying both vectors by p_a * p_b keeps
+    their order and leaves the int vectors (k_a, c_a) * p_b and (k_b, c_b) * p_a."""
     pa, pb = pairing(a.alpha, lam), pairing(b.alpha, lam)
     return (a.k * pb, *[c * pb for c in a.alpha.c]) < (b.k * pa, *[c * pa for c in b.alpha.c])
 
@@ -93,7 +84,7 @@ def format_hyperplane(lam: Weight, h: LambdaHyperplane) -> str:
 
 
 def lex_chain(R: Realization, lam: Weight) -> list[LambdaHyperplane]:
-    """The full lex chain (finite types only): the stdvec order, compared in ints by lex_less."""
+    """The full lex chain (finite types only), in the order of lex_less."""
     out = [LambdaHyperplane(alpha, k) for alpha in R.positive_coroots() for k in range(pairing(alpha, lam))]
     out.sort(key=functools.cmp_to_key(lambda a, b: lex_less(lam, b, a) - lex_less(lam, a, b)))
     return out
@@ -227,8 +218,8 @@ def _label_edges(lam: Weight, covers) -> list:
     """Edges (hyperplane, element), lex-sorted, for (element, coroot) pairs
     from W.cocovers (tree edges down) or W.covers_within (fan edges up).
 
-    The sort key is stdvec scaled by the lcm L of the pairings, an int
-    vector: each coroot's scaled tail c * L/p is built once and shared by
+    The sort key is the lex vector (k, c) / p of lex_less scaled by the lcm
+    L of the pairings, an int vector: each coroot's scaled tail c * L/p is built once and shared by
     its levels k."""
     pairs = [(x, beta, pairing(beta, lam)) for x, beta in covers]
     scale = math.lcm(*(p for _, _, p in pairs if p > 0))

@@ -14,12 +14,17 @@ Three subcommands:
 Output formats: ``json`` (stable schema, deterministic ordering), ``table``
 (human-readable), ``dot`` (trees / crystal graphs).  JSON output is the exact
 text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
-is refused before any model runs); table output prints every extra
-coordinate of a weight in corank >= 2.  A failed cross-check exits 1 with a
-report: table lines under ``--format table`` (any corank), JSON otherwise.
-Bad input (a missing ``--weight``, an unknown option or an option value the
-option table refuses), an exceeded layer cap and a closed stdout (``main``
-flushes it, also after ``--help``) exit 2 with one ``error:`` line.
+is refused before any model runs), written in pieces of bounded size
+(``json_pieces``): a row's terms and a crystal's elements go out
+ITEMS_PER_PIECE at a time, so a multi-MB document is never held as one
+string.  Every check of the input and of the rows comes before the first
+byte, so a refused run leaves stdout empty and creates no ``--out`` file.
+Table output prints every extra coordinate of a weight in corank >= 2.  A
+failed cross-check exits 1 with a report: table lines under ``--format
+table`` (any corank), JSON otherwise.  Bad input (a missing ``--weight``, an
+unknown option or an option value the option table refuses), an exceeded
+layer cap and a closed stdout (seen at a write, also mid-document, or at
+``main``'s flush, also after ``--help``) exit 2 with one ``error:`` line.
 
 The options are one table, ``OPTIONS``, read by ``parse_args``; neither it
 nor the JSON writer imports ``argparse``, ``json`` or ``re``, which would
@@ -132,56 +137,95 @@ def word_obj(R: Realization, w: WeylElt) -> list:
     return [R.node_names[i] for i in w.word]
 
 
-def terms_text(R: Realization, poly, indent: str) -> str:
-    """json_text of [{"weight": weight_obj(R, mu), "mult": c} for mu, c in
-    sorted(poly.items())] at `indent`, with one format string filled per term
-    and one join."""
-    if not poly:
-        return "[]"
-    if not is_lattice(chain.from_iterable(poly)):
-        raise ValueError(f"weight {R.format_weight(next(mu for mu in poly if not is_lattice(mu)))} is not integral")
+# Entries per piece of a streamed JSON list (a piece of terms is about 60 KB):
+# the pieces in flight stay a small part of a multi-MB document.
+ITEMS_PER_PIECE = 512
+
+
+def _list_pieces(texts_of, items, indent: str):
+    """The json_text of a list with one entry per element of the sequence
+    `items`, at `indent`, in pieces of ITEMS_PER_PIECE entries.
+    texts_of(chunk) gives a list of the texts of a chunk's entries, each
+    with the "," and line break that go before it; one join makes a piece."""
+    if not items:
+        yield "[]"
+        return
+    for start in range(0, len(items), ITEMS_PER_PIECE):
+        parts = texts_of(items[start:start + ITEMS_PER_PIECE])
+        if start == 0:
+            parts[0] = "[" + parts[0][1:]
+        if start + ITEMS_PER_PIECE >= len(items):
+            parts.append(indent + "]")
+        yield "".join(parts)
+
+
+def check_rows(R: Realization, polys) -> None:
+    """Refuse what terms_text cannot write, before the first byte is: a
+    corank above 1 (json_corank) or a weight that is not integral."""
+    json_corank(R)
+    for poly in polys:
+        if not is_lattice(chain.from_iterable(poly)):
+            raise CLIError(f"weight {R.format_weight(next(mu for mu in poly if not is_lattice(mu)))} is not integral")
+
+
+def terms_text(R: Realization, poly, indent: str):
+    """The pieces of json_text of [{"weight": weight_obj(R, mu), "mult": c}
+    for mu, c in sorted(poly.items())] at `indent`: one format string filled
+    per term, and one join per ITEMS_PER_PIECE terms.  The weights are
+    checked by check_rows before any piece is asked for."""
     i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
     term = ("," + i1 + "{" + i2 + '"weight": {' + i3 + '"fund": [' + i4 + ("," + i4).join(["%s"] * R.n) + i3 + "]"
-            + json_corank(R) * ("," + i3 + '"delta": %s') + i2 + "}," + i2 + '"mult": %s' + i1 + "}")
-    parts = [term % (*mu, poly[mu]) for mu in sorted(poly)]
-    parts[0] = "[" + parts[0][1:]
-    parts.append(indent + "]")
-    return "".join(parts)
+            + (R.N - R.n) * ("," + i3 + '"delta": %s') + i2 + "}," + i2 + '"mult": %s' + i1 + "}")
+    return _list_pieces(lambda chunk: [term % (*mu, poly[mu]) for mu in chunk], sorted(poly), indent)
+
+
+def items_text(to_obj, xs, indent: str):
+    """The pieces of json_text([to_obj(x) for x in xs]) at `indent`, each
+    entry encoded when its piece is built; to_obj gives no callable."""
+    inner = indent + "  "
+    sep = "," + inner
+    return _list_pieces(lambda chunk: [sep + _json_skeleton(to_obj(x), inner, None) for x in chunk], xs, indent)
+
+
+def json_pieces(obj, indent: str = "\n"):
+    """The text json_text(obj, indent) in pieces.  A callable in obj stands
+    for a value written in pieces (terms_text, items_text): a NUL, which the
+    encoding never emits, holds its place in the text of everything else,
+    and at that place the callable is called with its indentation, when the
+    pieces before it are written, and its pieces are yielded."""
+    calls: list = []
+    segments = _json_skeleton(obj, indent, calls).split("\0")  # no copy when there is no NUL
+    yield segments[0]
+    for (fn, at), segment in zip(calls, segments[1:]):
+        yield from fn(at)
+        yield segment
 
 
 def json_text(obj, indent: str = "\n") -> str:
     """Exactly the text that ``json.dumps`` gives with ``indent=2``, for dicts
-    with str keys, lists, str, int, bool and None.  A callable stands for
-    text written elsewhere (terms_text): it is called with the indentation
-    of its place.  Those texts can run to megabytes, so they are not copied
-    into each enclosing container's text: a NUL, which the encoding never
-    emits, holds each one's place, and a single join puts them in."""
-    texts: list = []
-    skeleton = _json_skeleton(obj, indent, texts)
-    if not texts:
-        return skeleton
-    parts = [""] * (2 * len(texts) + 1)
-    parts[::2] = skeleton.split("\0")
-    parts[1::2] = texts
-    return "".join(parts)
+    with str keys, lists, str, int, bool and None, and for callables that
+    give the pieces of such a text (see json_pieces)."""
+    return "".join(json_pieces(obj, indent))
 
 
-def _json_skeleton(obj, indent: str, texts: list) -> str:
+def _json_skeleton(obj, indent: str, calls: list | None) -> str:
+    """The text of obj, with a NUL for each callable, which is appended to
+    `calls` with its indentation."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     inner = indent + "  "
     if isinstance(obj, dict):
-        items = [encode_basestring_ascii(k) + ": " + _json_skeleton(v, inner, texts) for k, v in obj.items()]
+        items = [encode_basestring_ascii(k) + ": " + _json_skeleton(v, inner, calls) for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        items = [_json_skeleton(v, inner, texts) for v in obj]
+        items = [_json_skeleton(v, inner, calls) for v in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     if obj is None or isinstance(obj, bool):
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if callable(obj):
-        texts.append(obj(indent))
+        calls.append((obj, indent))
         return "\0"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -200,20 +244,40 @@ def poly_str(R: Realization, poly) -> str:
     return " ".join(parts)
 
 
-def emit(out: str | None, text: str) -> None:
-    """Write text to the file `out` (the --out option), or to stdout."""
+# The least length of a write but the last, the block of a buffered stdout
+# (io.DEFAULT_BUFFER_SIZE): under PYTHONUNBUFFERED=1 each write is a system
+# call, and a row document has two short pieces per row.
+WRITE_SIZE = 8192
+
+
+def emit(out: str | None, pieces) -> None:
+    """Write the str `pieces`, then one "\n", to the file `out` (the --out
+    option) or to stdout.  Short pieces are joined up to WRITE_SIZE, and a
+    long one that comes alone is written as it is.  Every refusal comes
+    before: a piece must not raise, or it leaves a partial output behind."""
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
+                _write_pieces(fh.write, pieces)
         except OSError as exc:
             raise CLIError(f"cannot write --out: {exc}") from None
     elif sys.stdout is None:  # python was started with stdout closed
         raise CLIError("stdout was closed before the output was written")
     else:
-        print(text)
+        _write_pieces(sys.stdout.write, pieces)
+
+
+def _write_pieces(write, pieces) -> None:
+    pending: list = []
+    size = 0
+    for piece in pieces:
+        pending.append(piece)
+        size += len(piece)
+        if size >= WRITE_SIZE:
+            write("".join(pending))  # a one-piece join returns the piece, uncopied
+            pending, size = [], 0
+    pending.append("\n")
+    write("".join(pending))
 
 
 # -- chevalley ---------------------------------------------------------------
@@ -279,13 +343,14 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
             lines = ["models disagree"]
             for z, polys in diffs:
                 lines += [f"  [O_{z!r}]"] + [f"    {name} : {poly_str(R, p)}" for name, p in sorted(polys.items())]
-            emit(args.out, "\n".join(lines))
+            emit(args.out, ["\n".join(lines)])
             return 1
+        check_rows(R, chain.from_iterable(polys.values() for _, polys in diffs))
         disagreements = [
             {"z": word_obj(R, z), "models": {name: partial(terms_text, R, p) for name, p in sorted(polys.items())}}
             for z, polys in diffs
         ]
-        emit(args.out, json_text({"error": "models disagree", "disagreements": disagreements}))
+        emit(args.out, json_pieces({"error": "models disagree", "disagreements": disagreements}))
         return 1
 
     if args.format == "dot":
@@ -293,7 +358,7 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
             raise CLIError("--format dot for chevalley requires the alcove model")
         from . import alcove
         seqs = (alcove.enumerate_tree_dominant if sign > 0 else alcove.enumerate_tree_antidominant)(W, lam, w)
-        emit(args.out, alcove.tree_dot(W, lam, seqs))
+        emit(args.out, [alcove.tree_dot(W, lam, seqs)])
     else:
         _emit_rows(args, sign, R, lam, "w", w, rows_by_model[models[0]], False, "")
     return 0
@@ -324,8 +389,9 @@ def _emit_rows(args: SimpleNamespace, sign: int, R: Realization, lam: Weight, fi
     the table's first line."""
     order = sorted(rows, key=lambda u: u.key)
     if args.format == "json":
+        check_rows(R, rows.values())
         key = "z" if fixed == "w" else "w"
-        emit(args.out, json_text({
+        emit(args.out, json_pieces({
             "cartan": R.gcm.to_json(),
             "lambda": weight_obj(R, lam),
             "sign": sign,
@@ -335,7 +401,7 @@ def _emit_rows(args: SimpleNamespace, sign: int, R: Realization, lam: Weight, fi
         }))
     else:
         head = f"[L^{'+' if sign > 0 else '-'}({R.format_weight(lam)})] * [O_{elt!r}]" + tail
-        emit(args.out, "\n".join([head] + [f"  [O_{u!r}] : {poly_str(R, rows[u])}" for u in order]))
+        emit(args.out, ["\n".join([head] + [f"  [O_{u!r}] : {poly_str(R, rows[u])}" for u in order])])
 
 
 # -- crystal -----------------------------------------------------------------
@@ -367,49 +433,49 @@ def cmd_crystal(args: SimpleNamespace) -> int:
 
     if len(paths) != len(seqs) or wts_ls != wts_alc:
         if args.format == "table":
-            emit(args.out, "\n".join(["realizations disagree"] + [
+            emit(args.out, ["\n".join(["realizations disagree"] + [
                 f"  {name} : {len(wts)} elements, {poly_str(R, Counter(wts))}"
-                for name, wts in (("ls", wts_ls), ("alcove", wts_alc))]))
+                for name, wts in (("ls", wts_ls), ("alcove", wts_alc))])])
             return 1
         report = {
             "error": "realizations disagree",
             "ls_count": len(paths),
             "alcove_count": len(seqs),
-            "ls_weights": [weight_obj(R, m) for m in wts_ls],
-            "alcove_weights": [weight_obj(R, m) for m in wts_alc],
+            "ls_weights": partial(items_text, partial(weight_obj, R), wts_ls),
+            "alcove_weights": partial(items_text, partial(weight_obj, R), wts_alc),
         }
-        emit(args.out, json_text(report))
+        emit(args.out, json_pieces(report))
         return 1
 
     ordered_paths = sorted(paths, key=lspath.path_key)
     if args.format == "json":
         if args.realization == "ls":
-            items = [
-                {
+            elements = ordered_paths
+
+            def element(p):
+                return {
                     "b": ["%d/%d" % c if c[1] > 1 else str(c[0]) for c in lspath.cuts(p)],
                     "dirs": [word_obj(R, d) for d in p.dirs],
                     "weight": weight_obj(R, path_wt[p]),
                 }
-                for p in ordered_paths
-            ]
         else:
-            items = [
-                {
-                    "z": word_obj(R, s.z),
-                    "labels": [alcove.format_hyperplane(lam, h) for h in s.hs],
-                    "weight": weight_obj(R, wt),
+            elements = range(len(seqs))
+
+            def element(k):
+                return {
+                    "z": word_obj(R, seqs[k].z),
+                    "labels": [alcove.format_hyperplane(lam, h) for h in seqs[k].hs],
+                    "weight": weight_obj(R, seq_wt[k]),
                 }
-                for s, wt in zip(seqs, seq_wt)
-            ]
         doc = {
             "cartan": R.gcm.to_json(),
             "lambda": weight_obj(R, lam),
             "realization": args.realization,
-            "count": len(items),
-            "elements": items,
+            "count": len(elements),
+            "elements": partial(items_text, element, elements),
             "truncated": truncated,
         }
-        emit(args.out, json_text(doc))
+        emit(args.out, json_pieces(doc))
     elif args.format == "table":
         lines = [f"{len(ordered_paths)} elements" + ("  (truncated)" if truncated else "")]
         if args.realization == "ls":
@@ -419,13 +485,13 @@ def cmd_crystal(args: SimpleNamespace) -> int:
             for s, wt in zip(seqs, seq_wt):
                 labels = ",".join(alcove.format_hyperplane(lam, h) for h in s.hs)
                 lines.append(f"  {s.z!r} [{labels}]  wt={R.format_weight(wt)}")
-        emit(args.out, "\n".join(lines))
+        emit(args.out, ["\n".join(lines)])
     elif args.realization == "ls":  # --format dot
-        emit(args.out, lspath.crystal_dot(W, ordered_paths))
+        emit(args.out, [lspath.crystal_dot(W, ordered_paths)])
     elif args.opposite:
         raise CLIError("dot output for the alcove realization covers --w crystals only")
     else:
-        emit(args.out, alcove.tree_dot(W, lam, seqs))
+        emit(args.out, [alcove.tree_dot(W, lam, seqs)])
     return 0
 
 
@@ -529,7 +595,7 @@ def cmd_selftest(args: SimpleNamespace) -> int:
             detail = f"exception: {exc!r}"
         results.append({"name": name, "ok": detail is None, "detail": detail or "pass"})
     doc = {"scenarios": results, "all_ok": all(r["ok"] for r in results)}
-    emit(args.out, json_text(doc))
+    emit(args.out, json_pieces(doc))
     return 0 if doc["all_ok"] else 1
 
 
@@ -658,7 +724,7 @@ def main(argv=None) -> int:
     except (CLIError, LayerCapError, BrokenPipeError) as exc:
         if isinstance(exc, BrokenPipeError):  # the flush at exit goes to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            exc = "stdout was closed before the output was written"
+            exc = "stdout was closed before all the output was written"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

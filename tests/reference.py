@@ -1,16 +1,17 @@
 """References that the tests compare the library against.
 
-The lifts are recomputed by scanning a BFS ball, the chain-axiom counts
-N_{<h} in a closed form that also holds where the lex chain is infinite, a
-word of T_i operators by applying its letters one at a time, a nilHecke
-coefficient by the signed-subword formula (chevalley_explicit, a sum of 2^N
-terms for a word of N letters), and the LS root
-operators, endpoint, path format and sort key in Fraction arithmetic (the
-library stores int step lengths over one denominator).  ls_path builds a
-path from its Fraction cut points b, the readable form the tests write, and
-ls_b reads them back.  The realization set-up is redone in Fraction
-arithmetic: Gauss-Jordan elimination (eliminate_rational), the symmetrizer,
-the positive null vector and the classification read off them.
+The lifts are recomputed by scanning a BFS ball, the lex order of
+hyperplanes in Fractions (stdvec), the chain-axiom counts N_{<h} in a
+closed form that also holds where the lex chain is infinite, a word of T_i
+operators by applying its letters one at a time, a nilHecke coefficient by
+the signed-subword formula (chevalley_explicit, a sum of 2^N terms for a
+word of N letters), and the LS root operators, endpoint, path format and
+sort key in Fraction arithmetic (the library stores int step lengths over
+one denominator).  ls_path builds a path from its Fraction cut points b,
+the readable form the tests write, and ls_b reads them back.  The
+realization set-up is redone in Fraction arithmetic: Gauss-Jordan
+elimination (eliminate_rational), the symmetrizer, the positive null vector
+and the classification read off them.
 validation_error checks that a path is a genuine LS path of its shape, by
 the definition.  pytest does not rewrite the asserts of this helper module,
 so a check that must hold under python -O raises explicitly.
@@ -19,7 +20,6 @@ import itertools
 from fractions import Fraction as Q
 from math import gcd, lcm
 
-from kmchev.alcove import stdvec
 from kmchev.cartan import _components, pairing
 from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
 from kmchev.lspath import LSPath, stabilizer_nodes
@@ -55,6 +55,16 @@ def down_oracle(W, w, sigma, J):
     if not all(W.bruhat_leq(v, best) for v in candidates):
         raise AssertionError("maximum not unique")
     return best
+
+
+def stdvec(lam, h):
+    """The lex comparison vector (k, c_1, ..., c_r) / <alpha, lam> of the
+    hyperplane h = (alpha, k), in Fractions: the rational order that
+    alcove.lex_less computes in ints."""
+    p = pairing(h.alpha, lam)
+    if not 0 <= h.k < p:
+        raise ValueError(f"{h!r} is not a hyperplane for this weight")
+    return (Q(h.k, p),) + tuple(Q(c, p) for c in h.alpha.c)
 
 
 def count_before(lam, eta, h):

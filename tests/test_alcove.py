@@ -26,7 +26,6 @@ from kmchev.alcove import (
     ls_to_seq,
     refl_less,
     seq_to_ls,
-    stdvec,
     tree_dot,
     validate_lambda_chain_finite,
     wt_fold,
@@ -42,7 +41,7 @@ from kmchev.lspath import (
     stabilizer_nodes,
 )
 from kmchev.weyl import WeylGroup
-from reference import count_before, ls_path
+from reference import count_before, ls_path, stdvec
 
 LAM = weight(1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)

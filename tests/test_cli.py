@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -10,9 +12,12 @@ import kmchev.alcove as alcove
 import kmchev.cli as cli
 import kmchev.lspath as lspath
 from kmchev.cli import main
+from reference import stdvec
 
 AFF = ["--cartan", "A2~", "--weight", "1,1,0"]
 AFFW = AFF + ["--w", "0 1 2 1"]
+# A nilHecke row document of 2.5 MB whose longest rows take several pieces.
+LONG_ROWS = ["chevalley", "--cartan", "A1~", "--weight", "1,1", "--w", "0 1 0 1 0 1 0 1 0 1 0 1", "--model", "nilhecke"]
 
 
 def run(capsys, argv):
@@ -345,12 +350,14 @@ def test_bad_bounds_exit_2(flags):
     (["chevalley", "--cartan", "A1", "--weight", "1", "--w", "e"], 0),
     (["--help"], 0),
     (["chevalley", "--help"], 0),
+    (LONG_ROWS, 1),
 ])
 def test_a_closed_stdout_exits_2_without_a_traceback(argv, lines_read):
     """A reader that stops early gets one error: line and exit 2.  The 400 KB
-    crystal document breaks inside print, after one line is read; the 400
-    byte row and the --help text would fit the pipe whole, so their pipe is
-    closed unread and they break at the flush in main.  The child's stdout
+    crystal document and the 2.5 MB row document break inside emit's writes,
+    after one line is read, with pieces still to come; the 400 byte row and
+    the --help text would fit the pipe whole, so their pipe is closed unread
+    and they break at the flush in main.  The child's stdout
     is block-buffered, as in a shell without PYTHONUNBUFFERED."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -464,7 +471,7 @@ def test_selftest_filters(capsys):
 
 def test_selftest_catches_an_injected_fault(capsys, monkeypatch):
     """Corrupting the hyperplane comparator must trip the cross-checks."""
-    monkeypatch.setattr(alcove, "lex_less", lambda lam, a, b: alcove.stdvec(lam, a) > alcove.stdvec(lam, b))
+    monkeypatch.setattr(alcove, "lex_less", lambda lam, a, b: stdvec(lam, a) > stdvec(lam, b))
     code, out, _ = run(capsys, ["selftest"])
     assert code == 1
     doc = json.loads(out)
@@ -481,14 +488,12 @@ def test_out_writes_file_and_stdout_stays_quiet(tmp_path, capsys):
     assert json.loads(target.read_text())["rows"]
 
 
-def test_out_and_stdout_give_the_same_bytes(tmp_path):
-    """A multi-row nilHecke JSON document, written once with --out and once
-    to stdout, byte for byte: the trailing newline that print adds is the one
-    that emit adds to the file."""
+def out_and_stdout(tmp_path, args) -> bytes:
+    """The bytes of a run written once with --out and once to stdout,
+    checked equal, with the one trailing newline."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    argv = [sys.executable, "-m", "kmchev", "chevalley", "--cartan", "A1~", "--weight", "1,1",
-            "--w", "1 0 1 0", "--model", "nilhecke", "--sign", "-1"]
+    argv = [sys.executable, "-m", "kmchev", *args]
     target = tmp_path / "rows.json"
     to_file = subprocess.run([*argv, "--out", str(target)], capture_output=True, env=env, timeout=60)
     to_stdout = subprocess.run(argv, capture_output=True, env=env, timeout=60)
@@ -496,8 +501,67 @@ def test_out_and_stdout_give_the_same_bytes(tmp_path):
     assert to_file.stdout == b""
     text = target.read_bytes()
     assert text == to_stdout.stdout
-    assert text.endswith(b"}\n")
+    assert text.endswith(b"}\n") and not text.endswith(b"\n\n")
+    return text
+
+
+def test_out_and_stdout_give_the_same_bytes(tmp_path):
+    """A multi-row nilHecke JSON document, written once with --out and once
+    to stdout, byte for byte."""
+    text = out_and_stdout(tmp_path, ["chevalley", "--cartan", "A1~", "--weight", "1,1", "--w", "1 0 1 0",
+                                     "--model", "nilhecke", "--sign", "-1"])
     assert len(json.loads(text)["rows"]) > 1
+
+
+def test_out_and_stdout_give_the_same_bytes_in_many_pieces(tmp_path):
+    """The same for a document whose longest rows take several pieces."""
+    rows = json.loads(out_and_stdout(tmp_path, LONG_ROWS))["rows"]
+    assert max(len(row["terms"]) for row in rows) > cli.ITEMS_PER_PIECE
+
+
+HALF = Fraction(1, 2)
+
+
+def _half_in_the_last_row(only=None):
+    """_rows_for_model patched so that the last row of each model (or of the
+    model `only`) gains a weight with a coordinate 1/2."""
+    original = cli._rows_for_model
+
+    def faulty(model, R, lam, sign, word):
+        rows = original(model, R, lam, sign, word)
+        if only in (None, model):
+            last = max(rows, key=lambda z: z.key)
+            rows[last] = {**rows[last], (HALF, *[0] * (R.N - 1)): 1}
+        return rows
+
+    return mock.patch.object(cli, "_rows_for_model", faulty)
+
+
+def _half_in_every_fixed_z_row():
+    """Each signed term of the fixed-z expansion gains the weight (1/2, 0, ...)."""
+    original = alcove.signed_term
+    return mock.patch.object(alcove, "signed_term", lambda W, lam, seq: {
+        **original(W, lam, seq), (HALF, *[0] * (W.R.N - 1)): 1})
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (LONG_ROWS, _half_in_the_last_row),
+    (["chevalley", *AFFW, "--model", "all"], _half_in_the_last_row),  # the models agree on the bad row
+    (["chevalley", *AFFW], lambda: _half_in_the_last_row("alcove")),  # the models-disagree report
+    (["chevalley", *AFF, "--z", "1 2", "--max-length", "4", "--model", "alcove"], _half_in_every_fixed_z_row),
+])
+def test_a_non_integral_row_weight_is_refused_before_the_first_byte(tmp_path, capsys, argv, fault):
+    """The rows are checked before anything is written: exit 2 with one
+    error: line, nothing on stdout and no --out file, although the rows
+    before the bad one could have been written."""
+    target = tmp_path / "rows.json"
+    with fault():
+        for out in ([], ["--out", str(target)]):
+            code, stdout, err = run(capsys, [*argv, *out])
+            assert code == 2, err
+            assert err.startswith("error: weight 1/2,") and "not integral" in err and err.count("\n") == 1, err
+            assert stdout == ""
+    assert not target.exists()
 
 
 COR2 = {"matrix": [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]}

@@ -1,5 +1,9 @@
 """The CLI's JSON writer and term renderer against the stdlib encoder."""
+import io
 import json
+import math
+import sys
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -7,7 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kmchev.cartan import GCM, Realization, realization_from_preset
-from kmchev.cli import CLIError, json_text, terms_text, weight_obj
+from kmchev import cli
+from kmchev.cli import CLIError, check_rows, emit, items_text, json_pieces, json_text, terms_text, weight_obj
 
 # Every code point, lone surrogates included, and the characters the encoder
 # escapes by name.
@@ -31,7 +36,9 @@ DOCS = st.recursive(
 
 @given(DOCS)
 def test_json_text_is_the_stdlib_text(doc):
-    assert json_text(doc) == json.dumps(doc, indent=2)
+    want = json.dumps(doc, indent=2)
+    assert "".join(json_pieces(doc)) == want
+    assert json_text(doc) == want
 
 
 def test_json_text_edge_cases():
@@ -41,9 +48,9 @@ def test_json_text_edge_cases():
 
 
 def test_json_text_puts_each_callable_text_in_its_place():
-    """Callable texts go in at the NUL placeholders of the skeleton: NULs in
-    keys and values are escaped, so they cannot be taken for one, and a NUL
-    inside a callable's own text is left alone."""
+    """The pieces a callable yields go in at its NUL placeholder in the
+    skeleton: NULs in keys and values are escaped, so they cannot be taken
+    for one, and a NUL inside a callable's own text is left alone."""
     texts = ["[1]", '"a\0b"', "[\0]", "[" + ",".join(["7"] * 5000) + "]"]
 
     def doc(term):
@@ -52,7 +59,7 @@ def test_json_text_puts_each_callable_text_in_its_place():
     want = json.dumps(doc(lambda k: f"@{k}"), indent=2)
     for k, text in [(0, texts[0]), *enumerate(texts)]:
         want = want.replace(f'"@{k}"', text, 1)
-    assert json_text(doc(lambda k: lambda indent: texts[k])) == want
+    assert json_text(doc(lambda k: lambda indent: [texts[k]])) == want
 
 
 def test_json_text_rejects_other_types():
@@ -82,7 +89,7 @@ def test_terms_text_matches_the_dict_rendering(preset, depth):
     R = realization_from_preset(preset)
     for poly in POLYS[preset]:
         want = at_depth(json.dumps(reference_terms(R, poly), indent=2), depth)
-        assert terms_text(R, poly, "\n" + "  " * depth) == want
+        assert "".join(terms_text(R, poly, "\n" + "  " * depth)) == want
 
 
 @given(st.dictionaries(st.tuples(*[st.integers(-50, 50)] * 4), st.integers(-2000, 2000).filter(bool), max_size=8))
@@ -93,10 +100,93 @@ def test_terms_text_inside_a_document(poly):
     assert json_text(doc) == json.dumps(ref, indent=2)
 
 
-def test_terms_text_keeps_the_weight_checks():
+def test_check_rows_refuses_what_terms_text_cannot_write():
+    """terms_text writes what it is given; check_rows refuses, before any
+    piece is written, a weight that is not integral and a corank above 1."""
     R = realization_from_preset("A2")
-    with pytest.raises(ValueError, match="not integral"):
-        terms_text(R, {(1, 0): 1, (Fraction(1, 2), 0): 1}, "\n")
+    check_rows(R, [{(1, 0): 1}, {}, {(0, -3): 2}])
+    with pytest.raises(CLIError, match=r"weight 1/2,0 is not integral"):
+        check_rows(R, [{(1, 0): 1}, {(1, 0): 1, (Fraction(1, 2), 0): 1}])
     corank2 = Realization(GCM.from_matrix([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]))
     with pytest.raises(CLIError, match="corank"):
-        terms_text(corank2, {(1, 1, 1, 1, 0, 0): 1}, "\n")
+        check_rows(corank2, [{(1, 1, 1, 1, 0, 0): 1}])
+
+
+# -- streaming: bounded pieces, the same bytes ---------------------------------
+
+BIG = 10_000
+
+
+def big_document():
+    """A document with one row of BIG terms, whose texts all have the same length."""
+    R = realization_from_preset("A2~")
+    poly = {(10_000 + k, 20_000 + k, 30_000 + k, 40_000 + k): 1 + k % 7 for k in range(BIG)}
+    return {"rows": [{"z": ["0", "1"], "terms": partial(terms_text, R, poly)}], "truncated": False}
+
+
+def test_a_long_row_is_written_in_bounded_pieces():
+    pieces = list(json_pieces(big_document()))
+    # the row's pieces, more than one, and the document's text before and after it
+    assert len(pieces) == math.ceil(BIG / cli.ITEMS_PER_PIECE) + 2 > 3
+    term_len = len("".join(pieces)) // BIG  # a term's text, with its "," and line breaks
+    assert max(map(len, pieces)) <= cli.ITEMS_PER_PIECE * (term_len + 1)
+
+
+class Discard(io.TextIOBase):
+    def write(self, s):
+        return len(s)
+
+
+def test_writing_a_long_row_holds_a_small_part_of_its_text(monkeypatch):
+    """emit's peak of traced memory while it writes the document to a sink
+    that keeps nothing: a third of the text's length at most, where building
+    the text whole would take the text's length at least."""
+    doc = big_document()
+    text = json_text(doc)
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        emit(None, json_pieces(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) / 3, (peak, len(text))
+
+
+class Record(io.TextIOBase):
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
+
+
+def test_emit_writes_short_pieces_together(monkeypatch):
+    """Between long rows, a row document has two short pieces per row: they
+    go out together, so every write but the last is WRITE_SIZE long at
+    least, as from a buffered stdout, also when stdout is unbuffered."""
+    R = realization_from_preset("A2~")
+    doc = big_document()
+    short = [{"z": [str(k)], "terms": partial(terms_text, R, {(k, 0, 0, 0): k})} for k in range(1, 200)]
+    doc["rows"] = short + doc["rows"] + short + doc["rows"] + short
+    sink = Record()
+    monkeypatch.setattr(sys, "stdout", sink)
+    emit(None, json_pieces(doc))
+    assert "".join(sink.writes) == json_text(doc) + "\n"
+    assert len(sink.writes) > 2
+    assert min(map(len, sink.writes[:-1])) >= cli.WRITE_SIZE
+
+
+@pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1500])
+def test_items_text_is_the_stdlib_text_in_pieces(count):
+    """The crystal's element list, across piece boundaries, at two depths."""
+    def obj(x):
+        return {"b": [str(x), f"{x}/3"], "dirs": [["0", "1"][: x % 3]], "weight": {"fund": [x, -x]}}
+
+    xs = list(range(count))
+    for depth in (0, 1):
+        want = at_depth(json.dumps([obj(x) for x in xs], indent=2), depth)
+        pieces = list(items_text(obj, xs, "\n" + "  " * depth))
+        assert "".join(pieces) == want
+        assert len(pieces) == max(1, math.ceil(count / cli.ITEMS_PER_PIECE))
