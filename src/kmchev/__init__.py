@@ -16,7 +16,8 @@ _EXPORTS = {
     "lspath": "LSPath chevalley_ls crystal_up_to demazure_crystal down_path e endpoint f lift_subset straight_path"
               " up_path",
     "alcove": "AdaptedSequence LambdaHyperplane chevalley_alcove enumerate_tree_antidominant enumerate_tree_dominant"
-              " enumerate_z_adapted lex_chain ls_to_seq seq_to_ls",
+              " enumerate_z_adapted lex_chain",
+    "bridge": "ls_to_seq seq_to_ls",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

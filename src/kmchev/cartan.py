@@ -71,6 +71,23 @@ def is_lattice(u: Weight) -> bool:
     return all(a.denominator == 1 for a in u)
 
 
+# A Laurent polynomial in the e^mu, {weight: coefficient}, zero coefficients never stored
+LaurentPoly = dict
+
+
+def lp_monomial(mu: Weight, c: int = 1) -> LaurentPoly:
+    return {mu: c} if c else {}
+
+
+def lp_add_into(dst: LaurentPoly, src: LaurentPoly, sign: int = 1) -> None:
+    for mu, c in src.items():
+        new = dst.get(mu, 0) + sign * c
+        if new:
+            dst[mu] = new
+        else:
+            dst.pop(mu, None)
+
+
 def _eliminate(rows) -> tuple[list[list[int]], list[int], list[int]]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 

@@ -333,6 +333,8 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
         raise CLIError("chevalley needs --w (or --z with --max-length)")
     word = parse_word(R, args.w)
     w = W.from_word(word)
+    if args.format == "dot" and args.model not in ("alcove", "all"):
+        raise CLIError("--format dot for chevalley requires the alcove model")
 
     models = ["ls", "alcove", "nilhecke"] if args.model == "all" else [args.model]
     rows_by_model = {m: _rows_for_model(m, R, lam, sign, word) for m in models}
@@ -354,8 +356,6 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
         return 1
 
     if args.format == "dot":
-        if args.model not in ("alcove", "all"):
-            raise CLIError("--format dot for chevalley requires the alcove model")
         from . import alcove
         seqs = (alcove.enumerate_tree_dominant if sign > 0 else alcove.enumerate_tree_antidominant)(W, lam, w)
         emit(args.out, [alcove.tree_dot(W, lam, seqs)])
@@ -370,13 +370,8 @@ def _chevalley_fixed_z(args: SimpleNamespace, sign: int, R: Realization, W: Weyl
         raise CLIError("fixed-z mode is supported by the alcove model only (--model alcove)")
     if args.format == "dot":
         raise CLIError("fixed-z mode emits json or table")
-    from . import alcove, kring
-    mono = "inc" if sign > 0 else "dec"
-    seqs, truncated = alcove.enumerate_z_adapted(W, lam, z, mono, args.max_length)
-    rows: dict[WeylElt, dict] = {}
-    for seq in seqs:
-        kring.lp_add_into(rows.setdefault(seq.end, {}), alcove.signed_term(W, lam, seq))
-    rows = {w: p for w, p in rows.items() if p}
+    from . import alcove
+    rows, truncated = alcove.fixed_z_rows(W, lam, z, sign, args.max_length)
     tail = f", lengths <= {args.max_length}" + ("  (truncated)" if truncated else "")
     _emit_rows(args, sign, R, lam, "z", z, rows, truncated, tail)
     return 0
@@ -413,9 +408,10 @@ def cmd_crystal(args: SimpleNamespace) -> int:
 
     if args.opposite:
         z = _over_z(args, R, W, "--opposite")
-        paths, trunc_ls = lspath.opposite_demazure_ls(W, lam, z, args.max_length)
-        seqs, trunc_alc = alcove.enumerate_z_adapted(W, lam, z, "inc", args.max_length)
-        truncated = trunc_ls or trunc_alc
+        if args.format == "dot" and args.realization == "alcove":
+            raise CLIError("dot output for the alcove realization covers --w crystals only")
+        paths = lspath.opposite_demazure_ls(W, lam, z, args.max_length)
+        seqs, truncated = alcove.enumerate_z_adapted(W, lam, z, "inc", args.max_length)
     else:
         if args.w is None:
             raise CLIError("crystal needs --w (or --opposite with --z)")
@@ -454,7 +450,7 @@ def cmd_crystal(args: SimpleNamespace) -> int:
 
             def element(p):
                 return {
-                    "b": ["%d/%d" % c if c[1] > 1 else str(c[0]) for c in lspath.cuts(p)],
+                    "b": [lspath.ratio_text(*c) for c in lspath.cuts(p)],
                     "dirs": [word_obj(R, d) for d in p.dirs],
                     "weight": weight_obj(R, path_wt[p]),
                 }
@@ -488,8 +484,6 @@ def cmd_crystal(args: SimpleNamespace) -> int:
         emit(args.out, ["\n".join(lines)])
     elif args.realization == "ls":  # --format dot
         emit(args.out, [lspath.crystal_dot(W, ordered_paths)])
-    elif args.opposite:
-        raise CLIError("dot output for the alcove realization covers --w crystals only")
     else:
         emit(args.out, [alcove.tree_dot(W, lam, seqs)])
     return 0
@@ -514,14 +508,14 @@ def _scn_triangles(cases) -> str | None:
 
 
 def _scn_bijections() -> str | None:
-    from . import alcove
+    from . import alcove, bridge
     R = realization_from_preset("A2")
     W = WeylGroup(R)
     lam = R.parse_weight("1,1")
     w = W.from_word((0, 1, 0))
     for seq in alcove.enumerate_tree_dominant(W, lam, w) + alcove.enumerate_tree_antidominant(W, lam, w):
         base = seq.z if seq.monotonicity == "inc" else w
-        if alcove.ls_to_seq(W, alcove.seq_to_ls(W, lam, seq), base, seq.monotonicity) != seq:
+        if bridge.ls_to_seq(W, bridge.seq_to_ls(W, lam, seq), base, seq.monotonicity) != seq:
             return f"{seq.monotonicity} round-trip failed at {seq!r}"
     return None
 

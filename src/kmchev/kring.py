@@ -24,27 +24,11 @@ from __future__ import annotations
 
 import operator
 
-from .cartan import Realization, Weight, wt_add
+from .cartan import LaurentPoly, Realization, Weight, lp_add_into, lp_monomial, wt_add
 from .weyl import WeylElt, WeylGroup
-
-# {weight: coefficient}, zero coefficients never stored
-LaurentPoly = dict
 
 # {WeylElt: LaurentPoly}, zero polynomials never stored
 NilHeckeCoeffs = dict
-
-
-def lp_monomial(mu: Weight, c: int = 1) -> LaurentPoly:
-    return {mu: c} if c else {}
-
-
-def lp_add_into(dst: LaurentPoly, src: LaurentPoly, sign: int = 1) -> None:
-    for mu, c in src.items():
-        new = dst.get(mu, 0) + sign * c
-        if new:
-            dst[mu] = new
-        else:
-            dst.pop(mu, None)
 
 
 def lp_mul_monomial(f: LaurentPoly, mu: Weight, c: int = 1) -> LaurentPoly:

@@ -42,8 +42,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .cartan import Realization, Weight, wt_neg
-from .kring import LaurentPoly, lp_add_into, lp_monomial
+from .cartan import LaurentPoly, Realization, Weight, lp_add_into, lp_monomial, wt_neg
 from .lifts import down, interval_below, up
 from .weyl import WeylElt, WeylGroup
 
@@ -65,9 +64,7 @@ class LSPath:
         for x, d in steps:
             if x <= 0:
                 if x:
-                    from fractions import Fraction
-
-                    raise ValueError(f"negative step length {Fraction(x, D)}")
+                    raise ValueError(f"negative step length {ratio_text(x, D)}")
             elif dirs and dirs[-1] == d:
                 a[-1] += x
             else:
@@ -76,9 +73,7 @@ class LSPath:
         if not a:
             raise ValueError("an LS path has at least one direction")
         if (total := sum(a)) != D:
-            from fractions import Fraction
-
-            raise ValueError(f"step lengths sum to {Fraction(total, D)}, not 1")
+            raise ValueError(f"step lengths sum to {ratio_text(total, D)}, not 1")
         if (g := math.gcd(D, *a)) > 1:
             D, a = D // g, [x // g for x in a]
         self.lam = lam
@@ -137,6 +132,12 @@ def _reduced(c: int, D: int) -> tuple[int, int]:
     return c // (g := math.gcd(c, D)), D // g
 
 
+def ratio_text(c: int, D: int) -> str:
+    """c / D (D > 0) as str(Fraction(c, D)) prints it: "n" or "n/d" in lowest terms."""
+    n, d = _reduced(c, D)
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def cuts(p: LSPath) -> tuple:
     """The cut points b_j = (a_1 + ... + a_{j-1}) / D as reduced
     (numerator, denominator) pairs; b_1 = (0, 1)."""
@@ -151,7 +152,7 @@ def path_key(p: LSPath):
 def format_path(p: LSPath) -> str:
     segs = []
     for a, d in zip(reversed(p.a), reversed(p.dirs)):
-        part = "" if a == p.D else "%d/%d " % _reduced(a, p.D)
+        part = "" if a == p.D else ratio_text(a, p.D) + " "
         name = "" if d.length == 0 else f"{d!r}·"
         segs.append(f"{part}{name}λ")
     return "(" + ", ".join(segs) + ")"
@@ -179,9 +180,7 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     H = [0, *accumulate(a * n for (a, _), n in zip(st, ns))]
     M = min(H)
     if M % D or H[-1] % D:
-        from fractions import Fraction
-
-        raise ValueError(f"non-integral height {Fraction(M, D)} or {Fraction(H[-1], D)}: not an LS path")
+        raise ValueError(f"non-integral height {ratio_text(M, D)} or {ratio_text(H[-1], D)}: not an LS path")
     top = M + D
     if H[-1] < top:
         return None
@@ -257,23 +256,13 @@ def crystal_up_to(W: WeylGroup, lam: Weight, length_bound: int) -> frozenset:
     return frozenset(seen)
 
 
-def opposite_demazure_ls(W: WeylGroup, lam: Weight, z: WeylElt, length_bound: int):
+def opposite_demazure_ls(W: WeylGroup, lam: Weight, z: WeylElt, length_bound: int) -> frozenset:
     """Paths p with phi(p) >= z W_lam whose lift from z stays within the
-    length bound.  Returns (paths, truncated)."""
+    length bound.  Whether the bound cut any off is for the alcove fan over z
+    (enumerate_z_adapted) to say."""
     zmin = W.coset_decompose(z, stabilizer_nodes(W.R, lam))[0]
-    pool = crystal_up_to(W, lam, length_bound)
-    keep = set()
-    truncated = False
-    for p in pool:
-        if not W.bruhat_leq(zmin, phi(p)):
-            continue
-        if up_path(W, z, p).length <= length_bound:
-            keep.add(p)
-        else:
-            truncated = True
-    if W.R.gcm.classify() != "finite":
-        truncated = True
-    return frozenset(keep), truncated
+    return frozenset(p for p in crystal_up_to(W, lam, length_bound)
+                     if W.bruhat_leq(zmin, phi(p)) and up_path(W, z, p).length <= length_bound)
 
 
 # -- lifts of paths ------------------------------------------------------------

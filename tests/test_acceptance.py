@@ -14,12 +14,10 @@ from kmchev.alcove import (
     enumerate_tree_dominant,
     format_hyperplane,
     lex_chain,
-    ls_to_seq,
-    refl_less,
-    seq_to_ls,
     validate_lambda_chain_finite,
     wt_fold,
 )
+from kmchev.bridge import ls_to_seq, refl_less, seq_to_ls
 from kmchev.cartan import (
     pairing,
     weight,

@@ -11,7 +11,6 @@ import pytest
 from kmchev.alcove import (
     AdaptedSequence,
     LambdaHyperplane,
-    _label_chains,
     _label_edges,
     chevalley_alcove,
     enumerate_tree_antidominant,
@@ -19,17 +18,14 @@ from kmchev.alcove import (
     enumerate_z_adapted,
     format_hyperplane,
     hs_apply,
-    increasing_chain,
     lex_chain,
     lex_cut,
     lex_less,
-    ls_to_seq,
-    refl_less,
-    seq_to_ls,
     tree_dot,
     validate_lambda_chain_finite,
     wt_fold,
 )
+from kmchev.bridge import _label_chains, increasing_chain, ls_to_seq, refl_less, seq_to_ls
 from kmchev.cartan import GCM, Realization, pairing, realization_from_preset, weight, wt_neg, wt_scale
 from kmchev.kring import chevalley_recurrence, lp_add_into, lp_monomial
 from kmchev.lspath import (

@@ -128,6 +128,16 @@ def test_opposite_crystal_truncation(capsys):
     assert doc["count"] == 57 and len(doc["elements"]) == 57
 
 
+@pytest.mark.parametrize("argv, truncated", [
+    (["--cartan", "A1~", "--weight", "0,0", "--z", "e", "--max-length", "3"], False),  # {straight path} is whole
+    (["--cartan", "A2", "--weight", "1,1", "--z", "e", "--max-length", "1"], True),
+], ids=["A1~-lam-0", "A2-lam-11"])
+def test_the_opposite_crystal_is_truncated_only_when_the_fan_is(capsys, argv, truncated):
+    code, out, err = run(capsys, ["crystal", *argv, "--opposite"])
+    assert code == 0, err
+    assert json.loads(out)["truncated"] is truncated
+
+
 def test_dot_outputs(capsys):
     code, out, _ = run(capsys, ["chevalley", *AFFW, "--model", "alcove", "--format", "dot"])
     assert code == 0
@@ -587,6 +597,25 @@ def test_json_refuses_corank_2_before_any_model_runs(tmp_path, capsys, monkeypat
         assert code == 2, argv
         assert err.startswith("error:") and "corank" in err, argv
         assert out == "", argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chevalley", "--gcm-file", str(Path(__file__).resolve().parents[1] / "bench" / "hyperbolic.json"),
+      "--weight", "1,1", "--w", "0 1 0 1 0", "--model", "ls", "--format", "dot"],
+     "--format dot for chevalley requires the alcove model"),
+    (["chevalley", *AFFW, "--model", "nilhecke", "--format", "dot"],
+     "--format dot for chevalley requires the alcove model"),
+    (["crystal", *AFF, "--opposite", "--z", "1", "--max-length", "3", "--realization", "alcove", "--format", "dot"],
+     "dot output for the alcove realization covers --w crystals only"),
+], ids=["chevalley-ls-dot", "chevalley-nilhecke-dot", "crystal-opposite-alcove-dot"])
+def test_a_refused_option_is_refused_before_any_model_runs(capsys, monkeypatch, argv, message):
+    def ran(*args, **kwargs):
+        raise AssertionError("a model ran before the option was refused")
+    monkeypatch.setattr(cli, "_rows_for_model", ran)
+    for module, name in [(lspath, "opposite_demazure_ls"), (alcove, "enumerate_z_adapted")]:
+        monkeypatch.setattr(module, name, ran)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_table_tells_corank_2_coordinates_apart(tmp_path, capsys):

@@ -187,9 +187,10 @@ def test_operators_reject_a_non_ls_path(aff):
     W, _, _ = aff
     p = ls_path(LAM, (0, Q(1, 3)), (W.from_word((1,)), W.from_word((0, 1))))
     assert validation_error(W, p) is not None
-    for op in (f, e):
-        with pytest.raises(ValueError, match="not an LS path"):
+    for op, heights in ((f, "-4/3 or -2/3"), (e, "-2/3 or 2/3")):
+        with pytest.raises(ValueError) as info:
             op(W, p, 0)
+        assert str(info.value) == f"non-integral height {heights}: not an LS path"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

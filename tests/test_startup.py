@@ -3,7 +3,9 @@
 Each check runs a fresh ``python -S`` with ``src/`` on PYTHONPATH and reads
 ``sys.modules``: ``dataclasses`` (which pulls in ``inspect``, ``ast`` and
 ``dis``) is never imported, a bare ``import kmchev`` loads no submodule,
-``--model nilhecke`` loads neither of the other two models, and no run on a
+each model (``lspath`` with ``lifts``, ``alcove``, ``kring``) loads no other
+and neither the bridge between the first two, so ``--model nilhecke`` and a
+fixed-z ``--model alcove`` run load only their own model, and no run on a
 preset loads ``argparse``, ``json``, ``fractions`` or what they pull in.
 """
 import ast
@@ -45,6 +47,22 @@ def test_nilhecke_run_loads_neither_other_model():
                           "cli.main(['chevalley', '--cartan', 'A2', '--weight', '1,1', '--w', '1 2', '--model', 'nilhecke'])")
     assert "kmchev.kring" in loaded
     assert not {"kmchev.lspath", "kmchev.alcove", "kmchev.lifts", "dataclasses"} & loaded
+
+
+FIXED_Z_ALCOVE = ["chevalley", "--cartan", "G2", "--weight", "1,1", "--z", "1", "--max-length", "4", "--model", "alcove"]
+
+
+@pytest.mark.parametrize("code, model, others", [
+    ("import kmchev.alcove", "alcove", {"lspath", "lifts", "kring", "bridge"}),
+    ("import kmchev.lspath", "lspath", {"alcove", "kring", "bridge"}),
+    ("import kmchev.kring", "kring", {"lspath", "lifts", "alcove", "bridge"}),
+    (f"from kmchev import cli\nif cli.main({FIXED_Z_ALCOVE!r}):\n    raise SystemExit('the run failed')", "alcove",
+     {"lspath", "lifts", "kring"}),
+], ids=["alcove", "lspath", "kring", "fixed-z-alcove-run"])
+def test_each_model_loads_no_other(code, model, others):
+    loaded = loaded_after(code)
+    assert f"kmchev.{model}" in loaded
+    assert not {f"kmchev.{m}" for m in others} & loaded, sorted({f"kmchev.{m}" for m in others} & loaded)
 
 
 def test_bare_import_loads_no_submodule():
