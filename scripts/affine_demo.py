@@ -78,7 +78,7 @@ def main():
     dom_tree = enumerate_tree_dominant(W, lam, w)
     anti_tree = enumerate_tree_antidominant(W, lam, w)
     print(f"\nadapted-sequence trees: {len(dom_tree)} increasing, {len(anti_tree)} decreasing vertices")
-    for seq in dom_tree:
+    for seq, _ in dom_tree:
         if len(seq.hs) == 1:
             print(f"  root edge {format_hyperplane(lam, seq.hs[0])} -> {seq.z!r}")
 
@@ -93,8 +93,8 @@ def main():
         out = pathlib.Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "crystal.dot").write_text(crystal_dot(W, sorted(crystal, key=path_key)))
-        (out / "tree_dom.dot").write_text(tree_dot(W, lam, dom_tree, name="dom"))
-        (out / "tree_anti.dot").write_text(tree_dot(W, lam, anti_tree, name="anti"))
+        (out / "tree_dom.dot").write_text(tree_dot(W, lam, dom_tree))
+        (out / "tree_anti.dot").write_text(tree_dot(W, lam, anti_tree))
         print(f"wrote crystal.dot, tree_dom.dot, tree_anti.dot to {out}")
 
     return 0 if all(ok.values()) else 1

@@ -23,19 +23,26 @@ fixed-w Chevalley rows via the folded operator
     hs_apply(h, k'):  mu -> s_alpha(mu) + k' * alpha_root
 
 at the level k' = k ("inc", dominant) or k' = <alpha,lam> - k ("dec",
-antidominant), applied right-to-left over the labels and then pushed by z.
+antidominant), applied right-to-left over the labels and then pushed by z
+(wt_fold).  One walk enumerates the cover tree below a fixed w, prepending
+labels, and the fan above a fixed z within a length bound (with honest
+truncation reporting), appending them.  From start(lam) it carries each
+weight along the edges, beta being the label's root and mu the parent's
+labels folded over lam, A = u(.) + t the parent's affine map:
 
-The module enumerates the two label-monotone cover trees below a fixed w and
-the z-adapted sequences above a fixed z (with honest truncation reporting),
-and sums them, through one accumulator, into the fixed-w rows
-(chevalley_alcove) and the fixed-z rows (fixed_z_rows).  It loads no other
-model; the bijection with LS paths lives in kmchev.bridge.
+- tree, v down to v s_beta: v s_beta (s_beta(mu) + k' beta) = v(mu) - k' v(beta);
+- fan, u up to u s_beta: A(s_beta(lam) + k' beta) = A(lam) - (<beta,lam> - k') u(beta).
+
+The pairs (sequence, weight) are summed, through one accumulator, into the
+fixed-w rows (chevalley_alcove) and the fixed-z rows (fixed_z_rows).  It
+loads no other model; the bijection with LS paths lives in kmchev.bridge.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from bisect import bisect_left
 
 from .cartan import (Coroot, LaurentPoly, Realization, Weight, lp_add_into, lp_monomial, pairing, wt_add, wt_neg,
@@ -198,37 +205,33 @@ def wt_fold(W: WeylGroup, lam: Weight, seq: AdaptedSequence, levels: str | None 
     return W.act(seq.z, mu)
 
 
-def signed_term(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LaurentPoly:
-    """The monomial a sequence adds to its Chevalley row: e^{wt} for "inc",
-    (-1)^q e^{-wt} for "dec", with wt = wt_fold(seq) and q labels."""
-    wt = wt_fold(W, lam, seq)
-    if seq.monotonicity == "inc":
-        return lp_monomial(wt)
-    return lp_monomial(wt_neg(wt), -1 if len(seq.hs) % 2 else 1)
+# -- one walk: trees below w, fans above z ----------------------------------------
 
 
-# -- enumeration: trees below w, fans above z ------------------------------------
-
-
-def _label_edges(lam: Weight, covers) -> list:
-    """Edges (hyperplane, element), lex-sorted, for (element, coroot) pairs
-    from W.cocovers (tree edges down) or W.covers_within (fan edges up).
+def _label_edges(W: WeylGroup, lam: Weight, v: WeylElt, down: bool, inc: bool) -> list:
+    """Edges (hyperplane, element, step), lex-sorted, from v to its cocovers
+    (down: tree edges) or covers (fan edges).  The step is what the weight
+    loses across the edge: k' v(beta) on a tree, (<beta,lam> - k') v(beta)
+    on a fan, as the module docstring derives.
 
     The sort key is the lex vector (k, c) / p of lex_less scaled by the lcm
-    L of the pairings, an int vector: each coroot's scaled tail c * L/p is built once and shared by
-    its levels k."""
+    L of the pairings, an int vector: each coroot's scaled tail c * L/p and
+    its image v(beta) are built once and shared by its levels k."""
+    covers = W.cocovers(v) if down else W.covers_within(v, v.length + 1)
     pairs = [(x, beta, pairing(beta, lam)) for x, beta in covers]
     scale = math.lcm(*(p for _, _, p in pairs if p > 0))
+    at_k = down == inc  # the step's multiple of v(beta) is k, else <beta,lam> - k
     keyed = []
     for x, beta, p in pairs:
         if p <= 0:
             continue
         m = scale // p
         tail = tuple([c * m for c in beta.c])
+        image = W.act(v, beta.root)
         for k in range(p):
-            keyed.append(((k * m, tail, x.key), LambdaHyperplane(beta, k), x))
+            keyed.append(((k * m, tail, x.key), LambdaHyperplane(beta, k), x, wt_scale(k if at_k else p - k, image)))
     keyed.sort(key=lambda t: t[0])
-    return [(h, x) for _, h, x in keyed]
+    return [edge[1:] for edge in keyed]
 
 
 def lex_cut(lam: Weight, edges: list, label: LambdaHyperplane | None, above: bool) -> list:
@@ -242,106 +245,98 @@ def lex_cut(lam: Weight, edges: list, label: LambdaHyperplane | None, above: boo
     return edges[cut:] if above else edges[:cut]
 
 
-def _enumerate_tree(W: WeylGroup, lam: Weight, w: WeylElt, monotonicity: str) -> list[AdaptedSequence]:
-    """Labels are prepended walking down, so an "inc" tree keeps the edges
-    below the incoming label and a "dec" tree those above it."""
-    out: list[AdaptedSequence] = []
-    above = monotonicity == "dec"
-
-    @functools.cache  # per call: an element is reached along many branches
-    def below(v: WeylElt) -> list:
-        return _label_edges(lam, W.cocovers(v))
-
-    def rec(v: WeylElt, incoming: LambdaHyperplane | None, hs_up: tuple):
-        out.append(AdaptedSequence(v, hs_up, w, monotonicity))
-        for h, vp in lex_cut(lam, below(v), incoming, above):
-            rec(vp, h, (h,) + hs_up)
-
-    rec(w, None, ())
-    return out
-
-
-def enumerate_tree_dominant(W: WeylGroup, lam: Weight, w: WeylElt) -> list[AdaptedSequence]:
-    """All lex-increasing adapted sequences ending at w, grown as a cover tree
-    below w (each vertex contributes the sequence reading its branch upward)."""
-    return _enumerate_tree(W, lam, w, "inc")
-
-
-def enumerate_tree_antidominant(W: WeylGroup, lam: Weight, w: WeylElt) -> list[AdaptedSequence]:
-    """All lex-decreasing adapted sequences ending at w."""
-    return _enumerate_tree(W, lam, w, "dec")
-
-
-def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str,
-                        length_bound: int) -> tuple[list[AdaptedSequence], bool]:
-    """All adapted sequences based at z whose chain stays within the length
-    bound.  The second component reports whether any admissible continuation
-    was cut off by the bound (a truncation notice, not a failure); a z longer
-    than the bound has no sequence within it.  Labels are appended walking
-    up, so "inc" keeps the edges above the last label and "dec" those below
-    it."""
-    above = _is_inc(monotonicity)
-    if z.length > length_bound:
+def _walk(W: WeylGroup, lam: Weight, start: WeylElt, monotonicity: str,
+          length_bound: int | None = None) -> tuple[list, bool]:
+    """The adapted sequences from start, each paired with its weight carried
+    along the edges, and whether the bound cut an admissible edge off: with
+    no bound the tree ending at start, with one the fan based at start."""
+    inc = _is_inc(monotonicity)
+    down = length_bound is None
+    if not down and start.length > length_bound:
         return [], True
-    out: list[AdaptedSequence] = []
+    above = inc != down  # tree "dec" and fan "inc" keep the labels above the last one
+    out: list = []
     truncated = False
 
     @functools.cache  # per call: an element is reached along many branches
-    def fan(u: WeylElt) -> list:
-        return _label_edges(lam, W.covers_within(u, u.length + 1))
+    def edges(v: WeylElt) -> list:
+        return _label_edges(W, lam, v, down, inc)
 
-    def rec(u: WeylElt, last: LambdaHyperplane | None, hs_acc: tuple):
+    def rec(v: WeylElt, last: LambdaHyperplane | None, hs: tuple, wt: Weight):
         nonlocal truncated
-        out.append(AdaptedSequence(z, hs_acc, u, monotonicity))
-        admissible = lex_cut(lam, fan(u), last, above)
-        if u.length >= length_bound:
-            truncated |= bool(admissible)
+        seq = AdaptedSequence(v, hs, start, monotonicity) if down else AdaptedSequence(start, hs, v, monotonicity)
+        out.append((seq, wt))
+        kept = lex_cut(lam, edges(v), last, above)
+        if not down and v.length >= length_bound:
+            truncated |= bool(kept)
             return
-        for h, w in admissible:
-            rec(w, h, hs_acc + (h,))
+        for h, x, step in kept:
+            rec(x, h, (h,) + hs if down else hs + (h,), tuple(map(operator.sub, wt, step)))
 
-    rec(z, None, ())
+    rec(start, None, (), W.act(start, lam))
     return out, truncated
+
+
+def enumerate_tree_dominant(W: WeylGroup, lam: Weight, w: WeylElt) -> list[tuple[AdaptedSequence, Weight]]:
+    """All lex-increasing adapted sequences ending at w, each with its weight:
+    a cover tree below w, each vertex the sequence read up its branch."""
+    return _walk(W, lam, w, "inc")[0]
+
+
+def enumerate_tree_antidominant(W: WeylGroup, lam: Weight, w: WeylElt) -> list[tuple[AdaptedSequence, Weight]]:
+    """All lex-decreasing adapted sequences ending at w, each with its weight."""
+    return _walk(W, lam, w, "dec")[0]
+
+
+def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str,
+                        length_bound: int) -> tuple[list[tuple[AdaptedSequence, Weight]], bool]:
+    """All adapted sequences based at z whose chain stays within the length
+    bound, each with its weight.  The second component reports whether any
+    admissible continuation was cut off by the bound (a truncation notice,
+    not a failure); a z longer than the bound has no sequence within it."""
+    return _walk(W, lam, z, monotonicity, length_bound)
 
 
 # -- Chevalley rows ---------------------------------------------------------------
 
 
-def _rows(W: WeylGroup, lam: Weight, seqs, at) -> dict:
-    """{at(seq): the sum of signed_term over the sequences seq with that
-    key}, sorted by key, rows summing to zero dropped."""
+def _rows(pairs, at) -> dict:
+    """{at(seq): the sum of e^{wt} ("inc") or (-1)^q e^{-wt} ("dec", q labels)
+    over the pairs (seq, wt) with that key}, sorted by key, zero rows dropped."""
     acc: dict[WeylElt, LaurentPoly] = {}
-    for seq in seqs:
-        lp_add_into(acc.setdefault(at(seq), {}), signed_term(W, lam, seq))
+    for seq, wt in pairs:
+        term = lp_monomial(wt) if seq.monotonicity == "inc" else lp_monomial(wt_neg(wt), -1 if len(seq.hs) % 2 else 1)
+        lp_add_into(acc.setdefault(at(seq), {}), term)
     return {u: acc[u] for u in sorted(acc, key=lambda u: u.key) if acc[u]}
 
 
 def chevalley_alcove(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
-    """Fixed-w row of [L^{sign*lam}] [O_w]: z |-> the sum of signed_term over
-    the lex-increasing (sign > 0) or lex-decreasing (sign < 0) tree."""
+    """Fixed-w row of [L^{sign*lam}] [O_w]: z |-> the _rows sum over the
+    lex-increasing (sign > 0) or lex-decreasing (sign < 0) tree."""
     tree = enumerate_tree_dominant if sign > 0 else enumerate_tree_antidominant
-    return _rows(W, lam, tree(W, lam, w), lambda s: s.z)
+    return _rows(tree(W, lam, w), lambda s: s.z)
 
 
 def fixed_z_rows(W: WeylGroup, lam: Weight, z: WeylElt, sign: int, length_bound: int) -> tuple[dict, bool]:
-    """Fixed-z rows, w |-> the sum of signed_term over the sequences from z to w
+    """Fixed-z rows, w |-> the _rows sum over the sequences from z to w
     within the length bound, and enumerate_z_adapted's truncation flag."""
-    seqs, truncated = enumerate_z_adapted(W, lam, z, "inc" if sign > 0 else "dec", length_bound)
-    return _rows(W, lam, seqs, lambda s: s.end), truncated
+    pairs, truncated = enumerate_z_adapted(W, lam, z, "inc" if sign > 0 else "dec", length_bound)
+    return _rows(pairs, lambda s: s.end), truncated
 
 
 # -- export --------------------------------------------------------------------------
 
 
-def tree_dot(W: WeylGroup, lam: Weight, seqs, name: str = "tree") -> str:
-    """DOT digraph of a cover tree: nodes are the sequences' base elements,
-    edges carry the hyperplane labels, parents point to children.  Below one
-    w the labels fix a node's branch from the root, so they key the nodes."""
-    index = {s.hs: k for k, s in enumerate(seqs)}
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    for k, s in enumerate(seqs):
+def tree_dot(W: WeylGroup, lam: Weight, pairs) -> str:
+    """DOT digraph of a cover tree, given as the (sequence, weight) pairs of
+    a tree enumeration: nodes are the sequences' base elements, edges carry
+    the hyperplane labels, parents point to children.  Below one w the
+    labels fix a node's branch from the root, so they key the nodes."""
+    index = {s.hs: k for k, (s, _) in enumerate(pairs)}
+    lines = ["digraph tree {", "  rankdir=TB;"]
+    for k, (s, _) in enumerate(pairs):
         lines.append(f'  n{k} [label="{s.z!r}"];')
-    for s in seqs:
+    for s, _ in pairs:
         if not s.hs:
             continue
         lines.append(

@@ -143,7 +143,7 @@ ITEMS_PER_PIECE = 512
 
 
 def _list_pieces(texts_of, items, indent: str):
-    """The json_text of a list with one entry per element of the sequence
+    """The JSON text of a list with one entry per element of the sequence
     `items`, at `indent`, in pieces of ITEMS_PER_PIECE entries.
     texts_of(chunk) gives a list of the texts of a chunk's entries, each
     with the "," and line break that go before it; one join makes a piece."""
@@ -169,7 +169,7 @@ def check_rows(R: Realization, polys) -> None:
 
 
 def terms_text(R: Realization, poly, indent: str):
-    """The pieces of json_text of [{"weight": weight_obj(R, mu), "mult": c}
+    """The pieces of the JSON text of [{"weight": weight_obj(R, mu), "mult": c}
     for mu, c in sorted(poly.items())] at `indent`: one format string filled
     per term, and one join per ITEMS_PER_PIECE terms.  The weights are
     checked by check_rows before any piece is asked for."""
@@ -180,32 +180,27 @@ def terms_text(R: Realization, poly, indent: str):
 
 
 def items_text(to_obj, xs, indent: str):
-    """The pieces of json_text([to_obj(x) for x in xs]) at `indent`, each
-    entry encoded when its piece is built; to_obj gives no callable."""
+    """The pieces of the JSON text of [to_obj(x) for x in xs] at `indent`,
+    each entry encoded when its piece is built; to_obj gives no callable."""
     inner = indent + "  "
     sep = "," + inner
     return _list_pieces(lambda chunk: [sep + _json_skeleton(to_obj(x), inner, None) for x in chunk], xs, indent)
 
 
 def json_pieces(obj, indent: str = "\n"):
-    """The text json_text(obj, indent) in pieces.  A callable in obj stands
-    for a value written in pieces (terms_text, items_text): a NUL, which the
-    encoding never emits, holds its place in the text of everything else,
-    and at that place the callable is called with its indentation, when the
-    pieces before it are written, and its pieces are yielded."""
+    """The text of ``json.dumps(obj, indent=2)``, obj set at `indent`, in
+    pieces.  A callable in obj stands for a value written in pieces
+    (terms_text, items_text): a NUL, which the encoding never emits, holds
+    its place in the text of everything else, and at that place the callable
+    is called with its indentation, when the pieces before it are written,
+    and its pieces are yielded.  Dicts have str keys; the other values are
+    lists, str, int, bool and None."""
     calls: list = []
     segments = _json_skeleton(obj, indent, calls).split("\0")  # no copy when there is no NUL
     yield segments[0]
     for (fn, at), segment in zip(calls, segments[1:]):
         yield from fn(at)
         yield segment
-
-
-def json_text(obj, indent: str = "\n") -> str:
-    """Exactly the text that ``json.dumps`` gives with ``indent=2``, for dicts
-    with str keys, lists, str, int, bool and None, and for callables that
-    give the pieces of such a text (see json_pieces)."""
-    return "".join(json_pieces(obj, indent))
 
 
 def _json_skeleton(obj, indent: str, calls: list | None) -> str:
@@ -357,8 +352,8 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
 
     if args.format == "dot":
         from . import alcove
-        seqs = (alcove.enumerate_tree_dominant if sign > 0 else alcove.enumerate_tree_antidominant)(W, lam, w)
-        emit(args.out, [alcove.tree_dot(W, lam, seqs)])
+        pairs = (alcove.enumerate_tree_dominant if sign > 0 else alcove.enumerate_tree_antidominant)(W, lam, w)
+        emit(args.out, [alcove.tree_dot(W, lam, pairs)])
     else:
         _emit_rows(args, sign, R, lam, "w", w, rows_by_model[models[0]], False, "")
     return 0
@@ -411,7 +406,7 @@ def cmd_crystal(args: SimpleNamespace) -> int:
         if args.format == "dot" and args.realization == "alcove":
             raise CLIError("dot output for the alcove realization covers --w crystals only")
         paths = lspath.opposite_demazure_ls(W, lam, z, args.max_length)
-        seqs, truncated = alcove.enumerate_z_adapted(W, lam, z, "inc", args.max_length)
+        pairs, truncated = alcove.enumerate_z_adapted(W, lam, z, "inc", args.max_length)
     else:
         if args.w is None:
             raise CLIError("crystal needs --w (or --opposite with --z)")
@@ -419,15 +414,14 @@ def cmd_crystal(args: SimpleNamespace) -> int:
             raise CLIError("--z and --max-length go with --opposite only")
         w = W.from_word(parse_word(R, args.w))
         paths = lspath.demazure_crystal(W, lam, w)
-        seqs = alcove.enumerate_tree_antidominant(W, lam, w)
+        pairs = alcove.enumerate_tree_antidominant(W, lam, w)
         truncated = False
-    # each element's weight, computed once for the cross-check and the output
+    # each path's weight, computed once for the cross-check and the output
     path_wt = {p: lspath.endpoint(W, p) for p in paths}
-    seq_wt = [alcove.wt_fold(W, lam, s) for s in seqs]
     wts_ls = sorted(path_wt.values())
-    wts_alc = sorted(seq_wt)
+    wts_alc = sorted(wt for _, wt in pairs)
 
-    if len(paths) != len(seqs) or wts_ls != wts_alc:
+    if len(paths) != len(pairs) or wts_ls != wts_alc:
         if args.format == "table":
             emit(args.out, ["\n".join(["realizations disagree"] + [
                 f"  {name} : {len(wts)} elements, {poly_str(R, Counter(wts))}"
@@ -436,7 +430,7 @@ def cmd_crystal(args: SimpleNamespace) -> int:
         report = {
             "error": "realizations disagree",
             "ls_count": len(paths),
-            "alcove_count": len(seqs),
+            "alcove_count": len(pairs),
             "ls_weights": partial(items_text, partial(weight_obj, R), wts_ls),
             "alcove_weights": partial(items_text, partial(weight_obj, R), wts_alc),
         }
@@ -455,13 +449,14 @@ def cmd_crystal(args: SimpleNamespace) -> int:
                     "weight": weight_obj(R, path_wt[p]),
                 }
         else:
-            elements = range(len(seqs))
+            elements = pairs
 
-            def element(k):
+            def element(pair):
+                seq, wt = pair
                 return {
-                    "z": word_obj(R, seqs[k].z),
-                    "labels": [alcove.format_hyperplane(lam, h) for h in seqs[k].hs],
-                    "weight": weight_obj(R, seq_wt[k]),
+                    "z": word_obj(R, seq.z),
+                    "labels": [alcove.format_hyperplane(lam, h) for h in seq.hs],
+                    "weight": weight_obj(R, wt),
                 }
         doc = {
             "cartan": R.gcm.to_json(),
@@ -478,14 +473,14 @@ def cmd_crystal(args: SimpleNamespace) -> int:
             for p in ordered_paths:
                 lines.append(f"  {p!r}  wt={R.format_weight(path_wt[p])}")
         else:
-            for s, wt in zip(seqs, seq_wt):
+            for s, wt in pairs:
                 labels = ",".join(alcove.format_hyperplane(lam, h) for h in s.hs)
                 lines.append(f"  {s.z!r} [{labels}]  wt={R.format_weight(wt)}")
         emit(args.out, ["\n".join(lines)])
     elif args.realization == "ls":  # --format dot
         emit(args.out, [lspath.crystal_dot(W, ordered_paths)])
     else:
-        emit(args.out, [alcove.tree_dot(W, lam, seqs)])
+        emit(args.out, [alcove.tree_dot(W, lam, pairs)])
     return 0
 
 
@@ -513,7 +508,7 @@ def _scn_bijections() -> str | None:
     W = WeylGroup(R)
     lam = R.parse_weight("1,1")
     w = W.from_word((0, 1, 0))
-    for seq in alcove.enumerate_tree_dominant(W, lam, w) + alcove.enumerate_tree_antidominant(W, lam, w):
+    for seq, _ in alcove.enumerate_tree_dominant(W, lam, w) + alcove.enumerate_tree_antidominant(W, lam, w):
         base = seq.z if seq.monotonicity == "inc" else w
         if bridge.ls_to_seq(W, bridge.seq_to_ls(W, lam, seq), base, seq.monotonicity) != seq:
             return f"{seq.monotonicity} round-trip failed at {seq!r}"
@@ -553,7 +548,7 @@ def _scn_negative_control() -> str | None:
     lam = R.parse_weight("1,1,0")
     w = W.from_word(parse_word(R, "0 1 2 1"))
     inverted: dict = {}
-    for seq in alcove.enumerate_tree_antidominant(W, lam, w):
+    for seq, _ in alcove.enumerate_tree_antidominant(W, lam, w):
         kring.lp_add_into(inverted.setdefault(seq.z, {}), kring.lp_monomial(alcove.wt_fold(W, lam, seq, "inc")))
     if not _rows_diff({"inverted": inverted, "nilhecke": kring.chevalley_recurrence(W, w, lam)}):
         return "inverted lex comparator went undetected"

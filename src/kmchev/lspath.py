@@ -344,11 +344,11 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int, crystal=None)
 # -- export --------------------------------------------------------------------
 
 
-def crystal_dot(W: WeylGroup, paths, name: str = "crystal") -> str:
+def crystal_dot(W: WeylGroup, paths) -> str:
     """DOT digraph of the f_i-edges within the given vertex set."""
     order = sorted(paths, key=path_key)
     index = {p: k for k, p in enumerate(order)}
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
+    lines = ["digraph crystal {", "  rankdir=TB;"]
     for p in order:
         lines.append(f'  n{index[p]} [label="{format_path(p)}"];')
     for p in order:

@@ -104,7 +104,7 @@ def test_criterion_2_dominant_affine_row(WAFF):
     )
 
     tree = enumerate_tree_dominant(W, LAM, w)
-    roots = sorted(format_hyperplane(LAM, s.hs[-1]) for s in tree if len(s.hs) == 1)
+    roots = sorted(format_hyperplane(LAM, s.hs[-1]) for s, _ in tree if len(s.hs) == 1)
     tree_ok = len(tree) == 8 and roots == [
         "(0|0,1,0)",
         "(0|1,2,2)/3",
@@ -163,11 +163,11 @@ def test_criterion_3_antidominant_affine_row(WAFF):
     row_ok = rows[W.from_word((1, 2))] == expect_s1s2
 
     tree = enumerate_tree_antidominant(W, LAM, w)
-    s02 = [s for s in tree if s.z == W.from_word((0, 2))]
+    s02 = [(s, wt) for s, wt in tree if s.z == W.from_word((0, 2))]
     tree_ok = (
         len(tree) == 9
         and len(s02) == 1
-        and wt_fold(W, LAM, s02[0]) == W.act(W.from_word((0,)), LAM)
+        and wt_fold(W, LAM, s02[0][0]) == s02[0][1] == W.act(W.from_word((0,)), LAM)
     )
 
     alc = chevalley_alcove(W, LAM, w, -1)
@@ -190,15 +190,15 @@ def test_criterion_4_bijections(WA2, WB2, WAFF):
 
     def check(W, lam, w):
         nonlocal checked
-        for seq in enumerate_tree_dominant(W, lam, w):
+        for seq, wt in enumerate_tree_dominant(W, lam, w):
             p = seq_to_ls(W, lam, seq)
             assert ls_to_seq(W, p, seq.z, "inc") == seq
-            assert endpoint(W, p) == wt_fold(W, lam, seq)
+            assert endpoint(W, p) == wt_fold(W, lam, seq) == wt
             checked += 1
-        for seq in enumerate_tree_antidominant(W, lam, w):
+        for seq, wt in enumerate_tree_antidominant(W, lam, w):
             p = seq_to_ls(W, lam, seq)
             assert ls_to_seq(W, p, w, "dec") == seq
-            assert endpoint(W, p) == wt_fold(W, lam, seq)
+            assert endpoint(W, p) == wt_fold(W, lam, seq) == wt
             checked += 1
 
     check(WAFF, LAM, WAFF.from_word(WWORD))

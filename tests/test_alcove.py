@@ -7,6 +7,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from kmchev.alcove import (
     AdaptedSequence,
@@ -284,8 +285,13 @@ def afftrees(WAFF):
     return WAFF, w, dom, anti
 
 
+def seqs(pairs):
+    return [seq for seq, _ in pairs]
+
+
 def test_frozen_tree_shapes(afftrees):
     W, w, dom, anti = afftrees
+    dom, anti = seqs(dom), seqs(anti)
     assert len(dom) == 8
     assert len(anti) == 9
     root_labels = sorted(
@@ -305,6 +311,8 @@ def test_frozen_tree_shapes(afftrees):
 
 def test_frozen_weights_and_conversions(afftrees):
     W, w, dom, anti = afftrees
+    carried = dict(dom + anti)
+    dom, anti = seqs(dom), seqs(anti)
     rightmost = [
         s
         for s in dom
@@ -313,19 +321,19 @@ def test_frozen_weights_and_conversions(afftrees):
     assert len(rightmost) == 1
     (leaf,) = rightmost
     assert leaf.z == W.from_word((1, 2))
-    assert wt_fold(W, LAM, leaf) == weight(1, 1, 0, -1)
+    assert wt_fold(W, LAM, leaf) == carried[leaf] == weight(1, 1, 0, -1)
     p1 = ls_path(LAM, (0, Q(2, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1))))
     assert seq_to_ls(W, LAM, leaf) == p1
     assert ls_to_seq(W, p1, leaf.z, "inc") == leaf
 
     root = [s for s in dom if not s.hs]
-    assert root[0].z == w and wt_fold(W, LAM, root[0]) == W.act(w, LAM)
+    assert root[0].z == w and wt_fold(W, LAM, root[0]) == carried[root[0]] == W.act(w, LAM)
 
     s02 = [s for s in anti if s.z == W.from_word((0, 2))]
     assert len(s02) == 1
     (seq,) = s02
     assert tuple(format_hyperplane(LAM, h) for h in seq.hs) == ("(0|0,1,1)", "(0|0,1,0)")
-    assert wt_fold(W, LAM, seq) == weight(-1, 2, 1, -1)
+    assert wt_fold(W, LAM, seq) == carried[seq] == weight(-1, 2, 1, -1)
     s0path = ls_path(LAM, (0,), (W.from_word((0,)),))
     assert seq_to_ls(W, LAM, seq) == s0path
     assert ls_to_seq(W, s0path, w, "dec") == seq
@@ -333,10 +341,10 @@ def test_frozen_weights_and_conversions(afftrees):
 
 def test_tree_dot_output(afftrees):
     W, w, dom, anti = afftrees
-    dot = tree_dot(W, LAM, dom, name="dom")
-    assert dot.count("->") == 7
+    dot = tree_dot(W, LAM, dom)
+    assert dot.startswith("digraph tree {") and dot.count("->") == 7
     assert "(0|0,1,0)" in dot and "(2|1,2,2)/3" in dot
-    assert tree_dot(W, LAM, anti, name="anti").count("->") == 8
+    assert tree_dot(W, LAM, anti).count("->") == 8
 
 
 def test_round_trips_exhaustive_finite(WA2):
@@ -344,7 +352,7 @@ def test_round_trips_exhaustive_finite(WA2):
     for lam in (weight(1, 1), weight(1, 0)):
         crystal_cache = {}
         for w in W.bfs_ball(10):
-            dom = enumerate_tree_dominant(W, lam, w)
+            dom = seqs(enumerate_tree_dominant(W, lam, w))
             for seq in dom:
                 p = seq_to_ls(W, lam, seq)
                 assert ls_to_seq(W, p, seq.z, "inc") == seq
@@ -358,7 +366,7 @@ def test_round_trips_exhaustive_finite(WA2):
             for z, got in byz.items():
                 assert got == lift_subset(W, crystal, z, w, J, "up")
 
-            anti = enumerate_tree_antidominant(W, lam, w)
+            anti = seqs(enumerate_tree_antidominant(W, lam, w))
             for seq in anti:
                 p = seq_to_ls(W, lam, seq)
                 assert ls_to_seq(W, p, w, "dec") == seq
@@ -371,6 +379,7 @@ def test_round_trips_exhaustive_finite(WA2):
 
 def test_round_trips_affine_frozen(afftrees):
     W, w, dom, anti = afftrees
+    dom, anti = seqs(dom), seqs(anti)
     for seq in dom:
         assert ls_to_seq(W, seq_to_ls(W, LAM, seq), seq.z, "inc") == seq
     got = {seq_to_ls(W, LAM, seq) for seq in anti}
@@ -388,10 +397,10 @@ def test_fan_matches_trees_in_finite_type(WA2):
     fan, truncated = enumerate_z_adapted(W, lam, W.from_word(()), "inc", 3)
     assert not truncated
     by_end = {}
-    for seq in fan:
-        by_end.setdefault(seq.end, set()).add(seq)
+    for pair in fan:
+        by_end.setdefault(pair[0].end, set()).add(pair)
     for w in W.bfs_ball(10):
-        from_tree = {s for s in enumerate_tree_dominant(W, lam, w) if s.z.length == 0}
+        from_tree = {(s, wt) for s, wt in enumerate_tree_dominant(W, lam, w) if s.z.length == 0}
         assert by_end.get(w, set()) == from_tree
     _, truncated2 = enumerate_z_adapted(W, lam, W.from_word(()), "inc", 2)
     assert truncated2
@@ -403,7 +412,7 @@ def test_fan_truncation_affine(WAFF):
     fan, truncated = enumerate_z_adapted(W, LAM, z, "inc", 4)
     assert truncated
     assert len(fan) == 57
-    assert all(s.z == z and s.end.length <= 4 for s in fan)
+    assert all(s.z == z and s.end.length <= 4 for s, _ in fan)
     smaller, _ = enumerate_z_adapted(W, LAM, z, "inc", 3)
     assert {s for s in smaller} <= set(fan)
 
@@ -417,7 +426,7 @@ def test_a_base_longer_than_the_bound_has_no_sequence(WA2, WAFF):
             for bound in range(z.length):
                 assert enumerate_z_adapted(W, lam, z, mono, bound) == ([], True)
             fan, _ = enumerate_z_adapted(W, lam, z, mono, z.length)
-            assert AdaptedSequence(z, (), z, mono) in fan
+            assert (AdaptedSequence(z, (), z, mono), W.act(z, lam)) in fan
 
 
 RANK3_HYP = Realization(GCM.from_matrix([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]))
@@ -432,7 +441,68 @@ def test_rank3_hyperbolic_fan():
     assert (len(fan), truncated) == (8882, True)
     fan4, truncated4 = enumerate_z_adapted(W, lam, W.e, "inc", 4)
     assert (len(fan4), truncated4) == (390, True)
-    assert set(fan4) == {s for s in fan if s.end.length <= 4}
+    assert set(fan4) == {(s, wt) for s, wt in fan if s.end.length <= 4}
+
+
+# -- weights carried along the edges ------------------------------------------------
+
+
+def carried_mismatches(W, lam, pairs):
+    """The pairs whose carried weight is not the fold of their labels."""
+    return [(seq, wt) for seq, wt in pairs if wt != wt_fold(W, lam, seq)]
+
+
+CARRIED = {
+    "A2": (realization_from_preset("A2"), "1,1", (0, 1, 0), 3),
+    "B2": (realization_from_preset("B2"), "1,2", (0, 1, 0, 1), 4),
+    "G2": (realization_from_preset("G2"), "2,1", (0, 1, 0, 1, 0), 5),
+    "A3": (realization_from_preset("A3"), "1,0,1", (0, 1, 2, 1, 0), 5),
+    "A2~": (realization_from_preset("A2~"), "1,1,0", (0, 1, 2, 1, 0), 5),
+    "A1~": (realization_from_preset("A1~"), "1,1", (0, 1, 0, 1, 0, 1), 6),
+    "hyp2": (Realization(GCM.from_matrix([[2, -3], [-3, 2]])), "1,1", (0, 1, 0, 1), 4),
+    "hyp3": (RANK3_HYP, "1,1,0", (0, 1, 2), 4),
+}
+
+
+@pytest.mark.parametrize("R,lamtext,wword,bound", CARRIED.values(), ids=CARRIED.keys())
+def test_the_carried_weight_is_the_fold(R, lamtext, wword, bound):
+    """Every pair of both trees below w, and of both fans above e and above
+    the first letter of w within the bound, carries the weight wt_fold
+    gives its sequence."""
+    W = WeylGroup(R)
+    lam = R.parse_weight(lamtext)
+    w = W.from_word(wword)
+    walks = [enumerate_tree_dominant(W, lam, w), enumerate_tree_antidominant(W, lam, w)]
+    for z in (W.e, W.from_word(wword[:1])):
+        walks += [enumerate_z_adapted(W, lam, z, mono, bound)[0] for mono in ("inc", "dec")]
+    assert all(len(pairs) > 1 for pairs in walks)
+    for pairs in walks:
+        assert carried_mismatches(W, lam, pairs) == []
+
+
+@functools.cache
+def rank2_group(a: int, b: int) -> WeylGroup:
+    return WeylGroup(Realization(GCM.from_matrix([[2, -a], [-b, 2]])))
+
+
+@given(st.sampled_from([(0, 0)] + [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]),
+       st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(0, 1), st.integers(0, 4))
+def test_random_rank2_weights_and_rows(offdiag, coords, first, length):
+    """A rank-2 GCM with off-diagonal entries down to -3 (finite, affine or
+    hyperbolic), a dominant lam with coordinates 0-2 and a reduced word of
+    length <= 4: the tree and the fan above w within l(w) + 1 carry the
+    weights of wt_fold, in both monotonicities, and the alcove rows equal
+    the recurrence's in both signs."""
+    W = rank2_group(*offdiag)
+    w = W.from_word(tuple((first + k) % 2 for k in range(length)))
+    assume(w.length == length)
+    lam = W.R.parse_weight(f"{coords[0]},{coords[1]}")
+    for mono in ("inc", "dec"):
+        tree = (enumerate_tree_dominant if mono == "inc" else enumerate_tree_antidominant)(W, lam, w)
+        fan, _ = enumerate_z_adapted(W, lam, w, mono, length + 1)
+        assert carried_mismatches(W, lam, tree + fan) == []
+    assert chevalley_alcove(W, lam, w, 1) == chevalley_recurrence(W, w, lam)
+    assert chevalley_alcove(W, lam, w, -1) == chevalley_recurrence(W, w, wt_neg(lam))
 
 
 # -- the admissible cut ----------------------------------------------------------
@@ -462,18 +532,19 @@ def test_lex_cut_matches_the_filter(R, lamtext, wword):
     lam = R.parse_weight(lamtext)
     w = W.from_word(wword)
     cuts: dict = {}
-    for seq in enumerate_tree_dominant(W, lam, w) + enumerate_tree_antidominant(W, lam, w):
-        _, labels = cuts.setdefault(("tree", seq.z), (_label_edges(lam, W.cocovers(seq.z)), {None}))
-        labels.add(seq.hs[0] if seq.hs else None)
-    for mono in ("inc", "dec"):
-        for seq in enumerate_z_adapted(W, lam, W.e, mono, 4)[0]:
+    for inc, tree in ((True, enumerate_tree_dominant), (False, enumerate_tree_antidominant)):
+        for seq, _ in tree(W, lam, w):
+            _, labels = cuts.setdefault(("tree", inc, seq.z), (_label_edges(W, lam, seq.z, True, inc), {None}))
+            labels.add(seq.hs[0] if seq.hs else None)
+    for inc in (True, False):
+        for seq, _ in enumerate_z_adapted(W, lam, W.e, "inc" if inc else "dec", 4)[0]:
             u = seq.end
-            _, labels = cuts.setdefault(("fan", u), (_label_edges(lam, W.covers_within(u, u.length + 1)), {None}))
+            _, labels = cuts.setdefault(("fan", inc, u), (_label_edges(W, lam, u, False, inc), {None}))
             labels.add(seq.hs[-1] if seq.hs else None)
-    assert {kind for kind, _ in cuts} == {"tree", "fan"}
+    assert {kind for kind, _, _ in cuts} == {"tree", "fan"}
     proper = 0
     for edges, labels in cuts.values():
-        for label in labels | {h for h, _ in edges}:
+        for label in labels | {h for h, _, _ in edges}:
             for above in (True, False):
                 kept = lex_cut(lam, edges, label, above)
                 assert kept == filter_reference(lam, edges, label, above)
@@ -492,8 +563,8 @@ def test_the_chain_is_rebuilt_from_z_and_the_labels(case, letters):
     W = WeylGroup(R)
     lam = R.parse_weight(lamtext)
     w = W.from_word(wword[:letters])
-    trees = enumerate_tree_dominant(W, lam, w) + enumerate_tree_antidominant(W, lam, w)
-    fans = enumerate_z_adapted(W, lam, W.e, "inc", 4)[0] + enumerate_z_adapted(W, lam, W.e, "dec", 4)[0]
+    trees = seqs(enumerate_tree_dominant(W, lam, w) + enumerate_tree_antidominant(W, lam, w))
+    fans = seqs(enumerate_z_adapted(W, lam, W.e, "inc", 4)[0] + enumerate_z_adapted(W, lam, W.e, "dec", 4)[0])
     assert all(seq.end == w for seq in trees) and all(seq.z == W.e for seq in fans)
     for seq in trees + fans:
         chain = list(accumulate((h.alpha for h in seq.hs), W.reflect_right, initial=seq.z))
@@ -595,7 +666,7 @@ def test_inverted_lex_breaks_the_triangle(WAFF):
     w = W.from_word(WWORD)
     rec = chevalley_recurrence(W, w, LAM)
     wrong = {}
-    for seq in enumerate_tree_antidominant(W, LAM, w):
+    for seq, _ in enumerate_tree_antidominant(W, LAM, w):
         lp_add_into(wrong.setdefault(seq.z, {}), lp_monomial(wt_fold(W, LAM, seq, "inc")))
     assert not rows_equal(rec, wrong)
     assert rows_equal(rec, chevalley_alcove(W, LAM, w, 1))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -548,10 +549,14 @@ def _half_in_the_last_row(only=None):
 
 
 def _half_in_every_fixed_z_row():
-    """Each signed term of the fixed-z expansion gains the weight (1/2, 0, ...)."""
-    original = alcove.signed_term
-    return mock.patch.object(alcove, "signed_term", lambda W, lam, seq: {
-        **original(W, lam, seq), (HALF, *[0] * (W.R.N - 1)): 1})
+    """Each row of the fixed-z expansion gains the weight (1/2, 0, ...)."""
+    original = alcove.fixed_z_rows
+
+    def faulty(W, *args):
+        rows, truncated = original(W, *args)
+        return {u: {**poly, (HALF, *[0] * (W.R.N - 1)): 1} for u, poly in rows.items()}, truncated
+
+    return mock.patch.object(alcove, "fixed_z_rows", faulty)
 
 
 @pytest.mark.parametrize("argv, fault", [
@@ -664,6 +669,35 @@ def test_table_reports_a_disagreement_in_corank_2(tmp_path, capsys, monkeypatch)
     lines = out.splitlines()
     assert lines[0] == "realizations disagree"
     assert lines[1].startswith("  ls : 4 elements, e[") and lines[2].startswith("  alcove : 3 elements, e[")
+
+
+def test_realizations_with_equal_counts_and_one_other_weight_disagree(capsys, monkeypatch):
+    """One alcove element's weight shifted by alpha_0 keeps the counts equal;
+    crystal compares the weights too and exits 1 with its report, as table
+    and as JSON."""
+    original = alcove.enumerate_tree_antidominant
+
+    def shifted(W, lam, w):
+        pairs = original(W, lam, w)
+        seq, wt = pairs[-1]
+        return pairs[:-1] + [(seq, tuple(x + a for x, a in zip(wt, W.R.alpha[0])))]
+
+    monkeypatch.setattr(alcove, "enumerate_tree_antidominant", shifted)
+    code, out, err = run(capsys, ["crystal", *AFFW, "--format", "table"])
+    assert code == 1, err
+    lines = out.splitlines()
+    assert lines[0] == "realizations disagree"
+    assert lines[1].startswith("  ls : 9 elements, e[") and lines[2].startswith("  alcove : 9 elements, e[")
+    assert lines[1].split(", ", 1)[1] != lines[2].split(", ", 1)[1]
+
+    code, out, err = run(capsys, ["crystal", *AFFW])
+    assert code == 1, err
+    report = json.loads(out)
+    assert report["error"] == "realizations disagree"
+    assert report["ls_count"] == report["alcove_count"] == 9
+    ls, alc = (Counter(json.dumps(mu) for mu in report[key]) for key in ("ls_weights", "alcove_weights"))
+    assert sum(ls.values()) == sum(alc.values()) == 9
+    assert sum((ls - alc).values()) == sum((alc - ls).values()) == 1
 
 
 def test_weight_takes_back_a_printed_corank_2_weight(tmp_path, capsys):

@@ -168,8 +168,9 @@ def test_crystal_weights_are_int_tuples():
     z = W.from_word(parse_word(R, "1"))
     paths = lspath.demazure_crystal(W, lam, w) | lspath.opposite_demazure_ls(W, lam, z, 5)
     assert all(_int_weight(lspath.endpoint(W, p)) for p in paths)
-    seqs = alcove.enumerate_tree_antidominant(W, lam, w) + alcove.enumerate_z_adapted(W, lam, z, "inc", 5)[0]
-    for seq in seqs:
+    pairs = alcove.enumerate_tree_antidominant(W, lam, w) + alcove.enumerate_z_adapted(W, lam, z, "inc", 5)[0]
+    for seq, wt in pairs:
+        assert _int_weight(wt)
         assert all(_int_weight(alcove.wt_fold(W, lam, seq, levels)) for levels in ("inc", "dec"))
 
 

@@ -27,7 +27,7 @@ def test_readme_session():
             checked += 1
         else:
             exec(line, namespace)
-    assert checked == 3
+    assert checked == 4
 
 
 def test_readme_cli_commands(capsys):
