@@ -189,12 +189,12 @@ def items_text(to_obj, xs, indent: str):
 
 def json_pieces(obj, indent: str = "\n"):
     """The text of ``json.dumps(obj, indent=2)``, obj set at `indent`, in
-    pieces.  A callable in obj stands for a value written in pieces
+    pieces, for obj made of dicts with str keys, lists, str, int, bool, None
+    and callables.  A callable stands for a value written in pieces
     (terms_text, items_text): a NUL, which the encoding never emits, holds
     its place in the text of everything else, and at that place the callable
     is called with its indentation, when the pieces before it are written,
-    and its pieces are yielded.  Dicts have str keys; the other values are
-    lists, str, int, bool and None."""
+    and its pieces are yielded."""
     calls: list = []
     segments = _json_skeleton(obj, indent, calls).split("\0")  # no copy when there is no NUL
     yield segments[0]
