@@ -23,8 +23,9 @@ Table output prints every extra coordinate of a weight in corank >= 2.  A
 failed cross-check exits 1 with a report: table lines under ``--format
 table`` (any corank), JSON otherwise.  Bad input (a missing ``--weight``, an
 unknown option or an option value the option table refuses), an exceeded
-layer cap and a closed stdout (seen at a write, also mid-document, or at
-``main``'s flush, also after ``--help``) exit 2 with one ``error:`` line.
+layer cap, a run out of memory and a closed stdout (seen at a write, also
+mid-document, or at ``main``'s flush, also after ``--help``) exit 2 with one
+``error:`` line.
 
 The options are one table, ``OPTIONS``, read by ``parse_args``; neither it
 nor the JSON writer imports ``argparse``, ``json`` or ``re``, which would
@@ -716,6 +717,14 @@ def main(argv=None) -> int:
             exc = "stdout was closed before all the output was written"
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # exit 1 would claim the models disagree
+        pass
+    # Out of the handler, no traceback keeps the frames alive, so what they
+    # filled memory with (WeylGroup cycles too) is freed before the print.
+    import gc
+    gc.collect()
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

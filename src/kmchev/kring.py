@@ -19,10 +19,17 @@ Writing T_w e^lam = sum_z b_z T_z, the b_z are the equivariant K-Chevalley
 coefficients; chevalley_recurrence computes them by composing the twisted
 Leibniz rule letter by letter.  (The closed-form sum over the 2^N signed
 subwords of a reduced word checks it in the tests, not here.)
+
+A run owns one ``Strings`` table per letter i.  It maps each weight mu met to
+(n, b, p, s_i mu), and each string b to {q: the weight b + q alpha_i}.
+Since s_i mu = mu - n alpha_i = b + (p - n) alpha_i, the reflection of mu
+lies on mu's own string, so the twisted term (s_i f) of the Leibniz rule
+is read from the same table as the ranges of T_i f.  Each position keeps
+the first tuple it is given or builds, so n, b, p and s_i mu are worked out
+once per weight and letter, and every row of a step holds one tuple per
+weight instead of one per term.
 """
 from __future__ import annotations
-
-import operator
 
 from .cartan import LaurentPoly, Realization, Weight, lp_add_into, lp_monomial, wt_add
 from .weyl import WeylElt, WeylGroup
@@ -42,29 +49,69 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return out
 
 
-def apply_Ti(R: Realization, i: int, f: LaurentPoly) -> LaurentPoly:
+class Strings:
+    """The alpha_i-strings of the weights one run has met, for one letter i.
+
+    ``data`` maps a weight mu to (n, b, p, s_i mu), with n = <alpha_i^vee, mu>
+    and mu = b + p alpha_i as in the module docstring; ``lines`` maps each
+    string base b to {q: the weight b + q alpha_i}.  A weight has one slot
+    (b, q), and a slot keeps the first tuple it is given or builds, so T_i
+    and s_i hand out one tuple per weight however many rows hold it.
+    """
+
+    __slots__ = ("i", "alpha", "data", "lines")
+
+    def __init__(self, R: Realization, i: int):
+        self.i = i
+        self.alpha = R.alpha[i]
+        self.data: dict[Weight, tuple[int, Weight, int, Weight]] = {}
+        self.lines: dict[Weight, dict[int, Weight]] = {}
+
+    def add(self, mu: Weight) -> tuple[int, Weight, int, Weight]:
+        """Enter mu, its string and s_i mu = mu - n alpha_i = b + (p - n) alpha_i,
+        which lies on mu's own string."""
+        alpha = self.alpha
+        if len(mu) != len(alpha):
+            raise ValueError(f"weights of different rank: {mu}, {alpha}")
+        n = mu[self.i]
+        p = n // 2
+        b = tuple([x - p * a for x, a in zip(mu, alpha)])
+        line = self.lines.get(b)
+        if line is None:
+            line = self.lines[b] = {}
+        mu = line.setdefault(p, mu)
+        d = self.data[mu] = (n, b, p, self.at(b, line, p - n))
+        return d
+
+    def at(self, b: Weight, line: dict[int, Weight], q: int) -> Weight:
+        """The weight b + q alpha_i, built once."""
+        mu = line.get(q)
+        if mu is None:
+            mu = line[q] = tuple([x + q * a for x, a in zip(b, self.alpha)])
+        return mu
+
+
+def apply_Ti(R: Realization, i: int, f: LaurentPoly, table: Strings | None = None) -> LaurentPoly:
     """T_i f as range sums along alpha_i-strings (see the module docstring).
 
     Each monomial c e^mu adds +c (n > 0) or -c (n < 0) at the first position
     of its range on the string of b and takes it off again past the last one.
     A sweep over each string's sorted range ends then gives the coefficient
     of every position, and only positions with a nonzero sum become weights.
+    ``table`` is the run's table for letter i (a fresh one when omitted); it
+    enters every weight of f, so s_i mu can be read from it afterwards.
     """
-    alpha = R.alpha[i]
-    rank = len(alpha)
-    multiples: dict[int, Weight] = {}  # q -> q alpha_i
+    if table is None:
+        table = Strings(R, i)
+    elif table.i != i:
+        raise ValueError(f"the table of letter {table.i} cannot serve letter {i}")
+    data = table.data
     ends: dict[Weight, dict[int, int]] = {}  # b -> {range end q: jump at q}
     for mu, c in f.items():
-        if len(mu) != rank:
-            raise ValueError(f"weights of different rank: {mu}, {alpha}")
-        n = mu[i]
+        d = data.get(mu)
+        n, b, p, _ = table.add(mu) if d is None else d
         if not n:
             continue
-        p = n // 2
-        pa = multiples.get(p)
-        if pa is None:
-            pa = multiples[p] = tuple([p * a for a in alpha])
-        b = tuple(map(operator.sub, mu, pa))
         if n < 0:
             lo, hi, c = p, p - n, -c
         else:
@@ -76,7 +123,10 @@ def apply_Ti(R: Realization, i: int, f: LaurentPoly) -> LaurentPoly:
             jumps[lo] = jumps.get(lo, 0) + c
             jumps[hi] = jumps.get(hi, 0) - c
     out: LaurentPoly = {}
+    lines = table.lines
+    at = table.at
     for b, jumps in ends.items():
+        line = lines[b]
         qs = sorted(jumps)
         total = 0
         for k in range(len(qs) - 1):
@@ -84,25 +134,21 @@ def apply_Ti(R: Realization, i: int, f: LaurentPoly) -> LaurentPoly:
             total += jumps[q]
             if not total:
                 continue
-            qa = multiples.get(q)
-            if qa is None:
-                qa = multiples[q] = tuple([q * a for a in alpha])
-            term = tuple(map(operator.add, b, qa))
-            out[term] = total
-            for _ in range(qs[k + 1] - q - 1):
-                term = tuple(map(operator.add, term, alpha))
-                out[term] = total
+            for r in range(q, qs[k + 1]):
+                out[at(b, line, r)] = total
     return out
 
 
-def hecke_compose(W: WeylGroup, i: int, element: NilHeckeCoeffs) -> NilHeckeCoeffs:
-    """Left-multiply sum_y f_y T_y by T_i.
+def hecke_compose(W: WeylGroup, i: int, element: NilHeckeCoeffs, table: Strings) -> NilHeckeCoeffs:
+    """Left-multiply sum_y f_y T_y by T_i, consuming ``element``; ``table`` is
+    the run's table for letter i.
 
     T_i (f T_y) = (T_i f) T_y + (s_i f) T_i T_y, and T_i T_y is T_{s_i y} when
-    the length goes up, -T_y otherwise.
+    the length goes up, -T_y otherwise.  Each f_y leaves ``element`` as it is
+    read, so the old polynomials are freed while the new ones grow.
     """
+    data = table.data
     si = W.simple(i)
-    reflect = W.R.simple_reflection
     out: NilHeckeCoeffs = {}
 
     def add(y: WeylElt, f: LaurentPoly, sign: int = 1) -> None:
@@ -111,9 +157,10 @@ def hecke_compose(W: WeylGroup, i: int, element: NilHeckeCoeffs) -> NilHeckeCoef
         else:
             lp_add_into(out.setdefault(y, {}), f, sign)
 
-    for y, f in element.items():
-        add(y, apply_Ti(W.R, i, f))
-        twisted = {reflect(i, mu): c for mu, c in f.items()}
+    while element:
+        y, f = element.popitem()
+        add(y, apply_Ti(W.R, i, f, table))
+        twisted = {data[mu][3]: c for mu, c in f.items()}  # apply_Ti entered every mu
         siy = W.mult(si, y)
         if siy.length > y.length:
             add(siy, twisted)
@@ -124,9 +171,11 @@ def hecke_compose(W: WeylGroup, i: int, element: NilHeckeCoeffs) -> NilHeckeCoef
 
 def chevalley_recurrence(W: WeylGroup, w: WeylElt, lam: Weight) -> NilHeckeCoeffs:
     """The coefficients b_z with T_w e^lam = sum_z b_z T_z, by composing the
-    letters of a reduced word of w innermost-first."""
+    letters of a reduced word of w innermost-first.  The run owns one
+    ``Strings`` table per letter, so each weight's string data is worked out
+    once per letter, and every row of a step shares its letter's tuples."""
+    tables = {i: Strings(W.R, i) for i in set(w.word)}
     state: NilHeckeCoeffs = {W.e: lp_monomial(lam)}
     for i in reversed(w.word):
-        state = hecke_compose(W, i, state)
+        state = hecke_compose(W, i, state, tables[i])
     return state
-

@@ -712,3 +712,17 @@ def test_weight_takes_back_a_printed_corank_2_weight(tmp_path, capsys):
         assert code == 2, bad
         assert err.startswith("error:") and "delta=" in err, bad
         assert out == "", bad
+
+
+@pytest.mark.parametrize("model, module, name", [("nilhecke", "kmchev.kring", "chevalley_recurrence"),
+                                                 ("alcove", "kmchev.alcove", "chevalley_alcove")])
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, model, module, name):
+    """Exit 1 means the models disagree, so a MemoryError (a huge weight under
+    a low ulimit -v) exits 2 with one error: line instead of a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(f"{module}.{name}", exhausted)
+    code, out, err = run(capsys, ["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "1 2 1", "--model", model])
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"

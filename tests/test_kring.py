@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from kmchev.cartan import GCM, Realization, realization_from_preset, weight, wt_add, wt_neg, wt_scale
 from kmchev.cli import parse_word
 from kmchev.kring import (
+    Strings,
     apply_Ti,
     chevalley_recurrence,
     lp_add_into,
@@ -103,6 +104,46 @@ def test_ti_kills_a_long_string_and_its_reflection(R):
             f = {mu: 3, R.simple_reflection(i, mu): 3}
             assert apply_Ti(R, i, f) == reference_Ti(R, i, f) == {}
             assert len(apply_Ti(R, i, {mu: 1})) == abs(n)
+
+
+@pytest.mark.parametrize("R", [realization_from_preset(p) for p in ("A2", "G2", "A2~")] + [HYPERBOLIC, RANK3])
+@given(data=st.data())
+def test_one_table_per_letter_serves_a_sequence_of_polynomials(R, data):
+    """The tables of one run, one per letter, reused across random polynomials
+    in a random letter order: each T_i equals a fresh table's and the
+    reference formula's, and again gives the same tuples, every weight met
+    gets its s_i from its own letter's table, and a table refuses any other
+    letter."""
+    tables = [Strings(R, i) for i in range(R.n)]
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, R.n - 1))
+        f = data.draw(small_polys(R.N, width=5))
+        got = apply_Ti(R, i, f, tables[i])
+        assert got == apply_Ti(R, i, f) == reference_Ti(R, i, f)
+        assert {id(mu) for mu in apply_Ti(R, i, dict(f), tables[i])} == {id(mu) for mu in got}
+        for mu in f:
+            assert tables[i].data[mu][3] == R.simple_reflection(i, mu)
+        for j in range(R.n):
+            if j != i:
+                with pytest.raises(ValueError, match="letter"):
+                    apply_Ti(R, j, f, tables[i])
+
+
+SHARED = [(HYPERBOLIC, (1, 1), "0 1 0 1 0 1"), (realization_from_preset("A1~"), (1, 1, 0), "1 0 " * 6)]
+
+
+@pytest.mark.parametrize("R,lam,word", SHARED, ids=["hyp2-l6", "A1~-l12"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_each_weight_of_a_run_is_one_object(R, lam, word, sign):
+    """Every row of one run holds each weight as the same tuple, the one in
+    the last letter's table: as many weight objects as distinct weights,
+    not one per term."""
+    W = WeylGroup(R)
+    rows = chevalley_recurrence(W, W.from_word(parse_word(R, word)), wt_scale(sign, lam))
+    terms = [mu for poly in rows.values() for mu in poly]
+    assert len({id(mu) for mu in terms}) == len(set(terms))
+    if R is HYPERBOLIC and sign > 0:
+        assert (len(terms), len(set(terms))) == (68340, 8845)
 
 
 def test_ti_cancels_and_covers_every_sign_of_n():
