@@ -274,6 +274,7 @@ def _walk(W: WeylGroup, lam: Weight, start: WeylElt, monotonicity: str,
             rec(x, h, (h,) + hs if down else hs + (h,), tuple(map(operator.sub, wt, step)))
 
     rec(start, None, (), W.act(start, lam))
+    del rec  # rec holds itself through its cell: break the cycle, or it keeps `out` and `edges` until a collection
     return out, truncated
 
 

@@ -488,12 +488,28 @@ def realization_from_preset(name: str) -> Realization:
     return Realization(gcm, names)
 
 
+def _json_value(text: str):
+    """json.loads(text), read by the C scanner that json.decoder binds, so a
+    well-formed file loads neither json nor the re and enum it imports."""
+    from _json import make_scanner
+    from types import SimpleNamespace
+
+    scan = make_scanner(SimpleNamespace(strict=True, object_hook=None, object_pairs_hook=None,
+                                        parse_float=float, parse_int=int, parse_constant=float))
+    try:
+        value, end = scan(text, len(text) - len(text.lstrip(" \t\n\r")))
+        if not text[end:].strip(" \t\n\r"):
+            return value
+    except StopIteration:
+        pass
+    import json  # json's own error for what the scanner cannot read whole
+    return json.loads(text)
+
+
 def realization_from_json_file(path: str) -> Realization:
     """Load {"matrix": [[...]], "symmetrizer": [...]?, "nodes": [...]?} from a file."""
-    import json
-
     with open(path) as fh:
-        data = json.load(fh)
+        data = _json_value(fh.read())
     if not isinstance(data, dict):
         raise ValueError('expected a JSON object with a "matrix" key')
     gcm = GCM.from_matrix(data["matrix"])

@@ -1,15 +1,14 @@
 """Command line front end.
 
-Three subcommands:
+Three subcommands, each in the module that ``COMMANDS`` names and ``main``
+imports on the command's first run, so a run compiles only its own command:
 
-* ``chevalley`` -- fixed-w Chevalley rows (all three models, cross-checked
-  when ``--model all``), or the fixed-z expansion in the alcove model when
-  ``--z``/``--max-length`` are given;
-* ``crystal`` -- a Demazure (or opposite Demazure) set in both of its
-  realizations, cross-checked, emitting the one picked by ``--realization``;
-* ``selftest`` -- a scenario matrix of internal cross-checks, including a
-  negative control: the lex-decreasing tree folded like the dominant row
-  (what that row becomes with the lex comparator inverted) must disagree.
+* ``chevalley`` (this module) -- fixed-w Chevalley rows (all three models,
+  cross-checked when ``--model all``), or the fixed-z expansion in the alcove
+  model when ``--z``/``--max-length`` are given;
+* ``crystal`` (``cli_crystal``) -- a Demazure (or opposite Demazure) set in
+  both of its realizations, cross-checked, emitting the one ``--realization`` picks;
+* ``selftest`` (``cli_selftest``) -- a scenario matrix of internal cross-checks.
 
 Output formats: ``json`` (stable schema, deterministic ordering), ``table``
 (human-readable), ``dot`` (trees / crystal graphs).  JSON output is the exact
@@ -37,7 +36,6 @@ from __future__ import annotations
 import os
 import sys
 from _json import encode_basestring_ascii  # the C escaper json.encoder binds, without json or re
-from collections import Counter
 from functools import partial
 from itertools import chain
 from types import SimpleNamespace
@@ -395,200 +393,6 @@ def _emit_rows(args: SimpleNamespace, sign: int, R: Realization, lam: Weight, fi
         emit(args.out, ["\n".join([head] + [f"  [O_{u!r}] : {poly_str(R, rows[u])}" for u in order])])
 
 
-# -- crystal -----------------------------------------------------------------
-
-
-def cmd_crystal(args: SimpleNamespace) -> int:
-    from . import alcove, lspath
-    R, W, lam = _setup(args)
-
-    if args.opposite:
-        z = _over_z(args, R, W, "--opposite")
-        if args.format == "dot" and args.realization == "alcove":
-            raise CLIError("dot output for the alcove realization covers --w crystals only")
-        paths = lspath.opposite_demazure_ls(W, lam, z, args.max_length)
-        pairs, truncated = alcove.enumerate_z_adapted(W, lam, z, "inc", args.max_length)
-    else:
-        if args.w is None:
-            raise CLIError("crystal needs --w (or --opposite with --z)")
-        if args.z is not None or args.max_length is not None:
-            raise CLIError("--z and --max-length go with --opposite only")
-        w = W.from_word(parse_word(R, args.w))
-        paths = lspath.demazure_crystal(W, lam, w)
-        pairs = alcove.enumerate_tree_antidominant(W, lam, w)
-        truncated = False
-    # each path's weight, computed once for the cross-check and the output
-    path_wt = {p: lspath.endpoint(W, p) for p in paths}
-    wts_ls = sorted(path_wt.values())
-    wts_alc = sorted(wt for _, wt in pairs)
-
-    if len(paths) != len(pairs) or wts_ls != wts_alc:
-        if args.format == "table":
-            emit(args.out, ["\n".join(["realizations disagree"] + [
-                f"  {name} : {len(wts)} elements, {poly_str(R, Counter(wts))}"
-                for name, wts in (("ls", wts_ls), ("alcove", wts_alc))])])
-            return 1
-        report = {
-            "error": "realizations disagree",
-            "ls_count": len(paths),
-            "alcove_count": len(pairs),
-            "ls_weights": partial(items_text, partial(weight_obj, R), wts_ls),
-            "alcove_weights": partial(items_text, partial(weight_obj, R), wts_alc),
-        }
-        emit(args.out, json_pieces(report))
-        return 1
-
-    ordered_paths = sorted(paths, key=lspath.path_key)
-    if args.format == "json":
-        if args.realization == "ls":
-            elements = ordered_paths
-
-            def element(p):
-                return {
-                    "b": [lspath.ratio_text(*c) for c in lspath.cuts(p)],
-                    "dirs": [word_obj(R, d) for d in p.dirs],
-                    "weight": weight_obj(R, path_wt[p]),
-                }
-        else:
-            elements = pairs
-
-            def element(pair):
-                seq, wt = pair
-                return {
-                    "z": word_obj(R, seq.z),
-                    "labels": [alcove.format_hyperplane(lam, h) for h in seq.hs],
-                    "weight": weight_obj(R, wt),
-                }
-        doc = {
-            "cartan": R.gcm.to_json(),
-            "lambda": weight_obj(R, lam),
-            "realization": args.realization,
-            "count": len(elements),
-            "elements": partial(items_text, element, elements),
-            "truncated": truncated,
-        }
-        emit(args.out, json_pieces(doc))
-    elif args.format == "table":
-        lines = [f"{len(ordered_paths)} elements" + ("  (truncated)" if truncated else "")]
-        if args.realization == "ls":
-            for p in ordered_paths:
-                lines.append(f"  {p!r}  wt={R.format_weight(path_wt[p])}")
-        else:
-            for s, wt in pairs:
-                labels = ",".join(alcove.format_hyperplane(lam, h) for h in s.hs)
-                lines.append(f"  {s.z!r} [{labels}]  wt={R.format_weight(wt)}")
-        emit(args.out, ["\n".join(lines)])
-    elif args.realization == "ls":  # --format dot
-        emit(args.out, [lspath.crystal_dot(W, ordered_paths)])
-    else:
-        emit(args.out, [alcove.tree_dot(W, lam, pairs)])
-    return 0
-
-
-# -- selftest ----------------------------------------------------------------
-
-
-def _scn_triangles(cases) -> str | None:
-    """The three models agree on every (preset, weight, word) case, in both signs."""
-    for preset, lamtext, words in cases:
-        R = realization_from_preset(preset)
-        lam = R.parse_weight(lamtext)
-        for wtext in words:
-            for sign in (1, -1):
-                diffs = _rows_diff({m: _rows_for_model(m, R, lam, sign, parse_word(R, wtext))
-                                    for m in ("ls", "alcove", "nilhecke")})
-                if diffs:
-                    return (f"{preset} lam={lamtext} w={wtext} sign={sign}: "
-                            f"{len(diffs)} rows disagree (first at z={diffs[0][0]!r})")
-    return None
-
-
-def _scn_bijections() -> str | None:
-    from . import alcove, bridge
-    R = realization_from_preset("A2")
-    W = WeylGroup(R)
-    lam = R.parse_weight("1,1")
-    w = W.from_word((0, 1, 0))
-    for seq, _ in alcove.enumerate_tree_dominant(W, lam, w) + alcove.enumerate_tree_antidominant(W, lam, w):
-        base = seq.z if seq.monotonicity == "inc" else w
-        if bridge.ls_to_seq(W, bridge.seq_to_ls(W, lam, seq), base, seq.monotonicity) != seq:
-            return f"{seq.monotonicity} round-trip failed at {seq!r}"
-    return None
-
-
-def _scn_chain_axioms() -> str | None:
-    from . import alcove
-    for preset, lamtext in [("A2", "1,1"), ("A2", "2,1"), ("B2", "1,1"), ("G2", "1,0")]:
-        R = realization_from_preset(preset)
-        lam = R.parse_weight(lamtext)
-        ok, why = alcove.validate_lambda_chain_finite(R, lam, alcove.lex_chain(R, lam))
-        if not ok:
-            return f"{preset} lam={lamtext}: {why}"
-    return None
-
-
-def _scn_crystal_mass() -> str | None:
-    from . import lspath
-    R = realization_from_preset("A2")
-    W = WeylGroup(R)
-    lam = R.parse_weight("2,1")
-    paths = lspath.demazure_crystal(W, lam, W.from_word((0, 1, 0)))
-    if len(paths) != 15:
-        return f"expected 15 elements in the full crystal, got {len(paths)}"
-    return None
-
-
-def _scn_negative_control() -> str | None:
-    """The dominant alcove row built with the lex comparator inverted must
-    disagree with the recurrence.  Inverting the comparator turns the
-    lex-increasing tree into the lex-decreasing one, so that row is the
-    lex-decreasing tree folded at the "inc" levels."""
-    from . import alcove, kring
-    R = realization_from_preset("A2~")
-    W = WeylGroup(R)
-    lam = R.parse_weight("1,1,0")
-    w = W.from_word(parse_word(R, "0 1 2 1"))
-    inverted: dict = {}
-    for seq, _ in alcove.enumerate_tree_antidominant(W, lam, w):
-        kring.lp_add_into(inverted.setdefault(seq.z, {}), kring.lp_monomial(alcove.wt_fold(W, lam, seq, "inc")))
-    if not _rows_diff({"inverted": inverted, "nilhecke": kring.chevalley_recurrence(W, w, lam)}):
-        return "inverted lex comparator went undetected"
-    return None
-
-
-SCENARIOS = [
-    ("finite-triangles", partial(_scn_triangles, [("A2", "1,1", ["e", "1", "2 1", "1 2 1"]),
-                                                  ("B2", "1,2", ["2 1", "1 2 1", "2 1 2 1"])])),
-    ("affine-triangle", partial(_scn_triangles, [("A2~", "1,1,0", ["0 1 2 1"])])),
-    ("bijection-roundtrip", _scn_bijections),
-    ("chain-axioms", _scn_chain_axioms),
-    ("crystal-mass", _scn_crystal_mass),
-    ("negative-control", _scn_negative_control),
-]
-
-
-def cmd_selftest(args: SimpleNamespace) -> int:
-    if args.scenario is None:
-        selected = SCENARIOS
-    elif args.scenario == "":
-        selected = []
-    else:
-        selected = [(n, fn) for n, fn in SCENARIOS if args.scenario in n]
-        if not selected:
-            names = ", ".join(n for n, _ in SCENARIOS)
-            raise CLIError(f"no scenario matches {args.scenario!r}; scenarios are {names}")
-    results = []
-    for name, fn in selected:
-        try:
-            detail = fn()
-        except Exception as exc:  # a crashed scenario is a failed scenario
-            detail = f"exception: {exc!r}"
-        results.append({"name": name, "ok": detail is None, "detail": detail or "pass"})
-    doc = {"scenarios": results, "all_ok": all(r["ok"] for r in results)}
-    emit(args.out, json_pieces(doc))
-    return 0 if doc["all_ok"] else 1
-
-
 # -- entry point ---------------------------------------------------------------
 
 # {command: {"--name": (kind, default, help)}}: kind is str (free text), int,
@@ -619,10 +423,11 @@ OPTIONS = {
         "--out": (str, None, "write the report to this file"),
     },
 }
+# {command: (the module under kmchev that defines cmd_<command>, help line)}
 COMMANDS = {
-    "chevalley": (cmd_chevalley, "Chevalley coefficient rows"),
-    "crystal": (cmd_crystal, "Demazure / opposite Demazure sets"),
-    "selftest": (cmd_selftest, "internal cross-check scenarios"),
+    "chevalley": ("cli", "Chevalley coefficient rows"),
+    "crystal": ("cli_crystal", "Demazure / opposite Demazure sets"),
+    "selftest": ("cli_selftest", "internal cross-check scenarios"),
 }
 
 
@@ -707,7 +512,9 @@ def main(argv=None) -> int:
             if args is None:  # the help was printed
                 return 0
             env_layer_cap()  # a bad KMCHEV_LAYER_CAP is refused before any work
-            return COMMANDS[args.command][0](args)
+            module = f"kmchev.{COMMANDS[args.command][0]}"
+            __import__(module)  # not importlib.import_module, which -X importtime does not see
+            return getattr(sys.modules[module], f"cmd_{args.command}")(args)
         finally:  # a reader that left is seen here, not at exit
             if sys.stdout is not None:
                 sys.stdout.flush()
@@ -727,5 +534,6 @@ def main(argv=None) -> int:
     return 2
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # run the copy that cli_crystal and cli_selftest import, with its CLIError
+    from kmchev.cli import main
     raise SystemExit(main())

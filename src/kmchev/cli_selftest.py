@@ -1,0 +1,115 @@
+"""The ``selftest`` command: a scenario matrix of internal cross-checks,
+including a negative control: the lex-decreasing tree folded like the
+dominant row (what that row becomes with the lex comparator inverted) must
+disagree.  ``kmchev.cli`` imports this module the first time the command
+runs."""
+
+from __future__ import annotations
+
+from functools import partial
+from types import SimpleNamespace
+
+from .cartan import realization_from_preset
+from .cli import CLIError, _rows_diff, _rows_for_model, emit, json_pieces, parse_word
+from .weyl import WeylGroup
+
+
+def _scn_triangles(cases) -> str | None:
+    """The three models agree on every (preset, weight, word) case, in both signs."""
+    for preset, lamtext, words in cases:
+        R = realization_from_preset(preset)
+        lam = R.parse_weight(lamtext)
+        for wtext in words:
+            for sign in (1, -1):
+                diffs = _rows_diff({m: _rows_for_model(m, R, lam, sign, parse_word(R, wtext))
+                                    for m in ("ls", "alcove", "nilhecke")})
+                if diffs:
+                    return (f"{preset} lam={lamtext} w={wtext} sign={sign}: "
+                            f"{len(diffs)} rows disagree (first at z={diffs[0][0]!r})")
+    return None
+
+
+def _scn_bijections() -> str | None:
+    from . import alcove, bridge
+    R = realization_from_preset("A2")
+    W = WeylGroup(R)
+    lam = R.parse_weight("1,1")
+    w = W.from_word((0, 1, 0))
+    for seq, _ in alcove.enumerate_tree_dominant(W, lam, w) + alcove.enumerate_tree_antidominant(W, lam, w):
+        base = seq.z if seq.monotonicity == "inc" else w
+        if bridge.ls_to_seq(W, bridge.seq_to_ls(W, lam, seq), base, seq.monotonicity) != seq:
+            return f"{seq.monotonicity} round-trip failed at {seq!r}"
+    return None
+
+
+def _scn_chain_axioms() -> str | None:
+    from . import alcove
+    for preset, lamtext in [("A2", "1,1"), ("A2", "2,1"), ("B2", "1,1"), ("G2", "1,0")]:
+        R = realization_from_preset(preset)
+        lam = R.parse_weight(lamtext)
+        ok, why = alcove.validate_lambda_chain_finite(R, lam, alcove.lex_chain(R, lam))
+        if not ok:
+            return f"{preset} lam={lamtext}: {why}"
+    return None
+
+
+def _scn_crystal_mass() -> str | None:
+    from . import lspath
+    R = realization_from_preset("A2")
+    W = WeylGroup(R)
+    lam = R.parse_weight("2,1")
+    paths = lspath.demazure_crystal(W, lam, W.from_word((0, 1, 0)))
+    if len(paths) != 15:
+        return f"expected 15 elements in the full crystal, got {len(paths)}"
+    return None
+
+
+def _scn_negative_control() -> str | None:
+    """The dominant alcove row built with the lex comparator inverted must
+    disagree with the recurrence.  Inverting the comparator turns the
+    lex-increasing tree into the lex-decreasing one, so that row is the
+    lex-decreasing tree folded at the "inc" levels."""
+    from . import alcove, kring
+    R = realization_from_preset("A2~")
+    W = WeylGroup(R)
+    lam = R.parse_weight("1,1,0")
+    w = W.from_word(parse_word(R, "0 1 2 1"))
+    inverted: dict = {}
+    for seq, _ in alcove.enumerate_tree_antidominant(W, lam, w):
+        kring.lp_add_into(inverted.setdefault(seq.z, {}), kring.lp_monomial(alcove.wt_fold(W, lam, seq, "inc")))
+    if not _rows_diff({"inverted": inverted, "nilhecke": kring.chevalley_recurrence(W, w, lam)}):
+        return "inverted lex comparator went undetected"
+    return None
+
+
+SCENARIOS = [
+    ("finite-triangles", partial(_scn_triangles, [("A2", "1,1", ["e", "1", "2 1", "1 2 1"]),
+                                                  ("B2", "1,2", ["2 1", "1 2 1", "2 1 2 1"])])),
+    ("affine-triangle", partial(_scn_triangles, [("A2~", "1,1,0", ["0 1 2 1"])])),
+    ("bijection-roundtrip", _scn_bijections),
+    ("chain-axioms", _scn_chain_axioms),
+    ("crystal-mass", _scn_crystal_mass),
+    ("negative-control", _scn_negative_control),
+]
+
+
+def cmd_selftest(args: SimpleNamespace) -> int:
+    if args.scenario is None:
+        selected = SCENARIOS
+    elif args.scenario == "":
+        selected = []
+    else:
+        selected = [(n, fn) for n, fn in SCENARIOS if args.scenario in n]
+        if not selected:
+            names = ", ".join(n for n, _ in SCENARIOS)
+            raise CLIError(f"no scenario matches {args.scenario!r}; scenarios are {names}")
+    results = []
+    for name, fn in selected:
+        try:
+            detail = fn()
+        except Exception as exc:  # a crashed scenario is a failed scenario
+            detail = f"exception: {exc!r}"
+        results.append({"name": name, "ok": detail is None, "detail": detail or "pass"})
+    doc = {"scenarios": results, "all_ok": all(r["ok"] for r in results)}
+    emit(args.out, json_pieces(doc))
+    return 0 if doc["all_ok"] else 1

@@ -670,3 +670,33 @@ def test_inverted_lex_breaks_the_triangle(WAFF):
         lp_add_into(wrong.setdefault(seq.z, {}), lp_monomial(wt_fold(W, LAM, seq, "inc")))
     assert not rows_equal(rec, wrong)
     assert rows_equal(rec, chevalley_alcove(W, LAM, w, 1))
+
+
+def test_a_dropped_walk_leaves_no_garbage_behind():
+    """The walk's result is freed as soon as it is dropped: nothing of it
+    waits in a reference cycle for the collector.  gc stays off and a first
+    walk fills W's caches, so all a second walk made is in the youngest
+    generation; collecting it (which, unlike a full collection, leaves the
+    free lists alone) must free under 2% of the walk's tracemalloc peak."""
+    import gc
+    import tracemalloc
+
+    R = Realization(GCM.from_matrix([[2, -3], [-3, 2]]))
+    W = WeylGroup(R)
+    lam, w = R.parse_weight("1,1"), W.from_word((0, 1, 0, 1))
+    gc.disable()
+    tracemalloc.start()
+    try:
+        enumerate_tree_dominant(W, lam, w)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pairs = enumerate_tree_dominant(W, lam, w)
+        assert len(pairs) == 1006
+        del pairs
+        held, peak = tracemalloc.get_traced_memory()
+        gc.collect(0)
+        garbage = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert garbage < 0.02 * (peak - base), (garbage, peak - base)

@@ -432,6 +432,42 @@ def test_gcm_file_errors_exit_2(tmp_path, capsys):
         assert err.startswith("error:"), path
 
 
+GCM_TEXTS = {
+    "spaced": ' \n\t{"matrix": [[2, -1], [-1, 2]], "nodes": ["a", "b"]}\r\n ',
+    "trailing_garbage": '{"matrix": [[2, -1], [-1, 2]]} x',
+    "bom": '\ufeff{"matrix": [[2, -1], [-1, 2]]}',
+    "constants": '{"matrix": [[2, NaN], [-Infinity, 2]]}',
+    "empty": "",
+    "whitespace": " \n\t\r ",
+    "bad_json": "{not json",
+    "array": "[[2, -1], [-1, 2]]",
+    "duplicate_keys": '{"matrix": [[2, -1], [-1, 2]], "matrix": [[2, -2], [-2, 2]]}',
+}
+
+
+@pytest.mark.parametrize("name", GCM_TEXTS)
+def test_the_gcm_file_reader_reads_as_json_loads(tmp_path, capsys, monkeypatch, name):
+    """The --gcm-file reader gives the Realization, or the error: line, that
+    the same file gave when json.loads read it."""
+    from kmchev import cartan
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(GCM_TEXTS[name], encoding="utf-8")
+    argv = ["chevalley", "--gcm-file", str(path), "--weight", "1,0", "--w", "e"]
+
+    def outcome():
+        try:
+            R = cartan.realization_from_json_file(str(path))
+        except ValueError:
+            R = None
+        return (R.gcm, R.node_names) if R else None, run(capsys, argv)
+
+    got = outcome()
+    monkeypatch.setattr(cartan, "_json_value", json.loads)
+    assert got == outcome()
+    assert (got[0] is None) == (got[1][0] == 2)
+
+
 def test_unknown_preset_exits_2(capsys):
     code, out, err = run(capsys, ["chevalley", "--cartan", "B9", "--weight", "1,1", "--w", "e"])
     assert code == 2

@@ -5,8 +5,9 @@ Each check runs a fresh ``python -S`` with ``src/`` on PYTHONPATH and reads
 ``dis``) is never imported, a bare ``import kmchev`` loads no submodule,
 each model (``lspath`` with ``lifts``, ``alcove``, ``kring``) loads no other
 and neither the bridge between the first two, so ``--model nilhecke`` and a
-fixed-z ``--model alcove`` run load only their own model, and no run on a
-preset loads ``argparse``, ``json``, ``fractions`` or what they pull in.
+fixed-z ``--model alcove`` run load only their own model, each command loads
+no other command's module, and no run on a preset or on a well-formed
+``--gcm-file`` loads ``argparse``, ``json``, ``fractions`` or what they pull in.
 """
 import ast
 import os
@@ -39,7 +40,7 @@ def loaded_after(code: str) -> set:
 def test_cli_import_skips_dataclasses():
     loaded = loaded_after("import kmchev.cli")
     assert "dataclasses" not in loaded and "inspect" not in loaded
-    assert not {"kmchev.lspath", "kmchev.alcove", "kmchev.kring"} & loaded
+    assert not {"kmchev.lspath", "kmchev.alcove", "kmchev.kring", "kmchev.cli_crystal", "kmchev.cli_selftest"} & loaded
 
 
 def test_nilhecke_run_loads_neither_other_model():
@@ -88,22 +89,30 @@ def test_exports_are_unchanged():
 HEAVY = {"argparse", "re", "enum", "json", "fractions", "decimal", "shutil", "locale", "gettext"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "1 2"],
-    ["crystal", "--cartan", "A2~", "--weight", "1,1,0", "--w", "0 1 2 1", "--realization", "alcove"],
-    ["selftest"],
+def loaded_by_run(argv: list) -> set:
+    """The names in sys.modules after a fresh `python -S` runs kmchev argv."""
+    return loaded_after(f"from kmchev import cli\nif cli.main({argv!r}):\n    raise SystemExit('the run failed')")
+
+
+# each command's module, and those of the other commands, which its run never loads
+@pytest.mark.parametrize("argv, own, others", [
+    (["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "1 2"], "cli", {"cli_crystal", "cli_selftest"}),
+    (["crystal", "--cartan", "A2~", "--weight", "1,1,0", "--w", "0 1 2 1", "--realization", "alcove"], "cli_crystal",
+     {"cli_selftest"}),
+    (["selftest"], "cli_selftest", {"cli_crystal"}),
 ], ids=["chevalley-all", "crystal", "selftest"])
-def test_a_run_on_a_preset_loads_no_heavy_stdlib_module(argv):
-    loaded = loaded_after(f"from kmchev import cli\nif cli.main({argv!r}):\n    raise SystemExit('the run failed')")
-    assert {"kmchev.lspath", "kmchev.alcove"} <= loaded
+def test_a_run_on_a_preset_loads_no_heavy_stdlib_module(argv, own, others):
+    loaded = loaded_by_run(argv)
+    assert {"kmchev.lspath", "kmchev.alcove", f"kmchev.{own}"} <= loaded
     assert not HEAVY & loaded, sorted(HEAVY & loaded)
+    assert not {f"kmchev.{m}" for m in others} & loaded, sorted({f"kmchev.{m}" for m in others} & loaded)
 
 
-def test_a_gcm_file_run_loads_json_and_no_other_heavy_module(tmp_path):
-    """json.decoder imports re, and re enum: those come with json."""
+def test_a_well_formed_gcm_file_run_loads_no_heavy_stdlib_module(tmp_path):
+    """The file is read by the C scanner of _json, without json and the re
+    and enum it imports, and a chevalley run compiles no other command."""
     gcm = tmp_path / "g2.json"
-    gcm.write_text('{"matrix": [[2, -1], [-3, 2]]}')
-    argv = ["chevalley", "--gcm-file", str(gcm), "--weight", "1,0", "--w", "0 1"]
-    loaded = loaded_after(f"from kmchev import cli\nif cli.main({argv!r}):\n    raise SystemExit('the run failed')")
-    assert "json" in loaded
-    assert not (HEAVY - {"json", "re", "enum"}) & loaded, sorted(HEAVY & loaded)
+    gcm.write_text('\n{"matrix": [[2, -1], [-3, 2]]}\n')
+    loaded = loaded_by_run(["chevalley", "--gcm-file", str(gcm), "--weight", "1,0", "--w", "0 1"])
+    assert not HEAVY & loaded, sorted(HEAVY & loaded)
+    assert not {"kmchev.cli_crystal", "kmchev.cli_selftest"} & loaded
