@@ -18,7 +18,7 @@ from kmchev.alcove import (
     format_hyperplane,
     tree_dot,
 )
-from kmchev.cartan import realization_from_preset, weight, wt_neg
+from kmchev.cartan import realization_from_preset, wt_neg
 from kmchev.kring import chevalley_recurrence
 from kmchev.lspath import (
     chevalley_ls,
@@ -59,7 +59,7 @@ def main():
 
     R = realization_from_preset("A2~")
     W = WeylGroup(R)
-    lam = weight(*LAM_COORDS, 0)
+    lam = (*LAM_COORDS, 0)
     w = W.from_word(W_WORD)
     print(f"lam = Lambda_0 + Lambda_1 = ({R.format_weight(lam)}),  w = {w!r}")
 

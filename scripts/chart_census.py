@@ -13,7 +13,7 @@ import argparse
 from collections import Counter
 
 from chart import all_istrings, classify_string
-from kmchev.cartan import realization_from_preset, weight
+from kmchev.cartan import realization_from_preset
 from kmchev.lspath import demazure_crystal, iota, phi, stabilizer_nodes
 from kmchev.weyl import WeylGroup
 
@@ -56,7 +56,7 @@ def main():
         W = WeylGroup(R)
         group = W.bfs_ball(20)
         w0 = max(group, key=lambda u: u.length)
-        for lam in (weight(1, 0), weight(0, 1), weight(1, 1), weight(2, 1)):
+        for lam in ((1, 0), (0, 1), (1, 1), (2, 1)):
             pool = demazure_crystal(W, lam, w0)
             census(W, lam, pool, group, tally, unmatched)
         print(f"{preset}: cumulative {sum(tally.values())} configurations")
@@ -64,7 +64,7 @@ def main():
     if args.affine_length > 0:
         R = realization_from_preset("A2~")
         W = WeylGroup(R)
-        lam = weight(1, 1, 0, 0)
+        lam = (1, 1, 0, 0)
         w = W.from_word((0, 1, 2, 1))
         census(W, lam, demazure_crystal(W, lam, w),
                W.bfs_ball(args.affine_length), tally, unmatched)

@@ -8,15 +8,15 @@ Each exported name is imported from its module on first use (PEP 562), so
 from importlib import import_module
 
 _EXPORTS = {
-    "cartan": "GCM Coroot Realization Weight pairing realization_from_json_file realization_from_preset weight"
-              " wt_add wt_neg wt_scale",
+    "cartan": "GCM Coroot Realization Weight pairing realization_from_json_file realization_from_preset wt_add"
+              " wt_neg wt_scale",
     "weyl": "WeylElt WeylGroup",
     "lifts": "down interval_below up",
     "kring": "LaurentPoly apply_Ti chevalley_recurrence",
     "lspath": "LSPath chevalley_ls crystal_up_to demazure_crystal down_path e endpoint f lift_subset straight_path"
               " up_path",
     "alcove": "AdaptedSequence LambdaHyperplane chevalley_alcove enumerate_tree_antidominant enumerate_tree_dominant"
-              " enumerate_z_adapted lex_chain",
+              " enumerate_z_adapted",
     "bridge": "ls_to_seq seq_to_ls",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

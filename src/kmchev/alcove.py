@@ -1,10 +1,11 @@
-"""The alcove model: lambda-hyperplanes, lex chains, adapted sequences.
+"""The alcove model: lambda-hyperplanes, the lex order, adapted sequences.
 
 A lambda-hyperplane for a dominant weight lam is a pair (alpha, k) with alpha
 a positive real coroot and 0 <= k < <alpha, lam>.  The lex chain orders all of
 them by the vector (1/<alpha,lam>) * (k, c_1, ..., c_r) compared
-lexicographically, where c is the coroot's coordinate vector; this is a total
-order satisfying both chain axioms:
+lexicographically (lex_less), where c is the coroot's coordinate vector; this
+is a total order satisfying both chain axioms, which tests/reference.py checks
+on the full chain in finite type (outside it the chain is infinite):
 
 (1) (alpha, k) precedes (alpha, k') whenever k < k';
 (2) for a hyperplane h, a positive coroot alpha != beta = first(h), and any
@@ -84,71 +85,6 @@ def format_hyperplane(lam: Weight, h: LambdaHyperplane) -> str:
     p = pairing(h.alpha, lam)
     suffix = f"/{p}" if p > 1 else ""
     return f"({h.k}|{','.join(map(str, h.alpha.c))}){suffix}"
-
-
-def lex_chain(R: Realization, lam: Weight) -> list[LambdaHyperplane]:
-    """The full lex chain (finite types only), in the order of lex_less."""
-    out = [LambdaHyperplane(alpha, k) for alpha in R.positive_coroots() for k in range(pairing(alpha, lam))]
-    out.sort(key=functools.cmp_to_key(lambda a, b: lex_less(lam, b, a) - lex_less(lam, a, b)))
-    return out
-
-
-def validate_lambda_chain_finite(R: Realization, lam: Weight, chain) -> tuple[bool, str | None]:
-    """Check both chain axioms for an explicit (finite) hyperplane sequence.
-
-    Axiom (1) is the per-coroot ordering of the levels k; completeness asks
-    each positive coroot alpha to occur exactly <alpha, lam> times with levels
-    0..<alpha,lam>-1.  Axiom (2) is the counting identity quoted in the module
-    docstring, checked for every position, every coroot pair and every integer
-    m (of either sign) making alpha + m*beta a positive coroot.
-    """
-    pos = R.positive_coroots()
-    by_c = {alpha.c: alpha for alpha in pos}
-    seen: dict[Coroot, list[int]] = {}
-    for h in chain:
-        if h.alpha not in by_c.values():
-            return False, f"{h!r}: not a positive coroot"
-        p = pairing(h.alpha, lam)
-        if not 0 <= h.k < p:
-            return False, f"{h!r}: level outside [0, {p})"
-        seen.setdefault(h.alpha, []).append(h.k)
-    for alpha in pos:
-        p = pairing(alpha, lam)
-        ks = seen.get(alpha, [])
-        if sorted(ks) != list(range(p)):
-            return False, f"{alpha!r}: levels {ks} != 0..{p - 1}"
-        if ks != sorted(ks):
-            return False, f"{alpha!r}: levels out of order"
-    # multiples m with alpha + m*beta a positive coroot, m != 0
-    def multiples(alpha: Coroot, beta: Coroot):
-        for gamma in pos:
-            diff = tuple(g - a for g, a in zip(gamma.c, alpha.c))
-            pairs = [(d, b) for d, b in zip(diff, beta.c) if b != 0]
-            if any(d % b for d, b in pairs):
-                continue
-            ms = {d // b for d, b in pairs}
-            if len(ms) != 1 or 0 in ms:
-                continue
-            m = ms.pop()
-            if all(d == m * b for d, b in zip(diff, beta.c)):
-                yield m, gamma
-
-    counts: dict[Coroot, int] = {alpha: 0 for alpha in pos}
-    for idx, h in enumerate(chain):
-        beta = h.alpha
-        for alpha in pos:
-            if alpha == beta:
-                continue
-            for m, gamma in multiples(alpha, beta):
-                lhs = counts[gamma]
-                rhs = counts[alpha] + m * counts[beta]
-                if lhs != rhs:
-                    return False, (
-                        f"position {idx} ({h!r}): N({gamma!r})={lhs} but "
-                        f"N({alpha!r}) + {m}*N({beta!r}) = {rhs}"
-                    )
-        counts[beta] += 1
-    return True, None
 
 
 # -- the folded reflection operators -------------------------------------------

@@ -13,13 +13,11 @@ All arithmetic is exact and weights are tuples of Python ints: weight sums,
 pairings and reflections are plain int arithmetic, and LS paths store no
 Fraction either (their step lengths are ints over one denominator).  The
 set-up of a realization is integer too: fraction-free Gauss-Jordan
-elimination gives the rank, the completion columns, Sylvester's test and
-the null root, and the symmetrizer is propagated as reduced int pairs.
-``fractions`` is imported only where a caller hands in a rational: a weight
-coordinate that ``int`` refuses, ``weight()`` and ``wt_scale`` by a
-non-int; ``_num`` turns an integral Fraction back into an int.  Non-integral
-input weights are rejected at the boundary (the CLI) and never reach the
-weight arithmetic.
+elimination gives the rank and the completion columns, and the symmetrizer
+is propagated as reduced int pairs.  Nothing here imports ``fractions``: a
+weight coordinate is whatever ``int`` reads, and parse_weight refuses any
+other text (``1/2``, ``1.5``, also ``2/2``), so a non-integral weight never
+reaches the weight arithmetic.
 """
 from __future__ import annotations
 
@@ -27,20 +25,7 @@ import math
 import operator
 
 # A weight, in the coordinates described in the module docstring.
-Weight = tuple
-
-
-def _num(x):
-    """Normalise a rational scalar: Fractions with denominator 1 become int."""
-    if type(x) is not int and x.denominator == 1:
-        return x.numerator
-    return x
-
-
-def weight(*coords) -> Weight:
-    from fractions import Fraction
-
-    return tuple(_num(Fraction(c)) for c in coords)
+Weight = tuple[int, ...]
 
 
 def _same_rank(u: Weight, v: Weight) -> None:
@@ -57,18 +42,13 @@ def wt_neg(u: Weight) -> Weight:
     return tuple(map(operator.neg, u))
 
 
-def wt_scale(c, u: Weight) -> Weight:
-    if type(c) is int:
-        return tuple([c * a for a in u])
-    from fractions import Fraction
-
-    c = Fraction(c)
-    return tuple(_num(c * a) for a in u)
+def wt_scale(c: int, u: Weight) -> Weight:
+    return tuple([c * a for a in u])
 
 
 def is_lattice(u: Weight) -> bool:
-    """True when every coordinate is an integer (an int or an integral Fraction)."""
-    return all(a.denominator == 1 for a in u)
+    """True when every coordinate is a Python int."""
+    return all(type(a) is int for a in u)
 
 
 # A Laurent polynomial in the e^mu, {weight: coefficient}, zero coefficients never stored
@@ -88,26 +68,20 @@ def lp_add_into(dst: LaurentPoly, src: LaurentPoly, sign: int = 1) -> None:
             dst.pop(mu, None)
 
 
-def _eliminate(rows) -> tuple[list[list[int]], list[int], list[int]]:
+def _eliminate(rows) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-    Returns (reduced, pivots, values): the reduced row echelon form with each
-    row divided by its gcd and each pivot positive (a positive multiple of
-    the rational reduced row), its pivot columns, and for each pivot the
-    entry that stood in the pivot position before any row swap -- zero
-    exactly when the pivot had to be swapped up from a lower row.  Every row
-    stays a positive multiple of its rational counterpart, so each value has
-    the sign of the rational one.  The rank is len(pivots).
+    Returns (reduced, pivots): the reduced row echelon form with each row
+    divided by its gcd and each pivot positive (a positive multiple of the
+    rational reduced row), and its pivot columns.  The rank is len(pivots).
     """
     mat = [list(row) for row in rows]
     pivots: list[int] = []
-    values: list[int] = []
     for col in range(len(mat[0]) if mat else 0):
         top = len(pivots)
         pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
-        values.append(mat[top][col])
         mat[top], mat[pivot] = mat[pivot], mat[top]
         row = mat[top]
         g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
@@ -120,7 +94,7 @@ def _eliminate(rows) -> tuple[list[list[int]], list[int], list[int]]:
                 g = math.gcd(*new)
                 mat[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
-    return mat, pivots, values
+    return mat, pivots
 
 
 def _components(a) -> list[list[int]]:
@@ -234,52 +208,8 @@ class GCM:
                     raise ValueError(f"off-diagonal entry a[{i}][{j}] > 0")
         return GCM(a, _symmetrizer(a))
 
-    def classify(self) -> str:
-        """Return "finite", "affine", or "indefinite".
-
-        Finite means the symmetrized matrix is positive definite: elimination
-        needs no row swap and every pivot is positive, which is Sylvester's
-        criterion read off the pivots.  Affine means every connected component
-        is finite or carries a strictly positive rational null vector.
-        """
-        kinds = []
-        for comp in _components(self.a):
-            _, pivots, values = _eliminate([[self.d[i] * self.a[i][j] for j in comp] for i in comp])
-            if pivots == list(range(len(comp))) and all(v > 0 for v in values):
-                kinds.append("finite")
-            elif _positive_null_vector([[self.a[i][j] for j in comp] for i in comp]) is not None:
-                kinds.append("affine")
-            else:
-                kinds.append("indefinite")
-        if "indefinite" in kinds:
-            return "indefinite"
-        if "affine" in kinds:
-            return "affine"
-        return "finite"
-
     def to_json(self) -> dict:
         return {"matrix": [list(r) for r in self.a], "symmetrizer": list(self.d)}
-
-
-def _positive_null_vector(mat) -> tuple[int, ...] | None:
-    """The primitive positive integer vector m with mat·m = 0 when the kernel
-    of the square matrix is one-dimensional and spanned by a vector whose
-    entries are all positive (or all negative); else None."""
-    n = len(mat)
-    reduced, pivots, _ = _eliminate(mat)
-    if len(pivots) != n - 1:
-        return None
-    # row r reads p_r m_{pivots[r]} + x_r m_free = 0 with its pivot p_r > 0:
-    # m_free = L, the lcm of the pivots, gives m_{pivots[r]} = -x_r L / p_r
-    free = next(c for c in range(n) if c not in pivots)
-    if not all(reduced[r][free] < 0 for r in range(n - 1)):
-        return None
-    scale = math.lcm(*(reduced[r][c] for r, c in enumerate(pivots)))
-    m = [scale] * n
-    for r, c in enumerate(pivots):
-        m[c] = -reduced[r][free] * scale // reduced[r][c]
-    g = math.gcd(*m)
-    return tuple(x // g for x in m)
 
 
 class Coroot:
@@ -300,10 +230,6 @@ class Coroot:
 
     def __hash__(self):
         return hash(self.c)
-
-    @property
-    def height(self) -> int:
-        return sum(self.c)
 
     def is_positive(self) -> bool:
         return all(x >= 0 for x in self.c)
@@ -383,33 +309,6 @@ class Realization:
     def is_dominant(self, mu: Weight) -> bool:
         return all(mu[i] >= 0 for i in range(self.n))
 
-    def positive_coroots_up_to(self, bound: float) -> list[Coroot]:
-        """All positive real coroots of height <= bound (math.inf for all, in
-        finite type), sorted by (height, c).
-
-        Generated by reflecting simple coroots; a real coroot stays positive
-        under s_i unless it is alpha_i^vee itself, so pruning at negatives is
-        sound.
-        """
-        seen = {beta.c: beta for beta in self.simple_coroots if beta.height <= bound}
-        frontier = list(seen.values())
-        while frontier:
-            new = []
-            for beta in frontier:
-                for i in range(self.n):
-                    img = self.reflect_coroot(i, beta)
-                    if img.c not in seen and img.is_positive() and img.height <= bound:
-                        seen[img.c] = img
-                        new.append(img)
-            frontier = new
-        return sorted(seen.values(), key=lambda b: (b.height, b.c))
-
-    def positive_coroots(self) -> list[Coroot]:
-        """All positive coroots; only available in finite type."""
-        if self.gcm.classify() != "finite":
-            raise ValueError("infinite root system; use positive_coroots_up_to")
-        return self.positive_coroots_up_to(math.inf)
-
     def parse_weight(self, text: str) -> Weight:
         """Parse "c_0,c_1,...[,delta=q ...]" into an ambient weight.
 
@@ -446,19 +345,12 @@ class Realization:
         return head + tail
 
 
-def _coordinate(text: str, tok: str):
-    """A weight coordinate: an int, or a Fraction (an int when integral) for
-    text that int() refuses but Fraction() reads, such as 1/2 or 1.5."""
+def _coordinate(text: str, tok: str) -> int:
+    """A weight coordinate: the int that int() reads, else ValueError."""
     try:
         return int(text)
     except ValueError:
-        pass
-    from fractions import Fraction
-
-    try:
-        return _num(Fraction(text))
-    except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
-        raise ValueError(f"weight coordinate {tok!r} is not a number") from None
+        raise ValueError(f"weight coordinate {tok!r} is not an integral number") from None
 
 
 PRESETS = {

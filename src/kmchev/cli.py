@@ -99,8 +99,6 @@ def parse_lam(R: Realization, text: str | None) -> Weight:
         lam = R.parse_weight(text)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    if not is_lattice(lam):
-        raise CLIError(f"weight {text!r} is not integral: every coordinate must be an integer")
     return lam
 
 
@@ -125,11 +123,9 @@ def _over_z(args: SimpleNamespace, R: Realization, W: WeylGroup, mode: str) -> W
 
 
 def weight_obj(R: Realization, mu: Weight) -> dict:
-    if not is_lattice(mu):
-        raise ValueError(f"weight {R.format_weight(mu)} is not integral")
     if json_corank(R) == 0:
-        return {"fund": [int(x) for x in mu]}
-    return {"fund": [int(x) for x in mu[: R.n]], "delta": int(mu[R.n])}
+        return {"fund": list(mu)}
+    return {"fund": list(mu[: R.n]), "delta": mu[R.n]}
 
 
 def word_obj(R: Realization, w: WeylElt) -> list:

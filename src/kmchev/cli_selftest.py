@@ -42,17 +42,6 @@ def _scn_bijections() -> str | None:
     return None
 
 
-def _scn_chain_axioms() -> str | None:
-    from . import alcove
-    for preset, lamtext in [("A2", "1,1"), ("A2", "2,1"), ("B2", "1,1"), ("G2", "1,0")]:
-        R = realization_from_preset(preset)
-        lam = R.parse_weight(lamtext)
-        ok, why = alcove.validate_lambda_chain_finite(R, lam, alcove.lex_chain(R, lam))
-        if not ok:
-            return f"{preset} lam={lamtext}: {why}"
-    return None
-
-
 def _scn_crystal_mass() -> str | None:
     from . import lspath
     R = realization_from_preset("A2")
@@ -87,7 +76,6 @@ SCENARIOS = [
                                                   ("B2", "1,2", ["2 1", "1 2 1", "2 1 2 1"])])),
     ("affine-triangle", partial(_scn_triangles, [("A2~", "1,1,0", ["0 1 2 1"])])),
     ("bijection-roundtrip", _scn_bijections),
-    ("chain-axioms", _scn_chain_axioms),
     ("crystal-mass", _scn_crystal_mass),
     ("negative-control", _scn_negative_control),
 ]

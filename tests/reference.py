@@ -1,7 +1,11 @@
 """References that the tests compare the library against.
 
 The lifts are recomputed by scanning a BFS ball, the lex order of
-hyperplanes in Fractions (stdvec), the chain-axiom counts N_{<h} in a
+hyperplanes in Fractions (stdvec), the positive real coroots by reflecting
+simple ones (positive_coroots_up_to, all of them in finite type), the full
+lex chain of a finite type sorted by the shipped lex_less (lex_chain) and
+both chain axioms checked on it position by position
+(validate_lambda_chain_finite), the chain-axiom counts N_{<h} in a
 closed form that also holds where the lex chain is infinite, a word of T_i
 operators by applying its letters one at a time, a nilHecke coefficient by
 the signed-subword formula (chevalley_explicit, a sum of 2^N terms for a
@@ -16,10 +20,12 @@ validation_error checks that a path is a genuine LS path of its shape, by
 the definition.  pytest does not rewrite the asserts of this helper module,
 so a check that must hold under python -O raises explicitly.
 """
+import functools
 import itertools
 from fractions import Fraction as Q
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
+from kmchev.alcove import LambdaHyperplane, lex_less
 from kmchev.cartan import _components, pairing
 from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
 from kmchev.lspath import LSPath, stabilizer_nodes
@@ -65,6 +71,98 @@ def stdvec(lam, h):
     if not 0 <= h.k < p:
         raise ValueError(f"{h!r} is not a hyperplane for this weight")
     return (Q(h.k, p),) + tuple(Q(c, p) for c in h.alpha.c)
+
+
+def positive_coroots_up_to(R, bound=inf):
+    """All positive real coroots of height (sum of c) at most bound, sorted
+    by (height, c); bound=inf, the default, only in finite type.
+
+    Generated by reflecting simple coroots: a real coroot stays positive
+    under s_i unless it is alpha_i^vee itself, so pruning at negatives is
+    sound.
+    """
+    if bound == inf and classify_rational(R.gcm.a, R.gcm.d) != "finite":
+        raise ValueError("infinite root system: give a height bound")
+    seen = {beta.c: beta for beta in R.simple_coroots if sum(beta.c) <= bound}
+    frontier = list(seen.values())
+    while frontier:
+        new = []
+        for beta in frontier:
+            for i in range(R.n):
+                img = R.reflect_coroot(i, beta)
+                if img.c not in seen and img.is_positive() and sum(img.c) <= bound:
+                    seen[img.c] = img
+                    new.append(img)
+        frontier = new
+    return sorted(seen.values(), key=lambda b: (sum(b.c), b.c))
+
+
+def lex_chain(R, lam):
+    """The full lex chain (finite type only), sorted by the shipped lex_less."""
+    out = [LambdaHyperplane(alpha, k) for alpha in positive_coroots_up_to(R) for k in range(pairing(alpha, lam))]
+    out.sort(key=functools.cmp_to_key(lambda a, b: lex_less(lam, b, a) - lex_less(lam, a, b)))
+    return out
+
+
+def validate_lambda_chain_finite(R, lam, chain):
+    """(ok, why): both chain axioms checked on an explicit (finite) hyperplane
+    sequence.
+
+    Axiom (1) is the per-coroot ordering of the levels k; completeness asks
+    each positive coroot alpha to occur exactly <alpha, lam> times with levels
+    0..<alpha,lam>-1.  Axiom (2) is the counting identity N_{<h}(alpha + m
+    beta) = N_{<h}(alpha) + m N_{<h}(beta) for beta = first(h), checked for
+    every position, every coroot pair and every integer m (of either sign)
+    making alpha + m*beta a positive coroot.
+    """
+    pos = positive_coroots_up_to(R)
+    by_c = {alpha.c: alpha for alpha in pos}
+    seen = {}
+    for h in chain:
+        if h.alpha not in by_c.values():
+            return False, f"{h!r}: not a positive coroot"
+        p = pairing(h.alpha, lam)
+        if not 0 <= h.k < p:
+            return False, f"{h!r}: level outside [0, {p})"
+        seen.setdefault(h.alpha, []).append(h.k)
+    for alpha in pos:
+        p = pairing(alpha, lam)
+        ks = seen.get(alpha, [])
+        if sorted(ks) != list(range(p)):
+            return False, f"{alpha!r}: levels {ks} != 0..{p - 1}"
+        if ks != sorted(ks):
+            return False, f"{alpha!r}: levels out of order"
+
+    def multiples(alpha, beta):
+        """(m, gamma) for each m != 0 with gamma = alpha + m*beta positive."""
+        for gamma in pos:
+            diff = tuple(g - a for g, a in zip(gamma.c, alpha.c))
+            pairs = [(d, b) for d, b in zip(diff, beta.c) if b != 0]
+            if any(d % b for d, b in pairs):
+                continue
+            ms = {d // b for d, b in pairs}
+            if len(ms) != 1 or 0 in ms:
+                continue
+            m = ms.pop()
+            if all(d == m * b for d, b in zip(diff, beta.c)):
+                yield m, gamma
+
+    counts = {alpha: 0 for alpha in pos}
+    for idx, h in enumerate(chain):
+        beta = h.alpha
+        for alpha in pos:
+            if alpha == beta:
+                continue
+            for m, gamma in multiples(alpha, beta):
+                lhs = counts[gamma]
+                rhs = counts[alpha] + m * counts[beta]
+                if lhs != rhs:
+                    return False, (
+                        f"position {idx} ({h!r}): N({gamma!r})={lhs} but "
+                        f"N({alpha!r}) + {m}*N({beta!r}) = {rhs}"
+                    )
+        counts[beta] += 1
+    return True, None
 
 
 def count_before(lam, eta, h):

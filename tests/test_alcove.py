@@ -19,15 +19,13 @@ from kmchev.alcove import (
     enumerate_z_adapted,
     format_hyperplane,
     hs_apply,
-    lex_chain,
     lex_cut,
     lex_less,
     tree_dot,
-    validate_lambda_chain_finite,
     wt_fold,
 )
 from kmchev.bridge import _label_chains, increasing_chain, ls_to_seq, refl_less, seq_to_ls
-from kmchev.cartan import GCM, Realization, pairing, realization_from_preset, weight, wt_neg, wt_scale
+from kmchev.cartan import GCM, Realization, pairing, realization_from_preset, wt_neg
 from kmchev.kring import chevalley_recurrence, lp_add_into, lp_monomial
 from kmchev.lspath import (
     chevalley_ls,
@@ -38,19 +36,27 @@ from kmchev.lspath import (
     stabilizer_nodes,
 )
 from kmchev.weyl import WeylGroup
-from reference import count_before, ls_path, stdvec
+from reference import (
+    classify_rational,
+    count_before,
+    lex_chain,
+    ls_path,
+    positive_coroots_up_to,
+    stdvec,
+    validate_lambda_chain_finite,
+)
 
-LAM = weight(1, 1, 0, 0)
+LAM = (1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)
 
 
 def hyperplanes_for(R, lam, bound=4):
     """All (coroot, level) hyperplanes crossed by the lam segment, coroots
     restricted to the given height ball in the affine case."""
-    if R.gcm.classify() == "finite":
-        coroots = R.positive_coroots()
+    if classify_rational(R.gcm.a, R.gcm.d) == "finite":
+        coroots = positive_coroots_up_to(R)
     else:
-        coroots = R.positive_coroots_up_to(bound)
+        coroots = positive_coroots_up_to(R, bound)
     out = []
     for eta in coroots:
         for k in range(max(0, pairing(eta, lam))):
@@ -93,9 +99,9 @@ def test_reflection_fixed_points(WAFF):
     R = WAFF.R
     for h in hyperplanes_for(R, LAM, bound=3):
         p = pairing(h.alpha, LAM)
-        probe = wt_scale(Q(1, 7), LAM)
+        probe = tuple(Q(x, 7) for x in LAM)
         for level, b in ((h.k, Q(h.k, p)), (p - h.k, 1 - Q(h.k, p))):
-            fixed = wt_scale(b, LAM)
+            fixed = tuple(b * x for x in LAM)
             assert hs_apply(R, h, fixed, level) == fixed
             assert hs_apply(R, h, hs_apply(R, h, probe, level), level) == probe
 
@@ -105,16 +111,16 @@ def test_reflection_fixed_points(WAFF):
 
 @pytest.mark.parametrize("coords,size", [((1, 1), 4), ((2, 1), 6)])
 def test_lex_chain_sizes(WA2, coords, size):
-    lam = weight(*coords)
+    lam = coords
     chain = lex_chain(WA2.R, lam)
     assert len(chain) == size
-    assert len(chain) == sum(pairing(b, lam) for b in WA2.R.positive_coroots())
+    assert len(chain) == sum(pairing(b, lam) for b in positive_coroots_up_to(WA2.R))
 
 
 def test_lex_chain_satisfies_the_axioms(WA2, WB2, WG2):
     for W, lam in [
-        (WA2, weight(1, 1)),
-        (WA2, weight(2, 1)),
+        (WA2, (1, 1)),
+        (WA2, (2, 1)),
         (WB2, WB2.R.rho),
         (WG2, WG2.R.rho),
     ]:
@@ -123,7 +129,7 @@ def test_lex_chain_satisfies_the_axioms(WA2, WB2, WG2):
 
 
 def test_chain_axioms_reject_mutations(WA2, WG2):
-    lam = weight(2, 1)
+    lam = (2, 1)
     chain = lex_chain(WA2.R, lam)
     # swapping the two levels of one coroot breaks the level-order axiom
     idx = [i for i, h in enumerate(chain) if pairing(h.alpha, lam) >= 2][:2]
@@ -142,9 +148,9 @@ def test_chain_axioms_reject_mutations(WA2, WG2):
 
 
 def test_count_before_matches_brute_force_finite(WA2, WB2):
-    for W, lam in [(WA2, weight(2, 1)), (WB2, WB2.R.rho)]:
+    for W, lam in [(WA2, (2, 1)), (WB2, WB2.R.rho)]:
         chain = lex_chain(W.R, lam)
-        etas = W.R.positive_coroots()
+        etas = positive_coroots_up_to(W.R)
         for pos, h in enumerate(chain):
             for eta in etas:
                 explicit = sum(1 for hp in chain[:pos] if hp.alpha == eta)
@@ -170,7 +176,7 @@ def test_count_before_matches_brute_force_affine(WAFF):
 def order_cases(W):
     R = W.R
     lams = [R.rho, tuple(1 if k == 0 else 0 for k in range(R.N))]  # rho and the first fundamental weight
-    return [(R, lam, R.positive_coroots()) for lam in lams]
+    return [(R, lam, positive_coroots_up_to(R)) for lam in lams]
 
 
 def test_refl_less_is_a_strict_total_order(WA2, WB2, WG2):
@@ -245,7 +251,7 @@ def test_integer_lex_order_matches_rational_order(R, lamtext):
     """lex_less cross-multiplies int vectors; sorting with it must give the
     order of the rational vectors stdvec, and refl_less likewise."""
     lam = R.parse_weight(lamtext)
-    coroots = [a for a in R.positive_coroots_up_to(6) if pairing(a, lam) > 0]
+    coroots = [a for a in positive_coroots_up_to(R, 6) if pairing(a, lam) > 0]
     hs = [LambdaHyperplane(a, k) for a in coroots for k in range(pairing(a, lam))]
 
     def cmp(less):
@@ -260,7 +266,7 @@ def test_integer_lex_order_matches_rational_order(R, lamtext):
 def test_rational_level_chains_all_or_none(WA2, WB2):
     """If one saturated chain in an interval uses only reflections whose
     pairing with lam stays integral against the cut b, every chain does."""
-    for W, lam in [(WA2, weight(1, 1)), (WA2, weight(2, 1)), (WB2, WB2.R.rho)]:
+    for W, lam in [(WA2, (1, 1)), (WA2, (2, 1)), (WB2, WB2.R.rho)]:
         for b in (Q(1, 2), Q(1, 3), Q(2, 3)):
             def ok(beta):
                 return (b * pairing(beta, lam)).denominator == 1
@@ -321,7 +327,7 @@ def test_frozen_weights_and_conversions(afftrees):
     assert len(rightmost) == 1
     (leaf,) = rightmost
     assert leaf.z == W.from_word((1, 2))
-    assert wt_fold(W, LAM, leaf) == carried[leaf] == weight(1, 1, 0, -1)
+    assert wt_fold(W, LAM, leaf) == carried[leaf] == (1, 1, 0, -1)
     p1 = ls_path(LAM, (0, Q(2, 3)), (W.from_word((2, 1)), W.from_word((0, 2, 1))))
     assert seq_to_ls(W, LAM, leaf) == p1
     assert ls_to_seq(W, p1, leaf.z, "inc") == leaf
@@ -333,7 +339,7 @@ def test_frozen_weights_and_conversions(afftrees):
     assert len(s02) == 1
     (seq,) = s02
     assert tuple(format_hyperplane(LAM, h) for h in seq.hs) == ("(0|0,1,1)", "(0|0,1,0)")
-    assert wt_fold(W, LAM, seq) == carried[seq] == weight(-1, 2, 1, -1)
+    assert wt_fold(W, LAM, seq) == carried[seq] == (-1, 2, 1, -1)
     s0path = ls_path(LAM, (0,), (W.from_word((0,)),))
     assert seq_to_ls(W, LAM, seq) == s0path
     assert ls_to_seq(W, s0path, w, "dec") == seq
@@ -349,7 +355,7 @@ def test_tree_dot_output(afftrees):
 
 def test_round_trips_exhaustive_finite(WA2):
     W = WA2
-    for lam in (weight(1, 1), weight(1, 0)):
+    for lam in ((1, 1), (1, 0)):
         crystal_cache = {}
         for w in W.bfs_ball(10):
             dom = seqs(enumerate_tree_dominant(W, lam, w))
@@ -393,7 +399,7 @@ def test_round_trips_affine_frozen(afftrees):
 
 def test_fan_matches_trees_in_finite_type(WA2):
     W = WA2
-    lam = weight(1, 1)
+    lam = (1, 1)
     fan, truncated = enumerate_z_adapted(W, lam, W.from_word(()), "inc", 3)
     assert not truncated
     by_end = {}
@@ -420,7 +426,7 @@ def test_fan_truncation_affine(WAFF):
 def test_a_base_longer_than_the_bound_has_no_sequence(WA2, WAFF):
     """No adapted sequence over z stays within a bound below l(z), not even
     the empty one at z itself; the fan is cut off, so it is truncated."""
-    for W, lam, word in [(WA2, weight(1, 1), (0, 1)), (WAFF, LAM, (1, 2, 0))]:
+    for W, lam, word in [(WA2, (1, 1), (0, 1)), (WAFF, LAM, (1, 2, 0))]:
         z = W.from_word(word)
         for mono in ("inc", "dec"):
             for bound in range(z.length):
@@ -436,7 +442,7 @@ def test_rank3_hyperbolic_fan():
     """The fixed-z fan above e in rank-3 hyperbolic type, where the BFS
     layers double with each length; every bound truncates."""
     W = WeylGroup(RANK3_HYP)
-    lam = weight(1, 0, 0)  # Lambda_0
+    lam = (1, 0, 0)  # Lambda_0
     fan, truncated = enumerate_z_adapted(W, lam, W.e, "inc", 5)
     assert (len(fan), truncated) == (8882, True)
     fan4, truncated4 = enumerate_z_adapted(W, lam, W.e, "inc", 4)
@@ -582,9 +588,9 @@ def bad_arguments_raise():
     (alpha, k) that is not a hyperplane of lam, for labels out of order in
     seq_to_ls and for a negative level; returns how many raised."""
     W = WeylGroup(realization_from_preset("A2"))
-    lam = weight(1, 1)
-    alpha = W.R.positive_coroots()[0]
-    top = max(W.R.positive_coroots(), key=lambda beta: pairing(beta, lam))
+    lam = (1, 1)
+    alpha = positive_coroots_up_to(W.R)[0]
+    top = max(positive_coroots_up_to(W.R), key=lambda beta: pairing(beta, lam))
     # t = 1/2 before t = 0: not lex-increasing
     unordered = AdaptedSequence(W.e, (LambdaHyperplane(top, 1), LambdaHyperplane(alpha, 0)), W.e, "inc")
     calls = [
@@ -592,7 +598,7 @@ def bad_arguments_raise():
         lambda: enumerate_z_adapted(W, lam, W.e, "increasing", 2),
         lambda: ls_to_seq(W, ls_path(lam, (0,), (W.e,)), W.e, "Inc"),
         lambda: stdvec(lam, LambdaHyperplane(alpha, pairing(alpha, lam))),
-        lambda: stdvec(weight(0, 0), LambdaHyperplane(alpha, 0)),
+        lambda: stdvec((0, 0), LambdaHyperplane(alpha, 0)),
         lambda: seq_to_ls(W, lam, unordered),
         lambda: LambdaHyperplane(alpha, -1),
     ]
@@ -630,7 +636,7 @@ def rows_equal(a, b):
 
 def test_triangle_finite(WA2):
     W = WA2
-    for lam in (weight(1, 1), weight(2, 1)):
+    for lam in ((1, 1), (2, 1)):
         for w in W.bfs_ball(10):
             rec = chevalley_recurrence(W, w, lam)
             assert rows_equal(rec, chevalley_alcove(W, lam, w, 1))
@@ -647,9 +653,9 @@ def test_triangle_affine_frozen(WAFF):
     dom = chevalley_alcove(W, LAM, w, 1)
     assert rows_equal(rec, dom)
     three = {
-        weight(1, 1, 0, -1): 1,
-        weight(-1, 2, 1, -2): 1,
-        weight(-3, 3, 2, -3): 1,
+        (1, 1, 0, -1): 1,
+        (-1, 2, 1, -2): 1,
+        (-3, 3, 2, -3): 1,
     }
     assert dom[W.from_word((1, 2))] == three
     assert dom[W.from_word((1, 2, 1))] == three

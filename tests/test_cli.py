@@ -285,6 +285,8 @@ def test_non_integral_weights_exit_2(capsys):
         ["chevalley", "--cartan", "A2", "--weight", "1/2,1", "--w", "e"],
         ["chevalley", *AFF[:2], "--weight", "1,1,0,delta=1/2", "--w", "e"],
         ["crystal", "--cartan", "A2", "--weight", "1.5,0", "--w", "1"],
+        ["chevalley", "--cartan", "A2", "--weight", "2/2,1", "--w", "e"],  # no longer read as 1
+        ["chevalley", "--cartan", "A2", "--weight", "1/0,1", "--w", "e"],
     ]
     for argv in cases:
         code, out, err = run(capsys, argv)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kmchev.cartan import GCM, Realization, realization_from_preset, weight, wt_add, wt_neg, wt_scale
+from kmchev.cartan import GCM, Realization, realization_from_preset, wt_add, wt_neg, wt_scale
 from kmchev.cli import parse_word
 from kmchev.kring import (
     Strings,
@@ -28,12 +28,12 @@ def small_polys(n, width=3):
 
 def test_ti_on_a_fundamental_weight():
     R = realization_from_preset("A2")
-    assert apply_Ti(R, 0, lp_monomial(weight(1, 0))) == {weight(-1, 1): 1}
-    assert apply_Ti(R, 0, lp_monomial(weight(0, 5))) == {}
+    assert apply_Ti(R, 0, lp_monomial((1, 0))) == {(-1, 1): 1}
+    assert apply_Ti(R, 0, lp_monomial((0, 5))) == {}
     # n = 2: two terms down the alpha_1 string
-    assert apply_Ti(R, 0, lp_monomial(weight(2, 0))) == {weight(0, 1): 1, weight(-2, 2): 1}
+    assert apply_Ti(R, 0, lp_monomial((2, 0))) == {(0, 1): 1, (-2, 2): 1}
     # n = -1: a single term with a sign
-    assert apply_Ti(R, 0, lp_monomial(weight(-1, 1))) == {weight(-1, 1): -1}
+    assert apply_Ti(R, 0, lp_monomial((-1, 1))) == {(-1, 1): -1}
 
 
 def reference_Ti(R, i, f):
@@ -149,12 +149,12 @@ def test_each_weight_of_a_run_is_one_object(R, lam, word, sign):
 def test_ti_cancels_and_covers_every_sign_of_n():
     R = realization_from_preset("A2")
     # n = 2, 0, -3 and 1 on letter 0
-    f = {weight(2, 0): 1, weight(0, 5): 4, weight(-3, 2): -2, weight(1, -1): 7}
+    f = {(2, 0): 1, (0, 5): 4, (-3, 2): -2, (1, -1): 7}
     for i in range(R.n):
         assert apply_Ti(R, i, f) == reference_Ti(R, i, f)
     # T_0 e^{(2,0)} = e^{(0,1)} + e^{(-2,2)} and T_0 e^{(-2,2)} is its negative
-    assert apply_Ti(R, 0, {weight(2, 0): 1}) == {weight(0, 1): 1, weight(-2, 2): 1}
-    assert apply_Ti(R, 0, {weight(2, 0): 1, weight(-2, 2): 1}) == {}
+    assert apply_Ti(R, 0, {(2, 0): 1}) == {(0, 1): 1, (-2, 2): 1}
+    assert apply_Ti(R, 0, {(2, 0): 1, (-2, 2): 1}) == {}
 
 
 def test_ti_rejects_a_weight_of_another_rank():
@@ -203,7 +203,7 @@ def test_twisted_leibniz(preset, data):
 def test_demazure_operator_is_idempotent():
     """D_i = 1 + T_i satisfies D_i^2 = D_i, which is T_i^2 = -T_i."""
     R = realization_from_preset("B2")
-    f = {weight(2, -1): 3, weight(0, 1): -2}
+    f = {(2, -1): 3, (0, 1): -2}
 
     def apply_Di(i, g):
         out = dict(g)
@@ -217,7 +217,7 @@ def test_demazure_operator_is_idempotent():
 
 def test_explicit_matches_recurrence_finite(WA2):
     W = WA2
-    lam = weight(2, 1)
+    lam = (2, 1)
     for w in W.bfs_ball(3):
         rows = chevalley_recurrence(W, w, lam)
         for v in interval_below(W, w):
@@ -226,7 +226,7 @@ def test_explicit_matches_recurrence_finite(WA2):
 
 def test_explicit_matches_recurrence_affine_both_words(WAFF):
     W = WAFF
-    lam = weight(1, 1, 0, 0)
+    lam = (1, 1, 0, 0)
     w = W.from_word((0, 1, 2, 1))
     assert w == W.from_word((0, 2, 1, 2))
     rows = chevalley_recurrence(W, w, lam)
@@ -239,10 +239,10 @@ def test_explicit_matches_recurrence_affine_both_words(WAFF):
 def test_frozen_rank2_coefficient(WA2):
     # the smallest non-trivial coefficient with two summands
     W = WA2
-    lam = weight(2, 1)
+    lam = (2, 1)
     w = W.from_word((0, 1, 0))
     v = W.from_word((0,))
-    expected = {weight(-2, 0): 1, weight(-1, -2): 1}
+    expected = {(-2, 0): 1, (-1, -2): 1}
     assert chevalley_explicit(W, w, v, lam) == expected
     assert chevalley_recurrence(W, w, lam)[v] == expected
 
@@ -251,7 +251,7 @@ def test_frozen_rank2_coefficient(WA2):
 def test_dominant_rows_are_positive_sums(preset, lamc):
     R = realization_from_preset(preset)
     W = WeylGroup(R)
-    lam = weight(*lamc)
+    lam = lamc
     for w in W.bfs_ball(8):
         for z, poly in chevalley_recurrence(W, w, lam).items():
             assert all(c > 0 for c in poly.values()), (w, z, poly)
@@ -259,7 +259,7 @@ def test_dominant_rows_are_positive_sums(preset, lamc):
 
 def test_antidominant_rows_have_uniform_sign(WB2):
     W = WB2
-    lam = weight(1, 1)
+    lam = (1, 1)
     for w in W.bfs_ball(8):
         for z, poly in chevalley_recurrence(W, w, wt_neg(lam)).items():
             want = -1 if (w.length - z.length) % 2 else 1
@@ -296,7 +296,7 @@ def test_rows_are_cancellation_free_beyond_finite_type(name, lam, word, size):
 
 def test_rows_are_supported_on_the_interval(WB2):
     W = WB2
-    lam = weight(2, 1)
+    lam = (2, 1)
     for w in W.bfs_ball(8):
         below = interval_below(W, w)
         for z, poly in chevalley_recurrence(W, w, lam).items():
@@ -309,14 +309,14 @@ def test_act_distributes_over_ti():
     # commutes with multiplication: w(fg) = w(f) w(g)
     R = realization_from_preset("A2")
     W = WeylGroup(R)
-    f = {weight(1, 0): 2, weight(0, -1): 1}
-    g = {weight(-1, 1): 3}
+    f = {(1, 0): 2, (0, -1): 1}
+    g = {(-1, 1): 3}
     for w in W.bfs_ball(3):
         assert lp_act(W, w, lp_mul(f, g)) == lp_mul(lp_act(W, w, f), lp_act(W, w, g))
 
 
 def test_lp_helpers():
-    f = {weight(1, 0): 2}
-    g = {weight(1, 0): 2, weight(0, 1): -1}
-    assert lp_mul(f, g) == {weight(2, 0): 4, weight(1, 1): -2}
+    f = {(1, 0): 2}
+    g = {(1, 0): 2, (0, 1): -1}
+    assert lp_mul(f, g) == {(2, 0): 4, (1, 1): -2}
     assert lp_mul({}, g) == {}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kmchev.cartan import weight, wt_add, wt_neg
+from kmchev.cartan import wt_add, wt_neg
 from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
 from kmchev.lspath import (
     LSPath,
@@ -29,7 +29,7 @@ from kmchev.lspath import (
 from chart import all_istrings, classify_string, istring
 from reference import lp_act, ls_path, validation_error
 
-LAM = weight(1, 1, 0, 0)
+LAM = (1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)
 
 
@@ -142,7 +142,7 @@ def test_format_path(aff):
 def test_validation_diagnoses(aff):
     W, w, N = aff
     s1, s01 = W.from_word((1,)), W.from_word((0, 1))
-    bad_shape = ls_path(weight(1, -1, 0, 0), (0,), (W.from_word(()),))
+    bad_shape = ls_path((1, -1, 0, 0), (0,), (W.from_word(()),))
     assert "dominant" in validation_error(W, bad_shape)
     not_minimal = ls_path(LAM, (0,), (W.from_word((2,)),))
     assert "minimal" in validation_error(W, not_minimal)
@@ -405,7 +405,7 @@ def test_classification_covers_the_affine_example(aff):
 
 def test_regular_weight_excludes_branch_columns(WA2):
     W = WA2
-    lam = weight(1, 1)
+    lam = (1, 1)
     pool = demazure_crystal(W, lam, W.from_word((0, 1, 0)))
     tally = classification_sweep(W, lam, pool, W.bfs_ball(3))
     assert sum(tally.values()) > 0
@@ -470,7 +470,7 @@ def test_string_recurrence_consistency(aff):
 
 def test_full_crystal_mass_and_invariance(WA2):
     W = WA2
-    lam = weight(2, 1)
+    lam = (2, 1)
     w0 = W.from_word((0, 1, 0))
     paths = demazure_crystal(W, lam, w0)
     assert len(paths) == 15  # (a+1)(b+1)(a+b+2)/2 at a=2, b=1

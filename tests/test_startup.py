@@ -7,7 +7,8 @@ each model (``lspath`` with ``lifts``, ``alcove``, ``kring``) loads no other
 and neither the bridge between the first two, so ``--model nilhecke`` and a
 fixed-z ``--model alcove`` run load only their own model, each command loads
 no other command's module, and no run on a preset or on a well-formed
-``--gcm-file`` loads ``argparse``, ``json``, ``fractions`` or what they pull in.
+``--gcm-file`` loads ``argparse``, ``json``, ``fractions`` or what they pull in,
+nor does a run that refuses a non-integral ``--weight``.
 """
 import ast
 import os
@@ -22,9 +23,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 EXPORTS = sorted("""
     AdaptedSequence Coroot GCM LSPath LambdaHyperplane LaurentPoly Realization Weight WeylElt WeylGroup apply_Ti
     chevalley_alcove chevalley_ls chevalley_recurrence crystal_up_to demazure_crystal down down_path e endpoint
-    enumerate_tree_antidominant enumerate_tree_dominant enumerate_z_adapted f interval_below lex_chain lift_subset
-    ls_to_seq pairing realization_from_json_file realization_from_preset seq_to_ls straight_path up up_path weight
-    wt_add wt_neg wt_scale
+    enumerate_tree_antidominant enumerate_tree_dominant enumerate_z_adapted f interval_below lift_subset ls_to_seq
+    pairing realization_from_json_file realization_from_preset seq_to_ls straight_path up up_path wt_add wt_neg
+    wt_scale
 """.split())
 
 
@@ -76,7 +77,7 @@ def test_exports_are_unchanged():
     from kmchev import lspath
 
     assert sorted(kmchev.__all__) == EXPORTS
-    assert len(EXPORTS) == 39
+    assert len(EXPORTS) == 37
     namespace: dict = {}
     exec("from kmchev import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == EXPORTS
@@ -116,3 +117,12 @@ def test_a_well_formed_gcm_file_run_loads_no_heavy_stdlib_module(tmp_path):
     loaded = loaded_by_run(["chevalley", "--gcm-file", str(gcm), "--weight", "1,0", "--w", "0 1"])
     assert not HEAVY & loaded, sorted(HEAVY & loaded)
     assert not {"kmchev.cli_crystal", "kmchev.cli_selftest"} & loaded
+
+
+def test_a_refused_rational_weight_loads_neither_fractions_nor_decimal():
+    """A coordinate such as 1/2 is refused by int() alone: no Fraction is
+    built to read it first."""
+    loaded = loaded_after("from kmchev import cli\n"
+                          "if cli.main(['chevalley', '--cartan', 'A2', '--weight', '1/2,1', '--w', 'e']) != 2:\n"
+                          "    raise SystemExit('the weight was not refused')")
+    assert not {"fractions", "decimal"} & loaded, sorted({"fractions", "decimal"} & loaded)
