@@ -69,10 +69,8 @@ def main():
     for p in sorted(crystal, key=path_key):
         marks = [f"wt={R.format_weight(endpoint(W, p))}"]
         marks.append(f"down(w)={down_path(W, w, p)!r}")
-        try:
-            marks.append(f"up(s1*s2)={up_path(W, z_up, p)!r}")
-        except ValueError:
-            pass
+        if (x := up_path(W, z_up, p)) is not None:
+            marks.append(f"up(s1*s2)={x!r}")
         print(f"  {format_path(p):44s} {'  '.join(marks)}")
 
     dom_tree = enumerate_tree_dominant(W, lam, w)

@@ -5,15 +5,17 @@ An i-string is a maximal f_i-chain of LS paths.  Over a base element, the
 lift fibers of a string's members (lspath.lift_subset, up or down) fall into
 one of eight columns, U.1.1-U.3.2 for the up lifts and D.1.1-D.3.2 for the
 down ones; classify_string names the column and raises LookupError when no
-column describes the string.  This is the case analysis with which the
-paper repairs the gap in the Griffeth-Ram and Pittie-Ram proofs.  It checks
-kmchev.lspath from outside and no kmchev command runs it:
-scripts/chart_census.py and the tests import it from this directory.
+column describes the string.  A member that does not admit the base lies in
+no fiber: lspath.up_path and down_path return None for it.  This is the
+case analysis with which the paper repairs the gap in the Griffeth-Ram and
+Pittie-Ram proofs.  It checks kmchev.lspath from outside and no kmchev
+command runs it: scripts/chart_census.py and the tests import it from this
+directory.
 """
 
 from __future__ import annotations
 
-from kmchev.lspath import LSPath, _lifting, e, f, lift_subset, path_key, stabilizer_nodes
+from kmchev.lspath import LSPath, down_path, e, f, lift_subset, path_key, up_path
 from kmchev.weyl import WeylElt, WeylGroup
 
 
@@ -117,24 +119,23 @@ def classify_string(W: WeylGroup, S: IString, base: WeylElt, i: int, direction: 
     D-columns.  When the string branches to a second lift value off the
     {w, s_i w} pair, the branch column U.3.* / D.3.* is returned and the
     coarse view must match column *.1.1 / *.2.1.  A string the chart does
-    not describe raises LookupError.
+    not describe raises LookupError, and a direction other than "up" or
+    "down" raises ValueError.
     """
     if S.i != i:
         raise ValueError(f"the string runs in direction {S.i}, not {i}")
-    lam = S.head.lam
-    J = stabilizer_nodes(W.R, lam)
     members = frozenset(S.elements)
     si = W.simple(i)
     s_base = W.mult(si, base)
-    admits, lift = _lifting(W, base, J, direction)
-    admits_s, _ = _lifting(W, s_base, J, direction)
     # The per-direction pieces; everything below them is shared.
     if direction == "up":
-        tag, grows, end, far, strand = "U", 1, S.head, S.tail, S.elements[:-1]
+        lift, tag, grows, end, far, strand = up_path, "U", 1, S.head, S.tail, S.elements[:-1]
         length_error, coset_error = "classification over z needs s_i z > z", "z W_lam <= phi(head) fails"
-    else:
-        tag, grows, end, far, strand = "D", -1, S.tail, S.head, S.elements[1:]
+    elif direction == "down":
+        lift, tag, grows, end, far, strand = down_path, "D", -1, S.tail, S.head, S.elements[1:]
         length_error, coset_error = "classification over w needs s_i w < w", "iota(tail) <= w W_lam fails"
+    else:
+        raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
 
     def moves_on(x: WeylElt) -> bool:
         """Does s_i move x further in the lift's direction?"""
@@ -142,15 +143,14 @@ def classify_string(W: WeylGroup, S: IString, base: WeylElt, i: int, direction: 
 
     if not moves_on(base):
         raise ValueError(length_error)
-    if not admits(end):
+    if (x := lift(W, base, end)) is None:
         raise ValueError(coset_error)
-    x = lift(W, base, end)
     sx = W.mult(si, x)
     if not moves_on(x):
         raise LookupError(f"s_i does not move the lift {x!r} on")
 
     def observe(y: WeylElt):
-        return tuple(lift_subset(W, members, start, target, J, direction)
+        return tuple(lift_subset(W, members, start, target, direction)
                      for start in (base, s_base) for target in (y, W.mult(si, y)))
 
     size = len(S.elements)
@@ -158,10 +158,9 @@ def classify_string(W: WeylGroup, S: IString, base: WeylElt, i: int, direction: 
     primary = _match_columns(columns, observe(x), size)
     branch_values = set()
     for p in strand:
-        if admits_s(p):
-            y = lift(W, s_base, p)
-            if y not in (x, sx):
-                branch_values.add(y if moves_on(y) else W.mult(si, y))
+        y = lift(W, s_base, p)
+        if y is not None and y not in (x, sx):
+            branch_values.add(y if moves_on(y) else W.mult(si, y))
     if branch_values:
         if len(branch_values) > 1:
             raise LookupError(f"more than one branch value: {branch_values}")

@@ -97,46 +97,25 @@ def _eliminate(rows) -> tuple[list[list[int]], list[int]]:
     return mat, pivots
 
 
-def _components(a) -> list[list[int]]:
-    """Connected components of the Dynkin diagram (nodes i,j joined iff a_ij != 0)."""
-    n = len(a)
-    seen: set[int] = set()
-    comps = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j not in seen and (a[i][j] != 0 or a[j][i] != 0):
-                    seen.add(j)
-                    comp.append(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _symmetrizer(a) -> tuple[int, ...]:
     """Primitive positive integers d with d_i a_ij = d_j a_ji, or raise ValueError.
 
-    Ratios are propagated along the Dynkin diagram, each d_i held as a
-    reduced int pair (numerator, denominator); a cycle that forces an
-    inconsistent ratio means the matrix is not symmetrizable.
+    Ratios are propagated along the Dynkin diagram from each node not yet
+    reached (the root of its component), each d_i held as a reduced int pair
+    (numerator, denominator); a cycle that forces an inconsistent ratio means
+    the matrix is not symmetrizable.
     """
     n = len(a)
     d: list[tuple[int, int] | None] = [None] * n
-    for comp in _components(a):
-        d[comp[0]] = (1, 1)
-        stack = [comp[0]]
+    for root in range(n):
+        if d[root] is not None:
+            continue
+        d[root] = (1, 1)
+        stack = [root]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if a[i][j] == 0 and a[j][i] == 0:
-                    continue
-                if i == j:
+                if i == j or (a[i][j] == 0 and a[j][i] == 0):
                     continue
                 if (a[i][j] == 0) != (a[j][i] == 0):
                     raise ValueError(f"not symmetrizable: a[{i}][{j}], a[{j}][{i}] zero-pattern mismatch")

@@ -148,7 +148,6 @@ def hecke_compose(W: WeylGroup, i: int, element: NilHeckeCoeffs, table: Strings)
     read, so the old polynomials are freed while the new ones grow.
     """
     data = table.data
-    si = W.simple(i)
     out: NilHeckeCoeffs = {}
 
     def add(y: WeylElt, f: LaurentPoly, sign: int = 1) -> None:
@@ -161,7 +160,7 @@ def hecke_compose(W: WeylGroup, i: int, element: NilHeckeCoeffs, table: Strings)
         y, f = element.popitem()
         add(y, apply_Ti(W.R, i, f, table))
         twisted = {data[mu][3]: c for mu, c in f.items()}  # apply_Ti entered every mu
-        siy = W.mult(si, y)
+        siy = W.lmul(i, y)
         if siy.length > y.length:
             add(siy, twisted)
         else:

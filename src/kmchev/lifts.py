@@ -38,8 +38,8 @@ def up(W: WeylGroup, v: WeylElt, sigma: WeylElt, J) -> WeylElt:
 def interval_below(W: WeylGroup, w: WeylElt) -> set[WeylElt]:
     """The Bruhat interval [e, w], as the set of subword elements of w.word."""
     out = {W.e}
-    for i in w.word:
-        out |= {W.mult(u, W.simple(i)) for u in out}
+    for i in reversed(w.word):
+        out |= {W.lmul(i, u) for u in out}
     return out
 
 

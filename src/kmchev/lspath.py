@@ -30,11 +30,12 @@ path's chain (Littelmann, Paths and root operators, Ann. Math. 142, 1995).
 The images d(lam) are memoised per group.
 
 The module also provides Demazure and opposite Demazure subcrystals, the
-iterated Deodhar lifts of a path from a Weyl group element (up for the
-dominant rule, down for the antidominant one, through one lift_subset), and
-one fixed-w Chevalley row chevalley_ls for both signs.  The chart of how
-lifts vary along an i-string (the U.*/D.* case analysis) checks these lifts
-from outside, in scripts/chart.py.
+iterated Deodhar lifts of a path's direction chain from a Weyl group element
+(up_path for the dominant rule, down_path for the antidominant one, None off
+the cosets they admit), and one fixed-w Chevalley row chevalley_ls for both
+signs, which lifts each chain once.  The chart of how lifts vary along an
+i-string (the U.*/D.* case analysis) checks these lifts from outside, in
+scripts/chart.py.
 """
 
 from __future__ import annotations
@@ -257,59 +258,48 @@ def crystal_up_to(W: WeylGroup, lam: Weight, length_bound: int) -> frozenset:
 
 
 def opposite_demazure_ls(W: WeylGroup, lam: Weight, z: WeylElt, length_bound: int) -> frozenset:
-    """Paths p with phi(p) >= z W_lam whose lift from z stays within the
-    length bound.  Whether the bound cut any off is for the alcove fan over z
-    (enumerate_z_adapted) to say."""
-    zmin = W.coset_decompose(z, stabilizer_nodes(W.R, lam))[0]
+    """Paths p that admit an up lift of z (phi(p) >= z W_lam) and whose lift
+    stays within the length bound.  Whether the bound cut any off is for the
+    alcove fan over z (enumerate_z_adapted) to say."""
     return frozenset(p for p in crystal_up_to(W, lam, length_bound)
-                     if W.bruhat_leq(zmin, phi(p)) and up_path(W, z, p).length <= length_bound)
+                     if (x := up_path(W, z, p)) is not None and x.length <= length_bound)
 
 
 # -- lifts of paths ------------------------------------------------------------
 
 
-def up_path(W: WeylGroup, z: WeylElt, p: LSPath) -> WeylElt:
-    """Iterated minimal lifts of z along the direction chain, phi-end first.
-
-    Requires z W_lam <= phi(p); each later step is automatic because the
-    previous lift already lies weakly below the next coset.
-    """
+def up_path(W: WeylGroup, z: WeylElt, p: LSPath) -> WeylElt | None:
+    """Iterated minimal lifts of z along the chain p.dirs, phi-end first, or
+    None unless z W_lam <= phi(p); each later step is automatic because the
+    previous lift already lies weakly below the next coset."""
     J = stabilizer_nodes(W.R, p.lam)
+    if not W.bruhat_leq(W.coset_decompose(z, J)[0], phi(p)):
+        return None
     cur = z
     for sigma in p.dirs:
         cur = up(W, cur, sigma, J)
     return cur
 
 
-def down_path(W: WeylGroup, w: WeylElt, p: LSPath) -> WeylElt:
-    """Iterated maximal drops of w along the direction chain, iota-end first.
-
-    Requires iota(p) <= w W_lam.
-    """
+def down_path(W: WeylGroup, w: WeylElt, p: LSPath) -> WeylElt | None:
+    """Iterated maximal drops of w along the chain p.dirs, iota-end first, or
+    None unless iota(p) <= w W_lam."""
     J = stabilizer_nodes(W.R, p.lam)
+    if not W.bruhat_leq(iota(p), W.coset_decompose(w, J)[0]):
+        return None
     cur = w
     for sigma in reversed(p.dirs):
         cur = down(W, cur, sigma, J)
     return cur
 
 
-def _lifting(W: WeylGroup, start: WeylElt, J: frozenset, direction: str):
-    """(admits, lift) for lifting `start` along a path: "up" admits p when
-    start W_lam <= phi(p) and lifts by up_path, "down" admits p when
-    iota(p) <= start W_lam and lifts by down_path."""
-    smin = W.coset_decompose(start, J)[0]
-    if direction == "up":
-        return (lambda p: W.bruhat_leq(smin, phi(p))), up_path
-    if direction == "down":
-        return (lambda p: W.bruhat_leq(iota(p), smin)), down_path
-    raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
-
-
-def lift_subset(W: WeylGroup, paths, start: WeylElt, target: WeylElt, J: frozenset, direction: str) -> frozenset:
+def lift_subset(W: WeylGroup, paths, start: WeylElt, target: WeylElt, direction: str) -> frozenset:
     """The members of `paths` that lift `start` to `target`: Pu_{target,start}
     for direction "up" and Pd_{start,target} for "down"."""
-    admits, lift = _lifting(W, start, J, direction)
-    return frozenset(p for p in paths if admits(p) and lift(W, start, p) == target)
+    if direction not in ("up", "down"):
+        raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
+    lift = up_path if direction == "up" else down_path
+    return frozenset(p for p in paths if lift(W, start, p) == target)
 
 
 # -- Chevalley rows ------------------------------------------------------------
@@ -320,24 +310,31 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int, crystal=None)
     Pu_{w,z} of e^{p(1)} (sign > 0), or over Pd_{w,z} of
     (-1)^{l(w)-l(z)} e^{-p(1)} (sign < 0).  Rows with no term are omitted.
 
-    A path lifting some z to w has iota(p) = w W_lam, so sign > 0 tries
-    every z of [e, w] against those top paths only; sign < 0 partitions the
-    Demazure crystal by the drop of w along each path."""
+    The lifts read only a path's direction chain, so the terms of the paths
+    that share a chain are summed first and each chain is lifted once.  A
+    path lifting some z to w has iota(p) = w W_lam, so sign > 0 tries every
+    z of [e, w] against those top chains only; sign < 0 partitions the
+    Demazure crystal by the drop of w along each chain (ValueError for a path
+    outside it)."""
     if crystal is None:
         crystal = demazure_crystal(W, lam, w)
-    J = stabilizer_nodes(W.R, lam)
+    wmin = W.coset_decompose(w, stabilizer_nodes(W.R, lam))[0]
+    chains: dict[tuple, tuple[LSPath, LaurentPoly]] = {}  # dirs -> (one path with them, their terms)
+    for p in crystal:
+        if sign < 0 or iota(p) == wmin:
+            mu = endpoint(W, p)
+            lp_add_into(chains.setdefault(p.dirs, (p, {}))[1], lp_monomial(mu if sign > 0 else wt_neg(mu)))
     acc: dict[WeylElt, LaurentPoly] = {}
     if sign > 0:
-        wmin = W.coset_decompose(w, J)[0]
-        tops = {p: endpoint(W, p) for p in crystal if iota(p) == wmin}
         for z in interval_below(W, w):
-            for p in lift_subset(W, tops, z, w, J, "up"):
-                lp_add_into(acc.setdefault(z, {}), lp_monomial(tops[p]))
+            for rep, poly in chains.values():
+                if up_path(W, z, rep) == w:
+                    lp_add_into(acc.setdefault(z, {}), poly)
     else:
-        for p in crystal:
-            z = down_path(W, w, p)
-            sign_z = -1 if (w.length - z.length) % 2 else 1
-            lp_add_into(acc.setdefault(z, {}), lp_monomial(wt_neg(endpoint(W, p)), sign_z))
+        for rep, poly in chains.values():
+            if (z := down_path(W, w, rep)) is None:
+                raise ValueError(f"{format_path(rep)} lies outside the Demazure crystal of {w!r}")
+            lp_add_into(acc.setdefault(z, {}), poly, -1 if (w.length - z.length) % 2 else 1)
     return {z: acc[z] for z in sorted(acc, key=lambda u: u.key) if acc[z]}
 
 

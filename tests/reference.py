@@ -14,8 +14,9 @@ sort key in Fraction arithmetic (the library stores int step lengths over
 one denominator).  ls_path builds a path from its Fraction cut points b,
 the readable form the tests write, and ls_b reads them back.  The
 realization set-up is redone in Fraction arithmetic: Gauss-Jordan
-elimination (eliminate_rational), the symmetrizer, the positive null vector
-and the classification read off them.
+elimination (eliminate_rational), the Dynkin components by label
+propagation, the symmetrizer, the positive null vector and the
+classification read off them.
 validation_error checks that a path is a genuine LS path of its shape, by
 the definition.  pytest does not rewrite the asserts of this helper module,
 so a check that must hold under python -O raises explicitly.
@@ -26,7 +27,7 @@ from fractions import Fraction as Q
 from math import gcd, inf, lcm
 
 from kmchev.alcove import LambdaHyperplane, lex_less
-from kmchev.cartan import _components, pairing
+from kmchev.cartan import pairing
 from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
 from kmchev.lspath import LSPath, stabilizer_nodes
 
@@ -438,13 +439,28 @@ def eliminate_rational(rows):
     return mat, pivots, values
 
 
+def dynkin_components(a):
+    """The nodes of each connected component of the Dynkin diagram (i and j
+    joined when a_ij or a_ji is nonzero), sorted, in the order of their least
+    nodes: every node takes the least label of its neighbours until none moves."""
+    n = len(a)
+    label = list(range(n))
+    moved = True
+    while moved:
+        moved = False
+        for i, j in itertools.product(range(n), repeat=2):
+            if (a[i][j] or a[j][i]) and label[j] < label[i]:
+                label[i], moved = label[j], True
+    return [[i for i in range(n) if label[i] == root] for root in sorted(set(label))]
+
+
 def symmetrizer_rational(a):
     """Primitive positive integers d with d_i a_ij = d_j a_ji, each
     component's first node starting at 1 and the ratios propagated as
     Fractions; None when the matrix is not symmetrizable."""
     n = len(a)
     d = [None] * n
-    for comp in _components(a):
+    for comp in dynkin_components(a):
         d[comp[0]] = Q(1)
         stack = [comp[0]]
         while stack:
@@ -487,7 +503,7 @@ def classify_rational(a, d):
     """"finite", "affine" or "indefinite": per component, Sylvester's test on
     the rational pivots of the symmetrized matrix, else a positive null vector."""
     kinds = set()
-    for comp in _components(a):
+    for comp in dynkin_components(a):
         _, pivots, values = eliminate_rational([[d[i] * a[i][j] for j in comp] for i in comp])
         if pivots == list(range(len(comp))) and all(v > 0 for v in values):
             kinds.add("finite")

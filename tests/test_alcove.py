@@ -33,7 +33,6 @@ from kmchev.lspath import (
     down_path,
     endpoint,
     lift_subset,
-    stabilizer_nodes,
 )
 from kmchev.weyl import WeylGroup
 from reference import (
@@ -368,9 +367,8 @@ def test_round_trips_exhaustive_finite(WA2):
             byz = {}
             for seq in dom:
                 byz.setdefault(seq.z, set()).add(seq_to_ls(W, lam, seq))
-            J = stabilizer_nodes(W.R, lam)
             for z, got in byz.items():
-                assert got == lift_subset(W, crystal, z, w, J, "up")
+                assert got == lift_subset(W, crystal, z, w, "up")
 
             anti = seqs(enumerate_tree_antidominant(W, lam, w))
             for seq in anti:
@@ -497,8 +495,8 @@ def test_random_rank2_weights_and_rows(offdiag, coords, first, length):
     """A rank-2 GCM with off-diagonal entries down to -3 (finite, affine or
     hyperbolic), a dominant lam with coordinates 0-2 and a reduced word of
     length <= 4: the tree and the fan above w within l(w) + 1 carry the
-    weights of wt_fold, in both monotonicities, and the alcove rows equal
-    the recurrence's in both signs."""
+    weights of wt_fold, in both monotonicities, and the alcove and LS rows
+    equal the recurrence's in both signs."""
     W = rank2_group(*offdiag)
     w = W.from_word(tuple((first + k) % 2 for k in range(length)))
     assume(w.length == length)
@@ -507,8 +505,10 @@ def test_random_rank2_weights_and_rows(offdiag, coords, first, length):
         tree = (enumerate_tree_dominant if mono == "inc" else enumerate_tree_antidominant)(W, lam, w)
         fan, _ = enumerate_z_adapted(W, lam, w, mono, length + 1)
         assert carried_mismatches(W, lam, tree + fan) == []
-    assert chevalley_alcove(W, lam, w, 1) == chevalley_recurrence(W, w, lam)
-    assert chevalley_alcove(W, lam, w, -1) == chevalley_recurrence(W, w, wt_neg(lam))
+    for sign, mu in ((1, lam), (-1, wt_neg(lam))):
+        rows = chevalley_recurrence(W, w, mu)
+        assert chevalley_alcove(W, lam, w, sign) == rows
+        assert chevalley_ls(W, lam, w, sign) == rows
 
 
 # -- the admissible cut ----------------------------------------------------------

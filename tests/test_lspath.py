@@ -218,7 +218,8 @@ calls = [
     lambda: LSPath(lam, 1, []),  # an empty path
     lambda: LSPath(lam, 0, [(0, W.e)]),  # D <= 0
     lambda: classify_string(W, S, W.e, 1, "up"),  # a 0-string classified as a 1-string
-    lambda: lift_subset(W, [S.head], W.e, W.e, frozenset(), "sideways"),
+    lambda: lift_subset(W, [S.head], W.e, W.e, "sideways"),
+    lambda: classify_string(W, S, W.e, 0, "sideways"),
 ]
 raised = 0
 for call in calls:
@@ -240,7 +241,7 @@ def test_bad_arguments_raise_in_a_subprocess(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_ARGUMENTS], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "6"
+    assert proc.stdout.strip() == "7"
 
 
 def test_membership_is_initial_direction_below_w(aff):
@@ -276,17 +277,22 @@ def test_frozen_lifts(aff):
     }
     for name, zword in down_expect.items():
         assert down_path(W, w, N[name]) == W.from_word(zword), name
+    # a start off the admitted cosets: z W_lam <= phi(p), iota(p) <= w W_lam fail
+    assert up_path(W, W.from_word((1,)), N["str"]) is None
+    assert up_path(W, W.from_word((0,)), N["s1"]) is None
+    assert down_path(W, W.from_word((1, 2)), N["p1"]) is None
+    assert down_path(W, W.e, N["s0"]) is None
+    assert lift_subset(W, [N["s1"]], W.from_word((0,)), w, "up") == frozenset()
 
 
 def test_frozen_fibers(aff):
     W, w, N = aff
     C = frozenset(N.values())
-    J = stabilizer_nodes(W.R, LAM)
     three = frozenset({N["p1"], N["p2"], N["s021"]})
-    assert lift_subset(W, C, W.from_word((1, 2)), w, J, "up") == three
-    assert lift_subset(W, C, W.from_word((1, 2, 1)), w, J, "up") == three
-    assert lift_subset(W, C, W.from_word((0, 1, 2)), w, J, "up") == frozenset({N["s021"]})
-    assert lift_subset(W, C, w, W.from_word((1, 2)), J, "down") == frozenset({N["s1"], N["q2"]})
+    assert lift_subset(W, C, W.from_word((1, 2)), w, "up") == three
+    assert lift_subset(W, C, W.from_word((1, 2, 1)), w, "up") == three
+    assert lift_subset(W, C, W.from_word((0, 1, 2)), w, "up") == frozenset({N["s021"]})
+    assert lift_subset(W, C, w, W.from_word((1, 2)), "down") == frozenset({N["s1"], N["q2"]})
     # down-fibers partition the crystal
     fibers = {}
     for p in C:
@@ -314,6 +320,9 @@ def test_frozen_rows(aff):
     }
     assert arows[W.from_word((2,))] == {wt_neg(LAM): -1}
     assert arows[W.from_word((0, 1, 2, 1))] == {wt_neg(endpoint(W, N["s021"])): 1}
+    # C holds paths outside B_{s1 s2}(lam), which do not drop from s1 s2
+    with pytest.raises(ValueError, match="outside the Demazure crystal"):
+        chevalley_ls(W, LAM, W.from_word((1, 2)), -1, C)
 
 
 def test_crystal_growth_bound(aff):
@@ -457,11 +466,11 @@ def test_string_recurrence_consistency(aff):
                     if W.mult(si, x).length < x.length:
                         continue
                     sx = W.mult(si, x)
-                    A = string_mass(W, lift_subset(W, members, z, x, J, "up"))
-                    B = string_mass(W, lift_subset(W, members, z, sx, J, "up"))
+                    A = string_mass(W, lift_subset(W, members, z, x, "up"))
+                    B = string_mass(W, lift_subset(W, members, z, sx, "up"))
                     assert B == apply_Ti(R, i, A)
-                    Az = string_mass(W, lift_subset(W, members, sz, x, J, "up"))
-                    Bz = string_mass(W, lift_subset(W, members, sz, sx, J, "up"))
+                    Az = string_mass(W, lift_subset(W, members, sz, x, "up"))
+                    Bz = string_mass(W, lift_subset(W, members, sz, sx, "up"))
                     expect = apply_Ti(R, i, Az)
                     lp_add_into(expect, lp_act(W, si, A))
                     lp_add_into(expect, lp_act(W, si, Az), -1)
