@@ -125,8 +125,7 @@ def classify_string(W: WeylGroup, S: IString, base: WeylElt, i: int, direction: 
     if S.i != i:
         raise ValueError(f"the string runs in direction {S.i}, not {i}")
     members = frozenset(S.elements)
-    si = W.simple(i)
-    s_base = W.mult(si, base)
+    s_base = W.lmul(i, base)
     # The per-direction pieces; everything below them is shared.
     if direction == "up":
         lift, tag, grows, end, far, strand = up_path, "U", 1, S.head, S.tail, S.elements[:-1]
@@ -139,19 +138,19 @@ def classify_string(W: WeylGroup, S: IString, base: WeylElt, i: int, direction: 
 
     def moves_on(x: WeylElt) -> bool:
         """Does s_i move x further in the lift's direction?"""
-        return (W.mult(si, x).length - x.length) * grows > 0
+        return (W.lmul(i, x).length - x.length) * grows > 0
 
     if not moves_on(base):
         raise ValueError(length_error)
     if (x := lift(W, base, end)) is None:
         raise ValueError(coset_error)
-    sx = W.mult(si, x)
+    sx = W.lmul(i, x)
     if not moves_on(x):
         raise LookupError(f"s_i does not move the lift {x!r} on")
 
     def observe(y: WeylElt):
         return tuple(lift_subset(W, members, start, target, direction)
-                     for start in (base, s_base) for target in (y, W.mult(si, y)))
+                     for start in (base, s_base) for target in (y, W.lmul(i, y)))
 
     size = len(S.elements)
     columns = _columns(tag, members, end, far, frozenset(S.middle))
@@ -160,7 +159,7 @@ def classify_string(W: WeylGroup, S: IString, base: WeylElt, i: int, direction: 
     for p in strand:
         y = lift(W, s_base, p)
         if y is not None and y not in (x, sx):
-            branch_values.add(y if moves_on(y) else W.mult(si, y))
+            branch_values.add(y if moves_on(y) else W.lmul(i, y))
     if branch_values:
         if len(branch_values) > 1:
             raise LookupError(f"more than one branch value: {branch_values}")

@@ -22,9 +22,8 @@ def census(W, lam, pool, bases, tally, unmatched):
     J = stabilizer_nodes(W.R, lam)
     for i in range(W.n):
         for S in all_istrings(W, pool, i):
-            si = W.simple(i)
             for z in bases:
-                if W.mult(si, z).length > z.length and W.bruhat_leq(
+                if W.lmul(i, z).length > z.length and W.bruhat_leq(
                     W.coset_decompose(z, J)[0], phi(S.head)
                 ):
                     try:
@@ -32,7 +31,7 @@ def census(W, lam, pool, bases, tally, unmatched):
                     except LookupError:
                         unmatched.append((lam, i, z, S))
             for w in bases:
-                if W.mult(si, w).length < w.length and W.bruhat_leq(
+                if W.lmul(i, w).length < w.length and W.bruhat_leq(
                     iota(S.tail), W.coset_decompose(w, J)[0]
                 ):
                     try:

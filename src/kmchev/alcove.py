@@ -153,7 +153,7 @@ def _label_edges(W: WeylGroup, lam: Weight, v: WeylElt, down: bool, inc: bool) -
     The sort key is the lex vector (k, c) / p of lex_less scaled by the lcm
     L of the pairings, an int vector: each coroot's scaled tail c * L/p and
     its image v(beta) are built once and shared by its levels k."""
-    covers = W.cocovers(v) if down else W.covers_within(v, v.length + 1)
+    covers = W.cocovers(v) if down else W.covers(v)
     pairs = [(x, beta, pairing(beta, lam)) for x, beta in covers]
     scale = math.lcm(*(p for _, _, p in pairs if p > 0))
     at_k = down == inc  # the step's multiple of v(beta) is k, else <beta,lam> - k

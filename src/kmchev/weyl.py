@@ -1,4 +1,4 @@
-"""Weyl groups: elements, Bruhat order, inversions, covers, coset representatives.
+"""Weyl groups: elements, Bruhat order, covers and cocovers, coset representatives.
 
 An element is identified by its image w(rho) of the Weyl vector: rho is
 regular, so the orbit map is injective and equality/hashing reduce to tuple
@@ -9,13 +9,20 @@ each peel shortens the element by exactly one letter.
 Each group interns its elements and memoises the group law on them, after
 Casselman's integer Coxeter kernel (Invent. Math. 117, 1994): every element
 carries a link s_i·w per node, filled on first use and set in both directions
-(s_i² = e), so a product is a walk of links along the shorter factor's word.
-Inverses and parabolic decompositions are memoised per group as well; weights
-are still acted on by reflecting coordinates.  A coset wW_J is its minimal
+(s_i² = e), so an element is built from a word by a walk of links.  Inverses
+and parabolic decompositions are memoised per group as well; weights are
+still acted on by reflecting coordinates.  A coset wW_J is its minimal
 representative coset_decompose(w, J)[0], ordered in W/W_J by bruhat_leq.
 
+Bruhat order, cocovers and covers come from the lifting property (Deodhar,
+Invent. Math. 39, 1977): for a left descent i of w, v <= w iff s_i v <= s_i w
+when s_i v < v, else iff v <= s_i w.  So the cocovers of w are s_i w and the
+s_i v over the cocovers v of s_i w with s_i v > v, one memoised step per
+element; the covers of z are the elements of length l(z)+1 that cocover to z.
+
 Everything is bounded: infinite groups are explored through cached BFS layers
-guarded by a cap (KMCHEV_LAYER_CAP, default 100000; LayerCapError beyond it).
+guarded by a cap (KMCHEV_LAYER_CAP, default 100000; LayerCapError beyond it);
+covers scans one such layer, so the cap bounds it too.
 """
 from __future__ import annotations
 
@@ -77,17 +84,17 @@ class WeylElt:
 
 
 class WeylGroup:
-    def __init__(self, R: Realization, layer_cap: int | None = None):
+    def __init__(self, R: Realization):
         self.R = R
         self.n = R.n
         self.rho = R.rho
-        self.layer_cap = env_layer_cap() if layer_cap is None else layer_cap
+        self.layer_cap = env_layer_cap()
         self.e = WeylElt(self, (), self.rho)
         self.e._inv = self.e
         self._elts: dict[Weight, WeylElt] = {self.rho: self.e}
         self._simple = tuple(self.lmul(i, self.e) for i in range(self.n))
         self._layers: list[list[WeylElt]] = [[self.e]]
-        self._cocover_cache: dict[Weight, tuple] = {}
+        self._cocover_cache: dict[Weight, tuple] = {self.rho: ()}
         self._coset_cache: dict[tuple, tuple[WeylElt, WeylElt]] = {}
         self.dir_images: dict[tuple, Weight] = {}  # (d.rho, lam) -> d(lam), filled by lspath only
 
@@ -122,17 +129,13 @@ class WeylGroup:
             u.left[i] = w
         return u
 
-    def _walk(self, word, v: WeylElt) -> WeylElt:
-        """s_{word[0]} ... s_{word[-1]} · v."""
-        lmul = self.lmul
-        for i in reversed(word):
+    def from_word(self, word) -> WeylElt:
+        """Element with the given word (not necessarily reduced)."""
+        lmul, v = self.lmul, self.e
+        for i in reversed(tuple(word)):
             u = v.left[i]
             v = u if u is not None else lmul(i, v)
         return v
-
-    def from_word(self, word) -> WeylElt:
-        """Element with the given word (not necessarily reduced)."""
-        return self._walk(tuple(word), self.e)
 
     def simple(self, i: int) -> WeylElt:
         return self._simple[i]
@@ -144,16 +147,10 @@ class WeylGroup:
             mu = self.R.simple_reflection(i, mu)
         return mu
 
-    def mult(self, w: WeylElt, v: WeylElt) -> WeylElt:
-        """w · v, walking the shorter factor: w·v = (v⁻¹·w⁻¹)⁻¹."""
-        if len(w.word) <= len(v.word):
-            return self._walk(w.word, v)
-        return self.inverse(self._walk(self.inverse(v).word, self.inverse(w)))
-
     def inverse(self, w: WeylElt) -> WeylElt:
         u = w._inv
         if u is None:
-            u = self._walk(w.word[::-1], self.e)
+            u = self.from_word(w.word[::-1])
             w._inv = u
             u._inv = w
         return u
@@ -165,10 +162,8 @@ class WeylGroup:
     # -- Bruhat order --------------------------------------------------------
 
     def bruhat_leq(self, v: WeylElt, w: WeylElt) -> bool:
-        """v <= w, by stripping descents of w (one branch per step, so linear
-        depth: with i a left descent of w, v <= w iff s_i v <= s_i w when
-        s_i v < v, else iff v <= s_i w).
-        """
+        """v <= w, by stripping left descents of w through the lifting
+        property (one branch per step, so linear depth)."""
         lmul = self.lmul
         while True:
             if len(v.word) > len(w.word):
@@ -182,36 +177,28 @@ class WeylGroup:
             if v.rho[i] < 0:
                 v = lmul(i, v)
 
-    def inversions(self, w: WeylElt) -> tuple[Coroot, ...]:
-        """The positive coroots sent negative by w^{-1}; exactly length many.
-
-        For a reduced word (i_1, ..., i_N) these are
-        s_{i_N} ... s_{i_{k+1}} (alpha_{i_k}^vee) for k = N, ..., 1.
-        """
-        word = w.word
-        out = []
-        for k in range(len(word) - 1, -1, -1):
-            beta = self.R.simple_coroots[word[k]]
-            for j in word[k + 1:]:
-                beta = self.R.reflect_coroot(j, beta)
-            assert beta.is_positive()
-            out.append(beta)
-        return tuple(out)
-
     def cocovers(self, w: WeylElt) -> tuple:
-        """All (v, beta) with v lessdot w and w = v s_beta, sorted by v."""
-        cached = self._cocover_cache.get(w.rho)
-        if cached is not None:
-            return cached
-        out = []
-        for beta in self.inversions(w):
-            v = self.reflect_right(w, beta)
-            if v.length == w.length - 1:
-                out.append((v, beta))
-        out.sort(key=lambda pair: pair[0].key)
-        result = tuple(out)
-        self._cocover_cache[w.rho] = result
-        return result
+        """All (v, beta) with v lessdot w and w = v s_beta, sorted by v.
+
+        With i = w.word[0] and u = s_i w, these are (u, u^{-1}(alpha_i^vee))
+        and (s_i v, beta) for each cocover (v, beta) of u with s_i v > v (the
+        module docstring's lifting property), built up from the longest
+        memoised element below w along its word."""
+        cache, R = self._cocover_cache, self.R
+        chain, x = [], w
+        while x.rho not in cache:
+            chain.append(x)
+            x = self.lmul(x.word[0], x)
+        for x in reversed(chain):
+            i = x.word[0]
+            u = self.lmul(i, x)
+            beta = R.simple_coroots[i]
+            for j in u.word:
+                beta = R.reflect_coroot(j, beta)
+            out = [(u, beta)] + [(self.lmul(i, v), gamma) for v, gamma in cache[u.rho] if v.rho[i] > 0]
+            out.sort(key=lambda pair: pair[0].key)
+            cache[x.rho] = tuple(out)
+        return cache[w.rho]
 
     # -- BFS layers ----------------------------------------------------------
 
@@ -241,10 +228,9 @@ class WeylGroup:
             out.extend(lay)
         return out
 
-    def covers_within(self, z: WeylElt, length_bound: int) -> list[tuple[WeylElt, Coroot]]:
-        """All covers (w, beta) of z with w = z s_beta and ℓ(w) <= bound."""
-        if z.length + 1 > length_bound:
-            return []
+    def covers(self, z: WeylElt) -> list[tuple[WeylElt, Coroot]]:
+        """All covers (w, beta) of z with w = z s_beta, by scanning the BFS
+        layer of length l(z)+1 (so KMCHEV_LAYER_CAP bounds the scan)."""
         out = []
         for w in self.layer(z.length + 1):
             for v, beta in self.cocovers(w):

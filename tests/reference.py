@@ -1,6 +1,7 @@
 """References that the tests compare the library against.
 
-The lifts are recomputed by scanning a BFS ball, the lex order of
+The lifts are recomputed by scanning a BFS ball, the Bruhat cocovers and
+covers by reflecting w by every one of its inversions, the lex order of
 hyperplanes in Fractions (stdvec), the positive real coroots by reflecting
 simple ones (positive_coroots_up_to, all of them in finite type), the full
 lex chain of a finite type sorted by the shipped lex_less (lex_chain) and
@@ -62,6 +63,41 @@ def down_oracle(W, w, sigma, J):
     if not all(W.bruhat_leq(v, best) for v in candidates):
         raise AssertionError("maximum not unique")
     return best
+
+
+def inversions(W, w):
+    """The positive coroots sent negative by w^{-1}; exactly length many.
+
+    For a reduced word (i_1, ..., i_N) these are
+    s_{i_N} ... s_{i_{k+1}} (alpha_{i_k}^vee) for k = N, ..., 1.
+    """
+    word = w.word
+    out = []
+    for k in range(len(word) - 1, -1, -1):
+        beta = W.R.simple_coroots[word[k]]
+        for j in word[k + 1:]:
+            beta = W.R.reflect_coroot(j, beta)
+        if not beta.is_positive():
+            raise AssertionError(f"inversion {beta!r} of {w!r} is not positive")
+        out.append(beta)
+    return tuple(out)
+
+
+def cocovers_by_inversions(W, w):
+    """All (v, beta) with v lessdot w and w = v s_beta, sorted by v: w
+    reflected by each of its inversions, kept where one letter shorter."""
+    out = []
+    for beta in inversions(W, w):
+        v = W.reflect_right(w, beta)
+        if v.length == w.length - 1:
+            out.append((v, beta))
+    return sorted(out, key=lambda pair: pair[0].key)
+
+
+def covers_by_inversions(W, z):
+    """All covers (w, beta) of z: the (w, beta) with ℓ(w) = ℓ(z)+1 and
+    (z, beta) among cocovers_by_inversions(w), in layer order."""
+    return [(w, beta) for w in W.layer(z.length + 1) for v, beta in cocovers_by_inversions(W, w) if v == z]
 
 
 def stdvec(lam, h):
@@ -213,7 +249,7 @@ def _explicit_groups(W, word):
         sign = 1
         for k, i in enumerate(word):
             if eps[k]:
-                yi = W.mult(y, W.simple(i))
+                yi = W.from_word(y.word + (i,))
                 if yi.length > y.length:
                     y = yi
                 else:

@@ -300,15 +300,14 @@ def classify_everything(W, lam, pool, bases):
     n = 0
     for i in range(W.n):
         for S in all_istrings(W, pool, i):
-            si = W.simple(i)
             for z in bases:
-                if W.mult(si, z).length > z.length and W.bruhat_leq(
+                if W.lmul(i, z).length > z.length and W.bruhat_leq(
                     W.coset_decompose(z, J)[0], phi(S.head)
                 ):
                     up_labels.add(classify_string(W, S, z, i, "up"))
                     n += 1
             for w in bases:
-                if W.mult(si, w).length < w.length and W.bruhat_leq(
+                if W.lmul(i, w).length < w.length and W.bruhat_leq(
                     iota(S.tail), W.coset_decompose(w, J)[0]
                 ):
                     down_labels.add(classify_string(W, S, w, i, "down"))

@@ -17,6 +17,7 @@ from kmchev.alcove import (
     enumerate_tree_antidominant,
     enumerate_tree_dominant,
     enumerate_z_adapted,
+    fixed_z_rows,
     format_hyperplane,
     hs_apply,
     lex_cut,
@@ -663,6 +664,29 @@ def test_triangle_affine_frozen(WAFF):
     anti = chevalley_alcove(W, LAM, w, -1)
     assert rows_equal(arec, anti)
     assert anti[W.from_word((2,))] == {wt_neg(LAM): -1}
+
+
+FIXED_Z = {
+    "A2~": (realization_from_preset("A2~"), "1,1,0", (1,), 5),
+    "G2": (realization_from_preset("G2"), "2,1", (), 5),
+    "A1~": (realization_from_preset("A1~"), "1,1", (0,), 6),
+    "hyp2": (Realization(GCM.from_matrix([[2, -3], [-3, 2]])), "1,1", (0,), 5),
+    "hyp3": (RANK3_HYP, "1,1,0", (), 4),
+}
+
+
+@pytest.mark.parametrize("R,lamtext,zword,bound", FIXED_Z.values(), ids=FIXED_Z.keys())
+def test_fixed_z_rows_are_the_transposed_recurrence(R, lamtext, zword, bound):
+    """The fixed-z row at w (the fan above z) is the recurrence's coefficient
+    of T_z in T_w e^{±lam}, for every w within the bound, in both signs."""
+    W = WeylGroup(R)
+    lam = R.parse_weight(lamtext)
+    z = W.from_word(zword)
+    for sign, mu in ((1, lam), (-1, wt_neg(lam))):
+        rows, _ = fixed_z_rows(W, lam, z, sign, bound)
+        assert rows
+        for w in W.bfs_ball(bound):
+            assert rows.get(w, {}) == chevalley_recurrence(W, w, mu).get(z, {}), (sign, w)
 
 
 def test_inverted_lex_breaks_the_triangle(WAFF):

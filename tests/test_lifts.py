@@ -135,15 +135,14 @@ def test_lift_tracks_the_reflection_of_the_target(preset):
     """sign of s tau vs tau controls sign of s w vs w for w = up(v, tau)."""
     W = WeylGroup(realization_from_preset(preset))
     for v, tau, i, J in _configs(W):
-        s = W.simple(i)
         w = up(W, v, tau, J)
         stau = _s_tau(W, i, tau, J)
-        sw = W.mult(s, w)
+        sw = W.lmul(i, w)
         if stau.length > tau.length:
             assert sw.length > w.length
         elif stau.length < tau.length:
             assert sw.length < w.length
-        elif W.mult(s, v).length > v.length:
+        elif W.lmul(i, v).length > v.length:
             assert sw.length > w.length
 
 
@@ -153,15 +152,14 @@ def test_lift_to_the_lowered_target(preset):
     W = WeylGroup(realization_from_preset(preset))
     hit = 0
     for v, tau, i, J in _configs(W):
-        s = W.simple(i)
         stau = _s_tau(W, i, tau, J)
-        if W.mult(s, v).length < v.length or stau.length >= tau.length:
+        if W.lmul(i, v).length < v.length or stau.length >= tau.length:
             continue
         if not W.bruhat_leq(W.coset_decompose(v, J)[0], stau):
             continue
         w = up(W, v, tau, J)
         y = up(W, v, stau, J)
-        assert y == W.mult(s, w)
+        assert y == W.lmul(i, w)
         assert y.length < w.length
         hit += 1
     assert hit > 0
@@ -174,8 +172,7 @@ def test_lift_of_the_raised_start(preset):
     W = WeylGroup(realization_from_preset(preset))
     hit = 0
     for v, tau, i, J in _configs(W):
-        s = W.simple(i)
-        sv = W.mult(s, v)
+        sv = W.lmul(i, v)
         stau = _s_tau(W, i, tau, J)
         if v.length > sv.length or stau.length > tau.length:
             continue
@@ -184,7 +181,7 @@ def test_lift_of_the_raised_start(preset):
         y = up(W, sv, tau, J)
         w = up(W, v, tau, J)
         if y != w:
-            assert y == W.mult(s, w)
+            assert y == W.lmul(i, w)
             assert y.length > w.length
             assert stau == tau
             hit += 1

@@ -389,14 +389,13 @@ def classification_sweep(W, lam, pool, ball):
     tally = Counter()
     for i in range(W.n):
         for S in all_istrings(W, pool, i):
-            si = W.simple(i)
             for z in ball:
-                if W.mult(si, z).length > z.length and W.bruhat_leq(
+                if W.lmul(i, z).length > z.length and W.bruhat_leq(
                     W.coset_decompose(z, J)[0], phi(S.head)
                 ):
                     tally["up:" + classify_string(W, S, z, i, "up")] += 1
             for w in ball:
-                if W.mult(si, w).length < w.length and W.bruhat_leq(
+                if W.lmul(i, w).length < w.length and W.bruhat_leq(
                     iota(S.tail), W.coset_decompose(w, J)[0]
                 ):
                     tally["down:" + classify_string(W, S, w, i, "down")] += 1
@@ -458,14 +457,14 @@ def test_string_recurrence_consistency(aff):
         for S in all_istrings(W, pool, i):
             members = frozenset(S.elements)
             for z in W.bfs_ball(4):
-                sz = W.mult(si, z)
+                sz = W.lmul(i, z)
                 zmin = W.coset_decompose(z, J)[0]
                 if not (sz.length > z.length and W.bruhat_leq(zmin, phi(S.head))):
                     continue
                 for x in {up_path(W, z, p) for p in members if W.bruhat_leq(zmin, phi(p))}:
-                    if W.mult(si, x).length < x.length:
+                    if W.lmul(i, x).length < x.length:
                         continue
-                    sx = W.mult(si, x)
+                    sx = W.lmul(i, x)
                     A = string_mass(W, lift_subset(W, members, z, x, "up"))
                     B = string_mass(W, lift_subset(W, members, z, sx, "up"))
                     assert B == apply_Ti(R, i, A)

@@ -13,7 +13,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "kmchev"
 # (module, enclosing function) -> why the assert is an internal invariant
 ALLOWED_ASSERTS = {
     ("cartan", "_symmetrizer"): "every node of every component is reached from its root with a positive ratio",
-    ("weyl", "WeylGroup.inversions"): "the inversions of a reduced word are positive coroots",
 }
 
 

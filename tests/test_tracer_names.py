@@ -14,8 +14,11 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 # Gone from src/ (ts_apply deleted, stdvec moved to tests/reference.py, as
 # nothing in src/ called it; up and down left alcove with the path-sequence
 # bijection, for kmchev.bridge; _num deleted when weights became ints by
-# type); the benchmark still patches or counts them, and they read 0.
-KNOWN_GONE = {"alcove.ts_apply", "alcove.stdvec", "alcove.up", "alcove.down", "cartan._num"}
+# type; inversions moved to tests/reference.py when cocovers came to follow
+# the lifting property; mult deleted, as no command multiplied through it);
+# the benchmark still patches or counts them, and they read 0.
+KNOWN_GONE = {"alcove.ts_apply", "alcove.stdvec", "alcove.up", "alcove.down", "cartan._num",
+              "weyl.WeylGroup.inversions", "weyl.WeylGroup.mult"}
 
 
 def load_tracing():
