@@ -18,6 +18,18 @@ is refused before any model runs), written in pieces of bounded size
 ITEMS_PER_PIECE at a time, so a multi-MB document is never held as one
 string.  Every check of the input and of the rows comes before the first
 byte, so a refused run leaves stdout empty and creates no ``--out`` file.
+
+A single-model ``--model nilhecke`` run streams its rows: with i the first
+letter of the canonical reduced word ``w.word``, the rows of s_i w are held
+and checked, and T_i is composed onto them one row at a time, each row
+written as it is made (``kring.hecke_compose``).  Every streamed weight is
+a held weight plus an integer multiple of alpha_i, so checking the held
+rows refuses all that checking the streamed ones would.  ``--model all``
+(whose cross-check needs every row), ``ls``, ``alcove`` and fixed-z hold
+their rows.  A streamed run that runs out of memory after its first byte
+exits 2 as any other; ``emit`` removes the ``--out`` file it created, and
+stdout keeps a prefix of the document, as after a closed pipe.
+
 Table output prints every extra coordinate of a weight in corank >= 2.  A
 failed cross-check exits 1 with a report: table lines under ``--format
 table`` (any corank), JSON otherwise.  Bad input (a missing ``--weight``, an
@@ -182,6 +194,19 @@ def items_text(to_obj, xs, indent: str):
     return _list_pieces(lambda chunk: [sep + _json_skeleton(to_obj(x), inner, None) for x in chunk], xs, indent)
 
 
+def stream_text(objs, indent: str):
+    """The pieces of the JSON text of [*objs] at `indent`, each entry
+    written by json_pieces when the entries before it are, so objs may be
+    an iterator that makes its entries as they are asked for."""
+    inner = indent + "  "
+    start = "[" + inner
+    for obj in objs:
+        yield start
+        yield from json_pieces(obj, inner)
+        start = "," + inner
+    yield "[]" if start[0] == "[" else indent + "]"
+
+
 def json_pieces(obj, indent: str = "\n"):
     """The text of ``json.dumps(obj, indent=2)``, obj set at `indent`, in
     pieces, for obj made of dicts with str keys, lists, str, int, bool, None
@@ -244,13 +269,23 @@ def emit(out: str | None, pieces) -> None:
     """Write the str `pieces`, then one "\n", to the file `out` (the --out
     option) or to stdout.  Short pieces are joined up to WRITE_SIZE, and a
     long one that comes alone is written as it is.  Every refusal comes
-    before: a piece must not raise, or it leaves a partial output behind."""
+    before, but a piece made as it is written can still fail (out of
+    memory): then an --out file that emit created is removed, and stdout
+    keeps the prefix written so far, as it does when its reader leaves."""
     if out:
+        created = not os.path.lexists(out)
         try:
             with open(out, "w") as fh:
                 _write_pieces(fh.write, pieces)
-        except OSError as exc:
-            raise CLIError(f"cannot write --out: {exc}") from None
+        except BaseException as exc:
+            if created:
+                try:
+                    os.remove(out)
+                except OSError:  # open failed, or the file is gone
+                    pass
+            if isinstance(exc, OSError):
+                raise CLIError(f"cannot write --out: {exc}") from None
+            raise
     elif sys.stdout is None:  # python was started with stdout closed
         raise CLIError("stdout was closed before the output was written")
     else:
@@ -326,6 +361,10 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
     if args.format == "dot" and args.model not in ("alcove", "all"):
         raise CLIError("--format dot for chevalley requires the alcove model")
 
+    if args.model == "nilhecke" and w.word:
+        _emit_rows(args, sign, R, lam, "w", w, _nilhecke_stream(args, R, W, lam, sign, w), False, "")
+        return 0
+
     models = ["ls", "alcove", "nilhecke"] if args.model == "all" else [args.model]
     rows_by_model = {m: _rows_for_model(m, R, lam, sign, word) for m in models}
 
@@ -350,8 +389,25 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
         pairs = (alcove.enumerate_tree_dominant if sign > 0 else alcove.enumerate_tree_antidominant)(W, lam, w)
         emit(args.out, [alcove.tree_dot(W, lam, pairs)])
     else:
-        _emit_rows(args, sign, R, lam, "w", w, rows_by_model[models[0]], False, "")
+        _emit_rows(args, sign, R, lam, "w", w, _held(args, R, rows_by_model[models[0]]), False, "")
     return 0
+
+
+def _held(args: SimpleNamespace, R: Realization, rows: dict) -> list:
+    """The (element, row) pairs of held rows in key order, checked for JSON."""
+    if args.format == "json":
+        check_rows(R, rows.values())
+    return sorted(rows.items(), key=lambda pair: pair[0].key)
+
+
+def _nilhecke_stream(args: SimpleNamespace, R: Realization, W: WeylGroup, lam: Weight, sign: int, w: WeylElt):
+    """The nilHecke rows of w, the outermost letter composed as they are
+    written: with i = w.word[0], the rows of s_i w are held and checked, and
+    T_i is composed onto them one row z at a time."""
+    from . import kring
+    i = w.word[0]
+    rows = _held(args, R, _rows_for_model("nilhecke", R, lam, sign, w.word[1:]))
+    return kring.hecke_compose(W, i, {W.from_word(z.word): f for z, f in rows}, kring.Strings(R, i))
 
 
 def _chevalley_fixed_z(args: SimpleNamespace, sign: int, R: Realization, W: WeylGroup, lam: Weight) -> int:
@@ -363,30 +419,30 @@ def _chevalley_fixed_z(args: SimpleNamespace, sign: int, R: Realization, W: Weyl
     from . import alcove
     rows, truncated = alcove.fixed_z_rows(W, lam, z, sign, args.max_length)
     tail = f", lengths <= {args.max_length}" + ("  (truncated)" if truncated else "")
-    _emit_rows(args, sign, R, lam, "z", z, rows, truncated, tail)
+    _emit_rows(args, sign, R, lam, "z", z, _held(args, R, rows), truncated, tail)
     return 0
 
 
 def _emit_rows(args: SimpleNamespace, sign: int, R: Realization, lam: Weight, fixed: str, elt: WeylElt, rows,
                truncated: bool, tail: str) -> None:
     """Chevalley rows over the element `elt` held fixed, as json or table.
-    `fixed` is "w" (rows keyed by z) or "z" (rows keyed by w); `tail` ends
-    the table's first line."""
-    order = sorted(rows, key=lambda u: u.key)
+    `rows` is an iterable of (element, row) pairs in key order, held or
+    made as they are written, and already checked; `fixed` is "w" (rows
+    keyed by z) or "z" (rows keyed by w); `tail` ends the table's first line."""
     if args.format == "json":
-        check_rows(R, rows.values())
         key = "z" if fixed == "w" else "w"
         emit(args.out, json_pieces({
             "cartan": R.gcm.to_json(),
             "lambda": weight_obj(R, lam),
             "sign": sign,
             fixed: word_obj(R, elt),
-            "rows": [{key: word_obj(R, u), "terms": partial(terms_text, R, rows[u])} for u in order],
+            "rows": partial(stream_text, ({key: word_obj(R, u), "terms": partial(terms_text, R, poly)}
+                                          for u, poly in rows)),
             "truncated": truncated,
         }))
     else:
         head = f"[L^{'+' if sign > 0 else '-'}({R.format_weight(lam)})] * [O_{elt!r}]" + tail
-        emit(args.out, ["\n".join([head] + [f"  [O_{u!r}] : {poly_str(R, rows[u])}" for u in order])])
+        emit(args.out, chain([head], (f"\n  [O_{u!r}] : {poly_str(R, poly)}" for u, poly in rows)))
 
 
 # -- entry point ---------------------------------------------------------------

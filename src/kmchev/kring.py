@@ -18,7 +18,11 @@ the braid relations hold, and D_i = 1 + T_i is the Demazure operator.
 Writing T_w e^lam = sum_z b_z T_z, the b_z are the equivariant K-Chevalley
 coefficients; chevalley_recurrence computes them by composing the twisted
 Leibniz rule letter by letter.  (The closed-form sum over the 2^N signed
-subwords of a reduced word checks it in the tests, not here.)
+subwords of a reduced word checks it in the tests, not here.)  A letter i
+is composed one row z at a time, in z.key order (hecke_compose): the row
+of z reads the rows f_z and f_{s_i z} of the step before and nothing else,
+so a caller can write each row as it is made, and each f_y is freed after
+the last row that reads it.
 
 A run owns one ``Strings`` table per letter i.  It maps each weight mu met to
 (n, b, p, s_i mu), and each string b to {q: the weight b + q alpha_i}.
@@ -139,33 +143,36 @@ def apply_Ti(R: Realization, i: int, f: LaurentPoly, table: Strings | None = Non
     return out
 
 
-def hecke_compose(W: WeylGroup, i: int, element: NilHeckeCoeffs, table: Strings) -> NilHeckeCoeffs:
-    """Left-multiply sum_y f_y T_y by T_i, consuming ``element``; ``table`` is
-    the run's table for letter i.
+def hecke_compose(W: WeylGroup, i: int, element: NilHeckeCoeffs, table: Strings):
+    """Yield the nonzero rows (z, g_z) of T_i sum_y f_y T_y in z.key order,
+    consuming ``element``; ``table`` is the run's table for letter i.
 
     T_i (f T_y) = (T_i f) T_y + (s_i f) T_i T_y, and T_i T_y is T_{s_i y} when
-    the length goes up, -T_y otherwise.  Each f_y leaves ``element`` as it is
-    read, so the old polynomials are freed while the new ones grow.
+    the length goes up, -T_y otherwise.  So g_z = T_i f_z, plus
+    s_i f_{s_i z} - s_i f_z when s_i z < z: a row reads f_z and f_{s_i z}
+    only, and each f_y leaves ``element`` after its last reader, the row of
+    the longer of y and s_i y.  In z.key order T_i of f_{s_i z} and of f_z
+    has entered their weights in the table before either is twisted.
     """
-    data = table.data
-    out: NilHeckeCoeffs = {}
-
-    def add(y: WeylElt, f: LaurentPoly, sign: int = 1) -> None:
-        if sign > 0 and y not in out:
-            out[y] = f  # f is a fresh dict, owned from here on
-        else:
-            lp_add_into(out.setdefault(y, {}), f, sign)
-
-    while element:
-        y, f = element.popitem()
-        add(y, apply_Ti(W.R, i, f, table))
-        twisted = {data[mu][3]: c for mu, c in f.items()}  # apply_Ti entered every mu
-        siy = W.lmul(i, y)
-        if siy.length > y.length:
-            add(siy, twisted)
-        else:
-            add(y, twisted, -1)
-    return {y: f for y, f in out.items() if f}
+    lmul, R, data = W.lmul, W.R, table.data
+    zs = set(element)
+    zs.update([u for y in element if (u := lmul(i, y)).length > y.length])
+    for z in sorted(zs, key=lambda u: u.key):
+        siz = lmul(i, z)
+        down = siz.length < z.length
+        f = element.pop(z, {}) if down else element.get(z, {})
+        row = apply_Ti(R, i, f, table) if f else {}
+        if down:
+            for g, sign in ((element.pop(siz, {}), 1), (f, -1)):
+                for mu, c in g.items():
+                    nu = data[mu][3]
+                    c = row.get(nu, 0) + sign * c
+                    if c:
+                        row[nu] = c
+                    else:
+                        del row[nu]
+        if row:
+            yield z, row
 
 
 def chevalley_recurrence(W: WeylGroup, w: WeylElt, lam: Weight) -> NilHeckeCoeffs:
@@ -176,5 +183,5 @@ def chevalley_recurrence(W: WeylGroup, w: WeylElt, lam: Weight) -> NilHeckeCoeff
     tables = {i: Strings(W.R, i) for i in set(w.word)}
     state: NilHeckeCoeffs = {W.e: lp_monomial(lam)}
     for i in reversed(w.word):
-        state = hecke_compose(W, i, state, tables[i])
+        state = dict(hecke_compose(W, i, state, tables[i]))
     return state

@@ -8,7 +8,9 @@ lex chain of a finite type sorted by the shipped lex_less (lex_chain) and
 both chain axioms checked on it position by position
 (validate_lambda_chain_finite), the chain-axiom counts N_{<h} in a
 closed form that also holds where the lex chain is infinite, a word of T_i
-operators by applying its letters one at a time, a nilHecke coefficient by
+operators by applying its letters one at a time, the product T_i sum_y f_y
+T_y by adding each f_y's terms to the rows they feed (hecke_compose_per_y,
+the library composes one row z at a time), a nilHecke coefficient by
 the signed-subword formula (chevalley_explicit, a sum of 2^N terms for a
 word of N letters), and the LS root operators, endpoint, path format and
 sort key in Fraction arithmetic (the library stores int step lengths over
@@ -229,6 +231,24 @@ def apply_word(R, word, f):
     for i in reversed(tuple(word)):
         f = apply_Ti(R, i, f)
     return f
+
+
+def hecke_compose_per_y(W, i, element, table):
+    """T_i sum_y f_y T_y as a dict, consuming ``element`` one y at a time:
+    T_i (f T_y) = (T_i f) T_y + (s_i f) T_i T_y, with T_i T_y = T_{s_i y}
+    when the length goes up and -T_y otherwise, each f_y added in whole to
+    the rows it feeds."""
+    out = {}
+    while element:
+        y, f = element.popitem()
+        lp_add_into(out.setdefault(y, {}), apply_Ti(W.R, i, f, table))
+        twisted = {table.data[mu][3]: c for mu, c in f.items()}  # apply_Ti entered every mu
+        siy = W.lmul(i, y)
+        if siy.length > y.length:
+            lp_add_into(out.setdefault(siy, {}), twisted)
+        else:
+            lp_add_into(out[y], twisted, -1)
+    return {y: f for y, f in out.items() if f}
 
 
 def lp_act(W, w, f):

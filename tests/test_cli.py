@@ -11,6 +11,7 @@ import pytest
 
 import kmchev.alcove as alcove
 import kmchev.cli as cli
+import kmchev.kring as kring
 import kmchev.lspath as lspath
 from kmchev.cli import main
 from reference import stdvec
@@ -19,6 +20,7 @@ AFF = ["--cartan", "A2~", "--weight", "1,1,0"]
 AFFW = AFF + ["--w", "0 1 2 1"]
 # A nilHecke row document of 2.5 MB whose longest rows take several pieces.
 LONG_ROWS = ["chevalley", "--cartan", "A1~", "--weight", "1,1", "--w", "0 1 0 1 0 1 0 1 0 1 0 1", "--model", "nilhecke"]
+HYP = ["--gcm-file", str(Path(__file__).resolve().parents[1] / "bench" / "hyperbolic.json")]
 
 
 def run(capsys, argv):
@@ -764,3 +766,56 @@ def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, model, mod
     assert code == 2
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+NON_REDUCED = [(["--cartan", "A2", "--weight", "1,1"], "1 1 2", "2"),
+               ([*HYP, "--weight", "0,1"], "0 1 0 1 1 1 0", "0 1 0 1 0")]
+
+
+@pytest.mark.parametrize("base, typed, reduced", NON_REDUCED, ids=["A2", "hyp2"])
+@pytest.mark.parametrize("model", ["ls", "alcove", "nilhecke", "all"])
+@pytest.mark.parametrize("sign", ["+1", "-1"])
+def test_a_non_reduced_word_gives_the_bytes_of_its_reduced_word(capsys, base, typed, reduced, model, sign):
+    """A --w with a cancelling pair names the element of its reduced word,
+    and every model writes that element's bytes in json and in table: none
+    composes the letters as they were typed."""
+    for fmt in ("json", "table"):
+        outs = []
+        for word in (typed, reduced):
+            code, out, err = run(capsys, ["chevalley", *base, "--w", word, "--model", model, "--sign", sign,
+                                          "--format", fmt])
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1], fmt
+
+
+def test_running_out_of_memory_mid_stream_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    """The rows of the outermost letter are written as they are made, so a
+    run can fail after its first byte: at the third such row here.  It exits
+    2 with one error: line, removes the --out file it created, and leaves a
+    prefix of the document on stdout."""
+    argv = ["chevalley", *HYP, "--weight", "1,1", "--w", "0 1 0 1 0 1", "--model", "nilhecke"]
+    code, whole, _ = run(capsys, argv)
+    assert code == 0
+    original = kring.hecke_compose
+    calls = []
+
+    def exhausted(*args):
+        """The sixth call composes the outermost letter; the held rows of the
+        five letters before it take one call each."""
+        calls.append(args[1])
+        for k, pair in enumerate(original(*args)):
+            if k == 2 and len(calls) == 6:
+                raise MemoryError
+            yield pair
+
+    monkeypatch.setattr(kring, "hecke_compose", exhausted)
+    target = tmp_path / "rows.json"
+    for out in (["--out", str(target)], []):
+        calls.clear()
+        code, stdout, err = run(capsys, [*argv, *out])
+        assert (code, err) == (2, "error: out of memory\n")
+        assert len(calls) == 6
+        assert whole.startswith(stdout) and len(stdout) < len(whole)
+    assert not target.exists()
+    assert stdout  # the first rows went out before the third was made

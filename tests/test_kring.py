@@ -7,6 +7,7 @@ from kmchev.kring import (
     Strings,
     apply_Ti,
     chevalley_recurrence,
+    hecke_compose,
     lp_add_into,
     lp_monomial,
     lp_mul,
@@ -15,7 +16,7 @@ from kmchev.kring import (
 from kmchev.lifts import interval_below
 from kmchev.lspath import demazure_crystal
 from kmchev.weyl import WeylGroup
-from reference import apply_word, chevalley_explicit, lp_act
+from reference import apply_word, chevalley_explicit, hecke_compose_per_y, lp_act
 
 
 def small_polys(n, width=3):
@@ -144,6 +145,37 @@ def test_each_weight_of_a_run_is_one_object(R, lam, word, sign):
     assert len({id(mu) for mu in terms}) == len(set(terms))
     if R is HYPERBOLIC and sign > 0:
         assert (len(terms), len(set(terms))) == (68340, 8845)
+
+
+ORACLE_CASES = {  # name: (realization, dominant weight, longest word)
+    "A3": (realization_from_preset("A3"), (1, 1, 1), 6),
+    "G2": (realization_from_preset("G2"), (2, 1), 6),
+    "A2~": (realization_from_preset("A2~"), (1, 1, 0, 0), 6),
+    "A1~": (realization_from_preset("A1~"), (1, 1, 0), 6),
+    "hyp2": (HYPERBOLIC, (1, 1), 6),
+    "hyp3": (RANK3, (1, 0, 0), 5),  # (1, 1, 1) up to length 6 makes 13 million terms
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_hecke_compose_yields_the_per_y_rows_in_key_order(name, sign):
+    """For w = s_i v with i = w.word[0], T_i composed onto the rows of v one
+    row z at a time: the rows come in z.key order, equal those of the per-y
+    oracle on the same input, and every f_y has left the input at the end.
+    Since w.word[1:] is the word of v, the elements up to a length check
+    every step of the recurrence along their words."""
+    R, lam, longest = ORACLE_CASES[name]
+    W = WeylGroup(R)
+    lam = wt_scale(sign, lam)
+    for w in W.bfs_ball(longest)[1:]:
+        i = w.word[0]
+        rows = chevalley_recurrence(W, W.from_word(w.word[1:]), lam)
+        element = dict(rows)
+        got = list(hecke_compose(W, i, element, Strings(R, i)))
+        assert element == {}
+        assert [z.key for z, _ in got] == sorted(z.key for z, _ in got)
+        assert dict(got) == hecke_compose_per_y(W, i, dict(rows), Strings(R, i)), w
 
 
 def test_ti_cancels_and_covers_every_sign_of_n():
