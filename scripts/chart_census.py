@@ -18,6 +18,18 @@ from kmchev.lspath import demazure_crystal, iota, phi, stabilizer_nodes
 from kmchev.weyl import WeylGroup
 
 
+def ball(W, length_bound):
+    """The elements of length <= length_bound in (length, word) order, one
+    length at a time by left multiplication."""
+    out, layer = [], [W.e]
+    for k in range(1, length_bound + 2):
+        out += layer
+        layer = sorted({u for w in layer for i in range(W.n) if (u := W.lmul(i, w)).length == k}, key=lambda u: u.key)
+        if not layer:
+            break
+    return out
+
+
 def census(W, lam, pool, bases, tally, unmatched):
     J = stabilizer_nodes(W.R, lam)
     for i in range(W.n):
@@ -53,7 +65,7 @@ def main():
     for preset in args.finite:
         R = realization_from_preset(preset)
         W = WeylGroup(R)
-        group = W.bfs_ball(20)
+        group = ball(W, 20)
         w0 = max(group, key=lambda u: u.length)
         for lam in ((1, 0), (0, 1), (1, 1), (2, 1)):
             pool = demazure_crystal(W, lam, w0)
@@ -66,7 +78,7 @@ def main():
         lam = (1, 1, 0, 0)
         w = W.from_word((0, 1, 2, 1))
         census(W, lam, demazure_crystal(W, lam, w),
-               W.bfs_ball(args.affine_length), tally, unmatched)
+               ball(W, args.affine_length), tally, unmatched)
         print(f"A2~: cumulative {sum(tally.values())} configurations")
 
     print("\ncolumn frequencies")

@@ -37,18 +37,19 @@ labels folded over lam, A = u(.) + t the parent's affine map:
 The pairs (sequence, weight) are summed, through one accumulator, into the
 fixed-w rows (chevalley_alcove) and the fixed-z rows (fixed_z_rows).  It
 loads no other model; the bijection with LS paths lives in kmchev.bridge.
+A walk builds the edges of at most W.cap distinct elements, each carrying at
+most W.cap labels, and raises CapError before it would build more.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from bisect import bisect_left
 
 from .cartan import (Coroot, LaurentPoly, Realization, Weight, lp_add_into, lp_monomial, pairing, wt_add, wt_neg,
                      wt_scale)
-from .weyl import WeylElt, WeylGroup
+from .weyl import WeylElt, WeylGroup, over_cap
 
 
 class LambdaHyperplane:
@@ -155,6 +156,9 @@ def _label_edges(W: WeylGroup, lam: Weight, v: WeylElt, down: bool, inc: bool) -
     its image v(beta) are built once and shared by its levels k."""
     covers = W.cocovers(v) if down else W.covers(v)
     pairs = [(x, beta, pairing(beta, lam)) for x, beta in covers]
+    labels = sum(p for _, _, p in pairs if p > 0)
+    if labels > W.cap:
+        raise over_cap(f"labels on the alcove edges {'below' if down else 'above'} {v!r}", labels, W.cap)
     scale = math.lcm(*(p for _, _, p in pairs if p > 0))
     at_k = down == inc  # the step's multiple of v(beta) is k, else <beta,lam> - k
     keyed = []
@@ -193,16 +197,19 @@ def _walk(W: WeylGroup, lam: Weight, start: WeylElt, monotonicity: str,
     above = inc != down  # tree "dec" and fan "inc" keep the labels above the last one
     out: list = []
     truncated = False
-
-    @functools.cache  # per call: an element is reached along many branches
-    def edges(v: WeylElt) -> list:
-        return _label_edges(W, lam, v, down, inc)
+    edges: dict[WeylElt, list] = {}  # per call: an element is reached along many branches
 
     def rec(v: WeylElt, last: LambdaHyperplane | None, hs: tuple, wt: Weight):
         nonlocal truncated
         seq = AdaptedSequence(v, hs, start, monotonicity) if down else AdaptedSequence(start, hs, v, monotonicity)
         out.append((seq, wt))
-        kept = lex_cut(lam, edges(v), last, above)
+        es = edges.get(v)
+        if es is None:
+            if len(edges) == W.cap:
+                walk = f"elements of the alcove walk {'below' if down else 'above'} {start!r}"
+                raise over_cap(walk, W.cap + 1, W.cap)
+            es = edges[v] = _label_edges(W, lam, v, down, inc)
+        kept = lex_cut(lam, es, last, above)
         if not down and v.length >= length_bound:
             truncated |= bool(kept)
             return

@@ -210,9 +210,6 @@ class Coroot:
     def __hash__(self):
         return hash(self.c)
 
-    def is_positive(self) -> bool:
-        return all(x >= 0 for x in self.c)
-
     def __repr__(self):
         return f"Coroot({','.join(map(str, self.c))})"
 

@@ -24,19 +24,20 @@ letter of the canonical reduced word ``w.word``, the rows of s_i w are held
 and checked, and T_i is composed onto them one row at a time, each row
 written as it is made (``kring.hecke_compose``).  Every streamed weight is
 a held weight plus an integer multiple of alpha_i, so checking the held
-rows refuses all that checking the streamed ones would.  ``--model all``
-(whose cross-check needs every row), ``ls``, ``alcove`` and fixed-z hold
-their rows.  A streamed run that runs out of memory after its first byte
-exits 2 as any other; ``emit`` removes the ``--out`` file it created, and
-stdout keeps a prefix of the document, as after a closed pipe.
+rows refuses all that checking the streamed ones would, the cap on T_i
+too.  ``--model all`` (whose cross-check needs every row), ``ls``,
+``alcove`` and fixed-z hold their rows.  A streamed run that runs out of
+memory after its first byte exits 2 as any other; ``emit`` removes the
+``--out`` file it created, and stdout keeps a prefix of the document, as
+after a closed pipe.
 
 Table output prints every extra coordinate of a weight in corank >= 2.  A
 failed cross-check exits 1 with a report: table lines under ``--format
 table`` (any corank), JSON otherwise.  Bad input (a missing ``--weight``, an
-unknown option or an option value the option table refuses), an exceeded
-layer cap, a run out of memory and a closed stdout (seen at a write, also
-mid-document, or at ``main``'s flush, also after ``--help``) exit 2 with one
-``error:`` line.
+unknown option or an option value the option table refuses), a bad
+``KMCHEV_CAP`` or work beyond it (see ``weyl``; no option sets it), a run
+out of memory and a closed stdout (seen at a write, also mid-document, or at
+``main``'s flush, also after ``--help``) exit 2 with one ``error:`` line.
 
 The options are one table, ``OPTIONS``, read by ``parse_args``; neither it
 nor the JSON writer imports ``argparse``, ``json`` or ``re``, which would
@@ -50,10 +51,11 @@ import sys
 from _json import encode_basestring_ascii  # the C escaper json.encoder binds, without json or re
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .cartan import Realization, Weight, is_lattice, realization_from_json_file, realization_from_preset, wt_neg
-from .weyl import LayerCapError, WeylElt, WeylGroup, env_layer_cap
+from .weyl import CapError, WeylElt, WeylGroup, env_cap
 
 
 class CLIError(Exception):
@@ -327,18 +329,19 @@ def _rows_for_model(model: str, R: Realization, lam: Weight, sign: int, word: tu
 
 def _rows_diff(rows_by_model: dict) -> list:
     """Structured per-z differences between models (empty when all agree,
-    as it is at once when one model ran)."""
-    first, *others = rows_by_model.values()
+    as it is at once when one model ran), z matched by its rho-image: each
+    model has its own group, whose elements compare by identity."""
+    by_rho = {name: {z.rho: poly for z, poly in rows.items()} for name, rows in sorted(rows_by_model.items())}
+    first, *others = by_rho.values()
     if all(rows == first for rows in others):
         return []
-    names = sorted(rows_by_model)
-    all_z = sorted({z for rows in rows_by_model.values() for z in rows}, key=lambda u: u.key)
+    elts = {z.rho: z for rows in rows_by_model.values() for z in rows}
     diffs = []
-    for z in all_z:
-        polys = {name: rows_by_model[name].get(z, {}) for name in names}
+    for rho in sorted(elts, key=lambda mu: elts[mu].key):
+        polys = {name: rows.get(rho, {}) for name, rows in by_rho.items()}
         head, *rest = polys.values()
         if any(p != head for p in rest):
-            diffs.append((z, polys))
+            diffs.append((elts[rho], polys))
     return diffs
 
 
@@ -407,7 +410,10 @@ def _nilhecke_stream(args: SimpleNamespace, R: Realization, W: WeylGroup, lam: W
     from . import kring
     i = w.word[0]
     rows = _held(args, R, _rows_for_model("nilhecke", R, lam, sign, w.word[1:]))
-    return kring.hecke_compose(W, i, {W.from_word(z.word): f for z, f in rows}, kring.Strings(R, i))
+    table = kring.Strings(R, i, W.cap)
+    for extreme in (min, max):  # T_i ranges start at held weights: the cap refuses the longest before the first byte
+        table.add(extreme(chain.from_iterable(f for _, f in rows), key=itemgetter(i)))
+    return kring.hecke_compose(W, i, {W.from_word(z.word): f for z, f in rows}, table)
 
 
 def _chevalley_fixed_z(args: SimpleNamespace, sign: int, R: Realization, W: WeylGroup, lam: Weight) -> int:
@@ -563,14 +569,14 @@ def main(argv=None) -> int:
             args = parse_args(sys.argv[1:] if argv is None else argv)
             if args is None:  # the help was printed
                 return 0
-            env_layer_cap()  # a bad KMCHEV_LAYER_CAP is refused before any work
+            env_cap()  # a bad KMCHEV_CAP is refused before any work
             module = f"kmchev.{COMMANDS[args.command][0]}"
             __import__(module)  # not importlib.import_module, which -X importtime does not see
             return getattr(sys.modules[module], f"cmd_{args.command}")(args)
         finally:  # a reader that left is seen here, not at exit
             if sys.stdout is not None:
                 sys.stdout.flush()
-    except (CLIError, LayerCapError, BrokenPipeError) as exc:
+    except (CLIError, CapError, BrokenPipeError) as exc:
         if isinstance(exc, BrokenPipeError):  # the flush at exit goes to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             exc = "stdout was closed before all the output was written"

@@ -31,26 +31,16 @@ lies on mu's own string, so the twisted term (s_i f) of the Leibniz rule
 is read from the same table as the ranges of T_i f.  Each position keeps
 the first tuple it is given or builds, so n, b, p and s_i mu are worked out
 once per weight and letter, and every row of a step holds one tuple per
-weight instead of one per term.
+weight instead of one per term.  A weight whose T_i range is longer than the
+table's cap (W.cap in a run) is refused as it enters, before any term is made.
 """
 from __future__ import annotations
 
-from .cartan import LaurentPoly, Realization, Weight, lp_add_into, lp_monomial, wt_add
-from .weyl import WeylElt, WeylGroup
+from .cartan import LaurentPoly, Realization, Weight, lp_add_into, lp_monomial
+from .weyl import DEFAULT_CAP, WeylElt, WeylGroup, over_cap
 
 # {WeylElt: LaurentPoly}, zero polynomials never stored
 NilHeckeCoeffs = dict
-
-
-def lp_mul_monomial(f: LaurentPoly, mu: Weight, c: int = 1) -> LaurentPoly:
-    return {wt_add(nu, mu): c * x for nu, x in f.items()} if c else {}
-
-
-def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    out: LaurentPoly = {}
-    for mu, c in f.items():
-        lp_add_into(out, lp_mul_monomial(g, mu, c))
-    return out
 
 
 class Strings:
@@ -63,10 +53,12 @@ class Strings:
     and s_i hand out one tuple per weight however many rows hold it.
     """
 
-    __slots__ = ("i", "alpha", "data", "lines")
+    __slots__ = ("i", "name", "cap", "alpha", "data", "lines")
 
-    def __init__(self, R: Realization, i: int):
+    def __init__(self, R: Realization, i: int, cap: int = DEFAULT_CAP):
         self.i = i
+        self.name = R.node_names[i]
+        self.cap = cap
         self.alpha = R.alpha[i]
         self.data: dict[Weight, tuple[int, Weight, int, Weight]] = {}
         self.lines: dict[Weight, dict[int, Weight]] = {}
@@ -78,6 +70,8 @@ class Strings:
         if len(mu) != len(alpha):
             raise ValueError(f"weights of different rank: {mu}, {alpha}")
         n = mu[self.i]
+        if n > self.cap or -n > self.cap:  # T_i e^mu has |n| terms
+            raise over_cap(f"terms of T_{self.name} e^mu on one alpha_{self.name}-string", abs(n), self.cap)
         p = n // 2
         b = tuple([x - p * a for x, a in zip(mu, alpha)])
         line = self.lines.get(b)
@@ -180,7 +174,7 @@ def chevalley_recurrence(W: WeylGroup, w: WeylElt, lam: Weight) -> NilHeckeCoeff
     letters of a reduced word of w innermost-first.  The run owns one
     ``Strings`` table per letter, so each weight's string data is worked out
     once per letter, and every row of a step shares its letter's tuples."""
-    tables = {i: Strings(W.R, i) for i in set(w.word)}
+    tables = {i: Strings(W.R, i, W.cap) for i in set(w.word)}
     state: NilHeckeCoeffs = {W.e: lp_monomial(lam)}
     for i in reversed(w.word):
         state = dict(hecke_compose(W, i, state, tables[i]))

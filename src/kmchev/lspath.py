@@ -45,7 +45,7 @@ from itertools import accumulate
 
 from .cartan import LaurentPoly, Realization, Weight, lp_add_into, lp_monomial, wt_neg
 from .lifts import down, interval_below, up
-from .weyl import WeylElt, WeylGroup
+from .weyl import WeylElt, WeylGroup, over_cap
 
 
 def stabilizer_nodes(R: Realization, lam: Weight) -> frozenset:
@@ -174,7 +174,8 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     step of the window climbs: a flat or falling one raises ValueError.  A
     reflected step of direction d so has slope +-<alpha_i^vee, d(lam)> > 0,
     and by Deodhar's lemma (Invent. Math. 39, 1977) s_i d is again the
-    minimal representative of its coset."""
+    minimal representative of its coset.  (H[-1] - M) / D, phi_i(p) for f
+    and epsilon_i(p) for e, above the cap W.cap is refused (CapError)."""
     D = p.D
     st = list(zip(p.a, p.dirs))[::-sign]  # traversal order for f, chain order for e
     ns = [sign * _image(W, d, p.lam)[i] for _, d in st]
@@ -182,6 +183,9 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     M = min(H)
     if M % D or H[-1] % D:
         raise ValueError(f"non-integral height {ratio_text(M, D)} or {ratio_text(H[-1], D)}: not an LS path")
+    if H[-1] - M > W.cap * D:
+        what = f"{'f' if sign > 0 else 'e'}_{W.R.node_names[i]} steps from {format_path(p)}"
+        raise over_cap(what, (H[-1] - M) // D, W.cap)
     top = M + D
     if H[-1] < top:
         return None

@@ -1,12 +1,13 @@
 """Weyl groups: elements, Bruhat order, covers and cocovers, coset representatives.
 
 An element is identified by its image w(rho) of the Weyl vector: rho is
-regular, so the orbit map is injective and equality/hashing reduce to tuple
-comparison.  The canonical reduced word is recovered from w(rho) by peeling
-the smallest left descent (the i with coordinate < 0) until reaching rho;
-each peel shortens the element by exactly one letter.
+regular, so the orbit map is injective.  The canonical reduced word is
+recovered from w(rho) by peeling the smallest left descent (the i with
+coordinate < 0) until reaching rho; each peel shortens the element by exactly
+one letter.
 
-Each group interns its elements and memoises the group law on them, after
+Each group interns its elements, so they compare and hash by identity (match
+elements of two groups by rho), and memoises the group law on them, after
 Casselman's integer Coxeter kernel (Invent. Math. 117, 1994): every element
 carries a link s_i·w per node, filled on first use and set in both directions
 (s_i² = e), so an element is built from a word by a walk of links.  Inverses
@@ -16,13 +17,11 @@ representative coset_decompose(w, J)[0], ordered in W/W_J by bruhat_leq.
 
 Bruhat order, cocovers and covers come from the lifting property (Deodhar,
 Invent. Math. 39, 1977): for a left descent i of w, v <= w iff s_i v <= s_i w
-when s_i v < v, else iff v <= s_i w.  So the cocovers of w are s_i w and the
-s_i v over the cocovers v of s_i w with s_i v > v, one memoised step per
-element; the covers of z are the elements of length l(z)+1 that cocover to z.
+when s_i v < v, else iff v <= s_i w.  So cocovers and covers take one
+memoised step per element each, and no layer of the group is ever listed.
 
-Everything is bounded: infinite groups are explored through cached BFS layers
-guarded by a cap (KMCHEV_LAYER_CAP, default 100000; LayerCapError beyond it);
-covers scans one such layer, so the cap bounds it too.
+KMCHEV_CAP (default 100000), read once per group as W.cap, bounds the work
+where it is made: the alcove walk, the LS root operators and T_i (CapError).
 """
 from __future__ import annotations
 
@@ -30,19 +29,24 @@ import os
 
 from .cartan import Coroot, Realization, Weight
 
-DEFAULT_LAYER_CAP = 100_000
+DEFAULT_CAP = 100_000
 
 
-class LayerCapError(RuntimeError):
-    """KMCHEV_LAYER_CAP is not an int >= 0, or a BFS layer outgrew the cap."""
+class CapError(RuntimeError):
+    """KMCHEV_CAP is not an int >= 0, or some work outgrew the cap."""
 
 
-def env_layer_cap() -> int:
-    """The layer cap KMCHEV_LAYER_CAP sets, else the default."""
-    text = os.environ.get("KMCHEV_LAYER_CAP", str(DEFAULT_LAYER_CAP))
+def env_cap() -> int:
+    """The cap KMCHEV_CAP sets, else the default."""
+    text = os.environ.get("KMCHEV_CAP", str(DEFAULT_CAP))
     if not (text.isascii() and text.isdigit()):
-        raise LayerCapError(f"KMCHEV_LAYER_CAP must be an int >= 0, not {text!r}")
+        raise CapError(f"KMCHEV_CAP must be an int >= 0, not {text!r}")
     return int(text)
+
+
+def over_cap(what: str, count: int, cap: int) -> CapError:
+    """The error for a count of `what` above the cap, naming the knob that raises it."""
+    return CapError(f"{what}: {count} exceeds cap {cap} (raise KMCHEV_CAP to override)")
 
 
 class WeylElt:
@@ -65,12 +69,6 @@ class WeylElt:
     def length(self) -> int:
         return len(self.word)
 
-    def __eq__(self, other):
-        return isinstance(other, WeylElt) and self.rho == other.rho
-
-    def __hash__(self):
-        return hash(self.rho)
-
     @property
     def key(self):
         """Deterministic sort key: by length, then canonical word."""
@@ -88,13 +86,12 @@ class WeylGroup:
         self.R = R
         self.n = R.n
         self.rho = R.rho
-        self.layer_cap = env_layer_cap()
+        self.cap = env_cap()
         self.e = WeylElt(self, (), self.rho)
         self.e._inv = self.e
         self._elts: dict[Weight, WeylElt] = {self.rho: self.e}
-        self._simple = tuple(self.lmul(i, self.e) for i in range(self.n))
-        self._layers: list[list[WeylElt]] = [[self.e]]
-        self._cocover_cache: dict[Weight, tuple] = {self.rho: ()}
+        self._cocover_cache: dict[WeylElt, tuple] = {self.e: ()}
+        self._cover_cache: dict[WeylElt, tuple] = {}
         self._coset_cache: dict[tuple, tuple[WeylElt, WeylElt]] = {}
         self.dir_images: dict[tuple, Weight] = {}  # (d.rho, lam) -> d(lam), filled by lspath only
 
@@ -137,9 +134,6 @@ class WeylGroup:
             v = u if u is not None else lmul(i, v)
         return v
 
-    def simple(self, i: int) -> WeylElt:
-        return self._simple[i]
-
     # -- actions and products ----------------------------------------------
 
     def act(self, w: WeylElt, mu: Weight) -> Weight:
@@ -168,7 +162,7 @@ class WeylGroup:
         while True:
             if len(v.word) > len(w.word):
                 return False
-            if v.rho == w.rho:
+            if v is w:
                 return True
             if not w.word:
                 return False
@@ -186,7 +180,7 @@ class WeylGroup:
         memoised element below w along its word."""
         cache, R = self._cocover_cache, self.R
         chain, x = [], w
-        while x.rho not in cache:
+        while x not in cache:
             chain.append(x)
             x = self.lmul(x.word[0], x)
         for x in reversed(chain):
@@ -195,48 +189,38 @@ class WeylGroup:
             beta = R.simple_coroots[i]
             for j in u.word:
                 beta = R.reflect_coroot(j, beta)
-            out = [(u, beta)] + [(self.lmul(i, v), gamma) for v, gamma in cache[u.rho] if v.rho[i] > 0]
+            out = [(u, beta)] + [(self.lmul(i, v), gamma) for v, gamma in cache[u] if v.rho[i] > 0]
             out.sort(key=lambda pair: pair[0].key)
-            cache[x.rho] = tuple(out)
-        return cache[w.rho]
+            cache[x] = tuple(out)
+        return cache[w]
 
-    # -- BFS layers ----------------------------------------------------------
-
-    def layer(self, k: int) -> tuple[WeylElt, ...]:
-        """All elements of length exactly k (may be empty in finite type)."""
-        while len(self._layers) <= k:
-            prev = self._layers[-1]
-            nxt: dict[Weight, WeylElt] = {}
-            for w in prev:
-                for i in range(self.n):
-                    u = self.lmul(i, w)
-                    if u.length == len(self._layers):
-                        nxt[u.rho] = u
-            if len(nxt) > self.layer_cap:
-                raise LayerCapError(f"BFS layer {len(self._layers)} exceeds cap {self.layer_cap}"
-                                    " (raise KMCHEV_LAYER_CAP to override)")
-            self._layers.append(sorted(nxt.values(), key=lambda u: u.key))
-        return tuple(self._layers[k])
-
-    def bfs_ball(self, length_bound: int) -> list[WeylElt]:
-        """All elements of length <= bound, sorted by (length, word)."""
-        out: list[WeylElt] = []
-        for k in range(length_bound + 1):
-            lay = self.layer(k)
-            if not lay:
-                break
-            out.extend(lay)
-        return out
-
-    def covers(self, z: WeylElt) -> list[tuple[WeylElt, Coroot]]:
-        """All covers (w, beta) of z with w = z s_beta, by scanning the BFS
-        layer of length l(z)+1 (so KMCHEV_LAYER_CAP bounds the scan)."""
-        out = []
-        for w in self.layer(z.length + 1):
-            for v, beta in self.cocovers(w):
-                if v == z:
-                    out.append((w, beta))
-        return out
+    def covers(self, z: WeylElt) -> tuple:
+        """All (w, beta) with z lessdot w and w = z s_beta, sorted by w: the
+        (s_j z, z^{-1}(alpha_j^vee)) over the left ascents j of z, and the
+        (s_i w', beta) over every left descent i (not only the smallest) and
+        every cover (w', beta) of s_i z with s_i w' > w'.  Memoised, the
+        elements below z in the left weak order first."""
+        cache, R, lmul = self._cover_cache, self.R, self.lmul
+        stack = [z]
+        while stack:
+            x = stack.pop()
+            if x in cache:
+                continue
+            below = [u for i in range(self.n) if x.rho[i] < 0 and (u := lmul(i, x)) not in cache]
+            if below:
+                stack += [x, *below]
+                continue
+            out: dict[WeylElt, Coroot] = {}
+            for i in range(self.n):
+                if x.rho[i] > 0:
+                    beta = R.simple_coroots[i]
+                    for j in x.word:
+                        beta = R.reflect_coroot(j, beta)
+                    out[lmul(i, x)] = beta
+                else:
+                    out.update((lmul(i, w), beta) for w, beta in cache[lmul(i, x)] if w.rho[i] > 0)
+            cache[x] = tuple(sorted(out.items(), key=lambda pair: pair[0].key))
+        return cache[z]
 
     # -- parabolic cosets ----------------------------------------------------
 

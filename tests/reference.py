@@ -1,25 +1,28 @@
 """References that the tests compare the library against.
 
-The lifts are recomputed by scanning a BFS ball, the Bruhat cocovers and
-covers by reflecting w by every one of its inversions, the lex order of
+The elements of a group up to a length are listed breadth first, one layer
+of each length (bfs_ball, layer).  The lifts are recomputed by scanning
+such a ball, the Bruhat cocovers and covers by reflecting w by every one
+of its inversions (the covers of z among the next layer), the lex order of
 hyperplanes in Fractions (stdvec), the positive real coroots by reflecting
 simple ones (positive_coroots_up_to, all of them in finite type), the full
 lex chain of a finite type sorted by the shipped lex_less (lex_chain) and
 both chain axioms checked on it position by position
-(validate_lambda_chain_finite), the chain-axiom counts N_{<h} in a
-closed form that also holds where the lex chain is infinite, a word of T_i
+(validate_lambda_chain_finite), the chain-axiom counts N_{<h} in a closed
+form that also holds where the lex chain is infinite, a word of T_i
 operators by applying its letters one at a time, the product T_i sum_y f_y
 T_y by adding each f_y's terms to the rows they feed (hecke_compose_per_y,
-the library composes one row z at a time), a nilHecke coefficient by
-the signed-subword formula (chevalley_explicit, a sum of 2^N terms for a
-word of N letters), and the LS root operators, endpoint, path format and
-sort key in Fraction arithmetic (the library stores int step lengths over
-one denominator).  ls_path builds a path from its Fraction cut points b,
-the readable form the tests write, and ls_b reads them back.  The
-realization set-up is redone in Fraction arithmetic: Gauss-Jordan
-elimination (eliminate_rational), the Dynkin components by label
-propagation, the symmetrizer, the positive null vector and the
-classification read off them.
+the library composes one row z at a time), products of Laurent polynomials
+(lp_mul, lp_mul_monomial), a nilHecke coefficient by the signed-subword
+formula (chevalley_explicit, a sum of 2^N terms for a word of N letters),
+and the LS root operators, endpoint, path format and sort key in Fraction
+arithmetic (the library stores int step lengths over one denominator).
+ls_path builds a path from its Fraction cut points b, the readable form
+the tests write, and ls_b reads them back.  The realization set-up is
+redone in Fraction arithmetic: Gauss-Jordan elimination
+(eliminate_rational), the Dynkin components by label propagation, the
+symmetrizer, the positive null vector and the classification read off
+them.
 validation_error checks that a path is a genuine LS path of its shape, by
 the definition.  pytest does not rewrite the asserts of this helper module,
 so a check that must hold under python -O raises explicitly.
@@ -30,9 +33,29 @@ from fractions import Fraction as Q
 from math import gcd, inf, lcm
 
 from kmchev.alcove import LambdaHyperplane, lex_less
-from kmchev.cartan import pairing
+from kmchev.cartan import pairing, wt_add
 from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
 from kmchev.lspath import LSPath, stabilizer_nodes
+
+
+@functools.cache
+def layer(W, k):
+    """All elements of length exactly k, sorted by (length, word); empty past
+    the longest element in finite type.  Memoised per group."""
+    if k == 0:
+        return (W.e,)
+    grown = {u for w in layer(W, k - 1) for i in range(W.n) if (u := W.lmul(i, w)).length == k}
+    return tuple(sorted(grown, key=lambda u: u.key))
+
+
+def bfs_ball(W, length_bound):
+    """All elements of length <= bound, sorted by (length, word)."""
+    out = []
+    for k in range(length_bound + 1):
+        if not layer(W, k):
+            break
+        out.extend(layer(W, k))
+    return out
 
 
 def up_oracle(W, v, sigma, J, search_bound):
@@ -40,7 +63,7 @@ def up_oracle(W, v, sigma, J, search_bound):
     within the ball of the given length, checked to be unique."""
     candidates = [
         w
-        for w in W.bfs_ball(search_bound)
+        for w in bfs_ball(W, search_bound)
         if W.coset_decompose(w, J)[0] == sigma and W.bruhat_leq(v, w)
     ]
     if not candidates:
@@ -56,7 +79,7 @@ def down_oracle(W, w, sigma, J):
     scanning the ball under l(w), checked to be unique."""
     candidates = [
         v
-        for v in W.bfs_ball(w.length)
+        for v in bfs_ball(W, w.length)
         if W.coset_decompose(v, J)[0] == sigma and W.bruhat_leq(v, w)
     ]
     if not candidates:
@@ -79,7 +102,7 @@ def inversions(W, w):
         beta = W.R.simple_coroots[word[k]]
         for j in word[k + 1:]:
             beta = W.R.reflect_coroot(j, beta)
-        if not beta.is_positive():
+        if min(beta.c) < 0:
             raise AssertionError(f"inversion {beta!r} of {w!r} is not positive")
         out.append(beta)
     return tuple(out)
@@ -99,7 +122,20 @@ def cocovers_by_inversions(W, w):
 def covers_by_inversions(W, z):
     """All covers (w, beta) of z: the (w, beta) with ℓ(w) = ℓ(z)+1 and
     (z, beta) among cocovers_by_inversions(w), in layer order."""
-    return [(w, beta) for w in W.layer(z.length + 1) for v, beta in cocovers_by_inversions(W, w) if v == z]
+    return [(w, beta) for w in layer(W, z.length + 1) for v, beta in cocovers_by_inversions(W, w) if v is z]
+
+
+def lp_mul_monomial(f, mu, c=1):
+    """f * c e^mu."""
+    return {wt_add(nu, mu): c * x for nu, x in f.items()} if c else {}
+
+
+def lp_mul(f, g):
+    """The product of two Laurent polynomials."""
+    out = {}
+    for mu, c in f.items():
+        lp_add_into(out, lp_mul_monomial(g, mu, c))
+    return out
 
 
 def stdvec(lam, h):
@@ -129,7 +165,7 @@ def positive_coroots_up_to(R, bound=inf):
         for beta in frontier:
             for i in range(R.n):
                 img = R.reflect_coroot(i, beta)
-                if img.c not in seen and img.is_positive() and sum(img.c) <= bound:
+                if img.c not in seen and min(img.c) >= 0 and sum(img.c) <= bound:
                     seen[img.c] = img
                     new.append(img)
         frontier = new
@@ -298,7 +334,7 @@ def chevalley_explicit(W, w, v, lam, word=None):
         for k in range(len(word) - 1, -1, -1):
             i = word[k]
             if eps[k]:
-                f = lp_act(W, W.simple(i), f)
+                f = lp_act(W, W.from_word((i,)), f)
             else:
                 f = apply_Ti(W.R, i, f)
         lp_add_into(total, f, sign)

@@ -37,6 +37,7 @@ from kmchev.lspath import (
 )
 from kmchev.weyl import WeylGroup
 from reference import (
+    bfs_ball,
     classify_rational,
     count_before,
     lex_chain,
@@ -222,8 +223,8 @@ def test_refl_less_is_convex(WA2, WB2, WG2):
 def test_increasing_chain_unique_among_all_chains(WA2, WB2):
     for W in (WA2, WB2):
         lam = W.R.rho
-        for w in W.bfs_ball(10):
-            for v in W.bfs_ball(w.length):
+        for w in bfs_ball(W, 10):
+            for v in bfs_ball(W, w.length):
                 if not W.bruhat_leq(v, w):
                     continue
                 labels = increasing_chain(W, lam, v, w)
@@ -271,8 +272,8 @@ def test_rational_level_chains_all_or_none(WA2, WB2):
             def ok(beta):
                 return (b * pairing(beta, lam)).denominator == 1
 
-            for w in W.bfs_ball(10):
-                for v in W.bfs_ball(w.length):
+            for w in bfs_ball(W, 10):
+                for v in bfs_ball(W, w.length):
                     if not W.bruhat_leq(v, w):
                         continue
                     every = _label_chains(W, v, w, None)
@@ -357,7 +358,7 @@ def test_round_trips_exhaustive_finite(WA2):
     W = WA2
     for lam in ((1, 1), (1, 0)):
         crystal_cache = {}
-        for w in W.bfs_ball(10):
+        for w in bfs_ball(W, 10):
             dom = seqs(enumerate_tree_dominant(W, lam, w))
             for seq in dom:
                 p = seq_to_ls(W, lam, seq)
@@ -404,7 +405,7 @@ def test_fan_matches_trees_in_finite_type(WA2):
     by_end = {}
     for pair in fan:
         by_end.setdefault(pair[0].end, set()).add(pair)
-    for w in W.bfs_ball(10):
+    for w in bfs_ball(W, 10):
         from_tree = {(s, wt) for s, wt in enumerate_tree_dominant(W, lam, w) if s.z.length == 0}
         assert by_end.get(w, set()) == from_tree
     _, truncated2 = enumerate_z_adapted(W, lam, W.from_word(()), "inc", 2)
@@ -638,7 +639,7 @@ def rows_equal(a, b):
 def test_triangle_finite(WA2):
     W = WA2
     for lam in ((1, 1), (2, 1)):
-        for w in W.bfs_ball(10):
+        for w in bfs_ball(W, 10):
             rec = chevalley_recurrence(W, w, lam)
             assert rows_equal(rec, chevalley_alcove(W, lam, w, 1))
             assert rows_equal(rec, chevalley_ls(W, lam, w, 1))
@@ -685,7 +686,7 @@ def test_fixed_z_rows_are_the_transposed_recurrence(R, lamtext, zword, bound):
     for sign, mu in ((1, lam), (-1, wt_neg(lam))):
         rows, _ = fixed_z_rows(W, lam, z, sign, bound)
         assert rows
-        for w in W.bfs_ball(bound):
+        for w in bfs_ball(W, bound):
             assert rows.get(w, {}) == chevalley_recurrence(W, w, mu).get(z, {}), (sign, w)
 
 

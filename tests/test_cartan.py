@@ -89,7 +89,7 @@ def test_reflections_refuse_a_weight_of_another_rank():
         with pytest.raises(ValueError, match="rank"):
             W.act(W.from_word((0, 1)), mu)
         with pytest.raises(ValueError, match="rank"):
-            lp_act(W, W.simple(0), {mu: 1})
+            lp_act(W, W.from_word((0,)), {mu: 1})
         with pytest.raises(ValueError, match="rank"):
             R.coroot_reflection(R.simple_coroots[0], mu)
     assert R.simple_reflection(0, (1, 0, 0, 0)) == (-1, 1, 1, -1)
@@ -112,7 +112,7 @@ def test_positive_coroot_counts(preset, count):
     R = realization_from_preset(preset)
     pos = positive_coroots_up_to(R)
     assert len(pos) == count
-    assert all(alpha.is_positive() for alpha in pos)
+    assert all(min(alpha.c) >= 0 for alpha in pos)
     assert sorted(pos, key=lambda a: (sum(a.c), a.c)) == pos
 
 

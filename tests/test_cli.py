@@ -333,30 +333,50 @@ def test_non_integral_weight_exits_2_without_asserts():
     assert proc.stdout == ""
 
 
+# The rank-3 cycle matrix, a free product of three Z/2: the 20 covers of
+# z = (0 1 2)^5 0 1 carry 29,860,704 alcove labels for lam = (1,1,0).
+RANK3_CYCLE = '{"matrix": [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]}'
+HUGE_A1 = ["--cartan", "A1", "--weight", "99999999999999999999", "--w", "1"]
 BOUNDS_CASES = [
     ({}, ["crystal", "--cartan", "A2", "--weight", "1,1", "--opposite", "--z", "1", "--max-length", "-1"],
      "--max-length"),
     ({}, ["chevalley", "--cartan", "A2", "--weight", "1,1", "--z", "1", "--max-length", "-3", "--model", "alcove"],
      "--max-length"),
-    ({"KMCHEV_LAYER_CAP": "abc"}, ["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "1 2"],
-     "KMCHEV_LAYER_CAP"),
-    ({"KMCHEV_LAYER_CAP": "0"}, ["chevalley", "--cartan", "A1~", "--weight", "1,1", "--z", "1", "--max-length", "3",
-                                 "--model", "alcove"], "exceeds cap 0"),
+    ({"KMCHEV_CAP": "abc"}, ["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "1 2"], "KMCHEV_CAP"),
+    ({"KMCHEV_CAP": "0"}, ["chevalley", "--cartan", "A1~", "--weight", "1,1", "--z", "1", "--max-length", "3",
+                           "--model", "alcove"], "elements of the alcove walk above s1: 1 exceeds cap 0"),
+    ({}, ["chevalley", "--gcm-file", "RANK3_CYCLE", "--weight", "1,1,0", "--z", " ".join("012" * 5 + "01"),
+          "--max-length", "18", "--model", "alcove"], "29860704 exceeds cap 100000"),
+    ({"KMCHEV_CAP": "40"}, ["chevalley", "--cartan", "A2~", "--weight", "1,1,0", "--z", "e", "--max-length", "8",
+                            "--model", "alcove"], "elements of the alcove walk above e: 41 exceeds cap 40"),
+    *(({}, ["chevalley", *HUGE_A1, "--model", model], "99999999999999999999 exceeds cap 100000")
+      for model in ("ls", "alcove", "nilhecke", "all")),
+    *(({}, ["crystal", *HUGE_A1, "--realization", realization], "99999999999999999999 exceeds cap 100000")
+      for realization in ("ls", "alcove")),
 ]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_bad_bounds_exit_2(flags):
-    """A negative --max-length, a KMCHEV_LAYER_CAP that is not an int >= 0,
-    and an exceeded layer cap each exit 2 with error:, also under python -O."""
+def test_bad_bounds_exit_2(flags, tmp_path):
+    """A negative --max-length, a KMCHEV_CAP that is not an int >= 0, and
+    work that outgrows the cap each exit 2 with one error: line naming what
+    overflowed, also under python -O: the alcove walk's distinct elements
+    (cap 0 on a fixed-z fan; a cap of 40 on an A2~ fan), the labels on one
+    element's edges (the 17-letter rank-3 fan at the default cap), and a
+    20-digit A1 weight, whose one letter asks every model and both crystal
+    realizations for 10^20 terms."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    gcm = tmp_path / "rank3_cycle.json"
+    gcm.write_text(RANK3_CYCLE)
     for extra_env, argv, needle in BOUNDS_CASES:
-        env = {k: v for k, v in os.environ.items() if k != "KMCHEV_LAYER_CAP"}
+        argv = [str(gcm) if arg == "RANK3_CYCLE" else arg for arg in argv]
+        env = {k: v for k, v in os.environ.items() if k != "KMCHEV_CAP"}
         env.update(extra_env, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, *flags, "-m", "kmchev", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("error:") and needle in proc.stderr, (argv, proc.stderr)
+        assert proc.stderr.count("\n") == 1, (argv, proc.stderr)
         assert proc.stdout == "", argv
 
 

@@ -95,7 +95,7 @@ def test_the_stored_form_is_canonical_and_sorts_as_the_fractions(crystal):
         assert cuts(p) == tuple((x.numerator, x.denominator) for x in ls_b(p))
         assert list(ls_b(p)) == [sum(lengths[:j], Q(0)) for j in range(len(lengths))]
     assert sorted(paths, key=path_key) == sorted(paths, key=ls_path_key)
-    lam, d = next(iter(paths)).lam, W.simple(0)
+    lam, d = next(iter(paths)).lam, W.from_word((0,))
     one = LSPath(lam, 1, [(1, d)])
     for other in (LSPath(lam, 2, [(1, d), (1, d)]), LSPath(lam, 6, [(0, W.e), (4, d), (2, d)])):
         assert other == one and hash(other) == hash(one)

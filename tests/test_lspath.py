@@ -27,7 +27,7 @@ from kmchev.lspath import (
     up_path,
 )
 from chart import all_istrings, classify_string, istring
-from reference import lp_act, ls_path, validation_error
+from reference import bfs_ball, lp_act, ls_path, validation_error
 
 LAM = (1, 1, 0, 0)
 WWORD = (0, 1, 2, 1)
@@ -128,7 +128,7 @@ def test_steps_round_trip(aff):
 ])
 def test_the_constructor_refuses_bad_steps(aff, D, steps, message):
     W, _, _ = aff
-    elts = {"e": W.e, "s0": W.simple(0)}
+    elts = {"e": W.e, "s0": W.from_word((0,))}
     with pytest.raises(ValueError, match=message):
         LSPath(LAM, D, [(a, elts[d]) for a, d in steps])
 
@@ -213,7 +213,7 @@ W = WeylGroup(realization_from_preset("A2"))
 lam = (1, 1)
 S = istring(W, straight_path(W, lam), 0)
 calls = [
-    lambda: LSPath(lam, 2, [(3, W.e), (-1, W.simple(0))]),  # a negative step
+    lambda: LSPath(lam, 2, [(3, W.e), (-1, W.from_word((0,)))]),  # a negative step
     lambda: LSPath(lam, 2, [(1, W.e)]),  # the steps sum to 1/2
     lambda: LSPath(lam, 1, []),  # an empty path
     lambda: LSPath(lam, 0, [(0, W.e)]),  # D <= 0
@@ -404,7 +404,7 @@ def classification_sweep(W, lam, pool, ball):
 
 def test_classification_covers_the_affine_example(aff):
     W, w, N = aff
-    tally = classification_sweep(W, LAM, demazure_crystal(W, LAM, w), W.bfs_ball(4))
+    tally = classification_sweep(W, LAM, demazure_crystal(W, LAM, w), bfs_ball(W, 4))
     assert sum(tally.values()) > 150
     # the singular stabilizer makes branch columns appear
     assert any(k.endswith("U.3.1") or k.endswith("U.3.2") for k in tally)
@@ -415,7 +415,7 @@ def test_regular_weight_excludes_branch_columns(WA2):
     W = WA2
     lam = (1, 1)
     pool = demazure_crystal(W, lam, W.from_word((0, 1, 0)))
-    tally = classification_sweep(W, lam, pool, W.bfs_ball(3))
+    tally = classification_sweep(W, lam, pool, bfs_ball(W, 3))
     assert sum(tally.values()) > 0
     allowed = {f"up:U.{a}.{b}" for a in "12" for b in "123"}
     allowed |= {f"down:D.{a}.{b}" for a in "12" for b in "123"}
@@ -453,10 +453,10 @@ def test_string_recurrence_consistency(aff):
     J = stabilizer_nodes(R, LAM)
     pool = demazure_crystal(W, LAM, w)
     for i in range(W.n):
-        si = W.simple(i)
+        si = W.from_word((i,))
         for S in all_istrings(W, pool, i):
             members = frozenset(S.elements)
-            for z in W.bfs_ball(4):
+            for z in bfs_ball(W, 4):
                 sz = W.lmul(i, z)
                 zmin = W.coset_decompose(z, J)[0]
                 if not (sz.length > z.length and W.bruhat_leq(zmin, phi(S.head))):
@@ -485,7 +485,7 @@ def test_full_crystal_mass_and_invariance(WA2):
     mass = string_mass(W, paths)
     assert sum(mass.values()) == 15
     for i in range(W.n):
-        assert lp_act(W, W.simple(i), mass) == mass
+        assert lp_act(W, W.from_word((i,)), mass) == mass
     # highest and lowest weights appear once each
     assert mass[lam] == 1
     assert mass[W.act(w0, lam)] == 1

@@ -3,19 +3,19 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from kmchev.cartan import GCM, Realization, realization_from_preset
-from kmchev.weyl import DEFAULT_LAYER_CAP, LayerCapError, WeylGroup, env_layer_cap
-from reference import cocovers_by_inversions, covers_by_inversions, inversions
+from kmchev.cartan import GCM, Realization, pairing, realization_from_preset
+from kmchev.weyl import DEFAULT_CAP, CapError, WeylGroup, env_cap
+from reference import bfs_ball, cocovers_by_inversions, covers_by_inversions, inversions
 
 
 def words(W, bound):
-    return [w.word for w in W.bfs_ball(bound)]
+    return [w.word for w in bfs_ball(W, bound)]
 
 
 def test_group_orders(WA2, WB2, WG2):
-    assert len(WA2.bfs_ball(10)) == 6
-    assert len(WB2.bfs_ball(10)) == 8
-    assert len(WG2.bfs_ball(10)) == 12
+    assert len(bfs_ball(WA2, 10)) == 6
+    assert len(bfs_ball(WB2, 10)) == 8
+    assert len(bfs_ball(WG2, 10)) == 12
 
 
 def test_from_word_reduces(WA2):
@@ -34,7 +34,7 @@ def test_longest_element_negates(WA2):
 
 
 def test_mult_inverse_length(WA2):
-    elems = WA2.bfs_ball(3)
+    elems = bfs_ball(WA2, 3)
     for a, b in itertools.product(elems, repeat=2):
         ab = WA2.from_word(a.word + b.word)
         assert abs(a.length - b.length) <= ab.length <= a.length + b.length
@@ -43,18 +43,18 @@ def test_mult_inverse_length(WA2):
 
 
 def test_inversions_count_length(WB2):
-    for w in WB2.bfs_ball(4):
+    for w in bfs_ball(WB2, 4):
         assert len(set(inversions(WB2, w))) == w.length
 
 
 def test_bruhat_order_on_a2(WA2):
     e = WA2.from_word(())
     w0 = WA2.from_word((0, 1, 0))
-    elems = WA2.bfs_ball(3)
+    elems = bfs_ball(WA2, 3)
     for w in elems:
         assert WA2.bruhat_leq(e, w)
         assert WA2.bruhat_leq(w, w0)
-    s1, s2 = WA2.simple(0), WA2.simple(1)
+    s1, s2 = WA2.from_word((0,)), WA2.from_word((1,))
     assert not WA2.bruhat_leq(s1, s2)
     assert WA2.bruhat_leq(s1, WA2.from_word((1, 0)))
     # antisymmetry
@@ -66,7 +66,7 @@ def test_bruhat_order_on_a2(WA2):
 def test_bruhat_subword_property(WB2):
     # v <= w iff some reduced word of w contains a reduced word of v as a subword
     w = WB2.from_word((0, 1, 0, 1))
-    below = {v for v in WB2.bfs_ball(4) if WB2.bruhat_leq(v, w)}
+    below = {v for v in bfs_ball(WB2, 4) if WB2.bruhat_leq(v, w)}
     subwords = set()
     for r in range(5):
         for comb in itertools.combinations((0, 1, 0, 1), r):
@@ -75,7 +75,7 @@ def test_bruhat_subword_property(WB2):
 
 
 def test_cocovers_and_covers_are_inverse(WB2):
-    for w in WB2.bfs_ball(4):
+    for w in bfs_ball(WB2, 4):
         for v, beta in WB2.cocovers(w):
             assert v.length == w.length - 1
             assert WB2.reflect_right(v, beta) == w
@@ -95,15 +95,15 @@ def test_cocovers_and_covers_are_inverse(WB2):
     ids=["A3", "G2", "A2~", "hyperbolic", "rank3-cycle", "rank3-chain"],
 )
 def test_cocovers_and_covers_match_the_inversion_reference(R, bound):
-    """The lifting-property cocovers and the layer-scan covers equal w (or
-    its covers) reflected by every inversion and kept where one letter
+    """The lifting-property cocovers and covers equal w (or each element of
+    the next layer) reflected by every inversion and kept where one letter
     shorter: same elements, coroots (c and root vector) and order."""
     W = WeylGroup(R)
 
     def flat(pairs):
         return [(x.rho, beta.c, beta.root) for x, beta in pairs]
 
-    for w in W.bfs_ball(bound):
+    for w in bfs_ball(W, bound):
         assert flat(W.cocovers(w)) == flat(cocovers_by_inversions(W, w))
         if w.length < bound:
             assert flat(W.covers(w)) == flat(covers_by_inversions(W, w))
@@ -111,7 +111,7 @@ def test_cocovers_and_covers_match_the_inversion_reference(R, bound):
 
 def test_action_is_a_homomorphism(WAFF):
     mu = (1, -2, 1, 0)
-    for a in WAFF.bfs_ball(3):
+    for a in bfs_ball(WAFF, 3):
         for i in range(WAFF.n):
             lhs = WAFF.act(WAFF.lmul(i, a), mu)
             rhs = WAFF.R.simple_reflection(i, WAFF.act(a, mu))
@@ -120,7 +120,7 @@ def test_action_is_a_homomorphism(WAFF):
 
 @pytest.mark.parametrize("J", [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})])
 def test_coset_decompose_exhaustive(WB2, J):
-    for w in WB2.bfs_ball(4):
+    for w in bfs_ball(WB2, 4):
         rep, tail = WB2.coset_decompose(w, J)
         assert WB2.from_word(rep.word + tail.word) == w
         assert rep.length + tail.length == w.length
@@ -132,7 +132,7 @@ def test_coset_decompose_exhaustive(WB2, J):
 
 def test_coset_quotient_order(WA2):
     J = frozenset({0})  # W_J = {e, s1}
-    reps = sorted({WA2.coset_decompose(w, J)[0] for w in WA2.bfs_ball(3)}, key=lambda u: u.key)
+    reps = sorted({WA2.coset_decompose(w, J)[0] for w in bfs_ball(WA2, 3)}, key=lambda u: u.key)
     assert [r.word for r in reps] == [(), (1,), (0, 1)]
     e, s2, s12 = reps
     assert WA2.bruhat_leq(e, s2) and WA2.bruhat_leq(s2, s12)
@@ -156,7 +156,7 @@ def test_slope_rule_for_the_reflected_coset(R, lams, bound):
     slopes_met = set()
     for lam in lams:
         J = frozenset(i for i in range(W.n) if lam[i] == 0)
-        reps = {W.coset_decompose(w, J)[0] for w in W.bfs_ball(bound)}
+        reps = {W.coset_decompose(w, J)[0] for w in bfs_ball(W, bound)}
         for d in reps:
             mu = W.act(d, lam)
             for i in range(W.n):
@@ -169,7 +169,7 @@ def test_slope_rule_for_the_reflected_coset(R, lams, bound):
 def test_memoised_group_law_matches_the_rho_action(WAFF):
     """from_word and inverse walk memoised links; the reference is the action
     on rho-images, reflection by reflection."""
-    elems = WAFF.bfs_ball(3)
+    elems = bfs_ball(WAFF, 3)
     for a, b in itertools.product(elems, repeat=2):
         assert WAFF.from_word(a.word + b.word).rho == WAFF.act(a, b.rho)
     for a in elems:
@@ -183,12 +183,12 @@ def test_memoised_coset_decompose_matches_the_rho_action(preset):
     rho-images in a separate group, and w = w^J w_J."""
     W = WeylGroup(realization_from_preset(preset))
     ref = WeylGroup(W.R)
-    whole = ref.bfs_ball(20)
+    whole = bfs_ball(ref, 20)
     by_rho = {x.rho: x for x in whole}
     for r in range(W.n + 1):
         for J in map(frozenset, itertools.combinations(range(W.n), r)):
             W_J = [x for x in whole if set(x.word) <= J]
-            for w in W.bfs_ball(20):
+            for w in bfs_ball(W, 20):
                 rep, tail = W.coset_decompose(w, J)
                 coset = [by_rho[W.act(w, x.rho)] for x in W_J]
                 assert rep.rho == min(coset, key=lambda x: x.key).rho
@@ -197,20 +197,37 @@ def test_memoised_coset_decompose_matches_the_rho_action(preset):
                 assert W.coset_decompose(w, J) == (rep, tail)
 
 
-def test_layer_cap_from_the_environment(monkeypatch):
-    """KMCHEV_LAYER_CAP takes an int >= 0 and refuses anything else."""
-    monkeypatch.delenv("KMCHEV_LAYER_CAP", raising=False)
-    assert env_layer_cap() == DEFAULT_LAYER_CAP
+def test_cap_from_the_environment(monkeypatch):
+    """KMCHEV_CAP takes an int >= 0, read once per group, and refuses anything else."""
+    monkeypatch.delenv("KMCHEV_CAP", raising=False)
+    assert env_cap() == DEFAULT_CAP == WeylGroup(realization_from_preset("A1")).cap
     for text, cap in (("0", 0), ("250", 250)):
-        monkeypatch.setenv("KMCHEV_LAYER_CAP", text)
-        assert env_layer_cap() == cap == WeylGroup(realization_from_preset("A1")).layer_cap
+        monkeypatch.setenv("KMCHEV_CAP", text)
+        assert env_cap() == cap == WeylGroup(realization_from_preset("A1")).cap
     for text in ("abc", "-1", "1.5", "", " 3"):
-        monkeypatch.setenv("KMCHEV_LAYER_CAP", text)
-        with pytest.raises(LayerCapError, match="KMCHEV_LAYER_CAP"):
+        monkeypatch.setenv("KMCHEV_CAP", text)
+        with pytest.raises(CapError, match="KMCHEV_CAP"):
             WeylGroup(realization_from_preset("A1"))
-    monkeypatch.setenv("KMCHEV_LAYER_CAP", "2")
-    with pytest.raises(LayerCapError, match="exceeds cap 2"):
-        WeylGroup(realization_from_preset("A2~")).bfs_ball(6)
+
+
+RANK3_CYCLE = Realization(GCM.from_matrix([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]))
+
+
+def test_covers_of_a_long_element_come_without_its_layer():
+    """The 17-letter z = (0 1 2)^5 0 1 of the rank-3 cycle matrix, a free
+    product of three Z/2, whose layer of length 18 has 3 * 2^17 elements:
+    its 20 covers, each with z among its own cocovers by the same coroot.
+    With lam = (1,1,0) they carry 29,860,704 alcove labels."""
+    W = WeylGroup(RANK3_CYCLE)
+    z = W.from_word((0, 1, 2) * 5 + (0, 1))
+    covers = W.covers(z)
+    assert len(covers) == 20
+    assert len({w for w, _ in covers}) == 20
+    for w, beta in covers:
+        assert w.length == 18 and W.reflect_right(z, beta) is w
+        assert (z, beta) in W.cocovers(w)
+    lam = (1, 1, 0) + (0,) * (RANK3_CYCLE.N - 3)
+    assert sum(max(pairing(beta, lam), 0) for _, beta in covers) == 29_860_704
 
 
 @given(st.lists(st.integers(0, 1), max_size=8).map(tuple))
