@@ -189,7 +189,9 @@ def _walk(W: WeylGroup, lam: Weight, start: WeylElt, monotonicity: str,
           length_bound: int | None = None) -> tuple[list, bool]:
     """The adapted sequences from start, each paired with its weight carried
     along the edges, and whether the bound cut an admissible edge off: with
-    no bound the tree ending at start, with one the fan based at start."""
+    no bound the tree ending at start, with one the fan based at start.
+    The walk is a loop over a stack of (element, last label, labels, weight),
+    children pushed in reverse so that they come out in preorder."""
     inc = _is_inc(monotonicity)
     down = length_bound is None
     if not down and start.length > length_bound:
@@ -198,9 +200,9 @@ def _walk(W: WeylGroup, lam: Weight, start: WeylElt, monotonicity: str,
     out: list = []
     truncated = False
     edges: dict[WeylElt, list] = {}  # per call: an element is reached along many branches
-
-    def rec(v: WeylElt, last: LambdaHyperplane | None, hs: tuple, wt: Weight):
-        nonlocal truncated
+    stack = [(start, None, (), W.act(start, lam))]
+    while stack:
+        v, last, hs, wt = stack.pop()
         seq = AdaptedSequence(v, hs, start, monotonicity) if down else AdaptedSequence(start, hs, v, monotonicity)
         out.append((seq, wt))
         es = edges.get(v)
@@ -211,13 +213,10 @@ def _walk(W: WeylGroup, lam: Weight, start: WeylElt, monotonicity: str,
             es = edges[v] = _label_edges(W, lam, v, down, inc)
         kept = lex_cut(lam, es, last, above)
         if not down and v.length >= length_bound:
-            truncated |= bool(kept)
-            return
-        for h, x, step in kept:
-            rec(x, h, (h,) + hs if down else hs + (h,), tuple(map(operator.sub, wt, step)))
-
-    rec(start, None, (), W.act(start, lam))
-    del rec  # rec holds itself through its cell: break the cycle, or it keeps `out` and `edges` until a collection
+            truncated = truncated or bool(kept)
+            continue
+        stack += [(x, h, (h,) + hs if down else hs + (h,), tuple(map(operator.sub, wt, step)))
+                  for h, x, step in reversed(kept)]
     return out, truncated
 
 

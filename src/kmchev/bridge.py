@@ -36,27 +36,19 @@ def _label_chains(W: WeylGroup, a: WeylElt, b: WeylElt, label_ok, below=None) ->
     """Saturated chains a -> b, walked down from b through cocovers, each as
     its labels ascending by position (a and the labels fix the chain).
     Labels failing label_ok are skipped; with below(beta, bound), each label
-    must be below the label after it, which prunes the walk as it goes."""
-    if a == b:
-        return [()]
+    must be below the label after it, which prunes the walk as it goes.
+    The walk is a loop over a stack of (element, label above it, labels),
+    children pushed in reverse so that the chains come out in preorder."""
     res = []
-
-    def rec(cur: WeylElt, bound: Coroot | None, labels: tuple):
+    stack = [(b, None, ())]
+    while stack:
+        cur, bound, labels = stack.pop()
         if cur == a:
             res.append(labels)
-            return
-        if cur.length <= a.length:
-            return
-        for v, beta in W.cocovers(cur):
-            if label_ok is not None and not label_ok(beta):
-                continue
-            if below is not None and bound is not None and not below(beta, bound):
-                continue
-            if not W.bruhat_leq(a, v):
-                continue
-            rec(v, beta, (beta,) + labels)
-
-    rec(b, None, ())
+        elif cur.length > a.length:
+            stack += [(v, beta, (beta,) + labels) for v, beta in reversed(W.cocovers(cur))
+                      if (label_ok is None or label_ok(beta))
+                      and (below is None or bound is None or below(beta, bound)) and W.bruhat_leq(a, v)]
     return res
 
 

@@ -406,14 +406,14 @@ def _held(args: SimpleNamespace, R: Realization, rows: dict) -> list:
 def _nilhecke_stream(args: SimpleNamespace, R: Realization, W: WeylGroup, lam: Weight, sign: int, w: WeylElt):
     """The nilHecke rows of w, the outermost letter composed as they are
     written: with i = w.word[0], the rows of s_i w are held and checked, and
-    T_i is composed onto them one row z at a time."""
+    T_i is composed onto them one row z at a time, all in the group W."""
     from . import kring
     i = w.word[0]
-    rows = _held(args, R, _rows_for_model("nilhecke", R, lam, sign, w.word[1:]))
+    rows = _held(args, R, kring.chevalley_recurrence(W, W.lmul(i, w), lam if sign > 0 else wt_neg(lam)))
     table = kring.Strings(R, i, W.cap)
     for extreme in (min, max):  # T_i ranges start at held weights: the cap refuses the longest before the first byte
         table.add(extreme(chain.from_iterable(f for _, f in rows), key=itemgetter(i)))
-    return kring.hecke_compose(W, i, {W.from_word(z.word): f for z, f in rows}, table)
+    return kring.hecke_compose(W, i, dict(rows), table)
 
 
 def _chevalley_fixed_z(args: SimpleNamespace, sign: int, R: Realization, W: WeylGroup, lam: Weight) -> int:
@@ -584,10 +584,8 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:  # exit 1 would claim the models disagree
         pass
-    # Out of the handler, no traceback keeps the frames alive, so what they
-    # filled memory with (WeylGroup cycles too) is freed before the print.
-    import gc
-    gc.collect()
+    # Out of the handler no traceback keeps the frames alive, and what they
+    # filled memory with holds no reference cycle, so it is freed before the print.
     print("error: out of memory", file=sys.stderr)
     return 2
 

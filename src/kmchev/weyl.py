@@ -8,11 +8,13 @@ one letter.
 
 Each group interns its elements, so they compare and hash by identity (match
 elements of two groups by rho), and memoises the group law on them, after
-Casselman's integer Coxeter kernel (Invent. Math. 117, 1994): every element
-carries a link s_i·w per node, filled on first use and set in both directions
-(s_i² = e), so an element is built from a word by a walk of links.  Inverses
-and parabolic decompositions are memoised per group as well; weights are
-still acted on by reflecting coordinates.  A coset wW_J is its minimal
+Casselman's integer Coxeter kernel (Invent. Math. 117, 1994): the group keeps
+a table of links w -> s_i·w per node, filled on first use and set in both
+directions (s_i² = e), so an element is built from a word by a walk of links.
+Inverses and parabolic decompositions are memoised per group as well; weights
+are still acted on by reflecting coordinates.  An element refers to no group
+and to no other element, so a group and all it interned are freed by
+reference counting once its last user lets go.  A coset wW_J is its minimal
 representative coset_decompose(w, J)[0], ordered in W/W_J by bruhat_leq.
 
 Bruhat order, cocovers and covers come from the lifting property (Deodhar,
@@ -50,20 +52,15 @@ def over_cap(what: str, count: int, cap: int) -> CapError:
 
 
 class WeylElt:
-    """A Weyl group element: canonical reduced word plus its rho-image.
+    """A Weyl group element: canonical reduced word plus its rho-image, and
+    the realization's node names for repr.  Its links live in its group."""
 
-    ``left[i]`` is the element s_i·w once some product has needed it, else
-    None; ``_inv`` caches the inverse the same way.
-    """
+    __slots__ = ("word", "rho", "names")
 
-    __slots__ = ("word", "rho", "W", "left", "_inv")
-
-    def __init__(self, W: "WeylGroup", word: tuple[int, ...], rho: Weight):
-        self.W = W
+    def __init__(self, word: tuple[int, ...], rho: Weight, names: tuple[str, ...]):
         self.word = word
         self.rho = rho
-        self.left: list[WeylElt | None] = [None] * W.n
-        self._inv: WeylElt | None = None
+        self.names = names
 
     @property
     def length(self) -> int:
@@ -77,8 +74,7 @@ class WeylElt:
     def __repr__(self):
         if not self.word:
             return "e"
-        names = self.W.R.node_names
-        return "*".join(f"s{names[i]}" for i in self.word)
+        return "*".join(f"s{self.names[i]}" for i in self.word)
 
 
 class WeylGroup:
@@ -87,9 +83,10 @@ class WeylGroup:
         self.n = R.n
         self.rho = R.rho
         self.cap = env_cap()
-        self.e = WeylElt(self, (), self.rho)
-        self.e._inv = self.e
+        self.e = WeylElt((), self.rho, R.node_names)
         self._elts: dict[Weight, WeylElt] = {self.rho: self.e}
+        self._left: list[dict[WeylElt, WeylElt]] = [{} for _ in range(self.n)]  # _left[i][w] is s_i·w
+        self._inv: dict[WeylElt, WeylElt] = {self.e: self.e}
         self._cocover_cache: dict[WeylElt, tuple] = {self.e: ()}
         self._cover_cache: dict[WeylElt, tuple] = {}
         self._coset_cache: dict[tuple, tuple[WeylElt, WeylElt]] = {}
@@ -110,28 +107,26 @@ class WeylGroup:
             mu = self.R.simple_reflection(i, mu)
             elt = self._elts.get(mu)
         for i, mu in reversed(chain):
-            up = WeylElt(self, (i,) + elt.word, mu)
-            self._elts[mu] = up
-            up.left[i] = elt
-            elt.left[i] = up
+            up = self._elts[mu] = WeylElt((i,) + elt.word, mu, self.R.node_names)
+            self._left[i][up] = elt
+            self._left[i][elt] = up
             elt = up
         return elt
 
     def lmul(self, i: int, w: WeylElt) -> WeylElt:
         """s_i · w, through the memoised link."""
-        u = w.left[i]
+        left = self._left[i]
+        u = left.get(w)
         if u is None:
-            u = self._from_rho(self.R.simple_reflection(i, w.rho))
-            w.left[i] = u
-            u.left[i] = w
+            u = left[w] = self._from_rho(self.R.simple_reflection(i, w.rho))
+            left[u] = w
         return u
 
     def from_word(self, word) -> WeylElt:
         """Element with the given word (not necessarily reduced)."""
-        lmul, v = self.lmul, self.e
+        lmul, left, v = self.lmul, self._left, self.e
         for i in reversed(tuple(word)):
-            u = v.left[i]
-            v = u if u is not None else lmul(i, v)
+            v = left[i].get(v) or lmul(i, v)
         return v
 
     # -- actions and products ----------------------------------------------
@@ -142,11 +137,10 @@ class WeylGroup:
         return mu
 
     def inverse(self, w: WeylElt) -> WeylElt:
-        u = w._inv
+        u = self._inv.get(w)
         if u is None:
-            u = self.from_word(w.word[::-1])
-            w._inv = u
-            u._inv = w
+            u = self._inv[w] = self.from_word(w.word[::-1])
+            self._inv[u] = w
         return u
 
     def reflect_right(self, w: WeylElt, beta: Coroot) -> WeylElt:

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +15,9 @@ import kmchev.alcove as alcove
 import kmchev.cli as cli
 import kmchev.kring as kring
 import kmchev.lspath as lspath
+from kmchev.cartan import realization_from_preset
 from kmchev.cli import main
+from kmchev.weyl import WeylGroup
 from reference import stdvec
 
 AFF = ["--cartan", "A2~", "--weight", "1,1,0"]
@@ -608,6 +612,21 @@ def _half_in_the_last_row(only=None):
     return mock.patch.object(cli, "_rows_for_model", faulty)
 
 
+def _half_in_the_last_held_nilhecke_row():
+    """kring.chevalley_recurrence patched so that its last row gains a weight
+    with a coordinate 1/2: a streamed nilHecke run holds the rows of s_i w
+    it returns, and composes T_i onto them in the same group."""
+    original = kring.chevalley_recurrence
+
+    def faulty(W, w, lam):
+        rows = original(W, w, lam)
+        last = max(rows, key=lambda z: z.key)
+        rows[last] = {**rows[last], (HALF, *[0] * (W.R.N - 1)): 1}
+        return rows
+
+    return mock.patch.object(kring, "chevalley_recurrence", faulty)
+
+
 def _half_in_every_fixed_z_row():
     """Each row of the fixed-z expansion gains the weight (1/2, 0, ...)."""
     original = alcove.fixed_z_rows
@@ -620,7 +639,7 @@ def _half_in_every_fixed_z_row():
 
 
 @pytest.mark.parametrize("argv, fault", [
-    (LONG_ROWS, _half_in_the_last_row),
+    (LONG_ROWS, _half_in_the_last_held_nilhecke_row),
     (["chevalley", *AFFW, "--model", "all"], _half_in_the_last_row),  # the models agree on the bad row
     (["chevalley", *AFFW], lambda: _half_in_the_last_row("alcove")),  # the models-disagree report
     (["chevalley", *AFF, "--z", "1 2", "--max-length", "4", "--model", "alcove"], _half_in_every_fixed_z_row),
@@ -809,27 +828,36 @@ def test_a_non_reduced_word_gives_the_bytes_of_its_reduced_word(capsys, base, ty
         assert outs[0] == outs[1], fmt
 
 
-def test_running_out_of_memory_mid_stream_leaves_no_out_file(tmp_path, capsys, monkeypatch):
-    """The rows of the outermost letter are written as they are made, so a
-    run can fail after its first byte: at the third such row here.  It exits
-    2 with one error: line, removes the --out file it created, and leaves a
-    prefix of the document on stdout."""
-    argv = ["chevalley", *HYP, "--weight", "1,1", "--w", "0 1 0 1 0 1", "--model", "nilhecke"]
-    code, whole, _ = run(capsys, argv)
-    assert code == 0
+MID_STREAM = ["chevalley", *HYP, "--weight", "1,1", "--w", "0 1 0 1 0 1", "--model", "nilhecke"]
+
+
+def _exhausted_at_the_third_streamed_row(calls: list):
+    """kring.hecke_compose, raising MemoryError before the third row of its
+    sixth call, which composes the outermost letter of MID_STREAM; the held
+    rows of the five letters before it take one call each, each appended
+    to `calls`."""
     original = kring.hecke_compose
-    calls = []
 
     def exhausted(*args):
-        """The sixth call composes the outermost letter; the held rows of the
-        five letters before it take one call each."""
         calls.append(args[1])
         for k, pair in enumerate(original(*args)):
             if k == 2 and len(calls) == 6:
                 raise MemoryError
             yield pair
 
-    monkeypatch.setattr(kring, "hecke_compose", exhausted)
+    return exhausted
+
+
+def test_running_out_of_memory_mid_stream_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    """The rows of the outermost letter are written as they are made, so a
+    run can fail after its first byte: at the third such row here.  It exits
+    2 with one error: line, removes the --out file it created, and leaves a
+    prefix of the document on stdout."""
+    argv = MID_STREAM
+    code, whole, _ = run(capsys, argv)
+    assert code == 0
+    calls = []
+    monkeypatch.setattr(kring, "hecke_compose", _exhausted_at_the_third_streamed_row(calls))
     target = tmp_path / "rows.json"
     for out in (["--out", str(target)], []):
         calls.clear()
@@ -839,3 +867,83 @@ def test_running_out_of_memory_mid_stream_leaves_no_out_file(tmp_path, capsys, m
         assert whole.startswith(stdout) and len(stdout) < len(whole)
     assert not target.exists()
     assert stdout  # the first rows went out before the third was made
+
+
+def test_a_real_out_of_memory_run_is_one_error_line():
+    """A run that exhausts a 100 MB address space exits 2 with one error:
+    line.  The alcove fan over e in A1~ meets two elements per length, so no
+    cap stops it before memory runs out; all the walk held is freed by
+    reference counting once main leaves its handler, which leaves the room
+    to print the line.  Only the child's address space is limited."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("RLIMIT_AS is not available on this platform")
+    limit = 100 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("KMCHEV_CAP", None)
+    proc = subprocess.run([sys.executable, "-m", "kmchev", "chevalley", "--cartan", "A1~", "--weight", "1,0",
+                           "--z", "e", "--max-length", "20", "--model", "alcove"],
+                          capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
+@pytest.fixture
+def no_cyclic_collector():
+    """The cyclic collector off, with nothing left for it when the test starts."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+NO_CYCLE_RUNS = [
+    *(["chevalley", *AFFW, "--model", model, "--sign", sign]
+      for model in ("ls", "alcove", "nilhecke", "all") for sign in ("+1", "-1")),
+    ["chevalley", *AFFW, "--format", "table"],
+    ["chevalley", *AFFW, "--format", "dot"],
+    ["chevalley", *AFF, "--z", "1 2", "--max-length", "4", "--model", "alcove"],
+    ["crystal", *AFFW],
+    ["crystal", *AFFW, "--realization", "alcove"],
+    ["crystal", *AFF, "--opposite", "--z", "1", "--max-length", "3"],
+    ["selftest"],
+]
+
+
+def test_no_command_leaves_cyclic_garbage(capsys, monkeypatch, no_cyclic_collector):
+    """Everything a run builds (Weyl groups, their tables, walks) is freed by
+    reference counting: with the cyclic collector off, a collection after
+    each command finds nothing, also after a run the cap stops and after a
+    run out of memory mid-stream."""
+    for argv in NO_CYCLE_RUNS:
+        code, _, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+        assert gc.collect() == 0, argv
+    env, argv = next((env, argv) for env, argv, _ in BOUNDS_CASES if env == {"KMCHEV_CAP": "40"})
+    monkeypatch.setenv("KMCHEV_CAP", env["KMCHEV_CAP"])
+    assert run(capsys, argv)[0] == 2
+    assert gc.collect() == 0, argv
+    monkeypatch.delenv("KMCHEV_CAP")
+    monkeypatch.setattr(kring, "hecke_compose", _exhausted_at_the_third_streamed_row([]))
+    assert run(capsys, MID_STREAM)[::2] == (2, "error: out of memory\n")
+    assert gc.collect() == 0, MID_STREAM
+
+
+def test_each_models_group_is_gone_once_its_rows_are_returned(monkeypatch, no_cyclic_collector):
+    """No row key refers back to its group, so a model's WeylGroup and all it
+    interned are freed as _rows_for_model returns."""
+    groups = []
+
+    def tracked(R):
+        W = WeylGroup(R)
+        groups.append(weakref.ref(W))
+        return W
+
+    R = realization_from_preset("A2~")
+    monkeypatch.setattr(cli, "WeylGroup", tracked)
+    for model in ("ls", "alcove", "nilhecke"):
+        rows = cli._rows_for_model(model, R, R.parse_weight("1,1,0"), 1, (0, 1, 2, 1))
+        assert len(rows) == 4 and groups[-1]() is None, model
