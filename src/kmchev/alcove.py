@@ -37,8 +37,9 @@ labels folded over lam, A = u(.) + t the parent's affine map:
 The pairs (sequence, weight) are summed, through one accumulator, into the
 fixed-w rows (chevalley_alcove) and the fixed-z rows (fixed_z_rows).  It
 loads no other model; the bijection with LS paths lives in kmchev.bridge.
-A walk builds the edges of at most W.cap distinct elements, each carrying at
-most W.cap labels, and raises CapError before it would build more.
+A walk holds at most W.cap adapted sequences and builds at most W.cap labels
+on the edges of all the elements it meets, and raises CapError, naming its
+start, before it would hold or build more.
 """
 
 from __future__ import annotations
@@ -145,20 +146,22 @@ def wt_fold(W: WeylGroup, lam: Weight, seq: AdaptedSequence, levels: str | None 
 # -- one walk: trees below w, fans above z ----------------------------------------
 
 
-def _label_edges(W: WeylGroup, lam: Weight, v: WeylElt, down: bool, inc: bool) -> list:
+def _label_edges(W: WeylGroup, lam: Weight, v: WeylElt, down: bool, inc: bool, walk: str, built: int) -> list:
     """Edges (hyperplane, element, step), lex-sorted, from v to its cocovers
     (down: tree edges) or covers (fan edges).  The step is what the weight
     loses across the edge: k' v(beta) on a tree, (<beta,lam> - k') v(beta)
-    on a fan, as the module docstring derives.
+    on a fan, as the module docstring derives.  One edge per label: with the
+    `built` labels of the walk named `walk` before them, more than W.cap is
+    refused before any is built.
 
     The sort key is the lex vector (k, c) / p of lex_less scaled by the lcm
     L of the pairings, an int vector: each coroot's scaled tail c * L/p and
     its image v(beta) are built once and shared by its levels k."""
     covers = W.cocovers(v) if down else W.covers(v)
     pairs = [(x, beta, pairing(beta, lam)) for x, beta in covers]
-    labels = sum(p for _, _, p in pairs if p > 0)
+    labels = built + sum(p for _, _, p in pairs if p > 0)
     if labels > W.cap:
-        raise over_cap(f"labels on the alcove edges {'below' if down else 'above'} {v!r}", labels, W.cap)
+        raise over_cap(f"labels {walk}", labels, W.cap)
     scale = math.lcm(*(p for _, _, p in pairs if p > 0))
     at_k = down == inc  # the step's multiple of v(beta) is k, else <beta,lam> - k
     keyed = []
@@ -191,26 +194,31 @@ def _walk(W: WeylGroup, lam: Weight, start: WeylElt, monotonicity: str,
     along the edges, and whether the bound cut an admissible edge off: with
     no bound the tree ending at start, with one the fan based at start.
     The walk is a loop over a stack of (element, last label, labels, weight),
-    children pushed in reverse so that they come out in preorder."""
+    children pushed in reverse so that they come out in preorder.  It holds
+    at most W.cap sequences, checked before each is appended, and builds at
+    most W.cap labels in all, checked by _label_edges before an element's
+    edges are built: an element gets edges only when a sequence reaches it."""
     inc = _is_inc(monotonicity)
     down = length_bound is None
     if not down and start.length > length_bound:
         return [], True
     above = inc != down  # tree "dec" and fan "inc" keep the labels above the last one
+    walk = f"of the alcove walk {'below' if down else 'above'} {start!r}"
     out: list = []
     truncated = False
+    built = 0  # labels on the edges of the elements met so far
     edges: dict[WeylElt, list] = {}  # per call: an element is reached along many branches
     stack = [(start, None, (), W.act(start, lam))]
     while stack:
         v, last, hs, wt = stack.pop()
+        if len(out) == W.cap:
+            raise over_cap(f"adapted sequences {walk}", W.cap + 1, W.cap)
         seq = AdaptedSequence(v, hs, start, monotonicity) if down else AdaptedSequence(start, hs, v, monotonicity)
         out.append((seq, wt))
         es = edges.get(v)
         if es is None:
-            if len(edges) == W.cap:
-                walk = f"elements of the alcove walk {'below' if down else 'above'} {start!r}"
-                raise over_cap(walk, W.cap + 1, W.cap)
-            es = edges[v] = _label_edges(W, lam, v, down, inc)
+            es = edges[v] = _label_edges(W, lam, v, down, inc, walk, built)
+            built += len(es)
         kept = lex_cut(lam, es, last, above)
         if not down and v.length >= length_bound:
             truncated = truncated or bool(kept)

@@ -12,12 +12,12 @@ coordinates are read and printed as ``delta=q`` (parse_weight, format_weight).
 All arithmetic is exact and weights are tuples of Python ints: weight sums,
 pairings and reflections are plain int arithmetic, and LS paths store no
 Fraction either (their step lengths are ints over one denominator).  The
-set-up of a realization is integer too: fraction-free Gauss-Jordan
-elimination gives the rank and the completion columns, and the symmetrizer
-is propagated as reduced int pairs.  Nothing here imports ``fractions``: a
-weight coordinate is whatever ``int`` reads, and parse_weight refuses any
-other text (``1/2``, ``1.5``, also ``2/2``), so a non-integral weight never
-reaches the weight arithmetic.
+set-up of a realization is integer too: the pivot columns, each column
+reduced fraction-free against the independent ones before it, give the rank
+and the completion columns, and the symmetrizer is propagated as reduced int
+pairs.  Nothing here imports ``fractions``: a weight coordinate is whatever
+``int`` reads, and parse_weight refuses any other text (``1/2``, ``1.5``,
+also ``2/2``), so a non-integral weight never reaches the weight arithmetic.
 """
 from __future__ import annotations
 
@@ -68,33 +68,23 @@ def lp_add_into(dst: LaurentPoly, src: LaurentPoly, sign: int = 1) -> None:
             dst.pop(mu, None)
 
 
-def _eliminate(rows) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
-
-    Returns (reduced, pivots): the reduced row echelon form with each row
-    divided by its gcd and each pivot positive (a positive multiple of the
-    rational reduced row), and its pivot columns.  The rank is len(pivots).
-    """
-    mat = [list(row) for row in rows]
-    pivots: list[int] = []
-    for col in range(len(mat[0]) if mat else 0):
-        top = len(pivots)
-        pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[top], mat[pivot] = mat[pivot], mat[top]
-        row = mat[top]
-        g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
-        row = mat[top] = [x // g for x in row]
-        p = row[col]
-        for r in range(len(mat)):
-            c = mat[r][col]
-            if r != top and c != 0:
-                new = [p * x - c * y for x, y in zip(mat[r], row)]
-                g = math.gcd(*new)
-                mat[r] = [x // g for x in new] if g > 1 else new
-        pivots.append(col)
-    return mat, pivots
+def _pivot_columns(rows) -> list[int]:
+    """The pivot columns of an integer matrix, those outside the span of the
+    columns before them; the rank is their number.  Each column is reduced,
+    fraction-free, against the independent columns before it (each with a
+    row where the ones after it are zero) and kept if anything is left."""
+    kept: list[tuple[int, list[int]]] = []  # (its row, the reduced column)
+    pivots = []
+    for j, col in enumerate(zip(*rows)):
+        for r, b in kept:
+            if col[r]:
+                col = [b[r] * x - col[r] * y for x, y in zip(col, b)]
+        r = next((r for r, x in enumerate(col) if x), None)
+        if r is not None:
+            g = math.gcd(*col)
+            kept.append((r, [x // g for x in col]))
+            pivots.append(j)
+    return pivots
 
 
 def _symmetrizer(a) -> tuple[int, ...]:
@@ -237,7 +227,7 @@ class Realization:
         # i.e. off the pivots of the column-reversed matrix.  The completed
         # columns so have the smallest indices; for an untwisted affine
         # matrix that is exactly {0}, giving alpha_0 the delta coordinate.
-        kept = {n - 1 - c for c in _eliminate([r[::-1] for r in a])[1]}
+        kept = {n - 1 - c for c in _pivot_columns([r[::-1] for r in a])}
         extra = [j for j in range(n) if j not in kept]
         self.n = n
         self.N = n + len(extra)

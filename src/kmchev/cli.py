@@ -14,10 +14,11 @@ Output formats: ``json`` (stable schema, deterministic ordering), ``table``
 (human-readable), ``dot`` (trees / crystal graphs).  JSON output is the exact
 text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
 is refused before any model runs), written in pieces of bounded size
-(``json_pieces``): a row's terms and a crystal's elements go out
-ITEMS_PER_PIECE at a time, so a multi-MB document is never held as one
-string.  Every check of the input and of the rows comes before the first
-byte, so a refused run leaves stdout empty and creates no ``--out`` file.
+(``json_pieces``): a row's terms go out ITEMS_PER_PIECE at a time, and a
+list given as an iterator (the rows, a crystal's elements) entry by entry,
+so a multi-MB document is never held as one string.  Every check of the
+input and of the rows comes before the first byte, so a refused run leaves
+stdout empty and creates no ``--out`` file.
 
 A single-model ``--model nilhecke`` run streams its rows: with i the first
 letter of the canonical reduced word ``w.word``, the rows of s_i w are held
@@ -146,26 +147,9 @@ def word_obj(R: Realization, w: WeylElt) -> list:
     return [R.node_names[i] for i in w.word]
 
 
-# Entries per piece of a streamed JSON list (a piece of terms is about 60 KB):
+# Terms per piece of a row's JSON text (a piece of terms is about 60 KB):
 # the pieces in flight stay a small part of a multi-MB document.
 ITEMS_PER_PIECE = 512
-
-
-def _list_pieces(texts_of, items, indent: str):
-    """The JSON text of a list with one entry per element of the sequence
-    `items`, at `indent`, in pieces of ITEMS_PER_PIECE entries.
-    texts_of(chunk) gives a list of the texts of a chunk's entries, each
-    with the "," and line break that go before it; one join makes a piece."""
-    if not items:
-        yield "[]"
-        return
-    for start in range(0, len(items), ITEMS_PER_PIECE):
-        parts = texts_of(items[start:start + ITEMS_PER_PIECE])
-        if start == 0:
-            parts[0] = "[" + parts[0][1:]
-        if start + ITEMS_PER_PIECE >= len(items):
-            parts.append(indent + "]")
-        yield "".join(parts)
 
 
 def check_rows(R: Realization, polys) -> None:
@@ -182,52 +166,54 @@ def terms_text(R: Realization, poly, indent: str):
     for mu, c in sorted(poly.items())] at `indent`: one format string filled
     per term, and one join per ITEMS_PER_PIECE terms.  The weights are
     checked by check_rows before any piece is asked for."""
+    if not poly:
+        yield "[]"
+        return
     i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
     term = ("," + i1 + "{" + i2 + '"weight": {' + i3 + '"fund": [' + i4 + ("," + i4).join(["%s"] * R.n) + i3 + "]"
             + (R.N - R.n) * ("," + i3 + '"delta": %s') + i2 + "}," + i2 + '"mult": %s' + i1 + "}")
-    return _list_pieces(lambda chunk: [term % (*mu, poly[mu]) for mu in chunk], sorted(poly), indent)
+    mus = sorted(poly)
+    for start in range(0, len(mus), ITEMS_PER_PIECE):
+        parts = [term % (*mu, poly[mu]) for mu in mus[start:start + ITEMS_PER_PIECE]]
+        if start == 0:
+            parts[0] = "[" + parts[0][1:]
+        if start + ITEMS_PER_PIECE >= len(mus):
+            parts.append(indent + "]")
+        yield "".join(parts)
 
 
-def items_text(to_obj, xs, indent: str):
-    """The pieces of the JSON text of [to_obj(x) for x in xs] at `indent`,
-    each entry encoded when its piece is built; to_obj gives no callable."""
-    inner = indent + "  "
-    sep = "," + inner
-    return _list_pieces(lambda chunk: [sep + _json_skeleton(to_obj(x), inner, None) for x in chunk], xs, indent)
+def json_pieces(obj, indent: str = "\n"):
+    """The text of ``json.dumps(obj, indent=2)``, obj set at `indent`, in
+    pieces, for obj made of dicts with str keys, lists, str, int, bool, None,
+    iterators and callables.  An iterator (a generator, a map) is written as
+    a list, its entries made one by one as the writer reaches them; a
+    callable stands for a value that writes its own pieces (terms_text),
+    called with its indentation.  Either has a NUL, which the encoding never
+    emits, in the text of everything else, and is written at that place
+    when the pieces before it are."""
+    calls: list = []
+    segments = _json_skeleton(obj, indent, calls).split("\0")  # no copy when there is no NUL
+    yield segments[0]
+    for (value, at), segment in zip(calls, segments[1:]):
+        yield from _entries_text(value, at) if hasattr(value, "__next__") else value(at)
+        yield segment
 
 
-def stream_text(objs, indent: str):
-    """The pieces of the JSON text of [*objs] at `indent`, each entry
-    written by json_pieces when the entries before it are, so objs may be
-    an iterator that makes its entries as they are asked for."""
+def _entries_text(entries, indent: str):
+    """The pieces of the JSON text of [*entries] at `indent`, each entry
+    written by json_pieces when the entries before it are."""
     inner = indent + "  "
     start = "[" + inner
-    for obj in objs:
+    for obj in entries:
         yield start
         yield from json_pieces(obj, inner)
         start = "," + inner
     yield "[]" if start[0] == "[" else indent + "]"
 
 
-def json_pieces(obj, indent: str = "\n"):
-    """The text of ``json.dumps(obj, indent=2)``, obj set at `indent`, in
-    pieces, for obj made of dicts with str keys, lists, str, int, bool, None
-    and callables.  A callable stands for a value written in pieces
-    (terms_text, items_text): a NUL, which the encoding never emits, holds
-    its place in the text of everything else, and at that place the callable
-    is called with its indentation, when the pieces before it are written,
-    and its pieces are yielded."""
-    calls: list = []
-    segments = _json_skeleton(obj, indent, calls).split("\0")  # no copy when there is no NUL
-    yield segments[0]
-    for (fn, at), segment in zip(calls, segments[1:]):
-        yield from fn(at)
-        yield segment
-
-
-def _json_skeleton(obj, indent: str, calls: list | None) -> str:
-    """The text of obj, with a NUL for each callable, which is appended to
-    `calls` with its indentation."""
+def _json_skeleton(obj, indent: str, calls: list) -> str:
+    """The text of obj, with a NUL for each iterator and callable, which is
+    appended to `calls` with its indentation."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     inner = indent + "  "
@@ -241,7 +227,7 @@ def _json_skeleton(obj, indent: str, calls: list | None) -> str:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if callable(obj):
+    if callable(obj) or hasattr(obj, "__next__"):
         calls.append((obj, indent))
         return "\0"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -442,8 +428,7 @@ def _emit_rows(args: SimpleNamespace, sign: int, R: Realization, lam: Weight, fi
             "lambda": weight_obj(R, lam),
             "sign": sign,
             fixed: word_obj(R, elt),
-            "rows": partial(stream_text, ({key: word_obj(R, u), "terms": partial(terms_text, R, poly)}
-                                          for u, poly in rows)),
+            "rows": ({key: word_obj(R, u), "terms": partial(terms_text, R, poly)} for u, poly in rows),
             "truncated": truncated,
         }))
     else:

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
+from itertools import chain
 from types import SimpleNamespace
 
 from . import alcove, lspath
-from .cli import CLIError, _over_z, _setup, emit, items_text, json_pieces, parse_word, poly_str, weight_obj, word_obj
+from .cli import CLIError, _over_z, _setup, emit, json_pieces, parse_word, poly_str, weight_obj, word_obj
 
 
 def cmd_crystal(args: SimpleNamespace) -> int:
@@ -35,7 +36,7 @@ def cmd_crystal(args: SimpleNamespace) -> int:
     wts_ls = sorted(path_wt.values())
     wts_alc = sorted(wt for _, wt in pairs)
 
-    if len(paths) != len(pairs) or wts_ls != wts_alc:
+    if wts_ls != wts_alc:
         if args.format == "table":
             emit(args.out, ["\n".join(["realizations disagree"] + [
                 f"  {name} : {len(wts)} elements, {poly_str(R, Counter(wts))}"
@@ -45,55 +46,43 @@ def cmd_crystal(args: SimpleNamespace) -> int:
             "error": "realizations disagree",
             "ls_count": len(paths),
             "alcove_count": len(pairs),
-            "ls_weights": partial(items_text, partial(weight_obj, R), wts_ls),
-            "alcove_weights": partial(items_text, partial(weight_obj, R), wts_alc),
+            "ls_weights": map(partial(weight_obj, R), wts_ls),
+            "alcove_weights": map(partial(weight_obj, R), wts_alc),
         }
         emit(args.out, json_pieces(report))
         return 1
 
     if args.realization == "ls":  # only the LS outputs print the paths, in this order
-        paths = sorted(paths, key=lspath.path_key)
-    if args.format == "json":
-        if args.realization == "ls":
-            elements = paths
+        elements = sorted(paths, key=lspath.path_key)
+        dot = partial(lspath.crystal_dot, W, elements)
 
-            def element(p):
-                return {
-                    "b": [lspath.ratio_text(*c) for c in lspath.cuts(p)],
-                    "dirs": [word_obj(R, d) for d in p.dirs],
-                    "weight": weight_obj(R, path_wt[p]),
-                }
-        else:
-            elements = pairs
+        def element(p):
+            return {"b": [lspath.ratio_text(*c) for c in lspath.cuts(p)], "dirs": [word_obj(R, d) for d in p.dirs],
+                    "weight": weight_obj(R, path_wt[p])}
 
-            def element(pair):
-                seq, wt = pair
-                return {
-                    "z": word_obj(R, seq.z),
-                    "labels": [alcove.format_hyperplane(lam, h) for h in seq.hs],
-                    "weight": weight_obj(R, wt),
-                }
-        doc = {
-            "cartan": R.gcm.to_json(),
-            "lambda": weight_obj(R, lam),
-            "realization": args.realization,
-            "count": len(elements),
-            "elements": partial(items_text, element, elements),
-            "truncated": truncated,
-        }
-        emit(args.out, json_pieces(doc))
-    elif args.format == "table":
-        lines = [f"{len(paths)} elements" + ("  (truncated)" if truncated else "")]
-        if args.realization == "ls":
-            for p in paths:
-                lines.append(f"  {p!r}  wt={R.format_weight(path_wt[p])}")
-        else:
-            for s, wt in pairs:
-                labels = ",".join(alcove.format_hyperplane(lam, h) for h in s.hs)
-                lines.append(f"  {s.z!r} [{labels}]  wt={R.format_weight(wt)}")
-        emit(args.out, ["\n".join(lines)])
-    elif args.realization == "ls":  # --format dot
-        emit(args.out, [lspath.crystal_dot(W, paths)])
+        def line(p):
+            return f"\n  {p!r}  wt={R.format_weight(path_wt[p])}"
     else:
-        emit(args.out, [alcove.tree_dot(W, lam, pairs)])
+        elements = pairs
+        dot = partial(alcove.tree_dot, W, lam, pairs)
+
+        def element(pair):
+            seq, wt = pair
+            return {"z": word_obj(R, seq.z), "labels": [alcove.format_hyperplane(lam, h) for h in seq.hs],
+                    "weight": weight_obj(R, wt)}
+
+        def line(pair):
+            seq, wt = pair
+            labels = ",".join(alcove.format_hyperplane(lam, h) for h in seq.hs)
+            return f"\n  {seq.z!r} [{labels}]  wt={R.format_weight(wt)}"
+
+    if args.format == "json":
+        emit(args.out, json_pieces({"cartan": R.gcm.to_json(), "lambda": weight_obj(R, lam),
+                                    "realization": args.realization, "count": len(elements),
+                                    "elements": map(element, elements), "truncated": truncated}))
+    elif args.format == "table":
+        head = f"{len(elements)} elements" + ("  (truncated)" if truncated else "")
+        emit(args.out, chain([head], map(line, elements)))
+    else:
+        emit(args.out, [dot()])
     return 0

@@ -542,12 +542,13 @@ def test_lex_cut_matches_the_filter(R, lamtext, wword):
     cuts: dict = {}
     for inc, tree in ((True, enumerate_tree_dominant), (False, enumerate_tree_antidominant)):
         for seq, _ in tree(W, lam, w):
-            _, labels = cuts.setdefault(("tree", inc, seq.z), (_label_edges(W, lam, seq.z, True, inc), {None}))
+            edges = _label_edges(W, lam, seq.z, True, inc, "tree", 0)
+            _, labels = cuts.setdefault(("tree", inc, seq.z), (edges, {None}))
             labels.add(seq.hs[0] if seq.hs else None)
     for inc in (True, False):
         for seq, _ in enumerate_z_adapted(W, lam, W.e, "inc" if inc else "dec", 4)[0]:
             u = seq.end
-            _, labels = cuts.setdefault(("fan", inc, u), (_label_edges(W, lam, u, False, inc), {None}))
+            _, labels = cuts.setdefault(("fan", inc, u), (_label_edges(W, lam, u, False, inc, "fan", 0), {None}))
             labels.add(seq.hs[-1] if seq.hs else None)
     assert {kind for kind, _, _ in cuts} == {"tree", "fan"}
     proper = 0

@@ -348,11 +348,18 @@ BOUNDS_CASES = [
      "--max-length"),
     ({"KMCHEV_CAP": "abc"}, ["chevalley", "--cartan", "A2", "--weight", "1,1", "--w", "1 2"], "KMCHEV_CAP"),
     ({"KMCHEV_CAP": "0"}, ["chevalley", "--cartan", "A1~", "--weight", "1,1", "--z", "1", "--max-length", "3",
-                           "--model", "alcove"], "elements of the alcove walk above s1: 1 exceeds cap 0"),
+                           "--model", "alcove"], "adapted sequences of the alcove walk above s1: 1 exceeds cap 0"),
     ({}, ["chevalley", "--gcm-file", "RANK3_CYCLE", "--weight", "1,1,0", "--z", " ".join("012" * 5 + "01"),
           "--max-length", "18", "--model", "alcove"], "29860704 exceeds cap 100000"),
     ({"KMCHEV_CAP": "40"}, ["chevalley", "--cartan", "A2~", "--weight", "1,1,0", "--z", "e", "--max-length", "8",
-                            "--model", "alcove"], "elements of the alcove walk above e: 41 exceeds cap 40"),
+                            "--model", "alcove"], "labels of the alcove walk above e: 44 exceeds cap 40"),
+    ({"KMCHEV_CAP": "2000"}, ["chevalley", "--cartan", "A1~", "--weight", "1,0", "--z", "e", "--max-length", "20",
+                              "--model", "alcove"],
+     "adapted sequences of the alcove walk above e: 2001 exceeds cap 2000"),
+    ({"KMCHEV_CAP": "5000"}, ["chevalley", "--cartan", "A1~", "--weight", "1,1", "--z", "e", "--max-length", "1200",
+                              "--model", "alcove"], "labels of the alcove walk above e: 5112 exceeds cap 5000"),
+    ({}, ["chevalley", "--gcm-file", "RANK3_CYCLE", "--weight", "1,0,0", "--z", "e", "--max-length", "17",
+          "--model", "alcove"], "labels of the alcove walk above e: 134769 exceeds cap 100000"),
     *(({}, ["chevalley", *HUGE_A1, "--model", model], "99999999999999999999 exceeds cap 100000")
       for model in ("ls", "alcove", "nilhecke", "all")),
     *(({}, ["crystal", *HUGE_A1, "--realization", realization], "99999999999999999999 exceeds cap 100000")
@@ -364,11 +371,14 @@ BOUNDS_CASES = [
 def test_bad_bounds_exit_2(flags, tmp_path):
     """A negative --max-length, a KMCHEV_CAP that is not an int >= 0, and
     work that outgrows the cap each exit 2 with one error: line naming what
-    overflowed, also under python -O: the alcove walk's distinct elements
-    (cap 0 on a fixed-z fan; a cap of 40 on an A2~ fan), the labels on one
-    element's edges (the 17-letter rank-3 fan at the default cap), and a
-    20-digit A1 weight, whose one letter asks every model and both crystal
-    realizations for 10^20 terms."""
+    overflowed, also under python -O: the adapted sequences an alcove walk
+    holds (cap 0 on a fixed-z fan; the A1~ fan over e, two elements a
+    length, whose sequences once ran on for 16 s at cap 2000), the labels it
+    builds in all (a cap of 40 on an A2~ fan; the A1~ fan to length 1200,
+    which once ran until memory ran out; the rank-3 fan over e to length 17,
+    which once held 500 MB first; the 17-letter rank-3 start, refused before
+    any of its labels is built), and a 20-digit A1 weight, whose one letter
+    asks every model and both crystal realizations for 10^20 terms."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     gcm = tmp_path / "rank3_cycle.json"
     gcm.write_text(RANK3_CYCLE)
@@ -871,10 +881,11 @@ def test_running_out_of_memory_mid_stream_leaves_no_out_file(tmp_path, capsys, m
 
 def test_a_real_out_of_memory_run_is_one_error_line():
     """A run that exhausts a 100 MB address space exits 2 with one error:
-    line.  The alcove fan over e in A1~ meets two elements per length, so no
-    cap stops it before memory runs out; all the walk held is freed by
-    reference counting once main leaves its handler, which leaves the room
-    to print the line.  Only the child's address space is limited."""
+    line.  The alcove fan over e in A1~ meets two elements per length, and
+    a cap far above the default lets its sequences run until memory does;
+    all the walk held is freed by reference counting once main leaves its
+    handler, which leaves the room to print the line.  Only the child's
+    address space is limited."""
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("RLIMIT_AS is not available on this platform")
@@ -883,8 +894,7 @@ def test_a_real_out_of_memory_run_is_one_error_line():
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    env.pop("KMCHEV_CAP", None)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), KMCHEV_CAP="1000000000")
     proc = subprocess.run([sys.executable, "-m", "kmchev", "chevalley", "--cartan", "A1~", "--weight", "1,0",
                            "--z", "e", "--max-length", "20", "--model", "alcove"],
                           capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120)

@@ -54,7 +54,20 @@ CASES = {
     "chevalley_fixed_z.json": ["chevalley", *A2AFF, "--z", "1 2", "--max-length", "4", "--model", "alcove"],
     "chevalley_table.txt": ["chevalley", *A2AFF, "--w", "0 1 2 1", "--sign", "-1", "--format", "table"],
     "chevalley_tree.dot": ["chevalley", *A2AFF, "--w", "0 1 2 1", "--model", "alcove", "--format", "dot"],
+    **{
+        f"crystal_a2aff_{real}.txt": ["crystal", *A2AFF, "--w", "0 1 2 1 0 2", "--realization", real,
+                                      "--format", "table"]
+        for real in ("ls", "alcove")
+    },
+    **{
+        f"crystal_opposite_{real}.txt": [
+            "crystal", *A2AFF, "--opposite", "--z", "1", "--max-length", "5", "--realization", real,
+            "--format", "table",
+        ]
+        for real in ("ls", "alcove")
+    },
     "crystal_graph.dot": ["crystal", *A2AFF, "--w", "0 1 2 1", "--format", "dot"],
+    "crystal_tree.dot": ["crystal", *A2AFF, "--w", "0 1 2 1", "--realization", "alcove", "--format", "dot"],
     "selftest.json": ["selftest"],
 }
 

@@ -13,14 +13,14 @@ from hypothesis import given, strategies as st
 
 from kmchev.cartan import GCM, Realization, realization_from_preset
 from kmchev import cli, kring
-from kmchev.cli import CLIError, check_rows, emit, items_text, json_pieces, terms_text, weight_obj
+from kmchev.cli import CLIError, check_rows, emit, json_pieces, terms_text, weight_obj
 
 
 def json_text(obj, indent: str = "\n") -> str:
     """The pieces of json_pieces(obj, indent) joined: exactly the text that
     ``json.dumps`` gives with ``indent=2``, for dicts with str keys, lists,
-    str, int, bool and None, and for callables that give the pieces of such
-    a text."""
+    str, int, bool and None, for iterators of such values, and for callables
+    that give the pieces of such a text."""
     return "".join(json_pieces(obj, indent))
 
 
@@ -213,14 +213,33 @@ def test_emit_writes_short_pieces_together(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1500])
-def test_items_text_is_the_stdlib_text_in_pieces(count):
-    """The crystal's element list, across piece boundaries, at two depths."""
+def test_a_map_in_a_document_is_the_stdlib_list(count):
+    """The crystal's element list, a map in the document, at counts around
+    ITEMS_PER_PIECE and at two depths."""
     def obj(x):
         return {"b": [str(x), f"{x}/3"], "dirs": [["0", "1"][: x % 3]], "weight": {"fund": [x, -x]}}
 
     xs = list(range(count))
     for depth in (0, 1):
-        want = at_depth(json.dumps([obj(x) for x in xs], indent=2), depth)
-        pieces = list(items_text(obj, xs, "\n" + "  " * depth))
-        assert "".join(pieces) == want
-        assert len(pieces) == max(1, math.ceil(count / cli.ITEMS_PER_PIECE))
+        doc = {"count": count, "elements": map(obj, xs), "truncated": False}
+        want = {"count": count, "elements": [obj(x) for x in xs], "truncated": False}
+        assert json_text(doc, "\n" + "  " * depth) == at_depth(json.dumps(want, indent=2), depth)
+
+
+def test_an_iterators_entries_are_made_as_the_writer_reaches_them():
+    """Each entry of an iterator is made when the pieces before it are
+    written, not when the document is built or its writer started."""
+    written = []
+    made_after = []
+
+    def entries():
+        for k in range(5):
+            made_after.append(len(written))
+            yield {"k": k}
+
+    doc = {"head": "x", "rows": entries(), "tail": [1]}
+    for piece in json_pieces(doc):
+        written.append(piece)
+    assert "".join(written) == json.dumps({"head": "x", "rows": [{"k": k} for k in range(5)], "tail": [1]}, indent=2)
+    # the document's text before the list, then two pieces per entry: its start and its text
+    assert made_after == [1, 3, 5, 7, 9]
