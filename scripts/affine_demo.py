@@ -25,7 +25,6 @@ from kmchev.lspath import (
     crystal_dot,
     demazure_crystal,
     down_path,
-    endpoint,
     format_path,
     path_key,
     up_path,
@@ -67,7 +66,7 @@ def main():
     print(f"\nDemazure crystal: {len(crystal)} paths")
     z_up = W.from_word((1, 2))
     for p in sorted(crystal, key=path_key):
-        marks = [f"wt={R.format_weight(endpoint(W, p))}"]
+        marks = [f"wt={R.format_weight(crystal[p])}"]
         marks.append(f"down(w)={down_path(W, w, p)!r}")
         if (x := up_path(W, z_up, p)) is not None:
             marks.append(f"up(s1*s2)={x!r}")
@@ -82,7 +81,7 @@ def main():
 
     ok = {}
     for sign, title, mu in ((1, "[L^+lam]", lam), (-1, "[L^-lam]", wt_neg(lam))):
-        rows = chevalley_ls(W, lam, w, sign, crystal)
+        rows = chevalley_ls(W, lam, w, sign)
         show_rows(R, f"{title} rows (LS model)", rows)
         ok[sign] = rows == chevalley_alcove(W, lam, w, sign) == chevalley_recurrence(W, w, mu)
     print(f"\nLS == alcove == nilHecke: dominant {ok[1]}, antidominant {ok[-1]}")

@@ -2,7 +2,7 @@
 i-string.
 
 An i-string is a maximal f_i-chain of LS paths.  Over a base element, the
-lift fibers of a string's members (lspath.lift_subset, up or down) fall into
+lift fibers of a string's members (lift_subset, up or down) fall into
 one of eight columns, U.1.1-U.3.2 for the up lifts and D.1.1-D.3.2 for the
 down ones; classify_string names the column and raises LookupError when no
 column describes the string.  A member that does not admit the base lies in
@@ -15,7 +15,7 @@ directory.
 
 from __future__ import annotations
 
-from kmchev.lspath import LSPath, down_path, e, f, lift_subset, path_key, up_path
+from kmchev.lspath import LSPath, down_path, e, f, path_key, up_path
 from kmchev.weyl import WeylElt, WeylGroup
 
 
@@ -79,6 +79,16 @@ def all_istrings(W: WeylGroup, paths, i: int) -> list:
 
 
 # -- lift classification charts -------------------------------------------------
+
+
+def lift_subset(W: WeylGroup, paths, start: WeylElt, target: WeylElt, direction: str) -> frozenset:
+    """The members of `paths` that lift `start` to `target`: Pu_{target,start}
+    for direction "up" and Pd_{start,target} for "down"."""
+    if direction not in ("up", "down"):
+        raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
+    lift = up_path if direction == "up" else down_path
+    return frozenset(p for p in paths if lift(W, start, p) == target)
+
 
 _EMPTY: frozenset = frozenset()
 

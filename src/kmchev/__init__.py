@@ -13,8 +13,7 @@ _EXPORTS = {
     "weyl": "WeylElt WeylGroup",
     "lifts": "down interval_below up",
     "kring": "LaurentPoly apply_Ti chevalley_recurrence",
-    "lspath": "LSPath chevalley_ls crystal_up_to demazure_crystal down_path e endpoint f lift_subset straight_path"
-              " up_path",
+    "lspath": "LSPath chevalley_ls crystal_up_to demazure_crystal down_path e f straight_path up_path",
     "alcove": "AdaptedSequence LambdaHyperplane chevalley_alcove enumerate_tree_antidominant enumerate_tree_dominant"
               " enumerate_z_adapted",
     "bridge": "ls_to_seq seq_to_ls",

@@ -1,5 +1,6 @@
 """The ``crystal`` command: a Demazure (or opposite Demazure) set in both of
 its realizations, cross-checked, emitting the one picked by --realization.
+The alcove walk, which the cap bounds, runs before the unbounded LS closure.
 ``kmchev.cli`` imports this module the first time the command runs."""
 
 from __future__ import annotations
@@ -20,20 +21,18 @@ def cmd_crystal(args: SimpleNamespace) -> int:
         z = _over_z(args, R, W, "--opposite")
         if args.format == "dot" and args.realization == "alcove":
             raise CLIError("dot output for the alcove realization covers --w crystals only")
-        paths = lspath.opposite_demazure_ls(W, lam, z, args.max_length)
         pairs, truncated = alcove.enumerate_z_adapted(W, lam, z, "inc", args.max_length)
+        paths = lspath.opposite_demazure_ls(W, lam, z, args.max_length)
     else:
         if args.w is None:
             raise CLIError("crystal needs --w (or --opposite with --z)")
         if args.z is not None or args.max_length is not None:
             raise CLIError("--z and --max-length go with --opposite only")
         w = W.from_word(parse_word(R, args.w))
-        paths = lspath.demazure_crystal(W, lam, w)
         pairs = alcove.enumerate_tree_antidominant(W, lam, w)
         truncated = False
-    # each path's weight, computed once for the cross-check and the output
-    path_wt = {p: lspath.endpoint(W, p) for p in paths}
-    wts_ls = sorted(path_wt.values())
+        paths = lspath.demazure_crystal(W, lam, w)
+    wts_ls = sorted(paths.values())
     wts_alc = sorted(wt for _, wt in pairs)
 
     if wts_ls != wts_alc:
@@ -58,10 +57,10 @@ def cmd_crystal(args: SimpleNamespace) -> int:
 
         def element(p):
             return {"b": [lspath.ratio_text(*c) for c in lspath.cuts(p)], "dirs": [word_obj(R, d) for d in p.dirs],
-                    "weight": weight_obj(R, path_wt[p])}
+                    "weight": weight_obj(R, paths[p])}
 
         def line(p):
-            return f"\n  {p!r}  wt={R.format_weight(path_wt[p])}"
+            return f"\n  {p!r}  wt={R.format_weight(paths[p])}"
     else:
         elements = pairs
         dot = partial(alcove.tree_dot, W, lam, pairs)

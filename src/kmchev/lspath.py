@@ -24,18 +24,19 @@ LS path are integers, which the code checks (ValueError otherwise); the
 level M + 1 may still be crossed strictly inside a step, in which case the
 step is split there and only the part before the crossing is reflected.
 
-The operators and the endpoint read the int form directly, and the
-i-heights are ints over D too, as b_j * <beta, lam> is an integer on an LS
-path's chain (Littelmann, Paths and root operators, Ann. Math. 142, 1995).
-The images d(lam) are memoised per group.
+The operators read the int form directly, and the i-heights are ints over
+D too, as b_j * <beta, lam> is an integer on an LS path's chain (Littelmann,
+Paths and root operators, Ann. Math. 142, 1995).  The images d(lam) are
+memoised per group.  f_i lowers a path's weight p(1) by alpha_i, so the
+crystal closures carry each path's weight as they make it.
 
 The module also provides Demazure and opposite Demazure subcrystals, the
 iterated Deodhar lifts of a path's direction chain from a Weyl group element
 (up_path for the dominant rule, down_path for the antidominant one, None off
 the cosets they admit), and one fixed-w Chevalley row chevalley_ls for both
 signs, which lifts each chain once.  The chart of how lifts vary along an
-i-string (the U.*/D.* case analysis) checks these lifts from outside, in
-scripts/chart.py.
+i-string (the U.*/D.* case analysis) and the lift fibers it reads check these
+lifts from outside, in scripts/chart.py.
 """
 
 from __future__ import annotations
@@ -114,18 +115,6 @@ def _image(W: WeylGroup, d: WeylElt, lam: Weight) -> Weight:
     if (mu := W.dir_images.get(key)) is None:
         mu = W.dir_images[key] = W.act(d, lam)
     return mu
-
-
-def endpoint(W: WeylGroup, p: LSPath) -> Weight:
-    """p(1) = sum_j (a_j / D) sigma_j(lam), a lattice weight for an LS path:
-    the int lengths times the directions' images, summed and divided by D,
-    which must go exactly (ValueError otherwise)."""
-    total = [0] * W.R.N
-    for a, d in zip(p.a, p.dirs):
-        total = [t + a * x for t, x in zip(total, _image(W, d, p.lam))]
-    if any(t % p.D for t in total):
-        raise ValueError(f"endpoint of {format_path(p)} is not a lattice weight")
-    return tuple([t // p.D for t in total])
 
 
 def _reduced(c: int, D: int) -> tuple[int, int]:
@@ -212,61 +201,62 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
 
 
 def f(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
-    """Lowering operator in direction i (endpoint drops by alpha_i)."""
+    """Lowering operator in direction i (the weight p(1) drops by alpha_i)."""
     return _root_op(W, p, i, 1)
 
 
 def e(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
-    """Raising operator in direction i (endpoint gains alpha_i)."""
+    """Raising operator in direction i (the weight p(1) gains alpha_i)."""
     return _root_op(W, p, i, -1)
 
 
 # -- Demazure subcrystals ------------------------------------------------------
 
 
-def demazure_crystal(W: WeylGroup, lam: Weight, w: WeylElt) -> frozenset:
-    """Closure of the straight path under full f_{i}-strings along a reduced
-    word of w, applied innermost-letter first.  Equals {p : iota(p) <= w W_lam}."""
-    paths = {straight_path(W, lam)}
+def demazure_crystal(W: WeylGroup, lam: Weight, w: WeylElt) -> dict:
+    """{path: weight p(1)} over the closure of the straight path under full
+    f_{i}-strings along a reduced word of w, applied innermost-letter first;
+    its keys are {p : iota(p) <= w W_lam}."""
+    paths = {straight_path(W, lam): lam}
     for i in reversed(w.word):
-        extra = set()
-        for p in list(paths):
+        alpha = W.R.alpha[i]
+        extra = {}
+        for p, mu in paths.items():
             q = f(W, p, i)
             while q is not None and q not in paths and q not in extra:
-                extra.add(q)
+                mu = extra[q] = tuple([x - y for x, y in zip(mu, alpha)])
                 q = f(W, q, i)
-        paths |= extra
-    return frozenset(paths)
+        paths.update(extra)
+    return paths
 
 
-def crystal_up_to(W: WeylGroup, lam: Weight, length_bound: int) -> frozenset:
-    """All LS paths whose initial direction has a representative of length
-    <= length_bound; f_i never shortens the initial direction, so pruned
-    breadth-first closure is exhaustive."""
+def crystal_up_to(W: WeylGroup, lam: Weight, length_bound: int) -> dict:
+    """{path: weight p(1)} over the LS paths whose initial direction has a
+    representative of length <= length_bound; f_i never shortens the initial
+    direction, so pruned breadth-first closure is exhaustive."""
     start = straight_path(W, lam)
-    seen = {start}
+    seen = {start: lam}
     frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
             for i in range(W.n):
                 q = f(W, p, i)
-                if q is None or q in seen:
+                if q is None or q in seen or iota(q).length > length_bound:
                     continue
-                if iota(q).length > length_bound:
-                    continue
-                seen.add(q)
+                seen[q] = tuple([x - y for x, y in zip(seen[p], W.R.alpha[i])])
                 nxt.append(q)
         frontier = nxt
-    return frozenset(seen)
+    return seen
 
 
-def opposite_demazure_ls(W: WeylGroup, lam: Weight, z: WeylElt, length_bound: int) -> frozenset:
-    """Paths p that admit an up lift of z (phi(p) >= z W_lam) and whose lift
-    stays within the length bound.  Whether the bound cut any off is for the
-    alcove fan over z (enumerate_z_adapted) to say."""
-    return frozenset(p for p in crystal_up_to(W, lam, length_bound)
-                     if (x := up_path(W, z, p)) is not None and x.length <= length_bound)
+def opposite_demazure_ls(W: WeylGroup, lam: Weight, z: WeylElt, length_bound: int) -> dict:
+    """{path: weight p(1)} over the paths p that admit an up lift of z
+    (phi(p) >= z W_lam) and whose lift stays within the length bound.  Whether
+    the bound cut any off is for the alcove fan over z (enumerate_z_adapted)
+    to say."""
+    return {p: mu for p, mu in crystal_up_to(W, lam, length_bound).items()
+            if (x := up_path(W, z, p)) is not None and x.length <= length_bound}
 
 
 # -- lifts of paths ------------------------------------------------------------
@@ -297,19 +287,10 @@ def down_path(W: WeylGroup, w: WeylElt, p: LSPath) -> WeylElt | None:
     return cur
 
 
-def lift_subset(W: WeylGroup, paths, start: WeylElt, target: WeylElt, direction: str) -> frozenset:
-    """The members of `paths` that lift `start` to `target`: Pu_{target,start}
-    for direction "up" and Pd_{start,target} for "down"."""
-    if direction not in ("up", "down"):
-        raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
-    lift = up_path if direction == "up" else down_path
-    return frozenset(p for p in paths if lift(W, start, p) == target)
-
-
 # -- Chevalley rows ------------------------------------------------------------
 
 
-def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int, crystal=None) -> dict:
+def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
     """Fixed-w row of the line bundle of sign * lam: z |-> the sum over
     Pu_{w,z} of e^{p(1)} (sign > 0), or over Pd_{w,z} of
     (-1)^{l(w)-l(z)} e^{-p(1)} (sign < 0).  Rows with no term are omitted.
@@ -320,13 +301,10 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int, crystal=None)
     z of [e, w] against those top chains only; sign < 0 partitions the
     Demazure crystal by the drop of w along each chain (ValueError for a path
     outside it)."""
-    if crystal is None:
-        crystal = demazure_crystal(W, lam, w)
     wmin = W.coset_decompose(w, stabilizer_nodes(W.R, lam))[0]
     chains: dict[tuple, tuple[LSPath, LaurentPoly]] = {}  # dirs -> (one path with them, their terms)
-    for p in crystal:
+    for p, mu in demazure_crystal(W, lam, w).items():
         if sign < 0 or iota(p) == wmin:
-            mu = endpoint(W, p)
             lp_add_into(chains.setdefault(p.dirs, (p, {}))[1], lp_monomial(mu if sign > 0 else wt_neg(mu)))
     acc: dict[WeylElt, LaurentPoly] = {}
     if sign > 0:

@@ -31,14 +31,12 @@ from kmchev.lspath import (
     chevalley_ls,
     demazure_crystal,
     down_path,
-    endpoint,
     iota,
-    lift_subset,
     phi,
     stabilizer_nodes,
 )
 from kmchev.lifts import down, up
-from chart import all_istrings, classify_string
+from chart import all_istrings, classify_string, lift_subset
 from reference import (
     apply_word,
     bfs_ball,
@@ -49,6 +47,7 @@ from reference import (
     lp_act,
     lp_mul,
     lp_mul_monomial,
+    ls_endpoint,
     ls_path,
     positive_coroots_up_to,
     up_oracle,
@@ -96,7 +95,7 @@ def test_criterion_2_dominant_affine_row(WAFF):
     pair_count = 0
     for z in [(1, 2), (1, 2, 1), (0, 1, 2), (0, 1, 2, 1)]:
         pair_count += len(lift_subset(W, crystal, W.from_word(z), w, "up"))
-    rows = chevalley_ls(W, LAM, w, 1, crystal)
+    rows = chevalley_ls(W, LAM, w, 1)
     three = {
         (1, 1, 0, -1): 1,
         (-1, 2, 1, -2): 1,
@@ -158,11 +157,11 @@ def test_criterion_3_antidominant_affine_row(WAFF):
         p2: (1, 2, 1),
         P((0, 2, 1)): (0, 1, 2, 1),
     }
-    assign_ok = set(assignment) == crystal and all(
+    assign_ok = assignment.keys() == crystal.keys() and all(
         down_path(W, w, p) == W.from_word(zw) for p, zw in assignment.items()
     )
 
-    rows = chevalley_ls(W, LAM, w, -1, crystal)
+    rows = chevalley_ls(W, LAM, w, -1)
     alpha0, alpha1 = R.alpha[0], R.alpha[1]
     expect_s1s2 = {
         wt_add(alpha1, wt_neg(LAM)): 1,
@@ -201,12 +200,12 @@ def test_criterion_4_bijections(WA2, WB2, WAFF):
         for seq, wt in enumerate_tree_dominant(W, lam, w):
             p = seq_to_ls(W, lam, seq)
             assert ls_to_seq(W, p, seq.z, "inc") == seq
-            assert endpoint(W, p) == wt_fold(W, lam, seq) == wt
+            assert ls_endpoint(W, p) == wt_fold(W, lam, seq) == wt
             checked += 1
         for seq, wt in enumerate_tree_antidominant(W, lam, w):
             p = seq_to_ls(W, lam, seq)
             assert ls_to_seq(W, p, w, "dec") == seq
-            assert endpoint(W, p) == wt_fold(W, lam, seq) == wt
+            assert ls_endpoint(W, p) == wt_fold(W, lam, seq) == wt
             checked += 1
 
     check(WAFF, LAM, WAFF.from_word(WWORD))
@@ -232,18 +231,13 @@ def test_criterion_5_oracle_triangle(WA2, WB2, WG2):
         group = sorted(bfs_ball(W, 20), key=lambda u: u.key)
         jobs += [(W, rng.choice(group)) for _ in range(20)]
 
-    crystals = {}
     rows_checked = 0
     for W, w in jobs:
         for lam in lams:
-            key = (id(W), lam, w.key)
-            crystal = crystals.get(key)
-            if crystal is None:
-                crystal = crystals[key] = demazure_crystal(W, lam, w)
-            ls = chevalley_ls(W, lam, w, 1, crystal)
+            ls = chevalley_ls(W, lam, w, 1)
             assert rows_equal(ls, chevalley_alcove(W, lam, w, 1))
             assert rows_equal(ls, chevalley_recurrence(W, w, lam))
-            als = chevalley_ls(W, lam, w, -1, crystal)
+            als = chevalley_ls(W, lam, w, -1)
             assert rows_equal(als, chevalley_alcove(W, lam, w, -1))
             assert rows_equal(als, chevalley_recurrence(W, w, wt_neg(lam)))
             rows_checked += 2
@@ -459,8 +453,8 @@ def test_criterion_9_character_sanity(WA2):
     w0 = W.from_word((0, 1, 0))
     paths = demazure_crystal(W, lam, w0)
     mass = {}
-    for p in paths:
-        lp_add_into(mass, lp_monomial(endpoint(W, p)))
+    for mu in paths.values():
+        lp_add_into(mass, lp_monomial(mu))
     total = sum(mass.values())
     invariant = all(lp_act(W, W.from_word((i,)), mass) == mass for i in range(W.n))
     dt = perf_counter() - t0

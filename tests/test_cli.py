@@ -712,6 +712,24 @@ def test_a_refused_option_is_refused_before_any_model_runs(capsys, monkeypatch, 
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["crystal", *AFFW], "labels of the alcove walk below s0*s1*s2*s1: 7 exceeds cap 5"),
+    (["crystal", *AFF, "--opposite", "--z", "1", "--max-length", "5"],
+     "labels of the alcove walk above s1: 10 exceeds cap 5"),
+], ids=["w", "opposite"])
+def test_crystal_runs_the_capped_walk_before_the_ls_closure(capsys, monkeypatch, argv, needle):
+    """No cap bounds the LS closure, so a walk that outgrows the cap refuses
+    the run before any LS path is made."""
+    def ran(*args, **kwargs):
+        raise AssertionError("the LS closure ran before the alcove walk")
+    monkeypatch.setenv("KMCHEV_CAP", "5")
+    for name in ("demazure_crystal", "opposite_demazure_ls"):
+        monkeypatch.setattr(lspath, name, ran)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error:") and needle in err and err.count("\n") == 1, err
+
+
 def test_table_tells_corank_2_coordinates_apart(tmp_path, capsys):
     gcm = tmp_path / "corank2.json"
     gcm.write_text(json.dumps(COR2))

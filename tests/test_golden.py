@@ -111,7 +111,9 @@ SCRIPTS = {"chart_census.txt": "chart_census.py", "affine_demo.txt": "affine_dem
 def run_script(script: str) -> tuple[int, bytes]:
     """Run scripts/<script> in-process with no arguments; (exit code, stdout bytes)."""
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), mock.patch.object(sys, "argv", [script]):
+    # scripts/ leads sys.path for the run, as `python scripts/<script>` puts it
+    with contextlib.redirect_stdout(buf), mock.patch.object(sys, "argv", [script]), \
+            mock.patch.object(sys, "path", [str(SCRIPTS_DIR), *sys.path]):
         try:
             runpy.run_path(str(SCRIPTS_DIR / script), run_name="__main__")
             code = 0
@@ -180,7 +182,7 @@ def test_crystal_weights_are_int_tuples():
     w = W.from_word(word)
     z = W.from_word(parse_word(R, "1"))
     paths = lspath.demazure_crystal(W, lam, w) | lspath.opposite_demazure_ls(W, lam, z, 5)
-    assert all(_int_weight(lspath.endpoint(W, p)) for p in paths)
+    assert all(_int_weight(mu) for mu in paths.values())
     pairs = alcove.enumerate_tree_antidominant(W, lam, w) + alcove.enumerate_z_adapted(W, lam, z, "inc", 5)[0]
     for seq, wt in pairs:
         assert _int_weight(wt)

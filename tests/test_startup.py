@@ -22,10 +22,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXPORTS = sorted("""
     AdaptedSequence Coroot GCM LSPath LambdaHyperplane LaurentPoly Realization Weight WeylElt WeylGroup apply_Ti
-    chevalley_alcove chevalley_ls chevalley_recurrence crystal_up_to demazure_crystal down down_path e endpoint
-    enumerate_tree_antidominant enumerate_tree_dominant enumerate_z_adapted f interval_below lift_subset ls_to_seq
-    pairing realization_from_json_file realization_from_preset seq_to_ls straight_path up up_path wt_add wt_neg
-    wt_scale
+    chevalley_alcove chevalley_ls chevalley_recurrence crystal_up_to demazure_crystal down down_path e
+    enumerate_tree_antidominant enumerate_tree_dominant enumerate_z_adapted f interval_below ls_to_seq pairing
+    realization_from_json_file realization_from_preset seq_to_ls straight_path up up_path wt_add wt_neg wt_scale
 """.split())
 
 
@@ -77,7 +76,7 @@ def test_exports_are_unchanged():
     from kmchev import lspath
 
     assert sorted(kmchev.__all__) == EXPORTS
-    assert len(EXPORTS) == 37
+    assert len(EXPORTS) == 35
     namespace: dict = {}
     exec("from kmchev import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == EXPORTS
