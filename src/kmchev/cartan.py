@@ -165,6 +165,8 @@ class GCM:
         >>> GCM.from_matrix([[2, -1], [-2, 2]]).d
         (2, 1)
         """
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+            raise ValueError("matrix must be an array of arrays")
         n = len(rows)
         a = tuple(tuple(_integer(x, "Cartan matrix entry") for x in row) for row in rows)
         if any(len(row) != n for row in a):
@@ -372,6 +374,8 @@ def realization_from_json_file(path: str) -> Realization:
         raise ValueError('expected a JSON object with a "matrix" key')
     gcm = GCM.from_matrix(data["matrix"])
     if "symmetrizer" in data:
+        if not isinstance(data["symmetrizer"], list):
+            raise ValueError("symmetrizer must be an array")
         given = tuple(_integer(x, "symmetrizer entry") for x in data["symmetrizer"])
         scaled = _symmetrizer(gcm.a)
         ok = len(given) == gcm.n and all(
@@ -379,7 +383,10 @@ def realization_from_json_file(path: str) -> Realization:
         )
         if not ok or any(x <= 0 for x in given):
             raise ValueError("symmetrizer does not symmetrize the matrix")
-    names = tuple(str(x) for x in data["nodes"]) if "nodes" in data else None
+    nodes = data.get("nodes", [])
+    if not isinstance(nodes, list) or not all(isinstance(x, str) for x in nodes):
+        raise ValueError("nodes must be an array of strings")
+    names = tuple(nodes) if "nodes" in data else None
     if names is not None and len(names) != gcm.n:
         raise ValueError("nodes list has wrong length")
     if names is not None and (len(set(names)) < len(names) or any(x.split() != [x] or x == "e" for x in names)):

@@ -26,11 +26,13 @@ and checked, and T_i is composed onto them one row at a time, each row
 written as it is made (``kring.hecke_compose``).  Every streamed weight is
 a held weight plus an integer multiple of alpha_i, so checking the held
 rows refuses all that checking the streamed ones would, the cap on T_i
-too.  ``--model all`` (whose cross-check needs every row), ``ls``,
-``alcove`` and fixed-z hold their rows.  A streamed run that runs out of
-memory after its first byte exits 2 as any other; ``emit`` removes the
-``--out`` file it created, and stdout keeps a prefix of the document, as
-after a closed pipe.
+too.  ``--model all`` runs nilHecke, then the capped alcove walk, then the
+LS closure, which no cap bounds; it holds the nilHecke rows (the ones it
+writes), and each other model's rows until they are compared with them,
+keeping those that differ.  ``ls``, ``alcove`` and fixed-z hold their
+rows.  A streamed run that runs out of memory after its first byte exits 2
+as any other; ``emit`` removes the ``--out`` file it created, and stdout
+keeps a prefix of the document, as after a closed pipe.
 
 Table output prints every extra coordinate of a weight in corank >= 2.  A
 failed cross-check exits 1 with a report: table lines under ``--format
@@ -111,10 +113,9 @@ def parse_lam(R: Realization, text: str | None) -> Weight:
     if text is None:
         raise CLIError("a --weight is required")
     try:
-        lam = R.parse_weight(text)
+        return R.parse_weight(text)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    return lam
 
 
 def _setup(args: SimpleNamespace) -> tuple[Realization, WeylGroup, Weight]:
@@ -313,25 +314,29 @@ def _rows_for_model(model: str, R: Realization, lam: Weight, sign: int, word: tu
     raise CLIError(f"unknown model {model!r}")
 
 
-def _rows_diff(rows_by_model: dict) -> list:
-    """Structured per-z differences between models (empty when all agree,
-    as it is at once when one model ran), z matched by its rho-image: each
-    model has its own group, whose elements compare by identity."""
-    by_rho = {name: {z.rho: poly for z, poly in rows.items()} for name, rows in sorted(rows_by_model.items())}
-    first, *others = by_rho.values()
-    if all(rows == first for rows in others):
-        return []
-    elts = {z.rho: z for rows in rows_by_model.values() for z in rows}
-    diffs = []
-    for rho in sorted(elts, key=lambda mu: elts[mu].key):
-        polys = {name: rows.get(rho, {}) for name, rows in by_rho.items()}
-        head, *rest = polys.values()
-        if any(p != head for p in rest):
-            diffs.append((elts[rho], polys))
-    return diffs
+def _rows_diff(rows_of, models) -> tuple[dict, list]:
+    """The rows rows_of(models[0]), the reference, and [(z, {model: row})]
+    in z.key order at each z where another model's rows differ from them,
+    every model's row given by name (the reference's where a model agrees).
+    The models run one at a time, and each one's rows are dropped once
+    compared: z is matched by its rho-image, as each model has its own
+    group, whose elements compare by identity."""
+    ref = rows_of(models[0])
+    by_rho, elts = {z.rho: poly for z, poly in ref.items()}, {z.rho: z for z in ref}
+    differing = {models[0]: {}} | {name: _differing(rows_of(name), by_rho, elts) for name in models[1:]}
+    return ref, [(elts[rho], {name: rows.get(rho, by_rho.get(rho, {})) for name, rows in sorted(differing.items())})
+                 for rho in sorted(set().union(*differing.values()), key=lambda rho: elts[rho].key)]
+
+
+def _differing(rows: dict, by_rho: dict, elts: dict) -> dict:
+    """{rho: row} where rows differ from the reference's (a missing row is {}); elts gains the z it lacks."""
+    theirs = {z.rho: poly for z, poly in rows.items()}
+    elts.update((z.rho, z) for z in rows if z.rho not in by_rho)
+    return {rho: row for rho in by_rho.keys() | theirs.keys() if (row := theirs.get(rho, {})) != by_rho.get(rho, {})}
 
 
 SIGNS = {"+1": 1, "+": 1, "-1": -1, "-": -1}
+MODELS = ("nilhecke", "alcove", "ls")  # --model all: the reference, the capped walk, the LS closure no cap bounds
 
 
 def cmd_chevalley(args: SimpleNamespace) -> int:
@@ -354,23 +359,18 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
         _emit_rows(args, sign, R, lam, "w", w, _nilhecke_stream(args, R, W, lam, sign, w), False, "")
         return 0
 
-    models = ["ls", "alcove", "nilhecke"] if args.model == "all" else [args.model]
-    rows_by_model = {m: _rows_for_model(m, R, lam, sign, word) for m in models}
-
-    diffs = _rows_diff(rows_by_model)
+    models = MODELS if args.model == "all" else (args.model,)
+    rows, diffs = (_rows_diff(lambda m: _rows_for_model(m, R, lam, sign, word), models)
+                   if args.format != "dot" or len(models) > 1 else (None, []))  # one model's DOT: no rows to check
     if diffs:
         if args.format == "table":
-            lines = ["models disagree"]
-            for z, polys in diffs:
-                lines += [f"  [O_{z!r}]"] + [f"    {name} : {poly_str(R, p)}" for name, p in sorted(polys.items())]
-            emit(args.out, ["\n".join(lines)])
+            emit(args.out, chain(["models disagree"], (f"\n  [O_{z!r}]" + "".join(
+                f"\n    {name} : {poly_str(R, p)}" for name, p in polys.items()) for z, polys in diffs)))
             return 1
         check_rows(R, chain.from_iterable(polys.values() for _, polys in diffs))
-        disagreements = [
-            {"z": word_obj(R, z), "models": {name: partial(terms_text, R, p) for name, p in sorted(polys.items())}}
-            for z, polys in diffs
-        ]
-        emit(args.out, json_pieces({"error": "models disagree", "disagreements": disagreements}))
+        emit(args.out, json_pieces({"error": "models disagree", "disagreements": [
+            {"z": word_obj(R, z), "models": {name: partial(terms_text, R, p) for name, p in polys.items()}}
+            for z, polys in diffs]}))
         return 1
 
     if args.format == "dot":
@@ -378,7 +378,7 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
         pairs = (alcove.enumerate_tree_dominant if sign > 0 else alcove.enumerate_tree_antidominant)(W, lam, w)
         emit(args.out, [alcove.tree_dot(W, lam, pairs)])
     else:
-        _emit_rows(args, sign, R, lam, "w", w, _held(args, R, rows_by_model[models[0]]), False, "")
+        _emit_rows(args, sign, R, lam, "w", w, _held(args, R, rows), False, "")
     return 0
 
 

@@ -10,7 +10,7 @@ from functools import partial
 from types import SimpleNamespace
 
 from .cartan import realization_from_preset
-from .cli import CLIError, _rows_diff, _rows_for_model, emit, json_pieces, parse_word
+from .cli import MODELS, CLIError, _rows_diff, _rows_for_model, emit, json_pieces, parse_word
 from .weyl import WeylGroup
 
 
@@ -21,8 +21,7 @@ def _scn_triangles(cases) -> str | None:
         lam = R.parse_weight(lamtext)
         for wtext in words:
             for sign in (1, -1):
-                diffs = _rows_diff({m: _rows_for_model(m, R, lam, sign, parse_word(R, wtext))
-                                    for m in ("ls", "alcove", "nilhecke")})
+                _, diffs = _rows_diff(lambda m: _rows_for_model(m, R, lam, sign, parse_word(R, wtext)), MODELS)
                 if diffs:
                     return (f"{preset} lam={lamtext} w={wtext} sign={sign}: "
                             f"{len(diffs)} rows disagree (first at z={diffs[0][0]!r})")
@@ -66,7 +65,8 @@ def _scn_negative_control() -> str | None:
     inverted: dict = {}
     for seq, _ in alcove.enumerate_tree_antidominant(W, lam, w):
         kring.lp_add_into(inverted.setdefault(seq.z, {}), kring.lp_monomial(alcove.wt_fold(W, lam, seq, "inc")))
-    if not _rows_diff({"inverted": inverted, "nilhecke": kring.chevalley_recurrence(W, w, lam)}):
+    rows = {"nilhecke": kring.chevalley_recurrence(W, w, lam), "inverted": inverted}
+    if not _rows_diff(rows.get, list(rows))[1]:
         return "inverted lex comparator went undetected"
     return None
 

@@ -458,7 +458,16 @@ def test_gcm_file_errors_exit_2(tmp_path, capsys):
         "empty_node": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": ["a", ""]}),
         "space_node": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": ["a b", "c"]}),
         "identity_node": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": ["e", "f"]}),
+        # shapes once read as made-up node names, or refused in Python's words
+        "nodes_string": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": "ab"}),
+        "nodes_object": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": {"a": 1, "b": 2}}),
+        "nodes_not_strings": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": [None, True]}),
+        "matrix_number": json.dumps({"matrix": 7}),
+        "symmetrizer_number": json.dumps({"matrix": [[2, -1], [-1, 2]], "symmetrizer": 5}),
+        "nodes_null": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": None}),
     }
+    shapes = {"nodes_string": "nodes", "nodes_object": "nodes", "nodes_not_strings": "nodes",
+              "matrix_number": "matrix", "symmetrizer_number": "symmetrizer", "nodes_null": "nodes"}
     paths = [str(tmp_path / "missing.json")]
     for name, body in bodies.items():
         path = tmp_path / f"{name}.json"
@@ -467,7 +476,9 @@ def test_gcm_file_errors_exit_2(tmp_path, capsys):
     for path in paths:
         code, _, err = run(capsys, ["chevalley", "--gcm-file", path, "--weight", "1,1", "--w", "e"])
         assert code == 2, path
-        assert err.startswith("error:"), path
+        assert err.startswith("error:") and err.count("\n") == 1, path
+        if Path(path).stem in shapes:  # the error names the key
+            assert f"{shapes[Path(path).stem]} must be an array" in err, err
 
 
 GCM_TEXTS = {
@@ -728,6 +739,82 @@ def test_crystal_runs_the_capped_walk_before_the_ls_closure(capsys, monkeypatch,
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, ""), err
     assert err.startswith("error:") and needle in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("sign", ["+1", "-1"])
+def test_chevalley_runs_the_capped_walk_before_the_ls_closure(capsys, monkeypatch, sign):
+    """--model all runs the nilHecke reference, then the alcove walk, then
+    the LS closure, which no cap bounds: a walk that outgrows the cap
+    refuses the run before any LS path is made."""
+    def ran(*args, **kwargs):
+        raise AssertionError("the LS closure ran before the alcove walk")
+    monkeypatch.setenv("KMCHEV_CAP", "5")
+    monkeypatch.setattr(lspath, "demazure_crystal", ran)
+    code, out, err = run(capsys, ["chevalley", *AFFW, "--sign", sign, "--model", "all"])
+    assert (code, out) == (2, ""), err
+    assert err == "error: labels of the alcove walk below s0*s1*s2*s1: 7 exceeds cap 5 (raise KMCHEV_CAP to override)\n"
+
+
+class _Row(dict):
+    """A row that a weakref can point to."""
+
+
+def test_all_models_hold_the_reference_and_drop_each_other_model_once_compared(capsys, monkeypatch):
+    """--model all makes the nilHecke rows first and holds them; the alcove
+    rows are dropped once compared with them, so when the LS model starts
+    every nilHecke row is alive and no alcove row is."""
+    original = cli._rows_for_model
+    made: dict = {}
+    alive_when_ls_starts = []
+
+    def watched(model, *args):
+        if model == "ls":
+            alive_when_ls_starts.append({name: sum(ref() is not None for ref in refs) for name, refs in made.items()})
+        rows = {z: _Row(poly) for z, poly in original(model, *args).items()}
+        made[model] = [weakref.ref(row) for row in rows.values()]
+        return rows
+
+    monkeypatch.setattr(cli, "_rows_for_model", watched)
+    code, _, err = run(capsys, ["chevalley", *AFFW, "--model", "all"])
+    assert code == 0, err
+    assert made["alcove"] and alive_when_ls_starts == [{"nilhecke": len(made["nilhecke"]), "alcove": 0}]
+
+
+def test_a_row_only_one_model_has_is_reported_against_empty_rows(capsys):
+    """A fault gives the alcove rows one more z, above w, at which no other
+    model has a row: both reports list that z, with no terms (JSON) or 0
+    (table) for the other two models."""
+    original = cli._rows_for_model
+
+    def extra(model, R, lam, sign, word):
+        rows = original(model, R, lam, sign, word)
+        if model == "alcove":
+            rows[WeylGroup(R).from_word(word + (0,))] = {lam: 1}
+        return rows
+
+    with mock.patch.object(cli, "_rows_for_model", extra):
+        code, out, err = run(capsys, ["chevalley", *AFFW])
+        assert code == 1, err
+        assert json.loads(out)["disagreements"] == [{"z": ["0", "1", "2", "1", "0"], "models": {
+            "alcove": [{"weight": {"fund": [1, 1, 0], "delta": 0}, "mult": 1}], "ls": [], "nilhecke": []}}]
+        code, out, err = run(capsys, ["chevalley", *AFFW, "--format", "table"])
+    assert code == 1, err
+    assert out.splitlines() == ["models disagree", "  [O_s0*s1*s2*s1*s0]", "    alcove : e[1,1,0]",
+                                "    ls : 0", "    nilhecke : 0"]
+
+
+def test_the_dot_of_one_model_walks_the_tree_once(capsys, monkeypatch):
+    """--model alcove --format dot draws the tree without making the rows,
+    which nothing would read; --model all --format dot still cross-checks."""
+    original = cli._rows_for_model
+    ran = []
+    monkeypatch.setattr(cli, "_rows_for_model", lambda model, *args: ran.append(model) or original(model, *args))
+    outs = []
+    for model, models_run in (("alcove", []), ("all", ["nilhecke", "alcove", "ls"])):
+        code, out, err = run(capsys, ["chevalley", *AFFW, "--model", model, "--format", "dot"])
+        assert (code, ran) == (0, models_run), err
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_table_tells_corank_2_coordinates_apart(tmp_path, capsys):
