@@ -113,9 +113,10 @@ def parse_lam(R: Realization, text: str | None) -> Weight:
     if text is None:
         raise CLIError("a --weight is required")
     try:
-        return R.parse_weight(text)
+        lam = R.parse_weight(text)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
+    return lam
 
 
 def _setup(args: SimpleNamespace) -> tuple[Realization, WeylGroup, Weight]:
@@ -322,17 +323,29 @@ def _rows_diff(rows_of, models) -> tuple[dict, list]:
     compared: z is matched by its rho-image, as each model has its own
     group, whose elements compare by identity."""
     ref = rows_of(models[0])
-    by_rho, elts = {z.rho: poly for z, poly in ref.items()}, {z.rho: z for z in ref}
-    differing = {models[0]: {}} | {name: _differing(rows_of(name), by_rho, elts) for name in models[1:]}
-    return ref, [(elts[rho], {name: rows.get(rho, by_rho.get(rho, {})) for name, rows in sorted(differing.items())})
-                 for rho in sorted(set().union(*differing.values()), key=lambda rho: elts[rho].key)]
+    by_rho = {z.rho: poly for z, poly in ref.items()}
+    elts = {z.rho: z for z in ref}
+    differing = {models[0]: {}}
+    for name in models[1:]:
+        differing[name] = _differing(rows_of(name), by_rho, elts)
+    diffs = []
+    for rho in sorted(set().union(*differing.values()), key=lambda mu: elts[mu].key):
+        polys = {name: rows.get(rho, by_rho.get(rho, {})) for name, rows in sorted(differing.items())}
+        diffs.append((elts[rho], polys))
+    return ref, diffs
 
 
 def _differing(rows: dict, by_rho: dict, elts: dict) -> dict:
-    """{rho: row} where rows differ from the reference's (a missing row is {}); elts gains the z it lacks."""
+    """{rho: row} at each rho where rows differ from the reference's rows
+    by_rho, a missing row read as {}; elts gains each z the reference lacks."""
     theirs = {z.rho: poly for z, poly in rows.items()}
     elts.update((z.rho, z) for z in rows if z.rho not in by_rho)
-    return {rho: row for rho in by_rho.keys() | theirs.keys() if (row := theirs.get(rho, {})) != by_rho.get(rho, {})}
+    diff = {}
+    for rho in by_rho.keys() | theirs.keys():
+        row = theirs.get(rho, {})
+        if row != by_rho.get(rho, {}):
+            diff[rho] = row
+    return diff
 
 
 SIGNS = {"+1": 1, "+": 1, "-1": -1, "-": -1}
@@ -360,17 +373,22 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
         return 0
 
     models = MODELS if args.model == "all" else (args.model,)
-    rows, diffs = (_rows_diff(lambda m: _rows_for_model(m, R, lam, sign, word), models)
-                   if args.format != "dot" or len(models) > 1 else (None, []))  # one model's DOT: no rows to check
+    rows, diffs = None, []
+    if args.format != "dot" or len(models) > 1:  # one model's DOT has no rows to check
+        rows, diffs = _rows_diff(lambda m: _rows_for_model(m, R, lam, sign, word), models)
     if diffs:
         if args.format == "table":
-            emit(args.out, chain(["models disagree"], (f"\n  [O_{z!r}]" + "".join(
-                f"\n    {name} : {poly_str(R, p)}" for name, p in polys.items()) for z, polys in diffs)))
+            lines = ["models disagree"]
+            for z, polys in diffs:
+                lines += [f"  [O_{z!r}]"] + [f"    {name} : {poly_str(R, p)}" for name, p in polys.items()]
+            emit(args.out, ["\n".join(lines)])
             return 1
         check_rows(R, chain.from_iterable(polys.values() for _, polys in diffs))
-        emit(args.out, json_pieces({"error": "models disagree", "disagreements": [
+        disagreements = [
             {"z": word_obj(R, z), "models": {name: partial(terms_text, R, p) for name, p in polys.items()}}
-            for z, polys in diffs]}))
+            for z, polys in diffs
+        ]
+        emit(args.out, json_pieces({"error": "models disagree", "disagreements": disagreements}))
         return 1
 
     if args.format == "dot":
