@@ -165,8 +165,8 @@ class GCM:
         >>> GCM.from_matrix([[2, -1], [-2, 2]]).d
         (2, 1)
         """
-        if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
-            raise ValueError("matrix must be an array of arrays")
+        if not isinstance(rows, (list, tuple)) or not rows or not all(isinstance(row, (list, tuple)) for row in rows):
+            raise ValueError("matrix must be an array of one or more arrays")
         n = len(rows)
         a = tuple(tuple(_integer(x, "Cartan matrix entry") for x in row) for row in rows)
         if any(len(row) != n for row in a):
@@ -362,34 +362,35 @@ def _json_value(text: str):
             return value
     except StopIteration:
         pass
+    except RecursionError:  # json.loads would raise it too
+        raise ValueError("JSON nested deeper than the recursion limit") from None
     import json  # json's own error for what the scanner cannot read whole
     return json.loads(text)
 
 
 def realization_from_json_file(path: str) -> Realization:
-    """Load {"matrix": [[...]], "symmetrizer": [...]?, "nodes": [...]?} from a file."""
+    """Load {"matrix": [[...]], "symmetrizer": [...]?, "nodes": [...]?}, the only keys read, from a file;
+    once it is open, all it refuses (another key, an empty matrix, a wrong shape) raises ValueError."""
     with open(path) as fh:
         data = _json_value(fh.read())
     if not isinstance(data, dict):
         raise ValueError('expected a JSON object with a "matrix" key')
+    unknown = [key for key in data if key not in ("matrix", "symmetrizer", "nodes")]
+    if unknown or "matrix" not in data:
+        raise ValueError(f"unknown key {unknown[0]!r}" if unknown else "missing key 'matrix'")
     gcm = GCM.from_matrix(data["matrix"])
     if "symmetrizer" in data:
         if not isinstance(data["symmetrizer"], list):
             raise ValueError("symmetrizer must be an array")
         given = tuple(_integer(x, "symmetrizer entry") for x in data["symmetrizer"])
-        scaled = _symmetrizer(gcm.a)
-        ok = len(given) == gcm.n and all(
-            given[i] * scaled[j] == given[j] * scaled[i] for i in range(gcm.n) for j in range(gcm.n)
-        )
-        if not ok or any(x <= 0 for x in given):
+        g = math.gcd(*given)
+        if len(given) != gcm.n or min(given) <= 0 or tuple(x // g for x in given) != gcm.d:
             raise ValueError("symmetrizer does not symmetrize the matrix")
-    nodes = data.get("nodes", [])
+    nodes = data.get("nodes", [str(i) for i in range(gcm.n)])
     if not isinstance(nodes, list) or not all(isinstance(x, str) for x in nodes):
         raise ValueError("nodes must be an array of strings")
-    names = tuple(nodes) if "nodes" in data else None
-    if names is not None and len(names) != gcm.n:
+    if len(nodes) != gcm.n:
         raise ValueError("nodes list has wrong length")
-    if names is not None and (len(set(names)) < len(names) or any(x.split() != [x] or x == "e" for x in names)):
-        raise ValueError(f"node names {list(names)} must be distinct, non-empty, without whitespace and not 'e'")
-    return Realization(gcm, names)
-
+    if len(set(nodes)) < len(nodes) or any(x.split() != [x] or x == "e" for x in nodes):
+        raise ValueError(f"node names {nodes} must be distinct, non-empty, without whitespace and not 'e'")
+    return Realization(gcm, tuple(nodes))

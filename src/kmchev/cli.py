@@ -82,9 +82,7 @@ def build_realization(args: SimpleNamespace) -> Realization:
             R = realization_from_json_file(args.gcm_file)
         except OSError as exc:
             raise CLIError(f"cannot read --gcm-file: {exc}") from None
-        except KeyError as exc:
-            raise CLIError(f"--gcm-file {args.gcm_file}: missing key {exc}") from None
-        except (ValueError, TypeError) as exc:  # ValueError covers json.JSONDecodeError
+        except ValueError as exc:  # also json.JSONDecodeError
             raise CLIError(f"--gcm-file {args.gcm_file}: {exc}") from None
     elif args.cartan:
         try:
@@ -400,11 +398,11 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
     return 0
 
 
-def _held(args: SimpleNamespace, R: Realization, rows: dict) -> list:
-    """The (element, row) pairs of held rows in key order, checked for JSON."""
+def _held(args: SimpleNamespace, R: Realization, rows: dict):
+    """The (element, row) pairs of held rows, in the key order every model makes them, checked for JSON."""
     if args.format == "json":
         check_rows(R, rows.values())
-    return sorted(rows.items(), key=lambda pair: pair[0].key)
+    return rows.items()
 
 
 def _nilhecke_stream(args: SimpleNamespace, R: Realization, W: WeylGroup, lam: Weight, sign: int, w: WeylElt):

@@ -10,12 +10,13 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kmchev.alcove as alcove
 import kmchev.cli as cli
 import kmchev.kring as kring
 import kmchev.lspath as lspath
-from kmchev.cartan import realization_from_preset
+from kmchev.cartan import GCM, PRESETS as cartan_presets, Realization, realization_from_preset, wt_neg
 from kmchev.cli import main
 from kmchev.weyl import WeylGroup
 from reference import stdvec
@@ -465,20 +466,38 @@ def test_gcm_file_errors_exit_2(tmp_path, capsys):
         "matrix_number": json.dumps({"matrix": 7}),
         "symmetrizer_number": json.dumps({"matrix": [[2, -1], [-1, 2]], "symmetrizer": 5}),
         "nodes_null": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": None}),
+        # misspelt keys, once dropped without a word
+        "node": json.dumps({"matrix": [[2, -1], [-1, 2]], "node": ["a", "b"]}),
+        "symmetriser": json.dumps({"matrix": [[2, -1], [-2, 2]], "symmetriser": [1, 1]}),
+        # once run as a rank-0 realization (with --weight ""), and JSON that json.loads recurses on
+        "empty_matrix": json.dumps({"matrix": []}),
+        "deep": "[" * 100_000,
     }
-    shapes = {"nodes_string": "nodes", "nodes_object": "nodes", "nodes_not_strings": "nodes",
-              "matrix_number": "matrix", "symmetrizer_number": "symmetrizer", "nodes_null": "nodes"}
+    needles = {  # the error names the key
+        "no_matrix": "missing key 'matrix'",
+        "nodes_string": "nodes must be an array",
+        "nodes_object": "nodes must be an array",
+        "nodes_not_strings": "nodes must be an array",
+        "matrix_number": "matrix must be an array",
+        "symmetrizer_number": "symmetrizer must be an array",
+        "nodes_null": "nodes must be an array",
+        "node": "unknown key 'node'",
+        "symmetriser": "unknown key 'symmetriser'",
+        "empty_matrix": "matrix must be an array of one or more arrays",
+        "deep": "nested deeper",
+    }
     paths = [str(tmp_path / "missing.json")]
     for name, body in bodies.items():
         path = tmp_path / f"{name}.json"
         path.write_text(body)
         paths.append(str(path))
     for path in paths:
-        code, _, err = run(capsys, ["chevalley", "--gcm-file", path, "--weight", "1,1", "--w", "e"])
-        assert code == 2, path
-        assert err.startswith("error:") and err.count("\n") == 1, path
-        if Path(path).stem in shapes:  # the error names the key
-            assert f"{shapes[Path(path).stem]} must be an array" in err, err
+        weight = "" if Path(path).stem == "empty_matrix" else "1,1"
+        for command in ("chevalley", "crystal"):
+            code, out, err = run(capsys, [command, "--gcm-file", path, "--weight", weight, "--w", "e"])
+            assert (code, out) == (2, ""), (path, command)
+            assert err.startswith("error:") and err.count("\n") == 1, path
+            assert needles.get(Path(path).stem, "") in err, err
 
 
 GCM_TEXTS = {
@@ -1062,3 +1081,116 @@ def test_each_models_group_is_gone_once_its_rows_are_returned(monkeypatch, no_cy
     for model in ("ls", "alcove", "nilhecke"):
         rows = cli._rows_for_model(model, R, R.parse_weight("1,1,0"), 1, (0, 1, 2, 1))
         assert len(rows) == 4 and groups[-1]() is None, model
+
+
+@pytest.mark.parametrize("matrix,weight,word", [(cartan_presets["A2~"], "1,1,0", (0, 1, 2, 1)),
+                                                ([[2, -3], [-3, 2]], "1,1", (0, 1, 0, 1))], ids=["A2~", "hyperbolic"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_every_model_makes_its_rows_in_key_order(matrix, weight, word, sign):
+    """The CLI writes held rows in the order their model made them."""
+    R = Realization(GCM.from_matrix(matrix))
+    W, lam = WeylGroup(R), R.parse_weight(weight)
+    w = W.from_word(word)
+    made = {
+        "alcove": alcove.chevalley_alcove(W, lam, w, sign),
+        "fixed-z": alcove.fixed_z_rows(W, lam, W.from_word(word[:1]), sign, 4)[0],
+        "ls": lspath.chevalley_ls(W, lam, w, sign),
+        "nilhecke": kring.chevalley_recurrence(W, w, lam if sign > 0 else wt_neg(lam)),
+    }
+    for model, rows in made.items():
+        keys = [u.key for u in rows]
+        assert len(keys) > 2 and keys == sorted(keys), model
+
+# -- the CLI contract, on drawn command lines -------------------------------------
+
+
+def one_in(draw, k: int) -> bool:
+    return draw(st.integers(0, k - 1)) == 0
+
+
+@st.composite
+def gcm_bodies(draw) -> dict:
+    """A --gcm-file body: a rank 0-3 matrix, symmetric or with its
+    off-diagonal entries drawn one by one (so at times non-symmetrizable or
+    indefinite), at times made ragged or given an entry that is not an int,
+    with an optional symmetrizer, optional nodes and at times an unknown key."""
+    n = draw(st.integers(0, 3))
+    entry = st.sampled_from([0, -1, -1, -2, -3])
+    matrix = [[2] * n for _ in range(n)]
+    symmetric = draw(st.booleans())
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = draw(entry)
+            matrix[j][i] = matrix[i][j] if symmetric else draw(entry)
+    if n and one_in(draw, 4):
+        row = matrix[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.pop()  # ragged
+        else:
+            row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([1, -1.5, 2.0, True, "a", None]))
+    body = {"matrix": matrix}
+    if draw(st.booleans()):
+        given = st.lists(st.integers(0, 3), min_size=max(n - 1, 0), max_size=n + 1)
+        body["symmetrizer"] = draw(given) if one_in(draw, 4) else [draw(st.integers(1, 2))] * n
+    if draw(st.booleans()):
+        body["nodes"] = (draw(st.lists(st.sampled_from(["a", "b", "e", "a b", ""]), min_size=n, max_size=n))
+                         if one_in(draw, 4) else list(draw(st.permutations("abcd")))[:n])
+    if one_in(draw, 8):
+        body[draw(st.sampled_from(["node", "symmetriser", "extra"]))] = draw(st.sampled_from([1, ["a", "b"]]))
+    return body
+
+
+@st.composite
+def command_lines(draw, gcm_file: str) -> tuple:
+    """(argv, the --gcm-file body or None) of a chevalley or crystal run:
+    weights with coordinates -1 to 2, words of up to 4 letters (at times
+    with an unknown one), and --z/--max-length up to 3."""
+    body = None
+    if draw(st.booleans()):
+        cartan = draw(st.sampled_from(sorted(cartan_presets)))
+        argv = ["--cartan", cartan]
+        n = len(cartan_presets[cartan])
+        names = list(realization_from_preset(cartan).node_names)
+    else:
+        body = draw(gcm_bodies())
+        argv = ["--gcm-file", gcm_file]
+        n = len(body["matrix"])
+        names = body.get("nodes") or [str(i) for i in range(n)]
+    size = draw(st.integers(0, 4)) if one_in(draw, 8) else n
+    argv += ["--weight", ",".join(map(str, draw(st.lists(st.integers(-1, 2), min_size=size, max_size=size))))]
+    letters = st.sampled_from(names + ["x"] if one_in(draw, 8) else names or ["x"])
+    word = st.lists(letters, max_size=4).map(lambda ws: " ".join(ws) or "e")
+    command = draw(st.sampled_from(["chevalley", "crystal"]))
+    over_z = one_in(draw, 4)
+    if over_z:
+        argv += ["--z", draw(word), "--max-length", str(draw(st.integers(-1, 3)))]
+    if not over_z or one_in(draw, 8):
+        argv += ["--w", draw(word)]
+    if command == "chevalley":
+        argv += ["--sign", draw(st.sampled_from(["+1", "-1"]))]
+        argv += ["--model", draw(st.sampled_from(["alcove"] if over_z else ["all", "ls", "alcove", "nilhecke"]))]
+    else:
+        argv += ["--realization", draw(st.sampled_from(["ls", "alcove"]))] + (["--opposite"] if over_z else [])
+    return [command, *argv, "--format", draw(st.sampled_from(["json", "table"]))], body
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_command_line_gives_its_document_or_one_error_line(tmp_path, capsys, monkeypatch, data):
+    """The CLI contract: exit 0 with the document (under --format json the
+    text json.dumps writes with indent=2), or exit 2 with stdout empty and
+    one stderr line "error: ..."; never exit 1 (models disagree) and never a
+    traceback."""
+    monkeypatch.setenv("KMCHEV_CAP", "2000")
+    gcm_file = tmp_path / "gcm.json"
+    argv, body = data.draw(command_lines(str(gcm_file)))
+    if body is not None:
+        gcm_file.write_text(json.dumps(body))
+    code, out, err = run(capsys, argv)
+    if code == 0:
+        assert err == ""
+        if "json" in argv:
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    else:
+        assert code == 2, (out, err)
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
