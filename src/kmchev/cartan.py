@@ -46,11 +46,6 @@ def wt_scale(c: int, u: Weight) -> Weight:
     return tuple([c * a for a in u])
 
 
-def is_lattice(u: Weight) -> bool:
-    """True when every coordinate is a Python int."""
-    return all(type(a) is int for a in u)
-
-
 # A Laurent polynomial in the e^mu, {weight: coefficient}, zero coefficients never stored
 LaurentPoly = dict
 
@@ -383,8 +378,9 @@ def realization_from_json_file(path: str) -> Realization:
         if not isinstance(data["symmetrizer"], list):
             raise ValueError("symmetrizer must be an array")
         given = tuple(_integer(x, "symmetrizer entry") for x in data["symmetrizer"])
-        g = math.gcd(*given)
-        if len(given) != gcm.n or min(given) <= 0 or tuple(x // g for x in given) != gcm.d:
+        a = gcm.a
+        if (len(given) != gcm.n or min(given) <= 0
+                or any(given[i] * a[i][j] != given[j] * a[j][i] for i in range(gcm.n) for j in range(i))):
             raise ValueError("symmetrizer does not symmetrize the matrix")
     nodes = data.get("nodes", [str(i) for i in range(gcm.n)])
     if not isinstance(nodes, list) or not all(isinstance(x, str) for x in nodes):

@@ -17,19 +17,18 @@ is refused before any model runs), written in pieces of bounded size
 (``json_pieces``): a row's terms go out ITEMS_PER_PIECE at a time, and a
 list given as an iterator (the rows, a crystal's elements) entry by entry,
 so a multi-MB document is never held as one string.  Every check of the
-input and of the rows comes before the first byte, so a refused run leaves
-stdout empty and creates no ``--out`` file.
+input comes before the first byte, so a refused run leaves stdout empty and
+creates no ``--out`` file; a weight is a tuple of ints (``cartan``), so
+JSON can write every row a model makes.
 
-A single-model ``--model nilhecke`` run streams its rows: with i the first
-letter of the canonical reduced word ``w.word``, the rows of s_i w are held
-and checked, and T_i is composed onto them one row at a time, each row
-written as it is made (``kring.hecke_compose``).  Every streamed weight is
-a held weight plus an integer multiple of alpha_i, so checking the held
-rows refuses all that checking the streamed ones would, the cap on T_i
-too.  ``--model all`` runs nilHecke, then the capped alcove walk, then the
-LS closure, which no cap bounds; it holds the nilHecke rows (the ones it
-writes), and each other model's rows until they are compared with them,
-keeping those that differ.  ``ls``, ``alcove`` and fixed-z hold their
+A single-model ``--model nilhecke`` run streams its rows
+(``kring.chevalley_rows``): with i the first letter of the canonical reduced
+word ``w.word``, the rows of s_i w are held, an over-cap T_i range is
+refused, and T_i is composed onto them one row at a time, each row written
+as it is made.  ``--model all`` runs nilHecke, then the capped alcove walk,
+then the LS closure, which no cap bounds; it holds the nilHecke rows (the
+ones it writes), and each other model's rows until they are compared with
+them, keeping those that differ.  ``ls``, ``alcove`` and fixed-z hold their
 rows.  A streamed run that runs out of memory after its first byte exits 2
 as any other; ``emit`` removes the ``--out`` file it created, and stdout
 keeps a prefix of the document, as after a closed pipe.
@@ -54,22 +53,14 @@ import sys
 from _json import encode_basestring_ascii  # the C escaper json.encoder binds, without json or re
 from functools import partial
 from itertools import chain
-from operator import itemgetter
 from types import SimpleNamespace
 
-from .cartan import Realization, Weight, is_lattice, realization_from_json_file, realization_from_preset, wt_neg
+from .cartan import Realization, Weight, realization_from_json_file, realization_from_preset, wt_neg
 from .weyl import CapError, WeylElt, WeylGroup, env_cap
 
 
 class CLIError(Exception):
     pass
-
-
-def json_corank(R: Realization) -> int:
-    """The corank of R; JSON output supports corank <= 1 only."""
-    if R.N - R.n > 1:
-        raise CLIError("JSON output supports corank <= 1 realizations only")
-    return R.N - R.n
 
 
 def build_realization(args: SimpleNamespace) -> Realization:
@@ -91,8 +82,8 @@ def build_realization(args: SimpleNamespace) -> Realization:
             raise CLIError(str(exc)) from None
     else:
         raise CLIError("a Cartan matrix is required (--cartan or --gcm-file)")
-    if args.format == "json":
-        json_corank(R)
+    if args.format == "json" and R.N - R.n > 1:
+        raise CLIError("JSON output supports corank <= 1 realizations only")
     return R
 
 
@@ -138,7 +129,7 @@ def _over_z(args: SimpleNamespace, R: Realization, W: WeylGroup, mode: str) -> W
 
 
 def weight_obj(R: Realization, mu: Weight) -> dict:
-    if json_corank(R) == 0:
+    if R.N == R.n:
         return {"fund": list(mu)}
     return {"fund": list(mu[: R.n]), "delta": mu[R.n]}
 
@@ -152,20 +143,10 @@ def word_obj(R: Realization, w: WeylElt) -> list:
 ITEMS_PER_PIECE = 512
 
 
-def check_rows(R: Realization, polys) -> None:
-    """Refuse what terms_text cannot write, before the first byte is: a
-    corank above 1 (json_corank) or a weight that is not integral."""
-    json_corank(R)
-    for poly in polys:
-        if not is_lattice(chain.from_iterable(poly)):
-            raise CLIError(f"weight {R.format_weight(next(mu for mu in poly if not is_lattice(mu)))} is not integral")
-
-
 def terms_text(R: Realization, poly, indent: str):
     """The pieces of the JSON text of [{"weight": weight_obj(R, mu), "mult": c}
     for mu, c in sorted(poly.items())] at `indent`: one format string filled
-    per term, and one join per ITEMS_PER_PIECE terms.  The weights are
-    checked by check_rows before any piece is asked for."""
+    per term, and one join per ITEMS_PER_PIECE terms."""
     if not poly:
         yield "[]"
         return
@@ -366,8 +347,10 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
     if args.format == "dot" and args.model not in ("alcove", "all"):
         raise CLIError("--format dot for chevalley requires the alcove model")
 
-    if args.model == "nilhecke" and w.word:
-        _emit_rows(args, sign, R, lam, "w", w, _nilhecke_stream(args, R, W, lam, sign, w), False, "")
+    if args.model == "nilhecke":
+        from . import kring
+        rows = kring.chevalley_rows(W, w, lam if sign > 0 else wt_neg(lam))  # made as they are written
+        _emit_rows(args, sign, R, lam, "w", w, rows, False, "")
         return 0
 
     models = MODELS if args.model == "all" else (args.model,)
@@ -381,7 +364,6 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
                 lines += [f"  [O_{z!r}]"] + [f"    {name} : {poly_str(R, p)}" for name, p in polys.items()]
             emit(args.out, ["\n".join(lines)])
             return 1
-        check_rows(R, chain.from_iterable(polys.values() for _, polys in diffs))
         disagreements = [
             {"z": word_obj(R, z), "models": {name: partial(terms_text, R, p) for name, p in polys.items()}}
             for z, polys in diffs
@@ -394,28 +376,8 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
         pairs = (alcove.enumerate_tree_dominant if sign > 0 else alcove.enumerate_tree_antidominant)(W, lam, w)
         emit(args.out, [alcove.tree_dot(W, lam, pairs)])
     else:
-        _emit_rows(args, sign, R, lam, "w", w, _held(args, R, rows), False, "")
+        _emit_rows(args, sign, R, lam, "w", w, rows.items(), False, "")
     return 0
-
-
-def _held(args: SimpleNamespace, R: Realization, rows: dict):
-    """The (element, row) pairs of held rows, in the key order every model makes them, checked for JSON."""
-    if args.format == "json":
-        check_rows(R, rows.values())
-    return rows.items()
-
-
-def _nilhecke_stream(args: SimpleNamespace, R: Realization, W: WeylGroup, lam: Weight, sign: int, w: WeylElt):
-    """The nilHecke rows of w, the outermost letter composed as they are
-    written: with i = w.word[0], the rows of s_i w are held and checked, and
-    T_i is composed onto them one row z at a time, all in the group W."""
-    from . import kring
-    i = w.word[0]
-    rows = _held(args, R, kring.chevalley_recurrence(W, W.lmul(i, w), lam if sign > 0 else wt_neg(lam)))
-    table = kring.Strings(R, i, W.cap)
-    for extreme in (min, max):  # T_i ranges start at held weights: the cap refuses the longest before the first byte
-        table.add(extreme(chain.from_iterable(f for _, f in rows), key=itemgetter(i)))
-    return kring.hecke_compose(W, i, dict(rows), table)
 
 
 def _chevalley_fixed_z(args: SimpleNamespace, sign: int, R: Realization, W: WeylGroup, lam: Weight) -> int:
@@ -427,7 +389,7 @@ def _chevalley_fixed_z(args: SimpleNamespace, sign: int, R: Realization, W: Weyl
     from . import alcove
     rows, truncated = alcove.fixed_z_rows(W, lam, z, sign, args.max_length)
     tail = f", lengths <= {args.max_length}" + ("  (truncated)" if truncated else "")
-    _emit_rows(args, sign, R, lam, "z", z, _held(args, R, rows), truncated, tail)
+    _emit_rows(args, sign, R, lam, "z", z, rows.items(), truncated, tail)
     return 0
 
 
@@ -435,7 +397,7 @@ def _emit_rows(args: SimpleNamespace, sign: int, R: Realization, lam: Weight, fi
                truncated: bool, tail: str) -> None:
     """Chevalley rows over the element `elt` held fixed, as json or table.
     `rows` is an iterable of (element, row) pairs in key order, held or
-    made as they are written, and already checked; `fixed` is "w" (rows
+    made as they are written; `fixed` is "w" (rows
     keyed by z) or "z" (rows keyed by w); `tail` ends the table's first line."""
     if args.format == "json":
         key = "z" if fixed == "w" else "w"

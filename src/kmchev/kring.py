@@ -22,7 +22,8 @@ subwords of a reduced word checks it in the tests, not here.)  A letter i
 is composed one row z at a time, in z.key order (hecke_compose): the row
 of z reads the rows f_z and f_{s_i z} of the step before and nothing else,
 so a caller can write each row as it is made, and each f_y is freed after
-the last row that reads it.
+the last row that reads it.  chevalley_rows does so for the outermost
+letter: it holds the rows of s_i w and makes those of w as they are asked for.
 
 A run owns one ``Strings`` table per letter i.  It maps each weight mu met to
 (n, b, p, s_i mu), and each string b to {q: the weight b + q alpha_i}.
@@ -35,6 +36,8 @@ weight instead of one per term.  A weight whose T_i range is longer than the
 table's cap (W.cap in a run) is refused as it enters, before any term is made.
 """
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .cartan import LaurentPoly, Realization, Weight, lp_add_into, lp_monomial
 from .weyl import DEFAULT_CAP, WeylElt, WeylGroup, over_cap
@@ -179,3 +182,20 @@ def chevalley_recurrence(W: WeylGroup, w: WeylElt, lam: Weight) -> NilHeckeCoeff
     for i in reversed(w.word):
         state = dict(hecke_compose(W, i, state, tables[i]))
     return state
+
+
+def chevalley_rows(W: WeylGroup, w: WeylElt, lam: Weight):
+    """The rows (z, b_z) of chevalley_recurrence(W, w, lam) in z.key order,
+    those of the outermost letter made one at a time as they are asked for:
+    with i = w.word[0], the rows of s_i w are held, and hecke_compose
+    composes T_i onto them.  T_i ranges start at held weights, so the cap
+    refuses the longest one (the least and the greatest <alpha_i^vee, mu>)
+    before the first row is made."""
+    if not w.word:
+        return chevalley_recurrence(W, w, lam).items()
+    i = w.word[0]
+    held = chevalley_recurrence(W, W.lmul(i, w), lam)
+    table = Strings(W.R, i, W.cap)
+    for extreme in (min, max):
+        table.add(extreme((mu for f in held.values() for mu in f), key=itemgetter(i)))
+    return hecke_compose(W, i, held, table)

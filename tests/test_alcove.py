@@ -498,7 +498,8 @@ def test_random_rank2_weights_and_rows(offdiag, coords, first, length):
     hyperbolic), a dominant lam with coordinates 0-2 and a reduced word of
     length <= 4: the tree and the fan above w within l(w) + 1 carry the
     weights of wt_fold, in both monotonicities, and the alcove and LS rows
-    equal the recurrence's in both signs."""
+    equal the recurrence's in both signs, whose every weight is a tuple of
+    ints, as the JSON writer needs."""
     W = rank2_group(*offdiag)
     w = W.from_word(tuple((first + k) % 2 for k in range(length)))
     assume(w.length == length)
@@ -509,6 +510,7 @@ def test_random_rank2_weights_and_rows(offdiag, coords, first, length):
         assert carried_mismatches(W, lam, tree + fan) == []
     for sign, mu in ((1, lam), (-1, wt_neg(lam))):
         rows = chevalley_recurrence(W, w, mu)
+        assert all(type(x) is int for row in rows.values() for nu in row for x in nu)
         assert chevalley_alcove(W, lam, w, sign) == rows
         assert chevalley_ls(W, lam, w, sign) == rows
 

@@ -11,7 +11,6 @@ from kmchev.cartan import (
     PRESETS,
     Realization,
     _pivot_columns,
-    is_lattice,
     pairing,
     realization_from_json_file,
     realization_from_preset,
@@ -181,9 +180,6 @@ def test_weight_arithmetic():
     assert wt_add(a, wt_neg(b)) == (1, -7, 4)
     assert wt_neg(a) == (-1, 2, -3)
     assert wt_scale(-2, (2, 4, -2)) == (-4, -8, 4)
-    assert is_lattice((1, 2))
-    assert not is_lattice((Q(1, 2), 0))
-    assert not is_lattice((Q(2, 2), 0))  # an integral Fraction is not an int either
 
 
 @given(st.lists(st.integers(-4, 4), min_size=2, max_size=2).map(tuple))

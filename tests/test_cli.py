@@ -5,7 +5,6 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -454,6 +453,7 @@ def test_gcm_file_errors_exit_2(tmp_path, capsys):
         "float": json.dumps({"matrix": [[2.0, -1], [-1, 2]]}),
         "bool": json.dumps({"matrix": [[2, True], [-1, 2]]}),
         "symmetrizer": json.dumps({"matrix": [[2, -1], [-2, 2]], "symmetrizer": [2, 1.5]}),
+        "asymmetric": json.dumps({"matrix": [[2, -1], [-2, 2]], "symmetrizer": [1, 1]}),
         # node names a word could not spell, or could spell two ways
         "duplicate_nodes": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": ["a", "a"]}),
         "empty_node": json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": ["a", ""]}),
@@ -480,6 +480,7 @@ def test_gcm_file_errors_exit_2(tmp_path, capsys):
         "nodes_not_strings": "nodes must be an array",
         "matrix_number": "matrix must be an array",
         "symmetrizer_number": "symmetrizer must be an array",
+        "asymmetric": "symmetrizer does not symmetrize the matrix",
         "nodes_null": "nodes must be an array",
         "node": "unknown key 'node'",
         "symmetriser": "unknown key 'symmetriser'",
@@ -498,6 +499,22 @@ def test_gcm_file_errors_exit_2(tmp_path, capsys):
             assert (code, out) == (2, ""), (path, command)
             assert err.startswith("error:") and err.count("\n") == 1, path
             assert needles.get(Path(path).stem, "") in err, err
+
+
+@pytest.mark.parametrize("matrix, given, printed", [
+    ([[2, 0], [0, 2]], [1, 2], [1, 1]),  # each block of a disconnected matrix takes its own factor
+    ([[2, -1, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -3], [0, 0, -1, 2]], [6, 3, 1, 3], [2, 1, 2, 6]),
+    ([[2, -1], [-2, 2]], [4, 2], [2, 1]),
+])
+def test_a_given_symmetrizer_is_any_that_symmetrizes(tmp_path, capsys, matrix, given, printed):
+    """A given symmetrizer is accepted when its entries are positive ints
+    with d_i a_ij = d_j a_ji, and the document prints the one computed."""
+    path = tmp_path / "gcm.json"
+    path.write_text(json.dumps({"matrix": matrix, "symmetrizer": given}))
+    code, out, err = run(capsys, ["chevalley", "--gcm-file", str(path), "--weight", ",".join("1" * len(matrix)),
+                                  "--w", "0 1"])
+    assert code == 0, err
+    assert json.loads(out)["cartan"] == {"matrix": matrix, "symmetrizer": printed}
 
 
 GCM_TEXTS = {
@@ -632,70 +649,6 @@ def test_out_and_stdout_give_the_same_bytes_in_many_pieces(tmp_path):
     """The same for a document whose longest rows take several pieces."""
     rows = json.loads(out_and_stdout(tmp_path, LONG_ROWS))["rows"]
     assert max(len(row["terms"]) for row in rows) > cli.ITEMS_PER_PIECE
-
-
-HALF = Fraction(1, 2)
-
-
-def _half_in_the_last_row(only=None):
-    """_rows_for_model patched so that the last row of each model (or of the
-    model `only`) gains a weight with a coordinate 1/2."""
-    original = cli._rows_for_model
-
-    def faulty(model, R, lam, sign, word):
-        rows = original(model, R, lam, sign, word)
-        if only in (None, model):
-            last = max(rows, key=lambda z: z.key)
-            rows[last] = {**rows[last], (HALF, *[0] * (R.N - 1)): 1}
-        return rows
-
-    return mock.patch.object(cli, "_rows_for_model", faulty)
-
-
-def _half_in_the_last_held_nilhecke_row():
-    """kring.chevalley_recurrence patched so that its last row gains a weight
-    with a coordinate 1/2: a streamed nilHecke run holds the rows of s_i w
-    it returns, and composes T_i onto them in the same group."""
-    original = kring.chevalley_recurrence
-
-    def faulty(W, w, lam):
-        rows = original(W, w, lam)
-        last = max(rows, key=lambda z: z.key)
-        rows[last] = {**rows[last], (HALF, *[0] * (W.R.N - 1)): 1}
-        return rows
-
-    return mock.patch.object(kring, "chevalley_recurrence", faulty)
-
-
-def _half_in_every_fixed_z_row():
-    """Each row of the fixed-z expansion gains the weight (1/2, 0, ...)."""
-    original = alcove.fixed_z_rows
-
-    def faulty(W, *args):
-        rows, truncated = original(W, *args)
-        return {u: {**poly, (HALF, *[0] * (W.R.N - 1)): 1} for u, poly in rows.items()}, truncated
-
-    return mock.patch.object(alcove, "fixed_z_rows", faulty)
-
-
-@pytest.mark.parametrize("argv, fault", [
-    (LONG_ROWS, _half_in_the_last_held_nilhecke_row),
-    (["chevalley", *AFFW, "--model", "all"], _half_in_the_last_row),  # the models agree on the bad row
-    (["chevalley", *AFFW], lambda: _half_in_the_last_row("alcove")),  # the models-disagree report
-    (["chevalley", *AFF, "--z", "1 2", "--max-length", "4", "--model", "alcove"], _half_in_every_fixed_z_row),
-])
-def test_a_non_integral_row_weight_is_refused_before_the_first_byte(tmp_path, capsys, argv, fault):
-    """The rows are checked before anything is written: exit 2 with one
-    error: line, nothing on stdout and no --out file, although the rows
-    before the bad one could have been written."""
-    target = tmp_path / "rows.json"
-    with fault():
-        for out in ([], ["--out", str(target)]):
-            code, stdout, err = run(capsys, [*argv, *out])
-            assert code == 2, err
-            assert err.startswith("error: weight 1/2,") and "not integral" in err and err.count("\n") == 1, err
-            assert stdout == ""
-    assert not target.exists()
 
 
 COR2 = {"matrix": [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]}
@@ -1141,10 +1094,11 @@ def gcm_bodies(draw) -> dict:
 
 
 @st.composite
-def command_lines(draw, gcm_file: str) -> tuple:
+def command_lines(draw, gcm_file: str, outs: list) -> tuple:
     """(argv, the --gcm-file body or None) of a chevalley or crystal run:
     weights with coordinates -1 to 2, words of up to 4 letters (at times
-    with an unknown one), and --z/--max-length up to 3."""
+    with an unknown one), --z/--max-length up to 3, every --format, and at
+    times an --out target drawn from `outs`."""
     body = None
     if draw(st.booleans()):
         cartan = draw(st.sampled_from(sorted(cartan_presets)))
@@ -1171,7 +1125,10 @@ def command_lines(draw, gcm_file: str) -> tuple:
         argv += ["--model", draw(st.sampled_from(["alcove"] if over_z else ["all", "ls", "alcove", "nilhecke"]))]
     else:
         argv += ["--realization", draw(st.sampled_from(["ls", "alcove"]))] + (["--opposite"] if over_z else [])
-    return [command, *argv, "--format", draw(st.sampled_from(["json", "table"]))], body
+    argv = [command, *argv, "--format", draw(st.sampled_from(["json", "table", "dot"]))]
+    if one_in(draw, 4):
+        argv += ["--out", draw(st.sampled_from(outs))]
+    return argv, body
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1180,17 +1137,27 @@ def test_every_command_line_gives_its_document_or_one_error_line(tmp_path, capsy
     """The CLI contract: exit 0 with the document (under --format json the
     text json.dumps writes with indent=2), or exit 2 with stdout empty and
     one stderr line "error: ..."; never exit 1 (models disagree) and never a
-    traceback."""
+    traceback.  With --out (a new file, an existing directory, or a file in
+    a missing directory) exit 0 leaves stdout empty and the file holding
+    the bytes the run writes to stdout without --out, and exit 2 creates
+    nothing."""
     monkeypatch.setenv("KMCHEV_CAP", "2000")
     gcm_file = tmp_path / "gcm.json"
-    argv, body = data.draw(command_lines(str(gcm_file)))
+    target, missing = tmp_path / "doc.txt", tmp_path / "missing"
+    target.unlink(missing_ok=True)  # tmp_path is shared by the examples
+    argv, body = data.draw(command_lines(str(gcm_file), [str(target), str(tmp_path), str(missing / "doc.txt")]))
     if body is not None:
         gcm_file.write_text(json.dumps(body))
     code, out, err = run(capsys, argv)
     if code == 0:
         assert err == ""
-        if "json" in argv:
+        if "--out" in argv:
+            assert out == ""
+            out = target.read_text()
+            assert run(capsys, argv[:-2]) == (0, out, "")
+        if argv[argv.index("--format") + 1] == "json":
             assert out == json.dumps(json.loads(out), indent=2) + "\n"
     else:
         assert code == 2, (out, err)
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        assert not target.exists() and not missing.exists()

@@ -7,13 +7,14 @@ from kmchev.kring import (
     Strings,
     apply_Ti,
     chevalley_recurrence,
+    chevalley_rows,
     hecke_compose,
     lp_add_into,
     lp_monomial,
 )
 from kmchev.lifts import interval_below
 from kmchev.lspath import demazure_crystal
-from kmchev.weyl import WeylGroup
+from kmchev.weyl import CapError, WeylGroup
 from reference import apply_word, bfs_ball, chevalley_explicit, hecke_compose_per_y, lp_act, lp_mul, lp_mul_monomial
 
 
@@ -174,6 +175,80 @@ def test_hecke_compose_yields_the_per_y_rows_in_key_order(name, sign):
         assert element == {}
         assert [z.key for z, _ in got] == sorted(z.key for z, _ in got)
         assert dict(got) == hecke_compose_per_y(W, i, dict(rows), Strings(R, i)), w
+
+
+@pytest.mark.parametrize("name", ["A2~", "hyp2"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chevalley_rows_are_the_recurrence_rows_in_key_order(name, sign):
+    """chevalley_rows gives the rows of chevalley_recurrence in z.key order,
+    for w = e too."""
+    R, lam, longest = ORACLE_CASES[name]
+    W = WeylGroup(R)
+    lam = wt_scale(sign, lam)
+    for w in bfs_ball(W, longest - 1):
+        got = list(chevalley_rows(W, w, lam))
+        assert got == sorted(chevalley_recurrence(W, w, lam).items(), key=lambda pair: pair[0].key), w
+
+
+def test_chevalley_rows_refuses_an_over_cap_range_before_the_first_row():
+    """The held rows of s_i w start every T_i range, so the longest range is
+    refused when chevalley_rows is called, not when its rows are asked for:
+    for w = s_1 s_2 the held row of s_2 is e^lam when lam_2 = 0, and the
+    range of T_1 on it is refused at either sign of lam_1."""
+    R = realization_from_preset("A2")
+    W = WeylGroup(R)
+    W.cap = 10
+    w = W.from_word((0, 1))
+    assert dict(chevalley_rows(W, w, (-10, 0))) == chevalley_recurrence(W, w, (-10, 0))
+    for lam in ((11, 0), (-11, 0), (0, 11)):
+        with pytest.raises(CapError, match="exceeds cap 10"):
+            chevalley_rows(W, w, lam)
+
+
+def longest_in_coset(W, z, J) -> bool:
+    """z is longest in z W_J: every j in J is a right descent of z."""
+    return all(W.from_word(z.word + (j,)).length < z.length for j in J)
+
+
+# (realization, lam, length bound): J = {j : lam_j = 0} generates a finite W_J
+PARABOLIC_CASES = {
+    "hyp2": (HYPERBOLIC, "1,0", 5),
+    "A2": (realization_from_preset("A2"), "1,0", 3),
+    "G2": (realization_from_preset("G2"), "0,1", 6),
+    "A3": (realization_from_preset("A3"), "1,0,1", 6),
+    "A2~": (realization_from_preset("A2~"), "1,0,0", 5),
+}
+
+
+@pytest.mark.parametrize("name", PARABOLIC_CASES)
+def test_rows_of_a_longest_coset_element_are_longest_in_their_cosets(name):
+    """The G/P support check: L_lam descends to G/P_J, and pulling back along
+    G/B -> G/P_J sends [O_{X_{wP}}] to [O_{X_w}] with w longest in w W_J, so
+    each z in the row of such a w, in both signs, is longest in z W_J.  No
+    rule is built to satisfy it."""
+    R, text, bound = PARABOLIC_CASES[name]
+    W = WeylGroup(R)
+    lam = R.parse_weight(text)
+    J = [j for j in range(R.n) if lam[j] == 0]
+    longest = [w for w in bfs_ball(W, bound) if longest_in_coset(W, w, J)]
+    assert J and len(longest) > 1
+    for w in longest:
+        for mu in (lam, wt_neg(lam)):
+            rows = chevalley_recurrence(W, w, mu)
+            assert rows and all(longest_in_coset(W, z, J) for z in rows), (w, mu)
+
+
+def test_rows_of_other_coset_elements_leave_the_longest_ones():
+    """The negative control: on the hyperbolic matrix with lam = (1, 0), the
+    row of each w that is not longest in w W_J, in both signs, has a z that
+    is not longest in z W_J, so the check above is not vacuous."""
+    W = WeylGroup(HYPERBOLIC)
+    lam, J = (1, 0), [1]
+    rows = [chevalley_recurrence(W, w, mu) for w in bfs_ball(W, 5) if not longest_in_coset(W, w, J)
+            for mu in (lam, wt_neg(lam))]
+    assert len(rows) == 12
+    for row in rows:
+        assert not all(longest_in_coset(W, z, J) for z in row), row
 
 
 def test_ti_cancels_and_covers_every_sign_of_n():

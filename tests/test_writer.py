@@ -4,16 +4,15 @@ import json
 import math
 import sys
 import tracemalloc
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kmchev.cartan import GCM, Realization, realization_from_preset
+from kmchev.cartan import realization_from_preset
 from kmchev import cli, kring
-from kmchev.cli import CLIError, check_rows, emit, json_pieces, terms_text, weight_obj
+from kmchev.cli import emit, json_pieces, terms_text, weight_obj
 
 
 def json_text(obj, indent: str = "\n") -> str:
@@ -106,18 +105,6 @@ def test_terms_text_inside_a_document(poly):
     doc = {"rows": [{"z": ["0", "1"], "terms": partial(terms_text, R, poly)}], "truncated": False}
     ref = {"rows": [{"z": ["0", "1"], "terms": reference_terms(R, poly)}], "truncated": False}
     assert json_text(doc) == json.dumps(ref, indent=2)
-
-
-def test_check_rows_refuses_what_terms_text_cannot_write():
-    """terms_text writes what it is given; check_rows refuses, before any
-    piece is written, a weight that is not integral and a corank above 1."""
-    R = realization_from_preset("A2")
-    check_rows(R, [{(1, 0): 1}, {}, {(0, -3): 2}])
-    with pytest.raises(CLIError, match=r"weight 1/2,0 is not integral"):
-        check_rows(R, [{(1, 0): 1}, {(1, 0): 1, (Fraction(1, 2), 0): 1}])
-    corank2 = Realization(GCM.from_matrix([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]))
-    with pytest.raises(CLIError, match="corank"):
-        check_rows(corank2, [{(1, 1, 1, 1, 0, 0): 1}])
 
 
 # -- streaming: bounded pieces, the same bytes ---------------------------------
