@@ -36,7 +36,7 @@ def census(W, lam, pool, bases, tally, unmatched):
         for S in all_istrings(W, pool, i):
             for z in bases:
                 if W.lmul(i, z).length > z.length and W.bruhat_leq(
-                    W.coset_decompose(z, J)[0], phi(S.head)
+                    W.coset_min(z, J), phi(S.head)
                 ):
                     try:
                         tally["up:" + classify_string(W, S, z, i, "up")] += 1
@@ -44,7 +44,7 @@ def census(W, lam, pool, bases, tally, unmatched):
                         unmatched.append((lam, i, z, S))
             for w in bases:
                 if W.lmul(i, w).length < w.length and W.bruhat_leq(
-                    iota(S.tail), W.coset_decompose(w, J)[0]
+                    iota(S.tail), W.coset_min(w, J)
                 ):
                     try:
                         tally["down:" + classify_string(W, S, w, i, "down")] += 1

@@ -108,5 +108,5 @@ def seq_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
     J = stabilizer_nodes(W.R, lam)
     cuts = sorted({0, *(t for t in ts if t < D)})
     chain = list(accumulate((h.alpha for h in seq.hs), W.reflect_right, initial=seq.z))
-    return LSPath(lam, D, [(y - x, W.coset_decompose(chain[bisect_right(ts, x)], J)[0])
+    return LSPath(lam, D, [(y - x, W.coset_min(chain[bisect_right(ts, x)], J))
                            for x, y in zip(cuts, cuts[1:] + [D])])

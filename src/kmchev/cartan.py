@@ -284,8 +284,6 @@ class Realization:
         deltas: list = []
         for tok in text.split(","):
             tok = tok.strip()
-            if not tok:
-                continue
             is_delta = tok.startswith("delta=")
             value = _coordinate(tok[len("delta="):] if is_delta else tok, tok)
             (deltas if is_delta else coords).append(value)

@@ -6,7 +6,7 @@ down(w, sigma, J) the Bruhat-maximum of {v <= w : vW_J = sigma W_J}.
 Existence and uniqueness are classical (Deodhar, Invent. Math. 39, 1977).
 Both are computed by a descent recursion that peels one letter per step and
 rebuilds the answer on the way back, so each costs a number of memoised
-Weyl-group links linear in the length.
+Weyl-group links linear in the length; down reads its cases off sigma(lambda_J).
 """
 from __future__ import annotations
 
@@ -22,9 +22,9 @@ def up(W: WeylGroup, v: WeylElt, sigma: WeylElt, J) -> WeylElt:
     {w >= v : wW_J = sigma W_J} -> {w' >= v' : w'W_J = s_i sigma W_J}, so the
     minimum is s_i times the minimum one level down.
     """
-    if any(W.inverse(sigma).rho[j] < 0 for j in J):
+    if W.coset_min(sigma, J) is not sigma:
         raise ValueError(f"{sigma!r} has a right descent in W_J: not a minimal representative")
-    if not W.bruhat_leq(W.coset_decompose(v, J)[0], sigma):
+    if not W.bruhat_leq(W.coset_min(v, J), sigma):
         raise ValueError(f"{v!r} does not lie under the coset of {sigma!r}")
     letters = sigma.word
     for i in letters:
@@ -56,21 +56,20 @@ def down(W: WeylGroup, w: WeylElt, sigma: WeylElt, J) -> WeylElt:
 
     The canonical word of w is peeled letter by letter (each letter is a left
     descent of what remains), noting which case applies, and the answer is
-    unwound from down(e, W_J) = e.
+    unwound from down(e, W_J) = e.  The sign of mu[i], mu = tau(lambda_J) the
+    weight naming tau, is the case: > 0 the first, < 0 the second, 0 the third.
     """
-    J = frozenset(J)
-    if any(W.inverse(sigma).rho[j] < 0 for j in J):
+    if W.coset_min(sigma, J) is not sigma:
         raise ValueError(f"{sigma!r} has a right descent in W_J: not a minimal representative")
-    if not W.bruhat_leq(sigma, W.coset_decompose(w, J)[0]):
+    if not W.bruhat_leq(sigma, W.coset_min(w, J)):
         raise ValueError(f"{w!r} does not lie over the coset of {sigma!r}")
-    steps: list[tuple[int, int]] = []
-    t = sigma
+    steps, mu = [], W.act(sigma, W.coset_weight(J))
     for i in w.word:
-        if t.rho[i] < 0:  # s_i tau < tau, and s_i t < t is its minimal representative
+        if mu[i] < 0:
             steps.append((i, -1))
-            t = W.lmul(i, t)
-        else:  # s_i t > t, so s_i tau is tau or has the representative s_i t
-            steps.append((i, 0 if W.coset_decompose(W.lmul(i, t), J)[0].length > t.length else 1))
+            mu = W.R.simple_reflection(i, mu)
+        else:
+            steps.append((i, 1 if mu[i] == 0 else 0))
     v = W.e
     for i, case in reversed(steps):
         if case < 0:

@@ -267,7 +267,7 @@ def up_path(W: WeylGroup, z: WeylElt, p: LSPath) -> WeylElt | None:
     None unless z W_lam <= phi(p); each later step is automatic because the
     previous lift already lies weakly below the next coset."""
     J = stabilizer_nodes(W.R, p.lam)
-    if not W.bruhat_leq(W.coset_decompose(z, J)[0], phi(p)):
+    if not W.bruhat_leq(W.coset_min(z, J), phi(p)):
         return None
     cur = z
     for sigma in p.dirs:
@@ -279,7 +279,7 @@ def down_path(W: WeylGroup, w: WeylElt, p: LSPath) -> WeylElt | None:
     """Iterated maximal drops of w along the chain p.dirs, iota-end first, or
     None unless iota(p) <= w W_lam."""
     J = stabilizer_nodes(W.R, p.lam)
-    if not W.bruhat_leq(iota(p), W.coset_decompose(w, J)[0]):
+    if not W.bruhat_leq(iota(p), W.coset_min(w, J)):
         return None
     cur = w
     for sigma in reversed(p.dirs):
@@ -301,7 +301,7 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
     z of [e, w] against those top chains only; sign < 0 partitions the
     Demazure crystal by the drop of w along each chain (ValueError for a path
     outside it)."""
-    wmin = W.coset_decompose(w, stabilizer_nodes(W.R, lam))[0]
+    wmin = W.coset_min(w, stabilizer_nodes(W.R, lam))
     chains: dict[tuple, tuple[LSPath, LaurentPoly]] = {}  # dirs -> (one path with them, their terms)
     for p, mu in demazure_crystal(W, lam, w).items():
         if sign < 0 or iota(p) == wmin:

@@ -11,11 +11,12 @@ elements of two groups by rho), and memoises the group law on them, after
 Casselman's integer Coxeter kernel (Invent. Math. 117, 1994): the group keeps
 a table of links w -> s_i·w per node, filled on first use and set in both
 directions (s_i² = e), so an element is built from a word by a walk of links.
-Inverses and parabolic decompositions are memoised per group as well; weights
-are still acted on by reflecting coordinates.  An element refers to no group
-and to no other element, so a group and all it interned are freed by
-reference counting once its last user lets go.  A coset wW_J is its minimal
-representative coset_decompose(w, J)[0], ordered in W/W_J by bruhat_leq.
+Minimal coset representatives are memoised per group as well; weights are
+still acted on by reflecting coordinates.  An element refers to no group and
+to no other element, so a group and all it interned are freed by reference
+counting once its last user lets go.  A coset wW_J is named by one weight,
+w(lambda_J) with lambda_J = coset_weight(J) fixed by W_J alone, and ordered in
+W/W_J by bruhat_leq on its minimal representative coset_min(w, J).
 
 Bruhat order, cocovers and covers come from the lifting property (Deodhar,
 Invent. Math. 39, 1977): for a left descent i of w, v <= w iff s_i v <= s_i w
@@ -86,10 +87,9 @@ class WeylGroup:
         self.e = WeylElt((), self.rho, R.node_names)
         self._elts: dict[Weight, WeylElt] = {self.rho: self.e}
         self._left: list[dict[WeylElt, WeylElt]] = [{} for _ in range(self.n)]  # _left[i][w] is s_i·w
-        self._inv: dict[WeylElt, WeylElt] = {self.e: self.e}
         self._cocover_cache: dict[WeylElt, tuple] = {self.e: ()}
         self._cover_cache: dict[WeylElt, tuple] = {}
-        self._coset_cache: dict[tuple, tuple[WeylElt, WeylElt]] = {}
+        self._coset_cache: dict[tuple, WeylElt] = {}  # (w, J) -> w^J
         self.dir_images: dict[tuple, Weight] = {}  # (d.rho, lam) -> d(lam), filled by lspath only
 
     # -- construction ------------------------------------------------------
@@ -135,13 +135,6 @@ class WeylGroup:
         for i in reversed(w.word):
             mu = self.R.simple_reflection(i, mu)
         return mu
-
-    def inverse(self, w: WeylElt) -> WeylElt:
-        u = self._inv.get(w)
-        if u is None:
-            u = self._inv[w] = self.from_word(w.word[::-1])
-            self._inv[u] = w
-        return u
 
     def reflect_right(self, w: WeylElt, beta: Coroot) -> WeylElt:
         """w · s_beta."""
@@ -218,25 +211,20 @@ class WeylGroup:
 
     # -- parabolic cosets ----------------------------------------------------
 
-    def coset_decompose(self, w: WeylElt, J) -> tuple[WeylElt, WeylElt]:
-        """w = w^J · w_J with w^J the minimum-length coset representative;
-        built by stripping the smallest right descent lying in J (a left
-        descent of w^{-1}), and memoised per (w, J)."""
-        J = frozenset(J)
-        key = (w.rho, J)
-        hit = self._coset_cache.get(key)
-        if hit is not None:
-            return hit
-        x, w_j = self.inverse(w), self.e
-        while True:
-            ds = [i for i in J if x.rho[i] < 0]
-            if not ds:
-                break
-            i = min(ds)
-            x = self.lmul(i, x)
-            w_j = self.lmul(i, w_j)
-        u = self.inverse(x)
-        if u.length + w_j.length != w.length:
-            raise RuntimeError(f"coset decomposition of {w!r} breaks l(w) = l(w^J) + l(w_J)")
-        self._coset_cache[key] = (u, w_j)
-        return u, w_j
+    def coset_weight(self, J) -> Weight:
+        """lambda_J: rho with its J coordinates set to 0, whose stabilizer is W_J."""
+        return tuple(0 if k in J else c for k, c in enumerate(self.rho))
+
+    def coset_min(self, w: WeylElt, J) -> WeylElt:
+        """The minimal representative w^J of wW_J, memoised per (w, J): the i
+        with x(lambda_J)[i] < 0 are the left descents of x^J, so reflecting
+        w(lambda_J) at the smallest until dominant spells w^J's canonical word."""
+        key = (w, frozenset(J))
+        u = self._coset_cache.get(key)
+        if u is None:
+            mu, word = self.act(w, self.coset_weight(J)), []
+            while (i := next((k for k in range(self.n) if mu[k] < 0), None)) is not None:
+                word.append(i)
+                mu = self.R.simple_reflection(i, mu)
+            u = self._coset_cache[key] = self.from_word(word)
+        return u

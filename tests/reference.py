@@ -64,7 +64,7 @@ def up_oracle(W, v, sigma, J, search_bound):
     candidates = [
         w
         for w in bfs_ball(W, search_bound)
-        if W.coset_decompose(w, J)[0] == sigma and W.bruhat_leq(v, w)
+        if W.coset_min(w, J) == sigma and W.bruhat_leq(v, w)
     ]
     if not candidates:
         raise ValueError(f"no candidate found within length {search_bound}")
@@ -80,7 +80,7 @@ def down_oracle(W, w, sigma, J):
     candidates = [
         v
         for v in bfs_ball(W, w.length)
-        if W.coset_decompose(v, J)[0] == sigma and W.bruhat_leq(v, w)
+        if W.coset_min(v, J) == sigma and W.bruhat_leq(v, w)
     ]
     if not candidates:
         raise ValueError(f"no element of the coset of {sigma!r} lies below {w!r}")
@@ -409,7 +409,7 @@ def _ls_root_op(W, lam, i, st, ns):
     J = stabilizer_nodes(W.R, lam)
 
     def refl(d):
-        return W.coset_decompose(W.lmul(i, d), J)[0]
+        return W.coset_min(W.lmul(i, d), J)
 
     j1 = max(k for k, h in enumerate(H) if h == M)
     j2 = min(k for k in range(j1 + 1, len(H)) if H[k] >= M + 1)
@@ -465,7 +465,7 @@ def _quotient_chain_exists(W, J, lam, lo, hi, bnext):
     if lo == hi:
         return True
     for v, beta in W.cocovers(hi):
-        if v != W.coset_decompose(v, J)[0]:
+        if v != W.coset_min(v, J):
             continue  # not a minimal representative: not a quotient cover
         if (bnext * pairing(beta, lam)).denominator != 1:
             continue
@@ -489,7 +489,7 @@ def validation_error(W, p):
     if not bs[-1] < 1:
         return "b_m >= 1"
     for d in p.dirs:
-        if d != W.coset_decompose(d, J)[0]:
+        if d != W.coset_min(d, J):
             return f"direction {d!r} is not W_lam-minimal"
     for a, b in zip(p.dirs, p.dirs[1:]):
         if a == b or not W.bruhat_leq(a, b):

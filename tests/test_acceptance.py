@@ -7,6 +7,8 @@ import random
 from fractions import Fraction as Q
 from time import perf_counter
 
+import pytest
+
 from kmchev.alcove import (
     LambdaHyperplane,
     chevalley_alcove,
@@ -17,7 +19,10 @@ from kmchev.alcove import (
 )
 from kmchev.bridge import ls_to_seq, refl_less, seq_to_ls
 from kmchev.cartan import (
+    GCM,
+    Realization,
     pairing,
+    realization_from_preset,
     wt_add,
     wt_neg,
 )
@@ -34,8 +39,10 @@ from kmchev.lspath import (
     iota,
     phi,
     stabilizer_nodes,
+    up_path,
 )
-from kmchev.lifts import down, up
+from kmchev.lifts import down, interval_below, up
+from kmchev.weyl import WeylGroup
 from chart import all_istrings, classify_string, lift_subset
 from reference import (
     apply_word,
@@ -221,6 +228,37 @@ def test_criterion_4_bijections(WA2, WB2, WAFF):
     assert dt < 10
 
 
+HYPERBOLIC = Realization(GCM.from_matrix([[2, -3], [-3, 2]]))
+
+
+@pytest.mark.parametrize("R, lam, word, witnesses", [
+    (realization_from_preset("A2~"), (1, 1, 0, 0), (0, 1, 2, 0, 1, 2), (144, 72)),
+    (realization_from_preset("A2~"), (1, 0, 0, 0), (0, 1, 2, 0), (28, 9)),
+    (realization_from_preset("G2"), (1, 1), (0, 1, 0, 1, 0), (36, 50)),
+    (realization_from_preset("A1~"), (1, 1, 0), (0, 1, 0, 1, 0, 1), (1296, 486)),
+    (HYPERBOLIC, (1, 1), (0, 1, 0, 1), (1006, 367)),
+    (HYPERBOLIC, (1, 0), (0, 1, 0, 1), (30, 20)),
+], ids=["A2~-L0+L1", "A2~-L0", "G2", "A1~", "hyperbolic-11", "hyperbolic-10"])
+def test_term_level_triangle(R, lam, word, witnesses):
+    """Every LS witness of a row term maps to its own adapted sequence of
+    the same weight, and onto the alcove tree: for sign +1 the pairs (p, z)
+    with iota(p) = wW_lam and up_path(z, p) = w, through ls_to_seq(p, z,
+    "inc"); for sign -1 the paths of the Demazure crystal B_w(lam), through
+    ls_to_seq(p, w, "dec")."""
+    W = WeylGroup(R)
+    w = W.from_word(word)
+    crystal = demazure_crystal(W, lam, w)
+    top = W.coset_min(w, stabilizer_nodes(R, lam))
+    below = interval_below(W, w)
+    plus = [(ls_to_seq(W, p, z, "inc"), mu) for p, mu in crystal.items() if iota(p) is top
+            for z in below if up_path(W, z, p) is w]
+    minus = [(ls_to_seq(W, p, w, "dec"), mu) for p, mu in crystal.items()]
+    assert (len(plus), len(minus)) == witnesses
+    for images, tree in ((plus, enumerate_tree_dominant), (minus, enumerate_tree_antidominant)):
+        assert len({seq for seq, _ in images}) == len(images)
+        assert set(images) == set(tree(W, lam, w))
+
+
 def test_criterion_5_oracle_triangle(WA2, WB2, WG2):
     t0 = perf_counter()
     rng = random.Random(SEED)
@@ -257,16 +295,16 @@ def test_criterion_6_lift_parity(WA2, WB2, WAFF):
         nonlocal checked
         elems = balls
         for J in Js:
-            reps = sorted({W.coset_decompose(u, J)[0] for u in elems}, key=lambda u: u.key)
+            reps = sorted({W.coset_min(u, J) for u in elems}, key=lambda u: u.key)
             for v in elems:
-                vmin = W.coset_decompose(v, J)[0]
+                vmin = W.coset_min(v, J)
                 for tau in reps:
                     if W.bruhat_leq(vmin, tau):
                         bound = v.length + tau.length + 2
                         assert up(W, v, tau, J) == up_oracle(W, v, tau, J, bound)
                         checked += 1
             for w in elems:
-                wmin = W.coset_decompose(w, J)[0]
+                wmin = W.coset_min(w, J)
                 for tau in reps:
                     if W.bruhat_leq(tau, wmin):
                         assert down(W, w, tau, J) == down_oracle(W, w, tau, J)
@@ -297,13 +335,13 @@ def classify_everything(W, lam, pool, bases):
         for S in all_istrings(W, pool, i):
             for z in bases:
                 if W.lmul(i, z).length > z.length and W.bruhat_leq(
-                    W.coset_decompose(z, J)[0], phi(S.head)
+                    W.coset_min(z, J), phi(S.head)
                 ):
                     up_labels.add(classify_string(W, S, z, i, "up"))
                     n += 1
             for w in bases:
                 if W.lmul(i, w).length < w.length and W.bruhat_leq(
-                    iota(S.tail), W.coset_decompose(w, J)[0]
+                    iota(S.tail), W.coset_min(w, J)
                 ):
                     down_labels.add(classify_string(W, S, w, i, "down"))
                     n += 1

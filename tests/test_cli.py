@@ -293,6 +293,10 @@ def test_non_integral_weights_exit_2(capsys):
         ["crystal", "--cartan", "A2", "--weight", "1.5,0", "--w", "1"],
         ["chevalley", "--cartan", "A2", "--weight", "2/2,1", "--w", "e"],  # no longer read as 1
         ["chevalley", "--cartan", "A2", "--weight", "1/0,1", "--w", "e"],
+        # an empty field is a coordinate int() does not read, not an absent one
+        ["chevalley", "--cartan", "A2", "--weight", "1,,1", "--w", "1"],
+        ["chevalley", "--cartan", "A2", "--weight", "1,1,", "--w", "1"],
+        ["chevalley", "--cartan", "A2", "--weight", ",1,1", "--w", "1"],
     ]
     for argv in cases:
         code, out, err = run(capsys, argv)
@@ -1093,12 +1097,18 @@ def gcm_bodies(draw) -> dict:
     return body
 
 
+# Arguments the option table refuses, whatever precedes them.
+REFUSED_ARGS = [["--format", "xml"], ["--model", "bogus"], ["--max-length", "x"], ["--w"],
+                ["--opposite=1"], ["--max", "3"], ["--bogus"]]
+
+
 @st.composite
 def command_lines(draw, gcm_file: str, outs: list) -> tuple:
-    """(argv, the --gcm-file body or None) of a chevalley or crystal run:
-    weights with coordinates -1 to 2, words of up to 4 letters (at times
-    with an unknown one), --z/--max-length up to 3, every --format, and at
-    times an --out target drawn from `outs`."""
+    """(argv, the --gcm-file body or None, whether the option table refuses
+    argv) of a chevalley or crystal run: weights with coordinates -1 to 2,
+    words of up to 4 letters (at times with an unknown one), --z/--max-length
+    up to 3, every --format, at times an --out target drawn from `outs`, and
+    one run in eight ending in arguments drawn from REFUSED_ARGS."""
     body = None
     if draw(st.booleans()):
         cartan = draw(st.sampled_from(sorted(cartan_presets)))
@@ -1128,7 +1138,10 @@ def command_lines(draw, gcm_file: str, outs: list) -> tuple:
     argv = [command, *argv, "--format", draw(st.sampled_from(["json", "table", "dot"]))]
     if one_in(draw, 4):
         argv += ["--out", draw(st.sampled_from(outs))]
-    return argv, body
+    refused = one_in(draw, 8)
+    if refused:
+        argv += draw(st.sampled_from(REFUSED_ARGS))
+    return argv, body, refused
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1140,15 +1153,17 @@ def test_every_command_line_gives_its_document_or_one_error_line(tmp_path, capsy
     traceback.  With --out (a new file, an existing directory, or a file in
     a missing directory) exit 0 leaves stdout empty and the file holding
     the bytes the run writes to stdout without --out, and exit 2 creates
-    nothing."""
+    nothing.  A command line the option table refuses exits 2."""
     monkeypatch.setenv("KMCHEV_CAP", "2000")
     gcm_file = tmp_path / "gcm.json"
     target, missing = tmp_path / "doc.txt", tmp_path / "missing"
     target.unlink(missing_ok=True)  # tmp_path is shared by the examples
-    argv, body = data.draw(command_lines(str(gcm_file), [str(target), str(tmp_path), str(missing / "doc.txt")]))
+    argv, body, refused = data.draw(command_lines(str(gcm_file), [str(target), str(tmp_path),
+                                                                  str(missing / "doc.txt")]))
     if body is not None:
         gcm_file.write_text(json.dumps(body))
     code, out, err = run(capsys, argv)
+    assert code == 2 or not refused, (argv, code)
     if code == 0:
         assert err == ""
         if "--out" in argv:

@@ -10,7 +10,7 @@ from reference import bfs_ball, down_oracle, up_oracle
 
 def coset(W, word, J):
     """The minimal representative of the coset of the word's element."""
-    return W.coset_decompose(W.from_word(word), J)[0]
+    return W.coset_min(W.from_word(word), J)
 
 
 def test_frozen_affine_lifts(WAFF):
@@ -59,14 +59,14 @@ def _assert_lift_parity(W, bound, subsets):
     the given length and every coset they reach, over each J in subsets."""
     elems = bfs_ball(W, bound)
     for J in subsets:
-        reps = sorted({W.coset_decompose(w, J)[0] for w in elems}, key=lambda u: u.key)
+        reps = sorted({W.coset_min(w, J) for w in elems}, key=lambda u: u.key)
         for v in elems:
-            vmin = W.coset_decompose(v, J)[0]
+            vmin = W.coset_min(v, J)
             for tau in reps:
                 if W.bruhat_leq(vmin, tau):
                     assert up(W, v, tau, J) == up_oracle(W, v, tau, J, max(bound, v.length + tau.length + 2))
         for w in elems:
-            wmin = W.coset_decompose(w, J)[0]
+            wmin = W.coset_min(w, J)
             for tau in reps:
                 if W.bruhat_leq(tau, wmin):
                     assert down(W, w, tau, J) == down_oracle(W, w, tau, J)
@@ -119,15 +119,15 @@ def _configs(W):
     elems = bfs_ball(W, 8)
     subsets = [frozenset(s) for r in range(W.n) for s in itertools.combinations(range(W.n), r)]
     for J in subsets:
-        reps = {W.coset_decompose(w, J)[0] for w in elems}
+        reps = {W.coset_min(w, J) for w in elems}
         for v, tau, i in itertools.product(elems, reps, range(W.n)):
-            if W.bruhat_leq(W.coset_decompose(v, J)[0], tau):
+            if W.bruhat_leq(W.coset_min(v, J), tau):
                 yield v, tau, i, J
 
 
 def _s_tau(W, i, tau, J):
     """The minimal representative of s_i tau W_J."""
-    return W.coset_decompose(W.lmul(i, tau), J)[0]
+    return W.coset_min(W.lmul(i, tau), J)
 
 
 @pytest.mark.parametrize("preset", ["A2", "B2"])
@@ -155,7 +155,7 @@ def test_lift_to_the_lowered_target(preset):
         stau = _s_tau(W, i, tau, J)
         if W.lmul(i, v).length < v.length or stau.length >= tau.length:
             continue
-        if not W.bruhat_leq(W.coset_decompose(v, J)[0], stau):
+        if not W.bruhat_leq(W.coset_min(v, J), stau):
             continue
         w = up(W, v, tau, J)
         y = up(W, v, stau, J)
@@ -176,7 +176,7 @@ def test_lift_of_the_raised_start(preset):
         stau = _s_tau(W, i, tau, J)
         if v.length > sv.length or stau.length > tau.length:
             continue
-        if not W.bruhat_leq(W.coset_decompose(sv, J)[0], tau):
+        if not W.bruhat_leq(W.coset_min(sv, J), tau):
             continue
         y = up(W, sv, tau, J)
         w = up(W, v, tau, J)

@@ -247,8 +247,8 @@ def test_membership_is_initial_direction_below_w(aff):
     W, w, N = aff
     J = stabilizer_nodes(W.R, LAM)
     pool = crystal_up_to(W, LAM, 4)
-    wmin = W.coset_decompose(w, J)[0]
-    expected = {p for p in pool if W.bruhat_leq(W.coset_decompose(iota(p), J)[0], wmin)}
+    wmin = W.coset_min(w, J)
+    expected = {p for p in pool if W.bruhat_leq(W.coset_min(iota(p), J), wmin)}
     assert demazure_crystal(W, LAM, w).keys() == expected
 
 
@@ -358,8 +358,8 @@ def test_string_ends_are_extremal(aff):
     J = stabilizer_nodes(W.R, LAM)
     for i in range(W.n):
         for S in all_istrings(W, crystal_up_to(W, LAM, 3), i):
-            iotas = [W.coset_decompose(iota(p), J)[0] for p in S.elements]
-            phis = [W.coset_decompose(phi(p), J)[0] for p in S.elements]
+            iotas = [W.coset_min(iota(p), J) for p in S.elements]
+            phis = [W.coset_min(phi(p), J) for p in S.elements]
             assert all(W.bruhat_leq(c, iotas[-1]) for c in iotas)
             assert all(W.bruhat_leq(phis[0], c) for c in phis)
 
@@ -373,13 +373,13 @@ def test_string_direction_jumps_once(aff):
         for S in all_istrings(W, crystal_up_to(W, LAM, 3), i):
             if len(S.elements) < 2:
                 continue
-            iotas = [W.coset_decompose(iota(p), J)[0] for p in S.elements]
-            raised = W.coset_decompose(W.lmul(i, iotas[0]), J)[0]
+            iotas = [W.coset_min(iota(p), J) for p in S.elements]
+            raised = W.coset_min(W.lmul(i, iotas[0]), J)
             assert all(c in (iotas[0], raised) for c in iotas)
             jumps = sum(1 for a, b in zip(iotas, iotas[1:]) if a != b)
             assert jumps <= 1
-            phis = [W.coset_decompose(phi(p), J)[0] for p in S.elements]
-            lowered = W.coset_decompose(W.lmul(i, phis[-1]), J)[0]
+            phis = [W.coset_min(phi(p), J) for p in S.elements]
+            lowered = W.coset_min(W.lmul(i, phis[-1]), J)
             assert all(c in (phis[-1], lowered) for c in phis)
             assert sum(1 for a, b in zip(phis, phis[1:]) if a != b) <= 1
 
@@ -392,12 +392,12 @@ def classification_sweep(W, lam, pool, ball):
         for S in all_istrings(W, pool, i):
             for z in ball:
                 if W.lmul(i, z).length > z.length and W.bruhat_leq(
-                    W.coset_decompose(z, J)[0], phi(S.head)
+                    W.coset_min(z, J), phi(S.head)
                 ):
                     tally["up:" + classify_string(W, S, z, i, "up")] += 1
             for w in ball:
                 if W.lmul(i, w).length < w.length and W.bruhat_leq(
-                    iota(S.tail), W.coset_decompose(w, J)[0]
+                    iota(S.tail), W.coset_min(w, J)
                 ):
                     tally["down:" + classify_string(W, S, w, i, "down")] += 1
     return tally
@@ -459,7 +459,7 @@ def test_string_recurrence_consistency(aff):
             members = frozenset(S.elements)
             for z in bfs_ball(W, 4):
                 sz = W.lmul(i, z)
-                zmin = W.coset_decompose(z, J)[0]
+                zmin = W.coset_min(z, J)
                 if not (sz.length > z.length and W.bruhat_leq(zmin, phi(S.head))):
                     continue
                 for x in {up_path(W, z, p) for p in members if W.bruhat_leq(zmin, phi(p))}:
