@@ -14,7 +14,7 @@ from collections import Counter
 
 from chart import all_istrings, classify_string
 from kmchev.cartan import realization_from_preset
-from kmchev.lspath import demazure_crystal, iota, phi, stabilizer_nodes
+from kmchev.lspath import demazure_crystal, iota, phi
 from kmchev.weyl import WeylGroup
 
 
@@ -31,12 +31,11 @@ def ball(W, length_bound):
 
 
 def census(W, lam, pool, bases, tally, unmatched):
-    J = stabilizer_nodes(W.R, lam)
     for i in range(W.n):
         for S in all_istrings(W, pool, i):
             for z in bases:
                 if W.lmul(i, z).length > z.length and W.bruhat_leq(
-                    W.coset_min(z, J), phi(S.head)
+                    W.coset_min(z, lam), phi(S.head)
                 ):
                     try:
                         tally["up:" + classify_string(W, S, z, i, "up")] += 1
@@ -44,7 +43,7 @@ def census(W, lam, pool, bases, tally, unmatched):
                         unmatched.append((lam, i, z, S))
             for w in bases:
                 if W.lmul(i, w).length < w.length and W.bruhat_leq(
-                    iota(S.tail), W.coset_min(w, J)
+                    iota(S.tail), W.coset_min(w, lam)
                 ):
                     try:
                         tally["down:" + classify_string(W, S, w, i, "down")] += 1

@@ -197,8 +197,10 @@ def _walk(W: WeylGroup, lam: Weight, start: WeylElt, monotonicity: str,
     children pushed in reverse so that they come out in preorder.  It holds
     at most W.cap sequences, checked before each is appended, and builds at
     most W.cap labels in all, checked by _label_edges before an element's
-    edges are built: an element gets edges only when a sequence reaches it."""
+    edges are built: an element gets edges only when a sequence reaches it.
+    A lam that is not dominant is refused (ValueError)."""
     inc = _is_inc(monotonicity)
+    W.R.check_dominant(lam)
     down = length_bound is None
     if not down and start.length > length_bound:
         return [], True

@@ -11,7 +11,7 @@ from itertools import accumulate
 from .alcove import AdaptedSequence, LambdaHyperplane, _is_inc, lex_less
 from .cartan import Coroot, Realization, Weight, pairing
 from .lifts import down, up
-from .lspath import LSPath, stabilizer_nodes
+from .lspath import LSPath
 from .weyl import WeylElt, WeylGroup
 
 
@@ -74,10 +74,9 @@ def ls_to_seq(W: WeylGroup, p: LSPath, base: WeylElt, monotonicity: str) -> Adap
     (dec), with t = b_j for inc and t = b_{j+1}, b_{m+1} = 1, for dec."""
     inc = _is_inc(monotonicity)
     lam, D = p.lam, p.D
-    J = stabilizer_nodes(W.R, lam)
     zs = [base]
     for sigma in p.dirs if inc else reversed(p.dirs):
-        zs.append((up if inc else down)(W, zs[-1], sigma, J))
+        zs.append((up if inc else down)(W, zs[-1], sigma, lam))
     zs = zs if inc else zs[::-1]
     cuts = list(accumulate(p.a, initial=0))
     hs: list[LambdaHyperplane] = []
@@ -105,8 +104,7 @@ def seq_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
     ts = [h.k * (D // pr) if inc else D - h.k * (D // pr) for h, pr in zip(seq.hs, prs)]
     if any(x > y for x, y in zip(ts, ts[1:])):
         raise ValueError(f"the labels of {seq!r} are not ordered by t")
-    J = stabilizer_nodes(W.R, lam)
     cuts = sorted({0, *(t for t in ts if t < D)})
     chain = list(accumulate((h.alpha for h in seq.hs), W.reflect_right, initial=seq.z))
-    return LSPath(lam, D, [(y - x, W.coset_min(chain[bisect_right(ts, x)], J))
+    return LSPath(lam, D, [(y - x, W.coset_min(chain[bisect_right(ts, x)], lam))
                            for x, y in zip(cuts, cuts[1:] + [D])])

@@ -14,10 +14,10 @@ pairings and reflections are plain int arithmetic, and LS paths store no
 Fraction either (their step lengths are ints over one denominator).  The
 set-up of a realization is integer too: the pivot columns, each column
 reduced fraction-free against the independent ones before it, give the rank
-and the completion columns, and the symmetrizer is propagated as reduced int
-pairs.  Nothing here imports ``fractions``: a weight coordinate is whatever
-``int`` reads, and parse_weight refuses any other text (``1/2``, ``1.5``,
-also ``2/2``), so a non-integral weight never reaches the weight arithmetic.
+and the completion columns, and the symmetrizer is propagated as ints.
+Nothing here imports ``fractions``: a weight coordinate is whatever ``int``
+reads, and parse_weight refuses any other text (``1/2``, ``1.5``, also
+``2/2``), so a non-integral weight never reaches the weight arithmetic.
 """
 from __future__ import annotations
 
@@ -82,44 +82,43 @@ def _pivot_columns(rows) -> list[int]:
     return pivots
 
 
+def _symmetrizes(d, a) -> bool:
+    """d_i a_ij = d_j a_ji for every pair of nodes."""
+    return all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(len(a)) for j in range(i))
+
+
 def _symmetrizer(a) -> tuple[int, ...]:
     """Primitive positive integers d with d_i a_ij = d_j a_ji, or raise ValueError.
 
-    Ratios are propagated along the Dynkin diagram from each node not yet
-    reached (the root of its component), each d_i held as a reduced int pair
-    (numerator, denominator); a cycle that forces an inconsistent ratio means
-    the matrix is not symmetrizable.
+    Ints are propagated along the Dynkin diagram from each node not yet
+    reached (the root of its component, set to what 1 has been scaled to): a
+    node j first reached from i gets d_i a_ij / a_ji, every node set so far
+    scaled first when that is not an int.  The walk crosses only edges with
+    both entries non-zero, so the closing check catches a zero-pattern
+    mismatch and a cycle that forces an inconsistent ratio alike.
     """
     n = len(a)
-    d: list[tuple[int, int] | None] = [None] * n
+    d, one = [0] * n, 1
     for root in range(n):
-        if d[root] is not None:
+        if d[root]:
             continue
-        d[root] = (1, 1)
+        d[root] = one
         stack = [root]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if i == j or (a[i][j] == 0 and a[j][i] == 0):
+                if d[j] or not (a[i][j] and a[j][i]):
                     continue
-                if (a[i][j] == 0) != (a[j][i] == 0):
-                    raise ValueError(f"not symmetrizable: a[{i}][{j}], a[{j}][{i}] zero-pattern mismatch")
-                if a[i][j] == 0:
-                    continue
-                # d_j = d_i * a_ij / a_ji; both entries are negative
-                num, den = d[i][0] * -a[i][j], d[i][1] * -a[j][i]
-                g = math.gcd(num, den)
-                dj = (num // g, den // g)
-                if d[j] is None:
-                    d[j] = dj
-                    stack.append(j)
-                elif d[j] != dj:
-                    raise ValueError("not symmetrizable: inconsistent cycle")
-    assert all(x is not None and x[0] > 0 and x[1] > 0 for x in d)
-    lcm_den = math.lcm(*(den for _, den in d))
-    ints = [num * (lcm_den // den) for num, den in d]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+                if (num := d[i] * a[i][j]) % a[j][i]:
+                    scale = -a[j][i] // math.gcd(num, a[j][i])
+                    d, num, one = [x * scale for x in d], num * scale, one * scale
+                d[j] = num // a[j][i]
+                stack.append(j)
+    g = math.gcd(*d)
+    d = tuple(x // g for x in d)
+    if not _symmetrizes(d, a):
+        raise ValueError("matrix is not symmetrizable")
+    return d
 
 
 def _integer(x, what: str) -> int:
@@ -272,6 +271,11 @@ class Realization:
     def is_dominant(self, mu: Weight) -> bool:
         return all(mu[i] >= 0 for i in range(self.n))
 
+    def check_dominant(self, mu: Weight) -> None:
+        """ValueError unless mu is a dominant weight of this realization."""
+        if len(mu) != self.N or not self.is_dominant(mu):
+            raise ValueError(f"weight {mu} is not a dominant weight of rank {self.N}")
+
     def parse_weight(self, text: str) -> Weight:
         """Parse "c_0,c_1,...[,delta=q ...]" into an ambient weight.
 
@@ -376,9 +380,7 @@ def realization_from_json_file(path: str) -> Realization:
         if not isinstance(data["symmetrizer"], list):
             raise ValueError("symmetrizer must be an array")
         given = tuple(_integer(x, "symmetrizer entry") for x in data["symmetrizer"])
-        a = gcm.a
-        if (len(given) != gcm.n or min(given) <= 0
-                or any(given[i] * a[i][j] != given[j] * a[j][i] for i in range(gcm.n) for j in range(i))):
+        if len(given) != gcm.n or min(given) <= 0 or not _symmetrizes(given, gcm.a):
             raise ValueError("symmetrizer does not symmetrize the matrix")
     nodes = data.get("nodes", [str(i) for i in range(gcm.n)])
     if not isinstance(nodes, list) or not all(isinstance(x, str) for x in nodes):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import partial
 from types import SimpleNamespace
 
-from .cartan import realization_from_preset
+from .cartan import GCM, Realization, realization_from_preset
 from .cli import MODELS, CLIError, _rows_diff, _rows_for_model, emit, json_pieces, parse_word
 from .weyl import WeylGroup
 
@@ -29,15 +29,18 @@ def _scn_triangles(cases) -> str | None:
 
 
 def _scn_bijections() -> str | None:
+    """Every sequence of both alcove trees comes back from seq_to_ls through
+    ls_to_seq, on a finite, an affine and an indefinite case."""
     from . import alcove, bridge
-    R = realization_from_preset("A2")
-    W = WeylGroup(R)
-    lam = R.parse_weight("1,1")
-    w = W.from_word((0, 1, 0))
-    for seq, _ in alcove.enumerate_tree_dominant(W, lam, w) + alcove.enumerate_tree_antidominant(W, lam, w):
-        base = seq.z if seq.monotonicity == "inc" else w
-        if bridge.ls_to_seq(W, bridge.seq_to_ls(W, lam, seq), base, seq.monotonicity) != seq:
-            return f"{seq.monotonicity} round-trip failed at {seq!r}"
+    for R, lam, word in ((realization_from_preset("A2"), (1, 1), (0, 1, 0)),
+                         (realization_from_preset("A2~"), (1, 1, 0, 0), (0, 1, 2, 1)),
+                         (Realization(GCM.from_matrix([[2, -3], [-3, 2]])), (1, 0), (0, 1, 0, 1))):
+        W = WeylGroup(R)
+        w = W.from_word(word)
+        for seq, _ in alcove.enumerate_tree_dominant(W, lam, w) + alcove.enumerate_tree_antidominant(W, lam, w):
+            base = seq.z if seq.monotonicity == "inc" else w
+            if bridge.ls_to_seq(W, bridge.seq_to_ls(W, lam, seq), base, seq.monotonicity) != seq:
+                return f"{seq.monotonicity} round-trip failed at {seq!r} (lam={lam}, w={w!r})"
     return None
 
 

@@ -1,30 +1,32 @@
 """Deodhar lifts into parabolic cosets.
 
-A coset of W_J is passed as its minimal representative sigma together with
-J.  up(v, sigma, J) is the Bruhat-minimum of {w >= v : wW_J = sigma W_J};
-down(w, sigma, J) the Bruhat-maximum of {v <= w : vW_J = sigma W_J}.
-Existence and uniqueness are classical (Deodhar, Invent. Math. 39, 1977).
-Both are computed by a descent recursion that peels one letter per step and
-rebuilds the answer on the way back, so each costs a number of memoised
-Weyl-group links linear in the length; down reads its cases off sigma(lambda_J).
+A coset of the stabilizer W_lam of a dominant weight lam is passed as its
+minimal representative sigma together with lam.  up(v, sigma, lam) is the
+Bruhat-minimum of {w >= v : wW_lam = sigma W_lam}; down(w, sigma, lam) the
+Bruhat-maximum of {v <= w : vW_lam = sigma W_lam}.  Existence and uniqueness
+are classical (Deodhar, Invent. Math. 39, 1977).  Both are computed by a
+descent recursion that peels one letter per step and rebuilds the answer on
+the way back, so each costs a number of memoised Weyl-group links linear in
+the length; down reads its cases off sigma(lam).
 """
 from __future__ import annotations
 
+from .cartan import Weight
 from .weyl import WeylElt, WeylGroup
 
 
-def up(W: WeylGroup, v: WeylElt, sigma: WeylElt, J) -> WeylElt:
-    """The minimal w >= v in sigma W_J; requires sigma minimal in its coset
-    and vW_J <= sigma W_J.
+def up(W: WeylGroup, v: WeylElt, sigma: WeylElt, lam: Weight) -> WeylElt:
+    """The minimal w >= v in sigma W_lam; requires sigma minimal in its coset
+    and vW_lam <= sigma W_lam.
 
     Peel the smallest descent i of sigma; with v' = min(v, s_i v), the map
     w -> s_i w is a length-preserving-minus-one bijection
-    {w >= v : wW_J = sigma W_J} -> {w' >= v' : w'W_J = s_i sigma W_J}, so the
-    minimum is s_i times the minimum one level down.
+    {w >= v : wW_lam = sigma W_lam} -> {w' >= v' : w'W_lam = s_i sigma W_lam},
+    so the minimum is s_i times the minimum one level down.
     """
-    if W.coset_min(sigma, J) is not sigma:
-        raise ValueError(f"{sigma!r} has a right descent in W_J: not a minimal representative")
-    if not W.bruhat_leq(W.coset_min(v, J), sigma):
+    if W.coset_min(sigma, lam) is not sigma:
+        raise ValueError(f"{sigma!r} has a right descent in W_lam: not a minimal representative")
+    if not W.bruhat_leq(W.coset_min(v, lam), sigma):
         raise ValueError(f"{v!r} does not lie under the coset of {sigma!r}")
     letters = sigma.word
     for i in letters:
@@ -43,12 +45,12 @@ def interval_below(W: WeylGroup, w: WeylElt) -> set[WeylElt]:
     return out
 
 
-def down(W: WeylGroup, w: WeylElt, sigma: WeylElt, J) -> WeylElt:
-    """The maximal v <= w in sigma W_J; requires sigma minimal in its coset
-    and wW_J >= sigma W_J.
+def down(W: WeylGroup, w: WeylElt, sigma: WeylElt, lam: Weight) -> WeylElt:
+    """The maximal v <= w in sigma W_lam; requires sigma minimal in its coset
+    and wW_lam >= sigma W_lam.
 
     With i a left descent of w, every v <= w has min(v, s_i v) <= s_i w, and
-    by the lifting property, writing tau = sigma W_J:
+    by the lifting property, writing tau = sigma W_lam:
 
     * s_i tau > tau: down(w, tau) = down(s_i w, tau);
     * s_i tau < tau: down(w, tau) = s_i · down(s_i w, s_i tau);
@@ -56,14 +58,14 @@ def down(W: WeylGroup, w: WeylElt, sigma: WeylElt, J) -> WeylElt:
 
     The canonical word of w is peeled letter by letter (each letter is a left
     descent of what remains), noting which case applies, and the answer is
-    unwound from down(e, W_J) = e.  The sign of mu[i], mu = tau(lambda_J) the
+    unwound from down(e, W_lam) = e.  The sign of mu[i], mu = tau(lam) the
     weight naming tau, is the case: > 0 the first, < 0 the second, 0 the third.
     """
-    if W.coset_min(sigma, J) is not sigma:
-        raise ValueError(f"{sigma!r} has a right descent in W_J: not a minimal representative")
-    if not W.bruhat_leq(sigma, W.coset_min(w, J)):
+    if W.coset_min(sigma, lam) is not sigma:
+        raise ValueError(f"{sigma!r} has a right descent in W_lam: not a minimal representative")
+    if not W.bruhat_leq(sigma, W.coset_min(w, lam)):
         raise ValueError(f"{w!r} does not lie over the coset of {sigma!r}")
-    steps, mu = [], W.act(sigma, W.coset_weight(J))
+    steps, mu = [], W.image(sigma, lam)
     for i in w.word:
         if mu[i] < 0:
             steps.append((i, -1))

@@ -4,7 +4,7 @@ An LS path of shape ``lam`` (a dominant integral weight) is stored in one
 exact int form ``(lam, D, a, dirs)``:
 
 * ``dirs = (sigma_1, ..., sigma_m)`` -- a strictly increasing Bruhat chain of
-  cosets in W/W_lam, each held by its minimum-length representative;
+  cosets in W/W_lam, each held by its minimal representative coset_min(w, lam);
 * ``a = (a_1, ..., a_m)`` -- positive ints with sum ``D`` and
   ``gcd(D, a_1, ..., a_m) = 1``: ``sigma_j`` runs for ``a_j / D`` of the time.
 
@@ -27,14 +27,15 @@ step is split there and only the part before the crossing is reflected.
 The operators read the int form directly, and the i-heights are ints over
 D too, as b_j * <beta, lam> is an integer on an LS path's chain (Littelmann,
 Paths and root operators, Ann. Math. 142, 1995).  The images d(lam) are
-memoised per group.  f_i lowers a path's weight p(1) by alpha_i, so the
-crystal closures carry each path's weight as they make it.
+memoised per group (WeylGroup.image).  f_i lowers a path's weight p(1) by
+alpha_i, so the crystal closures carry each path's weight as they make it.
 
-The module also provides Demazure and opposite Demazure subcrystals, the
-iterated Deodhar lifts of a path's direction chain from a Weyl group element
-(up_path for the dominant rule, down_path for the antidominant one, None off
-the cosets they admit), and one fixed-w Chevalley row chevalley_ls for both
-signs, which lifts each chain once.  The chart of how lifts vary along an
+The module also provides the straight path (refusing a lam that is not
+dominant), Demazure and opposite Demazure subcrystals, the iterated Deodhar
+lifts of a path's direction chain from a Weyl group element (up_path for the
+dominant rule, down_path for the antidominant one, None off the cosets they
+admit), and one fixed-w Chevalley row chevalley_ls for both signs, which
+lifts each chain once.  The chart of how lifts vary along an
 i-string (the U.*/D.* case analysis) and the lift fibers it reads check these
 lifts from outside, in scripts/chart.py.
 """
@@ -44,16 +45,9 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .cartan import LaurentPoly, Realization, Weight, lp_add_into, lp_monomial, wt_neg
+from .cartan import LaurentPoly, Weight, lp_add_into, lp_monomial, wt_neg
 from .lifts import down, interval_below, up
 from .weyl import WeylElt, WeylGroup, over_cap
-
-
-def stabilizer_nodes(R: Realization, lam: Weight) -> frozenset:
-    """Nodes i with <alpha_i^vee, lam> = 0; generates W_lam for dominant lam."""
-    if not R.is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
-    return frozenset(i for i in range(R.gcm.n) if lam[i] == 0)
 
 
 class LSPath:
@@ -96,6 +90,8 @@ class LSPath:
 
 
 def straight_path(W: WeylGroup, lam: Weight) -> LSPath:
+    """The path of the one direction e; ValueError unless lam is dominant."""
+    W.R.check_dominant(lam)
     return LSPath(lam, 1, ((1, W.e),))
 
 
@@ -107,14 +103,6 @@ def phi(p: LSPath) -> WeylElt:
 def iota(p: LSPath) -> WeylElt:
     """Initial direction: the largest coset in the chain."""
     return p.dirs[-1]
-
-
-def _image(W: WeylGroup, d: WeylElt, lam: Weight) -> Weight:
-    """d(lam), memoised in the group's dir_images."""
-    key = (d.rho, lam)
-    if (mu := W.dir_images.get(key)) is None:
-        mu = W.dir_images[key] = W.act(d, lam)
-    return mu
 
 
 def _reduced(c: int, D: int) -> tuple[int, int]:
@@ -167,7 +155,7 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     and epsilon_i(p) for e, above the cap W.cap is refused (CapError)."""
     D = p.D
     st = list(zip(p.a, p.dirs))[::-sign]  # traversal order for f, chain order for e
-    ns = [sign * _image(W, d, p.lam)[i] for _, d in st]
+    ns = [sign * W.image(d, p.lam)[i] for _, d in st]
     H = [0, *accumulate(a * n for (a, _), n in zip(st, ns))]
     M = min(H)
     if M % D or H[-1] % D:
@@ -266,24 +254,22 @@ def up_path(W: WeylGroup, z: WeylElt, p: LSPath) -> WeylElt | None:
     """Iterated minimal lifts of z along the chain p.dirs, phi-end first, or
     None unless z W_lam <= phi(p); each later step is automatic because the
     previous lift already lies weakly below the next coset."""
-    J = stabilizer_nodes(W.R, p.lam)
-    if not W.bruhat_leq(W.coset_min(z, J), phi(p)):
+    if not W.bruhat_leq(W.coset_min(z, p.lam), phi(p)):
         return None
     cur = z
     for sigma in p.dirs:
-        cur = up(W, cur, sigma, J)
+        cur = up(W, cur, sigma, p.lam)
     return cur
 
 
 def down_path(W: WeylGroup, w: WeylElt, p: LSPath) -> WeylElt | None:
     """Iterated maximal drops of w along the chain p.dirs, iota-end first, or
     None unless iota(p) <= w W_lam."""
-    J = stabilizer_nodes(W.R, p.lam)
-    if not W.bruhat_leq(iota(p), W.coset_min(w, J)):
+    if not W.bruhat_leq(iota(p), W.coset_min(w, p.lam)):
         return None
     cur = w
     for sigma in reversed(p.dirs):
-        cur = down(W, cur, sigma, J)
+        cur = down(W, cur, sigma, p.lam)
     return cur
 
 
@@ -301,7 +287,7 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
     z of [e, w] against those top chains only; sign < 0 partitions the
     Demazure crystal by the drop of w along each chain (ValueError for a path
     outside it)."""
-    wmin = W.coset_min(w, stabilizer_nodes(W.R, lam))
+    wmin = W.coset_min(w, lam)
     chains: dict[tuple, tuple[LSPath, LaurentPoly]] = {}  # dirs -> (one path with them, their terms)
     for p, mu in demazure_crystal(W, lam, w).items():
         if sign < 0 or iota(p) == wmin:

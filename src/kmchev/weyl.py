@@ -11,12 +11,12 @@ elements of two groups by rho), and memoises the group law on them, after
 Casselman's integer Coxeter kernel (Invent. Math. 117, 1994): the group keeps
 a table of links w -> s_i·w per node, filled on first use and set in both
 directions (s_i² = e), so an element is built from a word by a walk of links.
-Minimal coset representatives are memoised per group as well; weights are
-still acted on by reflecting coordinates.  An element refers to no group and
-to no other element, so a group and all it interned are freed by reference
-counting once its last user lets go.  A coset wW_J is named by one weight,
-w(lambda_J) with lambda_J = coset_weight(J) fixed by W_J alone, and ordered in
-W/W_J by bruhat_leq on its minimal representative coset_min(w, J).
+Images w(lam) and minimal coset representatives are memoised per group as
+well; other weights are acted on by reflecting coordinates.  An element
+refers to no group and to no other element, so a group and all it interned
+are freed by reference counting once its last user lets go.  A coset wW_lam
+of the stabilizer of a dominant lam is named by lam itself: by the weight
+w(lam), and ordered in W/W_lam by bruhat_leq on coset_min(w, lam).
 
 Bruhat order, cocovers and covers come from the lifting property (Deodhar,
 Invent. Math. 39, 1977): for a left descent i of w, v <= w iff s_i v <= s_i w
@@ -89,8 +89,8 @@ class WeylGroup:
         self._left: list[dict[WeylElt, WeylElt]] = [{} for _ in range(self.n)]  # _left[i][w] is s_i·w
         self._cocover_cache: dict[WeylElt, tuple] = {self.e: ()}
         self._cover_cache: dict[WeylElt, tuple] = {}
-        self._coset_cache: dict[tuple, WeylElt] = {}  # (w, J) -> w^J
-        self.dir_images: dict[tuple, Weight] = {}  # (d.rho, lam) -> d(lam), filled by lspath only
+        self._images: dict[tuple, Weight] = {}  # (w, lam) -> w(lam)
+        self._coset_cache: dict[tuple, WeylElt] = {}  # (w, lam) -> minimal representative of wW_lam
 
     # -- construction ------------------------------------------------------
 
@@ -134,6 +134,13 @@ class WeylGroup:
     def act(self, w: WeylElt, mu: Weight) -> Weight:
         for i in reversed(w.word):
             mu = self.R.simple_reflection(i, mu)
+        return mu
+
+    def image(self, w: WeylElt, lam: Weight) -> Weight:
+        """w(lam), memoised per (w, lam)."""
+        key = (w, lam)
+        if (mu := self._images.get(key)) is None:
+            mu = self._images[key] = self.act(w, lam)
         return mu
 
     def reflect_right(self, w: WeylElt, beta: Coroot) -> WeylElt:
@@ -211,18 +218,17 @@ class WeylGroup:
 
     # -- parabolic cosets ----------------------------------------------------
 
-    def coset_weight(self, J) -> Weight:
-        """lambda_J: rho with its J coordinates set to 0, whose stabilizer is W_J."""
-        return tuple(0 if k in J else c for k, c in enumerate(self.rho))
-
-    def coset_min(self, w: WeylElt, J) -> WeylElt:
-        """The minimal representative w^J of wW_J, memoised per (w, J): the i
-        with x(lambda_J)[i] < 0 are the left descents of x^J, so reflecting
-        w(lambda_J) at the smallest until dominant spells w^J's canonical word."""
-        key = (w, frozenset(J))
+    def coset_min(self, w: WeylElt, lam: Weight) -> WeylElt:
+        """The minimal representative of wW_lam for a dominant lam, memoised
+        per (w, lam): the i with x(lam)[i] < 0 are the left descents of x's
+        representative, so reflecting w(lam) at the smallest until dominant
+        spells its canonical word.  A lam that is not dominant, for which that
+        walk need not end, is refused (ValueError) when first met."""
+        key = (w, lam)
         u = self._coset_cache.get(key)
         if u is None:
-            mu, word = self.act(w, self.coset_weight(J)), []
+            self.R.check_dominant(lam)
+            mu, word = self.image(w, lam), []
             while (i := next((k for k in range(self.n) if mu[k] < 0), None)) is not None:
                 word.append(i)
                 mu = self.R.simple_reflection(i, mu)

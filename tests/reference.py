@@ -35,7 +35,7 @@ from math import gcd, inf, lcm
 from kmchev.alcove import LambdaHyperplane, lex_less
 from kmchev.cartan import pairing, wt_add
 from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
-from kmchev.lspath import LSPath, stabilizer_nodes
+from kmchev.lspath import LSPath
 
 
 @functools.cache
@@ -58,13 +58,18 @@ def bfs_ball(W, length_bound):
     return out
 
 
-def up_oracle(W, v, sigma, J, search_bound):
-    """up(v, sigma, J): the Bruhat-minimum of {w >= v : wW_J = sigma W_J}
+def lambda_J(W, J):
+    """rho with its J coordinates set to 0: a dominant weight whose stabilizer is W_J."""
+    return tuple(0 if k in J else c for k, c in enumerate(W.rho))
+
+
+def up_oracle(W, v, sigma, lam, search_bound):
+    """up(v, sigma, lam): the Bruhat-minimum of {w >= v : wW_lam = sigma W_lam}
     within the ball of the given length, checked to be unique."""
     candidates = [
         w
         for w in bfs_ball(W, search_bound)
-        if W.coset_min(w, J) == sigma and W.bruhat_leq(v, w)
+        if W.coset_min(w, lam) == sigma and W.bruhat_leq(v, w)
     ]
     if not candidates:
         raise ValueError(f"no candidate found within length {search_bound}")
@@ -74,13 +79,13 @@ def up_oracle(W, v, sigma, J, search_bound):
     return best
 
 
-def down_oracle(W, w, sigma, J):
-    """down(w, sigma, J): the Bruhat-maximum of {v <= w : vW_J = sigma W_J},
+def down_oracle(W, w, sigma, lam):
+    """down(w, sigma, lam): the Bruhat-maximum of {v <= w : vW_lam = sigma W_lam},
     scanning the ball under l(w), checked to be unique."""
     candidates = [
         v
         for v in bfs_ball(W, w.length)
-        if W.coset_min(v, J) == sigma and W.bruhat_leq(v, w)
+        if W.coset_min(v, lam) == sigma and W.bruhat_leq(v, w)
     ]
     if not candidates:
         raise ValueError(f"no element of the coset of {sigma!r} lies below {w!r}")
@@ -406,10 +411,9 @@ def _ls_root_op(W, lam, i, st, ns):
         raise ValueError(f"non-integral height {M} or {H[-1]}: not an LS path")
     if H[-1] - M < 1:
         return None
-    J = stabilizer_nodes(W.R, lam)
 
     def refl(d):
-        return W.coset_min(W.lmul(i, d), J)
+        return W.coset_min(W.lmul(i, d), lam)
 
     j1 = max(k for k, h in enumerate(H) if h == M)
     j2 = min(k for k in range(j1 + 1, len(H)) if H[k] >= M + 1)
@@ -458,20 +462,20 @@ def ls_format_path(p):
     return "(" + ", ".join(segs) + ")"
 
 
-def _quotient_chain_exists(W, J, lam, lo, hi, bnext):
+def _quotient_chain_exists(W, lam, lo, hi, bnext):
     """Is there a saturated chain of cosets lo -> hi (through minimal
     representatives) all of whose cover coroots beta satisfy
     bnext * <beta, lam> in Z?"""
     if lo == hi:
         return True
     for v, beta in W.cocovers(hi):
-        if v != W.coset_min(v, J):
+        if v != W.coset_min(v, lam):
             continue  # not a minimal representative: not a quotient cover
         if (bnext * pairing(beta, lam)).denominator != 1:
             continue
         if not W.bruhat_leq(lo, v):
             continue
-        if _quotient_chain_exists(W, J, lam, lo, v, bnext):
+        if _quotient_chain_exists(W, lam, lo, v, bnext):
             return True
     return False
 
@@ -481,7 +485,6 @@ def validation_error(W, p):
     R = W.R
     if not R.is_dominant(p.lam):
         return "shape is not dominant"
-    J = stabilizer_nodes(R, p.lam)
     bs = list(ls_b(p))
     for x, y in zip(bs, bs[1:]):
         if not x < y:
@@ -489,13 +492,13 @@ def validation_error(W, p):
     if not bs[-1] < 1:
         return "b_m >= 1"
     for d in p.dirs:
-        if d != W.coset_min(d, J):
+        if d != W.coset_min(d, p.lam):
             return f"direction {d!r} is not W_lam-minimal"
     for a, b in zip(p.dirs, p.dirs[1:]):
         if a == b or not W.bruhat_leq(a, b):
             return f"directions not strictly increasing at {a!r}, {b!r}"
     for j in range(len(p.dirs) - 1):
-        if not _quotient_chain_exists(W, J, p.lam, p.dirs[j], p.dirs[j + 1], bs[j + 1]):
+        if not _quotient_chain_exists(W, p.lam, p.dirs[j], p.dirs[j + 1], bs[j + 1]):
             return f"no admissible chain from {p.dirs[j]!r} to {p.dirs[j + 1]!r} at b={bs[j + 1]}"
     return None
 

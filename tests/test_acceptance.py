@@ -38,7 +38,6 @@ from kmchev.lspath import (
     down_path,
     iota,
     phi,
-    stabilizer_nodes,
     up_path,
 )
 from kmchev.lifts import down, interval_below, up
@@ -50,6 +49,7 @@ from reference import (
     chevalley_explicit,
     count_before,
     down_oracle,
+    lambda_J,
     lex_chain,
     lp_act,
     lp_mul,
@@ -248,7 +248,7 @@ def test_term_level_triangle(R, lam, word, witnesses):
     W = WeylGroup(R)
     w = W.from_word(word)
     crystal = demazure_crystal(W, lam, w)
-    top = W.coset_min(w, stabilizer_nodes(R, lam))
+    top = W.coset_min(w, lam)
     below = interval_below(W, w)
     plus = [(ls_to_seq(W, p, z, "inc"), mu) for p, mu in crystal.items() if iota(p) is top
             for z in below if up_path(W, z, p) is w]
@@ -294,20 +294,20 @@ def test_criterion_6_lift_parity(WA2, WB2, WAFF):
     def sweep(W, balls, Js):
         nonlocal checked
         elems = balls
-        for J in Js:
-            reps = sorted({W.coset_min(u, J) for u in elems}, key=lambda u: u.key)
+        for lam in (lambda_J(W, J) for J in Js):
+            reps = sorted({W.coset_min(u, lam) for u in elems}, key=lambda u: u.key)
             for v in elems:
-                vmin = W.coset_min(v, J)
+                vmin = W.coset_min(v, lam)
                 for tau in reps:
                     if W.bruhat_leq(vmin, tau):
                         bound = v.length + tau.length + 2
-                        assert up(W, v, tau, J) == up_oracle(W, v, tau, J, bound)
+                        assert up(W, v, tau, lam) == up_oracle(W, v, tau, lam, bound)
                         checked += 1
             for w in elems:
-                wmin = W.coset_min(w, J)
+                wmin = W.coset_min(w, lam)
                 for tau in reps:
                     if W.bruhat_leq(tau, wmin):
-                        assert down(W, w, tau, J) == down_oracle(W, w, tau, J)
+                        assert down(W, w, tau, lam) == down_oracle(W, w, tau, lam)
                         checked += 1
 
     for W in (WA2, WB2):
@@ -328,20 +328,19 @@ def test_criterion_6_lift_parity(WA2, WB2, WAFF):
 def classify_everything(W, lam, pool, bases):
     """Classify every admissible (string, base, i) configuration; returns
     (labels used for up, labels used for down, number classified)."""
-    J = stabilizer_nodes(W.R, lam)
     up_labels, down_labels = set(), set()
     n = 0
     for i in range(W.n):
         for S in all_istrings(W, pool, i):
             for z in bases:
                 if W.lmul(i, z).length > z.length and W.bruhat_leq(
-                    W.coset_min(z, J), phi(S.head)
+                    W.coset_min(z, lam), phi(S.head)
                 ):
                     up_labels.add(classify_string(W, S, z, i, "up"))
                     n += 1
             for w in bases:
                 if W.lmul(i, w).length < w.length and W.bruhat_leq(
-                    iota(S.tail), W.coset_min(w, J)
+                    iota(S.tail), W.coset_min(w, lam)
                 ):
                     down_labels.add(classify_string(W, S, w, i, "down"))
                     n += 1
@@ -371,6 +370,17 @@ def test_criterion_7_chart_conformance(WA2, WB2, WG2, WAFF):
             ):
                 got = {tuple(lbl.split(".")[1:]) for lbl in up_l | down_l}
                 assert got <= regular_ab, (lam, sorted(up_l | down_l))
+
+    # beyond affine type: the chart at length 4 on the hyperbolic matrix, with
+    # a singular weight (514 configurations) and a regular one (792)
+    W = WeylGroup(HYPERBOLIC)
+    for lam, count in (((0, 1), 514), ((1, 1), 792)):
+        up_l, down_l, n = classify_everything(W, lam, demazure_crystal(W, lam, W.from_word((0, 1, 0, 1))),
+                                              bfs_ball(W, 4))
+        total += n
+        assert n == count and up_l and down_l
+        if 0 not in lam:  # regular: no branch column
+            assert {tuple(lbl.split(".")[1:]) for lbl in up_l | down_l} <= regular_ab
 
     dt = perf_counter() - t0
     ok = total > 1000

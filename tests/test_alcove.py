@@ -640,6 +640,18 @@ def rows_equal(a, b):
     return all(a.get(k, {}) == b.get(k, {}) for k in keys)
 
 
+def test_a_weight_that_is_not_dominant_is_refused(WA2):
+    """On A2 with lam = (-1, 0) and w = s1 s2, the walk found the row of
+    s1 s2 alone, while the recurrence, which takes any lam, also has the row
+    of s2: a silent wrong answer, so every walk refuses such a lam."""
+    s2, w = WA2.from_word((1,)), WA2.from_word((0, 1))
+    assert chevalley_recurrence(WA2, w, (-1, 0)) == {s2: {(-1, 0): -1}, w: {(1, -1): 1}}
+    for call in (lambda: chevalley_alcove(WA2, (-1, 0), w, 1), lambda: chevalley_alcove(WA2, (-1, 0), w, -1),
+                 lambda: fixed_z_rows(WA2, (-1, 0), WA2.e, 1, 3), lambda: enumerate_tree_dominant(WA2, (1, 0, 0), w)):
+        with pytest.raises(ValueError, match="is not a dominant weight of rank 2"):
+            call()
+
+
 def test_triangle_finite(WA2):
     W = WA2
     for lam in ((1, 1), (2, 1)):

@@ -22,7 +22,7 @@ from kmchev.lspath import (
     iota,
     path_key,
     phi,
-    stabilizer_nodes,
+    straight_path,
     up_path,
 )
 from chart import all_istrings, classify_string, istring, lift_subset
@@ -243,12 +243,23 @@ def test_bad_arguments_raise_in_a_subprocess(flags):
     assert proc.stdout.strip() == "7"
 
 
+def test_a_weight_that_is_not_dominant_is_refused(WA2):
+    """demazure_crystal and crystal_up_to gave the one straight path for
+    lam = (-1, 0), which is no LS path of a Demazure crystal: the straight
+    path refuses such a lam, and so every closure and row built on it."""
+    w = WA2.from_word((0, 1))
+    for call in (lambda: straight_path(WA2, (-1, 0)), lambda: straight_path(WA2, (1, 0, 0)),
+                 lambda: demazure_crystal(WA2, (-1, 0), w), lambda: crystal_up_to(WA2, (-1, 0), 3),
+                 lambda: chevalley_ls(WA2, (-1, 0), w, 1), lambda: chevalley_ls(WA2, (-1, 0), w, -1)):
+        with pytest.raises(ValueError, match="is not a dominant weight of rank 2"):
+            call()
+
+
 def test_membership_is_initial_direction_below_w(aff):
     W, w, N = aff
-    J = stabilizer_nodes(W.R, LAM)
     pool = crystal_up_to(W, LAM, 4)
-    wmin = W.coset_min(w, J)
-    expected = {p for p in pool if W.bruhat_leq(W.coset_min(iota(p), J), wmin)}
+    wmin = W.coset_min(w, LAM)
+    expected = {p for p in pool if W.bruhat_leq(W.coset_min(iota(p), LAM), wmin)}
     assert demazure_crystal(W, LAM, w).keys() == expected
 
 
@@ -355,11 +366,10 @@ def test_string_shape(aff):
 def test_string_ends_are_extremal(aff):
     """iota is maximal at the tail, phi minimal at the head, along a string."""
     W, w, N = aff
-    J = stabilizer_nodes(W.R, LAM)
     for i in range(W.n):
         for S in all_istrings(W, crystal_up_to(W, LAM, 3), i):
-            iotas = [W.coset_min(iota(p), J) for p in S.elements]
-            phis = [W.coset_min(phi(p), J) for p in S.elements]
+            iotas = [W.coset_min(iota(p), LAM) for p in S.elements]
+            phis = [W.coset_min(phi(p), LAM) for p in S.elements]
             assert all(W.bruhat_leq(c, iotas[-1]) for c in iotas)
             assert all(W.bruhat_leq(phis[0], c) for c in phis)
 
@@ -368,36 +378,34 @@ def test_string_direction_jumps_once(aff):
     """iota along a string is constant then jumps to its s_i-raise (or is
     constant throughout); mirrored for phi."""
     W, w, N = aff
-    J = stabilizer_nodes(W.R, LAM)
     for i in range(W.n):
         for S in all_istrings(W, crystal_up_to(W, LAM, 3), i):
             if len(S.elements) < 2:
                 continue
-            iotas = [W.coset_min(iota(p), J) for p in S.elements]
-            raised = W.coset_min(W.lmul(i, iotas[0]), J)
+            iotas = [W.coset_min(iota(p), LAM) for p in S.elements]
+            raised = W.coset_min(W.lmul(i, iotas[0]), LAM)
             assert all(c in (iotas[0], raised) for c in iotas)
             jumps = sum(1 for a, b in zip(iotas, iotas[1:]) if a != b)
             assert jumps <= 1
-            phis = [W.coset_min(phi(p), J) for p in S.elements]
-            lowered = W.coset_min(W.lmul(i, phis[-1]), J)
+            phis = [W.coset_min(phi(p), LAM) for p in S.elements]
+            lowered = W.coset_min(W.lmul(i, phis[-1]), LAM)
             assert all(c in (phis[-1], lowered) for c in phis)
             assert sum(1 for a, b in zip(phis, phis[1:]) if a != b) <= 1
 
 
 def classification_sweep(W, lam, pool, ball):
     from collections import Counter
-    J = stabilizer_nodes(W.R, lam)
     tally = Counter()
     for i in range(W.n):
         for S in all_istrings(W, pool, i):
             for z in ball:
                 if W.lmul(i, z).length > z.length and W.bruhat_leq(
-                    W.coset_min(z, J), phi(S.head)
+                    W.coset_min(z, lam), phi(S.head)
                 ):
                     tally["up:" + classify_string(W, S, z, i, "up")] += 1
             for w in ball:
                 if W.lmul(i, w).length < w.length and W.bruhat_leq(
-                    iota(S.tail), W.coset_min(w, J)
+                    iota(S.tail), W.coset_min(w, lam)
                 ):
                     tally["down:" + classify_string(W, S, w, i, "down")] += 1
     return tally
@@ -451,7 +459,6 @@ def test_string_recurrence_consistency(aff):
     sum over Pu_{s_i x, s_i z} = T_i sum(Pu_{x, s_i z}) + s_i(sum(Pu_{x,z}) - sum(Pu_{x,s_i z}))."""
     W, w, N = aff
     R = W.R
-    J = stabilizer_nodes(R, LAM)
     pool = demazure_crystal(W, LAM, w)
     for i in range(W.n):
         si = W.from_word((i,))
@@ -459,7 +466,7 @@ def test_string_recurrence_consistency(aff):
             members = frozenset(S.elements)
             for z in bfs_ball(W, 4):
                 sz = W.lmul(i, z)
-                zmin = W.coset_min(z, J)
+                zmin = W.coset_min(z, LAM)
                 if not (sz.length > z.length and W.bruhat_leq(zmin, phi(S.head))):
                     continue
                 for x in {up_path(W, z, p) for p in members if W.bruhat_leq(zmin, phi(p))}:

@@ -11,10 +11,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kmchev"
 
-# (module, enclosing function) -> why the assert is an internal invariant
-ALLOWED_ASSERTS = {
-    ("cartan", "_symmetrizer"): "every node of every component is reached from its root with a positive ratio",
-}
+# (module, enclosing function) -> why the assert is an internal invariant; src/ has none
+ALLOWED_ASSERTS: dict = {}
 
 
 def asserts_by_function(tree: ast.Module):

@@ -1,11 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kmchev.cartan import GCM, Realization, pairing, realization_from_preset
 from kmchev.weyl import DEFAULT_CAP, CapError, WeylGroup, env_cap
-from reference import bfs_ball, cocovers_by_inversions, covers_by_inversions, inversions
+from reference import bfs_ball, cocovers_by_inversions, covers_by_inversions, inversions, lambda_J
 
 
 def words(W, bound):
@@ -121,7 +125,7 @@ def test_action_is_a_homomorphism(WAFF):
 @pytest.mark.parametrize("J", [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})])
 def test_coset_decompose_exhaustive(WB2, J):
     for w in bfs_ball(WB2, 4):
-        rep = WB2.coset_min(w, J)
+        rep = WB2.coset_min(w, lambda_J(WB2, J))
         tail = WB2.from_word(rep.word[::-1] + w.word)
         assert rep.length + tail.length == w.length
         # left descents of tail lie in J; no right descent of rep (a left
@@ -131,8 +135,8 @@ def test_coset_decompose_exhaustive(WB2, J):
 
 
 def test_coset_quotient_order(WA2):
-    J = frozenset({0})  # W_J = {e, s1}
-    reps = sorted({WA2.coset_min(w, J) for w in bfs_ball(WA2, 3)}, key=lambda u: u.key)
+    lam = (0, 1)  # W_lam = {e, s1}
+    reps = sorted({WA2.coset_min(w, lam) for w in bfs_ball(WA2, 3)}, key=lambda u: u.key)
     assert [r.word for r in reps] == [(), (1,), (0, 1)]
     e, s2, s12 = reps
     assert WA2.bruhat_leq(e, s2) and WA2.bruhat_leq(s2, s12)
@@ -149,19 +153,18 @@ def test_coset_quotient_order(WA2):
     ids=["A2~", "G2", "hyperbolic"],
 )
 def test_slope_rule_for_the_reflected_coset(R, lams, bound):
-    """Deodhar's lemma as the LS root operators use it: for d in W^J and lam
-    dominant with W_lam = W_J, the minimal representative of s_i d W_lam is
-    d when <alpha_i^vee, d(lam)> = 0 and s_i d otherwise."""
+    """Deodhar's lemma as the LS root operators use it: for d in W^lam and
+    lam dominant, the minimal representative of s_i d W_lam is d when
+    <alpha_i^vee, d(lam)> = 0 and s_i d otherwise."""
     W = WeylGroup(R)
     slopes_met = set()
     for lam in lams:
-        J = frozenset(i for i in range(W.n) if lam[i] == 0)
-        reps = {W.coset_min(w, J) for w in bfs_ball(W, bound)}
+        reps = {W.coset_min(w, lam) for w in bfs_ball(W, bound)}
         for d in reps:
             mu = W.act(d, lam)
             for i in range(W.n):
                 sd = W.lmul(i, d)
-                assert W.coset_min(sd, J) == (d if mu[i] == 0 else sd)
+                assert W.coset_min(sd, lam) == (d if mu[i] == 0 else sd)
                 slopes_met.add(mu[i] == 0)
     assert slopes_met == {True, False}
 
@@ -186,13 +189,41 @@ def test_memoised_coset_decompose_matches_the_rho_action(preset):
     by_rho = {x.rho: x for x in whole}
     for r in range(W.n + 1):
         for J in map(frozenset, itertools.combinations(range(W.n), r)):
-            W_J = [x for x in whole if set(x.word) <= J]
+            W_J, lam = [x for x in whole if set(x.word) <= J], lambda_J(W, J)
             for w in bfs_ball(W, 20):
-                rep = W.coset_min(w, J)
+                rep = W.coset_min(w, lam)
                 coset = [by_rho[W.act(w, x.rho)] for x in W_J]
                 assert rep.rho == min(coset, key=lambda x: x.key).rho
                 assert set(W.from_word(rep.word[::-1] + w.word).word) <= J
-                assert W.coset_min(w, J) is rep
+                assert W.coset_min(w, lam) is rep
+
+
+COSET_REFUSALS = """
+from kmchev.cartan import realization_from_preset
+from kmchev.weyl import WeylGroup
+W = WeylGroup(realization_from_preset("A1~"))
+w = W.from_word((0, 1))
+for lam in ((-1, 0, 0), (1, 0), (1, 0, 0, 0)):
+    try:
+        W.coset_min(w, lam)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_coset_min_refuses_a_weight_that_is_not_dominant_or_of_another_rank(flags):
+    """Reflecting w(lam) towards dominance never ends for lam = (-1, 0, 0) on
+    A1~, so coset_min refuses it, and a weight of the wrong rank, before it
+    starts; run in a subprocess so that a walk that does not end fails the
+    test by its timeout instead of hanging the suite."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, *flags, "-c", COSET_REFUSALS], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"weight {lam} is not a dominant weight of rank 3"
+                                        for lam in ((-1, 0, 0), (1, 0), (1, 0, 0, 0))]
 
 
 def test_cap_from_the_environment(monkeypatch):
