@@ -264,15 +264,19 @@ def _rows(pairs, at) -> dict:
 
 
 def chevalley_alcove(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
-    """Fixed-w row of [L^{sign*lam}] [O_w]: z |-> the _rows sum over the
-    lex-increasing (sign > 0) or lex-decreasing (sign < 0) tree."""
+    """Fixed-w row of [L^{sign*lam}] [O_w] for sign 1 or -1 (else ValueError):
+    z |-> the _rows sum over the lex-increasing (1) or lex-decreasing (-1) tree."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, not {sign!r}")
     tree = enumerate_tree_dominant if sign > 0 else enumerate_tree_antidominant
     return _rows(tree(W, lam, w), lambda s: s.z)
 
 
 def fixed_z_rows(W: WeylGroup, lam: Weight, z: WeylElt, sign: int, length_bound: int) -> tuple[dict, bool]:
-    """Fixed-z rows, w |-> the _rows sum over the sequences from z to w
-    within the length bound, and enumerate_z_adapted's truncation flag."""
+    """Fixed-z rows for sign 1 or -1 (else ValueError), w |-> the _rows sum over
+    the sequences from z to w within the length bound, and the walk's truncation flag."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, not {sign!r}")
     pairs, truncated = enumerate_z_adapted(W, lam, z, "inc" if sign > 0 else "dec", length_bound)
     return _rows(pairs, lambda s: s.end), truncated
 

@@ -262,14 +262,11 @@ class Realization:
         """s_i(beta), acting on the coroot side; the tandem root rides along."""
         # <beta, alpha_i> = sum_j c_j a_{ji}
         c = sum(cj * self.gcm.a[j][i] for j, cj in enumerate(beta.c) if cj)
-        if c == 0:
-            newc = beta.c
-        else:
-            newc = tuple(x - c if k == i else x for k, x in enumerate(beta.c))
+        newc = tuple(x - c if k == i else x for k, x in enumerate(beta.c)) if c else beta.c
         return Coroot(newc, self.simple_reflection(i, beta.root))
 
     def is_dominant(self, mu: Weight) -> bool:
-        return all(mu[i] >= 0 for i in range(self.n))
+        return min(mu[:self.n]) >= 0
 
     def check_dominant(self, mu: Weight) -> None:
         """ValueError unless mu is a dominant weight of this realization."""
@@ -338,11 +335,8 @@ def realization_from_preset(name: str) -> Realization:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     gcm = GCM.from_matrix(PRESETS[name])
-    if name.endswith("~"):
-        names = tuple(str(i) for i in range(gcm.n))
-    else:
-        names = tuple(str(i + 1) for i in range(gcm.n))
-    return Realization(gcm, names)
+    first = 0 if name.endswith("~") else 1
+    return Realization(gcm, tuple(str(i + first) for i in range(gcm.n)))
 
 
 def _json_value(text: str):

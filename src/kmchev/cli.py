@@ -102,10 +102,9 @@ def parse_lam(R: Realization, text: str | None) -> Weight:
     if text is None:
         raise CLIError("a --weight is required")
     try:
-        lam = R.parse_weight(text)
+        return R.parse_weight(text)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    return lam
 
 
 def _setup(args: SimpleNamespace) -> tuple[Realization, WeylGroup, Weight]:

@@ -6,6 +6,7 @@ runs."""
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from types import SimpleNamespace
 
@@ -29,15 +30,17 @@ def _scn_triangles(cases) -> str | None:
 
 
 def _scn_bijections() -> str | None:
-    """Every sequence of both alcove trees comes back from seq_to_ls through
-    ls_to_seq, on a finite, an affine and an indefinite case."""
+    """Every sequence of both alcove trees folds to its walk's weight and comes
+    back from seq_to_ls through ls_to_seq, in a finite, affine and indefinite type."""
     from . import alcove, bridge
     for R, lam, word in ((realization_from_preset("A2"), (1, 1), (0, 1, 0)),
                          (realization_from_preset("A2~"), (1, 1, 0, 0), (0, 1, 2, 1)),
                          (Realization(GCM.from_matrix([[2, -3], [-3, 2]])), (1, 0), (0, 1, 0, 1))):
         W = WeylGroup(R)
         w = W.from_word(word)
-        for seq, _ in alcove.enumerate_tree_dominant(W, lam, w) + alcove.enumerate_tree_antidominant(W, lam, w):
+        for seq, wt in alcove.enumerate_tree_dominant(W, lam, w) + alcove.enumerate_tree_antidominant(W, lam, w):
+            if alcove.wt_fold(W, lam, seq) != wt:
+                return f"{seq.monotonicity} fold of {seq!r} is not its walk's weight {wt} (lam={lam}, w={w!r})"
             base = seq.z if seq.monotonicity == "inc" else w
             if bridge.ls_to_seq(W, bridge.seq_to_ls(W, lam, seq), base, seq.monotonicity) != seq:
                 return f"{seq.monotonicity} round-trip failed at {seq!r} (lam={lam}, w={w!r})"
@@ -45,13 +48,17 @@ def _scn_bijections() -> str | None:
 
 
 def _scn_crystal_mass() -> str | None:
-    from . import lspath
+    """The LS crystal's weights are the terms of D_w e^lam, D_i = 1 + T_i (Demazure)."""
+    from . import kring, lspath
     R = realization_from_preset("A2")
     W = WeylGroup(R)
-    lam = R.parse_weight("2,1")
-    paths = lspath.demazure_crystal(W, lam, W.from_word((0, 1, 0)))
-    if len(paths) != 15:
-        return f"expected 15 elements in the full crystal, got {len(paths)}"
+    lam, w = R.parse_weight("2,1"), W.from_word((0, 1, 0))
+    crystal = Counter(lspath.demazure_crystal(W, lam, w).values())
+    character = kring.lp_monomial(lam)
+    for i in reversed(w.word):
+        kring.lp_add_into(character, kring.apply_Ti(R, i, character))
+    if crystal != character:
+        return f"{crystal.total()} crystal weights are not the {sum(character.values())} terms of D_w e^lam"
     return None
 
 

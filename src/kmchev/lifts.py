@@ -7,7 +7,7 @@ Bruhat-maximum of {v <= w : vW_lam = sigma W_lam}.  Existence and uniqueness
 are classical (Deodhar, Invent. Math. 39, 1977).  Both are computed by a
 descent recursion that peels one letter per step and rebuilds the answer on
 the way back, so each costs a number of memoised Weyl-group links linear in
-the length; down reads its cases off sigma(lam).
+the length; down reads one bit per letter off sigma(lam).
 """
 from __future__ import annotations
 
@@ -53,31 +53,26 @@ def down(W: WeylGroup, w: WeylElt, sigma: WeylElt, lam: Weight) -> WeylElt:
     by the lifting property, writing tau = sigma W_lam:
 
     * s_i tau > tau: down(w, tau) = down(s_i w, tau);
-    * s_i tau < tau: down(w, tau) = s_i · down(s_i w, s_i tau);
-    * s_i tau = tau: with D = down(s_i w, tau), the longer of D and s_i D.
+    * else the longer of D = down(s_i w, s_i tau) and s_i D, which is s_i D
+      when s_i tau < tau, as s_i lengthens every element of s_i tau.
 
     The canonical word of w is peeled letter by letter (each letter is a left
-    descent of what remains), noting which case applies, and the answer is
-    unwound from down(e, W_lam) = e.  The sign of mu[i], mu = tau(lam) the
-    weight naming tau, is the case: > 0 the first, < 0 the second, 0 the third.
+    descent of what remains), keeping the letters of the second case, mu[i] <= 0
+    for mu = tau(lam) reflected at each kept letter; the answer is the Demazure
+    product of the kept letters in reverse, rebuilt from down(e, W_lam) = e.
     """
     if W.coset_min(sigma, lam) is not sigma:
         raise ValueError(f"{sigma!r} has a right descent in W_lam: not a minimal representative")
     if not W.bruhat_leq(sigma, W.coset_min(w, lam)):
         raise ValueError(f"{w!r} does not lie over the coset of {sigma!r}")
-    steps, mu = [], W.image(sigma, lam)
+    kept, mu = [], W.image(sigma, lam)
     for i in w.word:
-        if mu[i] < 0:
-            steps.append((i, -1))
+        if mu[i] <= 0:
+            kept.append(i)
             mu = W.R.simple_reflection(i, mu)
-        else:
-            steps.append((i, 1 if mu[i] == 0 else 0))
     v = W.e
-    for i, case in reversed(steps):
-        if case < 0:
-            v = W.lmul(i, v)
-        elif case > 0:
-            sv = W.lmul(i, v)
-            if sv.length > v.length:
-                v = sv
+    for i in reversed(kept):
+        sv = W.lmul(i, v)
+        if sv.length > v.length:
+            v = sv
     return v

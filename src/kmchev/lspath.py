@@ -17,12 +17,12 @@ the initial direction ``iota(p)`` and ``sigma_1`` the final one ``phi(p)``.
 
 The crystal operator f_i reflects by s_i the part of the path between the
 last minimum M of its i-height profile and the first point at height M + 1;
-every reflected direction d climbs there and becomes s_i d.
-e_i is f_i read on the reversed path, whose i-slopes are negated, so both
-share one body.  All local minima of the height profile of a shape-``lam``
-LS path are integers, which the code checks (ValueError otherwise); the
-level M + 1 may still be crossed strictly inside a step, in which case the
-step is split there and only the part before the crossing is reflected.
+every reflected direction d climbs there and becomes s_i d.  e_i is f_i
+read on the reversed path, whose i-slopes are negated, so both share one
+body, and both refuse a shape that is not dominant.  All local minima of
+the height profile of a shape-``lam`` LS path are integers, which the code
+checks (ValueError otherwise); the level M + 1 may be reached strictly
+inside a step, which is split there and only its part before is reflected.
 
 The operators read the int form directly, and the i-heights are ints over
 D too, as b_j * <beta, lam> is an integer on an LS path's chain (Littelmann,
@@ -143,8 +143,9 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
     """f_i(p) for sign 1, e_i(p) for sign -1 (f_i on the reversed path, whose
     i-slopes are negated), or None: the steps from the last minimum M of the
     i-height profile up to its first point at height M + 1 are reflected by
-    s_i, the step crossing that level split at it; a cut that is not a
-    multiple of 1/D multiplies D and every step by that step's slope.
+    s_i, the last one split where it reaches that level (its unreflected rest
+    empty when it ends there); a cut that is not a multiple of 1/D multiplies
+    D and every step by that step's slope.
 
     Every local minimum of the height profile of an LS path is an integer
     (Littelmann, Paths and root operators, Ann. Math. 142, 1995), so each
@@ -175,26 +176,24 @@ def _root_op(W: WeylGroup, p: LSPath, i: int, sign: int) -> LSPath | None:
             raise ValueError(f"height does not climb inside ({M // D}, {M // D + 1}): not an LS path")
         out.append((st[k][0], W.lmul(i, st[k][1])))
     (a, d), n = st[j2 - 1], ns[j2 - 1]
-    if H[j2] > top:  # the level is crossed strictly inside the step: split it there
-        cut = top - H[j2 - 1]
-        if cut % n:
-            D, a, out, st = D * n, a * n, [(x * n, y) for x, y in out], [(x * n, y) for x, y in st]
-        else:
-            cut //= n
-        out += [(cut, W.lmul(i, d)), (a - cut, d)]
+    cut = top - H[j2 - 1]  # the step reaches the level after (cut / n) / D of the time
+    if cut % n:
+        D, a, out, st = D * n, a * n, [(x * n, y) for x, y in out], [(x * n, y) for x, y in st]
     else:
-        out.append((a, W.lmul(i, d)))
-    out += st[j2:]
+        cut //= n
+    out += [(cut, W.lmul(i, d)), (a - cut, d), *st[j2:]]
     return LSPath(p.lam, D, out[::-sign])
 
 
 def f(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
     """Lowering operator in direction i (the weight p(1) drops by alpha_i)."""
+    W.R.check_dominant(p.lam)
     return _root_op(W, p, i, 1)
 
 
 def e(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
     """Raising operator in direction i (the weight p(1) gains alpha_i)."""
+    W.R.check_dominant(p.lam)
     return _root_op(W, p, i, -1)
 
 
@@ -286,7 +285,9 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
     path lifting some z to w has iota(p) = w W_lam, so sign > 0 tries every
     z of [e, w] against those top chains only; sign < 0 partitions the
     Demazure crystal by the drop of w along each chain (ValueError for a path
-    outside it)."""
+    outside it).  Any sign but 1 and -1 is refused (ValueError)."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, not {sign!r}")
     wmin = W.coset_min(w, lam)
     chains: dict[tuple, tuple[LSPath, LaurentPoly]] = {}  # dirs -> (one path with them, their terms)
     for p, mu in demazure_crystal(W, lam, w).items():

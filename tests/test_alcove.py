@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -33,7 +34,7 @@ from kmchev.lspath import (
     demazure_crystal,
     down_path,
 )
-from kmchev.weyl import WeylGroup
+from kmchev.weyl import CapError, WeylGroup
 from chart import lift_subset
 from reference import (
     bfs_ball,
@@ -650,6 +651,47 @@ def test_a_weight_that_is_not_dominant_is_refused(WA2):
                  lambda: fixed_z_rows(WA2, (-1, 0), WA2.e, 1, 3), lambda: enumerate_tree_dominant(WA2, (1, 0, 0), w)):
         with pytest.raises(ValueError, match="is not a dominant weight of rank 2"):
             call()
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_a_sign_other_than_plus_or_minus_one_is_refused(WA2, sign):
+    """On A2 with lam = (1, 0) and w = s1 s2, chevalley_ls gave sign 0 the
+    row {s1*s2: e^(1,-1)}, which is neither sign's row, and both alcove rows
+    read 0 as -1 and 2 as +1: every row entry refuses such a sign."""
+    w = WA2.from_word((0, 1))
+    for call in (lambda: chevalley_ls(WA2, (1, 0), w, sign), lambda: chevalley_alcove(WA2, (1, 0), w, sign),
+                 lambda: fixed_z_rows(WA2, (1, 0), WA2.e, sign, 2)):
+        with pytest.raises(ValueError, match=f"sign must be 1 or -1, not {sign}$"):
+            call()
+
+
+# (Cartan matrix, lam, word, monotonicity, length bound or None for a tree, count, the refusal one below it)
+CAP_CASES = [
+    ("A2", "1,1", (0, 1, 0), "inc", None, 10, "labels of the alcove walk below s1*s2*s1: 10 exceeds cap 9"),
+    ("A2", "1,1", (0, 1, 0), "dec", None, 10, "labels of the alcove walk below s1*s2*s1: 10 exceeds cap 9"),
+    ("A2", "1,1", (), "inc", 3, 10, "labels of the alcove walk above e: 10 exceeds cap 9"),
+    ("A1~", "1,1", (0, 1, 0, 1), "dec", None, 54,
+     "adapted sequences of the alcove walk below s0*s1*s0*s1: 54 exceeds cap 53"),
+    ("A1~", "1,0", (), "inc", 6, 64, "adapted sequences of the alcove walk above e: 64 exceeds cap 63"),
+]
+
+
+@pytest.mark.parametrize("preset, lamtext, word, monotonicity, bound, count, refusal", CAP_CASES)
+def test_a_walk_builds_and_holds_as_many_as_the_cap(preset, lamtext, word, monotonicity, bound, count, refusal):
+    """A walk builds at most W.cap labels and holds at most W.cap sequences:
+    with the cap at the count it needs it runs, and one below it is refused."""
+    R = realization_from_preset(preset)
+    W = WeylGroup(R)
+    lam, w = R.parse_weight(lamtext), W.from_word(word)
+    walk = (lambda: enumerate_z_adapted(W, lam, w, monotonicity, bound)[0]) if bound is not None else \
+        lambda: (enumerate_tree_dominant if monotonicity == "inc" else enumerate_tree_antidominant)(W, lam, w)
+    W.cap = count
+    held = walk()
+    W.cap = count - 1
+    with pytest.raises(CapError, match=re.escape(refusal + " ")):
+        walk()
+    if refusal.startswith("adapted"):
+        assert len(held) == count  # a walk holds exactly the cap's worth
 
 
 def test_triangle_finite(WA2):

@@ -205,6 +205,19 @@ def test_chevalley_rows_refuses_an_over_cap_range_before_the_first_row():
             chevalley_rows(W, w, lam)
 
 
+def test_a_strings_table_takes_a_range_at_its_cap_and_refuses_one_more():
+    """T_i e^mu has |<alpha_i^vee, mu>| terms: a table with cap 10 enters a
+    weight with n = +-10, and T_i of it has 10 terms; n = +-11 is refused."""
+    R = realization_from_preset("A2")
+    table = Strings(R, 0, 10)
+    for n in (10, -10):
+        assert table.add((n, 0))[0] == n
+        assert len(apply_Ti(R, 0, {(n, 0): 1}, table)) == 10
+    for n in (11, -11):
+        with pytest.raises(CapError, match="terms of T_1 e\\^mu on one alpha_1-string: 11 exceeds cap 10 "):
+            table.add((n, 0))
+
+
 def longest_in_coset(W, z, J) -> bool:
     """z is longest in z W_J: every j in J is a right descent of z."""
     return all(W.from_word(z.word + (j,)).length < z.length for j in J)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -6,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from kmchev.cartan import wt_add, wt_neg
+from kmchev.cartan import realization_from_preset, wt_add, wt_neg
 from kmchev import lspath
 from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
+from kmchev.weyl import CapError, WeylGroup
 from kmchev.lspath import (
     LSPath,
     chevalley_ls,
@@ -253,6 +255,33 @@ def test_a_weight_that_is_not_dominant_is_refused(WA2):
                  lambda: chevalley_ls(WA2, (-1, 0), w, 1), lambda: chevalley_ls(WA2, (-1, 0), w, -1)):
         with pytest.raises(ValueError, match="is not a dominant weight of rank 2"):
             call()
+
+
+def test_the_root_operators_refuse_a_shape_that_is_not_dominant(WA2):
+    """e_1 of the one-step path of shape (-1, 0) gave (s1·λ), which is no LS
+    path; a shape of the wrong rank was taken too.  The straight path
+    refuses such a lam, and so do e and f, at every node."""
+    for lam in ((-1, 0), (0, -1), (1, 0, 0)):
+        p = LSPath(lam, 1, [(1, WA2.e)])
+        for op in (e, f):
+            for i in range(2):
+                with pytest.raises(ValueError, match="is not a dominant weight of rank 2"):
+                    op(WA2, p, i)
+
+
+def test_the_root_operators_take_a_string_at_the_cap_and_refuse_one_more():
+    """f_1 of the straight path of lam = (3, 0) has 3 steps to go, and e_1
+    of its lowest path 3: both run with cap 3 and are refused with cap 2."""
+    W = WeylGroup(realization_from_preset("A2"))
+    top = straight_path(W, (3, 0))
+    bottom = f(W, f(W, f(W, top, 0), 0), 0)
+    assert f(W, bottom, 0) is None and format_path(bottom) == "(s1·λ)"
+    W.cap = 3
+    assert f(W, top, 0) is not None and e(W, bottom, 0) is not None
+    W.cap = 2
+    for op, p in ((f, top), (e, bottom)):
+        with pytest.raises(CapError, match=f"{op.__name__}_1 steps from {re.escape(format_path(p))}: 3 exceeds cap 2 "):
+            op(W, p, 0)
 
 
 def test_membership_is_initial_direction_below_w(aff):

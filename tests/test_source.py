@@ -1,5 +1,6 @@
-"""Source checks: caller input is refused by code that python -O keeps, and
-what a run builds is freed by reference counting.
+"""Source checks: caller input is refused by code that python -O keeps,
+what a run builds is freed by reference counting, and every helper has a
+caller.
 
 An ``assert`` statement is stripped under ``python -O``, so a check written as
 one cannot guard caller input.  Every ``assert`` left in ``src/kmchev`` must be
@@ -61,3 +62,28 @@ def test_no_nested_function_calls_itself_and_no_module_imports_gc():
                         for call in ast.walk(inner)):
                     found.add((path.stem, inner.lineno, f"{node.name} defines {inner.name}, which calls itself"))
     assert not found, sorted(found)
+
+
+def test_every_helper_has_a_caller_in_src_or_is_exported():
+    """Every def and class in src/kmchev is named somewhere in src/ outside
+    its own body, or exported by kmchev, or a cmd_* entry (main looks those
+    up by their command's name); anything else is dead code.  Dunder methods
+    are called by Python itself."""
+    import kmchev
+
+    defs, readers = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path.stem, node))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                readers.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(node)
+    dead = []
+    for module, node in defs:
+        name = node.name
+        if name.startswith("__") or name.startswith("cmd_") or name in kmchev.__all__:
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if all(id(reader) in inside for reader in readers.get(name, [])):
+            dead.append(f"{module}.{name} (line {node.lineno})")
+    assert not dead, f"defined in src/ but never named there nor exported: {dead}"
