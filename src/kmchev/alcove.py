@@ -158,16 +158,14 @@ def _label_edges(W: WeylGroup, lam: Weight, v: WeylElt, down: bool, inc: bool, w
     L of the pairings, an int vector: each coroot's scaled tail c * L/p and
     its image v(beta) are built once and shared by its levels k."""
     covers = W.cocovers(v) if down else W.covers(v)
-    pairs = [(x, beta, pairing(beta, lam)) for x, beta in covers]
-    labels = built + sum(p for _, _, p in pairs if p > 0)
+    pairs = [(x, beta, p) for x, beta in covers if (p := pairing(beta, lam)) > 0]  # p = 0: no label
+    labels = built + sum(p for _, _, p in pairs)
     if labels > W.cap:
         raise over_cap(f"labels {walk}", labels, W.cap)
-    scale = math.lcm(*(p for _, _, p in pairs if p > 0))
+    scale = math.lcm(*(p for _, _, p in pairs))
     at_k = down == inc  # the step's multiple of v(beta) is k, else <beta,lam> - k
     keyed = []
     for x, beta, p in pairs:
-        if p <= 0:
-            continue
         m = scale // p
         tail = tuple([c * m for c in beta.c])
         image = W.act(v, beta.root)
@@ -264,19 +262,21 @@ def _rows(pairs, at) -> dict:
 
 
 def chevalley_alcove(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
-    """Fixed-w row of [L^{sign*lam}] [O_w] for sign 1 or -1 (else ValueError):
+    """Fixed-w row of [L^{sign*lam}] [O_w] for sign 1 or -1 and a w of W (else ValueError):
     z |-> the _rows sum over the lex-increasing (1) or lex-decreasing (-1) tree."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, not {sign!r}")
+    W.check_element(w)
     tree = enumerate_tree_dominant if sign > 0 else enumerate_tree_antidominant
     return _rows(tree(W, lam, w), lambda s: s.z)
 
 
 def fixed_z_rows(W: WeylGroup, lam: Weight, z: WeylElt, sign: int, length_bound: int) -> tuple[dict, bool]:
-    """Fixed-z rows for sign 1 or -1 (else ValueError), w |-> the _rows sum over
+    """Fixed-z rows for sign 1 or -1 and a z of W (else ValueError), w |-> the _rows sum over
     the sequences from z to w within the length bound, and the walk's truncation flag."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, not {sign!r}")
+    W.check_element(z)
     pairs, truncated = enumerate_z_adapted(W, lam, z, "inc" if sign > 0 else "dec", length_bound)
     return _rows(pairs, lambda s: s.end), truncated
 

@@ -66,14 +66,14 @@ def lp_add_into(dst: LaurentPoly, src: LaurentPoly, sign: int = 1) -> None:
 def _pivot_columns(rows) -> list[int]:
     """The pivot columns of an integer matrix, those outside the span of the
     columns before them; the rank is their number.  Each column is reduced,
-    fraction-free, against the independent columns before it (each with a
-    row where the ones after it are zero) and kept if anything is left."""
+    fraction-free, against every independent column before it (each with a
+    row where the ones after it are zero, so a zero there only scales the
+    column) and kept, divided by its gcd, if anything is left."""
     kept: list[tuple[int, list[int]]] = []  # (its row, the reduced column)
     pivots = []
     for j, col in enumerate(zip(*rows)):
         for r, b in kept:
-            if col[r]:
-                col = [b[r] * x - col[r] * y for x, y in zip(col, b)]
+            col = [b[r] * x - col[r] * y for x, y in zip(col, b)]
         r = next((r for r, x in enumerate(col) if x), None)
         if r is not None:
             g = math.gcd(*col)

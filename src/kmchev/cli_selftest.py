@@ -10,7 +10,7 @@ from collections import Counter
 from functools import partial
 from types import SimpleNamespace
 
-from .cartan import GCM, Realization, realization_from_preset
+from .cartan import GCM, Realization, lp_add_into, lp_monomial, realization_from_preset
 from .cli import MODELS, CLIError, _rows_diff, _rows_for_model, emit, json_pieces, parse_word
 from .weyl import WeylGroup
 
@@ -54,9 +54,9 @@ def _scn_crystal_mass() -> str | None:
     W = WeylGroup(R)
     lam, w = R.parse_weight("2,1"), W.from_word((0, 1, 0))
     crystal = Counter(lspath.demazure_crystal(W, lam, w).values())
-    character = kring.lp_monomial(lam)
+    character = lp_monomial(lam)
     for i in reversed(w.word):
-        kring.lp_add_into(character, kring.apply_Ti(R, i, character))
+        lp_add_into(character, kring.apply_Ti(R, i, character))
     if crystal != character:
         return f"{crystal.total()} crystal weights are not the {sum(character.values())} terms of D_w e^lam"
     return None
@@ -74,7 +74,7 @@ def _scn_negative_control() -> str | None:
     w = W.from_word(parse_word(R, "0 1 2 1"))
     inverted: dict = {}
     for seq, _ in alcove.enumerate_tree_antidominant(W, lam, w):
-        kring.lp_add_into(inverted.setdefault(seq.z, {}), kring.lp_monomial(alcove.wt_fold(W, lam, seq, "inc")))
+        lp_add_into(inverted.setdefault(seq.z, {}), lp_monomial(alcove.wt_fold(W, lam, seq, "inc")))
     rows = {"nilhecke": kring.chevalley_recurrence(W, w, lam), "inverted": inverted}
     if not _rows_diff(rows.get, list(rows))[1]:
         return "inverted lex comparator went undetected"

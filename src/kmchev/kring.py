@@ -5,16 +5,13 @@ A Laurent polynomial is a dict {weight: nonzero int coefficient}; the empty
 dict is zero.  T_i acts along alpha_i-strings.  Write a weight as
 mu = b + p alpha_i with n = <alpha_i^vee, mu> and p = floor(n/2), so that
 <alpha_i^vee, b> is 0 or 1: b names the string b + Z alpha_i and p is the
-position of mu on it.  Then
-
-    T_i e^mu = + sum of e^{b + q alpha_i}, q in [p - n, p)     n > 0
-             = 0                                                n = 0
-             = - sum of e^{b + q alpha_i}, q in [p, p - n)      n < 0
-
-(e^{mu - alpha_i} + ... + e^{mu - n alpha_i}, and -(e^mu + ... +
-e^{mu + (-1-n) alpha_i})), so T_i of a polynomial is a sum of ranges on
-each string, and s_i sends position q to -q - <alpha_i^vee, b>.  T_i^2 = -T_i,
-the braid relations hold, and D_i = 1 + T_i is the Demazure operator.
+position of mu on it.  Then T_i e^mu, read along that string, steps up by 1
+at p - n, the position of s_i mu, and down by 1 at p, the position of mu:
+it is e^{mu - alpha_i} + ... + e^{mu - n alpha_i} (positions [p - n, p))
+for n > 0, 0 for n = 0, and -(e^mu + ... + e^{mu + (-1-n) alpha_i})
+(positions [p, p - n)) for n < 0.  So T_i of a polynomial is a sum of
+ranges on each string, and s_i sends position q to -q - <alpha_i^vee, b>.
+T_i^2 = -T_i, the braid relations hold, and D_i = 1 + T_i is the Demazure operator.
 Writing T_w e^lam = sum_z b_z T_z, the b_z are the equivariant K-Chevalley
 coefficients; chevalley_recurrence computes them by composing the twisted
 Leibniz rule letter by letter.  (The closed-form sum over the 2^N signed
@@ -39,8 +36,8 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .cartan import LaurentPoly, Realization, Weight, lp_add_into, lp_monomial
-from .weyl import DEFAULT_CAP, WeylElt, WeylGroup, over_cap
+from .cartan import LaurentPoly, Realization, Weight, lp_monomial
+from .weyl import WeylElt, WeylGroup, env_cap, over_cap
 
 # {WeylElt: LaurentPoly}, zero polynomials never stored
 NilHeckeCoeffs = dict
@@ -58,10 +55,12 @@ class Strings:
 
     __slots__ = ("i", "name", "cap", "alpha", "data", "lines")
 
-    def __init__(self, R: Realization, i: int, cap: int = DEFAULT_CAP):
+    def __init__(self, R: Realization, i: int, cap: int | None = None):
+        if i not in range(R.n):
+            raise ValueError(f"{i!r} is not a node: the nodes are 0..{R.n - 1}")
         self.i = i
         self.name = R.node_names[i]
-        self.cap = cap
+        self.cap = env_cap() if cap is None else cap
         self.alpha = R.alpha[i]
         self.data: dict[Weight, tuple[int, Weight, int, Weight]] = {}
         self.lines: dict[Weight, dict[int, Weight]] = {}
@@ -95,11 +94,12 @@ class Strings:
 def apply_Ti(R: Realization, i: int, f: LaurentPoly, table: Strings | None = None) -> LaurentPoly:
     """T_i f as range sums along alpha_i-strings (see the module docstring).
 
-    Each monomial c e^mu adds +c (n > 0) or -c (n < 0) at the first position
-    of its range on the string of b and takes it off again past the last one.
+    Each monomial c e^mu with n != 0 adds c at p - n, the position of s_i mu
+    on the string of b, and takes c off at p, the position of mu; for n < 0
+    the first jump lies above the second, which is the range -c on [p, p - n).
     A sweep over each string's sorted range ends then gives the coefficient
     of every position, and only positions with a nonzero sum become weights.
-    ``table`` is the run's table for letter i (a fresh one when omitted); it
+    ``table`` is the run's table for letter i (a fresh one under KMCHEV_CAP when omitted); it
     enters every weight of f, so s_i mu can be read from it afterwards.
     """
     if table is None:
@@ -113,16 +113,12 @@ def apply_Ti(R: Realization, i: int, f: LaurentPoly, table: Strings | None = Non
         n, b, p, _ = table.add(mu) if d is None else d
         if not n:
             continue
-        if n < 0:
-            lo, hi, c = p, p - n, -c
-        else:
-            lo, hi = p - n, p
         jumps = ends.get(b)
         if jumps is None:
-            ends[b] = {lo: c, hi: -c}
+            ends[b] = {p - n: c, p: -c}
         else:
-            jumps[lo] = jumps.get(lo, 0) + c
-            jumps[hi] = jumps.get(hi, 0) - c
+            jumps[p - n] = jumps.get(p - n, 0) + c
+            jumps[p] = jumps.get(p, 0) - c
     out: LaurentPoly = {}
     lines = table.lines
     at = table.at
@@ -176,7 +172,8 @@ def chevalley_recurrence(W: WeylGroup, w: WeylElt, lam: Weight) -> NilHeckeCoeff
     """The coefficients b_z with T_w e^lam = sum_z b_z T_z, by composing the
     letters of a reduced word of w innermost-first.  The run owns one
     ``Strings`` table per letter, so each weight's string data is worked out
-    once per letter, and every row of a step shares its letter's tuples."""
+    once per letter, and every row of a step shares its letter's tuples; a w of another group is refused."""
+    W.check_element(w)
     tables = {i: Strings(W.R, i, W.cap) for i in set(w.word)}
     state: NilHeckeCoeffs = {W.e: lp_monomial(lam)}
     for i in reversed(w.word):
@@ -191,6 +188,7 @@ def chevalley_rows(W: WeylGroup, w: WeylElt, lam: Weight):
     composes T_i onto them.  T_i ranges start at held weights, so the cap
     refuses the longest one (the least and the greatest <alpha_i^vee, mu>)
     before the first row is made."""
+    W.check_element(w)
     if not w.word:
         return chevalley_recurrence(W, w, lam).items()
     i = w.word[0]

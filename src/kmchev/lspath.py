@@ -207,13 +207,11 @@ def demazure_crystal(W: WeylGroup, lam: Weight, w: WeylElt) -> dict:
     paths = {straight_path(W, lam): lam}
     for i in reversed(w.word):
         alpha = W.R.alpha[i]
-        extra = {}
-        for p, mu in paths.items():
+        for p, mu in list(paths.items()):  # the strings start at the paths made before letter i
             q = f(W, p, i)
-            while q is not None and q not in paths and q not in extra:
-                mu = extra[q] = tuple([x - y for x, y in zip(mu, alpha)])
+            while q is not None and q not in paths:
+                mu = paths[q] = tuple([x - y for x, y in zip(mu, alpha)])
                 q = f(W, q, i)
-        paths.update(extra)
     return paths
 
 
@@ -221,19 +219,15 @@ def crystal_up_to(W: WeylGroup, lam: Weight, length_bound: int) -> dict:
     """{path: weight p(1)} over the LS paths whose initial direction has a
     representative of length <= length_bound; f_i never shortens the initial
     direction, so pruned breadth-first closure is exhaustive."""
-    start = straight_path(W, lam)
-    seen = {start: lam}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for i in range(W.n):
-                q = f(W, p, i)
-                if q is None or q in seen or iota(q).length > length_bound:
-                    continue
-                seen[q] = tuple([x - y for x, y in zip(seen[p], W.R.alpha[i])])
-                nxt.append(q)
-        frontier = nxt
+    todo = [straight_path(W, lam)]
+    seen = {todo[0]: lam}
+    for p in todo:  # appended to as it is read: breadth first
+        for i in range(W.n):
+            q = f(W, p, i)
+            if q is None or q in seen or iota(q).length > length_bound:
+                continue
+            seen[q] = tuple([x - y for x, y in zip(seen[p], W.R.alpha[i])])
+            todo.append(q)
     return seen
 
 
@@ -285,9 +279,10 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
     path lifting some z to w has iota(p) = w W_lam, so sign > 0 tries every
     z of [e, w] against those top chains only; sign < 0 partitions the
     Demazure crystal by the drop of w along each chain (ValueError for a path
-    outside it).  Any sign but 1 and -1 is refused (ValueError)."""
+    outside it).  Any sign but 1 and -1, or a w of another group, is refused (ValueError)."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, not {sign!r}")
+    W.check_element(w)
     wmin = W.coset_min(w, lam)
     chains: dict[tuple, tuple[LSPath, LaurentPoly]] = {}  # dirs -> (one path with them, their terms)
     for p, mu in demazure_crystal(W, lam, w).items():

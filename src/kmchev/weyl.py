@@ -123,11 +123,18 @@ class WeylGroup:
         return u
 
     def from_word(self, word) -> WeylElt:
-        """Element with the given word (not necessarily reduced)."""
-        lmul, left, v = self.lmul, self._left, self.e
-        for i in reversed(tuple(word)):
+        """Element with the given word (not necessarily reduced); ValueError for a letter that is not a node."""
+        lmul, left, v, word = self.lmul, self._left, self.e, tuple(word)
+        if bad := [i for i in word if i not in range(self.n)]:
+            raise ValueError(f"letter {bad[0]!r} of {word} is not a node: the nodes are 0..{self.n - 1}")
+        for i in reversed(word):
             v = left[i].get(v) or lmul(i, v)
         return v
+
+    def check_element(self, w: WeylElt) -> None:
+        """ValueError unless this group interned w: another group's element would misread its tables."""
+        if self._elts.get(w.rho) is not w:
+            raise ValueError(f"{w!r} is not an element of this group (match elements of two groups by rho)")
 
     # -- actions and products ----------------------------------------------
 

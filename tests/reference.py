@@ -33,8 +33,8 @@ from fractions import Fraction as Q
 from math import gcd, inf, lcm
 
 from kmchev.alcove import LambdaHyperplane, lex_less
-from kmchev.cartan import pairing, wt_add
-from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
+from kmchev.cartan import lp_add_into, lp_monomial, pairing, wt_add
+from kmchev.kring import apply_Ti
 from kmchev.lspath import LSPath
 
 

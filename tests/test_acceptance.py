@@ -21,6 +21,8 @@ from kmchev.bridge import ls_to_seq, refl_less, seq_to_ls
 from kmchev.cartan import (
     GCM,
     Realization,
+    lp_add_into,
+    lp_monomial,
     pairing,
     realization_from_preset,
     wt_add,
@@ -29,8 +31,6 @@ from kmchev.cartan import (
 from kmchev.kring import (
     apply_Ti,
     chevalley_recurrence,
-    lp_add_into,
-    lp_monomial,
 )
 from kmchev.lspath import (
     chevalley_ls,

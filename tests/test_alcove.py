@@ -27,8 +27,8 @@ from kmchev.alcove import (
     wt_fold,
 )
 from kmchev.bridge import _label_chains, increasing_chain, ls_to_seq, refl_less, seq_to_ls
-from kmchev.cartan import GCM, Realization, pairing, realization_from_preset, wt_neg
-from kmchev.kring import chevalley_recurrence, lp_add_into, lp_monomial
+from kmchev.cartan import GCM, Realization, lp_add_into, lp_monomial, pairing, realization_from_preset, wt_neg
+from kmchev.kring import chevalley_recurrence, chevalley_rows
 from kmchev.lspath import (
     chevalley_ls,
     demazure_crystal,
@@ -663,6 +663,34 @@ def test_a_sign_other_than_plus_or_minus_one_is_refused(WA2, sign):
                  lambda: fixed_z_rows(WA2, (1, 0), WA2.e, sign, 2)):
         with pytest.raises(ValueError, match=f"sign must be 1 or -1, not {sign}$"):
             call()
+
+
+# each row entry, called with a group, lam = (1, 0) and an element (w, or z for the fixed-z rows)
+ROW_ENTRIES = {
+    "chevalley_ls": lambda W, w: chevalley_ls(W, (1, 0), w, 1),
+    "chevalley_alcove": lambda W, w: chevalley_alcove(W, (1, 0), w, -1),
+    "fixed_z_rows": lambda W, z: fixed_z_rows(W, (1, 0), z, 1, 3)[0],
+    "chevalley_recurrence": lambda W, w: chevalley_recurrence(W, w, (1, 0)),
+    "chevalley_rows": lambda W, w: dict(chevalley_rows(W, w, (1, 0))),
+}
+
+
+@pytest.mark.parametrize("entry", ROW_ENTRIES)
+def test_a_row_entry_refuses_an_element_of_another_group(entry):
+    """Elements are interned per group, so one of another group of the same
+    matrix is read against tables that never met it: on A2 with lam = (1, 0),
+    chevalley_ls gave w = s1 s2 of a second group the row {}, where W's own
+    w has rows at s2 and s1*s2.  Every row entry refuses it, and leaves the
+    group's link table as it was (the group is the test's own, since a
+    poisoned link would leak into every later test of a shared one)."""
+    W, W2 = WeylGroup(realization_from_preset("A2")), WeylGroup(realization_from_preset("A2"))
+    own, foreign = W.from_word((0, 1)), W2.from_word((0, 1))
+    rows = ROW_ENTRIES[entry](W, own)
+    assert rows
+    with pytest.raises(ValueError, match=r"s1\*s2 is not an element of this group"):
+        ROW_ENTRIES[entry](W, foreign)
+    assert ROW_ENTRIES[entry](W, own) == rows
+    assert W.lmul(0, own) is W.from_word((1,))
 
 
 # (Cartan matrix, lam, word, monotonicity, length bound or None for a tree, count, the refusal one below it)

@@ -1,17 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kmchev.cartan import GCM, Realization, realization_from_preset, wt_add, wt_neg, wt_scale
+from kmchev.cartan import GCM, Realization, lp_add_into, lp_monomial, realization_from_preset, wt_add, wt_neg, wt_scale
 from kmchev.cli import parse_word
-from kmchev.kring import (
-    Strings,
-    apply_Ti,
-    chevalley_recurrence,
-    chevalley_rows,
-    hecke_compose,
-    lp_add_into,
-    lp_monomial,
-)
+from kmchev.kring import Strings, apply_Ti, chevalley_recurrence, chevalley_rows, hecke_compose
 from kmchev.lifts import interval_below
 from kmchev.lspath import demazure_crystal
 from kmchev.weyl import CapError, WeylGroup
@@ -273,6 +265,29 @@ def test_ti_cancels_and_covers_every_sign_of_n():
     # T_0 e^{(2,0)} = e^{(0,1)} + e^{(-2,2)} and T_0 e^{(-2,2)} is its negative
     assert apply_Ti(R, 0, {(2, 0): 1}) == {(0, 1): 1, (-2, 2): 1}
     assert apply_Ti(R, 0, {(2, 0): 1, (-2, 2): 1}) == {}
+
+
+def test_ti_rejects_a_node_that_is_not_one():
+    """A negative node once indexed the simple roots from the end: on A1~,
+    T_{-1} read the delta coordinate as the pairing and returned 0."""
+    affine = realization_from_preset("A1~")
+    assert apply_Ti(affine, 1, {(1, 1, 0): 1}) == {(3, -1, 0): 1}
+    for R, i in ((affine, -1), (realization_from_preset("A2"), 7)):
+        with pytest.raises(ValueError, match=f"{i} is not a node"):
+            apply_Ti(R, i, {(1,) * R.N: 1})
+        with pytest.raises(ValueError, match=f"{i} is not a node"):
+            Strings(R, i)
+
+
+def test_ti_without_a_table_takes_its_cap_from_the_environment(monkeypatch):
+    """KMCHEV_CAP bounds a library call of T_i too, not only a run's tables."""
+    R = realization_from_preset("A2")
+    monkeypatch.setenv("KMCHEV_CAP", "10")
+    assert len(apply_Ti(R, 0, {(10, 0): 1})) == 10
+    monkeypatch.setenv("KMCHEV_CAP", "3")
+    with pytest.raises(CapError, match="10 exceeds cap 3"):
+        apply_Ti(R, 0, {(10, 0): 1})
+    assert Strings(R, 0, 20).cap == 20
 
 
 def test_ti_rejects_a_weight_of_another_rank():

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from kmchev.cartan import realization_from_preset, wt_add, wt_neg
+from kmchev.cartan import lp_add_into, lp_monomial, realization_from_preset, wt_add, wt_neg
 from kmchev import lspath
-from kmchev.kring import apply_Ti, lp_add_into, lp_monomial
+from kmchev.kring import apply_Ti
 from kmchev.weyl import CapError, WeylGroup
 from kmchev.lspath import (
     LSPath,

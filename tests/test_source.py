@@ -87,3 +87,23 @@ def test_every_helper_has_a_caller_in_src_or_is_exported():
         if all(id(reader) in inside for reader in readers.get(name, [])):
             dead.append(f"{module}.{name} (line {node.lineno})")
     assert not dead, f"defined in src/ but never named there nor exported: {dead}"
+
+
+def test_every_imported_name_is_used_in_its_module():
+    """A module of src/kmchev imports only what it uses itself: a name kept
+    only so that another module can reach it through this one is a hidden
+    re-export (kmchev exports through __all__ alone).  `from __future__`
+    imports are directives, not names."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name} (line {line})" for name, line in imported.items() if name not in used]
+    assert not unused, f"imported but never used in the importing module: {unused}"

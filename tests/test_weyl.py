@@ -30,6 +30,20 @@ def test_from_word_reduces(WA2):
     assert repr(WA2.from_word((0, 1))) == "s1*s2"
 
 
+@pytest.mark.parametrize("preset", ["A2", "A1~"])
+def test_from_word_refuses_a_letter_that_is_not_a_node(preset):
+    """A letter outside range(n) is refused before a link is made: a negative
+    letter once indexed the link tables from the end, so on A1~ -1 read the
+    delta coordinate as the pairing, stored s_1 e = e, and every later s_1
+    of that group came out as e."""
+    W = WeylGroup(realization_from_preset(preset))
+    for word, bad in (((W.n,), W.n), ((5,), 5), ((-1,), -1), ((0, -1), -1), ((0, 1, W.n), W.n)):
+        with pytest.raises(ValueError, match=f"letter {bad} of .* is not a node"):
+            W.from_word(word)
+    assert W.from_word((1,)).word == (1,)
+    assert W.from_word((0, 1)).length == 2
+
+
 def test_longest_element_negates(WA2):
     w0 = WA2.from_word((0, 1, 0))
     # -w0 is the diagram flip on A2: w0(omega_1) = -omega_2
