@@ -14,12 +14,13 @@ Output formats: ``json`` (stable schema, deterministic ordering), ``table``
 (human-readable), ``dot`` (trees / crystal graphs).  JSON output is the exact
 text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
 is refused before any model runs), written in pieces of bounded size
-(``json_pieces``): a row's terms go out ITEMS_PER_PIECE at a time, and a
-list given as an iterator (the rows, a crystal's elements) entry by entry,
-so a multi-MB document is never held as one string.  Every check of the
-input comes before the first byte, so a refused run leaves stdout empty and
-creates no ``--out`` file; a weight is a tuple of ints (``cartan``), so
-JSON can write every row a model makes.
+(``json_pieces``): a row's terms go out ITEMS_PER_PIECE (128) at a time,
+each piece one ``%`` of a template, and a list given as an iterator (the
+rows, a crystal's elements) entry by entry, so a multi-MB document is never
+held as one string.  Every check of the input comes before the first byte,
+so a refused run leaves stdout empty and creates no ``--out`` file; a
+weight is a tuple of ints (``cartan``), so JSON can write every row a
+model makes.
 
 A single-model ``--model nilhecke`` run streams its rows
 (``kring.chevalley_rows``): with i the first letter of the canonical reduced
@@ -137,15 +138,17 @@ def word_obj(R: Realization, w: WeylElt) -> list:
     return [R.node_names[i] for i in w.word]
 
 
-# Terms per piece of a row's JSON text (a piece of terms is about 60 KB):
-# the pieces in flight stay a small part of a multi-MB document.
-ITEMS_PER_PIECE = 512
+# Terms per piece of a row's JSON text (a piece of terms is about 22 KB,
+# filled by one % of the term template repeated as many times): the pieces
+# in flight stay a small part of a multi-MB document.
+ITEMS_PER_PIECE = 128
 
 
 def terms_text(R: Realization, poly, indent: str):
     """The pieces of the JSON text of [{"weight": weight_obj(R, mu), "mult": c}
-    for mu, c in sorted(poly.items())] at `indent`: one format string filled
-    per term, and one join per ITEMS_PER_PIECE terms."""
+    for mu, c in sorted(poly.items())] at `indent`: each piece of at most
+    ITEMS_PER_PIECE terms is one % of a template of as many terms, filled
+    with the piece's coordinates and multiplicities in one flat tuple."""
     if not poly:
         yield "[]"
         return
@@ -154,12 +157,17 @@ def terms_text(R: Realization, poly, indent: str):
             + (R.N - R.n) * ("," + i3 + '"delta": %s') + i2 + "}," + i2 + '"mult": %s' + i1 + "}")
     mus = sorted(poly)
     for start in range(0, len(mus), ITEMS_PER_PIECE):
-        parts = [term % (*mu, poly[mu]) for mu in mus[start:start + ITEMS_PER_PIECE]]
+        piece = mus[start:start + ITEMS_PER_PIECE]
+        values: list = []
+        for mu in piece:
+            values += mu
+            values.append(poly[mu])
+        text = (term * len(piece)) % tuple(values)
         if start == 0:
-            parts[0] = "[" + parts[0][1:]
+            text = "[" + text[1:]
         if start + ITEMS_PER_PIECE >= len(mus):
-            parts.append(indent + "]")
-        yield "".join(parts)
+            text += indent + "]"
+        yield text
 
 
 def json_pieces(obj, indent: str = "\n"):

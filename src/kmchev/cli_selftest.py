@@ -1,8 +1,9 @@
 """The ``selftest`` command: a scenario matrix of internal cross-checks,
 including a negative control: the lex-decreasing tree folded like the
 dominant row (what that row becomes with the lex comparator inverted) must
-disagree.  ``kmchev.cli`` imports this module the first time the command
-runs."""
+disagree.  The cancellation-free scenario has its own: a nilHecke row with
+one coefficient flipped must fail its sign check.  ``kmchev.cli`` imports
+this module the first time the command runs."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ from collections import Counter
 from functools import partial
 from types import SimpleNamespace
 
-from .cartan import GCM, Realization, lp_add_into, lp_monomial, realization_from_preset
+from .cartan import GCM, Realization, lp_add_into, lp_monomial, realization_from_preset, wt_neg
 from .cli import MODELS, CLIError, _rows_diff, _rows_for_model, emit, json_pieces, parse_word
-from .weyl import WeylGroup
+from .weyl import WeylElt, WeylGroup
 
 
 def _scn_triangles(cases) -> str | None:
@@ -81,6 +82,36 @@ def _scn_negative_control() -> str | None:
     return None
 
 
+def _sign_fault(rows: dict, w: WeylElt, sign: int) -> str | None:
+    """A coefficient of the wrong sign in the rows {z: b_z} of w, named: each
+    row has the one sign + (sign +1) or (-1)^(l(w) - l(z)) (sign -1)."""
+    for z, poly in rows.items():
+        want = sign ** (w.length - z.length)
+        if bad := [c for c in poly.values() if c * want < 0]:
+            return f"w={w!r} sign={sign}: the row of z={z!r} has the coefficient {bad[0]}, not of sign {want:+d}"
+    return None
+
+
+def _scn_cancellation_free() -> str | None:
+    """The rules are cancellation-free: each nilHecke row has one sign, in an
+    affine and an indefinite type, for both signs of lam.  A row with one
+    coefficient flipped must be caught."""
+    from . import kring
+    for R, lam, word in ((realization_from_preset("A2~"), (1, 1, 0, 0), (0, 1, 2, 1, 0, 2)),
+                         (Realization(GCM.from_matrix([[2, -3], [-3, 2]])), (1, 1), (0, 1, 0, 1, 0))):
+        W = WeylGroup(R)
+        w = W.from_word(word)
+        for sign in (1, -1):
+            rows = kring.chevalley_recurrence(W, w, lam if sign > 0 else wt_neg(lam))
+            if fault := _sign_fault(rows, w, sign):
+                return fault
+            z, poly = next(iter(rows.items()))
+            mu = next(iter(poly))
+            if _sign_fault({**rows, z: {**poly, mu: -poly[mu]}}, w, sign) is None:
+                return f"w={w!r} sign={sign}: a flipped coefficient at z={z!r} went undetected"
+    return None
+
+
 SCENARIOS = [
     ("finite-triangles", partial(_scn_triangles, [("A2", "1,1", ["e", "1", "2 1", "1 2 1"]),
                                                   ("B2", "1,2", ["2 1", "1 2 1", "2 1 2 1"])])),
@@ -88,6 +119,7 @@ SCENARIOS = [
     ("bijection-roundtrip", _scn_bijections),
     ("crystal-mass", _scn_crystal_mass),
     ("negative-control", _scn_negative_control),
+    ("cancellation-free", _scn_cancellation_free),
 ]
 
 

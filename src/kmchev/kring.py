@@ -98,7 +98,9 @@ def apply_Ti(R: Realization, i: int, f: LaurentPoly, table: Strings | None = Non
     on the string of b, and takes c off at p, the position of mu; for n < 0
     the first jump lies above the second, which is the range -c on [p, p - n).
     A sweep over each string's sorted range ends then gives the coefficient
-    of every position, and only positions with a nonzero sum become weights.
+    of every position, and only positions with a nonzero sum become weights:
+    the sweep reads each one off the string's line, and calls Strings.at only
+    for a position whose weight is not built yet.
     ``table`` is the run's table for letter i (a fresh one under KMCHEV_CAP when omitted); it
     enters every weight of f, so s_i mu can be read from it afterwards.
     """
@@ -132,7 +134,8 @@ def apply_Ti(R: Realization, i: int, f: LaurentPoly, table: Strings | None = Non
             if not total:
                 continue
             for r in range(q, qs[k + 1]):
-                out[at(b, line, r)] = total
+                mu = line.get(r)
+                out[at(b, line, r) if mu is None else mu] = total
     return out
 
 

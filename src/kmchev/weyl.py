@@ -86,7 +86,7 @@ class WeylGroup:
         self.cap = env_cap()
         self.e = WeylElt((), self.rho, R.node_names)
         self._elts: dict[Weight, WeylElt] = {self.rho: self.e}
-        self._left: list[dict[WeylElt, WeylElt]] = [{} for _ in range(self.n)]  # _left[i][w] is s_i·w
+        self._left: dict[int, dict[WeylElt, WeylElt]] = {i: {} for i in range(self.n)}  # _left[i][w] is s_i·w
         self._cocover_cache: dict[WeylElt, tuple] = {self.e: ()}
         self._cover_cache: dict[WeylElt, tuple] = {}
         self._images: dict[tuple, Weight] = {}  # (w, lam) -> w(lam)
@@ -114,8 +114,12 @@ class WeylGroup:
         return elt
 
     def lmul(self, i: int, w: WeylElt) -> WeylElt:
-        """s_i · w, through the memoised link."""
-        left = self._left[i]
+        """s_i · w, through the memoised link; ValueError for an i that is not
+        a node, which misses the tables keyed by node before any link is stored."""
+        try:
+            left = self._left[i]
+        except KeyError:
+            raise ValueError(f"{i!r} is not a node: the nodes are 0..{self.n - 1}") from None
         u = left.get(w)
         if u is None:
             u = left[w] = self._from_rho(self.R.simple_reflection(i, w.rho))

@@ -616,6 +616,25 @@ def test_selftest_catches_an_injected_fault(capsys, monkeypatch):
     assert "finite-triangles" in bad
 
 
+def test_selftest_catches_a_coefficient_of_the_wrong_sign(capsys, monkeypatch):
+    """A nilHecke recurrence that flips one coefficient of its longest row
+    breaks the cancellation-free scenario."""
+    original = kring.chevalley_recurrence
+
+    def flipped(W, w, lam):
+        rows = original(W, w, lam)
+        poly = rows[w]
+        mu = min(poly)
+        rows[w] = {**poly, mu: -poly[mu]}
+        return rows
+
+    monkeypatch.setattr(kring, "chevalley_recurrence", flipped)
+    code, out, _ = run(capsys, ["selftest", "--scenario", "cancellation-free"])
+    assert code == 1
+    [scenario] = json.loads(out)["scenarios"]
+    assert not scenario["ok"] and "not of sign" in scenario["detail"]
+
+
 def test_out_writes_file_and_stdout_stays_quiet(tmp_path, capsys):
     target = tmp_path / "rows.json"
     code, out, _ = run(capsys, ["chevalley", *AFFW, "--out", str(target)])

@@ -44,6 +44,21 @@ def test_from_word_refuses_a_letter_that_is_not_a_node(preset):
     assert W.from_word((0, 1)).length == 2
 
 
+@pytest.mark.parametrize("preset", ["A2", "A1~"])
+def test_lmul_refuses_a_node_before_storing_a_link(preset):
+    """lmul refuses a node outside range(n) with no link stored: on A1~ a
+    negative node once read the delta coordinate as the pairing, stored
+    s_1 e = e, and the same group's from_word((1,)) came out as e."""
+    W = WeylGroup(realization_from_preset(preset))
+    s0 = W.from_word((0,))
+    for w in (W.e, s0):
+        for bad in (-1, -W.n, W.n, 5):
+            with pytest.raises(ValueError, match=f"{bad} is not a node"):
+                W.lmul(bad, w)
+    assert W.from_word((1,)).word == (1,)
+    assert W.lmul(1, W.e) is W.from_word((1,)) and W.lmul(1, s0).word == (1, 0)
+
+
 def test_longest_element_negates(WA2):
     w0 = WA2.from_word((0, 1, 0))
     # -w0 is the diagram flip on A2: w0(omega_1) = -omega_2

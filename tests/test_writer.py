@@ -2,6 +2,7 @@
 import io
 import json
 import math
+import random
 import sys
 import tracemalloc
 from functools import partial
@@ -105,6 +106,41 @@ def test_terms_text_inside_a_document(poly):
     doc = {"rows": [{"z": ["0", "1"], "terms": partial(terms_text, R, poly)}], "truncated": False}
     ref = {"rows": [{"z": ["0", "1"], "terms": reference_terms(R, poly)}], "truncated": False}
     assert json_text(doc) == json.dumps(ref, indent=2)
+
+
+# Coordinates and multiplicities of one digit, of ten and past 64 bits, of both signs.
+WIDE = (st.integers(-9, 9) | st.integers(-10**9, 10**9) | st.integers(2**64, 2**80)
+        | st.integers(-(2**80), -(2**64)))
+
+
+@st.composite
+def long_rows(draw):
+    """(R, poly, depth): a row of 0 or 1 terms, or of k * ITEMS_PER_PIECE + (-1,
+    0 or 1) terms, at corank 0 (A2) or 1 (A2~).  Its entries are picked by a
+    drawn seed from drawn pools of WIDE values; the first coordinate of the
+    t-th pick gains t, so the picks make new weights until the row is full."""
+    R = realization_from_preset(draw(st.sampled_from(["A2", "A2~"])))
+    k = draw(st.integers(1, 3))
+    size = draw(st.sampled_from([0, 1, k * cli.ITEMS_PER_PIECE - 1, k * cli.ITEMS_PER_PIECE,
+                                 k * cli.ITEMS_PER_PIECE + 1]))
+    coords = draw(st.lists(WIDE, min_size=1, max_size=12))
+    mults = draw(st.lists(WIDE.filter(bool), min_size=1, max_size=12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    poly, t = {}, 0
+    while len(poly) < size:
+        mu = (rng.choice(coords) + t, *(rng.choice(coords) for _ in range(R.N - 1)))
+        poly[mu] = rng.choice(mults)
+        t += 1
+    return R, poly, draw(st.sampled_from([0, 3]))
+
+
+@given(long_rows())
+def test_terms_text_of_rows_across_piece_boundaries(row):
+    """A row of any number of pieces, the last full or one term short or
+    over, is the stdlib text of its term list."""
+    R, poly, depth = row
+    want = at_depth(json.dumps(reference_terms(R, poly), indent=2), depth)
+    assert "".join(terms_text(R, poly, "\n" + "  " * depth)) == want
 
 
 # -- streaming: bounded pieces, the same bytes ---------------------------------
