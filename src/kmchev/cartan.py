@@ -17,7 +17,9 @@ reduced fraction-free against the independent ones before it, give the rank
 and the completion columns, and the symmetrizer is propagated as ints.
 Nothing here imports ``fractions``: a weight coordinate is whatever ``int``
 reads, and parse_weight refuses any other text (``1/2``, ``1.5``, also
-``2/2``), so a non-integral weight never reaches the weight arithmetic.
+``2/2``), so a non-integral weight never reaches the weight arithmetic;
+a library caller's float or bool coordinate is refused at the models'
+entries (check_integral), before any memo keyed by the weight is filled.
 """
 from __future__ import annotations
 
@@ -269,7 +271,9 @@ class Realization:
         return min(mu[:self.n]) >= 0
 
     def check_dominant(self, mu: Weight) -> None:
-        """ValueError unless mu is a dominant weight of this realization."""
+        """ValueError unless mu is a dominant weight of this realization,
+        its coordinates ints (check_integral)."""
+        check_integral(mu)
         if len(mu) != self.N or not self.is_dominant(mu):
             raise ValueError(f"weight {mu} is not a dominant weight of rank {self.N}")
 
@@ -305,6 +309,14 @@ class Realization:
         extra = mu[self.n:]
         tail = "".join(f",delta={x}" for x in extra if x != 0 or len(extra) > 1)
         return head + tail
+
+
+def check_integral(mu: Weight) -> None:
+    """ValueError unless every coordinate of mu is an int and none a bool: a
+    float or a bool equal to an int would pass for it in the keys of a
+    group's memos (WeylGroup.image) and leave there values the int's calls read."""
+    if any(type(c) is bool or not isinstance(c, int) for c in mu):
+        raise ValueError(f"weight {mu} has a coordinate that is not an int")
 
 
 def _coordinate(text: str, tok: str) -> int:

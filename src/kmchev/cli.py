@@ -14,25 +14,21 @@ Output formats: ``json`` (stable schema, deterministic ordering), ``table``
 (human-readable), ``dot`` (trees / crystal graphs).  JSON output is the exact
 text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
 is refused before any model runs), written in pieces of bounded size
-(``json_pieces``): a row's terms go out ITEMS_PER_PIECE (128) at a time,
-each piece one ``%`` of a template, and a list given as an iterator (the
-rows, a crystal's elements) entry by entry, so a multi-MB document is never
-held as one string.  Every check of the input comes before the first byte,
-so a refused run leaves stdout empty and creates no ``--out`` file; a
-weight is a tuple of ints (``cartan``), so JSON can write every row a
-model makes.
+(``json_pieces``), so a multi-MB document is never held as one string: the
+rows go out one by one, and a row's terms and a crystal's elements
+ITEMS_PER_PIECE (128) at a time, a piece one ``%`` of a template
+(``dicts_text``).  Every check of the input comes before the first byte, so
+a refused run leaves stdout empty and creates no ``--out`` file; a weight is
+a tuple of ints (``cartan``), so JSON can write every row a model makes.
 
-A single-model ``--model nilhecke`` run streams its rows
-(``kring.chevalley_rows``): with i the first letter of the canonical reduced
-word ``w.word``, the rows of s_i w are held, an over-cap T_i range is
-refused, and T_i is composed onto them one row at a time, each row written
-as it is made.  ``--model all`` runs nilHecke, then the capped alcove walk,
-then the LS closure, which no cap bounds; it holds the nilHecke rows (the
-ones it writes), and each other model's rows until they are compared with
-them, keeping those that differ.  ``ls``, ``alcove`` and fixed-z hold their
-rows.  A streamed run that runs out of memory after its first byte exits 2
-as any other; ``emit`` removes the ``--out`` file it created, and stdout
-keeps a prefix of the document, as after a closed pipe.
+A single-model ``--model nilhecke`` run writes each row as it is made
+(``kring.chevalley_rows``).  ``--model all`` runs nilHecke, then the capped
+alcove walk, then the LS closure, which no cap bounds; it holds the nilHecke
+rows (the ones it writes), and each other model's rows until they are
+compared with them, keeping those that differ.  ``ls``, ``alcove`` and
+fixed-z hold their rows.  A streamed run that runs out of memory after its
+first byte exits 2 as any other; ``emit`` removes the ``--out`` file it
+created, and stdout keeps a prefix of the document, as after a closed pipe.
 
 Table output prints every extra coordinate of a weight in corank >= 2.  A
 failed cross-check exits 1 with a report: table lines under ``--format
@@ -138,36 +134,40 @@ def word_obj(R: Realization, w: WeylElt) -> list:
     return [R.node_names[i] for i in w.word]
 
 
-# Terms per piece of a row's JSON text (a piece of terms is about 22 KB,
-# filled by one % of the term template repeated as many times): the pieces
-# in flight stay a small part of a multi-MB document.
-ITEMS_PER_PIECE = 128
+ITEMS_PER_PIECE = 128  # dicts per piece (22 KB of row terms): the pieces in flight stay a small part of the text
+
+
+def dicts_text(R: Realization, keys: tuple, items: list, fill, indent: str):
+    """The pieces of the JSON text at `indent` of a list of dicts with the
+    `keys`, one per item: a piece of at most ITEMS_PER_PIECE items is one % of
+    a template of as many dicts, filled from fill(piece), their values in one
+    flat list, "weight" (a weight_obj) as its coordinates, others as JSON text."""
+    i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
+    weight = ('"weight": {' + i3 + '"fund": [' + i4 + ("," + i4).join(["%s"] * R.n) + i3 + "]"
+              + (R.N - R.n) * ("," + i3 + '"delta": %s') + i2 + "}")
+    entry = "," + i1 + "{" + i2 + ("," + i2).join(weight if k == "weight" else f'"{k}": %s' for k in keys) + i1 + "}"
+    for start in range(0, len(items), ITEMS_PER_PIECE):
+        piece = items[start:start + ITEMS_PER_PIECE]
+        text = (entry * len(piece)) % tuple(fill(piece))
+        if start == 0:
+            text = "[" + text[1:]
+        if start + ITEMS_PER_PIECE >= len(items):
+            text += indent + "]"
+        yield text
+    if not items:
+        yield "[]"
 
 
 def terms_text(R: Realization, poly, indent: str):
     """The pieces of the JSON text of [{"weight": weight_obj(R, mu), "mult": c}
-    for mu, c in sorted(poly.items())] at `indent`: each piece of at most
-    ITEMS_PER_PIECE terms is one % of a template of as many terms, filled
-    with the piece's coordinates and multiplicities in one flat tuple."""
-    if not poly:
-        yield "[]"
-        return
-    i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
-    term = ("," + i1 + "{" + i2 + '"weight": {' + i3 + '"fund": [' + i4 + ("," + i4).join(["%s"] * R.n) + i3 + "]"
-            + (R.N - R.n) * ("," + i3 + '"delta": %s') + i2 + "}," + i2 + '"mult": %s' + i1 + "}")
-    mus = sorted(poly)
-    for start in range(0, len(mus), ITEMS_PER_PIECE):
-        piece = mus[start:start + ITEMS_PER_PIECE]
+    for mu, c in sorted(poly.items())] at `indent`."""
+    def fill(mus: list) -> list:
         values: list = []
-        for mu in piece:
+        for mu in mus:
             values += mu
             values.append(poly[mu])
-        text = (term * len(piece)) % tuple(values)
-        if start == 0:
-            text = "[" + text[1:]
-        if start + ITEMS_PER_PIECE >= len(mus):
-            text += indent + "]"
-        yield text
+        return values
+    return dicts_text(R, ("weight", "mult"), sorted(poly), fill, indent)
 
 
 def json_pieces(obj, indent: str = "\n"):
@@ -175,7 +175,7 @@ def json_pieces(obj, indent: str = "\n"):
     pieces, for obj made of dicts with str keys, lists, str, int, bool, None,
     iterators and callables.  An iterator (a generator, a map) is written as
     a list, its entries made one by one as the writer reaches them; a
-    callable stands for a value that writes its own pieces (terms_text),
+    callable stands for a value that writes its own pieces (dicts_text),
     called with its indentation.  Either has a NUL, which the encoding never
     emits, in the text of everything else, and is written at that place
     when the pieces before it are."""

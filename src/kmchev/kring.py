@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .cartan import LaurentPoly, Realization, Weight, lp_monomial
+from .cartan import LaurentPoly, Realization, Weight, check_integral, lp_monomial
 from .weyl import WeylElt, WeylGroup, env_cap, over_cap
 
 # {WeylElt: LaurentPoly}, zero polynomials never stored
@@ -175,8 +175,10 @@ def chevalley_recurrence(W: WeylGroup, w: WeylElt, lam: Weight) -> NilHeckeCoeff
     """The coefficients b_z with T_w e^lam = sum_z b_z T_z, by composing the
     letters of a reduced word of w innermost-first.  The run owns one
     ``Strings`` table per letter, so each weight's string data is worked out
-    once per letter, and every row of a step shares its letter's tuples; a w of another group is refused."""
+    once per letter, and every row of a step shares its letter's tuples; a w
+    of another group, or a lam with a coordinate that is not an int, is refused."""
     W.check_element(w)
+    check_integral(lam)
     tables = {i: Strings(W.R, i, W.cap) for i in set(w.word)}
     state: NilHeckeCoeffs = {W.e: lp_monomial(lam)}
     for i in reversed(w.word):

@@ -204,14 +204,14 @@ def demazure_crystal(W: WeylGroup, lam: Weight, w: WeylElt) -> dict:
     """{path: weight p(1)} over the closure of the straight path under full
     f_{i}-strings along a reduced word of w, applied innermost-letter first;
     its keys are {p : iota(p) <= w W_lam}."""
-    paths = {straight_path(W, lam): lam}
+    paths = {straight_path(W, lam): lam}  # which checks lam, the check f would repeat per call
     for i in reversed(w.word):
         alpha = W.R.alpha[i]
         for p, mu in list(paths.items()):  # the strings start at the paths made before letter i
-            q = f(W, p, i)
+            q = _root_op(W, p, i, 1)
             while q is not None and q not in paths:
                 mu = paths[q] = tuple([x - y for x, y in zip(mu, alpha)])
-                q = f(W, q, i)
+                q = _root_op(W, q, i, 1)
     return paths
 
 
@@ -219,11 +219,11 @@ def crystal_up_to(W: WeylGroup, lam: Weight, length_bound: int) -> dict:
     """{path: weight p(1)} over the LS paths whose initial direction has a
     representative of length <= length_bound; f_i never shortens the initial
     direction, so pruned breadth-first closure is exhaustive."""
-    todo = [straight_path(W, lam)]
+    todo = [straight_path(W, lam)]  # which checks lam, the check f would repeat per call
     seen = {todo[0]: lam}
     for p in todo:  # appended to as it is read: breadth first
         for i in range(W.n):
-            q = f(W, p, i)
+            q = _root_op(W, p, i, 1)
             if q is None or q in seen or iota(q).length > length_bound:
                 continue
             seen[q] = tuple([x - y for x, y in zip(seen[p], W.R.alpha[i])])
@@ -308,13 +308,15 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
 def crystal_dot(W: WeylGroup, paths) -> str:
     """DOT digraph of the f_i-edges within the given vertex set."""
     order = sorted(paths, key=path_key)
+    for p in order:  # the check of f, once per path instead of per f_i
+        W.R.check_dominant(p.lam)
     index = {p: k for k, p in enumerate(order)}
     lines = ["digraph crystal {", "  rankdir=TB;"]
     for p in order:
         lines.append(f'  n{index[p]} [label="{format_path(p)}"];')
     for p in order:
         for i in range(W.n):
-            q = f(W, p, i)
+            q = _root_op(W, p, i, 1)
             if q is not None and q in index:
                 lines.append(f'  n{index[p]} -> n{index[q]} [label="{W.R.node_names[i]}"];')
     lines.append("}")

@@ -24,7 +24,9 @@ redone in Fraction arithmetic: Gauss-Jordan elimination
 symmetrizer, the positive null vector and the classification read off
 them.
 validation_error checks that a path is a genuine LS path of its shape, by
-the definition.  pytest does not rewrite the asserts of this helper module,
+the definition.  The elements of a crystal document are built as dicts
+(ls_element, alcove_element, weight_dict), the LS cut points in Fractions,
+for json.dumps to give the text the CLI writes from templates.  pytest does not rewrite the asserts of this helper module,
 so a check that must hold under python -O raises explicitly.
 """
 import functools
@@ -32,7 +34,7 @@ import itertools
 from fractions import Fraction as Q
 from math import gcd, inf, lcm
 
-from kmchev.alcove import LambdaHyperplane, lex_less
+from kmchev.alcove import LambdaHyperplane, format_hyperplane, lex_less
 from kmchev.cartan import lp_add_into, lp_monomial, pairing, wt_add
 from kmchev.kring import apply_Ti
 from kmchev.lspath import LSPath
@@ -368,6 +370,24 @@ def ls_path_key(p):
     """The sort key of the Fraction form: the number of directions, the cut
     points as (numerator, denominator) pairs, then the directions."""
     return (len(p.dirs), tuple((x.numerator, x.denominator) for x in ls_b(p)), tuple(d.key for d in p.dirs))
+
+
+def weight_dict(R, mu):
+    """A weight as a JSON document gives it: its fundamental coordinates, and
+    delta in corank one."""
+    return {"fund": list(mu[:R.n]), **({"delta": mu[R.n]} if R.N > R.n else {})}
+
+
+def ls_element(R, p, mu):
+    """The dict of the LS path p of weight mu in a crystal document."""
+    return {"b": [str(x) for x in ls_b(p)], "dirs": [[R.node_names[i] for i in d.word] for d in p.dirs],
+            "weight": weight_dict(R, mu)}
+
+
+def alcove_element(R, lam, seq, wt):
+    """The dict of the adapted sequence seq of weight wt in a crystal document."""
+    return {"z": [R.node_names[i] for i in seq.z.word], "labels": [format_hyperplane(lam, h) for h in seq.hs],
+            "weight": weight_dict(R, wt)}
 
 
 def ls_steps(p):

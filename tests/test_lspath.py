@@ -257,6 +257,31 @@ def test_a_weight_that_is_not_dominant_is_refused(WA2):
             call()
 
 
+@pytest.mark.parametrize("lam", [(1.0, 0), (True, 0), (1, 0.0)])
+def test_a_float_or_bool_coordinate_is_refused_before_it_poisons_the_group(lam):
+    """On A2 with w = s1 s2, chevalley_ls of lam = (1.0, 0) raised TypeError
+    from math.gcd, and then so did the int (1, 0) on the same group: equal
+    to it, it found the float images in WeylGroup.image.  With w = s2 a
+    float or bool lam gave float or bool rows.  Every row entry, closure and
+    root operator refuses such a lam, and the group then gives the int rows."""
+    from kmchev.alcove import chevalley_alcove
+    from kmchev.kring import chevalley_recurrence, chevalley_rows
+
+    W = WeylGroup(realization_from_preset("A2"))
+    for word, want in [((0, 1), {(1,): {(-1, 1): 1}, (0, 1): {(-1, 1): 1}}), ((1,), {(1,): {(1, 0): 1}})]:
+        w = W.from_word(word)
+        for call in (lambda: chevalley_ls(W, lam, w, 1), lambda: chevalley_ls(W, lam, w, -1),
+                     lambda: chevalley_alcove(W, lam, w, 1), lambda: chevalley_recurrence(W, w, lam),
+                     lambda: list(chevalley_rows(W, w, lam)), lambda: demazure_crystal(W, lam, w),
+                     lambda: crystal_up_to(W, lam, 2), lambda: f(W, LSPath(lam, 1, [(1, W.e)]), 0),
+                     lambda: crystal_dot(W, [LSPath(lam, 1, [(1, W.e)])])):
+            with pytest.raises(ValueError, match="has a coordinate that is not an int"):
+                call()
+        rows = chevalley_ls(W, (1, 0), w, 1)
+        assert {z.word: row for z, row in rows.items()} == want
+        assert all(type(c) is int for row in rows.values() for mu in row for c in mu)
+
+
 def test_the_root_operators_refuse_a_shape_that_is_not_dominant(WA2):
     """e_1 of the one-step path of shape (-1, 0) gave (s1·λ), which is no LS
     path; a shape of the wrong rank was taken too.  The straight path

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kmchev.cartan import realization_from_preset
-from kmchev import cli, kring
-from kmchev.cli import emit, json_pieces, terms_text, weight_obj
+from kmchev import alcove, cli, cli_crystal, kring, lspath
+from kmchev.cli import emit, json_pieces, parse_word, terms_text, weight_obj
+from kmchev.weyl import WeylGroup
+from reference import alcove_element, ls_element, ls_path_key, weight_dict
 
 
 def json_text(obj, indent: str = "\n") -> str:
@@ -237,8 +239,9 @@ def test_emit_writes_short_pieces_together(monkeypatch):
 
 @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1500])
 def test_a_map_in_a_document_is_the_stdlib_list(count):
-    """The crystal's element list, a map in the document, at counts around
-    ITEMS_PER_PIECE and at two depths."""
+    """A list given as an iterator (the rows are one, the report of two
+    crystal realizations that disagree has two maps), at several counts and
+    at two depths."""
     def obj(x):
         return {"b": [str(x), f"{x}/3"], "dirs": [["0", "1"][: x % 3]], "weight": {"fund": [x, -x]}}
 
@@ -266,3 +269,76 @@ def test_an_iterators_entries_are_made_as_the_writer_reaches_them():
     assert "".join(written) == json.dumps({"head": "x", "rows": [{"k": k} for k in range(5)], "tail": [1]}, indent=2)
     # the document's text before the list, then two pieces per entry: its start and its text
     assert made_after == [1, 3, 5, 7, 9]
+
+
+# -- crystal elements: one template per piece, against the dicts they stand for --
+
+
+def crystal_sets(preset: str, weight: str, w: str | None, opposite: tuple | None):
+    """(R, lam, the LS paths {path: weight}, the alcove pairs, truncated) of
+    a --w crystal, or of an --opposite one over (z, max_length)."""
+    R = realization_from_preset(preset)
+    W = WeylGroup(R)
+    lam = R.parse_weight(weight)
+    if opposite:
+        z, bound = W.from_word(parse_word(R, opposite[0])), opposite[1]
+        pairs, truncated = alcove.enumerate_z_adapted(W, lam, z, "inc", bound)
+        return R, lam, lspath.opposite_demazure_ls(W, lam, z, bound), pairs, truncated
+    w = W.from_word(parse_word(R, w))
+    return R, lam, lspath.demazure_crystal(W, lam, w), alcove.enumerate_tree_antidominant(W, lam, w), False
+
+
+def crystal_elements(R, lam, paths: dict, pairs: list, realization: str) -> list:
+    """The elements of a crystal document as dicts, LS paths in the order of their Fraction sort key."""
+    if realization == "ls":
+        return [ls_element(R, p, paths[p]) for p in sorted(paths, key=ls_path_key)]
+    return [alcove_element(R, lam, seq, wt) for seq, wt in pairs]
+
+
+# (preset, weight, w, (z, max_length) for --opposite): --w and --opposite in
+# corank 0 and 1, a crystal of one element, one of 128 (one full piece),
+# and an opposite one with no element (its z is longer than the bound).
+CRYSTALS = [
+    ("A2", "2,1", "1 2 1", None),
+    ("A2", "1,1", "e", None),
+    ("A1~", "1,2", "1 0 1 0", None),
+    ("G2", "1,1", None, ("1", 4)),
+    ("A2~", "1,1,0", None, ("1", 3)),
+    ("A2", "1,1", None, ("1 2", 1)),
+]
+
+
+@pytest.mark.parametrize("realization", ["ls", "alcove"])
+@pytest.mark.parametrize("case", CRYSTALS, ids=lambda c: f"{c[0]}-{c[2] or 'opposite ' + c[3][0]}")
+def test_a_crystal_document_is_the_stdlib_text_of_its_dicts(capsys, case, realization):
+    """The CLI's crystal document is json.dumps of the document built as
+    dicts, element by element, by the reference builders."""
+    preset, weight, w, opposite = case
+    R, lam, paths, pairs, truncated = crystal_sets(*case)
+    elements = crystal_elements(R, lam, paths, pairs, realization)
+    doc = {"cartan": R.gcm.to_json(), "lambda": weight_dict(R, lam), "realization": realization,
+           "count": len(elements), "elements": elements, "truncated": truncated}
+    argv = ["crystal", "--cartan", preset, "--weight", weight, "--realization", realization]
+    argv += ["--w", w] if opposite is None else ["--opposite", "--z", opposite[0], "--max-length", str(opposite[1])]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("realization", ["ls", "alcove"])
+@pytest.mark.parametrize("case", [("G2", "2,1", "1 2 1 2 1 2", None), ("A1~", "1,2", "1 0 1 0 1", None)],
+                         ids=["corank 0", "corank 1"])
+def test_crystal_elements_across_piece_boundaries(case, realization):
+    """The first k elements of a crystal of 286 (G2) or 768 (A1~) elements
+    written into a document, for k = 0, 1 and k around one and two pieces
+    of ITEMS_PER_PIECE (128): the text of the document of their dicts."""
+    R, lam, paths, pairs, _ = crystal_sets(*case)
+    elements = crystal_elements(R, lam, paths, pairs, realization)
+    if realization == "ls":
+        made, write = sorted(paths, key=lspath.path_key), partial(cli_crystal._ls_text, R, paths)
+    else:
+        made, write = pairs, partial(cli_crystal._alcove_text, R, lam)
+    n = cli.ITEMS_PER_PIECE
+    for k in (0, 1, n - 1, n, n + 1, 2 * n + 1):
+        doc = {"count": k, "elements": partial(write, made[:k]), "truncated": False}
+        want = {"count": k, "elements": elements[:k], "truncated": False}
+        assert json_text(doc) == json.dumps(want, indent=2), k
