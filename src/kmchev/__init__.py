@@ -16,7 +16,6 @@ _EXPORTS = {
     "lspath": "LSPath chevalley_ls crystal_up_to demazure_crystal down_path e f straight_path up_path",
     "alcove": "AdaptedSequence LambdaHyperplane chevalley_alcove enumerate_tree_antidominant enumerate_tree_dominant"
               " enumerate_z_adapted",
-    "bridge": "ls_to_seq seq_to_ls",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

@@ -36,10 +36,9 @@ labels folded over lam, A = u(.) + t the parent's affine map:
 
 The pairs (sequence, weight) are summed, through one accumulator, into the
 fixed-w rows (chevalley_alcove) and the fixed-z rows (fixed_z_rows).  It
-loads no other model; the bijection with LS paths lives in kmchev.bridge.
-A walk holds at most W.cap adapted sequences and builds at most W.cap labels
-on the edges of all the elements it meets, and raises CapError, naming its
-start, before it would hold or build more.
+loads no other model.  A walk holds at most W.cap adapted sequences and
+builds at most W.cap labels on the edges of all the elements it meets, and
+raises CapError, naming its start, before it would hold or build more.
 """
 
 from __future__ import annotations
@@ -196,7 +195,9 @@ def _walk(W: WeylGroup, lam: Weight, start: WeylElt, monotonicity: str,
     at most W.cap sequences, checked before each is appended, and builds at
     most W.cap labels in all, checked by _label_edges before an element's
     edges are built: an element gets edges only when a sequence reaches it.
-    A lam that is not dominant is refused (ValueError)."""
+    A start of another group, or a lam that is not dominant, is refused
+    (ValueError) before any link is stored."""
+    W.check_element(start)
     inc = _is_inc(monotonicity)
     W.R.check_dominant(lam)
     down = length_bound is None
@@ -264,9 +265,8 @@ def _rows(pairs, at) -> dict:
 def chevalley_alcove(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
     """Fixed-w row of [L^{sign*lam}] [O_w] for sign 1 or -1 and a w of W (else ValueError):
     z |-> the _rows sum over the lex-increasing (1) or lex-decreasing (-1) tree."""
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, not {sign!r}")
-    W.check_element(w)
     tree = enumerate_tree_dominant if sign > 0 else enumerate_tree_antidominant
     return _rows(tree(W, lam, w), lambda s: s.z)
 
@@ -274,9 +274,8 @@ def chevalley_alcove(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
 def fixed_z_rows(W: WeylGroup, lam: Weight, z: WeylElt, sign: int, length_bound: int) -> tuple[dict, bool]:
     """Fixed-z rows for sign 1 or -1 and a z of W (else ValueError), w |-> the _rows sum over
     the sequences from z to w within the length bound, and the walk's truncation flag."""
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, not {sign!r}")
-    W.check_element(z)
     pairs, truncated = enumerate_z_adapted(W, lam, z, "inc" if sign > 0 else "dec", length_bound)
     return _rows(pairs, lambda s: s.end), truncated
 

@@ -38,7 +38,8 @@ def up(W: WeylGroup, v: WeylElt, sigma: WeylElt, lam: Weight) -> WeylElt:
 
 
 def interval_below(W: WeylGroup, w: WeylElt) -> set[WeylElt]:
-    """The Bruhat interval [e, w], as the set of subword elements of w.word."""
+    """The Bruhat interval [e, w] of a w of W (else ValueError), as the set of subword elements of w.word."""
+    W.check_element(w)
     out = {W.e}
     for i in reversed(w.word):
         out |= {W.lmul(i, u) for u in out}

@@ -203,7 +203,8 @@ def e(W: WeylGroup, p: LSPath, i: int) -> LSPath | None:
 def demazure_crystal(W: WeylGroup, lam: Weight, w: WeylElt) -> dict:
     """{path: weight p(1)} over the closure of the straight path under full
     f_{i}-strings along a reduced word of w, applied innermost-letter first;
-    its keys are {p : iota(p) <= w W_lam}."""
+    its keys are {p : iota(p) <= w W_lam}.  A w of another group is refused (ValueError)."""
+    W.check_element(w)
     paths = {straight_path(W, lam): lam}  # which checks lam, the check f would repeat per call
     for i in reversed(w.word):
         alpha = W.R.alpha[i]
@@ -280,7 +281,7 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
     z of [e, w] against those top chains only; sign < 0 partitions the
     Demazure crystal by the drop of w along each chain (ValueError for a path
     outside it).  Any sign but 1 and -1, or a w of another group, is refused (ValueError)."""
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, not {sign!r}")
     W.check_element(w)
     wmin = W.coset_min(w, lam)

@@ -154,10 +154,6 @@ class WeylGroup:
             mu = self._images[key] = self.act(w, lam)
         return mu
 
-    def reflect_right(self, w: WeylElt, beta: Coroot) -> WeylElt:
-        """w · s_beta."""
-        return self._from_rho(self.act(w, self.R.coroot_reflection(beta, self.rho)))
-
     # -- Bruhat order --------------------------------------------------------
 
     def bruhat_leq(self, v: WeylElt, w: WeylElt) -> bool:

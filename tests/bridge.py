@@ -1,18 +1,25 @@
 """The bijection between LS paths and adapted sequences (ls_to_seq, seq_to_ls),
 and the reflection order that picks the unique increasing chain in each of its
-segments.  The one module that imports two models; neither model imports it."""
+segments: the tests' oracle between two models that import neither the other.
+reflect_right (w s_beta) rebuilds a sequence's chain from its labels."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate
 
-from .alcove import AdaptedSequence, LambdaHyperplane, _is_inc, lex_less
-from .cartan import Coroot, Realization, Weight, pairing
-from .lifts import down, up
-from .lspath import LSPath
-from .weyl import WeylElt, WeylGroup
+from kmchev.alcove import AdaptedSequence, LambdaHyperplane, _is_inc, lex_less
+from kmchev.cartan import Coroot, Realization, Weight, pairing
+from kmchev.lifts import down, up
+from kmchev.lspath import LSPath
+from kmchev.weyl import WeylElt, WeylGroup
+
+
+def reflect_right(W: WeylGroup, w: WeylElt, beta: Coroot) -> WeylElt:
+    """w · s_beta."""
+    return W._from_rho(W.act(w, W.R.coroot_reflection(beta, W.rho)))
 
 
 # -- reflection orders and unique increasing chains --------------------------------
@@ -105,6 +112,6 @@ def seq_to_ls(W: WeylGroup, lam: Weight, seq: AdaptedSequence) -> LSPath:
     if any(x > y for x, y in zip(ts, ts[1:])):
         raise ValueError(f"the labels of {seq!r} are not ordered by t")
     cuts = sorted({0, *(t for t in ts if t < D)})
-    chain = list(accumulate((h.alpha for h in seq.hs), W.reflect_right, initial=seq.z))
+    chain = list(accumulate((h.alpha for h in seq.hs), partial(reflect_right, W), initial=seq.z))
     return LSPath(lam, D, [(y - x, W.coset_min(chain[bisect_right(ts, x)], lam))
                            for x, y in zip(cuts, cuts[1:] + [D])])

@@ -38,6 +38,7 @@ from kmchev.alcove import LambdaHyperplane, format_hyperplane, lex_less
 from kmchev.cartan import lp_add_into, lp_monomial, pairing, wt_add
 from kmchev.kring import apply_Ti
 from kmchev.lspath import LSPath
+from bridge import reflect_right
 
 
 @functools.cache
@@ -120,7 +121,7 @@ def cocovers_by_inversions(W, w):
     reflected by each of its inversions, kept where one letter shorter."""
     out = []
     for beta in inversions(W, w):
-        v = W.reflect_right(w, beta)
+        v = reflect_right(W, w, beta)
         if v.length == w.length - 1:
             out.append((v, beta))
     return sorted(out, key=lambda pair: pair[0].key)

@@ -17,7 +17,6 @@ from kmchev.alcove import (
     format_hyperplane,
     wt_fold,
 )
-from kmchev.bridge import ls_to_seq, refl_less, seq_to_ls
 from kmchev.cartan import (
     GCM,
     Realization,
@@ -42,6 +41,7 @@ from kmchev.lspath import (
 )
 from kmchev.lifts import down, interval_below, up
 from kmchev.weyl import WeylGroup
+from bridge import ls_to_seq, refl_less, seq_to_ls
 from chart import all_istrings, classify_string, lift_subset
 from reference import (
     apply_word,

@@ -26,15 +26,16 @@ from kmchev.alcove import (
     tree_dot,
     wt_fold,
 )
-from kmchev.bridge import _label_chains, increasing_chain, ls_to_seq, refl_less, seq_to_ls
 from kmchev.cartan import GCM, Realization, lp_add_into, lp_monomial, pairing, realization_from_preset, wt_neg
 from kmchev.kring import chevalley_recurrence, chevalley_rows
+from kmchev.lifts import interval_below
 from kmchev.lspath import (
     chevalley_ls,
     demazure_crystal,
     down_path,
 )
 from kmchev.weyl import CapError, WeylGroup
+from bridge import _label_chains, increasing_chain, ls_to_seq, refl_less, reflect_right, seq_to_ls
 from chart import lift_subset
 from reference import (
     bfs_ball,
@@ -229,7 +230,7 @@ def test_increasing_chain_unique_among_all_chains(WA2, WB2):
                 if not W.bruhat_leq(v, w):
                     continue
                 labels = increasing_chain(W, lam, v, w)
-                assert functools.reduce(W.reflect_right, labels, v) == w
+                assert functools.reduce(functools.partial(reflect_right, W), labels, v) == w
                 for x, y in zip(labels, labels[1:]):
                     assert refl_less(W.R, lam, x, y)
                 # the labels fix the chain from v, so chains compare as label tuples
@@ -579,7 +580,7 @@ def test_the_chain_is_rebuilt_from_z_and_the_labels(case, letters):
     fans = seqs(enumerate_z_adapted(W, lam, W.e, "inc", 4)[0] + enumerate_z_adapted(W, lam, W.e, "dec", 4)[0])
     assert all(seq.end == w for seq in trees) and all(seq.z == W.e for seq in fans)
     for seq in trees + fans:
-        chain = list(accumulate((h.alpha for h in seq.hs), W.reflect_right, initial=seq.z))
+        chain = list(accumulate((h.alpha for h in seq.hs), functools.partial(reflect_right, W), initial=seq.z))
         assert [x.length for x in chain] == list(range(seq.z.length, seq.z.length + len(chain)))
         assert chain[-1] == seq.end
         base = seq.z if seq.monotonicity == "inc" else seq.end
@@ -653,11 +654,12 @@ def test_a_weight_that_is_not_dominant_is_refused(WA2):
             call()
 
 
-@pytest.mark.parametrize("sign", [0, 2, -2])
+@pytest.mark.parametrize("sign", [0, 2, -2, True, 1.0])
 def test_a_sign_other_than_plus_or_minus_one_is_refused(WA2, sign):
     """On A2 with lam = (1, 0) and w = s1 s2, chevalley_ls gave sign 0 the
-    row {s1*s2: e^(1,-1)}, which is neither sign's row, and both alcove rows
-    read 0 as -1 and 2 as +1: every row entry refuses such a sign."""
+    row {s1*s2: e^(1,-1)}, which is neither sign's row, both alcove rows
+    read 0 as -1 and 2 as +1, and all three gave True and 1.0 the sign +1
+    rows: every row entry refuses such a sign, an int of 1 or -1 alone."""
     w = WA2.from_word((0, 1))
     for call in (lambda: chevalley_ls(WA2, (1, 0), w, sign), lambda: chevalley_alcove(WA2, (1, 0), w, sign),
                  lambda: fixed_z_rows(WA2, (1, 0), WA2.e, sign, 2)):
@@ -665,13 +667,19 @@ def test_a_sign_other_than_plus_or_minus_one_is_refused(WA2, sign):
             call()
 
 
-# each row entry, called with a group, lam = (1, 0) and an element (w, or z for the fixed-z rows)
+# each row entry, and each walk or closure a row entry starts from an element, called with
+# a group, lam = (1, 0) and an element (w, or z for the fixed-z rows and the fan)
 ROW_ENTRIES = {
     "chevalley_ls": lambda W, w: chevalley_ls(W, (1, 0), w, 1),
     "chevalley_alcove": lambda W, w: chevalley_alcove(W, (1, 0), w, -1),
     "fixed_z_rows": lambda W, z: fixed_z_rows(W, (1, 0), z, 1, 3)[0],
     "chevalley_recurrence": lambda W, w: chevalley_recurrence(W, w, (1, 0)),
     "chevalley_rows": lambda W, w: dict(chevalley_rows(W, w, (1, 0))),
+    "enumerate_tree_dominant": lambda W, w: enumerate_tree_dominant(W, (1, 0), w),
+    "enumerate_tree_antidominant": lambda W, w: enumerate_tree_antidominant(W, (1, 0), w),
+    "enumerate_z_adapted": lambda W, z: enumerate_z_adapted(W, (1, 0), z, "inc", 3)[0],
+    "demazure_crystal": lambda W, w: demazure_crystal(W, (1, 0), w),
+    "interval_below": interval_below,
 }
 
 
@@ -680,15 +688,19 @@ def test_a_row_entry_refuses_an_element_of_another_group(entry):
     """Elements are interned per group, so one of another group of the same
     matrix is read against tables that never met it: on A2 with lam = (1, 0),
     chevalley_ls gave w = s1 s2 of a second group the row {}, where W's own
-    w has rows at s2 and s1*s2.  Every row entry refuses it, and leaves the
-    group's link table as it was (the group is the test's own, since a
-    poisoned link would leak into every later test of a shared one)."""
+    w has rows at s2 and s1*s2, and the dominant tree stored the foreign
+    element in W's link table through W.cocovers, after which
+    W.from_word((0, 1)) was that element and every row entry refused W's own.
+    Every row entry, walk and closure refuses it, and leaves the group's link
+    table as it was (the group is the test's own, since a poisoned link would
+    leak into every later test of a shared one)."""
     W, W2 = WeylGroup(realization_from_preset("A2")), WeylGroup(realization_from_preset("A2"))
     own, foreign = W.from_word((0, 1)), W2.from_word((0, 1))
     rows = ROW_ENTRIES[entry](W, own)
     assert rows
     with pytest.raises(ValueError, match=r"s1\*s2 is not an element of this group"):
         ROW_ENTRIES[entry](W, foreign)
+    assert W.from_word((0, 1)) is own
     assert ROW_ENTRIES[entry](W, own) == rows
     assert W.lmul(0, own) is W.from_word((1,))
 

@@ -3,12 +3,13 @@
 Each check runs a fresh ``python -S`` with ``src/`` on PYTHONPATH and reads
 ``sys.modules``: ``dataclasses`` (which pulls in ``inspect``, ``ast`` and
 ``dis``) is never imported, a bare ``import kmchev`` loads no submodule,
-each model (``lspath`` with ``lifts``, ``alcove``, ``kring``) loads no other
-and neither the bridge between the first two, so ``--model nilhecke`` and a
-fixed-z ``--model alcove`` run load only their own model, each command loads
-no other command's module, and no run on a preset or on a well-formed
-``--gcm-file`` loads ``argparse``, ``json``, ``fractions`` or what they pull in,
-nor does a run that refuses a non-integral ``--weight``.
+each model (``lspath`` with ``lifts``, ``alcove``, ``kring``) loads no other,
+so ``--model nilhecke`` and a fixed-z ``--model alcove`` run load only their
+own model, each command loads no other command's module, and no run on a
+preset or on a well-formed ``--gcm-file`` loads ``argparse``, ``json``,
+``fractions`` or what they pull in, nor does a run that refuses a
+non-integral ``--weight``.  One check reads the source instead: no module of
+``src/kmchev`` but a command imports from two models.
 """
 import ast
 import os
@@ -23,8 +24,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 EXPORTS = sorted("""
     AdaptedSequence Coroot GCM LSPath LambdaHyperplane LaurentPoly Realization Weight WeylElt WeylGroup apply_Ti
     chevalley_alcove chevalley_ls chevalley_recurrence crystal_up_to demazure_crystal down down_path e
-    enumerate_tree_antidominant enumerate_tree_dominant enumerate_z_adapted f interval_below ls_to_seq pairing
-    realization_from_json_file realization_from_preset seq_to_ls straight_path up up_path wt_add wt_neg wt_scale
+    enumerate_tree_antidominant enumerate_tree_dominant enumerate_z_adapted f interval_below pairing
+    realization_from_json_file realization_from_preset straight_path up up_path wt_add wt_neg wt_scale
 """.split())
 
 
@@ -54,9 +55,9 @@ FIXED_Z_ALCOVE = ["chevalley", "--cartan", "G2", "--weight", "1,1", "--z", "1", 
 
 
 @pytest.mark.parametrize("code, model, others", [
-    ("import kmchev.alcove", "alcove", {"lspath", "lifts", "kring", "bridge"}),
-    ("import kmchev.lspath", "lspath", {"alcove", "kring", "bridge"}),
-    ("import kmchev.kring", "kring", {"lspath", "lifts", "alcove", "bridge"}),
+    ("import kmchev.alcove", "alcove", {"lspath", "lifts", "kring"}),
+    ("import kmchev.lspath", "lspath", {"alcove", "kring"}),
+    ("import kmchev.kring", "kring", {"lspath", "lifts", "alcove"}),
     (f"from kmchev import cli\nif cli.main({FIXED_Z_ALCOVE!r}):\n    raise SystemExit('the run failed')", "alcove",
      {"lspath", "lifts", "kring"}),
 ], ids=["alcove", "lspath", "kring", "fixed-z-alcove-run"])
@@ -64,6 +65,34 @@ def test_each_model_loads_no_other(code, model, others):
     loaded = loaded_after(code)
     assert f"kmchev.{model}" in loaded
     assert not {f"kmchev.{m}" for m in others} & loaded, sorted({f"kmchev.{m}" for m in others} & loaded)
+
+
+# the three models, lspath with the lifts it walks; the commands compare them
+MODEL_GROUPS = ({"lspath", "lifts"}, {"alcove"}, {"kring"})
+COMMANDS = {"cli", "cli_crystal", "cli_selftest"}
+
+
+def kmchev_imports(path: Path) -> set:
+    """The modules of kmchev that the source at path imports, relative or
+    absolute, at module level or inside a function."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("kmchev.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("kmchev")):
+            module = (node.module or "").removeprefix("kmchev").lstrip(".")
+            out |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return out
+
+
+def test_no_module_but_a_command_imports_two_models():
+    """The models share nothing but cartan and weyl: no module of src/kmchev
+    imports from two of the groups, the commands excepted.  The bijection
+    between LS paths and adapted sequences is a test oracle, tests/bridge.py."""
+    reach = {path.stem: [g for g in MODEL_GROUPS if g & kmchev_imports(path)]
+             for path in (SRC / "kmchev").glob("*.py")}
+    assert len(reach["cli_selftest"]) == 3  # imports inside functions are seen
+    assert not {m: r for m, r in reach.items() if len(r) > 1 and m not in COMMANDS}
 
 
 def test_bare_import_loads_no_submodule():
@@ -76,7 +105,7 @@ def test_exports_are_unchanged():
     from kmchev import lspath
 
     assert sorted(kmchev.__all__) == EXPORTS
-    assert len(EXPORTS) == 35
+    assert len(EXPORTS) == 33
     namespace: dict = {}
     exec("from kmchev import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == EXPORTS

@@ -12,13 +12,14 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 # Gone from src/ (ts_apply deleted, stdvec moved to tests/reference.py, as
-# nothing in src/ called it; up and down left alcove with the path-sequence
-# bijection, for kmchev.bridge; _num deleted when weights became ints by
-# type; inversions moved to tests/reference.py when cocovers came to follow
-# the lifting property; mult deleted, as no command multiplied through it;
-# coset_decompose replaced by coset_min, which reads the coset off one weight
-# and has no w_J half); the benchmark still patches or counts them, and they
-# read 0.  Every entry must still be missing, so a stale one fails too.
+# nothing in src/ called it; up and down left alcove for lifts, with the
+# path-sequence bijection, now in tests/bridge.py; _num deleted when weights
+# became ints by type; inversions moved to tests/reference.py when cocovers
+# came to follow the lifting property; mult deleted, as no command multiplied
+# through it; coset_decompose replaced by coset_min, which reads the coset off
+# one weight and has no w_J half); the benchmark still patches or counts
+# them, and they read 0.  Every entry must still be missing, so a stale one
+# fails too.
 KNOWN_GONE = {"alcove.ts_apply", "alcove.stdvec", "alcove.up", "alcove.down", "cartan._num",
               "weyl.WeylGroup.inversions", "weyl.WeylGroup.mult", "weyl.WeylGroup.coset_decompose"}
 

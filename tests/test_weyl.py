@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from kmchev.cartan import GCM, Realization, pairing, realization_from_preset
 from kmchev.weyl import DEFAULT_CAP, CapError, WeylGroup, env_cap
+from bridge import reflect_right
 from reference import bfs_ball, cocovers_by_inversions, covers_by_inversions, inversions, lambda_J
 
 
@@ -111,7 +112,7 @@ def test_cocovers_and_covers_are_inverse(WB2):
     for w in bfs_ball(WB2, 4):
         for v, beta in WB2.cocovers(w):
             assert v.length == w.length - 1
-            assert WB2.reflect_right(v, beta) == w
+            assert reflect_right(WB2, v, beta) == w
             assert (w, beta) in WB2.covers(v)
 
 
@@ -282,7 +283,7 @@ def test_covers_of_a_long_element_come_without_its_layer():
     assert len(covers) == 20
     assert len({w for w, _ in covers}) == 20
     for w, beta in covers:
-        assert w.length == 18 and W.reflect_right(z, beta) is w
+        assert w.length == 18 and reflect_right(W, z, beta) is w
         assert (z, beta) in W.cocovers(w)
     lam = (1, 1, 0) + (0,) * (RANK3_CYCLE.N - 3)
     assert sum(max(pairing(beta, lam), 0) for _, beta in covers) == 29_860_704
