@@ -15,7 +15,6 @@ from kmchev.alcove import (
     chevalley_alcove,
     enumerate_tree_antidominant,
     enumerate_tree_dominant,
-    format_hyperplane,
     tree_dot,
 )
 from kmchev.cartan import realization_from_preset, wt_neg
@@ -77,7 +76,7 @@ def main():
     print(f"\nadapted-sequence trees: {len(dom_tree)} increasing, {len(anti_tree)} decreasing vertices")
     for seq, _ in dom_tree:
         if len(seq.hs) == 1:
-            print(f"  root edge {format_hyperplane(lam, seq.hs[0])} -> {seq.z!r}")
+            print(f"  root edge {seq.hs[0]!r} -> {seq.z!r}")
 
     ok = {}
     for sign, title, mu in ((1, "[L^+lam]", lam), (-1, "[L^-lam]", wt_neg(lam))):
@@ -90,8 +89,8 @@ def main():
         out = pathlib.Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "crystal.dot").write_text(crystal_dot(W, sorted(crystal, key=path_key)))
-        (out / "tree_dom.dot").write_text(tree_dot(W, lam, dom_tree))
-        (out / "tree_anti.dot").write_text(tree_dot(W, lam, anti_tree))
+        (out / "tree_dom.dot").write_text(tree_dot(dom_tree))
+        (out / "tree_anti.dot").write_text(tree_dot(anti_tree))
         print(f"wrote crystal.dot, tree_dom.dot, tree_anti.dot to {out}")
 
     return 0 if all(ok.values()) else 1

@@ -1,11 +1,11 @@
 """The alcove model: lambda-hyperplanes, the lex order, adapted sequences.
 
-A lambda-hyperplane for a dominant weight lam is a pair (alpha, k) with alpha
-a positive real coroot and 0 <= k < <alpha, lam>.  The lex chain orders all of
-them by the vector (1/<alpha,lam>) * (k, c_1, ..., c_r) compared
-lexicographically (lex_less), where c is the coroot's coordinate vector; this
-is a total order satisfying both chain axioms, which tests/reference.py checks
-on the full chain in finite type (outside it the chain is infinite):
+A lambda-hyperplane of a dominant weight lam is a label (alpha, k, p): alpha a
+positive real coroot, p = <alpha, lam>, read once where the walk makes the
+label, and 0 <= k < p, which the label checks.  The lex chain orders them all
+by (1/p) * (k, c_1, ..., c_r) compared lexicographically (lex_less), with c the
+coroot's coordinates: a total order satisfying both chain axioms, which
+tests/reference.py checks on the full (finite type) chain:
 
 (1) (alpha, k) precedes (alpha, k') whenever k < k';
 (2) for a hyperplane h, a positive coroot alpha != beta = first(h), and any
@@ -23,13 +23,13 @@ fixed-w Chevalley rows via the folded operator
 
     hs_apply(h, k'):  mu -> s_alpha(mu) + k' * alpha_root
 
-at the level k' = k ("inc", dominant) or k' = <alpha,lam> - k ("dec",
-antidominant), applied right-to-left over the labels and then pushed by z
-(wt_fold).  One walk enumerates the cover tree below a fixed w, prepending
-labels, and the fan above a fixed z within a length bound (with honest
-truncation reporting), appending them.  From start(lam) it carries each
-weight along the edges, beta being the label's root and mu the parent's
-labels folded over lam, A = u(.) + t the parent's affine map:
+at the level k' = k ("inc", dominant) or k' = p - k ("dec", antidominant),
+applied right-to-left over the labels and then pushed by z (wt_fold).  One
+walk enumerates the cover tree below a fixed w, prepending labels, and the fan
+above a fixed z within a length bound (with honest truncation reporting),
+appending them.  From start(lam) it carries each weight along the edges, beta
+being the label's root and mu the parent's labels folded over lam, A = u(.) + t
+the parent's affine map:
 
 - tree, v down to v s_beta: v s_beta (s_beta(mu) + k' beta) = v(mu) - k' v(beta);
 - fan, u up to u s_beta: A(s_beta(lam) + k' beta) = A(lam) - (<beta,lam> - k') u(beta).
@@ -47,52 +47,48 @@ import math
 import operator
 from bisect import bisect_left
 
-from .cartan import (Coroot, LaurentPoly, Realization, Weight, lp_add_into, lp_monomial, pairing, wt_add, wt_neg,
-                     wt_scale)
+from .cartan import (Coroot, LaurentPoly, Realization, Weight, check_sign, lp_add_into, lp_monomial, pairing, wt_add,
+                     wt_neg, wt_scale)
 from .weyl import WeylElt, WeylGroup, over_cap
 
 
 class LambdaHyperplane:
-    __slots__ = ("alpha", "k")
+    """The hyperplane (alpha, k) of a lam with p = <alpha, lam>; ValueError unless 0 <= k < p."""
+    __slots__ = ("alpha", "k", "p")
 
-    def __init__(self, alpha: Coroot, k: int):
-        if k < 0:
-            raise ValueError(f"hyperplane level {k} is negative")
+    def __init__(self, alpha: Coroot, k: int, p: int):
+        if not 0 <= k < p:
+            raise ValueError(f"hyperplane level {k} is not in the range 0 <= k < {p}")
         self.alpha = alpha
         self.k = k
+        self.p = p
 
     def __eq__(self, other):
         if type(other) is not LambdaHyperplane:
             return NotImplemented
-        return (self.alpha, self.k) == (other.alpha, other.k)
+        return (self.alpha, self.k, self.p) == (other.alpha, other.k, other.p)
 
     def __hash__(self):
-        return hash((self.alpha, self.k))
+        return hash((self.alpha, self.k, self.p))
 
     def __repr__(self):
-        return f"({self.k}|{','.join(map(str, self.alpha.c))})"
+        return f"({self.k}|{','.join(map(str, self.alpha.c))})" + (f"/{self.p}" if self.p > 1 else "")
 
 
-def lex_less(lam: Weight, a: LambdaHyperplane, b: LambdaHyperplane) -> bool:
+def lex_less(a: LambdaHyperplane, b: LambdaHyperplane) -> bool:
     """The lex order of hyperplanes, (k_a, c_a) / p_a < (k_b, c_b) / p_b with
-    p = <alpha, lam> and c the coroot's coordinates, without Fractions: both
-    pairings are positive, so multiplying both vectors by p_a * p_b keeps
-    their order and leaves the int vectors (k_a, c_a) * p_b and (k_b, c_b) * p_a."""
-    pa, pb = pairing(a.alpha, lam), pairing(b.alpha, lam)
+    c the coroot's coordinates, without Fractions: both p are positive, so
+    multiplying both vectors by p_a * p_b keeps their order and leaves the
+    int vectors (k_a, c_a) * p_b and (k_b, c_b) * p_a."""
+    pa, pb = a.p, b.p
     return (a.k * pb, *[c * pb for c in a.alpha.c]) < (b.k * pa, *[c * pa for c in b.alpha.c])
-
-
-def format_hyperplane(lam: Weight, h: LambdaHyperplane) -> str:
-    p = pairing(h.alpha, lam)
-    suffix = f"/{p}" if p > 1 else ""
-    return f"({h.k}|{','.join(map(str, h.alpha.c))}){suffix}"
 
 
 # -- the folded reflection operators -------------------------------------------
 
 
 def hs_apply(R: Realization, h: LambdaHyperplane, mu: Weight, k: int) -> Weight:
-    """s_alpha(mu) + k * alpha_root; fixes (k / <alpha,lam>) * lam."""
+    """s_alpha(mu) + k * alpha_root; fixes (k / p) * lam."""
     return wt_add(R.coroot_reflection(h.alpha, mu), wt_scale(k, h.alpha.root))
 
 
@@ -133,12 +129,14 @@ class AdaptedSequence:
 
 def wt_fold(W: WeylGroup, lam: Weight, seq: AdaptedSequence, levels: str | None = None) -> Weight:
     """z . hs_apply(h_1, k'_1) ... hs_apply(h_q, k'_q) (lam), innermost label
-    last, at the levels k' = k ("inc") or k' = <alpha,lam> - k ("dec") of the
-    sequence's monotonicity, or of `levels` when given."""
+    last, at the levels k' = k ("inc") or p - k ("dec") of the sequence's monotonicity,
+    or of `levels` when given; ValueError for a label made for another lam (p != <alpha, lam>)."""
     inc = _is_inc(levels or seq.monotonicity)
     mu = lam
     for h in reversed(seq.hs):
-        mu = hs_apply(W.R, h, mu, h.k if inc else pairing(h.alpha, lam) - h.k)
+        if pairing(h.alpha, lam) != h.p:
+            raise ValueError(f"label {h!r} is not a hyperplane of {lam}")
+        mu = hs_apply(W.R, h, mu, h.k if inc else h.p - h.k)
     return W.act(seq.z, mu)
 
 
@@ -169,19 +167,18 @@ def _label_edges(W: WeylGroup, lam: Weight, v: WeylElt, down: bool, inc: bool, w
         tail = tuple([c * m for c in beta.c])
         image = W.act(v, beta.root)
         for k in range(p):
-            keyed.append(((k * m, tail, x.key), LambdaHyperplane(beta, k), x, wt_scale(k if at_k else p - k, image)))
+            keyed.append(((k * m, tail, x.key), LambdaHyperplane(beta, k, p), x, wt_scale(k if at_k else p - k, image)))
     keyed.sort(key=lambda t: t[0])
     return [edge[1:] for edge in keyed]
 
 
-def lex_cut(lam: Weight, edges: list, label: LambdaHyperplane | None, above: bool) -> list:
+def lex_cut(edges: list, label: LambdaHyperplane | None, above: bool) -> list:
     """The part of a lex-sorted edge list (from _label_edges) whose labels lie
     lex-above `label` (a suffix) or lex-below it (a prefix); all of it when
     label is None.  The cut is found by bisection with lex_less."""
     if label is None:
         return edges
-    cut = bisect_left(edges, True, key=lambda e: lex_less(lam, label, e[0]) if above else
-                      not lex_less(lam, e[0], label))
+    cut = bisect_left(edges, True, key=lambda e: lex_less(label, e[0]) if above else not lex_less(e[0], label))
     return edges[cut:] if above else edges[:cut]
 
 
@@ -220,7 +217,7 @@ def _walk(W: WeylGroup, lam: Weight, start: WeylElt, monotonicity: str,
         if es is None:
             es = edges[v] = _label_edges(W, lam, v, down, inc, walk, built)
             built += len(es)
-        kept = lex_cut(lam, es, last, above)
+        kept = lex_cut(es, last, above)
         if not down and v.length >= length_bound:
             truncated = truncated or bool(kept)
             continue
@@ -252,12 +249,12 @@ def enumerate_z_adapted(W: WeylGroup, lam: Weight, z: WeylElt, monotonicity: str
 # -- Chevalley rows ---------------------------------------------------------------
 
 
-def _rows(pairs, at) -> dict:
-    """{at(seq): the sum of e^{wt} ("inc") or (-1)^q e^{-wt} ("dec", q labels)
+def _rows(pairs, sign: int, at) -> dict:
+    """{at(seq): the sum of e^{wt} (sign 1) or (-1)^q e^{-wt} (sign -1, q labels)
     over the pairs (seq, wt) with that key}, sorted by key, zero rows dropped."""
     acc: dict[WeylElt, LaurentPoly] = {}
     for seq, wt in pairs:
-        term = lp_monomial(wt) if seq.monotonicity == "inc" else lp_monomial(wt_neg(wt), -1 if len(seq.hs) % 2 else 1)
+        term = lp_monomial(wt) if sign > 0 else lp_monomial(wt_neg(wt), -1 if len(seq.hs) % 2 else 1)
         lp_add_into(acc.setdefault(at(seq), {}), term)
     return {u: acc[u] for u in sorted(acc, key=lambda u: u.key) if acc[u]}
 
@@ -265,25 +262,23 @@ def _rows(pairs, at) -> dict:
 def chevalley_alcove(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
     """Fixed-w row of [L^{sign*lam}] [O_w] for sign 1 or -1 and a w of W (else ValueError):
     z |-> the _rows sum over the lex-increasing (1) or lex-decreasing (-1) tree."""
-    if type(sign) is not int or sign not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, not {sign!r}")
+    check_sign(sign)
     tree = enumerate_tree_dominant if sign > 0 else enumerate_tree_antidominant
-    return _rows(tree(W, lam, w), lambda s: s.z)
+    return _rows(tree(W, lam, w), sign, lambda s: s.z)
 
 
 def fixed_z_rows(W: WeylGroup, lam: Weight, z: WeylElt, sign: int, length_bound: int) -> tuple[dict, bool]:
     """Fixed-z rows for sign 1 or -1 and a z of W (else ValueError), w |-> the _rows sum over
     the sequences from z to w within the length bound, and the walk's truncation flag."""
-    if type(sign) is not int or sign not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, not {sign!r}")
+    check_sign(sign)
     pairs, truncated = enumerate_z_adapted(W, lam, z, "inc" if sign > 0 else "dec", length_bound)
-    return _rows(pairs, lambda s: s.end), truncated
+    return _rows(pairs, sign, lambda s: s.end), truncated
 
 
 # -- export --------------------------------------------------------------------------
 
 
-def tree_dot(W: WeylGroup, lam: Weight, pairs) -> str:
+def tree_dot(pairs) -> str:
     """DOT digraph of a cover tree, given as the (sequence, weight) pairs of
     a tree enumeration: nodes are the sequences' base elements, edges carry
     the hyperplane labels, parents point to children.  Below one w the
@@ -295,8 +290,6 @@ def tree_dot(W: WeylGroup, lam: Weight, pairs) -> str:
     for s, _ in pairs:
         if not s.hs:
             continue
-        lines.append(
-            f'  n{index[s.hs[1:]]} -> n{index[s.hs]} [label="{format_hyperplane(lam, s.hs[0])}"];'
-        )
+        lines.append(f'  n{index[s.hs[1:]]} -> n{index[s.hs]} [label="{s.hs[0]!r}"];')
     lines.append("}")
     return "\n".join(lines)

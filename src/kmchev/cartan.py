@@ -319,6 +319,12 @@ def check_integral(mu: Weight) -> None:
         raise ValueError(f"weight {mu} has a coordinate that is not an int")
 
 
+def check_sign(sign: int) -> None:
+    """ValueError unless sign is the int 1 or -1: True and 1.0 equal 1 but are no sign."""
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, not {sign!r}")
+
+
 def _coordinate(text: str, tok: str) -> int:
     """A weight coordinate: the int that int() reads, else ValueError."""
     try:

@@ -381,7 +381,7 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
     if args.format == "dot":
         from . import alcove
         pairs = (alcove.enumerate_tree_dominant if sign > 0 else alcove.enumerate_tree_antidominant)(W, lam, w)
-        emit(args.out, [alcove.tree_dot(W, lam, pairs)])
+        emit(args.out, [alcove.tree_dot(pairs)])
     else:
         _emit_rows(args, sign, R, lam, "w", w, rows.items(), False, "")
     return 0

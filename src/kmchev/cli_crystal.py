@@ -1,6 +1,7 @@
 """The ``crystal`` command: a Demazure (or opposite Demazure) set in both of
 its realizations, cross-checked, emitting the one picked by --realization.
-The alcove walk, which the cap bounds, runs before the unbounded LS closure.
+The alcove walk, which the cap bounds, runs before the unbounded LS closure,
+each in a Weyl group of its own, so that no memo one fills feeds the other.
 JSON writes the elements ``cli.ITEMS_PER_PIECE`` at a time, each piece one
 ``%`` of the element template (``cli.dicts_text``), and makes the text of
 a word, a chain or a label once.  ``kmchev.cli`` imports this module the
@@ -15,28 +16,30 @@ from itertools import chain
 from types import SimpleNamespace
 
 from . import alcove, lspath
-from .cartan import Realization, Weight
+from .cartan import Realization
 from .cli import CLIError, _over_z, _setup, dicts_text, emit, json_pieces, parse_word, poly_str, weight_obj
+from .weyl import WeylGroup
 
 
 def cmd_crystal(args: SimpleNamespace) -> int:
     R, W, lam = _setup(args)
+    W_ls = WeylGroup(R)  # the LS closure's group; W is the alcove walk's
 
     if args.opposite:
         z = _over_z(args, R, W, "--opposite")
         if args.format == "dot" and args.realization == "alcove":
             raise CLIError("dot output for the alcove realization covers --w crystals only")
         pairs, truncated = alcove.enumerate_z_adapted(W, lam, z, "inc", args.max_length)
-        paths = lspath.opposite_demazure_ls(W, lam, z, args.max_length)
+        paths = lspath.opposite_demazure_ls(W_ls, lam, W_ls.from_word(z.word), args.max_length)
     else:
         if args.w is None:
             raise CLIError("crystal needs --w (or --opposite with --z)")
         if args.z is not None or args.max_length is not None:
             raise CLIError("--z and --max-length go with --opposite only")
-        w = W.from_word(parse_word(R, args.w))
-        pairs = alcove.enumerate_tree_antidominant(W, lam, w)
+        word = parse_word(R, args.w)
+        pairs = alcove.enumerate_tree_antidominant(W, lam, W.from_word(word))
         truncated = False
-        paths = lspath.demazure_crystal(W, lam, w)
+        paths = lspath.demazure_crystal(W_ls, lam, W_ls.from_word(word))
     wts_ls = sorted(paths.values())
     wts_alc = sorted(wt for _, wt in pairs)
 
@@ -58,20 +61,19 @@ def cmd_crystal(args: SimpleNamespace) -> int:
 
     if args.realization == "ls":  # only the LS outputs print the paths, in this order
         elements = sorted(paths, key=lspath.path_key)
-        dot = partial(lspath.crystal_dot, W, elements)
+        dot = partial(lspath.crystal_dot, W_ls, elements)
         text = partial(_ls_text, R, paths, elements)
 
         def line(p):
             return f"\n  {p!r}  wt={R.format_weight(paths[p])}"
     else:
         elements = pairs
-        dot = partial(alcove.tree_dot, W, lam, pairs)
-        text = partial(_alcove_text, R, lam, pairs)
+        dot = partial(alcove.tree_dot, pairs)
+        text = partial(_alcove_text, R, pairs)
 
         def line(pair):
             seq, wt = pair
-            labels = ",".join(alcove.format_hyperplane(lam, h) for h in seq.hs)
-            return f"\n  {seq.z!r} [{labels}]  wt={R.format_weight(wt)}"
+            return f"\n  {seq.z!r} [{','.join(map(repr, seq.hs))}]  wt={R.format_weight(wt)}"
 
     if args.format == "json":
         emit(args.out, json_pieces({"cartan": R.gcm.to_json(), "lambda": weight_obj(R, lam),
@@ -114,7 +116,7 @@ def _ls_text(R: Realization, paths: dict, elements: list, indent: str):
     return dicts_text(R, ("b", "dirs", "weight"), elements, fill, indent)
 
 
-def _alcove_text(R: Realization, lam: Weight, pairs: list, indent: str):
+def _alcove_text(R: Realization, pairs: list, indent: str):
     """The pieces of the JSON text at `indent` of [{"z": seq.z, "labels":
     seq.hs, "weight": wt} for seq, wt in pairs] (dicts_text).  A base z is
     made once per Weyl group element and a label once per hyperplane, an
@@ -122,7 +124,7 @@ def _alcove_text(R: Realization, lam: Weight, pairs: list, indent: str):
     at = indent + "    "
     names = [encode_basestring_ascii(name) for name in R.node_names]
     word = cache(lambda z: _list_text([names[i] for i in z.word], at))
-    label = cache(lambda h: f'"{alcove.format_hyperplane(lam, h)}"')
+    label = cache(lambda h: f'"{h!r}"')
 
     def fill(piece: list) -> list:
         values: list = []

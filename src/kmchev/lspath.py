@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .cartan import LaurentPoly, Weight, lp_add_into, lp_monomial, wt_neg
+from .cartan import LaurentPoly, Weight, check_sign, lp_add_into, lp_monomial, wt_neg
 from .lifts import down, interval_below, up
 from .weyl import WeylElt, WeylGroup, over_cap
 
@@ -281,8 +281,7 @@ def chevalley_ls(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> dict:
     z of [e, w] against those top chains only; sign < 0 partitions the
     Demazure crystal by the drop of w along each chain (ValueError for a path
     outside it).  Any sign but 1 and -1, or a w of another group, is refused (ValueError)."""
-    if type(sign) is not int or sign not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, not {sign!r}")
+    check_sign(sign)
     W.check_element(w)
     wmin = W.coset_min(w, lam)
     chains: dict[tuple, tuple[LSPath, LaurentPoly]] = {}  # dirs -> (one path with them, their terms)

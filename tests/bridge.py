@@ -93,8 +93,8 @@ def ls_to_seq(W: WeylGroup, p: LSPath, base: WeylElt, monotonicity: str) -> Adap
                                   lambda beta, c=c: 0 < pairing(beta, lam) and c * pairing(beta, lam) % D == 0)
         for beta in labels:
             pr = pairing(beta, lam)
-            hs.append(LambdaHyperplane(beta, c * pr // D if inc else pr - c * pr // D))
-    if not all(lex_less(lam, x, y) for x, y in (zip(hs, hs[1:]) if inc else zip(hs[1:], hs))):
+            hs.append(LambdaHyperplane(beta, c * pr // D if inc else pr - c * pr // D, pr))
+    if not all(lex_less(x, y) for x, y in (zip(hs, hs[1:]) if inc else zip(hs[1:], hs))):
         raise ValueError(f"the labels read off {p!r} are not lex-{'increasing' if inc else 'decreasing'}")
     return AdaptedSequence(zs[0], tuple(hs), zs[-1], monotonicity)
 

@@ -34,7 +34,7 @@ import itertools
 from fractions import Fraction as Q
 from math import gcd, inf, lcm
 
-from kmchev.alcove import LambdaHyperplane, format_hyperplane, lex_less
+from kmchev.alcove import LambdaHyperplane, lex_less
 from kmchev.cartan import lp_add_into, lp_monomial, pairing, wt_add
 from kmchev.kring import apply_Ti
 from kmchev.lspath import LSPath
@@ -149,9 +149,10 @@ def lp_mul(f, g):
 def stdvec(lam, h):
     """The lex comparison vector (k, c_1, ..., c_r) / <alpha, lam> of the
     hyperplane h = (alpha, k), in Fractions: the rational order that
-    alcove.lex_less computes in ints."""
+    alcove.lex_less computes in ints from the p the label carries, here read
+    off lam."""
     p = pairing(h.alpha, lam)
-    if not 0 <= h.k < p:
+    if not 0 <= h.k < p or h.p != p:
         raise ValueError(f"{h!r} is not a hyperplane for this weight")
     return (Q(h.k, p),) + tuple(Q(c, p) for c in h.alpha.c)
 
@@ -182,8 +183,9 @@ def positive_coroots_up_to(R, bound=inf):
 
 def lex_chain(R, lam):
     """The full lex chain (finite type only), sorted by the shipped lex_less."""
-    out = [LambdaHyperplane(alpha, k) for alpha in positive_coroots_up_to(R) for k in range(pairing(alpha, lam))]
-    out.sort(key=functools.cmp_to_key(lambda a, b: lex_less(lam, b, a) - lex_less(lam, a, b)))
+    out = [LambdaHyperplane(alpha, k, p) for alpha in positive_coroots_up_to(R)
+           for p in (pairing(alpha, lam),) for k in range(p)]
+    out.sort(key=functools.cmp_to_key(lambda a, b: lex_less(b, a) - lex_less(a, b)))
     return out
 
 
@@ -385,9 +387,9 @@ def ls_element(R, p, mu):
             "weight": weight_dict(R, mu)}
 
 
-def alcove_element(R, lam, seq, wt):
+def alcove_element(R, seq, wt):
     """The dict of the adapted sequence seq of weight wt in a crystal document."""
-    return {"z": [R.node_names[i] for i in seq.z.word], "labels": [format_hyperplane(lam, h) for h in seq.hs],
+    return {"z": [R.node_names[i] for i in seq.z.word], "labels": [repr(h) for h in seq.hs],
             "weight": weight_dict(R, wt)}
 
 

@@ -19,7 +19,6 @@ from kmchev.alcove import (
     enumerate_tree_dominant,
     enumerate_z_adapted,
     fixed_z_rows,
-    format_hyperplane,
     hs_apply,
     lex_cut,
     lex_less,
@@ -62,8 +61,9 @@ def hyperplanes_for(R, lam, bound=4):
         coroots = positive_coroots_up_to(R, bound)
     out = []
     for eta in coroots:
-        for k in range(max(0, pairing(eta, lam))):
-            out.append(LambdaHyperplane(eta, k))
+        p = pairing(eta, lam)
+        for k in range(max(0, p)):
+            out.append(LambdaHyperplane(eta, k, p))
     return out
 
 
@@ -73,7 +73,7 @@ def hyperplanes_for(R, lam, bound=4):
 def test_stdvec_and_format(WAFF):
     R = WAFF.R
     hs = hyperplanes_for(R, LAM, bound=5)
-    labels = {format_hyperplane(LAM, h) for h in hs}
+    labels = {repr(h) for h in hs}
     assert "(0|0,1,0)" in labels
     assert "(2|1,2,2)/3" in labels
     for h in hs:
@@ -87,12 +87,12 @@ def test_lex_is_a_strict_total_order(WAFF):
     for a in hs:
         for b in hs:
             if a == b:
-                assert not lex_less(LAM, a, b)
+                assert not lex_less(a, b)
             else:
-                assert lex_less(LAM, a, b) != lex_less(LAM, b, a)
+                assert lex_less(a, b) != lex_less(b, a)
     ordered = sorted(hs, key=lambda h: stdvec(LAM, h))
     for x, y in zip(ordered, ordered[1:]):
-        assert lex_less(LAM, x, y)
+        assert lex_less(x, y)
 
 
 def test_reflection_fixed_points(WAFF):
@@ -168,7 +168,7 @@ def test_count_before_matches_brute_force_affine(WAFF):
             explicit = sum(
                 1
                 for k in range(max(0, pairing(eta, LAM)))
-                if lex_less(LAM, LambdaHyperplane(eta, k), h)
+                if lex_less(LambdaHyperplane(eta, k, pairing(eta, LAM)), h)
             )
             assert count_before(LAM, eta, h) == explicit, (eta, h)
 
@@ -255,12 +255,12 @@ def test_integer_lex_order_matches_rational_order(R, lamtext):
     order of the rational vectors stdvec, and refl_less likewise."""
     lam = R.parse_weight(lamtext)
     coroots = [a for a in positive_coroots_up_to(R, 6) if pairing(a, lam) > 0]
-    hs = [LambdaHyperplane(a, k) for a in coroots for k in range(pairing(a, lam))]
+    hs = [LambdaHyperplane(a, k, p) for a in coroots for p in (pairing(a, lam),) for k in range(p)]
 
     def cmp(less):
         return functools.cmp_to_key(lambda x, y: -1 if less(x, y) else (1 if less(y, x) else 0))
 
-    by_int = sorted(hs, key=cmp(lambda x, y: lex_less(lam, x, y)))
+    by_int = sorted(hs, key=cmp(lambda x, y: lex_less(x, y)))
     assert by_int == sorted(hs, key=lambda h: stdvec(lam, h))
     by_refl = sorted(coroots, key=cmp(lambda x, y: refl_less(R, lam, x, y)))
     assert by_refl == sorted(coroots, key=lambda a: tuple(Q(c, pairing(a, lam)) for c in a.c))
@@ -304,18 +304,18 @@ def test_frozen_tree_shapes(afftrees):
     assert len(dom) == 8
     assert len(anti) == 9
     root_labels = sorted(
-        format_hyperplane(LAM, s.hs[-1]) for s in dom if len(s.hs) == 1
+        repr(s.hs[-1]) for s in dom if len(s.hs) == 1
     )
     assert root_labels == ["(0|0,1,0)", "(0|1,2,2)/3", "(1|1,2,2)/3", "(2|1,2,2)/3"]
     for s in dom:
         assert s.end == w
         assert s.monotonicity == "inc"
         for a, b in zip(s.hs, s.hs[1:]):
-            assert lex_less(LAM, a, b)
+            assert lex_less(a, b)
     for s in anti:
         assert s.end == w
         for a, b in zip(s.hs, s.hs[1:]):
-            assert lex_less(LAM, b, a)
+            assert lex_less(b, a)
 
 
 def test_frozen_weights_and_conversions(afftrees):
@@ -325,7 +325,7 @@ def test_frozen_weights_and_conversions(afftrees):
     rightmost = [
         s
         for s in dom
-        if len(s.hs) == 2 and format_hyperplane(LAM, s.hs[1]) == "(2|1,2,2)/3"
+        if len(s.hs) == 2 and repr(s.hs[1]) == "(2|1,2,2)/3"
     ]
     assert len(rightmost) == 1
     (leaf,) = rightmost
@@ -341,7 +341,7 @@ def test_frozen_weights_and_conversions(afftrees):
     s02 = [s for s in anti if s.z == W.from_word((0, 2))]
     assert len(s02) == 1
     (seq,) = s02
-    assert tuple(format_hyperplane(LAM, h) for h in seq.hs) == ("(0|0,1,1)", "(0|0,1,0)")
+    assert tuple(repr(h) for h in seq.hs) == ("(0|0,1,1)", "(0|0,1,0)")
     assert wt_fold(W, LAM, seq) == carried[seq] == (-1, 2, 1, -1)
     s0path = ls_path(LAM, (0,), (W.from_word((0,)),))
     assert seq_to_ls(W, LAM, seq) == s0path
@@ -350,10 +350,10 @@ def test_frozen_weights_and_conversions(afftrees):
 
 def test_tree_dot_output(afftrees):
     W, w, dom, anti = afftrees
-    dot = tree_dot(W, LAM, dom)
+    dot = tree_dot(dom)
     assert dot.startswith("digraph tree {") and dot.count("->") == 7
     assert "(0|0,1,0)" in dot and "(2|1,2,2)/3" in dot
-    assert tree_dot(W, LAM, anti).count("->") == 8
+    assert tree_dot(anti).count("->") == 8
 
 
 def test_round_trips_exhaustive_finite(WA2):
@@ -476,7 +476,7 @@ CARRIED = {
 def test_the_carried_weight_is_the_fold(R, lamtext, wword, bound):
     """Every pair of both trees below w, and of both fans above e and above
     the first letter of w within the bound, carries the weight wt_fold
-    gives its sequence."""
+    gives its sequence, and each label a walk made carries its p = <alpha, lam>."""
     W = WeylGroup(R)
     lam = R.parse_weight(lamtext)
     w = W.from_word(wword)
@@ -486,6 +486,7 @@ def test_the_carried_weight_is_the_fold(R, lamtext, wword, bound):
     assert all(len(pairs) > 1 for pairs in walks)
     for pairs in walks:
         assert carried_mismatches(W, lam, pairs) == []
+        assert all(h.p == pairing(h.alpha, lam) for seq, _ in pairs for h in seq.hs)
 
 
 @functools.cache
@@ -520,11 +521,11 @@ def test_random_rank2_weights_and_rows(offdiag, coords, first, length):
 # -- the admissible cut ----------------------------------------------------------
 
 
-def filter_reference(lam, edges, label, above):
+def filter_reference(edges, label, above):
     """The admissible edges found by testing every edge with lex_less."""
     if label is None:
         return edges
-    return [e for e in edges if (lex_less(lam, label, e[0]) if above else lex_less(lam, e[0], label))]
+    return [e for e in edges if (lex_less(label, e[0]) if above else lex_less(e[0], label))]
 
 
 EDGE_CASES = {
@@ -559,8 +560,8 @@ def test_lex_cut_matches_the_filter(R, lamtext, wword):
     for edges, labels in cuts.values():
         for label in labels | {h for h, _, _ in edges}:
             for above in (True, False):
-                kept = lex_cut(lam, edges, label, above)
-                assert kept == filter_reference(lam, edges, label, above)
+                kept = lex_cut(edges, label, above)
+                assert kept == filter_reference(edges, label, above)
                 proper += 0 < len(kept) < len(edges)
     assert proper > 10
 
@@ -591,23 +592,30 @@ def test_the_chain_is_rebuilt_from_z_and_the_labels(case, letters):
 
 
 def bad_arguments_raise():
-    """ValueError for a monotonicity other than "inc"/"dec", for a pair
-    (alpha, k) that is not a hyperplane of lam, for labels out of order in
-    seq_to_ls and for a negative level; returns how many raised."""
+    """ValueError for a monotonicity other than "inc"/"dec", for a label
+    outside 0 <= k < p, for a label that is not a hyperplane of lam
+    (stdvec), for labels out of order in seq_to_ls and for a fold over a lam
+    the labels were not made for; returns how many raised."""
     W = WeylGroup(realization_from_preset("A2"))
     lam = (1, 1)
     alpha = positive_coroots_up_to(W.R)[0]
+    p = pairing(alpha, lam)
     top = max(positive_coroots_up_to(W.R), key=lambda beta: pairing(beta, lam))
     # t = 1/2 before t = 0: not lex-increasing
-    unordered = AdaptedSequence(W.e, (LambdaHyperplane(top, 1), LambdaHyperplane(alpha, 0)), W.e, "inc")
+    unordered = AdaptedSequence(W.e, (LambdaHyperplane(top, 1, pairing(top, lam)), LambdaHyperplane(alpha, 0, p)),
+                                W.e, "inc")
+    # a sequence of the walk for lam, whose labels' p double for 2 * lam
+    made = next(seq for seq, _ in enumerate_tree_dominant(W, lam, W.from_word((0, 1))) if seq.hs)
     calls = [
         lambda: AdaptedSequence(W.e, (), W.e, "up"),
         lambda: enumerate_z_adapted(W, lam, W.e, "increasing", 2),
         lambda: ls_to_seq(W, ls_path(lam, (0,), (W.e,)), W.e, "Inc"),
-        lambda: stdvec(lam, LambdaHyperplane(alpha, pairing(alpha, lam))),
-        lambda: stdvec((0, 0), LambdaHyperplane(alpha, 0)),
+        lambda: LambdaHyperplane(alpha, p, p),
+        lambda: stdvec((0, 0), LambdaHyperplane(alpha, 0, p)),
         lambda: seq_to_ls(W, lam, unordered),
-        lambda: LambdaHyperplane(alpha, -1),
+        lambda: LambdaHyperplane(alpha, -1, p),
+        lambda: LambdaHyperplane(alpha, 0, 0),
+        lambda: wt_fold(W, (2, 2), made),
     ]
     raised = 0
     for call in calls:
@@ -619,7 +627,7 @@ def bad_arguments_raise():
 
 
 def test_bad_arguments_raise():
-    assert bad_arguments_raise() == 7
+    assert bad_arguments_raise() == 9
 
 
 def test_bad_arguments_raise_without_asserts():
@@ -631,7 +639,7 @@ def test_bad_arguments_raise_without_asserts():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "7"
+    assert proc.stdout.strip() == "9"
 
 
 # -- coefficient rows ------------------------------------------------------------

@@ -18,7 +18,6 @@ import kmchev.lspath as lspath
 from kmchev.cartan import GCM, PRESETS as cartan_presets, Realization, realization_from_preset, wt_neg
 from kmchev.cli import main
 from kmchev.weyl import WeylGroup
-from reference import stdvec
 
 AFF = ["--cartan", "A2~", "--weight", "1,1,0"]
 AFFW = AFF + ["--w", "0 1 2 1"]
@@ -122,6 +121,29 @@ def test_crystal_realizations_agree_on_weights(capsys):
     ls_w = sorted(json.dumps(p["weight"], sort_keys=True) for p in json.loads(ls_out)["elements"])
     alc_w = sorted(json.dumps(p["weight"], sort_keys=True) for p in json.loads(alc_out)["elements"])
     assert ls_w == alc_w
+
+
+@pytest.mark.parametrize("argv", [["--w", "0 1 2 1"], ["--opposite", "--z", "1", "--max-length", "3"]],
+                         ids=["w", "opposite"])
+def test_each_crystal_realization_runs_in_its_own_group(capsys, monkeypatch, argv):
+    """The alcove walk and the LS closure of one crystal are handed two
+    groups, so no image, coset or cover memo one fills feeds the other."""
+    groups = {}
+
+    def tracked(module, name):
+        original = getattr(module, name)
+
+        def call(W, *rest):
+            groups[name] = W
+            return original(W, *rest)
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in ((alcove, "enumerate_tree_antidominant"), (alcove, "enumerate_z_adapted"),
+                         (lspath, "demazure_crystal"), (lspath, "opposite_demazure_ls")):
+        tracked(module, name)
+    code, out, err = run(capsys, ["crystal", *AFF, *argv])
+    assert code == 0, err
+    assert len(groups) == 2 and len(set(map(id, groups.values()))) == 2, groups
 
 
 def test_opposite_crystal_truncation(capsys):
@@ -607,7 +629,8 @@ def test_selftest_filters(capsys):
 
 def test_selftest_catches_an_injected_fault(capsys, monkeypatch):
     """Corrupting the hyperplane comparator must trip the cross-checks."""
-    monkeypatch.setattr(alcove, "lex_less", lambda lam, a, b: stdvec(lam, a) > stdvec(lam, b))
+    less = alcove.lex_less
+    monkeypatch.setattr(alcove, "lex_less", lambda a, b: less(b, a))
     code, out, _ = run(capsys, ["selftest"])
     assert code == 1
     doc = json.loads(out)

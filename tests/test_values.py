@@ -33,13 +33,13 @@ CASES = {
     "IString": (IString, (0, (STR, ls_path(LAM, (0,), (S1,)))),
                 [(1, (STR, ls_path(LAM, (0,), (S1,)))), (0, (STR,))],
                 "IString(i=0, elements=((λ), (s1·λ)))"),
-    "LambdaHyperplane": (LambdaHyperplane, (A01, 1), [(A0, 1), (A01, 0)], "(1|1,1)"),
-    "AdaptedSequence": (AdaptedSequence, (E, (LambdaHyperplane(A0, 0),), S1, "inc"),
-                        [(S2, (LambdaHyperplane(A0, 0),), S1, "inc"),
-                         (E, (LambdaHyperplane(A1, 0),), S1, "inc"),
-                         (E, (LambdaHyperplane(A0, 0),), S2, "inc"),
-                         (E, (LambdaHyperplane(A0, 0),), S1, "dec")],
-                        "AdaptedSequence(e; [(0|1,0)]; ->s1)"),
+    "LambdaHyperplane": (LambdaHyperplane, (A01, 1, 2), [(A0, 1, 2), (A01, 0, 2), (A01, 1, 3)], "(1|1,1)/2"),
+    "AdaptedSequence": (AdaptedSequence, (E, (LambdaHyperplane(A01, 1, 2),), S1, "inc"),
+                        [(S2, (LambdaHyperplane(A01, 1, 2),), S1, "inc"),
+                         (E, (LambdaHyperplane(A1, 0, 1),), S1, "inc"),
+                         (E, (LambdaHyperplane(A01, 1, 2),), S2, "inc"),
+                         (E, (LambdaHyperplane(A01, 1, 2),), S1, "dec")],
+                        "AdaptedSequence(e; [(1|1,1)/2]; ->s1)"),
 }
 
 

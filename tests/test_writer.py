@@ -288,11 +288,11 @@ def crystal_sets(preset: str, weight: str, w: str | None, opposite: tuple | None
     return R, lam, lspath.demazure_crystal(W, lam, w), alcove.enumerate_tree_antidominant(W, lam, w), False
 
 
-def crystal_elements(R, lam, paths: dict, pairs: list, realization: str) -> list:
+def crystal_elements(R, paths: dict, pairs: list, realization: str) -> list:
     """The elements of a crystal document as dicts, LS paths in the order of their Fraction sort key."""
     if realization == "ls":
         return [ls_element(R, p, paths[p]) for p in sorted(paths, key=ls_path_key)]
-    return [alcove_element(R, lam, seq, wt) for seq, wt in pairs]
+    return [alcove_element(R, seq, wt) for seq, wt in pairs]
 
 
 # (preset, weight, w, (z, max_length) for --opposite): --w and --opposite in
@@ -315,7 +315,7 @@ def test_a_crystal_document_is_the_stdlib_text_of_its_dicts(capsys, case, realiz
     dicts, element by element, by the reference builders."""
     preset, weight, w, opposite = case
     R, lam, paths, pairs, truncated = crystal_sets(*case)
-    elements = crystal_elements(R, lam, paths, pairs, realization)
+    elements = crystal_elements(R, paths, pairs, realization)
     doc = {"cartan": R.gcm.to_json(), "lambda": weight_dict(R, lam), "realization": realization,
            "count": len(elements), "elements": elements, "truncated": truncated}
     argv = ["crystal", "--cartan", preset, "--weight", weight, "--realization", realization]
@@ -332,11 +332,11 @@ def test_crystal_elements_across_piece_boundaries(case, realization):
     written into a document, for k = 0, 1 and k around one and two pieces
     of ITEMS_PER_PIECE (128): the text of the document of their dicts."""
     R, lam, paths, pairs, _ = crystal_sets(*case)
-    elements = crystal_elements(R, lam, paths, pairs, realization)
+    elements = crystal_elements(R, paths, pairs, realization)
     if realization == "ls":
         made, write = sorted(paths, key=lspath.path_key), partial(cli_crystal._ls_text, R, paths)
     else:
-        made, write = pairs, partial(cli_crystal._alcove_text, R, lam)
+        made, write = pairs, partial(cli_crystal._alcove_text, R)
     n = cli.ITEMS_PER_PIECE
     for k in (0, 1, n - 1, n, n + 1, 2 * n + 1):
         doc = {"count": k, "elements": partial(write, made[:k]), "truncated": False}
