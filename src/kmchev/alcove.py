@@ -284,9 +284,10 @@ def tree_dot(pairs) -> str:
     the hyperplane labels, parents point to children.  Below one w the
     labels fix a node's branch from the root, so they key the nodes."""
     index = {s.hs: k for k, (s, _) in enumerate(pairs)}
+    quote = str.maketrans({"\\": "\\\\", '"': '\\"'})  # a node name may hold either
     lines = ["digraph tree {", "  rankdir=TB;"]
     for k, (s, _) in enumerate(pairs):
-        lines.append(f'  n{k} [label="{s.z!r}"];')
+        lines.append(f'  n{k} [label="{repr(s.z).translate(quote)}"];')
     for s, _ in pairs:
         if not s.hs:
             continue

@@ -13,13 +13,14 @@ imports on the command's first run, so a run compiles only its own command:
 Output formats: ``json`` (stable schema, deterministic ordering), ``table``
 (human-readable), ``dot`` (trees / crystal graphs).  JSON output is the exact
 text of ``json.dumps`` with ``indent=2``, for corank <= 1 only (larger corank
-is refused before any model runs), written in pieces of bounded size
-(``json_pieces``), so a multi-MB document is never held as one string: the
-rows go out one by one, and a row's terms and a crystal's elements
-ITEMS_PER_PIECE (128) at a time, a piece one ``%`` of a template
-(``dicts_text``).  Every check of the input comes before the first byte, so
-a refused run leaves stdout empty and creates no ``--out`` file; a weight is
-a tuple of ints (``cartan``), so JSON can write every row a model makes.
+is refused before any model runs), written in pieces of bounded size as
+one walk of the document reaches each value (``json_pieces``), so a
+multi-MB document is never held as one string: the rows go out one by one,
+and a row's terms and a crystal's elements ITEMS_PER_PIECE (128) at a time,
+a piece one ``%`` of a template (``dicts_text``).  Every check of the input
+comes before the first byte, so a refused run leaves stdout empty and
+creates no ``--out`` file; a weight is a tuple of ints (``cartan``), so JSON
+can write every row a model makes.
 
 A single-model ``--model nilhecke`` run writes each row as it is made
 (``kring.chevalley_rows``).  ``--model all`` runs nilHecke, then the capped
@@ -172,53 +173,34 @@ def terms_text(R: Realization, poly, indent: str):
 
 def json_pieces(obj, indent: str = "\n"):
     """The text of ``json.dumps(obj, indent=2)``, obj set at `indent`, in
-    pieces, for obj made of dicts with str keys, lists, str, int, bool, None,
-    iterators and callables.  An iterator (a generator, a map) is written as
-    a list, its entries made one by one as the writer reaches them; a
-    callable stands for a value that writes its own pieces (dicts_text),
-    called with its indentation.  Either has a NUL, which the encoding never
-    emits, in the text of everything else, and is written at that place
-    when the pieces before it are."""
-    calls: list = []
-    segments = _json_skeleton(obj, indent, calls).split("\0")  # no copy when there is no NUL
-    yield segments[0]
-    for (value, at), segment in zip(calls, segments[1:]):
-        yield from _entries_text(value, at) if hasattr(value, "__next__") else value(at)
-        yield segment
-
-
-def _entries_text(entries, indent: str):
-    """The pieces of the JSON text of [*entries] at `indent`, each entry
-    written by json_pieces when the entries before it are."""
-    inner = indent + "  "
-    start = "[" + inner
-    for obj in entries:
-        yield start
-        yield from json_pieces(obj, inner)
-        start = "," + inner
-    yield "[]" if start[0] == "[" else indent + "]"
-
-
-def _json_skeleton(obj, indent: str, calls: list) -> str:
-    """The text of obj, with a NUL for each iterator and callable, which is
-    appended to `calls` with its indentation."""
+    pieces in document order: a str, None, a bool or an int as one piece; a
+    dict, list, tuple or iterator (a generator, a map) entry by entry, an
+    iterator's entries made as the writer reaches them; a callable, a value
+    that writes its own pieces (dicts_text), called with its indentation.
+    Any other value raises TypeError when the writer reaches it."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        items = [encode_basestring_ascii(k) + ": " + _json_skeleton(v, inner, calls) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = [_json_skeleton(v, inner, calls) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if callable(obj) or hasattr(obj, "__next__"):
-        calls.append((obj, indent))
-        return "\0"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        yield encode_basestring_ascii(obj)
+    elif obj is None or isinstance(obj, bool):
+        yield "null" if obj is None else "true" if obj else "false"
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, (dict, list, tuple)) or hasattr(obj, "__next__"):
+        brackets = "{}" if isinstance(obj, dict) else "[]"
+        inner = indent + "  "
+        start = brackets[0] + inner
+        for entry in obj.items() if brackets == "{}" else obj:
+            if brackets == "{}":
+                key, entry = entry
+                yield start + encode_basestring_ascii(key) + ": "
+            else:
+                yield start
+            yield from json_pieces(entry, inner)
+            start = "," + inner
+        yield brackets if start[0] != "," else indent + brackets[1]
+    elif callable(obj):
+        yield from obj(indent)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def poly_str(R: Realization, poly) -> str:

@@ -311,13 +311,14 @@ def crystal_dot(W: WeylGroup, paths) -> str:
     for p in order:  # the check of f, once per path instead of per f_i
         W.R.check_dominant(p.lam)
     index = {p: k for k, p in enumerate(order)}
+    quote = str.maketrans({"\\": "\\\\", '"': '\\"'})  # a node name may hold either
     lines = ["digraph crystal {", "  rankdir=TB;"]
     for p in order:
-        lines.append(f'  n{index[p]} [label="{format_path(p)}"];')
+        lines.append(f'  n{index[p]} [label="{format_path(p).translate(quote)}"];')
     for p in order:
         for i in range(W.n):
             q = _root_op(W, p, i, 1)
             if q is not None and q in index:
-                lines.append(f'  n{index[p]} -> n{index[q]} [label="{W.R.node_names[i]}"];')
+                lines.append(f'  n{index[p]} -> n{index[q]} [label="{W.R.node_names[i].translate(quote)}"];')
     lines.append("}")
     return "\n".join(lines)

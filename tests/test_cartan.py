@@ -77,9 +77,9 @@ def test_simple_reflection_is_an_involution_and_moves_rho():
 
 def test_reflections_refuse_a_weight_of_another_rank():
     """simple_reflection, and W.act and lp_act through it, and
-    coroot_reflection raise the ValueError of wt_add instead of cutting or
-    padding a weight, also when <alpha_i^vee, mu> = 0 would return mu
-    unchanged."""
+    coroot_reflection raise a ValueError that names the rank instead of
+    cutting or padding a weight, also when <alpha_i^vee, mu> = 0 would return
+    mu unchanged; so does wt_add."""
     R = realization_from_preset("A2~")  # N = 4
     W = WeylGroup(R)
     for mu in [(1, 0, 0), (0, 1, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), ()]:
@@ -91,6 +91,8 @@ def test_reflections_refuse_a_weight_of_another_rank():
             lp_act(W, W.from_word((0,)), {mu: 1})
         with pytest.raises(ValueError, match="rank"):
             R.coroot_reflection(R.simple_coroots[0], mu)
+    with pytest.raises(ValueError, match="rank"):
+        wt_add((1,), (1, 2))
     assert R.simple_reflection(0, (1, 0, 0, 0)) == (-1, 1, 1, -1)
     assert R.simple_reflection(0, (0, 1, 0, 0)) == (0, 1, 0, 0)
     assert R.coroot_reflection(R.simple_coroots[0], (1, 0, 0, 0)) == (-1, 1, 1, -1)

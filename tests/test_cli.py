@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -13,9 +14,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kmchev.alcove as alcove
 import kmchev.cli as cli
+import kmchev.cli_selftest as cli_selftest
 import kmchev.kring as kring
 import kmchev.lspath as lspath
-from kmchev.cartan import GCM, PRESETS as cartan_presets, Realization, realization_from_preset, wt_neg
+from kmchev.cartan import (GCM, PRESETS as cartan_presets, Realization, realization_from_json_file,
+                           realization_from_preset, wt_neg)
 from kmchev.cli import main
 from kmchev.weyl import WeylGroup
 
@@ -176,6 +179,34 @@ def test_dot_outputs(capsys):
     assert out.count("->") == 8 and 'label="0"' in out
     code, _, err = run(capsys, ["chevalley", *AFFW, "--model", "ls", "--format", "dot"])
     assert code == 2
+
+
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path, capsys):
+    """A node name may hold '"' and '\\': each DOT label is a quoted string
+    with both escaped, and unescaped it is an element's repr, an LS path's
+    text, a hyperplane label's text or a node name."""
+    gcm = tmp_path / "quotes.json"
+    gcm.write_text(json.dumps({"matrix": [[2, -1], [-1, 2]], "nodes": ['a"', "b\\"]}))
+    R = realization_from_json_file(str(gcm))
+    W = WeylGroup(R)
+    elements = {repr(W.from_word(word)) for word in [(), (0,), (1,), (0, 1), (1, 0), (0, 1, 0)]}
+    paths = {lspath.format_path(p) for p in lspath.demazure_crystal(W, (1, 0), W.from_word((0,)))}
+    hyperplanes = re.compile(r"\(\d+\|\d+(,\d+)*\)(/\d+)?").fullmatch
+    label = re.compile(r' \[label="((?:[^"\\]|\\.)*)"\];').fullmatch
+    for argv, is_node, is_edge in [
+        (["chevalley", "--weight", "1,1", "--w", 'a" b\\', "--model", "alcove"], elements.__contains__, hyperplanes),
+        (["crystal", "--weight", "1,1", "--w", 'a" b\\', "--realization", "alcove"], elements.__contains__, hyperplanes),
+        (["crystal", "--weight", "1,0", "--w", 'a"'], paths.__contains__, set(R.node_names).__contains__),
+    ]:
+        code, out, err = run(capsys, [*argv, "--gcm-file", str(gcm), "--format", "dot"])
+        assert code == 0, err
+        lines = out.splitlines()[2:-1]
+        assert len(lines) > 2 and any("->" in line for line in lines)
+        for line in lines:
+            match = label(line[line.index(" ["):])
+            assert match, line
+            text = re.sub(r"\\(.)", r"\1", match[1])
+            assert (is_edge if "->" in line else is_node)(text), line
 
 
 def test_gcm_file_input(tmp_path, capsys):
@@ -639,23 +670,47 @@ def test_selftest_catches_an_injected_fault(capsys, monkeypatch):
     assert "finite-triangles" in bad
 
 
-def test_selftest_catches_a_coefficient_of_the_wrong_sign(capsys, monkeypatch):
-    """A nilHecke recurrence that flips one coefficient of its longest row
-    breaks the cancellation-free scenario."""
-    original = kring.chevalley_recurrence
-
+def _flip_a_coefficient_of_the_longest_row(original):
     def flipped(W, w, lam):
         rows = original(W, w, lam)
         poly = rows[w]
         mu = min(poly)
         rows[w] = {**poly, mu: -poly[mu]}
         return rows
+    return flipped
 
-    monkeypatch.setattr(kring, "chevalley_recurrence", flipped)
-    code, out, _ = run(capsys, ["selftest", "--scenario", "cancellation-free"])
+
+def _raise(*args):
+    raise RuntimeError("injected")
+
+
+# (scenario, module, name, the fault made from the original, a part of the detail)
+SELFTEST_FAULTS = {
+    "flipped-sign": ("cancellation-free", kring, "chevalley_recurrence", _flip_a_coefficient_of_the_longest_row,
+                     "not of sign"),
+    "fold-off-by-one": ("tree-fold", alcove, "wt_fold", lambda f: lambda *a: tuple(c + 1 for c in f(*a)),
+                        "is not its walk's weight"),
+    "T_i-gives-zero": ("crystal-mass", kring, "apply_Ti", lambda f: lambda *a: {}, "crystal weights are not the"),
+    "T_i-raises": ("crystal-mass", kring, "apply_Ti", lambda f: _raise, "exception: RuntimeError"),
+    "blind-sign-check": ("cancellation-free", cli_selftest, "_sign_fault", lambda f: lambda *a: None,
+                         "went undetected"),
+}
+
+
+@pytest.mark.parametrize("fault", list(SELFTEST_FAULTS))
+def test_selftest_reports_the_fault_of_each_scenario(capsys, monkeypatch, fault):
+    """A fault in what a scenario checks (a nilHecke row with one coefficient
+    flipped, a fold off by one, a T_i that gives zero or raises) or in its
+    own negative control (a sign check that sees nothing) fails that
+    scenario, with a detail that says how."""
+    scenario, module, name, make, detail = SELFTEST_FAULTS[fault]
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    code, out, _ = run(capsys, ["selftest", "--scenario", scenario])
     assert code == 1
-    [scenario] = json.loads(out)["scenarios"]
-    assert not scenario["ok"] and "not of sign" in scenario["detail"]
+    doc = json.loads(out)
+    [result] = doc["scenarios"]
+    assert doc["all_ok"] is False and result["name"] == scenario and not result["ok"]
+    assert detail in result["detail"], result["detail"]
 
 
 def test_out_writes_file_and_stdout_stays_quiet(tmp_path, capsys):

@@ -66,6 +66,9 @@ def _assert_lift_parity(W, bound, subsets):
             for tau in reps:
                 if W.bruhat_leq(vmin, tau):
                     assert up(W, v, tau, lam) == up_oracle(W, v, tau, lam, max(bound, v.length + tau.length + 2))
+                else:
+                    with pytest.raises(ValueError, match="does not lie under"):
+                        up(W, v, tau, lam)
         for w in elems:
             wmin = W.coset_min(w, lam)
             for tau in reps:

@@ -58,9 +58,9 @@ def test_json_text_edge_cases():
 
 
 def test_json_text_puts_each_callable_text_in_its_place():
-    """The pieces a callable yields go in at its NUL placeholder in the
-    skeleton: NULs in keys and values are escaped, so they cannot be taken
-    for one, and a NUL inside a callable's own text is left alone."""
+    """The pieces a callable yields go in at the callable's place in the
+    document, as they are: a NUL in a key or a value is escaped, and a NUL
+    in a callable's own text is left alone."""
     texts = ["[1]", '"a\0b"', "[\0]", "[" + ",".join(["7"] * 5000) + "]"]
 
     def doc(term):
@@ -158,9 +158,12 @@ def big_document():
 
 
 def test_a_long_row_is_written_in_bounded_pieces():
+    """The row's terms go out in pieces of ITEMS_PER_PIECE terms at most,
+    as few as that allows, each piece of a bounded length."""
     pieces = list(json_pieces(big_document()))
-    # the row's pieces, more than one, and the document's text before and after it
-    assert len(pieces) == math.ceil(BIG / cli.ITEMS_PER_PIECE) + 2 > 3
+    counts = [piece.count('"mult"') for piece in pieces if '"mult"' in piece]
+    assert len(counts) == math.ceil(BIG / cli.ITEMS_PER_PIECE) > 1
+    assert max(counts) <= cli.ITEMS_PER_PIECE
     term_len = len("".join(pieces)) // BIG  # a term's text, with its "," and line breaks
     assert max(map(len, pieces)) <= cli.ITEMS_PER_PIECE * (term_len + 1)
 
@@ -256,19 +259,20 @@ def test_an_iterators_entries_are_made_as_the_writer_reaches_them():
     """Each entry of an iterator is made when the pieces before it are
     written, not when the document is built or its writer started."""
     written = []
-    made_after = []
+    written_when_made = []
 
     def entries():
         for k in range(5):
-            made_after.append(len(written))
+            written_when_made.append("".join(written))
             yield {"k": k}
 
     doc = {"head": "x", "rows": entries(), "tail": [1]}
     for piece in json_pieces(doc):
         written.append(piece)
     assert "".join(written) == json.dumps({"head": "x", "rows": [{"k": k} for k in range(5)], "tail": [1]}, indent=2)
-    # the document's text before the list, then two pieces per entry: its start and its text
-    assert made_after == [1, 3, 5, 7, 9]
+    # the text written when entry k is made ends with entry k - 1, or with the list's key
+    ends = ['"rows": '] + [at_depth(json.dumps({"k": k}, indent=2), 2) for k in range(4)]
+    assert [text.endswith(end) for text, end in zip(written_when_made, ends)] == [True] * 5
 
 
 # -- crystal elements: one template per piece, against the dicts they stand for --
