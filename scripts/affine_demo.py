@@ -17,7 +17,7 @@ from kmchev.alcove import (
     enumerate_tree_dominant,
     tree_dot,
 )
-from kmchev.cartan import realization_from_preset, wt_neg
+from kmchev.cartan import realization_from_preset
 from kmchev.kring import chevalley_recurrence
 from kmchev.lspath import (
     chevalley_ls,
@@ -79,10 +79,10 @@ def main():
             print(f"  root edge {seq.hs[0]!r} -> {seq.z!r}")
 
     ok = {}
-    for sign, title, mu in ((1, "[L^+lam]", lam), (-1, "[L^-lam]", wt_neg(lam))):
+    for sign, title in ((1, "[L^+lam]"), (-1, "[L^-lam]")):
         rows = chevalley_ls(W, lam, w, sign)
         show_rows(R, f"{title} rows (LS model)", rows)
-        ok[sign] = rows == chevalley_alcove(W, lam, w, sign) == chevalley_recurrence(W, w, mu)
+        ok[sign] = rows == chevalley_alcove(W, lam, w, sign) == chevalley_recurrence(W, lam, w, sign)
     print(f"\nLS == alcove == nilHecke: dominant {ok[1]}, antidominant {ok[-1]}")
 
     if args.out_dir:

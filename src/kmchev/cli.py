@@ -22,14 +22,15 @@ comes before the first byte, so a refused run leaves stdout empty and
 creates no ``--out`` file; a weight is a tuple of ints (``cartan``), so JSON
 can write every row a model makes.
 
-A single-model ``--model nilhecke`` run writes each row as it is made
-(``kring.chevalley_rows``).  ``--model all`` runs nilHecke, then the capped
-alcove walk, then the LS closure, which no cap bounds; it holds the nilHecke
-rows (the ones it writes), and each other model's rows until they are
-compared with them, keeping those that differ.  ``ls``, ``alcove`` and
-fixed-z hold their rows.  A streamed run that runs out of memory after its
-first byte exits 2 as any other; ``emit`` removes the ``--out`` file it
-created, and stdout keeps a prefix of the document, as after a closed pipe.
+The models are one table, ``MODELS``, of row entries (W, lam, w, sign).
+``--model all`` runs it in order: nilHecke, the capped alcove walk, then the
+LS closure, which no cap bounds; it holds the nilHecke rows (the ones it
+writes), and each other model's rows until they are compared with them,
+keeping those that differ.  ``--model nilhecke`` writes each row as it is
+made (``kring.chevalley_rows``); ``ls``, ``alcove`` and fixed-z hold theirs.
+A streamed run that runs out of memory after its first byte exits 2 as any
+other; ``emit`` removes the ``--out`` file it created, and stdout keeps a
+prefix of the document, as after a closed pipe.
 
 Table output prints every extra coordinate of a weight in corank >= 2.  A
 failed cross-check exits 1 with a report: table lines under ``--format
@@ -53,7 +54,7 @@ from functools import partial
 from itertools import chain
 from types import SimpleNamespace
 
-from .cartan import Realization, Weight, realization_from_json_file, realization_from_preset, wt_neg
+from .cartan import Realization, Weight, realization_from_json_file, realization_from_preset
 from .weyl import CapError, WeylElt, WeylGroup, env_cap
 
 
@@ -267,34 +268,27 @@ def _write_pieces(write, pieces) -> None:
 
 
 def _rows_for_model(model: str, R: Realization, lam: Weight, sign: int, word: tuple):
-    """Each model builds its own WeylGroup, so no cache filled by one model
-    feeds another: the cross-check compares independent computations."""
+    """The model's rows, by its MODELS entry in a WeylGroup of its own: no cache filled
+    by one model feeds another, so the cross-check compares independent computations."""
+    module, entry = MODELS[model]
+    __import__(f"kmchev.{module}")
     W = WeylGroup(R)
-    w = W.from_word(word)
-    if model == "nilhecke":
-        from . import kring
-        return kring.chevalley_recurrence(W, w, lam if sign > 0 else wt_neg(lam))
-    if model == "ls":
-        from . import lspath
-        return lspath.chevalley_ls(W, lam, w, sign)
-    if model == "alcove":
-        from . import alcove
-        return alcove.chevalley_alcove(W, lam, w, sign)
-    raise CLIError(f"unknown model {model!r}")
+    return getattr(sys.modules[f"kmchev.{module}"], entry)(W, lam, W.from_word(word), sign)
 
 
 def _rows_diff(rows_of, models) -> tuple[dict, list]:
-    """The rows rows_of(models[0]), the reference, and [(z, {model: row})]
+    """The rows of the first of the models, the reference, and [(z, {model: row})]
     in z.key order at each z where another model's rows differ from them,
     every model's row given by name (the reference's where a model agrees).
     The models run one at a time, and each one's rows are dropped once
     compared: z is matched by its rho-image, as each model has its own
     group, whose elements compare by identity."""
-    ref = rows_of(models[0])
+    first, *rest = models
+    ref = rows_of(first)
     by_rho = {z.rho: poly for z, poly in ref.items()}
     elts = {z.rho: z for z in ref}
-    differing = {models[0]: {}}
-    for name in models[1:]:
+    differing = {first: {}}
+    for name in rest:
         differing[name] = _differing(rows_of(name), by_rho, elts)
     diffs = []
     for rho in sorted(set().union(*differing.values()), key=lambda mu: elts[mu].key):
@@ -317,7 +311,10 @@ def _differing(rows: dict, by_rho: dict, elts: dict) -> dict:
 
 
 SIGNS = {"+1": 1, "+": 1, "-1": -1, "-": -1}
-MODELS = ("nilhecke", "alcove", "ls")  # --model all: the reference, the capped walk, the LS closure no cap bounds
+# {model: (its module under kmchev, its row entry (W, lam, w, sign))} in the order of
+# --model all: the reference, the capped walk, the LS closure no cap bounds
+MODELS = {"nilhecke": ("kring", "chevalley_recurrence"), "alcove": ("alcove", "chevalley_alcove"),
+          "ls": ("lspath", "chevalley_ls")}
 
 
 def cmd_chevalley(args: SimpleNamespace) -> int:
@@ -338,7 +335,7 @@ def cmd_chevalley(args: SimpleNamespace) -> int:
 
     if args.model == "nilhecke":
         from . import kring
-        rows = kring.chevalley_rows(W, w, lam if sign > 0 else wt_neg(lam))  # made as they are written
+        rows = kring.chevalley_rows(W, lam, w, sign)  # made as they are written
         _emit_rows(args, sign, R, lam, "w", w, rows, False, "")
         return 0
 

@@ -11,7 +11,7 @@ from collections import Counter
 from functools import partial
 from types import SimpleNamespace
 
-from .cartan import GCM, Realization, lp_add_into, lp_monomial, realization_from_preset, wt_neg
+from .cartan import GCM, Realization, lp_add_into, lp_monomial, realization_from_preset
 from .cli import MODELS, CLIError, _rows_diff, _rows_for_model, emit, json_pieces, parse_word
 from .weyl import WeylElt, WeylGroup
 
@@ -73,8 +73,8 @@ def _scn_negative_control() -> str | None:
     inverted: dict = {}
     for seq, _ in alcove.enumerate_tree_antidominant(W, lam, w):
         lp_add_into(inverted.setdefault(seq.z, {}), lp_monomial(alcove.wt_fold(W, lam, seq, "inc")))
-    rows = {"nilhecke": kring.chevalley_recurrence(W, w, lam), "inverted": inverted}
-    if not _rows_diff(rows.get, list(rows))[1]:
+    rows = {"nilhecke": kring.chevalley_recurrence(W, lam, w, 1), "inverted": inverted}
+    if not _rows_diff(rows.get, rows)[1]:
         return "inverted lex comparator went undetected"
     return None
 
@@ -99,7 +99,7 @@ def _scn_cancellation_free() -> str | None:
         W = WeylGroup(R)
         w = W.from_word(word)
         for sign in (1, -1):
-            rows = kring.chevalley_recurrence(W, w, lam if sign > 0 else wt_neg(lam))
+            rows = kring.chevalley_recurrence(W, lam, w, sign)
             if fault := _sign_fault(rows, w, sign):
                 return fault
             z, poly = next(iter(rows.items()))

@@ -12,9 +12,9 @@ for n > 0, 0 for n = 0, and -(e^mu + ... + e^{mu + (-1-n) alpha_i})
 (positions [p, p - n)) for n < 0.  So T_i of a polynomial is a sum of
 ranges on each string, and s_i sends position q to -q - <alpha_i^vee, b>.
 T_i^2 = -T_i, the braid relations hold, and D_i = 1 + T_i is the Demazure operator.
-Writing T_w e^lam = sum_z b_z T_z, the b_z are the equivariant K-Chevalley
-coefficients; chevalley_recurrence computes them by composing the twisted
-Leibniz rule letter by letter.  (The closed-form sum over the 2^N signed
+Writing T_w e^{sign lam} = sum_z b_z T_z, the b_z are the equivariant K-Chevalley
+coefficients of [L^{sign lam}] [O_w]; chevalley_recurrence computes them by composing the
+twisted Leibniz rule letter by letter.  (The closed-form sum over the 2^N signed
 subwords of a reduced word checks it in the tests, not here.)  A letter i
 is composed one row z at a time, in z.key order (hecke_compose): the row
 of z reads the rows f_z and f_{s_i z} of the step before and nothing else,
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .cartan import LaurentPoly, Realization, Weight, check_integral, lp_monomial
+from .cartan import LaurentPoly, Realization, Weight, check_integral, check_sign, lp_monomial, wt_neg
 from .weyl import WeylElt, WeylGroup, env_cap, over_cap
 
 # {WeylElt: LaurentPoly}, zero polynomials never stored
@@ -171,33 +171,35 @@ def hecke_compose(W: WeylGroup, i: int, element: NilHeckeCoeffs, table: Strings)
             yield z, row
 
 
-def chevalley_recurrence(W: WeylGroup, w: WeylElt, lam: Weight) -> NilHeckeCoeffs:
-    """The coefficients b_z with T_w e^lam = sum_z b_z T_z, by composing the
-    letters of a reduced word of w innermost-first.  The run owns one
-    ``Strings`` table per letter, so each weight's string data is worked out
-    once per letter, and every row of a step shares its letter's tuples; a w
-    of another group, or a lam with a coordinate that is not an int, is refused."""
+def chevalley_recurrence(W: WeylGroup, lam: Weight, w: WeylElt, sign: int) -> NilHeckeCoeffs:
+    """The coefficients b_z with T_w e^{sign*lam} = sum_z b_z T_z, for any
+    integral lam (no dominance is needed), by composing the letters of a
+    reduced word of w innermost-first.  The run owns one ``Strings`` table
+    per letter, so each weight's string data is worked out once per letter,
+    and every row of a step shares its letter's tuples.  Any sign but 1 and
+    -1, a w of another group, or a lam coordinate not an int is refused."""
+    check_sign(sign)
     W.check_element(w)
     check_integral(lam)
     tables = {i: Strings(W.R, i, W.cap) for i in set(w.word)}
-    state: NilHeckeCoeffs = {W.e: lp_monomial(lam)}
+    state: NilHeckeCoeffs = {W.e: lp_monomial(lam if sign > 0 else wt_neg(lam))}
     for i in reversed(w.word):
         state = dict(hecke_compose(W, i, state, tables[i]))
     return state
 
 
-def chevalley_rows(W: WeylGroup, w: WeylElt, lam: Weight):
-    """The rows (z, b_z) of chevalley_recurrence(W, w, lam) in z.key order,
-    those of the outermost letter made one at a time as they are asked for:
-    with i = w.word[0], the rows of s_i w are held, and hecke_compose
-    composes T_i onto them.  T_i ranges start at held weights, so the cap
-    refuses the longest one (the least and the greatest <alpha_i^vee, mu>)
-    before the first row is made."""
+def chevalley_rows(W: WeylGroup, lam: Weight, w: WeylElt, sign: int):
+    """The rows (z, b_z) of chevalley_recurrence(W, lam, w, sign) in z.key
+    order, those of the outermost letter made one at a time as they are
+    asked for: with i = w.word[0], the rows of s_i w are held, and
+    hecke_compose composes T_i onto them.  T_i ranges start at held weights,
+    so the cap refuses the longest one (the least and the greatest
+    <alpha_i^vee, mu>) before the first row is made, and so is any input the recurrence refuses."""
     W.check_element(w)
     if not w.word:
-        return chevalley_recurrence(W, w, lam).items()
+        return chevalley_recurrence(W, lam, w, sign).items()
     i = w.word[0]
-    held = chevalley_recurrence(W, W.lmul(i, w), lam)
+    held = chevalley_recurrence(W, lam, W.lmul(i, w), sign)
     table = Strings(W.R, i, W.cap)
     for extreme in (min, max):
         table.add(extreme((mu for f in held.values() for mu in f), key=itemgetter(i)))

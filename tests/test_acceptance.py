@@ -82,7 +82,7 @@ def test_criterion_1_explicit_row(WA2):
     v = W.from_word((0,))
     lam = (2, 1)
     expect = {(-2, 0): 1, (-1, -2): 1}
-    rec = chevalley_recurrence(W, w, lam)[v]
+    rec = chevalley_recurrence(W, lam, w, 1)[v]
     exp = chevalley_explicit(W, w, v, lam)
     dt = perf_counter() - t0
     ok = rec == expect and exp == expect and dt < 1
@@ -126,7 +126,7 @@ def test_criterion_2_dominant_affine_row(WAFF):
     ]
 
     alc = chevalley_alcove(W, LAM, w, 1)
-    rec = chevalley_recurrence(W, w, LAM)
+    rec = chevalley_recurrence(W, LAM, w, 1)
     triangle_ok = rows_equal(rows, alc) and rows_equal(rows, rec)
 
     dt = perf_counter() - t0
@@ -184,7 +184,7 @@ def test_criterion_3_antidominant_affine_row(WAFF):
     )
 
     alc = chevalley_alcove(W, LAM, w, -1)
-    rec = chevalley_recurrence(W, w, wt_neg(LAM))
+    rec = chevalley_recurrence(W, LAM, w, -1)
     triangle_ok = rows_equal(rows, alc) and rows_equal(rows, rec)
 
     dt = perf_counter() - t0
@@ -273,10 +273,10 @@ def test_criterion_5_oracle_triangle(WA2, WB2, WG2):
         for lam in lams:
             ls = chevalley_ls(W, lam, w, 1)
             assert rows_equal(ls, chevalley_alcove(W, lam, w, 1))
-            assert rows_equal(ls, chevalley_recurrence(W, w, lam))
+            assert rows_equal(ls, chevalley_recurrence(W, lam, w, 1))
             als = chevalley_ls(W, lam, w, -1)
             assert rows_equal(als, chevalley_alcove(W, lam, w, -1))
-            assert rows_equal(als, chevalley_recurrence(W, w, wt_neg(lam)))
+            assert rows_equal(als, chevalley_recurrence(W, lam, w, -1))
             rows_checked += 2
 
     dt = perf_counter() - t0

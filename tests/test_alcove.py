@@ -511,8 +511,8 @@ def test_random_rank2_weights_and_rows(offdiag, coords, first, length):
         tree = (enumerate_tree_dominant if mono == "inc" else enumerate_tree_antidominant)(W, lam, w)
         fan, _ = enumerate_z_adapted(W, lam, w, mono, length + 1)
         assert carried_mismatches(W, lam, tree + fan) == []
-    for sign, mu in ((1, lam), (-1, wt_neg(lam))):
-        rows = chevalley_recurrence(W, w, mu)
+    for sign in (1, -1):
+        rows = chevalley_recurrence(W, lam, w, sign)
         assert all(type(x) is int for row in rows.values() for nu in row for x in nu)
         assert chevalley_alcove(W, lam, w, sign) == rows
         assert chevalley_ls(W, lam, w, sign) == rows
@@ -655,7 +655,7 @@ def test_a_weight_that_is_not_dominant_is_refused(WA2):
     s1 s2 alone, while the recurrence, which takes any lam, also has the row
     of s2: a silent wrong answer, so every walk refuses such a lam."""
     s2, w = WA2.from_word((1,)), WA2.from_word((0, 1))
-    assert chevalley_recurrence(WA2, w, (-1, 0)) == {s2: {(-1, 0): -1}, w: {(1, -1): 1}}
+    assert chevalley_recurrence(WA2, (-1, 0), w, 1) == {s2: {(-1, 0): -1}, w: {(1, -1): 1}}
     for call in (lambda: chevalley_alcove(WA2, (-1, 0), w, 1), lambda: chevalley_alcove(WA2, (-1, 0), w, -1),
                  lambda: fixed_z_rows(WA2, (-1, 0), WA2.e, 1, 3), lambda: enumerate_tree_dominant(WA2, (1, 0, 0), w)):
         with pytest.raises(ValueError, match="is not a dominant weight of rank 2"):
@@ -667,10 +667,12 @@ def test_a_sign_other_than_plus_or_minus_one_is_refused(WA2, sign):
     """On A2 with lam = (1, 0) and w = s1 s2, chevalley_ls gave sign 0 the
     row {s1*s2: e^(1,-1)}, which is neither sign's row, both alcove rows
     read 0 as -1 and 2 as +1, and all three gave True and 1.0 the sign +1
-    rows: every row entry refuses such a sign, an int of 1 or -1 alone."""
+    rows: every row entry, the two of the recurrence too, refuses such a
+    sign, an int of 1 or -1 alone."""
     w = WA2.from_word((0, 1))
     for call in (lambda: chevalley_ls(WA2, (1, 0), w, sign), lambda: chevalley_alcove(WA2, (1, 0), w, sign),
-                 lambda: fixed_z_rows(WA2, (1, 0), WA2.e, sign, 2)):
+                 lambda: fixed_z_rows(WA2, (1, 0), WA2.e, sign, 2), lambda: chevalley_recurrence(WA2, (1, 0), w, sign),
+                 lambda: chevalley_rows(WA2, (1, 0), w, sign), lambda: chevalley_rows(WA2, (1, 0), WA2.e, sign)):
         with pytest.raises(ValueError, match=f"sign must be 1 or -1, not {sign}$"):
             call()
 
@@ -681,8 +683,8 @@ ROW_ENTRIES = {
     "chevalley_ls": lambda W, w: chevalley_ls(W, (1, 0), w, 1),
     "chevalley_alcove": lambda W, w: chevalley_alcove(W, (1, 0), w, -1),
     "fixed_z_rows": lambda W, z: fixed_z_rows(W, (1, 0), z, 1, 3)[0],
-    "chevalley_recurrence": lambda W, w: chevalley_recurrence(W, w, (1, 0)),
-    "chevalley_rows": lambda W, w: dict(chevalley_rows(W, w, (1, 0))),
+    "chevalley_recurrence": lambda W, w: chevalley_recurrence(W, (1, 0), w, 1),
+    "chevalley_rows": lambda W, w: dict(chevalley_rows(W, (1, 0), w, 1)),
     "enumerate_tree_dominant": lambda W, w: enumerate_tree_dominant(W, (1, 0), w),
     "enumerate_tree_antidominant": lambda W, w: enumerate_tree_antidominant(W, (1, 0), w),
     "enumerate_z_adapted": lambda W, z: enumerate_z_adapted(W, (1, 0), z, "inc", 3)[0],
@@ -746,10 +748,10 @@ def test_triangle_finite(WA2):
     W = WA2
     for lam in ((1, 1), (2, 1)):
         for w in bfs_ball(W, 10):
-            rec = chevalley_recurrence(W, w, lam)
+            rec = chevalley_recurrence(W, lam, w, 1)
             assert rows_equal(rec, chevalley_alcove(W, lam, w, 1))
             assert rows_equal(rec, chevalley_ls(W, lam, w, 1))
-            arec = chevalley_recurrence(W, w, wt_neg(lam))
+            arec = chevalley_recurrence(W, lam, w, -1)
             assert rows_equal(arec, chevalley_alcove(W, lam, w, -1))
             assert rows_equal(arec, chevalley_ls(W, lam, w, -1))
 
@@ -757,7 +759,7 @@ def test_triangle_finite(WA2):
 def test_triangle_affine_frozen(WAFF):
     W = WAFF
     w = W.from_word(WWORD)
-    rec = chevalley_recurrence(W, w, LAM)
+    rec = chevalley_recurrence(W, LAM, w, 1)
     dom = chevalley_alcove(W, LAM, w, 1)
     assert rows_equal(rec, dom)
     three = {
@@ -767,7 +769,7 @@ def test_triangle_affine_frozen(WAFF):
     }
     assert dom[W.from_word((1, 2))] == three
     assert dom[W.from_word((1, 2, 1))] == three
-    arec = chevalley_recurrence(W, w, wt_neg(LAM))
+    arec = chevalley_recurrence(W, LAM, w, -1)
     anti = chevalley_alcove(W, LAM, w, -1)
     assert rows_equal(arec, anti)
     assert anti[W.from_word((2,))] == {wt_neg(LAM): -1}
@@ -789,11 +791,11 @@ def test_fixed_z_rows_are_the_transposed_recurrence(R, lamtext, zword, bound):
     W = WeylGroup(R)
     lam = R.parse_weight(lamtext)
     z = W.from_word(zword)
-    for sign, mu in ((1, lam), (-1, wt_neg(lam))):
+    for sign in (1, -1):
         rows, _ = fixed_z_rows(W, lam, z, sign, bound)
         assert rows
         for w in bfs_ball(W, bound):
-            assert rows.get(w, {}) == chevalley_recurrence(W, w, mu).get(z, {}), (sign, w)
+            assert rows.get(w, {}) == chevalley_recurrence(W, lam, w, sign).get(z, {}), (sign, w)
 
 
 def test_inverted_lex_breaks_the_triangle(WAFF):
@@ -801,7 +803,7 @@ def test_inverted_lex_breaks_the_triangle(WAFF):
     tree folded with wt_inc; it must disagree with the recurrence."""
     W = WAFF
     w = W.from_word(WWORD)
-    rec = chevalley_recurrence(W, w, LAM)
+    rec = chevalley_recurrence(W, LAM, w, 1)
     wrong = {}
     for seq, _ in enumerate_tree_antidominant(W, LAM, w):
         lp_add_into(wrong.setdefault(seq.z, {}), lp_monomial(wt_fold(W, LAM, seq, "inc")))

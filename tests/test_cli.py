@@ -18,7 +18,7 @@ import kmchev.cli_selftest as cli_selftest
 import kmchev.kring as kring
 import kmchev.lspath as lspath
 from kmchev.cartan import (GCM, PRESETS as cartan_presets, Realization, realization_from_json_file,
-                           realization_from_preset, wt_neg)
+                           realization_from_preset)
 from kmchev.cli import main
 from kmchev.weyl import WeylGroup
 
@@ -671,8 +671,8 @@ def test_selftest_catches_an_injected_fault(capsys, monkeypatch):
 
 
 def _flip_a_coefficient_of_the_longest_row(original):
-    def flipped(W, w, lam):
-        rows = original(W, w, lam)
+    def flipped(W, lam, w, sign):
+        rows = original(W, lam, w, sign)
         poly = rows[w]
         mu = min(poly)
         rows[w] = {**poly, mu: -poly[mu]}
@@ -1149,7 +1149,7 @@ def test_every_model_makes_its_rows_in_key_order(matrix, weight, word, sign):
         "alcove": alcove.chevalley_alcove(W, lam, w, sign),
         "fixed-z": alcove.fixed_z_rows(W, lam, W.from_word(word[:1]), sign, 4)[0],
         "ls": lspath.chevalley_ls(W, lam, w, sign),
-        "nilhecke": kring.chevalley_recurrence(W, w, lam if sign > 0 else wt_neg(lam)),
+        "nilhecke": kring.chevalley_recurrence(W, lam, w, sign),
     }
     for model, rows in made.items():
         keys = [u.key for u in rows]

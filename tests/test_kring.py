@@ -131,7 +131,7 @@ def test_each_weight_of_a_run_is_one_object(R, lam, word, sign):
     the last letter's table: as many weight objects as distinct weights,
     not one per term."""
     W = WeylGroup(R)
-    rows = chevalley_recurrence(W, W.from_word(parse_word(R, word)), wt_scale(sign, lam))
+    rows = chevalley_recurrence(W, lam, W.from_word(parse_word(R, word)), sign)
     terms = [mu for poly in rows.values() for mu in poly]
     assert len({id(mu) for mu in terms}) == len(set(terms))
     if R is HYPERBOLIC and sign > 0:
@@ -158,10 +158,9 @@ def test_hecke_compose_yields_the_per_y_rows_in_key_order(name, sign):
     every step of the recurrence along their words."""
     R, lam, longest = ORACLE_CASES[name]
     W = WeylGroup(R)
-    lam = wt_scale(sign, lam)
     for w in bfs_ball(W, longest)[1:]:
         i = w.word[0]
-        rows = chevalley_recurrence(W, W.from_word(w.word[1:]), lam)
+        rows = chevalley_recurrence(W, lam, W.from_word(w.word[1:]), sign)
         element = dict(rows)
         got = list(hecke_compose(W, i, element, Strings(R, i)))
         assert element == {}
@@ -176,10 +175,9 @@ def test_chevalley_rows_are_the_recurrence_rows_in_key_order(name, sign):
     for w = e too."""
     R, lam, longest = ORACLE_CASES[name]
     W = WeylGroup(R)
-    lam = wt_scale(sign, lam)
     for w in bfs_ball(W, longest - 1):
-        got = list(chevalley_rows(W, w, lam))
-        assert got == sorted(chevalley_recurrence(W, w, lam).items(), key=lambda pair: pair[0].key), w
+        got = list(chevalley_rows(W, lam, w, sign))
+        assert got == sorted(chevalley_recurrence(W, lam, w, sign).items(), key=lambda pair: pair[0].key), w
 
 
 def test_chevalley_rows_refuses_an_over_cap_range_before_the_first_row():
@@ -191,10 +189,10 @@ def test_chevalley_rows_refuses_an_over_cap_range_before_the_first_row():
     W = WeylGroup(R)
     W.cap = 10
     w = W.from_word((0, 1))
-    assert dict(chevalley_rows(W, w, (-10, 0))) == chevalley_recurrence(W, w, (-10, 0))
+    assert dict(chevalley_rows(W, (-10, 0), w, 1)) == chevalley_recurrence(W, (-10, 0), w, 1)
     for lam in ((11, 0), (-11, 0), (0, 11)):
         with pytest.raises(CapError, match="exceeds cap 10"):
-            chevalley_rows(W, w, lam)
+            chevalley_rows(W, lam, w, 1)
 
 
 def test_a_strings_table_takes_a_range_at_its_cap_and_refuses_one_more():
@@ -238,9 +236,9 @@ def test_rows_of_a_longest_coset_element_are_longest_in_their_cosets(name):
     longest = [w for w in bfs_ball(W, bound) if longest_in_coset(W, w, J)]
     assert J and len(longest) > 1
     for w in longest:
-        for mu in (lam, wt_neg(lam)):
-            rows = chevalley_recurrence(W, w, mu)
-            assert rows and all(longest_in_coset(W, z, J) for z in rows), (w, mu)
+        for sign in (1, -1):
+            rows = chevalley_recurrence(W, lam, w, sign)
+            assert rows and all(longest_in_coset(W, z, J) for z in rows), (w, sign)
 
 
 def test_rows_of_other_coset_elements_leave_the_longest_ones():
@@ -249,8 +247,8 @@ def test_rows_of_other_coset_elements_leave_the_longest_ones():
     is not longest in z W_J, so the check above is not vacuous."""
     W = WeylGroup(HYPERBOLIC)
     lam, J = (1, 0), [1]
-    rows = [chevalley_recurrence(W, w, mu) for w in bfs_ball(W, 5) if not longest_in_coset(W, w, J)
-            for mu in (lam, wt_neg(lam))]
+    rows = [chevalley_recurrence(W, lam, w, sign) for w in bfs_ball(W, 5) if not longest_in_coset(W, w, J)
+            for sign in (1, -1)]
     assert len(rows) == 12
     for row in rows:
         assert not all(longest_in_coset(W, z, J) for z in row), row
@@ -352,7 +350,7 @@ def test_explicit_matches_recurrence_finite(WA2):
     W = WA2
     lam = (2, 1)
     for w in bfs_ball(W, 3):
-        rows = chevalley_recurrence(W, w, lam)
+        rows = chevalley_recurrence(W, lam, w, 1)
         for v in interval_below(W, w):
             assert rows.get(v, {}) == chevalley_explicit(W, w, v, lam)
 
@@ -362,7 +360,7 @@ def test_explicit_matches_recurrence_affine_both_words(WAFF):
     lam = (1, 1, 0, 0)
     w = W.from_word((0, 1, 2, 1))
     assert w == W.from_word((0, 2, 1, 2))
-    rows = chevalley_recurrence(W, w, lam)
+    rows = chevalley_recurrence(W, lam, w, 1)
     for v in interval_below(W, w):
         a = chevalley_explicit(W, w, v, lam, word=(0, 1, 2, 1))
         b = chevalley_explicit(W, w, v, lam, word=(0, 2, 1, 2))
@@ -377,7 +375,7 @@ def test_frozen_rank2_coefficient(WA2):
     v = W.from_word((0,))
     expected = {(-2, 0): 1, (-1, -2): 1}
     assert chevalley_explicit(W, w, v, lam) == expected
-    assert chevalley_recurrence(W, w, lam)[v] == expected
+    assert chevalley_recurrence(W, lam, w, 1)[v] == expected
 
 
 @pytest.mark.parametrize("preset,lamc", [("A2", (1, 1)), ("B2", (1, 2))])
@@ -386,7 +384,7 @@ def test_dominant_rows_are_positive_sums(preset, lamc):
     W = WeylGroup(R)
     lam = lamc
     for w in bfs_ball(W, 8):
-        for z, poly in chevalley_recurrence(W, w, lam).items():
+        for z, poly in chevalley_recurrence(W, lam, w, 1).items():
             assert all(c > 0 for c in poly.values()), (w, z, poly)
 
 
@@ -394,7 +392,7 @@ def test_antidominant_rows_have_uniform_sign(WB2):
     W = WB2
     lam = (1, 1)
     for w in bfs_ball(W, 8):
-        for z, poly in chevalley_recurrence(W, w, wt_neg(lam)).items():
+        for z, poly in chevalley_recurrence(W, lam, w, -1).items():
             want = -1 if (w.length - z.length) % 2 else 1
             assert all((c > 0) == (want > 0) for c in poly.values())
 
@@ -416,10 +414,10 @@ def test_rows_are_cancellation_free_beyond_finite_type(name, lam, word, size):
     R = HYPERBOLIC if name == "hyp2" else realization_from_preset(name)
     W = WeylGroup(R)
     w = W.from_word(parse_word(R, word))
-    for z, poly in chevalley_recurrence(W, w, lam).items():
+    for z, poly in chevalley_recurrence(W, lam, w, 1).items():
         assert all(c > 0 for c in poly.values()), (z, poly)
     mass = 0
-    for z, poly in chevalley_recurrence(W, w, wt_neg(lam)).items():
+    for z, poly in chevalley_recurrence(W, lam, w, -1).items():
         want = -1 if (w.length - z.length) % 2 else 1
         assert all(c * want > 0 for c in poly.values()), (z, poly)
         mass += sum(map(abs, poly.values()))
@@ -432,7 +430,7 @@ def test_rows_are_supported_on_the_interval(WB2):
     lam = (2, 1)
     for w in bfs_ball(W, 8):
         below = interval_below(W, w)
-        for z, poly in chevalley_recurrence(W, w, lam).items():
+        for z, poly in chevalley_recurrence(W, lam, w, 1).items():
             if poly:
                 assert z in below
 

@@ -271,8 +271,8 @@ def test_a_float_or_bool_coordinate_is_refused_before_it_poisons_the_group(lam):
     for word, want in [((0, 1), {(1,): {(-1, 1): 1}, (0, 1): {(-1, 1): 1}}), ((1,), {(1,): {(1, 0): 1}})]:
         w = W.from_word(word)
         for call in (lambda: chevalley_ls(W, lam, w, 1), lambda: chevalley_ls(W, lam, w, -1),
-                     lambda: chevalley_alcove(W, lam, w, 1), lambda: chevalley_recurrence(W, w, lam),
-                     lambda: list(chevalley_rows(W, w, lam)), lambda: demazure_crystal(W, lam, w),
+                     lambda: chevalley_alcove(W, lam, w, 1), lambda: chevalley_recurrence(W, lam, w, 1),
+                     lambda: list(chevalley_rows(W, lam, w, 1)), lambda: demazure_crystal(W, lam, w),
                      lambda: crystal_up_to(W, lam, 2), lambda: f(W, LSPath(lam, 1, [(1, W.e)]), 0),
                      lambda: crystal_dot(W, [LSPath(lam, 1, [(1, W.e)])])):
             with pytest.raises(ValueError, match="has a coordinate that is not an int"):
